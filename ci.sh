@@ -130,15 +130,19 @@ awk -v base="$baseline" -v cur="$current" \
 
 echo "== crypto batch-speedup gate =="
 # The fleet-scale crypto contract: routing the 48-instance three-round OT
-# through the batch executor (WAVEKEY-1024 fold path, quad-packed lanes)
-# must beat the scalar MODP-1024 baseline workload (the recorded ~93 ms
-# op, re-measured in the same fresh run above) by at least
-# WAVEKEY_CRYPTO_BATCH_SPEEDUP_MIN (default 2.0x — the fold path measures
-# ~3.3x at recording time, leaving headroom for machine noise) — and the
-# batched routes must reproduce the scalar keys bit for bit at every
-# thread width. The thread cap is read once per process, so each width
-# runs its own equivalence-only process.
-BATCH_MIN="${WAVEKEY_CRYPTO_BATCH_SPEEDUP_MIN:-2.0}"
+# through the batch executor (WAVEKEY-1024 Crandall fold, quad-packed
+# lanes) must beat the scalar MODP-1024 workload (`ot_batch48_three_rounds`,
+# re-measured in the same fresh run above) by at least
+# WAVEKEY_CRYPTO_BATCH_SPEEDUP_MIN — and the batched routes must reproduce
+# the scalar keys bit for bit at every thread width. The scalar sender
+# uses the same k¹ fold as the batched one, so the margin is the lanes
+# plus the Crandall fold alone: eight default-width runs on a 2-core
+# x86-64 host measured 1.3-2.0x (median ~1.65x). The default floor of
+# 1.2x sits below the slowest of those runs. It only catches a gross
+# loss: the fleet group without lanes (`..._wavekey1024_scalar`)
+# measured 0.9-1.5x (median ~1.0x) in the same runs. The thread cap is read once per process, so
+# each width runs its own equivalence-only process.
+BATCH_MIN="${WAVEKEY_CRYPTO_BATCH_SPEEDUP_MIN:-1.2}"
 scalar48=$(mean_of "ot_batch48_three_rounds" "$fresh")
 batched48=$(mean_of "ot_batch48_three_rounds_wavekey1024_batched" "$fresh")
 [[ -n "$scalar48" && -n "$batched48" ]] \

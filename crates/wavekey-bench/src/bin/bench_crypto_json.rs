@@ -84,9 +84,7 @@ fn time_op_amortized<F: FnMut()>(op: &str, n: usize, f: F) -> Sample {
 /// the scalar or the batched route. Returns the encoded wire messages and
 /// decrypted payloads so callers can compare routes bit for bit.
 fn ot48(group: &DhGroup, batched: bool) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<Vec<u8>>) {
-    let secrets: Vec<(Vec<u8>, Vec<u8>)> =
-        (0..48).map(|i| (vec![i as u8; 3], vec![!(i as u8); 3])).collect();
-    let choices: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
+    let (secrets, choices) = ot48_inputs();
     let mut rng_s = StdRng::seed_from_u64(20);
     let mut rng_r = StdRng::seed_from_u64(21);
     if batched {
@@ -102,6 +100,13 @@ fn ot48(group: &DhGroup, batched: bool) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<Vec<u
         let payloads = receiver.decrypt(group, &me).unwrap();
         (ma.encode(group), mb.encode(group), me.encode(), payloads)
     }
+}
+
+/// The sender secrets and receiver choice bits of the 48-instance workload.
+fn ot48_inputs() -> (Vec<(Vec<u8>, Vec<u8>)>, Vec<bool>) {
+    let secrets = (0..48).map(|i| (vec![i as u8; 3], vec![!(i as u8); 3])).collect();
+    let choices = (0..48).map(|i| i % 3 == 0).collect();
+    (secrets, choices)
 }
 
 /// The fleet deployment config: WAVEKEY-1024 group, batch-routed OT.
@@ -201,6 +206,16 @@ fn main() {
         std::hint::black_box(group.inv_pow_g(&x));
     }));
 
+    // Round E alone (48 instances, one general modexp and one comb walk
+    // each): the scalar sender's share of `ot_batch48_three_rounds`.
+    let (secrets, choices) = ot48_inputs();
+    let (sender, ma) = OtSender::start(group, secrets, &mut StdRng::seed_from_u64(20));
+    let (_, mb) =
+        OtReceiver::respond(group, &choices, &ma, &mut StdRng::seed_from_u64(21)).unwrap();
+    samples.push(time_op("modp1024_ot_sender_encrypt48", || {
+        std::hint::black_box(sender.encrypt(group, &mb).unwrap());
+    }));
+
     samples.push(time_op("ot_batch48_three_rounds", || {
         std::hint::black_box(ot48(group, false));
     }));
@@ -218,8 +233,8 @@ fn main() {
 
     // --- WAVEKEY-1024 fleet group: the batch executor's fold path vs the
     // scalar Montgomery route on the same group (the CI batch gate
-    // compares the batched mean against `ot_batch48_three_rounds` above —
-    // the recorded 93 ms baseline workload).
+    // compares the batched mean against `ot_batch48_three_rounds` above,
+    // the scalar MODP-1024 workload).
     let fleet = DhGroup::wavekey_1024_shared();
     samples.push(time_op("ot_batch48_three_rounds_wavekey1024_scalar", || {
         std::hint::black_box(ot48(fleet, false));

@@ -36,13 +36,11 @@ pub struct JobId(usize);
 enum JobKind {
     /// `g^exp` through the fixed-base comb table.
     PowG { exp: Ubig },
-    /// `g^(−exp)` — same table, exponent folded to `(u−1) − (exp mod (u−1))`.
-    InvPowG { exp: Ubig },
     /// `base^exp` through the general 4-way kernel.
     Pow { base: Ubig, exp: Ubig },
-    /// `result(dep) · g^g_exp`: interleaved multi-exponentiation. The
-    /// `g^g_exp` half is batched with the fixed-base class; the multiply
-    /// happens after both classes resolve.
+    /// `result(dep) · g^g_exp`: the `n^a·g^b` shape. The `g^g_exp` half
+    /// is batched with the fixed-base class; the multiply happens after
+    /// both classes resolve.
     MulPowG { dep: usize, g_exp: Ubig },
 }
 
@@ -110,19 +108,14 @@ impl<'g> ModexpBatch<'g> {
         self.push(group, JobKind::PowG { exp })
     }
 
-    /// Enqueues `g^(−exp)` (fixed-base class), result identical to
-    /// [`DhGroup::inv_pow_g`].
-    pub fn push_inv_pow_g(&mut self, group: &'g DhGroup, exp: Ubig) -> JobId {
-        self.push(group, JobKind::InvPowG { exp })
-    }
-
     /// Enqueues `base^exp` (general class).
     pub fn push_pow(&mut self, group: &'g DhGroup, base: Ubig, exp: Ubig) -> JobId {
         self.push(group, JobKind::Pow { base, exp })
     }
 
-    /// Enqueues `result(dep) · g^g_exp` — interleaved multi-exponentiation
-    /// for the `n^a·g^b` shape. `dep` must belong to the same group.
+    /// Enqueues `result(dep) · g^g_exp`, the `n^a·g^b` shape (a negated
+    /// `b` comes from [`DhGroup::neg_exponent`]). `dep` must belong to
+    /// the same group.
     pub fn push_mul_pow_g(&mut self, group: &'g DhGroup, dep: JobId, g_exp: Ubig) -> JobId {
         debug_assert!(
             group.same_params(self.jobs[dep.0].0),
@@ -131,24 +124,11 @@ impl<'g> ModexpBatch<'g> {
         self.push(group, JobKind::MulPowG { dep: dep.0, g_exp })
     }
 
-    /// The effective fixed-base exponent of a job: [`JobKind::InvPowG`]
-    /// folds its negation into the exponent exactly as
-    /// [`DhGroup::inv_pow_g`] does, so results stay bit-identical.
-    fn fixed_exp(group: &DhGroup, kind: &JobKind) -> Ubig {
+    /// The fixed-base exponent of a job.
+    fn fixed_exp(kind: &JobKind) -> &Ubig {
         match kind {
-            JobKind::PowG { exp } => exp.clone(),
-            JobKind::MulPowG { g_exp, .. } => g_exp.clone(),
-            JobKind::InvPowG { exp } => {
-                let order = group.order();
-                let reduced;
-                let e = if exp.cmp_abs(order) == std::cmp::Ordering::Greater {
-                    reduced = exp.rem(order);
-                    &reduced
-                } else {
-                    exp
-                };
-                order.sub(e)
-            }
+            JobKind::PowG { exp } => exp,
+            JobKind::MulPowG { g_exp, .. } => g_exp,
             JobKind::Pow { .. } => unreachable!("general job in fixed-base class"),
         }
     }
@@ -182,13 +162,12 @@ impl<'g> ModexpBatch<'g> {
         }
         for (group, fixed, general) in &parts {
             // Fixed-base class: four comb walks per kernel pass.
-            let exps: Vec<Ubig> =
-                fixed.iter().map(|&i| Self::fixed_exp(group, &jobs[i].1)).collect();
             let quads = fixed.len().div_ceil(4);
             let work = 4 * quads * group.modexp_work();
             let results = wavekey_par::map(quads, work, |q| {
-                let lanes: [Ubig; 4] = std::array::from_fn(|l| {
-                    exps.get(q * 4 + l).cloned().unwrap_or_else(Ubig::zero)
+                let lanes: [Ubig; 4] = std::array::from_fn(|l| match fixed.get(q * 4 + l) {
+                    Some(&i) => Self::fixed_exp(&jobs[i].1).clone(),
+                    None => Ubig::zero(),
                 });
                 group.pow_g_x4(&lanes)
             });
@@ -241,7 +220,6 @@ impl<'g> ModexpBatch<'g> {
         for (group, kind) in &self.jobs {
             let r = match kind {
                 JobKind::PowG { exp } => group.pow_g(exp),
-                JobKind::InvPowG { exp } => group.inv_pow_g(exp),
                 JobKind::Pow { base, exp } => group.pow(base, exp),
                 JobKind::MulPowG { dep, g_exp } => group.mul(&out[*dep], &group.pow_g(g_exp)),
             };
@@ -275,8 +253,10 @@ mod tests {
                     slow.push_pow_g(g, x);
                 }
                 1 => {
-                    fast.push_inv_pow_g(g, x.clone());
-                    slow.push_inv_pow_g(g, x);
+                    // g^(−x): a fixed-base exponent just below the order.
+                    let neg = g.neg_exponent(&x);
+                    fast.push_pow_g(g, neg.clone());
+                    slow.push_pow_g(g, neg);
                 }
                 2 => {
                     let base = Ubig::random_below(g.modulus(), &mut rng);
@@ -357,6 +337,8 @@ mod tests {
 
     #[test]
     fn inv_pow_g_jobs_match_group_inv_including_edges() {
+        // g^(−x) enqueued the way the OT sender does it — the negated
+        // exponent through PowG, and through MulPowG behind a general job.
         let g = DhGroup::tiny_test_group();
         let order = g.order().clone();
         // Edge exponents around the order: 0, 1, order−1, order, order+1,
@@ -370,14 +352,19 @@ mod tests {
             order.add(&order),
             order.mul(&order).add(&Ubig::from_u64(5)),
         ];
+        let base = Ubig::from_u64(0xBA5E);
         let mut fast = ModexpBatch::new();
         let mut ids = Vec::new();
         for e in &edges {
-            ids.push(fast.push_inv_pow_g(&g, e.clone()));
+            let plain = fast.push_pow_g(&g, g.neg_exponent(e));
+            let dep = fast.push_pow(&g, base.clone(), e.clone());
+            ids.push((plain, fast.push_mul_pow_g(&g, dep, g.neg_exponent(e))));
         }
         let res = fast.execute();
-        for (id, e) in ids.iter().zip(&edges) {
-            assert_eq!(res.get(*id), &g.inv_pow_g(e), "exp {e}");
+        for ((plain, mul), e) in ids.iter().zip(&edges) {
+            assert_eq!(res.get(*plain), &g.inv_pow_g(e), "exp {e}");
+            let expect = g.mul(&g.pow(&base, e), &g.inv_pow_g(e));
+            assert_eq!(res.get(*mul), &expect, "mul exp {e}");
         }
     }
 

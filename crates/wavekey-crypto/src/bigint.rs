@@ -429,9 +429,20 @@ pub(crate) fn limbs_sub_in_place(a: &mut [u64], b: &[u64]) {
 /// each outer iteration folds one limb of `b` in and one reduction step
 /// out, so the working set stays at `k + 2` limbs instead of `2k + 1`.
 pub(crate) fn cios_mont_mul(n: &[u64], n_prime: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
-    let k = n.len();
+    // The 1024-bit group width gets its own copy with `k` a compile-time
+    // constant, so the inner loops unroll (~20% off a comb walk).
+    if n.len() == 16 {
+        mont_mul_width(n, n_prime, a, b, out, 16);
+    } else {
+        mont_mul_width(n, n_prime, a, b, out, n.len());
+    }
+}
+
+#[inline(always)]
+fn mont_mul_width(n: &[u64], n_prime: u64, a: &[u64], b: &[u64], out: &mut [u64], k: usize) {
     debug_assert!(k >= 1 && k <= MAX_CIOS_LIMBS);
-    debug_assert!(a.len() == k && b.len() == k && out.len() == k);
+    debug_assert!(n.len() == k && a.len() == k && b.len() == k && out.len() == k);
+    let (n, a, b) = (&n[..k], &a[..k], &b[..k]);
     let mut scratch = [0u64; MAX_CIOS_LIMBS + 2];
     let t = &mut scratch[..k + 2];
     for i in 0..k {
@@ -466,6 +477,84 @@ pub(crate) fn cios_mont_mul(n: &[u64], n_prime: u64, a: &[u64], b: &[u64], out: 
         limbs_sub_in_place(&mut t[..k], n);
     }
     out.copy_from_slice(&t[..k]);
+}
+
+/// Dedicated Montgomery squaring: `out = a²·R⁻¹ mod n`, `==` to
+/// [`cios_mont_mul`]`(n, n_prime, a, a, out)` for every `k`-limb `a`.
+///
+/// The product phase computes the off-diagonal triangle `a[i]·a[j]`
+/// (`j > i`) once, doubles it and adds the diagonal squares — `k(k+1)/2`
+/// multiplies instead of `k²`, the same trick as
+/// [`crate::limb4::fold_sqr_x4`] — then a separate REDC pass folds the
+/// `2k`-limb square down. Both kernels compute the same integer
+/// `(a² + M·n)/R` (the quotient `M = −a²·n⁻¹ mod R` is unique) and apply
+/// the same single conditional subtraction, so results are bit-identical.
+pub(crate) fn cios_mont_sqr(n: &[u64], n_prime: u64, a: &[u64], out: &mut [u64]) {
+    // Specialized at the 1024-bit width like `cios_mont_mul`.
+    if n.len() == 16 {
+        mont_sqr_width(n, n_prime, a, out, 16);
+    } else {
+        mont_sqr_width(n, n_prime, a, out, n.len());
+    }
+}
+
+#[inline(always)]
+fn mont_sqr_width(n: &[u64], n_prime: u64, a: &[u64], out: &mut [u64], k: usize) {
+    debug_assert!(k >= 1 && k <= MAX_CIOS_LIMBS);
+    debug_assert!(n.len() == k && a.len() == k && out.len() == k);
+    let (n, a) = (&n[..k], &a[..k]);
+    let mut scratch = [0u64; 2 * MAX_CIOS_LIMBS];
+    let t = &mut scratch[..2 * k];
+    // Off-diagonal triangle: t += a[i]·a[j] for j > i.
+    for i in 0..k - 1 {
+        let ai = u128::from(a[i]);
+        let mut carry = 0u128;
+        for (tj, &aj) in t[2 * i + 1..i + k].iter_mut().zip(&a[i + 1..]) {
+            let cur = u128::from(*tj) + u128::from(aj) * ai + carry;
+            *tj = cur as u64;
+            carry = cur >> 64;
+        }
+        t[i + k] = carry as u64;
+    }
+    // Double the triangle (it is below a²/2, so no bit leaves the top)
+    // and add the diagonal a[i]² terms, one limb pair per step.
+    let mut msb = 0u64;
+    let mut carry = 0u128;
+    for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
+        let sq = u128::from(ai) * u128::from(ai);
+        let lo = (pair[0] << 1) | msb;
+        let hi = (pair[1] << 1) | (pair[0] >> 63);
+        msb = pair[1] >> 63;
+        let cur = u128::from(lo) + (sq & u128::from(u64::MAX)) + carry;
+        pair[0] = cur as u64;
+        let cur = u128::from(hi) + (sq >> 64) + (cur >> 64);
+        pair[1] = cur as u64;
+        carry = cur >> 64;
+    }
+    debug_assert!(carry == 0 && msb == 0);
+    // REDC: clear one low limb per step. The carry out of limb i + k is
+    // deferred into `top` and lands on limb i + k + 1 next step, which
+    // that step's inner loop does not touch.
+    let mut top = 0u64;
+    for i in 0..k {
+        let m = u128::from(t[i].wrapping_mul(n_prime));
+        let mut carry = 0u128;
+        for (tj, &nj) in t[i..i + k].iter_mut().zip(n) {
+            let cur = u128::from(*tj) + m * u128::from(nj) + carry;
+            *tj = cur as u64;
+            carry = cur >> 64;
+        }
+        let cur = u128::from(t[i + k]) + carry + u128::from(top);
+        t[i + k] = cur as u64;
+        top = (cur >> 64) as u64;
+    }
+    // (a² + M·n)/R < 2^(64k) + n: `top` is its bit 64k, and the same
+    // conditional subtraction as the multiply kernel normalizes it.
+    let r = &mut t[k..];
+    if top != 0 || limbs_ge(r, n) {
+        limbs_sub_in_place(r, n);
+    }
+    out.copy_from_slice(r);
 }
 
 /// Pads a value to exactly `k` limbs (the fixed-width Montgomery layout).
@@ -636,6 +725,16 @@ impl MontgomeryCtx {
         }
     }
 
+    /// Fixed-width Montgomery squaring, `==` to
+    /// `mont_mul_fixed(a, a, out)`.
+    fn mont_sqr_fixed(&self, a: &[u64], out: &mut [u64]) {
+        if self.k <= MAX_CIOS_LIMBS {
+            cios_mont_sqr(&self.n.limbs, self.n_prime, a, out);
+        } else {
+            self.mont_mul_fixed(a, a, out);
+        }
+    }
+
     /// Converts a reduced value (`a < n`) into fixed-width Montgomery form.
     fn to_mont_fixed(&self, a: &Ubig) -> Vec<u64> {
         debug_assert!(a.cmp_abs(&self.n) == Ordering::Less);
@@ -701,7 +800,8 @@ impl MontgomeryCtx {
     /// sliding windows over an odd-power table, in the Montgomery domain.
     /// The window width scales with the exponent size (up to 6 bits, so a
     /// 1024-bit exponent costs ~1024 squarings plus ~150 multiplications
-    /// instead of ~512 on top of the squarings).
+    /// instead of ~512 on top of the squarings). Squarings go through
+    /// the dedicated [`cios_mont_sqr`] kernel.
     pub fn mod_pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         if exp.is_zero() {
             return Ubig::one().rem(&self.n);
@@ -717,7 +817,7 @@ impl MontgomeryCtx {
         tbl[..k].copy_from_slice(&base_m);
         if half > 1 {
             let mut sq = vec![0u64; k];
-            self.mont_mul_fixed(&base_m, &base_m, &mut sq);
+            self.mont_sqr_fixed(&base_m, &mut sq);
             for i in 1..half {
                 let (lo, hi) = tbl.split_at_mut(i * k);
                 self.mont_mul_fixed(&lo[(i - 1) * k..], &sq, &mut hi[..k]);
@@ -732,13 +832,13 @@ impl MontgomeryCtx {
         i = j - 1;
         while i >= 0 {
             if !exp.bit(i as usize) {
-                self.mont_mul_fixed(&acc, &acc, &mut tmp);
+                self.mont_sqr_fixed(&acc, &mut tmp);
                 std::mem::swap(&mut acc, &mut tmp);
                 i -= 1;
             } else {
                 let (val, j) = Self::window_at(exp, i, w);
                 for _ in 0..(i - j + 1) {
-                    self.mont_mul_fixed(&acc, &acc, &mut tmp);
+                    self.mont_sqr_fixed(&acc, &mut tmp);
                     std::mem::swap(&mut acc, &mut tmp);
                 }
                 self.mont_mul_fixed(&acc, &tbl[((val - 1) / 2) * k..][..k], &mut tmp);
@@ -780,7 +880,7 @@ impl MontgomeryCtx {
         let mut acc = self.one_fixed.clone();
         let mut tmp = vec![0u64; self.k];
         for i in (0..exp.bit_len()).rev() {
-            self.mont_mul_fixed(&acc, &acc, &mut tmp);
+            self.mont_sqr_fixed(&acc, &mut tmp);
             std::mem::swap(&mut acc, &mut tmp);
             if exp.bit(i) {
                 self.mont_double_fixed(&mut acc);
@@ -1542,6 +1642,61 @@ mod tests {
             assert_eq!(fast, a.mul(&b).rem(&m));
         }
         assert_eq!(ctx.mod_mul(&Ubig::zero(), &Ubig::from_u64(5)), Ubig::zero());
+    }
+
+    #[test]
+    fn mont_sqr_matches_mont_mul_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(45);
+        for k in [1usize, 2, 16, 32] {
+            // 2^(64k) − 159 at every width, plus MODP-1024 at k = 16.
+            let mut moduli = vec![Ubig::one().shl(64 * k).sub(&Ubig::from_u64(159))];
+            if k == 16 {
+                moduli.push(Ubig::from_hex(crate::group::MODP_1024_HEX));
+            }
+            for m in &moduli {
+                let ctx = MontgomeryCtx::new(m.clone());
+                // An all-ones top limb over random low limbs (at k = 1
+                // that operand exceeds n; the kernels must still agree).
+                let mut ones_top: Vec<u64> = (0..k).map(|_| rng.gen()).collect();
+                ones_top[k - 1] = u64::MAX;
+                let operands = [
+                    Ubig::zero(),
+                    Ubig::one(),
+                    m.sub(&Ubig::one()),
+                    ubig_from_limbs(&ones_top),
+                    Ubig::random_below(m, &mut rng),
+                ];
+                for a in &operands {
+                    let a_fixed = pad_limbs(a, k);
+                    let mut sq = vec![0u64; k];
+                    let mut mul = vec![0u64; k];
+                    cios_mont_sqr(&ctx.n.limbs, ctx.n_prime, &a_fixed, &mut sq);
+                    cios_mont_mul(&ctx.n.limbs, ctx.n_prime, &a_fixed, &a_fixed, &mut mul);
+                    assert_eq!(sq, mul, "k {k} m {m} a {a}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn squaring_exponentiations_match_reference_at_1024_bits() {
+        let m = Ubig::from_hex(crate::group::MODP_1024_HEX);
+        let ctx = MontgomeryCtx::new(m.clone());
+        let mut rng = StdRng::seed_from_u64(46);
+        let top = Ubig::one().shl(1023);
+        let exps = [
+            Ubig::one(),
+            top.add(&Ubig::random_below(&top, &mut rng)),
+            m.sub(&Ubig::one()),
+            Ubig::one().shl(1024).sub(&Ubig::one()),
+        ];
+        let bases = [Ubig::random_below(&m, &mut rng), m.sub(&Ubig::one()), Ubig::zero()];
+        for e in &exps {
+            for b in &bases {
+                assert_eq!(ctx.mod_pow(b, e), ctx.mod_pow_reference(b, e), "b {b} e {e}");
+            }
+            assert_eq!(ctx.mod_pow2(e), ctx.mod_pow_reference(&Ubig::from_u64(2), e), "e {e}");
+        }
     }
 
     #[test]

@@ -161,8 +161,8 @@ impl DhGroup {
     }
 
     /// `u − 1`, the order of the full multiplicative group mod `u`. The
-    /// batched OT sender folds exponent algebra (`−a² mod (u−1)`) through
-    /// this before hitting the fixed-base table.
+    /// OT sender folds exponent algebra (`−a² mod (u−1)`) through this
+    /// ([`DhGroup::neg_exponent`]) before hitting the fixed-base table.
     pub fn order(&self) -> &Ubig {
         &self.order
     }
@@ -198,14 +198,20 @@ impl DhGroup {
     /// `g^(−x) mod u`, computed as `g^(u−1−x)` through the same
     /// fixed-base table — far cheaper than a Fermat inversion of `g^x`.
     pub fn inv_pow_g(&self, x: &Ubig) -> Ubig {
-        let reduced;
-        let x = if x.cmp_abs(&self.order) == Ordering::Greater {
-            reduced = x.rem(&self.order);
-            &reduced
+        self.pow_g(&self.neg_exponent(x))
+    }
+
+    /// The exponent `(u−1) − (x mod (u−1))`, so that `g^e = g^(−x)`: the
+    /// one place the negation fold is written. Both OT sender routes
+    /// pass `a²` through it to turn `k¹`'s second general
+    /// exponentiation into a comb walk, and they must agree on the
+    /// exponent bit for bit. `x` is reduced only when it exceeds `u−1`.
+    pub fn neg_exponent(&self, x: &Ubig) -> Ubig {
+        if x.cmp_abs(&self.order) == Ordering::Greater {
+            self.order.sub(&x.rem(&self.order))
         } else {
-            x
-        };
-        self.ctx.pow_fixed_base(&self.fixed_base, &self.order.sub(x))
+            self.order.sub(x)
+        }
     }
 
     /// `base^x mod u`.
@@ -390,6 +396,22 @@ mod tests {
                 assert_eq!(g.inv_pow_g(&x), g.div(&Ubig::one(), &g.pow_g(&x)));
             }
             assert_eq!(g.inv_pow_g(&Ubig::zero()), Ubig::one());
+        }
+    }
+
+    #[test]
+    fn neg_exponent_folds_around_the_order() {
+        let g = DhGroup::tiny_test_group();
+        let order = g.order().clone();
+        let one = Ubig::one();
+        // x ≤ u−1 is negated as is; wider x is reduced first.
+        assert_eq!(g.neg_exponent(&Ubig::zero()), order);
+        assert_eq!(g.neg_exponent(&one), order.sub(&one));
+        assert_eq!(g.neg_exponent(&order), Ubig::zero());
+        assert_eq!(g.neg_exponent(&order.add(&one)), order.sub(&one));
+        assert_eq!(g.neg_exponent(&order.add(&order)), order);
+        for x in [Ubig::from_u64(5), order.sub(&one), order.mul(&order).add(&Ubig::from_u64(7))] {
+            assert_eq!(g.pow_g(&g.neg_exponent(&x)), g.div(&one, &g.pow_g(&x)), "x {x}");
         }
     }
 

@@ -22,7 +22,6 @@ use crate::cipher::{ctr_decrypt, ctr_encrypt};
 use crate::group::DhGroup;
 use crate::sha256::sha256;
 use rand::rngs::StdRng;
-use std::cmp::Ordering;
 use wavekey_obs::Obs;
 
 /// The batched first message `M_A`: one group element per instance.
@@ -226,6 +225,13 @@ impl OtSender {
     /// `M_E`. Instances share no state, so the per-instance key
     /// derivations run in parallel.
     ///
+    /// Each instance costs one general exponentiation (`n^a`, shared by
+    /// both keys) and one comb walk: the naive `k¹ = H((n·g^{−a})^a)`
+    /// is folded algebraically into `H(n^a · g^{−a² mod (u−1)})` —
+    /// valid because the generator's order divides `u−1` — so its
+    /// ~1020 squarings become a fixed-base table walk. The canonical
+    /// group element, and so the key, is the same as the naive form's.
+    ///
     /// # Errors
     ///
     /// Returns [`OtError::BatchMismatch`] when `M_B` has the wrong number
@@ -234,15 +240,15 @@ impl OtSender {
         if msg_b.elements.len() != self.secrets.len() {
             return Err(OtError::BatchMismatch);
         }
-        let work = 3 * self.secrets.len() * group.modexp_work();
+        // One general exponentiation plus one comb walk per instance,
+        // the walk costed like a general one as in `start`.
+        let work = 2 * self.secrets.len() * group.modexp_work();
         let pairs = wavekey_par::map(self.secrets.len(), work, |i| {
             let (x0, x1) = &self.secrets[i];
-            let n = &msg_b.elements[i];
-            let k0 = derive_key(group, &group.pow(n, &self.a[i]));
-            // n_i / m_i = n_i · g^{−a_i}: the fixed-base table replaces
-            // the per-instance Fermat inversion of m_i.
-            let quotient = group.mul(n, &group.inv_pow_g(&self.a[i]));
-            let k1 = derive_key(group, &group.pow(&quotient, &self.a[i]));
+            let a = &self.a[i];
+            let na = group.pow(&msg_b.elements[i], a);
+            let k1 = derive_key(group, &group.mul(&na, &group.inv_pow_g(&a.mul(a))));
+            let k0 = derive_key(group, &na);
             (ctr_encrypt(&k0, x0), ctr_encrypt(&k1, x1))
         });
         Ok(OtMessageE { pairs })
@@ -293,11 +299,9 @@ impl OtSender {
     }
 
     /// Enqueue half of [`OtSender::encrypt`]. Each instance costs one
-    /// general job (`k⁰ = H(n^a)`) and one dependent multiply: the naive
-    /// `k¹ = H((n·g^{−a})^a)` second general exponentiation is folded
-    /// algebraically into `n^a · g^{−a² mod (u−1)}` — valid because the
-    /// generator's order divides `u−1` — so its ~1020 squarings become
-    /// one comb walk riding the fixed-base class.
+    /// general job (`k⁰ = H(n^a)`) and one dependent multiply: the same
+    /// `k¹ = H(n^a · g^{−a² mod (u−1)})` fold as the scalar route, with
+    /// the comb walk riding the fixed-base class.
     ///
     /// # Errors
     ///
@@ -312,20 +316,11 @@ impl OtSender {
         if msg_b.elements.len() != self.secrets.len() {
             return Err(OtError::BatchMismatch);
         }
-        let order = group.order();
         let mut k0 = Vec::with_capacity(self.a.len());
         let mut k1 = Vec::with_capacity(self.a.len());
         for (n, a) in msg_b.elements.iter().zip(&self.a) {
             let id0 = batch.push_pow(group, n.clone(), a.clone());
-            // −a² mod (u−1), expressed the way inv_pow_g folds exponents
-            // so the canonical result matches the scalar route exactly.
-            let sq = a.mul(a);
-            let reduced = if sq.cmp_abs(order) == Ordering::Greater {
-                sq.rem(order)
-            } else {
-                sq
-            };
-            let id1 = batch.push_mul_pow_g(group, id0, order.sub(&reduced));
+            let id1 = batch.push_mul_pow_g(group, id0, group.neg_exponent(&a.mul(a)));
             k0.push(id0);
             k1.push(id1);
         }
@@ -799,6 +794,64 @@ mod tests {
                 assert_eq!(msg_e_b, msg_e, "M_E count {count}");
                 assert_eq!(out_b, out, "payloads count {count}");
             }
+        }
+    }
+
+    /// `k¹ = H((n·g^{−a})^a)` exactly as the protocol states it: a
+    /// Fermat inversion, then a second general exponentiation.
+    fn naive_k1(group: &DhGroup, n: &Ubig, a: &Ubig) -> [u8; 32] {
+        let quotient = group.div(n, &group.pow_g(a));
+        derive_key(group, &group.pow(&quotient, a))
+    }
+
+    /// Runs the folded sender over the `(n_i, a_i)` instances and checks
+    /// both ciphertexts of every pair against the naive key derivations;
+    /// the batched route must agree too.
+    fn check_fold(group: &DhGroup, instances: &[(Ubig, Ubig)]) {
+        let secrets: Vec<_> = (0..instances.len())
+            .map(|i| (vec![i as u8; 4], vec![0xF0 ^ i as u8; 4]))
+            .collect();
+        let sender = OtSender {
+            secrets: secrets.clone(),
+            a: instances.iter().map(|(_, a)| a.clone()).collect(),
+        };
+        let msg_b = OtMessageB { elements: instances.iter().map(|(n, _)| n.clone()).collect() };
+        let msg_e = sender.encrypt(group, &msg_b).unwrap();
+        for (i, ((n, a), (x0, x1))) in instances.iter().zip(&secrets).enumerate() {
+            let k0 = derive_key(group, &group.pow(n, a));
+            assert_eq!(msg_e.pairs[i].0, ctr_encrypt(&k0, x0), "e0, n {n} a {a}");
+            assert_eq!(msg_e.pairs[i].1, ctr_encrypt(&naive_k1(group, n, a), x1), "e1, n {n} a {a}");
+        }
+        assert_eq!(sender.encrypt_batched(group, &msg_b).unwrap(), msg_e);
+    }
+
+    #[test]
+    fn folded_k1_matches_naive_quotient_power() {
+        let tiny = DhGroup::tiny_test_group();
+        let groups = [
+            (&tiny, 24),
+            (DhGroup::modp_1024_shared(), 3),
+            (DhGroup::wavekey_1024_shared(), 3),
+        ];
+        for (group, cases) in groups {
+            let u = group.modulus();
+            let one = Ubig::one();
+            // Edges: n ∈ {0, 1, u−1} against a ∈ {1, u−2}; a = u−2 is the
+            // largest sampled exponent, so a² needs the mod (u−1) fold.
+            let mut edges = Vec::new();
+            for n in [Ubig::zero(), one.clone(), u.sub(&one)] {
+                for a in [one.clone(), u.sub(&Ubig::from_u64(2))] {
+                    edges.push((n.clone(), a));
+                }
+            }
+            check_fold(group, &edges);
+            let name = format!("ot_fold_k1_{}bit", u.bit_len());
+            rand::check::cases(&name, cases, |rng| {
+                let instances: Vec<_> = (0..2)
+                    .map(|_| (Ubig::random_below(u, rng), group.random_exponent(rng)))
+                    .collect();
+                check_fold(group, &instances);
+            });
         }
     }
 

@@ -102,8 +102,10 @@ pub fn receiver_round_b_batched(
     Ok((receiver, msg_b.encode(group)))
 }
 
-/// Batch-aware [`sender_round_e`]: the `k¹` derivation is folded into an
-/// interleaved multi-exponentiation (see [`OtSender::encrypt_enqueue`]).
+/// Batch-aware [`sender_round_e`]: the same `k¹ = H(n^a · g^{−a²})` fold
+/// as the scalar round, with the general jobs packed into 4-way lanes
+/// and the comb walks into the fixed-base class (see
+/// [`OtSender::encrypt_enqueue`]).
 ///
 /// # Errors
 ///

@@ -83,9 +83,10 @@ fn crandall_fold_pow_matches_montgomery() {
     }
 }
 
-/// Fills a batch with a deterministic mix of all four job kinds across
-/// every supplied group — exercising dependent jobs (`MulPowG`) and
-/// cross-group interleaving exactly as the OT rounds produce them.
+/// Fills a batch with a deterministic mix of every job kind across every
+/// supplied group — exercising negated fixed-base exponents, dependent
+/// jobs (`MulPowG`) and cross-group interleaving exactly as the OT rounds
+/// produce them.
 fn fill_mixed(batch: &mut ModexpBatch<'_>, groups: &[&'static DhGroup], n: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..n {
@@ -96,7 +97,7 @@ fn fill_mixed(batch: &mut ModexpBatch<'_>, groups: &[&'static DhGroup], n: usize
                 batch.push_pow_g(g, x);
             }
             1 => {
-                batch.push_inv_pow_g(g, x);
+                batch.push_pow_g(g, g.neg_exponent(&x));
             }
             2 => {
                 let base = Ubig::random_below(g.modulus(), &mut rng);
