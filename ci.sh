@@ -371,7 +371,11 @@ echo "== store soak gate =="
 # WAVEKEY_STORE_SOAK_MIN (default 0.99), the fault-free full recovery
 # must be bit-identical, snapshot + tail replay must equal full replay,
 # and no recovery may surface a key the workload never bound
-# (divergent_keys == 0). The bench appends the run to results/TREND.jsonl.
+# (divergent_keys == 0). Under a 4-key memory ceiling on faulted media,
+# reloads must happen (ceiling_reloads > 0) and no read may return
+# anything but the fault-free twin's current key or an error
+# (ceiling_stale_keys == 0). The bench appends the run to
+# results/TREND.jsonl.
 STORE_SOAK_MIN="${WAVEKEY_STORE_SOAK_MIN:-0.99}"
 STORE_JSON="$ROOT/target/ci-bench-store.json"
 bench store_soak "$STORE_JSON" >/dev/null
@@ -382,11 +386,14 @@ st_rate=$(field_of "recovered_rate" "$STORE_JSON")
 st_div=$(field_of "divergent_keys" "$STORE_JSON")
 st_bit=$(field_of "fault_free_bit_identical" "$STORE_JSON")
 st_snap=$(field_of "snapshot_equivalent" "$STORE_JSON")
+st_stale=$(field_of "ceiling_stale_keys" "$STORE_JSON")
+st_reloads=$(field_of "ceiling_reloads" "$STORE_JSON")
 st_pass=$(field_of "store_soak_pass" "$STORE_JSON")
-[[ -n "$st_rate" && -n "$st_div" && -n "$st_pass" ]] \
+[[ -n "$st_rate" && -n "$st_div" && -n "$st_stale" && -n "$st_reloads" && -n "$st_pass" ]] \
     || { echo "store soak produced no verdicts" >&2; exit 1; }
 echo "ops $st_ops, kill points $st_kills, recovered_rate $st_rate (floor $STORE_SOAK_MIN), divergent $st_div"
 echo "fault_free_bit_identical=$st_bit, snapshot_equivalent=$st_snap"
+echo "ceiling reads: stale $st_stale, reloads $st_reloads"
 awk -v rate="$st_rate" -v min="$STORE_SOAK_MIN" 'BEGIN { exit !(rate >= min) }' \
     || { echo "FAIL: recovery rate $st_rate below floor $STORE_SOAK_MIN" >&2; exit 1; }
 [[ "$st_div" == "0" ]] \
@@ -395,6 +402,10 @@ awk -v rate="$st_rate" -v min="$STORE_SOAK_MIN" 'BEGIN { exit !(rate >= min) }' 
     || { echo "FAIL: fault-free recovery is not bit-identical to the twin" >&2; exit 1; }
 [[ "$st_snap" == "true" ]] \
     || { echo "FAIL: snapshot + tail replay diverges from full replay" >&2; exit 1; }
+[[ "$st_stale" == "0" ]] \
+    || { echo "FAIL: a read under the memory ceiling returned a stale key" >&2; exit 1; }
+awk -v n="$st_reloads" 'BEGIN { exit !(n > 0) }' \
+    || { echo "FAIL: the memory-ceiling arm never reloaded a key" >&2; exit 1; }
 [[ "$st_pass" == "true" ]] \
     || { echo "FAIL: store soak gate failed (see $STORE_JSON)" >&2; exit 1; }
 echo "OK: every kill point recovers to an exact operation prefix"

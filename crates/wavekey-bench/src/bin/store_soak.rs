@@ -8,7 +8,7 @@
 //! cargo run --release -p wavekey-bench --bin store_soak [out_path]
 //! ```
 //!
-//! Five deterministic arms over a seeded multi-tenant workload
+//! Six deterministic arms over a seeded multi-tenant workload
 //! (`WAVEKEY_STORE_OPS` operations, default 220, across 4 tenants):
 //!
 //! 1. **kill at every boundary** — the journal is truncated at every
@@ -29,6 +29,13 @@
 //! 5. **snapshot equivalence** — the workload with periodic compacting
 //!    snapshots must recover to the same bytes as the snapshot-free twin
 //!    while replaying strictly fewer records.
+//! 6. **reloads under a ceiling** — arm 4's faulted workload with a
+//!    4-key memory ceiling, so most keys live only in their journal or
+//!    snapshot homes. After every op a hash-chosen ticket is read; the
+//!    read must return the fault-free twin's key as of that op, or a
+//!    `StoreError` when rot hit the key's home — never an older
+//!    generation (`ceiling_stale_keys == 0`), and reloads must happen
+//!    (`ceiling_reloads > 0`).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -36,6 +43,7 @@ use std::time::Instant;
 use wavekey_bench::traffic::env_u64;
 use wavekey_obs::Json;
 use wavekey_store::record::decode_record;
+use wavekey_store::state::TICKET_OVERHEAD_BYTES;
 use wavekey_store::{
     DurableStore, FaultedVolume, MemVolume, StorageFaultProfile, StorageFaults, StoreConfig,
     StoreError, TenantQuota, Volume, JOURNAL_FILE,
@@ -176,6 +184,56 @@ fn divergent_keys(
     divergent
 }
 
+/// The seeded reference-profile fault plan arms 4 and 6 run under.
+fn live_faults() -> StorageFaults {
+    StorageFaults::new(SOAK_SEED ^ 0xFA11, StorageFaultProfile::reference())
+}
+
+/// Arm 6's outcome: reads that disagreed with the twin without an error,
+/// reads that failed with a `StoreError`, and the store's reload count.
+struct CeilingArm {
+    stale_keys: u64,
+    read_errors: u64,
+    reloads: u64,
+}
+
+/// Runs `ops` on reference-profile faulted media under a 4-key ceiling
+/// beside a fault-free, ceiling-free twin, reading one hash-chosen issued
+/// ticket from both after every op.
+fn ceiling_arm(ops: &[Op]) -> CeilingArm {
+    let faulted = FaultedVolume::new(MemVolume::new(), live_faults());
+    let config = StoreConfig {
+        memory_ceiling_bytes: 4 * (TICKET_OVERHEAD_BYTES + 32),
+        snapshot_every: 64,
+        ..StoreConfig::default()
+    };
+    let mut store = DurableStore::open(Box::new(faulted), config).expect("open ceiling store");
+    let mut twin =
+        DurableStore::open(Box::new(MemVolume::new()), StoreConfig::default()).expect("open twin");
+    let mut issued: Vec<(u64, [u8; 12])> = Vec::new();
+    let mut arm = CeilingArm { stale_keys: 0, read_errors: 0, reloads: 0 };
+    for (i, op) in ops.iter().enumerate() {
+        apply(&mut store, op);
+        apply(&mut twin, op);
+        if let Op::Issue { tenant, epc } = op {
+            issued.push((*tenant, *epc));
+        }
+        if issued.is_empty() {
+            continue;
+        }
+        let pick = mix(SOAK_SEED ^ 0x6E1 ^ i as u64) % issued.len() as u64;
+        let (tenant, epc) = issued[pick as usize];
+        let want = twin.key_for(tenant, epc).expect("fault-free read").map(<[u8]>::to_vec);
+        match store.key_for(tenant, epc) {
+            Ok(got) if got.map(<[u8]>::to_vec) == want => {}
+            Ok(_) => arm.stale_keys += 1,
+            Err(_) => arm.read_errors += 1,
+        }
+    }
+    arm.reloads = store.stats().reloads;
+    arm
+}
+
 fn reopen_with(media: &MemVolume, cut: Option<usize>, salvage: bool) -> DurableStore {
     let mut image = media.deep_clone();
     if let Some(cut) = cut {
@@ -291,10 +349,7 @@ fn main() {
 
     eprintln!("[store_soak] arm 4: live faulted media (reference profile)…");
     let faulted_media = MemVolume::new();
-    let faulted_volume = FaultedVolume::new(
-        faulted_media.clone(),
-        StorageFaults::new(SOAK_SEED ^ 0xFA11, StorageFaultProfile::reference()),
-    );
+    let faulted_volume = FaultedVolume::new(faulted_media.clone(), live_faults());
     let live_config = StoreConfig { snapshot_every: 64, ..StoreConfig::default() };
     let mut live = DurableStore::open(Box::new(faulted_volume), live_config).expect("open faulted");
     let mut retries = 0u64;
@@ -327,6 +382,9 @@ fn main() {
     let snapshot_equivalent = snap_back.full_state_bytes().expect("bytes") == twin_bytes
         && snap_back.stats().records_replayed < op_count;
 
+    eprintln!("[store_soak] arm 6: reads under a 4-key ceiling on faulted media…");
+    let ceiling = ceiling_arm(&ops);
+
     let recovered_rate = recovered_ok as f64 / kill_points as f64;
     let divergent = rot_divergent + live_recovery_divergent;
     let wall_s = started.elapsed().as_secs_f64();
@@ -336,6 +394,8 @@ fn main() {
         && live_final_identical
         && live_recovery_prefix
         && snapshot_equivalent
+        && ceiling.stale_keys == 0
+        && ceiling.reloads > 0
         && divergent == 0
         && recovered_rate >= 1.0;
     let trend_run = append_trend(op_count, kill_points, recovered_rate, store_soak_pass);
@@ -352,6 +412,10 @@ fn main() {
         live_stats.append_repairs, live_stats.rename_failures, live_stats.snapshots
     );
     println!("snapshot_equivalent        {snapshot_equivalent}");
+    println!(
+        "ceiling reads              stale {}, store errors {}, reloads {}",
+        ceiling.stale_keys, ceiling.read_errors, ceiling.reloads
+    );
     println!("wall                       {wall_s:.2} s");
     println!("store_soak_pass            {store_soak_pass}");
 
@@ -372,6 +436,9 @@ fn main() {
         ("live_rename_failures", Json::Num(live_stats.rename_failures as f64)),
         ("live_snapshots", Json::Num(live_stats.snapshots as f64)),
         ("snapshot_equivalent", Json::Bool(snapshot_equivalent)),
+        ("ceiling_stale_keys", Json::Num(ceiling.stale_keys as f64)),
+        ("ceiling_read_errors", Json::Num(ceiling.read_errors as f64)),
+        ("ceiling_reloads", Json::Num(ceiling.reloads as f64)),
         ("wall_s", Json::Num(wall_s)),
         ("store_soak_pass", Json::Bool(store_soak_pass)),
         ("trend_run", Json::Num(trend_run as f64)),

@@ -1535,6 +1535,37 @@ mod tests {
     }
 
     #[test]
+    fn verify_rejects_a_ticket_whose_evicted_key_rotted() {
+        let media = MemVolume::new();
+        let config = StoreConfig {
+            memory_ceiling_bytes: wavekey_store::state::TICKET_OVERHEAD_BYTES + 32,
+            ..StoreConfig::default()
+        };
+        let mut svc = service_on(media.clone(), config);
+        svc.set_obs(Obs::new(std::sync::Arc::new(wavekey_obs::FlightRecorder::new(4))));
+        let a = svc.issue_ticket(TagModel::Alien9640A);
+        let b = svc.issue_ticket(TagModel::Alien9640A);
+        svc.store_mut().bind_key(DEFAULT_TENANT, a.epc.0, &[0xA1; 32]).unwrap();
+        svc.store_mut().bind_key(DEFAULT_TENANT, b.epc.0, &[0xB2; 32]).unwrap();
+        assert_eq!(svc.key_for(a.epc), None, "a's key was evicted");
+        // Rot one bit of a's key inside the journal record that holds it.
+        let mut image = media.clone();
+        let mut journal = image.read(wavekey_store::JOURNAL_FILE).unwrap().unwrap();
+        let at = journal.windows(32).position(|w| w == [0xA1; 32]).unwrap();
+        journal[at + 7] ^= 0x04;
+        image.write(wavekey_store::JOURNAL_FILE, &journal).unwrap();
+
+        let mac = wavekey_crypto::hmac_sha256(&[0xA1; 32], b"door");
+        assert!(!svc.verify_request(a.epc, b"door", &mac));
+        let text = svc.obs().prometheus_text();
+        assert!(text.contains("service_verify_store_errors 1"), "in:\n{text}");
+        assert!(text.contains("service_verify_rejected 1"));
+        // The intact ticket still verifies.
+        let mac = wavekey_crypto::hmac_sha256(&[0xB2; 32], b"door");
+        assert!(svc.verify_request(b.epc, b"door", &mac));
+    }
+
+    #[test]
     fn store_counters_reach_the_obs_registry() {
         let media = MemVolume::new();
         let mut svc = service_on(media.clone(), StoreConfig::default());

@@ -5,11 +5,12 @@
 //! the secret (§IV-D-2); the mobile device verifies it before adopting the
 //! key.
 
-use crate::sha256::sha256;
+use crate::sha256::{sha256, Sha256};
 
 const BLOCK_SIZE: usize = 64;
 
-/// Computes `HMAC-SHA256(key, message)`.
+/// Computes `HMAC-SHA256(key, message)`. The padded key blocks are hashed
+/// as stream prefixes, so nothing is copied into a heap buffer.
 ///
 /// # Examples
 ///
@@ -25,19 +26,16 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
         key_block[..key.len()].copy_from_slice(key);
     }
 
-    let mut inner = Vec::with_capacity(BLOCK_SIZE + message.len());
-    for &b in &key_block {
-        inner.push(b ^ 0x36);
-    }
-    inner.extend_from_slice(message);
-    let inner_hash = sha256(&inner);
+    let pad = |byte: u8| key_block.map(|b| b ^ byte);
+    let mut inner = Sha256::new();
+    inner.update(&pad(0x36));
+    inner.update(message);
+    let inner_hash = inner.finalize();
 
-    let mut outer = Vec::with_capacity(BLOCK_SIZE + 32);
-    for &b in &key_block {
-        outer.push(b ^ 0x5c);
-    }
-    outer.extend_from_slice(&inner_hash);
-    sha256(&outer)
+    let mut outer = Sha256::new();
+    outer.update(&pad(0x5c));
+    outer.update(&inner_hash);
+    outer.finalize()
 }
 
 /// Constant-time equality for MACs.
@@ -99,6 +97,25 @@ mod tests {
             to_hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    /// Known answers with a 32-byte key `0, 1, …, 31` over messages
+    /// `(31·i + 7) mod 256` whose inner hash crosses the padding
+    /// boundaries, computed with Python's `hmac` and `hashlib`.
+    #[test]
+    fn block_boundary_known_answers() {
+        let key: Vec<u8> = (0..32).collect();
+        let vectors = [
+            (0, "d38b42096d80f45f826b44a9d5607de72496a415d3f4a1a8c88e3bb9da8dc1cb"),
+            (55, "de6b53b584d8000fef8dcce9c8376c7e25037e296a93d67a32b8ac8a36f99f36"),
+            (56, "df1f400235c50a2b9637ee98412e26fd32cf3f3638cfd86a46ac611045cb91db"),
+            (64, "df1073ceb88d413fa7cf7a142d8b3c7ca1f31aa825b233fd38952fdfafd3d629"),
+            (119, "f230dbe19414f0f282aae445deae2c5b3ebf4512541c48627b1f1624f2102d95"),
+        ];
+        for (len, want) in vectors {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            assert_eq!(to_hex(&hmac_sha256(&key, &msg)), want, "length {len}");
+        }
     }
 
     #[test]

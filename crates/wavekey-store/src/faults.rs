@@ -233,6 +233,15 @@ impl<V: Volume> Volume for FaultedVolume<V> {
         self.inner.read(name)
     }
 
+    fn read_range(
+        &self,
+        name: &str,
+        offset: usize,
+        len: usize,
+    ) -> Result<Option<Vec<u8>>, StoreError> {
+        self.inner.read_range(name, offset, len)
+    }
+
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         self.inner.write(name, bytes)
     }

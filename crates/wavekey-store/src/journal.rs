@@ -40,6 +40,9 @@ pub enum TailStatus {
 pub struct Replay {
     /// Records decoded, in order, up to the damage (if any).
     pub records: Vec<Record>,
+    /// Byte offset of each of `records` in the image: record `i` spans
+    /// `offsets[i]..offsets[i + 1]`, and the last one ends at `consumed`.
+    pub offsets: Vec<usize>,
     /// Tail classification.
     pub tail: TailStatus,
     /// Bytes consumed by `records` — the clean prefix length, which is the
@@ -50,11 +53,13 @@ pub struct Replay {
 /// Replay a journal byte image. Total: never panics on any input.
 pub fn replay(bytes: &[u8]) -> Replay {
     let mut records: Vec<Record> = Vec::new();
+    let mut offsets: Vec<usize> = Vec::new();
     let mut offset = 0usize;
     loop {
         if offset == bytes.len() {
             return Replay {
                 records,
+                offsets,
                 tail: TailStatus::Clean,
                 consumed: offset,
             };
@@ -68,18 +73,21 @@ pub fn replay(bytes: &[u8]) -> Replay {
                         // condition, history is damaged.
                         return Replay {
                             records,
+                            offsets,
                             tail: TailStatus::Corrupted { offset },
                             consumed: offset,
                         };
                     }
                 }
                 records.push(rec);
+                offsets.push(offset);
                 offset += used;
             }
             Err(err) => {
                 let tail = classify_damage(bytes, offset, &err);
                 return Replay {
                     records,
+                    offsets,
                     tail,
                     consumed: offset,
                 };
@@ -136,11 +144,12 @@ mod tests {
 
     #[test]
     fn clean_journal_replays_fully() {
-        let (bytes, _) = journal_of(20);
+        let (bytes, boundaries) = journal_of(20);
         let r = replay(&bytes);
         assert_eq!(r.tail, TailStatus::Clean);
         assert_eq!(r.records.len(), 20);
         assert_eq!(r.consumed, bytes.len());
+        assert_eq!(r.offsets, boundaries[..20]);
         for (i, rec) in r.records.iter().enumerate() {
             assert_eq!(rec.seq, i as u64);
         }
@@ -176,6 +185,7 @@ mod tests {
         bytes[pos] ^= 0x10;
         let r = replay(&bytes);
         assert_eq!(r.records.len(), 3);
+        assert_eq!(r.offsets, boundaries[..3]);
         assert_eq!(r.tail, TailStatus::Corrupted { offset: boundaries[3] });
         assert_eq!(r.consumed, boundaries[3]);
     }

@@ -52,13 +52,15 @@ pub enum StoreError {
     /// An I/O-class failure from the underlying volume (including injected
     /// storage faults, which surface exactly like real media errors).
     Io(String),
-    /// The journal carries corruption that is not a torn tail and salvage
-    /// mode is disabled. `offset` is the byte offset of the damage.
+    /// Acknowledged bytes are damaged: the journal carries corruption that
+    /// is not a torn tail and salvage mode is disabled, or an evicted key's
+    /// home no longer holds that key. `offset` is the byte offset of the
+    /// damage in the journal or snapshot file.
     Corrupted { offset: usize },
     /// The snapshot file itself failed to decode. Snapshots are installed
     /// atomically (tmp + rename), so this means real media damage.
     SnapshotCorrupted(record::RecordError),
-    /// A record in the journal failed to decode during a targeted reload.
+    /// A journal record failed to decode.
     Record(record::RecordError),
     /// Operation referenced a tenant id that was never created.
     UnknownTenant(u64),
@@ -77,7 +79,7 @@ impl core::fmt::Display for StoreError {
         match self {
             StoreError::Io(m) => write!(f, "storage i/o error: {m}"),
             StoreError::Corrupted { offset } => {
-                write!(f, "journal corrupted at byte {offset} (salvage disabled)")
+                write!(f, "stored bytes corrupted at byte {offset}")
             }
             StoreError::SnapshotCorrupted(e) => write!(f, "snapshot corrupted: {e}"),
             StoreError::Record(e) => write!(f, "journal record error: {e}"),

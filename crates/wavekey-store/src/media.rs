@@ -1,10 +1,11 @@
 //! Storage media abstraction.
 //!
 //! [`Volume`] is the small set of primitives the store needs: whole-file
-//! read, truncating write, append, truncate-to-length, atomic-ish rename,
-//! remove, and length. [`MemVolume`] is the default for tests and benches —
-//! cloning it yields a *shared handle* (the recovery soak holds one handle
-//! while the store owns the other, and `deep_clone` freezes a crash image).
+//! and byte-range reads, truncating write, append, truncate-to-length,
+//! atomic-ish rename, remove, and length. [`MemVolume`] is the default
+//! for tests and benches — cloning it yields a *shared handle* (the
+//! recovery soak holds one handle while the store owns the other, and
+//! `deep_clone` freezes a crash image).
 //! [`FileVolume`] maps the same primitives onto a directory of real files.
 
 use std::collections::BTreeMap;
@@ -17,6 +18,20 @@ use crate::StoreError;
 pub trait Volume {
     /// Read a whole file. `Ok(None)` if it does not exist.
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError>;
+    /// Read `len` bytes at `offset`. `Ok(None)` if the file does not exist
+    /// or ends before the range does. The default slices [`Volume::read`];
+    /// volumes that can seek override it.
+    fn read_range(
+        &self,
+        name: &str,
+        offset: usize,
+        len: usize,
+    ) -> Result<Option<Vec<u8>>, StoreError> {
+        Ok(self.read(name)?.and_then(|bytes| {
+            let end = offset.checked_add(len)?;
+            bytes.get(offset..end).map(<[u8]>::to_vec)
+        }))
+    }
     /// Create-or-replace a file with exactly `bytes`.
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError>;
     /// Append to a file, creating it if missing.
@@ -74,6 +89,20 @@ impl core::fmt::Debug for MemVolume {
 impl Volume for MemVolume {
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
         Ok(self.files.lock().unwrap().get(name).cloned())
+    }
+
+    fn read_range(
+        &self,
+        name: &str,
+        offset: usize,
+        len: usize,
+    ) -> Result<Option<Vec<u8>>, StoreError> {
+        let files = self.files.lock().unwrap();
+        let end = offset.checked_add(len);
+        Ok(files
+            .get(name)
+            .and_then(|f| f.get(offset..end?))
+            .map(<[u8]>::to_vec))
     }
 
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
@@ -160,6 +189,28 @@ impl Volume for FileVolume {
         }
     }
 
+    fn read_range(
+        &self,
+        name: &str,
+        offset: usize,
+        len: usize,
+    ) -> Result<Option<Vec<u8>>, StoreError> {
+        use std::io::{ErrorKind, Read, Seek, SeekFrom};
+        let io = |e: std::io::Error| StoreError::Io(e.to_string());
+        let mut f = match std::fs::File::open(self.path(name)) {
+            Ok(f) => f,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(io(e)),
+        };
+        f.seek(SeekFrom::Start(offset as u64)).map_err(io)?;
+        let mut out = vec![0u8; len];
+        match f.read_exact(&mut out) {
+            Ok(()) => Ok(Some(out)),
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(None),
+            Err(e) => Err(io(e)),
+        }
+    }
+
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         std::fs::write(self.path(name), bytes).map_err(|e| StoreError::Io(e.to_string()))
     }
@@ -238,6 +289,11 @@ mod tests {
         assert_eq!(v.read("x").unwrap(), None);
         assert_eq!(v.len("x").unwrap(), 0);
         v.write("x", b"hello").unwrap();
+        assert_eq!(v.read_range("x", 1, 3).unwrap().unwrap(), b"ell");
+        assert_eq!(v.read_range("x", 5, 0).unwrap().unwrap(), b"");
+        assert_eq!(v.read_range("x", 3, 3).unwrap(), None);
+        assert_eq!(v.read_range("x", usize::MAX, 2).unwrap(), None);
+        assert_eq!(v.read_range("missing", 0, 1).unwrap(), None);
         v.truncate("x", 2).unwrap();
         assert_eq!(v.read("x").unwrap().unwrap(), b"he");
         v.truncate("x", 100).unwrap(); // no-op growth
@@ -249,6 +305,48 @@ mod tests {
         v.remove("y").unwrap();
         v.remove("y").unwrap(); // missing is fine
         assert_eq!(v.read("y").unwrap(), None);
+    }
+
+    /// A volume that implements only the required methods, so
+    /// `read_range` is the trait's default.
+    struct WholeFileReads(MemVolume);
+
+    impl Volume for WholeFileReads {
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
+            self.0.read(name)
+        }
+        fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.0.write(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.0.append(name, bytes)
+        }
+        fn truncate(&mut self, name: &str, len: usize) -> Result<(), StoreError> {
+            self.0.truncate(name, len)
+        }
+        fn rename(&mut self, from: &str, to: &str) -> Result<(), StoreError> {
+            self.0.rename(from, to)
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StoreError> {
+            self.0.remove(name)
+        }
+        fn len(&self, name: &str) -> Result<usize, StoreError> {
+            self.0.len(name)
+        }
+    }
+
+    #[test]
+    fn default_read_range_slices_a_whole_file_read() {
+        let mut v = WholeFileReads(MemVolume::new());
+        v.write("x", b"hello").unwrap();
+        for (offset, len) in [(1, 3), (0, 5), (5, 0), (3, 3), (usize::MAX, 2)] {
+            assert_eq!(
+                v.read_range("x", offset, len).unwrap(),
+                v.0.read_range("x", offset, len).unwrap(),
+                "range {offset}+{len}"
+            );
+        }
+        assert_eq!(v.read_range("missing", 0, 1).unwrap(), None);
     }
 
     #[test]
@@ -263,6 +361,9 @@ mod tests {
         v.append("j", b"abc").unwrap();
         v.append("j", b"def").unwrap();
         assert_eq!(v.read("j").unwrap().unwrap(), b"abcdef");
+        assert_eq!(v.read_range("j", 2, 3).unwrap().unwrap(), b"cde");
+        assert_eq!(v.read_range("j", 4, 3).unwrap(), None);
+        assert_eq!(v.read_range("missing", 0, 1).unwrap(), None);
         v.truncate("j", 4).unwrap();
         assert_eq!(v.len("j").unwrap(), 4);
         v.write("tmp", b"snap").unwrap();

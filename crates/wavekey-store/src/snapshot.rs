@@ -31,7 +31,8 @@ pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
 const MAGIC0: u8 = 0x57;
 const MAGIC1: u8 = 0x53;
-const HEADER_LEN: usize = 24;
+/// Header bytes before the payload; snapshot homes are payload offsets.
+pub(crate) const HEADER_LEN: usize = 24;
 
 /// Snapshot payloads hold whole-state serializations; bound them well
 /// above any realistic fleet but below "corrupted length field".

@@ -6,10 +6,14 @@
 //! held in sharded per-tenant maps (EPC-hash sharding) so hot multi-tenant
 //! lookups don't contend on one tree; canonical serialization iterates
 //! tenants, shards and EPCs in a fixed order and excludes every ephemeral
-//! field (LRU stamps, rate-limit tokens), making `serialize()` a stable
-//! fingerprint of durable state.
+//! field (LRU stamps, rate-limit tokens, key homes), making `serialize()`
+//! a stable fingerprint of durable state.
+//!
+//! Resident keys are also indexed in eviction order, so picking the
+//! least-recently-used key is a first-element lookup rather than a scan
+//! over every ticket.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::record::{RecordBody, RecordError, MAX_KEY_LEN};
 use crate::{fnv_mix, mix};
@@ -54,6 +58,19 @@ impl Default for TenantQuota {
     }
 }
 
+/// Where the latest durable copy of a key lives: a byte range of the
+/// journal (the whole record that wrote the key) or of the installed
+/// snapshot's payload (the key bytes themselves).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Home {
+    /// The range is in the snapshot payload, not the journal.
+    pub in_snapshot: bool,
+    /// First byte of the range.
+    pub offset: usize,
+    /// Length of the range in bytes.
+    pub len: u32,
+}
+
 /// One issued ticket (EPC) and its key lineage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TicketState {
@@ -68,10 +85,33 @@ pub struct TicketState {
     /// Ticket has been revoked; key material is gone for good.
     pub revoked: bool,
     /// Ephemeral: key was evicted under memory pressure and can be
-    /// reloaded from the journal. Never serialized.
+    /// reloaded from its home. Never serialized.
     pub evicted: bool,
+    /// Ephemeral: `fnv_mix` of the key bytes, taken at eviction; a reload
+    /// must reproduce it. Never serialized.
+    pub evicted_digest: u64,
+    /// Ephemeral: where the current key's latest durable copy lives;
+    /// `None` when there is no key or it was never persisted. Never
+    /// serialized.
+    pub home: Option<Home>,
     /// Ephemeral: LRU stamp. Never serialized.
     pub last_access: u64,
+}
+
+impl TicketState {
+    fn new(model: u8, serial: u32, revoked: bool) -> Self {
+        TicketState {
+            model,
+            serial,
+            generation: 0,
+            key: None,
+            revoked,
+            evicted: false,
+            evicted_digest: 0,
+            home: None,
+            last_access: 0,
+        }
+    }
 }
 
 /// One tenant: quota, serial counter, and sharded tickets.
@@ -80,6 +120,8 @@ pub struct TenantState {
     pub quota: TenantQuota,
     pub next_serial: u32,
     shards: Vec<BTreeMap<[u8; 12], TicketState>>,
+    /// Unrevoked tickets, maintained by `revive`/`revoke`.
+    live: usize,
     /// Ephemeral enrolment tokens (refilled by `tick`). Never serialized.
     pub tokens: u32,
 }
@@ -90,6 +132,7 @@ impl TenantState {
             quota,
             next_serial: 0,
             shards: vec![BTreeMap::new(); TICKET_SHARDS],
+            live: 0,
             tokens: quota.enroll_burst,
         }
     }
@@ -102,8 +145,31 @@ impl TenantState {
         self.shards[Self::shard_of(epc)].get(epc)
     }
 
-    pub fn ticket_mut(&mut self, epc: &[u8; 12]) -> Option<&mut TicketState> {
+    pub(crate) fn ticket_mut(&mut self, epc: &[u8; 12]) -> Option<&mut TicketState> {
         self.shards[Self::shard_of(epc)].get_mut(epc)
+    }
+
+    /// The ticket for `epc`, created with `model`/`serial` if absent, and
+    /// unrevoked afterwards. A new ticket starts out revoked so that the
+    /// live count goes up exactly once, here.
+    fn revive(&mut self, epc: &[u8; 12], model: u8, serial: u32) -> &mut TicketState {
+        let ticket = self.shards[Self::shard_of(epc)]
+            .entry(*epc)
+            .or_insert_with(|| TicketState::new(model, serial, true));
+        if ticket.revoked {
+            ticket.revoked = false;
+            self.live += 1;
+        }
+        ticket
+    }
+
+    fn revoke(&mut self, epc: &[u8; 12]) {
+        if let Some(ticket) = self.shards[Self::shard_of(epc)].get_mut(epc) {
+            if !ticket.revoked {
+                ticket.revoked = true;
+                self.live -= 1;
+            }
+        }
     }
 
     /// Iterate tickets in canonical order (shard index, then EPC).
@@ -111,19 +177,19 @@ impl TenantState {
         self.shards.iter().flat_map(|s| s.iter())
     }
 
-    fn tickets_mut(&mut self) -> impl Iterator<Item = (&[u8; 12], &mut TicketState)> {
-        self.shards.iter_mut().flat_map(|s| s.iter_mut())
-    }
-
     /// Live (unrevoked) ticket count, for quota checks.
     pub fn live_tickets(&self) -> usize {
-        self.tickets().filter(|(_, t)| !t.revoked).count()
+        self.live
     }
 
     pub fn ticket_count(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
     }
 }
+
+/// Position of a resident key in eviction order:
+/// `(last_access, tenant, shard, epc)`.
+type LruEntry = (u64, u64, u8, [u8; 12]);
 
 /// The whole durable state: tenants by id.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -132,6 +198,10 @@ pub struct StoreState {
     /// Bytes of resident key material plus per-ticket overhead, maintained
     /// incrementally by `apply`/evict/reload — the memory-ceiling input.
     resident_bytes: usize,
+    /// Every resident key, ordered oldest stamp first and then in
+    /// canonical ticket order — the victim a scan over all tickets that
+    /// keeps the first strictly-oldest stamp would pick.
+    lru: BTreeSet<LruEntry>,
 }
 
 impl StoreState {
@@ -155,7 +225,7 @@ impl StoreState {
         self.tenants.get(&tenant).and_then(|t| t.ticket(epc))
     }
 
-    pub fn ticket_mut(&mut self, tenant: u64, epc: &[u8; 12]) -> Option<&mut TicketState> {
+    pub(crate) fn ticket_mut(&mut self, tenant: u64, epc: &[u8; 12]) -> Option<&mut TicketState> {
         self.tenants.get_mut(&tenant).and_then(|t| t.ticket_mut(epc))
     }
 
@@ -163,22 +233,71 @@ impl StoreState {
         key.as_ref().map(|k| TICKET_OVERHEAD_BYTES + k.len()).unwrap_or(0)
     }
 
-    /// Replace a ticket's key, keeping the resident-bytes counter honest.
-    /// Every key mutation in the crate funnels through here.
+    fn lru_entry(tenant: u64, epc: &[u8; 12], stamp: u64) -> LruEntry {
+        (stamp, tenant, TenantState::shard_of(epc) as u8, *epc)
+    }
+
+    /// Replace a ticket's key and its home, keeping the resident-bytes
+    /// counter and the LRU index honest. Every key mutation in the crate
+    /// funnels through here or through `evict`.
     pub(crate) fn set_key(
         &mut self,
         tenant: u64,
         epc: &[u8; 12],
         key: Option<Vec<u8>>,
-        evicted: bool,
+        home: Option<Home>,
     ) {
-        // Compute before taking the &mut borrow.
         let new_cost = Self::cost_of(&key);
+        let Some(t) = self.ticket_mut(tenant, epc) else {
+            return;
+        };
+        let old_cost = Self::cost_of(&t.key);
+        let (was, is) = (t.key.is_some(), key.is_some());
+        t.key = key;
+        t.home = home;
+        t.evicted = false;
+        let entry = Self::lru_entry(tenant, epc, t.last_access);
+        self.resident_bytes = self.resident_bytes - old_cost + new_cost;
+        if was && !is {
+            self.lru.remove(&entry);
+        } else if is && !was {
+            self.lru.insert(entry);
+        }
+    }
+
+    /// Drop a resident key under memory pressure. Its home and a digest of
+    /// its bytes stay behind for the reload.
+    pub(crate) fn evict(&mut self, tenant: u64, epc: &[u8; 12]) {
+        let Some(t) = self.ticket_mut(tenant, epc) else {
+            return;
+        };
+        let Some(key) = t.key.take() else {
+            return;
+        };
+        t.evicted = true;
+        t.evicted_digest = fnv_mix(&key);
+        let entry = Self::lru_entry(tenant, epc, t.last_access);
+        self.resident_bytes -= TICKET_OVERHEAD_BYTES + key.len();
+        self.lru.remove(&entry);
+    }
+
+    /// Point a ticket's key at a new durable copy of the same bytes.
+    pub(crate) fn set_home(&mut self, tenant: u64, epc: &[u8; 12], home: Home) {
         if let Some(t) = self.ticket_mut(tenant, epc) {
-            let old_cost = Self::cost_of(&t.key);
-            t.key = key;
-            t.evicted = evicted;
-            self.resident_bytes = self.resident_bytes - old_cost + new_cost;
+            t.home = Some(home);
+        }
+    }
+
+    /// Stamp a ticket's LRU clock, moving its resident key (if any) in the
+    /// eviction order.
+    pub(crate) fn touch(&mut self, tenant: u64, epc: &[u8; 12], stamp: u64) {
+        let Some(t) = self.ticket_mut(tenant, epc) else {
+            return;
+        };
+        let old = std::mem::replace(&mut t.last_access, stamp);
+        if t.key.is_some() {
+            self.lru.remove(&Self::lru_entry(tenant, epc, old));
+            self.lru.insert(Self::lru_entry(tenant, epc, stamp));
         }
     }
 
@@ -188,6 +307,12 @@ impl StoreState {
     /// record sequence the journal actually holds (the *store*'s public
     /// API enforces existence before appending).
     pub fn apply(&mut self, body: &RecordBody) {
+        self.apply_homed(body, None);
+    }
+
+    /// [`StoreState::apply`], recording `home` as the durable copy of the
+    /// key a bind/rotate/re-enrol record writes.
+    pub(crate) fn apply_homed(&mut self, body: &RecordBody, home: Option<Home>) {
         match body {
             RecordBody::TenantCreated {
                 tenant,
@@ -221,21 +346,11 @@ impl StoreState {
                     .tenants
                     .entry(*tenant)
                     .or_insert_with(|| TenantState::new(TenantQuota::unlimited()));
-                let shard = TenantState::shard_of(epc);
-                let entry = t.shards[shard].entry(*epc).or_insert(TicketState {
-                    model: *model,
-                    serial: *serial,
-                    generation: 0,
-                    key: None,
-                    revoked: false,
-                    evicted: false,
-                    last_access: 0,
-                });
                 // Re-issue of an existing EPC refreshes model/serial and
                 // clears revocation (a new physical tag took the slot).
-                entry.model = *model;
-                entry.serial = *serial;
-                entry.revoked = false;
+                let ticket = t.revive(epc, *model, *serial);
+                ticket.model = *model;
+                ticket.serial = *serial;
                 t.next_serial = t.next_serial.max(serial.wrapping_add(1));
             }
             RecordBody::KeyBound {
@@ -262,27 +377,14 @@ impl StoreState {
                     .tenants
                     .entry(*tenant)
                     .or_insert_with(|| TenantState::new(TenantQuota::unlimited()));
-                let shard = TenantState::shard_of(epc);
-                t.shards[shard].entry(*epc).or_insert(TicketState {
-                    model: 0xFF,
-                    serial: 0,
-                    generation: 0,
-                    key: None,
-                    revoked: false,
-                    evicted: false,
-                    last_access: 0,
-                });
-                if let Some(ticket) = self.ticket_mut(*tenant, epc) {
-                    ticket.generation = *generation;
-                    ticket.revoked = false;
-                }
-                self.set_key(*tenant, epc, Some(key.clone()), false);
+                t.revive(epc, 0xFF, 0).generation = *generation;
+                self.set_key(*tenant, epc, Some(key.clone()), home);
             }
             RecordBody::TicketRevoked { tenant, epc } => {
-                if let Some(t) = self.ticket_mut(*tenant, epc) {
-                    t.revoked = true;
+                if let Some(t) = self.tenants.get_mut(tenant) {
+                    t.revoke(epc);
                 }
-                self.set_key(*tenant, epc, None, false);
+                self.set_key(*tenant, epc, None, None);
             }
         }
     }
@@ -303,6 +405,19 @@ impl StoreState {
     /// The least-recently-accessed resident key, excluding `protect`.
     /// Returns `(tenant, epc)` or `None` if nothing is evictable.
     pub fn lru_resident(&self, protect: Option<(u64, [u8; 12])>) -> Option<(u64, [u8; 12])> {
+        self.lru
+            .iter()
+            .map(|&(_, tenant, _, epc)| (tenant, epc))
+            .find(|&victim| Some(victim) != protect)
+    }
+
+    /// Reference for [`StoreState::lru_resident`]: a scan over every
+    /// ticket keeping the first strictly-oldest resident key.
+    #[cfg(test)]
+    pub(crate) fn lru_resident_scan(
+        &self,
+        protect: Option<(u64, [u8; 12])>,
+    ) -> Option<(u64, [u8; 12])> {
         let mut best: Option<(u64, [u8; 12], u64)> = None;
         for (id, t) in &self.tenants {
             for (epc, ticket) in t.tickets() {
@@ -329,12 +444,18 @@ impl StoreState {
     }
 
     /// Canonical serialization of durable state. Ephemeral fields (LRU
-    /// stamps, tokens, eviction flags) are excluded, so two states that
-    /// agree on durable content serialize bit-identically.
+    /// stamps, tokens, eviction flags, homes) are excluded, so two states
+    /// that agree on durable content serialize bit-identically.
     ///
     /// Callers must hydrate evicted keys first (`DurableStore` does); a
     /// state serialized with holes would "forget" keys on snapshot.
     pub fn serialize(&self) -> Vec<u8> {
+        self.serialize_homed(|_, _, _| {})
+    }
+
+    /// [`StoreState::serialize`], reporting where each key's bytes land
+    /// in the output as a snapshot [`Home`].
+    pub(crate) fn serialize_homed(&self, mut on_key: impl FnMut(u64, &[u8; 12], Home)) -> Vec<u8> {
         let mut out = Vec::new();
         out.push(STATE_VERSION);
         out.extend_from_slice(&(self.tenants.len() as u32).to_le_bytes());
@@ -355,6 +476,7 @@ impl StoreState {
                     Some(k) => {
                         out.push(1);
                         out.extend_from_slice(&(k.len() as u32).to_le_bytes());
+                        on_key(*id, epc, Home::snapshot(out.len(), k.len()));
                         out.extend_from_slice(k);
                     }
                     None => out.push(0),
@@ -364,7 +486,8 @@ impl StoreState {
         out
     }
 
-    /// Total deserializer for `serialize` output.
+    /// Total deserializer for `serialize` output. Each key is homed at its
+    /// byte range in `bytes`, the snapshot payload it was decoded from.
     pub fn deserialize(bytes: &[u8]) -> Result<StoreState, RecordError> {
         let mut cur = SCursor { buf: bytes, pos: 0 };
         let version = cur.u8()?;
@@ -390,31 +513,28 @@ impl StoreState {
                 let serial = cur.u32()?;
                 let generation = cur.u32()?;
                 let revoked = cur.u8()? != 0;
-                let key = if cur.u8()? != 0 {
+                let mut ticket = TicketState::new(model, serial, revoked);
+                ticket.generation = generation;
+                if cur.u8()? != 0 {
                     let klen = cur.u32()? as usize;
                     if klen > MAX_KEY_LEN {
                         return Err(RecordError::Oversized { len: klen });
                     }
-                    Some(cur.bytes(klen)?.to_vec())
-                } else {
-                    None
-                };
-                state.resident_bytes += Self::cost_of(&key);
-                let shard = TenantState::shard_of(&epc);
-                tenant.shards[shard].insert(
-                    epc,
-                    TicketState {
-                        model,
-                        serial,
-                        generation,
-                        key,
-                        revoked,
-                        evicted: false,
-                        last_access: 0,
-                    },
-                );
+                    ticket.home = Some(Home::snapshot(cur.pos, klen));
+                    ticket.key = Some(cur.bytes(klen)?.to_vec());
+                    state.resident_bytes += TICKET_OVERHEAD_BYTES + klen;
+                    state.lru.insert(Self::lru_entry(id, &epc, 0));
+                }
+                tenant.live += usize::from(!revoked);
+                // Canonical bytes never repeat an EPC or a tenant; a
+                // repeat would leave stale entries in the counters.
+                if tenant.shards[TenantState::shard_of(&epc)].insert(epc, ticket).is_some() {
+                    return Err(RecordError::Malformed);
+                }
             }
-            state.tenants.insert(id, tenant);
+            if state.tenants.insert(id, tenant).is_some() {
+                return Err(RecordError::Malformed);
+            }
         }
         if cur.pos != bytes.len() {
             return Err(RecordError::Malformed);
@@ -432,14 +552,22 @@ impl StoreState {
     pub fn durably_equals(&self, other: &StoreState) -> bool {
         self.serialize() == other.serialize()
     }
+}
 
-    /// Clear ephemeral per-ticket stamps (used when comparing a live state
-    /// against a freshly replayed one in tests).
-    pub fn clear_ephemeral(&mut self) {
-        for t in self.tenants.values_mut() {
-            for (_, ticket) in t.tickets_mut() {
-                ticket.last_access = 0;
-            }
+impl Home {
+    fn snapshot(offset: usize, len: usize) -> Home {
+        Home {
+            in_snapshot: true,
+            offset,
+            len: len as u32,
+        }
+    }
+
+    pub(crate) fn journal(offset: usize, len: usize) -> Home {
+        Home {
+            in_snapshot: false,
+            offset,
+            len: len as u32,
         }
     }
 }
@@ -574,6 +702,34 @@ mod tests {
     }
 
     #[test]
+    fn deserialize_rejects_repeated_tenants_and_tickets() {
+        let mut s = StoreState::new();
+        s.apply(&RecordBody::TicketIssued {
+            tenant: 1,
+            epc: epc(1),
+            model: 1,
+            serial: 0,
+        });
+        s.apply(&RecordBody::KeyBound {
+            tenant: 1,
+            epc: epc(1),
+            generation: 1,
+            key: vec![1; 16],
+        });
+        let bytes = s.serialize();
+        // version 1 byte, tenant count 4, tenant header 28 (ticket count last).
+        let (tenant_at, tickets_at) = (5, 5 + 28);
+        let mut tickets_twice = bytes.clone();
+        tickets_twice[tickets_at - 4..tickets_at].copy_from_slice(&2u32.to_le_bytes());
+        tickets_twice.extend_from_slice(&bytes[tickets_at..]);
+        assert_eq!(StoreState::deserialize(&tickets_twice), Err(RecordError::Malformed));
+        let mut tenants_twice = bytes.clone();
+        tenants_twice[1..5].copy_from_slice(&2u32.to_le_bytes());
+        tenants_twice.extend_from_slice(&bytes[tenant_at..]);
+        assert_eq!(StoreState::deserialize(&tenants_twice), Err(RecordError::Malformed));
+    }
+
+    #[test]
     fn deserialize_is_total_on_mutated_bytes() {
         let mut s = StoreState::new();
         for i in 0..4u8 {
@@ -627,7 +783,7 @@ mod tests {
             key: vec![0; 48],
         });
         assert_eq!(s.resident_bytes(), TICKET_OVERHEAD_BYTES + 48);
-        s.set_key(1, &epc(1), None, true); // evict
+        s.evict(1, &epc(1));
         assert_eq!(s.resident_bytes(), 0);
         s.apply(&RecordBody::TicketRevoked {
             tenant: 1,
@@ -670,10 +826,69 @@ mod tests {
                 key: vec![i; 16],
             });
         }
-        s.ticket_mut(1, &epc(0)).unwrap().last_access = 5;
-        s.ticket_mut(1, &epc(1)).unwrap().last_access = 2;
-        s.ticket_mut(1, &epc(2)).unwrap().last_access = 9;
+        // Unstamped keys tie at 0 and leave in canonical ticket order.
+        assert_eq!(s.lru_resident(None), s.lru_resident_scan(None));
+        s.touch(1, &epc(0), 5);
+        s.touch(1, &epc(1), 2);
+        s.touch(1, &epc(2), 9);
         assert_eq!(s.lru_resident(None), Some((1, epc(1))));
         assert_eq!(s.lru_resident(Some((1, epc(1)))), Some((1, epc(0))));
+        // Re-stamping moves a key; evicting one removes it.
+        s.touch(1, &epc(1), 10);
+        assert_eq!(s.lru_resident(None), Some((1, epc(0))));
+        s.evict(1, &epc(0));
+        assert_eq!(s.lru_resident(None), Some((1, epc(2))));
+        assert_eq!(s.lru_resident(Some((1, epc(2)))), Some((1, epc(1))));
+        s.evict(1, &epc(2));
+        assert_eq!(s.lru_resident(Some((1, epc(1)))), None);
+        assert_eq!(s.lru_resident(None), s.lru_resident_scan(None));
+    }
+
+    #[test]
+    fn live_count_matches_a_scan_after_random_records() {
+        use rand::Rng;
+        rand::check::cases("live_count_matches_a_scan_after_random_records", 64, |rng| {
+            let mut s = StoreState::new();
+            for seq in 0..rng.gen_range(1..120u32) {
+                let tenant = rng.gen_range(1..4u64);
+                let e = epc(rng.gen_range(0..12u8));
+                let body = match rng.gen_range(0..5u8) {
+                    0 => RecordBody::TicketIssued {
+                        tenant,
+                        epc: e,
+                        model: 1,
+                        serial: seq,
+                    },
+                    1 => RecordBody::KeyBound {
+                        tenant,
+                        epc: e,
+                        generation: seq,
+                        key: vec![seq as u8; 16],
+                    },
+                    2 => RecordBody::ReEnrolled {
+                        tenant,
+                        epc: e,
+                        generation: seq,
+                        key: vec![seq as u8; 16],
+                    },
+                    3 => RecordBody::TicketRevoked { tenant, epc: e },
+                    _ => RecordBody::TenantCreated {
+                        tenant,
+                        max_tickets: 4,
+                        enroll_burst: 1,
+                        enroll_refill: 1,
+                    },
+                };
+                s.apply(&body);
+                for t in s.tenants.values() {
+                    let scan = t.tickets().filter(|(_, t)| !t.revoked).count();
+                    assert_eq!(t.live_tickets(), scan, "after {body:?}");
+                }
+            }
+            let back = StoreState::deserialize(&s.serialize()).unwrap();
+            for (id, t) in &s.tenants {
+                assert_eq!(back.tenant(*id).unwrap().live_tickets(), t.live_tickets());
+            }
+        });
     }
 }

@@ -9,8 +9,13 @@
 //! may simply retry.
 //!
 //! Read path: `key_for` stamps LRU clocks and transparently reloads keys
-//! that were evicted under the memory ceiling, via a targeted
-//! snapshot+journal scan.
+//! that were evicted under the memory ceiling. Every key has a *home*, the
+//! byte range of its latest durable copy (the journal record that wrote
+//! it, or its bytes in the installed snapshot); a reload reads only that
+//! range and checks it against a digest taken at eviction, so damage
+//! anywhere else cannot change what it returns, and damage inside it is
+//! an error rather than an older key. Victims come from the state's
+//! ordered LRU index, one first-element lookup per eviction.
 //!
 //! Recovery: `open` loads the snapshot (if any), replays the journal tail,
 //! repairs torn tails by truncation, and — only in salvage mode — truncates
@@ -19,10 +24,10 @@
 use crate::faults;
 use crate::journal::{self, TailStatus, JOURNAL_FILE};
 use crate::media::Volume;
-use crate::record::{encode_record, RecordBody};
-use crate::snapshot::{decode_snapshot, encode_snapshot, SNAPSHOT_FILE, SNAPSHOT_TMP};
-use crate::state::{StoreState, TenantQuota};
-use crate::StoreError;
+use crate::record::{decode_record, encode_record, RecordBody};
+use crate::snapshot::{self, decode_snapshot, encode_snapshot, SNAPSHOT_FILE, SNAPSHOT_TMP};
+use crate::state::{Home, StoreState, TenantQuota};
+use crate::{fnv_mix, StoreError};
 
 /// Store tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,14 +159,15 @@ impl DurableStore {
         }
 
         let mut last_seq = snapshot_seq;
-        for rec in &replayed.records {
+        let ends = replayed.offsets.iter().skip(1).chain([&replayed.consumed]);
+        for ((rec, &start), &end) in replayed.records.iter().zip(&replayed.offsets).zip(ends) {
             // Records at or below the snapshot seq were already folded into
             // the snapshot (crash between install-rename and journal
             // truncate); applying them again would be wrong for rotations.
             if rec.seq <= snapshot_seq {
                 continue;
             }
-            state.apply(&rec.body);
+            state.apply_homed(&rec.body, Some(Home::journal(start, end - start)));
             last_seq = rec.seq;
             self.stats.records_replayed += 1;
         }
@@ -186,7 +192,7 @@ impl DurableStore {
             self.stats.append_repairs += 1;
             return Err(e);
         }
-        self.state.apply(&body);
+        self.state.apply_homed(&body, Some(Home::journal(before, bytes.len())));
         // Writing a key counts as using it: without a stamp, a freshly
         // bound key would be the LRU victim of its own append.
         if let RecordBody::KeyBound { tenant, epc, .. }
@@ -194,10 +200,7 @@ impl DurableStore {
         | RecordBody::ReEnrolled { tenant, epc, .. } = &body
         {
             self.access_clock += 1;
-            let clock = self.access_clock;
-            if let Some(t) = self.state.ticket_mut(*tenant, epc) {
-                t.last_access = clock;
-            }
+            self.state.touch(*tenant, epc, self.access_clock);
         }
         self.next_seq += 1;
         self.appends_since_snapshot += 1;
@@ -209,7 +212,7 @@ impl DurableStore {
             // rename_failures counts what happened.
             let _ = self.snapshot();
         }
-        self.enforce_ceiling(None)?;
+        self.enforce_ceiling(None);
         Ok(())
     }
 
@@ -373,15 +376,10 @@ impl DurableStore {
             self.reload_key(tenant, epc)?;
             // The reloaded key is the most recently used — protect it while
             // re-enforcing the ceiling.
-            self.enforce_ceiling(Some((tenant, epc)))?;
+            self.enforce_ceiling(Some((tenant, epc)));
         }
-        match self.state.ticket_mut(tenant, &epc) {
-            Some(t) => {
-                t.last_access = clock;
-                Ok(t.key.as_deref())
-            }
-            None => Ok(None),
-        }
+        self.state.touch(tenant, &epc, clock);
+        Ok(self.peek_key(tenant, epc))
     }
 
     /// Non-mutating peek: returns the resident key only (an evicted key
@@ -392,77 +390,64 @@ impl DurableStore {
             .and_then(|t| t.key.as_deref())
     }
 
-    /// Reload one evicted key by scanning snapshot + journal for the last
-    /// key event of this (tenant, epc).
+    /// Reload one evicted key from its home: read only that byte range
+    /// and check it against the digest taken at eviction. Bytes that do
+    /// not reproduce the evicted key (rot, a file cut short, a record that
+    /// is not this key's latest) are `Corrupted` at the home's file
+    /// offset, and the ticket stays evicted.
     fn reload_key(&mut self, tenant: u64, epc: [u8; 12]) -> Result<(), StoreError> {
-        let mut found: Option<(u32, Vec<u8>)> = None;
-        if let Some(snap) = self.volume.read(SNAPSHOT_FILE)? {
-            let (_, state_bytes) =
-                decode_snapshot(&snap).map_err(StoreError::SnapshotCorrupted)?;
-            let snap_state =
-                StoreState::deserialize(&state_bytes).map_err(StoreError::SnapshotCorrupted)?;
-            if let Some(t) = snap_state.ticket(tenant, &epc) {
-                if let Some(k) = &t.key {
-                    found = Some((t.generation, k.clone()));
-                }
+        let Some(ticket) = self.state.ticket(tenant, &epc) else {
+            return Ok(());
+        };
+        let (generation, digest) = (ticket.generation, ticket.evicted_digest);
+        // Every key the store holds was read from or written to media, so
+        // an evicted key always has a home.
+        let home = ticket.home.ok_or(StoreError::Corrupted { offset: 0 })?;
+        let (file, offset) = if home.in_snapshot {
+            (SNAPSHOT_FILE, snapshot::HEADER_LEN + home.offset)
+        } else {
+            (JOURNAL_FILE, home.offset)
+        };
+        let key = match self.volume.read_range(file, offset, home.len as usize)? {
+            Some(key) if home.in_snapshot => Some(key),
+            Some(record) => match decode_record(&record).map(|(rec, _)| rec.body) {
+                Ok(
+                    RecordBody::KeyBound { tenant: t, epc: e, generation: g, key }
+                    | RecordBody::KeyRotated { tenant: t, epc: e, generation: g, key }
+                    | RecordBody::ReEnrolled { tenant: t, epc: e, generation: g, key },
+                ) if t == tenant && e == epc && g == generation => Some(key),
+                _ => None,
+            },
+            None => None,
+        };
+        match key {
+            Some(key) if fnv_mix(&key) == digest => {
+                self.state.set_key(tenant, &epc, Some(key), Some(home));
+                self.stats.reloads += 1;
+                Ok(())
             }
+            _ => Err(StoreError::Corrupted { offset }),
         }
-        let journal_bytes = self.volume.read(JOURNAL_FILE)?.unwrap_or_default();
-        let replayed = journal::replay(&journal_bytes);
-        for rec in &replayed.records {
-            if rec.seq <= self.snapshot_seq {
-                continue;
-            }
-            match &rec.body {
-                RecordBody::KeyBound {
-                    tenant: t,
-                    epc: e,
-                    generation,
-                    key,
-                }
-                | RecordBody::KeyRotated {
-                    tenant: t,
-                    epc: e,
-                    generation,
-                    key,
-                }
-                | RecordBody::ReEnrolled {
-                    tenant: t,
-                    epc: e,
-                    generation,
-                    key,
-                } if *t == tenant && *e == epc => {
-                    found = Some((*generation, key.clone()));
-                }
-                RecordBody::TicketRevoked { tenant: t, epc: e } if *t == tenant && *e == epc => {
-                    found = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some((_, key)) = found {
-            self.state.set_key(tenant, &epc, Some(key), false);
-            self.stats.reloads += 1;
-        } else if let Some(t) = self.state.ticket_mut(tenant, &epc) {
-            // Nothing reloadable (e.g. revoked meanwhile): clear the flag.
-            t.evicted = false;
-        }
-        Ok(())
     }
 
     /// Evict least-recently-used resident keys until under the ceiling.
-    fn enforce_ceiling(&mut self, protect: Option<(u64, [u8; 12])>) -> Result<(), StoreError> {
+    fn enforce_ceiling(&mut self, protect: Option<(u64, [u8; 12])>) {
         if self.config.memory_ceiling_bytes == 0 {
-            return Ok(());
+            return;
         }
         while self.state.resident_bytes() > self.config.memory_ceiling_bytes {
             let Some((tenant, epc)) = self.state.lru_resident(protect) else {
                 break;
             };
-            self.state.set_key(tenant, &epc, None, true);
+            #[cfg(test)]
+            assert_eq!(
+                Some((tenant, epc)),
+                self.state.lru_resident_scan(protect),
+                "the ordered LRU index and the ticket scan pick different victims"
+            );
+            self.state.evict(tenant, &epc);
             self.stats.evictions_memory += 1;
         }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -473,29 +458,44 @@ impl DurableStore {
     ///
     /// Evicted keys are hydrated first: the journal is about to be
     /// truncated, so a snapshot with holes would lose them forever.
+    /// Hydration may push resident keys over the ceiling, so it is
+    /// re-enforced whether or not the install succeeds.
     pub fn snapshot(&mut self) -> Result<(), StoreError> {
+        let installed = self.install_snapshot();
+        self.enforce_ceiling(None);
+        installed
+    }
+
+    fn install_snapshot(&mut self) -> Result<(), StoreError> {
         self.hydrate_all()?;
         let seq_through = self.next_seq - 1;
-        let state_bytes = self.state.serialize();
+        let mut homes = Vec::new();
+        let state_bytes = self
+            .state
+            .serialize_homed(|tenant, epc, home| homes.push((tenant, *epc, home)));
         let snap = encode_snapshot(seq_through, &state_bytes);
         self.volume.write(SNAPSHOT_TMP, &snap)?;
         if let Err(e) = self.volume.rename(SNAPSHOT_TMP, SNAPSHOT_FILE) {
             // Old snapshot and journal remain authoritative; drop the tmp.
             self.stats.rename_failures += 1;
             let _ = self.volume.remove(SNAPSHOT_TMP);
-            // Hydration may have pushed us over the ceiling; re-evict.
-            self.enforce_ceiling(None)?;
             return Err(StoreError::SnapshotRename(match e {
                 StoreError::Io(m) => m,
                 other => other.to_string(),
             }));
         }
-        // Commit point passed: journal records ≤ seq_through are redundant.
+        // Commit point passed. The rename replaced the file that old
+        // snapshot homes pointed into, and the truncate below removes the
+        // records journal homes point at, so every key moves to its bytes
+        // in the new snapshot now.
+        for (tenant, epc, home) in homes {
+            self.state.set_home(tenant, &epc, home);
+        }
+        // Journal records ≤ seq_through are redundant.
         self.volume.truncate(JOURNAL_FILE, 0)?;
         self.snapshot_seq = seq_through;
         self.appends_since_snapshot = 0;
         self.stats.snapshots += 1;
-        self.enforce_ceiling(None)?;
         Ok(())
     }
 
@@ -563,6 +563,7 @@ mod tests {
         ScheduledStorageFault, StorageFaultKind, StorageFaults, StorageOp,
     };
     use crate::media::MemVolume;
+    use crate::record::HEADER_LEN;
     use crate::state::TICKET_OVERHEAD_BYTES;
 
     fn epc(i: u8) -> [u8; 12] {
@@ -864,5 +865,240 @@ mod tests {
         let back = DurableStore::open(Box::new(media.deep_clone()), config).unwrap();
         assert!(back.stats().records_replayed < 11);
         assert_eq!(back.state().tenant(t).unwrap().ticket_count(), 30);
+    }
+
+    fn one_key_config() -> StoreConfig {
+        StoreConfig {
+            memory_ceiling_bytes: TICKET_OVERHEAD_BYTES + 32,
+            ..StoreConfig::default()
+        }
+    }
+
+    /// Byte offset of the journal record matching `pick`.
+    fn record_offset(media: &MemVolume, pick: impl Fn(&RecordBody) -> bool) -> usize {
+        let replayed = journal::replay(&media.read(JOURNAL_FILE).unwrap().unwrap());
+        let at = replayed.records.iter().position(|r| pick(&r.body)).unwrap();
+        replayed.offsets[at]
+    }
+
+    fn flip_bit(media: &MemVolume, file: &str, at: usize) {
+        let mut bytes = media.read(file).unwrap().unwrap();
+        bytes[at] ^= 0x10;
+        media.clone().write(file, &bytes).unwrap();
+    }
+
+    /// One-key ceiling: bind e1, bind e2, rotate e1, read e2. Leaves e1
+    /// evicted with its generation-2 key homed in the rotate record.
+    fn rotated_then_evicted() -> (DurableStore, MemVolume, u64) {
+        let media = MemVolume::new();
+        let mut store = DurableStore::open(Box::new(media.clone()), one_key_config()).unwrap();
+        let t = store.create_tenant(TenantQuota::unlimited()).unwrap();
+        store.issue(t, epc(1), 1).unwrap();
+        store.issue(t, epc(2), 1).unwrap();
+        store.bind_key(t, epc(1), &key(1)).unwrap();
+        store.bind_key(t, epc(2), &key(2)).unwrap();
+        store.rotate_key(t, epc(1), &key(0xE1)).unwrap();
+        assert_eq!(store.key_for(t, epc(2)).unwrap(), Some(&key(2)[..]));
+        assert_eq!(store.peek_key(t, epc(1)), None);
+        (store, media, t)
+    }
+
+    #[test]
+    fn reload_serves_the_latest_generation_despite_rot_in_another_record() {
+        let (mut store, media, t) = rotated_then_evicted();
+        let at = record_offset(&media, |b| {
+            matches!(b, RecordBody::KeyBound { epc: e, .. } if *e == epc(2))
+        });
+        flip_bit(&media, JOURNAL_FILE, at + HEADER_LEN + 2);
+        assert_eq!(store.key_for(t, epc(1)).unwrap(), Some(&key(0xE1)[..]));
+        assert_eq!(store.state().ticket(t, &epc(1)).unwrap().generation, 2);
+        assert_eq!(store.stats().reloads, 2);
+    }
+
+    /// Reading `(t, e)` fails with `Corrupted` and leaves the state and
+    /// the counters exactly as they were.
+    fn assert_reload_refused(store: &mut DurableStore, t: u64, e: [u8; 12]) {
+        let (state, stats) = (store.state().clone(), *store.stats());
+        for _ in 0..2 {
+            let got = store.key_for(t, e);
+            assert!(matches!(got, Err(StoreError::Corrupted { .. })), "got {got:?}");
+            assert_eq!(store.state(), &state);
+            assert_eq!(store.stats(), &stats);
+        }
+    }
+
+    #[test]
+    fn reload_refuses_rot_inside_the_keys_journal_home() {
+        let (mut store, media, t) = rotated_then_evicted();
+        let home = store.state().ticket(t, &epc(1)).unwrap().home.unwrap();
+        let at = record_offset(&media, |b| matches!(b, RecordBody::KeyRotated { .. }));
+        assert_eq!((home.in_snapshot, home.offset), (false, at));
+        flip_bit(&media, JOURNAL_FILE, at + HEADER_LEN + 30);
+        assert_reload_refused(&mut store, t, epc(1));
+        // The other key's home is intact.
+        assert_eq!(store.key_for(t, epc(2)).unwrap(), Some(&key(2)[..]));
+    }
+
+    #[test]
+    fn reload_refuses_rot_inside_the_keys_snapshot_home() {
+        let media = MemVolume::new();
+        let mut store = DurableStore::open(Box::new(media.clone()), one_key_config()).unwrap();
+        let t = store.create_tenant(TenantQuota::unlimited()).unwrap();
+        for i in 1..=2u8 {
+            store.issue(t, epc(i), 1).unwrap();
+            store.bind_key(t, epc(i), &key(i)).unwrap();
+        }
+        store.snapshot().unwrap();
+        assert_eq!(store.journal_len().unwrap(), 0);
+        // e1 is the older key, so the snapshot's re-enforced ceiling
+        // evicted it again, now homed in the snapshot.
+        assert_eq!(store.peek_key(t, epc(1)), None);
+        let home = store.state().ticket(t, &epc(1)).unwrap().home.unwrap();
+        assert!(home.in_snapshot);
+        let snap = media.read(SNAPSHOT_FILE).unwrap().unwrap();
+        let at = snap.windows(32).position(|w| w == key(1)).unwrap();
+        assert_eq!(at, snapshot::HEADER_LEN + home.offset);
+        flip_bit(&media, SNAPSHOT_FILE, at + 5);
+        assert_reload_refused(&mut store, t, epc(1));
+    }
+
+    #[test]
+    fn homes_move_to_the_snapshot_only_when_it_installs() {
+        let media = MemVolume::new();
+        let plan = StorageFaults::scripted(
+            11,
+            vec![ScheduledStorageFault {
+                op: StorageOp::Rename,
+                occurrence: 0,
+                fault: StorageFaultKind::RenameFail,
+            }],
+        );
+        let mut store = open_faulted_mem(media.clone(), plan, one_key_config()).unwrap();
+        let t = store.create_tenant(TenantQuota::unlimited()).unwrap();
+        for i in 1..=3u8 {
+            store.issue(t, epc(i), 1).unwrap();
+            store.bind_key(t, epc(i), &key(i)).unwrap();
+        }
+        let homes = |s: &DurableStore| -> Vec<Option<Home>> {
+            (1..=3u8).map(|i| s.state().ticket(t, &epc(i)).unwrap().home).collect()
+        };
+        let before = homes(&store);
+        assert!(before.iter().all(|h| matches!(h, Some(h) if !h.in_snapshot)));
+        assert!(matches!(store.snapshot(), Err(StoreError::SnapshotRename(_))));
+        assert_eq!(homes(&store), before, "a failed install moves no home");
+        store.snapshot().unwrap();
+        assert!(homes(&store).iter().all(|h| matches!(h, Some(h) if h.in_snapshot)));
+        for i in 1..=3u8 {
+            assert_eq!(store.key_for(t, epc(i)).unwrap(), Some(&key(i)[..]));
+        }
+        // Reopened, keys are homed in the loaded snapshot; the first write
+        // enforces the ceiling, and reads reload from the snapshot.
+        let mut back = DurableStore::open(Box::new(media.deep_clone()), one_key_config()).unwrap();
+        assert!(homes(&back).iter().all(|h| matches!(h, Some(h) if h.in_snapshot)));
+        back.issue(t, epc(9), 1).unwrap();
+        for i in (1..=3u8).rev() {
+            assert_eq!(back.key_for(t, epc(i)).unwrap(), Some(&key(i)[..]));
+        }
+        assert!(back.stats().reloads >= 1);
+    }
+
+    #[test]
+    fn reloads_read_ranges_of_a_file_volume() {
+        let dir = std::env::temp_dir().join(format!("wavekey-store-reload-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            let volume = crate::media::FileVolume::open(&dir).unwrap();
+            DurableStore::open(Box::new(volume), one_key_config()).unwrap()
+        };
+        let mut store = open();
+        let t = store.create_tenant(TenantQuota::unlimited()).unwrap();
+        for i in 0..4u8 {
+            store.issue(t, epc(i), 1).unwrap();
+            store.bind_key(t, epc(i), &key(i)).unwrap();
+        }
+        store.snapshot().unwrap();
+        store.rotate_key(t, epc(2), &key(0xD2)).unwrap();
+        let want = [key(0), key(1), key(0xD2), key(3)];
+        for (i, k) in want.iter().enumerate() {
+            assert_eq!(store.key_for(t, epc(i as u8)).unwrap(), Some(&k[..]));
+        }
+        drop(store);
+        let mut back = open();
+        back.issue(t, epc(9), 1).unwrap(); // enforces the ceiling
+        for (i, k) in want.iter().enumerate().rev() {
+            assert_eq!(back.key_for(t, epc(i as u8)).unwrap(), Some(&k[..]));
+        }
+        assert!(back.stats().reloads >= 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Ordered-LRU differential: random issue/bind/rotate/re-enrol/revoke/
+    /// read/snapshot/reopen sequences under a 1–4 key ceiling. Every victim
+    /// is checked against the ticket scan inside `enforce_ceiling`; here
+    /// every read must match a twin store with no ceiling, the counters
+    /// other than evictions and reloads must match the twin's, and the
+    /// hydrated state must end byte-identical.
+    #[test]
+    fn ordered_lru_matches_the_scan_and_a_ceiling_free_twin() {
+        use rand::Rng;
+        let (mut evictions, mut reloads) = (0, 0);
+        rand::check::cases("ordered_lru_matches_the_scan_and_a_ceiling_free_twin", 128, |rng| {
+            let slots = rng.gen_range(1..=4usize);
+            let config = StoreConfig {
+                memory_ceiling_bytes: slots * (TICKET_OVERHEAD_BYTES + 32),
+                ..StoreConfig::default()
+            };
+            let (media, twin_media) = (MemVolume::new(), MemVolume::new());
+            let mut store = DurableStore::open(Box::new(media.clone()), config).unwrap();
+            let mut twin =
+                DurableStore::open(Box::new(twin_media.clone()), StoreConfig::default()).unwrap();
+            let quotas = [
+                TenantQuota::unlimited(),
+                TenantQuota {
+                    max_tickets: 5,
+                    ..TenantQuota::unlimited()
+                },
+            ];
+            for quota in quotas {
+                assert_eq!(store.create_tenant(quota), twin.create_tenant(quota));
+            }
+            for step in 0..rng.gen_range(40..160u32) {
+                let t = rng.gen_range(1..=2u64);
+                let e = epc(rng.gen_range(0..7u8));
+                let mut k = [0u8; 32];
+                rng.fill(&mut k[..]);
+                match rng.gen_range(0..100u32) {
+                    0..=11 => assert_eq!(store.issue(t, e, 1), twin.issue(t, e, 1)),
+                    12..=27 => assert_eq!(store.bind_key(t, e, &k), twin.bind_key(t, e, &k)),
+                    28..=37 => assert_eq!(store.rotate_key(t, e, &k), twin.rotate_key(t, e, &k)),
+                    38..=43 => assert_eq!(store.re_enroll(t, e, &k), twin.re_enroll(t, e, &k)),
+                    44..=47 => assert_eq!(store.revoke(t, e), twin.revoke(t, e)),
+                    48..=95 => {
+                        let want = twin.key_for(t, e).unwrap().map(<[u8]>::to_vec);
+                        let got = store.key_for(t, e).unwrap().map(<[u8]>::to_vec);
+                        assert_eq!(got, want, "step {step}: key_for({t}, {e:?})");
+                    }
+                    96..=97 => assert_eq!(store.snapshot(), twin.snapshot()),
+                    _ => {
+                        evictions += store.stats().evictions_memory;
+                        reloads += store.stats().reloads;
+                        let twin_media = Box::new(twin_media.clone());
+                        store = DurableStore::open(Box::new(media.clone()), config).unwrap();
+                        twin = DurableStore::open(twin_media, StoreConfig::default()).unwrap();
+                    }
+                }
+                let masked = StoreStats {
+                    evictions_memory: 0,
+                    reloads: 0,
+                    ..*store.stats()
+                };
+                assert_eq!(masked, *twin.stats(), "step {step}");
+            }
+            assert_eq!(store.full_state_bytes().unwrap(), twin.full_state_bytes().unwrap());
+            evictions += store.stats().evictions_memory;
+            reloads += store.stats().reloads;
+        });
+        // The cases must actually drive the ceiling.
+        assert!(evictions > 500 && reloads > 500, "{evictions} evictions, {reloads} reloads");
     }
 }
