@@ -136,11 +136,13 @@ echo "== crypto batch-speedup gate =="
 # WAVEKEY_CRYPTO_BATCH_SPEEDUP_MIN — and the batched routes must reproduce
 # the scalar keys bit for bit at every thread width. The scalar sender
 # uses the same k¹ fold as the batched one, so the margin is the lanes
-# plus the Crandall fold alone: eight default-width runs on a 2-core
-# x86-64 host measured 1.3-2.0x (median ~1.65x). The default floor of
-# 1.2x sits below the slowest of those runs. It only catches a gross
-# loss: the fleet group without lanes (`..._wavekey1024_scalar`)
-# measured 0.9-1.5x (median ~1.0x) in the same runs. The thread cap is read once per process, so
+# plus the Crandall fold alone: ten default-width ratios on a 2-core
+# x86-64 host with BMI2/ADX, where the scalar route runs the
+# mulx/adcx/adox Montgomery rows, measured 1.29-1.50x (median ~1.41x).
+# The default floor of 1.2x sits below the slowest of those runs. It
+# only catches a gross loss: the fleet group without lanes
+# (`..._wavekey1024_scalar`) measured 0.9-1.5x (median ~1.0x) in earlier
+# runs. The thread cap is read once per process, so
 # each width runs its own equivalence-only process.
 BATCH_MIN="${WAVEKEY_CRYPTO_BATCH_SPEEDUP_MIN:-1.2}"
 scalar48=$(mean_of "ot_batch48_three_rounds" "$fresh")

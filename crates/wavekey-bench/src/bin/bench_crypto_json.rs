@@ -15,7 +15,9 @@
 //! everywhere else). The JSON schema is a flat list:
 //! `{ "op": str, "mean_ns": float, "iters": int, "throughput_per_s": float }`,
 //! with `*_amortized` ops reporting per-item cost (total / batch size),
-//! plus one trailing equivalence record
+//! then one record naming the 16-limb Montgomery kernel the run used
+//! (`{"op": "mont_kernel_1024", "kernel": "adx" | "portable"}`), and one
+//! trailing equivalence record
 //! (`{"op": "fleet_batch48_equivalence", "keys_bit_identical": bool, ...}`)
 //! asserting the batched routes reproduce the scalar keys bit for bit.
 //!
@@ -31,7 +33,7 @@ use wavekey_core::agreement::{run_agreement, AgreementConfig};
 use wavekey_core::channel::PassiveChannel;
 use wavekey_core::SessionManager;
 use wavekey_crypto::batch::ModexpBatch;
-use wavekey_crypto::bigint::Ubig;
+use wavekey_crypto::bigint::{mont_kernel_1024, Ubig};
 use wavekey_crypto::group::DhGroup;
 use wavekey_crypto::ot::{OtReceiver, OtSender};
 
@@ -290,6 +292,9 @@ fn main() {
             s.op, s.mean_ns, throughput, s.iters
         );
     }
+    let kernel = mont_kernel_1024();
+    println!("{:<46} {kernel}", "mont_kernel_1024");
+    json.push_str(&format!("  {{\"op\": \"mont_kernel_1024\", \"kernel\": \"{kernel}\"}},\n"));
     json.push_str(&format!("  {equivalence}\n]\n"));
 
     write_out(&out_path, &json);

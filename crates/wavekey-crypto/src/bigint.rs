@@ -3,10 +3,14 @@
 //! [`Ubig`] stores little-endian `u64` limbs. The performance-critical
 //! operation is modular exponentiation with a fixed odd modulus (the DH
 //! group prime), implemented with Montgomery multiplication — schoolbook
-//! multiply plus REDC, which avoids general long division entirely. A
-//! simple shift-subtract remainder exists as the slow path for one-time
-//! setup (computing `R² mod n`) and for reducing random samples.
+//! multiply plus REDC, which avoids general long division entirely. On
+//! x86-64 CPUs with BMI2 and ADX the 1024-bit width runs on the
+//! `mulx`/`adcx`/`adox` rows of the `adx` module. A schoolbook remainder
+//! (Knuth's Algorithm D) serves one-time setup (computing `R² mod n`),
+//! reducing random samples, and exponent arithmetic.
 
+#[cfg(target_arch = "x86_64")]
+use crate::adx;
 use crate::limb4::{cios_mont_mul_x4, fold_mul_x4, fold_sqr_x4, LANES};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -271,13 +275,15 @@ impl Ubig {
         r
     }
 
-    /// Remainder `self mod modulus` by shift-subtract long division over
-    /// an in-place limb buffer: the shifted modulus is materialized once
-    /// and walked down one bit per iteration, so a `2k → k`-limb
-    /// reduction allocates twice in total instead of once per quotient
-    /// bit. Still the *slow path* relative to Montgomery arithmetic —
-    /// used for setup, reducing random samples, and exponent arithmetic
-    /// (the batched OT sender reduces `a² mod (u−1)` through here).
+    /// Remainder `self mod modulus` by limb-wise schoolbook division
+    /// (Knuth vol. 2, §4.3.1, Algorithm D): normalize so the divisor's
+    /// top bit is set, estimate each quotient limb from the top limbs,
+    /// correct the estimate at most twice, then multiply and subtract
+    /// (adding the divisor back in the rare case the estimate was still
+    /// one too large). A `2k → k`-limb reduction costs about `k²`
+    /// multiply-adds. Used for setup, reducing random samples, and
+    /// exponent arithmetic (both OT sender routes reduce `a² mod (u−1)`
+    /// through here).
     ///
     /// # Panics
     ///
@@ -287,25 +293,62 @@ impl Ubig {
         if self.cmp_abs(modulus) == Ordering::Less {
             return self.clone();
         }
-        let shift = self.bit_len() - modulus.bit_len();
-        let mut r = self.limbs.clone();
-        // modulus << shift has exactly self.bit_len() bits, so it fits
-        // the same limb count as r.
-        let mut m = modulus.shl(shift).limbs;
-        m.resize(r.len(), 0);
-        for _ in 0..=shift {
-            if limbs_ge(&r, &m) {
-                limbs_sub_in_place(&mut r, &m);
+        let n = modulus.limbs.len();
+        if n == 1 {
+            let d = u128::from(modulus.limbs[0]);
+            let r = self.limbs.iter().rev().fold(0u128, |r, &l| ((r << 64) | u128::from(l)) % d);
+            return Ubig::from_u64(r as u64);
+        }
+        // D1: shift both operands so the divisor's top limb has its top
+        // bit set; the dividend gains one limb for the bits shifted out.
+        let shift = modulus.limbs[n - 1].leading_zeros();
+        let mut v = shl_limbs(&modulus.limbs, shift);
+        v.pop();
+        let mut u = shl_limbs(&self.limbs, shift);
+        let (v_top, v_next) = (u128::from(v[n - 1]), u128::from(v[n - 2]));
+        for j in (0..u.len() - n).rev() {
+            // D3: estimate q from the top two limbs of the window, then
+            // correct it with the third; afterwards it is exact or one
+            // too large.
+            let top = (u128::from(u[j + n]) << 64) | u128::from(u[j + n - 1]);
+            let (mut q, mut r) = (top / v_top, top % v_top);
+            while q > u128::from(u64::MAX) || q * v_next > ((r << 64) | u128::from(u[j + n - 2])) {
+                q -= 1;
+                r += v_top;
+                if r > u128::from(u64::MAX) {
+                    break;
+                }
             }
-            // m >>= 1 in place.
-            let mut carry = 0u64;
-            for l in m.iter_mut().rev() {
-                let next = *l & 1;
-                *l = (*l >> 1) | (carry << 63);
-                carry = next;
+            // D4: u[j..=j+n] −= q·v. Each limb borrows at most once.
+            let (mut mul_carry, mut borrow) = (0u64, false);
+            for (uj, &vi) in u[j..j + n].iter_mut().zip(&v) {
+                let p = q * u128::from(vi) + u128::from(mul_carry);
+                mul_carry = (p >> 64) as u64;
+                let (d, b1) = uj.overflowing_sub(p as u64);
+                let (d, b2) = d.overflowing_sub(u64::from(borrow));
+                *uj = d;
+                borrow = b1 | b2;
+            }
+            let (d, b1) = u[j + n].overflowing_sub(mul_carry);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            u[j + n] = d;
+            // D6: q was one too large; add the divisor back (the carry
+            // out of the top limb cancels the borrow).
+            if b1 || b2 {
+                let mut carry = false;
+                for (uj, &vi) in u[j..j + n].iter_mut().zip(&v) {
+                    let (s, c1) = uj.overflowing_add(vi);
+                    let (s, c2) = s.overflowing_add(u64::from(carry));
+                    *uj = s;
+                    carry = c1 | c2;
+                }
+                u[j + n] = u[j + n].wrapping_add(u64::from(carry));
             }
         }
-        let mut out = Ubig { limbs: r };
+        // D8: the remainder is the low n limbs (the limb above them is
+        // now zero), shifted back.
+        u.truncate(n);
+        let mut out = Ubig { limbs: shr_limbs(&u, shift) };
         out.normalize();
         out
     }
@@ -326,6 +369,25 @@ impl Ubig {
             }
         }
         r
+    }
+
+    /// `if choice { a } else { b }` with no branch on `choice`: both
+    /// values are read as `limbs` limbs and merged under an all-ones or
+    /// all-zeros mask, so the work is the same for either bit. The mask
+    /// passes through [`std::hint::black_box`] so the optimizer cannot
+    /// turn the merge back into a branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if either value is wider than `limbs`.
+    pub(crate) fn ct_select(choice: bool, a: &Ubig, b: &Ubig, limbs: usize) -> Ubig {
+        debug_assert!(a.limbs.len() <= limbs && b.limbs.len() <= limbs);
+        let mask = std::hint::black_box(u64::from(choice)).wrapping_neg();
+        let limb = |x: &Ubig, i: usize| x.limbs.get(i).copied().unwrap_or(0);
+        let mut out =
+            Ubig { limbs: (0..limbs).map(|i| (limb(a, i) & mask) | (limb(b, i) & !mask)).collect() };
+        out.normalize();
+        out
     }
 
     /// Modular addition (`self`, `other` already < `modulus`).
@@ -421,29 +483,116 @@ pub(crate) fn limbs_sub_in_place(a: &mut [u64], b: &[u64]) {
     }
 }
 
-/// Interleaved CIOS Montgomery multiplication (Koç-Acar-Kaliski).
-///
-/// Computes `out = a·b·R⁻¹ mod n` for `a`, `b` in Montgomery form, all
-/// operands exactly `n.len()` limbs, using a fixed stack scratch buffer —
-/// no heap allocation per multiplication. Multiply and reduce are fused:
-/// each outer iteration folds one limb of `b` in and one reduction step
-/// out, so the working set stays at `k + 2` limbs instead of `2k + 1`.
+/// `a << shift` over limbs (`shift < 64`), one limb longer than `a`:
+/// the last limb holds the bits shifted out of the top.
+fn shl_limbs(a: &[u64], shift: u32) -> Vec<u64> {
+    let mut out = Vec::with_capacity(a.len() + 1);
+    let mut carry = 0u64;
+    for &l in a {
+        out.push((l << shift) | carry);
+        carry = l.checked_shr(64 - shift).unwrap_or(0);
+    }
+    out.push(carry);
+    out
+}
+
+/// `a >> shift` over limbs (`shift < 64`).
+fn shr_limbs(a: &[u64], shift: u32) -> Vec<u64> {
+    let next = a.iter().skip(1).chain([&0]);
+    a.iter().zip(next).map(|(&l, &h)| (l >> shift) | h.checked_shl(64 - shift).unwrap_or(0)).collect()
+}
+
+/// Montgomery multiplication `out = a·b·R⁻¹ mod n` for `a`, `b` in
+/// Montgomery form, all operands exactly `n.len()` limbs, with no heap
+/// allocation. Dispatches on the width: one limb runs [`mont_mul_1`],
+/// 16 limbs run the BMI2/ADX rows (the `adx` module) when the CPU has
+/// them, and everything else runs [`portable_mont_mul`]. Every arm
+/// returns the same bits.
 pub(crate) fn cios_mont_mul(n: &[u64], n_prime: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
-    // The 1024-bit group width gets its own copy with `k` a compile-time
-    // constant, so the inner loops unroll (~20% off a comb walk).
-    if n.len() == 16 {
-        mont_mul_width(n, n_prime, a, b, out, 16);
-    } else {
-        mont_mul_width(n, n_prime, a, b, out, n.len());
+    match n.len() {
+        1 => out[0] = mont_mul_1(n[0], n_prime, a[0], b[0]),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard checked BMI2 and ADX; the kernel checks that
+        // every slice is 16 limbs.
+        16 if adx::available() => unsafe { adx::mont_mul_16(n, n_prime, a, b, out) },
+        _ => portable_mont_mul(n, n_prime, a, b, out),
     }
 }
 
+/// Dedicated Montgomery squaring: `out = a²·R⁻¹ mod n`, `==` to
+/// [`cios_mont_mul`]`(n, n_prime, a, a, out)` for every `k`-limb `a`.
+/// The one-limb and ADX arms square through their multiply (on the ADX
+/// rows a triangle measured no faster than the full product); other
+/// widths run [`portable_mont_sqr`].
+pub(crate) fn cios_mont_sqr(n: &[u64], n_prime: u64, a: &[u64], out: &mut [u64]) {
+    match n.len() {
+        1 => out[0] = mont_mul_1(n[0], n_prime, a[0], a[0]),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `cios_mont_mul`.
+        16 if adx::available() => unsafe { adx::mont_mul_16(n, n_prime, a, a, out) },
+        _ => portable_mont_sqr(n, n_prime, a, out),
+    }
+}
+
+/// Name of the 16-limb (1024-bit) Montgomery kernel this process runs:
+/// `"adx"` on x86-64 CPUs with BMI2 and ADX, `"portable"` elsewhere.
+pub fn mont_kernel_1024() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if adx::available() {
+        return "adx";
+    }
+    "portable"
+}
+
+/// The one-limb Montgomery product `a·b·2⁻⁶⁴ mod n`, `==` to the CIOS
+/// kernel at `k = 1`. `a·b + m·n` needs 129 bits: the carry out of the
+/// `u128` sum is bit 128, and it forces the same conditional
+/// subtraction as the CIOS kernel's top word.
+fn mont_mul_1(n: u64, n_prime: u64, a: u64, b: u64) -> u64 {
+    let t = u128::from(a) * u128::from(b);
+    let m = (t as u64).wrapping_mul(n_prime);
+    let (s, top) = t.overflowing_add(u128::from(m) * u128::from(n));
+    let r = (s >> 64) as u64;
+    if top || r >= n {
+        r.wrapping_sub(n)
+    } else {
+        r
+    }
+}
+
+/// Interleaved CIOS Montgomery multiplication (Koç-Acar-Kaliski), the
+/// portable kernel behind [`cios_mont_mul`] and its differential oracle
+/// at 16 limbs.
+///
+/// Multiply and reduce are fused: each outer iteration folds one limb of
+/// `b` in and one reduction step out, so the working set stays at
+/// `k + 2` limbs instead of `2k + 1`.
+pub(crate) fn portable_mont_mul(n: &[u64], n_prime: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
+    // The 1024-bit group width gets its own copy with `k` a compile-time
+    // constant, so the inner loops unroll (~20% off a comb walk) and the
+    // scratch is exactly `k + 2` limbs.
+    if n.len() == 16 {
+        mont_mul_width::<18>(n, n_prime, a, b, out, 16);
+    } else {
+        mont_mul_width::<{ MAX_CIOS_LIMBS + 2 }>(n, n_prime, a, b, out, n.len());
+    }
+}
+
+/// The CIOS loops at width `k` over an `S`-limb stack scratch
+/// (`S ≥ k + 2`).
 #[inline(always)]
-fn mont_mul_width(n: &[u64], n_prime: u64, a: &[u64], b: &[u64], out: &mut [u64], k: usize) {
-    debug_assert!(k >= 1 && k <= MAX_CIOS_LIMBS);
+fn mont_mul_width<const S: usize>(
+    n: &[u64],
+    n_prime: u64,
+    a: &[u64],
+    b: &[u64],
+    out: &mut [u64],
+    k: usize,
+) {
+    debug_assert!(k >= 1 && k + 2 <= S);
     debug_assert!(n.len() == k && a.len() == k && b.len() == k && out.len() == k);
     let (n, a, b) = (&n[..k], &a[..k], &b[..k]);
-    let mut scratch = [0u64; MAX_CIOS_LIMBS + 2];
+    let mut scratch = [0u64; S];
     let t = &mut scratch[..k + 2];
     for i in 0..k {
         // t += a · b[i]
@@ -479,8 +628,8 @@ fn mont_mul_width(n: &[u64], n_prime: u64, a: &[u64], b: &[u64], out: &mut [u64]
     out.copy_from_slice(&t[..k]);
 }
 
-/// Dedicated Montgomery squaring: `out = a²·R⁻¹ mod n`, `==` to
-/// [`cios_mont_mul`]`(n, n_prime, a, a, out)` for every `k`-limb `a`.
+/// Portable Montgomery squaring behind [`cios_mont_sqr`], and its
+/// differential oracle at 16 limbs.
 ///
 /// The product phase computes the off-diagonal triangle `a[i]·a[j]`
 /// (`j > i`) once, doubles it and adds the diagonal squares — `k(k+1)/2`
@@ -489,21 +638,24 @@ fn mont_mul_width(n: &[u64], n_prime: u64, a: &[u64], b: &[u64], out: &mut [u64]
 /// `2k`-limb square down. Both kernels compute the same integer
 /// `(a² + M·n)/R` (the quotient `M = −a²·n⁻¹ mod R` is unique) and apply
 /// the same single conditional subtraction, so results are bit-identical.
-pub(crate) fn cios_mont_sqr(n: &[u64], n_prime: u64, a: &[u64], out: &mut [u64]) {
-    // Specialized at the 1024-bit width like `cios_mont_mul`.
+pub(crate) fn portable_mont_sqr(n: &[u64], n_prime: u64, a: &[u64], out: &mut [u64]) {
+    // Specialized at the 1024-bit width like `portable_mont_mul`, with a
+    // `2k`-limb scratch.
     if n.len() == 16 {
-        mont_sqr_width(n, n_prime, a, out, 16);
+        mont_sqr_width::<32>(n, n_prime, a, out, 16);
     } else {
-        mont_sqr_width(n, n_prime, a, out, n.len());
+        mont_sqr_width::<{ 2 * MAX_CIOS_LIMBS }>(n, n_prime, a, out, n.len());
     }
 }
 
+/// The squaring loops at width `k` over an `S`-limb stack scratch
+/// (`S ≥ 2k`).
 #[inline(always)]
-fn mont_sqr_width(n: &[u64], n_prime: u64, a: &[u64], out: &mut [u64], k: usize) {
-    debug_assert!(k >= 1 && k <= MAX_CIOS_LIMBS);
+fn mont_sqr_width<const S: usize>(n: &[u64], n_prime: u64, a: &[u64], out: &mut [u64], k: usize) {
+    debug_assert!(k >= 1 && 2 * k <= S);
     debug_assert!(n.len() == k && a.len() == k && out.len() == k);
     let (n, a) = (&n[..k], &a[..k]);
-    let mut scratch = [0u64; 2 * MAX_CIOS_LIMBS];
+    let mut scratch = [0u64; S];
     let t = &mut scratch[..2 * k];
     // Off-diagonal triangle: t += a[i]·a[j] for j > i.
     for i in 0..k - 1 {
@@ -1667,14 +1819,145 @@ mod tests {
                     Ubig::random_below(m, &mut rng),
                 ];
                 for a in &operands {
+                    // The dispatched kernels and the portable ones, whose
+                    // squaring triangle the ADX arm never reaches.
                     let a_fixed = pad_limbs(a, k);
-                    let mut sq = vec![0u64; k];
-                    let mut mul = vec![0u64; k];
-                    cios_mont_sqr(&ctx.n.limbs, ctx.n_prime, &a_fixed, &mut sq);
-                    cios_mont_mul(&ctx.n.limbs, ctx.n_prime, &a_fixed, &a_fixed, &mut mul);
-                    assert_eq!(sq, mul, "k {k} m {m} a {a}");
+                    let (n, np) = (&ctx.n.limbs, ctx.n_prime);
+                    let mut outs = vec![vec![0u64; k]; 4];
+                    cios_mont_sqr(n, np, &a_fixed, &mut outs[0]);
+                    cios_mont_mul(n, np, &a_fixed, &a_fixed, &mut outs[1]);
+                    portable_mont_sqr(n, np, &a_fixed, &mut outs[2]);
+                    portable_mont_mul(n, np, &a_fixed, &a_fixed, &mut outs[3]);
+                    for out in &outs[1..] {
+                        assert_eq!(&outs[0], out, "k {k} m {m} a {a}");
+                    }
                 }
             }
+        }
+    }
+
+    /// `a·b mod n` through `portable_mont_mul` alone (into Montgomery
+    /// form, multiply, back out), or through `portable_mont_sqr` when
+    /// `b` is `None`.
+    fn portable_mod_mul(ctx: &MontgomeryCtx, a: &Ubig, b: Option<&Ubig>) -> Ubig {
+        let (n, np, k) = (&ctx.n.limbs, ctx.n_prime, ctx.k);
+        let to_mont = |x: &Ubig| {
+            let mut out = vec![0u64; k];
+            portable_mont_mul(n, np, &pad_limbs(&x.rem(&ctx.n), k), &ctx.r2_fixed, &mut out);
+            out
+        };
+        let am = to_mont(a);
+        let mut prod = vec![0u64; k];
+        match b {
+            Some(b) => portable_mont_mul(n, np, &am, &to_mont(b), &mut prod),
+            None => portable_mont_sqr(n, np, &am, &mut prod),
+        }
+        let mut out = vec![0u64; k];
+        portable_mont_mul(n, np, &prod, &pad_limbs(&Ubig::one(), k), &mut out);
+        ubig_from_limbs(&out)
+    }
+
+    /// The two 1024-bit production moduli: MODP-1024 (`n' = 1`) and
+    /// WAVEKEY-1024 (`n' ≠ 1`, every limb above the lowest all-ones).
+    fn moduli_1024() -> [MontgomeryCtx; 2] {
+        [crate::group::MODP_1024_HEX, crate::group::WAVEKEY_1024_HEX]
+            .map(|hex| MontgomeryCtx::new(Ubig::from_hex(hex)))
+    }
+
+    /// Carry-heavy 16-limb Montgomery operands: 0, 1, n − 1, all-ones
+    /// limbs (above n) and `R mod n`.
+    fn edge_operands_1024(ctx: &MontgomeryCtx) -> Vec<Vec<u64>> {
+        vec![
+            vec![0; 16],
+            pad_limbs(&Ubig::one(), 16),
+            pad_limbs(&ctx.n.sub(&Ubig::one()), 16),
+            vec![u64::MAX; 16],
+            ctx.one_fixed.clone(),
+        ]
+    }
+
+    #[test]
+    fn portable_1024_kernels_match_reference() {
+        // On a BMI2/ADX host `mod_mul` and `mod_pow` never reach the
+        // portable 16-limb kernels, so they are pinned here directly.
+        let mut rng = StdRng::seed_from_u64(47);
+        for ctx in moduli_1024() {
+            let m = ctx.modulus().clone();
+            let mut operands = vec![Ubig::zero(), Ubig::one(), m.sub(&Ubig::one())];
+            operands.extend((0..6).map(|_| Ubig::random_below(&m, &mut rng)));
+            for a in &operands {
+                for b in &operands {
+                    let want = ctx.mod_mul_reference(a, b);
+                    assert_eq!(portable_mod_mul(&ctx, a, Some(b)), want, "m {m} a {a} b {b}");
+                }
+                assert_eq!(portable_mod_mul(&ctx, a, None), ctx.mod_mul_reference(a, a));
+            }
+        }
+    }
+
+    #[test]
+    fn adx_kernel_matches_portable_on_carry_heavy_operands() {
+        if mont_kernel_1024() != "adx" {
+            eprintln!("skipped: this CPU lacks BMI2/ADX; the portable kernels are the only path");
+            return;
+        }
+        for ctx in moduli_1024() {
+            let (n, np) = (&ctx.n.limbs, ctx.n_prime);
+            let edges = edge_operands_1024(&ctx);
+            for a in &edges {
+                for b in &edges {
+                    let (mut fast, mut want) = (vec![0u64; 16], vec![0u64; 16]);
+                    cios_mont_mul(n, np, a, b, &mut fast);
+                    portable_mont_mul(n, np, a, b, &mut want);
+                    assert_eq!(fast, want, "n' {np:#x} a {a:x?} b {b:x?}");
+                }
+                let (mut fast, mut want) = (vec![0u64; 16], vec![0u64; 16]);
+                cios_mont_sqr(n, np, a, &mut fast);
+                portable_mont_sqr(n, np, a, &mut want);
+                assert_eq!(fast, want, "n' {np:#x} a {a:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn adx_kernel_matches_portable_on_random_operands() {
+        if mont_kernel_1024() != "adx" {
+            eprintln!("skipped: this CPU lacks BMI2/ADX; the portable kernels are the only path");
+            return;
+        }
+        for ctx in moduli_1024() {
+            let (n, np) = (&ctx.n.limbs, ctx.n_prime);
+            let name = format!("adx_kernel_matches_portable_{np:x}");
+            rand::check::cases(&name, 256, |rng| {
+                // Full 16-limb words, so unreduced operands are covered too.
+                let a: Vec<u64> = (0..16).map(|_| rng.gen()).collect();
+                let b: Vec<u64> = (0..16).map(|_| rng.gen()).collect();
+                let (mut fast, mut want) = (vec![0u64; 16], vec![0u64; 16]);
+                cios_mont_mul(n, np, &a, &b, &mut fast);
+                portable_mont_mul(n, np, &a, &b, &mut want);
+                assert_eq!(fast, want);
+                cios_mont_sqr(n, np, &a, &mut fast);
+                portable_mont_sqr(n, np, &a, &mut want);
+                assert_eq!(fast, want);
+            });
+        }
+    }
+
+    #[test]
+    fn one_limb_kernel_matches_cios() {
+        // The 129th bit of `a·b + m·n` matters most at 2^64 − 1.
+        for n in [3u64, (1 << 32) - 5, (1 << 61) - 1, u64::MAX] {
+            let ctx = MontgomeryCtx::new(Ubig::from_u64(n));
+            let np = ctx.n_prime;
+            rand::check::cases(&format!("one_limb_kernel_matches_cios_{n}"), 256, |rng| {
+                // Unreduced operands too: both kernels must still agree.
+                let (a, b): (u64, u64) = (rng.gen(), rng.gen());
+                for (a, b) in [(a, b), (a % n, b % n), (n - 1, b % n), (u64::MAX, u64::MAX)] {
+                    let mut want = [0u64];
+                    portable_mont_mul(&[n], np, &[a], &[b], &mut want);
+                    assert_eq!(mont_mul_1(n, np, a, b), want[0], "n {n} a {a} b {b}");
+                }
+            });
         }
     }
 

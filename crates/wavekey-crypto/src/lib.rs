@@ -25,6 +25,8 @@
 //!   decoding, plus the code-offset (fuzzy commitment) construction that
 //!   realizes the paper's `Challenge = ECC(K_M) ‖ N` reconciliation.
 
+#[cfg(target_arch = "x86_64")]
+mod adx;
 pub mod batch;
 pub mod bigint;
 pub mod cipher;

@@ -417,12 +417,7 @@ impl OtReceiver {
         let b: Vec<Ubig> = choices.iter().map(|_| group.random_exponent(rng)).collect();
         let work = choices.len() * group.modexp_work();
         let elements = wavekey_par::map(choices.len(), work, |i| {
-            let gb = group.pow_g(&b[i]);
-            if choices[i] {
-                group.mul(&msg_a.elements[i], &gb)
-            } else {
-                gb
-            }
+            blind(group, choices[i], &msg_a.elements[i], &group.pow_g(&b[i]))
         });
         let msg = OtMessageB { elements: elements.clone() };
         Ok((
@@ -493,8 +488,8 @@ impl OtReceiver {
 
     /// Enqueue half of [`OtReceiver::respond`]: samples the blinding
     /// exponents identically to the scalar path and pushes the `g^{b_i}`
-    /// jobs. The choice-dependent blinding multiply happens at commit
-    /// (one scalar multiply per chosen instance).
+    /// jobs. The blinding multiply and the masked choice select happen at
+    /// commit (one scalar multiply per instance, whatever its bit).
     ///
     /// # Errors
     ///
@@ -596,22 +591,16 @@ pub struct OtReceiverPending {
 }
 
 impl OtReceiverPending {
-    /// Redeems the executed batch: applies the choice-dependent blinding
-    /// and returns the receiver state and `M_B`.
+    /// Redeems the executed batch: applies the blinding with the same
+    /// branch-free select as [`OtReceiver::respond`] and returns the
+    /// receiver state and `M_B`.
     pub fn commit(self, group: &DhGroup, results: &BatchResults) -> (OtReceiver, OtMessageB) {
         let elements: Vec<Ubig> = self
             .jobs
             .iter()
             .zip(&self.choices)
             .zip(&self.m_a)
-            .map(|((&id, &c), ma)| {
-                let gb = results.get(id);
-                if c {
-                    group.mul(ma, gb)
-                } else {
-                    gb.clone()
-                }
-            })
+            .map(|((&id, &c), ma)| blind(group, c, ma, results.get(id)))
             .collect();
         let msg = OtMessageB { elements: elements.clone() };
         (OtReceiver { choices: self.choices, b: self.b, m_a: self.m_a }, msg)
@@ -635,6 +624,15 @@ impl OtDecryptPending {
             .map(|(&id, ct)| ctr_decrypt(&derive_key(group, results.get(id)), ct))
             .collect()
     }
+}
+
+/// One instance of `M_B`: `M_A·g^b` when the choice bit is 1, else
+/// `g^b`. The product is always computed and the pick is a masked
+/// select over the modulus width, so the time to build `M_B` does not
+/// depend on the choice bit, which is a key-seed bit.
+fn blind(group: &DhGroup, choice: bool, m_a: &Ubig, gb: &Ubig) -> Ubig {
+    let limbs = group.modulus().bit_len().div_ceil(64);
+    Ubig::ct_select(choice, &group.mul(m_a, gb), gb, limbs)
 }
 
 /// Key derivation `H(element)` for the payload cipher.
@@ -933,5 +931,24 @@ mod tests {
             &disabled,
         );
         assert_eq!(msg_a2, msg_a);
+    }
+
+    #[test]
+    fn branch_free_blinding_matches_branchy_form() {
+        let tiny = DhGroup::tiny_test_group_shared();
+        for group in [&*tiny, DhGroup::modp_1024_shared()] {
+            let cases_n = if group.modulus().bit_len() > 64 { 16 } else { 256 };
+            rand::check::cases("branch_free_blinding_matches_branchy_form", cases_n, |rng| {
+                let m_a = Ubig::random_below(group.modulus(), rng);
+                let gb = group.pow_g(&group.random_exponent(rng));
+                let product = group.mul(&m_a, &gb);
+                let limbs = group.modulus().bit_len().div_ceil(64);
+                for choice in [false, true] {
+                    let branchy = if choice { product.clone() } else { gb.clone() };
+                    assert_eq!(Ubig::ct_select(choice, &product, &gb, limbs), branchy);
+                    assert_eq!(blind(group, choice, &m_a, &gb), branchy);
+                }
+            });
+        }
     }
 }

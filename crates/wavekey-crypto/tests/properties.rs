@@ -78,6 +78,70 @@ fn ubig_rem_is_canonical() {
     });
 }
 
+/// A random value of exactly `limbs` limbs whose top limb is `top`.
+fn limbs_with_top(rng: &mut StdRng, limbs: usize, top: u64) -> Ubig {
+    let mut bytes = top.to_be_bytes().to_vec();
+    bytes.extend((0..8 * (limbs - 1)).map(|_| rng.gen::<u8>()));
+    Ubig::from_be_bytes(&bytes)
+}
+
+#[test]
+fn ubig_rem_matches_shift_subtract_reference() {
+    cases("ubig_rem_matches_shift_subtract_reference", 256, |rng| {
+        // Divisors of 1–33 limbs; the top limb is sometimes 1 or
+        // u64::MAX, the two ends of the normalization shift.
+        let d_limbs = rng.gen_range(1..=33);
+        let top = match rng.gen_range(0..4) {
+            0 => 1,
+            1 => u64::MAX,
+            _ => rng.gen_range(1..=u64::MAX),
+        };
+        let d = limbs_with_top(rng, d_limbs, top);
+        let a_limbs = rng.gen_range(1..=2 * d_limbs);
+        let a_top = rng.gen_range(1..=u64::MAX);
+        let a = limbs_with_top(rng, a_limbs, a_top);
+        assert_eq!(a.rem(&d), a.rem_reference(&d), "a {a} d {d}");
+    });
+}
+
+#[test]
+fn ubig_rem_edge_cases() {
+    let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(48);
+    let one = Ubig::one();
+    for d_limbs in [1usize, 2, 3, 16, 17, 33] {
+        for top in [1u64, u64::MAX, 0x8000_0000_0000_0000, 0x1234_5678] {
+            let d = limbs_with_top(&mut rng, d_limbs, top);
+            let k_top = rng.gen_range(1..=u64::MAX);
+            let k = limbs_with_top(&mut rng, d_limbs, k_top);
+            let kd = k.mul(&d);
+            let dividends = [
+                Ubig::zero(),
+                d.sub(&one),
+                d.clone(),
+                d.add(&one),
+                kd.sub(&one),
+                kd.clone(),
+                kd.add(&one),
+                d.mul(&d).sub(&one),
+            ];
+            for a in &dividends {
+                assert_eq!(a.rem(&d), a.rem_reference(&d), "a {a} d {d}");
+            }
+            assert_eq!(d.sub(&one).rem(&d), d.sub(&one));
+            assert!(d.rem(&d).is_zero() && kd.rem(&d).is_zero());
+            assert_eq!(d.add(&one).rem(&d), one.rem(&d));
+        }
+    }
+    // A quotient estimate that survives both corrections one too large,
+    // so the divisor is added back (Knuth's step D6).
+    let a = Ubig::from_hex(concat!(
+        "7fffffffffffffff8000000000000000",
+        "00000000000000000000000000000000",
+    ));
+    let d = Ubig::from_hex("800000000000000000000000000000000000000000000001");
+    assert_eq!(a.rem(&d), a.rem_reference(&d));
+}
+
 #[test]
 fn montgomery_mul_matches_schoolbook() {
     cases("montgomery_mul_matches_schoolbook", 256, |rng| {
