@@ -128,47 +128,6 @@ awk -v base="$baseline" -v cur="$current" \
     print "OK: disabled-collector overhead within tolerance"
 }'
 
-echo "== crypto batch-speedup gate =="
-# The fleet-scale crypto contract: routing the 48-instance three-round OT
-# through the batch executor (WAVEKEY-1024 Crandall fold, quad-packed
-# lanes) must beat the scalar MODP-1024 workload (`ot_batch48_three_rounds`,
-# re-measured in the same fresh run above) by at least
-# WAVEKEY_CRYPTO_BATCH_SPEEDUP_MIN — and the batched routes must reproduce
-# the scalar keys bit for bit at every thread width. The scalar sender
-# uses the same k¹ fold as the batched one, so the margin is the lanes
-# plus the Crandall fold alone: ten default-width ratios on a 2-core
-# x86-64 host with BMI2/ADX, where the scalar route runs the
-# mulx/adcx/adox Montgomery rows, measured 1.29-1.50x (median ~1.41x).
-# The default floor of 1.2x sits below the slowest of those runs. It
-# only catches a gross loss: the fleet group without lanes
-# (`..._wavekey1024_scalar`) measured 0.9-1.5x (median ~1.0x) in earlier
-# runs. The thread cap is read once per process, so
-# each width runs its own equivalence-only process.
-BATCH_MIN="${WAVEKEY_CRYPTO_BATCH_SPEEDUP_MIN:-1.2}"
-scalar48=$(mean_of "ot_batch48_three_rounds" "$fresh")
-batched48=$(mean_of "ot_batch48_three_rounds_wavekey1024_batched" "$fresh")
-[[ -n "$scalar48" && -n "$batched48" ]] \
-    || { echo "missing batch-gate ops in $fresh" >&2; exit 1; }
-for t in 1 2 4; do
-    EQ_JSON="$ROOT/target/ci-equiv-threads$t.json"
-    WAVEKEY_THREADS=$t \
-        bench bench_crypto_json --equivalence-only "$EQ_JSON" >/dev/null
-    eq=$(field_of "keys_bit_identical" "$EQ_JSON")
-    echo "WAVEKEY_THREADS=$t: keys_bit_identical=$eq"
-    [[ "$eq" == "true" ]] \
-        || { echo "FAIL: batched crypto keys diverge from the scalar route at $t threads" >&2; exit 1; }
-done
-awk -v scalar="$scalar48" -v batched="$batched48" -v min="$BATCH_MIN" 'BEGIN {
-    speedup = scalar / batched
-    printf "ot_batch48: scalar %.1f ms vs batched %.1f ms  ->  %.2fx (min %.1fx)\n",
-        scalar / 1e6, batched / 1e6, speedup, min
-    if (speedup < min) {
-        print "FAIL: amortized OT-batch speedup below the regression floor"
-        exit 1
-    }
-    print "OK: batch executor holds its amortized speedup with bit-identical keys"
-}'
-
 echo "== neural training-speed gate =="
 # The im2col/GEMM lowering must stay decisively faster than the pinned
 # naive reference loops while producing bit-identical training losses and

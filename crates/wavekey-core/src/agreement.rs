@@ -55,17 +55,6 @@ pub struct AgreementConfig {
     /// Use the tiny 61-bit test group instead of MODP-1024. Test-only:
     /// provides no security.
     pub use_tiny_group: bool,
-    /// Run on the WAVEKEY-1024 fleet group (`2^1024 − 1093337`) instead
-    /// of MODP-1024. Same element width and generator convention, but
-    /// the Crandall-form modulus unlocks the fold-reduction batch
-    /// kernels. Ignored when `use_tiny_group` is set. See the SNFS
-    /// trade-off note on `wavekey_crypto::group::WAVEKEY_1024_HEX`.
-    pub fleet_group: bool,
-    /// Route the OT rounds through the cross-instance batch executor
-    /// (`wavekey_crypto::batch`) instead of the scalar per-instance
-    /// calls. Keys are bit-identical either way; this only changes how
-    /// the group exponentiations are scheduled.
-    pub batched_crypto: bool,
     /// Post-reconciliation privacy amplification: derive the delivered
     /// key as `HKDF(salt = nonce, ikm = K)` instead of using `K`
     /// directly. The code-offset challenge publicly leaks the ECC parity
@@ -88,8 +77,6 @@ impl Default for AgreementConfig {
             gesture_window: 2.0,
             channel_delay: 0.001,
             use_tiny_group: false,
-            fleet_group: false,
-            batched_crypto: false,
             privacy_amplification: false,
             retry: RetryPolicy::none(),
         }

@@ -11,7 +11,7 @@
 //!   ──M_E──▶ Reconcile ──(commit)──▶ Confirm ──Response──▶ Done/Failed
 //! ```
 
-use super::{ot_err, DeadlineBudgets, Frame, PartyCore, StartPending, State};
+use super::{ot_err, DeadlineBudgets, Frame, PartyCore, State};
 use crate::agreement::{
     finalize_key, payload_pairs, random_pairs, AgreementConfig, AgreementError,
     AgreementStages, ECC_BLOCK, NONCE_LEN,
@@ -21,7 +21,6 @@ use crate::channel::MessageKind;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::time::Instant;
-use wavekey_crypto::batch::{BatchResults, ModexpBatch};
 use wavekey_crypto::ecc::{Bch, CodeOffset};
 use wavekey_crypto::hmac::{hmac_sha256, mac_eq};
 use wavekey_crypto::ot::{OtReceiver, OtSender};
@@ -122,12 +121,7 @@ impl MobileAgreement {
         }
         let t = Instant::now();
         self.x_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
-        let round_a = if self.core.config.batched_crypto {
-            rounds::sender_round_a_batched
-        } else {
-            rounds::sender_round_a
-        };
-        let (sender, ma) = round_a(
+        let (sender, ma) = rounds::sender_round_a(
             self.core.group.get(),
             payload_pairs(&self.x_pairs),
             &mut self.core.rng,
@@ -138,69 +132,6 @@ impl MobileAgreement {
         self.sender = Some(sender);
         self.core.transition(State::OtRound(0));
         Ok(Frame::new(MessageKind::OtA, ma))
-    }
-
-    /// Enqueue half of [`MobileAgreement::start`] for cross-session
-    /// batching: samples pairs and exponents with the identical RNG
-    /// consumption, pushes the `g^{a_i}` jobs onto the fleet-wide
-    /// `batch`, and returns a pending handle for
-    /// [`MobileAgreement::start_commit`].
-    ///
-    /// # Errors
-    ///
-    /// [`AgreementError::Wire`] outside `Init`; [`AgreementError::Config`]
-    /// when the machine owns a private (tiny test) group — only
-    /// process-shared groups can outlive the batch.
-    pub fn start_enqueue(
-        &mut self,
-        batch: &mut ModexpBatch<'static>,
-    ) -> Result<StartPending, AgreementError> {
-        if self.core.state != State::Init {
-            return Err(AgreementError::Wire(format!(
-                "start_enqueue() in state {:?}",
-                self.core.state
-            )));
-        }
-        let group = self.core.group.shared().ok_or_else(|| {
-            AgreementError::Config("cross-session batching needs a shared group".into())
-        })?;
-        let t = Instant::now();
-        self.x_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
-        let pending =
-            OtSender::start_enqueue(group, payload_pairs(&self.x_pairs), &mut self.core.rng, batch);
-        Ok(StartPending { pending, enqueue_s: t.elapsed().as_secs_f64() })
-    }
-
-    /// Commit half of [`MobileAgreement::start`]: redeems the executed
-    /// batch into the sender state and `M_{A,M}`. `shared_s` is this
-    /// session's amortized share of the batch execution wall time, which
-    /// is billed to the logical clock exactly like own compute.
-    ///
-    /// # Errors
-    ///
-    /// [`AgreementError::Wire`] outside `Init`.
-    pub fn start_commit(
-        &mut self,
-        pending: StartPending,
-        results: &BatchResults,
-        shared_s: f64,
-    ) -> Result<Frame, AgreementError> {
-        if self.core.state != State::Init {
-            return Err(AgreementError::Wire(format!(
-                "start_commit() in state {:?}",
-                self.core.state
-            )));
-        }
-        let t = Instant::now();
-        let (sender, ma) = pending.pending.commit(results);
-        let bytes = ma.encode(self.core.group.get());
-        let d = pending.enqueue_s + shared_s + t.elapsed().as_secs_f64();
-        self.core.spend_shared(d);
-        self.ma_prep = d;
-        self.core.stages.ot_round_a += d;
-        self.sender = Some(sender);
-        self.core.transition(State::OtRound(0));
-        Ok(Frame::new(MessageKind::OtA, bytes))
     }
 
     /// Advances the machine with one received frame.
@@ -284,12 +215,7 @@ impl MobileAgreement {
     fn respond_ot_a(&mut self, frame: &Frame, arrival: f64) -> Result<Frame, AgreementError> {
         self.core.arrive(MessageKind::OtA, arrival)?;
         let t = Instant::now();
-        let round_b = if self.core.config.batched_crypto {
-            rounds::receiver_round_b_batched
-        } else {
-            rounds::receiver_round_b
-        };
-        let (receiver, mb) = round_b(
+        let (receiver, mb) = rounds::receiver_round_b(
             self.core.group.get(),
             &self.seed,
             &frame.payload,
@@ -309,12 +235,8 @@ impl MobileAgreement {
         self.core.arrive(MessageKind::OtB, arrival)?;
         let sender = self.sender.as_ref().expect("sender set in start()");
         let t = Instant::now();
-        let round_e = if self.core.config.batched_crypto {
-            rounds::sender_round_e_batched
-        } else {
-            rounds::sender_round_e
-        };
-        let me = round_e(sender, self.core.group.get(), &frame.payload).map_err(ot_err)?;
+        let me = rounds::sender_round_e(sender, self.core.group.get(), &frame.payload)
+            .map_err(ot_err)?;
         let d = self.core.spend(t);
         self.core.stages.ot_round_e += d;
         self.core.transition(State::OtRound(2));
@@ -335,13 +257,8 @@ impl MobileAgreement {
         self.core.arrive(MessageKind::OtE, arrival)?;
         let receiver = self.receiver.as_ref().expect("receiver set in respond_ot_a");
         let t = Instant::now();
-        let finish = if self.core.config.batched_crypto {
-            rounds::receiver_finish_batched
-        } else {
-            rounds::receiver_finish
-        };
-        let y_received =
-            finish(receiver, self.core.group.get(), &frame.payload).map_err(ot_err)?;
+        let y_received = rounds::receiver_finish(receiver, self.core.group.get(), &frame.payload)
+            .map_err(ot_err)?;
         // K_M = x₁^{sm₁} ‖ y₁^{sm₁} ‖ … (own pair selected by own seed,
         // plus the sequence obliviously received — also seed-selected).
         let mut k_m: Vec<bool> = Vec::with_capacity(2 * self.seed.len() * self.l_b);

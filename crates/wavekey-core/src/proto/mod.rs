@@ -150,8 +150,6 @@ impl GroupSlot {
     pub(crate) fn from_config(config: &AgreementConfig) -> GroupSlot {
         if config.use_tiny_group {
             GroupSlot::Owned(Box::new(DhGroup::tiny_test_group()))
-        } else if config.fleet_group {
-            GroupSlot::Shared(DhGroup::wavekey_1024_shared())
         } else {
             GroupSlot::Shared(DhGroup::modp_1024_shared())
         }
@@ -161,17 +159,6 @@ impl GroupSlot {
         match self {
             GroupSlot::Shared(g) => g,
             GroupSlot::Owned(b) => b,
-        }
-    }
-
-    /// The `&'static` borrow, when this machine runs on a process-shared
-    /// group. Cross-session batches (`ModexpBatch<'static>`) can only
-    /// gather jobs over shared groups — an owned tiny group dies with
-    /// its machine.
-    pub(crate) fn shared(&self) -> Option<&'static DhGroup> {
-        match self {
-            GroupSlot::Shared(g) => Some(g),
-            GroupSlot::Owned(_) => None,
         }
     }
 }
@@ -265,14 +252,6 @@ impl PartyCore {
         d
     }
 
-    /// Books `seconds` of compute measured *outside* the machine — a
-    /// session's amortized share of a cross-session batch execution.
-    /// Advances the logical clock like [`PartyCore::spend`].
-    pub(crate) fn spend_shared(&mut self, seconds: f64) {
-        self.clock += seconds;
-        self.compute += seconds;
-    }
-
     /// Advances the logical clock by `seconds` without booking compute —
     /// the drivers bill retransmission backoff here, so a retried
     /// deadline-critical message departs (and therefore arrives) later
@@ -301,18 +280,6 @@ impl PartyCore {
         }
         Ok(())
     }
-}
-
-/// A machine start with its fixed-base jobs in flight on a cross-session
-/// batch: redeem with `start_commit` after the batch executes. Both
-/// machines start as OT *senders* (the agreement is bidirectional), so
-/// one pending shape serves [`MobileAgreement`] and [`ServerAgreement`].
-#[derive(Debug)]
-pub struct StartPending {
-    pub(crate) pending: wavekey_crypto::ot::OtSenderPending,
-    /// Seconds spent in the enqueue phase (sampling + job pushes),
-    /// carried into the commit-side compute bill.
-    pub(crate) enqueue_s: f64,
 }
 
 /// Maps an OT-layer error into the agreement taxonomy.

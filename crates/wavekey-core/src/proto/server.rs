@@ -11,7 +11,7 @@
 //!   ──M_E──▶ Reconcile ──Challenge──▶ Done
 //! ```
 
-use super::{ot_err, DeadlineBudgets, Frame, PartyCore, StartPending, State};
+use super::{ot_err, DeadlineBudgets, Frame, PartyCore, State};
 use crate::agreement::{
     finalize_key, payload_pairs, random_pairs, AgreementConfig, AgreementError,
     AgreementStages, ECC_BLOCK, NONCE_LEN,
@@ -20,7 +20,6 @@ use crate::bits::{deinterleave, interleave, unpack_bits};
 use crate::channel::MessageKind;
 use rand::rngs::StdRng;
 use std::time::Instant;
-use wavekey_crypto::batch::{BatchResults, ModexpBatch};
 use wavekey_crypto::ecc::{Bch, CodeOffset};
 use wavekey_crypto::hmac::hmac_sha256;
 use wavekey_crypto::ot::{OtReceiver, OtSender};
@@ -113,12 +112,7 @@ impl ServerAgreement {
         }
         let t = Instant::now();
         self.y_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
-        let round_a = if self.core.config.batched_crypto {
-            rounds::sender_round_a_batched
-        } else {
-            rounds::sender_round_a
-        };
-        let (sender, ma) = round_a(
+        let (sender, ma) = rounds::sender_round_a(
             self.core.group.get(),
             payload_pairs(&self.y_pairs),
             &mut self.core.rng,
@@ -128,64 +122,6 @@ impl ServerAgreement {
         self.sender = Some(sender);
         self.core.transition(State::OtRound(0));
         Ok(Frame::new(MessageKind::OtA, ma))
-    }
-
-    /// Enqueue half of [`ServerAgreement::start`] for cross-session
-    /// batching — the server-side twin of
-    /// [`super::MobileAgreement::start_enqueue`].
-    ///
-    /// # Errors
-    ///
-    /// [`AgreementError::Wire`] outside `Init`; [`AgreementError::Config`]
-    /// when the machine owns a private (tiny test) group.
-    pub fn start_enqueue(
-        &mut self,
-        batch: &mut ModexpBatch<'static>,
-    ) -> Result<StartPending, AgreementError> {
-        if self.core.state != State::Init {
-            return Err(AgreementError::Wire(format!(
-                "start_enqueue() in state {:?}",
-                self.core.state
-            )));
-        }
-        let group = self.core.group.shared().ok_or_else(|| {
-            AgreementError::Config("cross-session batching needs a shared group".into())
-        })?;
-        let t = Instant::now();
-        self.y_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
-        let pending =
-            OtSender::start_enqueue(group, payload_pairs(&self.y_pairs), &mut self.core.rng, batch);
-        Ok(StartPending { pending, enqueue_s: t.elapsed().as_secs_f64() })
-    }
-
-    /// Commit half of [`ServerAgreement::start`]: redeems the executed
-    /// batch into the sender state and `M_{A,R}`; `shared_s` is this
-    /// session's amortized share of the batch execution wall time.
-    ///
-    /// # Errors
-    ///
-    /// [`AgreementError::Wire`] outside `Init`.
-    pub fn start_commit(
-        &mut self,
-        pending: StartPending,
-        results: &BatchResults,
-        shared_s: f64,
-    ) -> Result<Frame, AgreementError> {
-        if self.core.state != State::Init {
-            return Err(AgreementError::Wire(format!(
-                "start_commit() in state {:?}",
-                self.core.state
-            )));
-        }
-        let t = Instant::now();
-        let (sender, ma) = pending.pending.commit(results);
-        let bytes = ma.encode(self.core.group.get());
-        let d = pending.enqueue_s + shared_s + t.elapsed().as_secs_f64();
-        self.core.spend_shared(d);
-        self.core.stages.ot_round_a += d;
-        self.sender = Some(sender);
-        self.core.transition(State::OtRound(0));
-        Ok(Frame::new(MessageKind::OtA, bytes))
     }
 
     /// Advances the machine with one received frame.
@@ -268,12 +204,7 @@ impl ServerAgreement {
     fn respond_ot_a(&mut self, frame: &Frame, arrival: f64) -> Result<Frame, AgreementError> {
         self.core.arrive(MessageKind::OtA, arrival)?;
         let t = Instant::now();
-        let round_b = if self.core.config.batched_crypto {
-            rounds::receiver_round_b_batched
-        } else {
-            rounds::receiver_round_b
-        };
-        let (receiver, mb) = round_b(
+        let (receiver, mb) = rounds::receiver_round_b(
             self.core.group.get(),
             &self.seed,
             &frame.payload,
@@ -293,12 +224,8 @@ impl ServerAgreement {
         self.core.arrive(MessageKind::OtB, arrival)?;
         let sender = self.sender.as_ref().expect("sender set in start()");
         let t = Instant::now();
-        let round_e = if self.core.config.batched_crypto {
-            rounds::sender_round_e_batched
-        } else {
-            rounds::sender_round_e
-        };
-        let me = round_e(sender, self.core.group.get(), &frame.payload).map_err(ot_err)?;
+        let me = rounds::sender_round_e(sender, self.core.group.get(), &frame.payload)
+            .map_err(ot_err)?;
         let d = self.core.spend(t);
         self.core.stages.ot_round_e += d;
         self.core.transition(State::OtRound(2));
@@ -311,13 +238,8 @@ impl ServerAgreement {
         self.core.arrive(MessageKind::OtE, arrival)?;
         let receiver = self.receiver.as_ref().expect("receiver set in respond_ot_a");
         let t = Instant::now();
-        let finish = if self.core.config.batched_crypto {
-            rounds::receiver_finish_batched
-        } else {
-            rounds::receiver_finish
-        };
-        let x_received =
-            finish(receiver, self.core.group.get(), &frame.payload).map_err(ot_err)?;
+        let x_received = rounds::receiver_finish(receiver, self.core.group.get(), &frame.payload)
+            .map_err(ot_err)?;
         // K_R = x₁^{sr₁} ‖ y₁^{sr₁} ‖ … (the sequence obliviously
         // received, plus the own pair — both selected by own seed).
         let mut k_r: Vec<bool> = Vec::with_capacity(2 * self.seed.len() * self.l_b);

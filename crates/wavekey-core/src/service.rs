@@ -28,11 +28,9 @@ use crate::session::{Session, SessionConfig, SessionOutcome};
 use crate::Error;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
-use std::time::Instant;
 use wavekey_store::{
     DurableStore, MemVolume, StoreConfig, StoreStats, TenantQuota, Volume,
 };
-use wavekey_crypto::batch::ModexpBatch;
 use wavekey_obs::{EventScope, Obs, SessionTrace};
 use wavekey_imu::gesture::VolunteerId;
 use wavekey_rfid::channel::TagModel;
@@ -948,99 +946,6 @@ impl SessionManager {
         Ok(id)
     }
 
-    /// Spawns a fleet of sessions at once, pooling every machine's start
-    /// exponentiations (`g^{a_i}` for both parties of every session) into
-    /// **one** cross-session [`ModexpBatch`] so the executor can sweep
-    /// them through shared fixed-base tables four lanes at a time. Each
-    /// session's logical clock is billed its amortized share of the batch
-    /// execution wall time — `wall / (2 · n)` — on top of its own
-    /// enqueue/commit compute, so protocol deadlines see the *amortized*
-    /// cost that motivates batching.
-    ///
-    /// Keys and wire bytes are bit-identical to spawning the same
-    /// sessions one at a time with [`spawn`](Self::spawn): the enqueue
-    /// halves consume each machine's RNG in exactly the order `start()`
-    /// does, and the batch executor's results equal the scalar route
-    /// (asserted by the crypto layer's differential tests).
-    ///
-    /// Falls back to per-session [`spawn`](Self::spawn) when batching
-    /// cannot apply — `batched_crypto` off, or the sessions own private
-    /// tiny-test groups (cross-session batches need a process-shared
-    /// group).
-    ///
-    /// # Errors
-    ///
-    /// Same taxonomy as [`spawn`](Self::spawn); nothing is spawned on
-    /// error.
-    pub fn spawn_many(
-        &mut self,
-        seeds: &[(Vec<bool>, Vec<bool>)],
-        config: &AgreementConfig,
-        rngs: Vec<(StdRng, StdRng)>,
-        adversary: &mut dyn Adversary,
-    ) -> Result<Vec<u64>, AgreementError> {
-        if seeds.len() != rngs.len() {
-            return Err(AgreementError::Config(format!(
-                "spawn_many: {} seed pairs but {} rng pairs",
-                seeds.len(),
-                rngs.len()
-            )));
-        }
-        if !config.batched_crypto || config.use_tiny_group {
-            let mut ids = Vec::with_capacity(seeds.len());
-            for ((s_m, s_r), (rng_m, rng_r)) in seeds.iter().zip(rngs) {
-                ids.push(self.spawn(s_m, s_r, config, rng_m, rng_r, adversary)?);
-            }
-            return Ok(ids);
-        }
-        // Build every machine pair and gather all start jobs before
-        // executing anything, so a bad spec spawns nothing.
-        let mut machines = Vec::with_capacity(seeds.len());
-        let mut batch = ModexpBatch::new();
-        for ((s_m, s_r), (rng_m, rng_r)) in seeds.iter().zip(rngs) {
-            if s_m.is_empty() || s_m.len() != s_r.len() {
-                return Err(AgreementError::BadSeeds);
-            }
-            let mut mobile = MobileAgreement::new(s_m, config, rng_m)?;
-            let mut server = ServerAgreement::new(s_r, config, rng_r)?;
-            let pend_m = mobile.start_enqueue(&mut batch)?;
-            let pend_r = server.start_enqueue(&mut batch)?;
-            machines.push((mobile, server, pend_m, pend_r));
-        }
-        let t = Instant::now();
-        let results = batch.execute();
-        let share = t.elapsed().as_secs_f64() / (2.0 * machines.len().max(1) as f64);
-        let mut ids = Vec::with_capacity(machines.len());
-        for (mut mobile, mut server, pend_m, pend_r) in machines {
-            let id = self.next_id;
-            let events = EventScope::new(&self.obs, id, "manager");
-            if events.is_enabled() {
-                mobile.bind_events(events.with_actor("mobile"));
-                server.bind_events(events.with_actor("server"));
-            }
-            let ma_m = mobile.start_commit(pend_m, &results, share)?;
-            let ma_r = server.start_commit(pend_r, &results, share)?;
-            self.next_id += 1;
-            let mut session = ManagedSession {
-                id,
-                mobile: Endpoint::mobile(mobile),
-                server: Endpoint::server(server),
-                channel_delay: config.channel_delay,
-                disc: LinkDiscipline::new(config.retry),
-                in_flight: VecDeque::new(),
-                idle_passes: 0,
-                reorder_hold: None,
-                events,
-            };
-            session.transmit(adversary, Direction::MobileToServer, ma_m);
-            session.transmit(adversary, Direction::ServerToMobile, ma_r);
-            self.sessions.push(session);
-            self.obs.inc("manager_sessions_spawned");
-            ids.push(id);
-        }
-        Ok(ids)
-    }
-
     /// Advances the manager by one scheduling quantum: one message
     /// delivery (or one idle-age tick) of the session under the
     /// round-robin cursor. Returns `true` while live sessions remain.
@@ -1650,89 +1555,6 @@ mod tests {
             );
             assert_eq!(managed.agreement.key_bits, sequential.key_bits);
         }
-    }
-
-    /// Drives `n` sessions through `spawn_many` under `config` and
-    /// returns their established keys in spawn order.
-    fn keys_via_spawn_many(config: &AgreementConfig, n: u64) -> Vec<Vec<u8>> {
-        let mut manager = SessionManager::new(4);
-        let mut adversary = PassiveChannel;
-        let seeds: Vec<_> = (0..n).map(|i| seed_pair(100 + i)).collect();
-        let rngs: Vec<_> = (0..n)
-            .map(|i| (StdRng::seed_from_u64(9000 + i), StdRng::seed_from_u64(9900 + i)))
-            .collect();
-        let ids = manager.spawn_many(&seeds, config, rngs, &mut adversary).expect("spawn_many");
-        assert_eq!(manager.run_to_completion(&mut adversary), n as usize);
-        ids.iter()
-            .map(|id| {
-                let out = manager.outcome(*id).expect("outcome").as_ref().expect("success");
-                assert_eq!(out.agreement.key, out.server_key, "both parties agree");
-                out.agreement.key.clone()
-            })
-            .collect()
-    }
-
-    /// Drives the same `n` sessions through per-session `spawn` calls.
-    fn keys_via_spawn_loop(config: &AgreementConfig, n: u64) -> Vec<Vec<u8>> {
-        let mut manager = SessionManager::new(4);
-        let mut adversary = PassiveChannel;
-        let ids: Vec<u64> = (0..n)
-            .map(|i| {
-                let (s_m, s_r) = seed_pair(100 + i);
-                manager
-                    .spawn(
-                        &s_m,
-                        &s_r,
-                        config,
-                        StdRng::seed_from_u64(9000 + i),
-                        StdRng::seed_from_u64(9900 + i),
-                        &mut adversary,
-                    )
-                    .expect("spawn")
-            })
-            .collect();
-        assert_eq!(manager.run_to_completion(&mut adversary), n as usize);
-        ids.iter()
-            .map(|id| {
-                manager.outcome(*id).expect("outcome").as_ref().expect("success").agreement.key.clone()
-            })
-            .collect()
-    }
-
-    /// The tentpole's end-to-end equivalence pin: pooling the fleet's
-    /// start exponentiations into one cross-session batch (and routing
-    /// every OT round through the batch executor) yields keys
-    /// bit-identical to per-session scalar spawning — on the WAVEKEY-1024
-    /// fleet group where the Crandall fold path is live.
-    #[test]
-    fn spawn_many_batched_keys_match_scalar_spawn_loop() {
-        let n = 3u64;
-        let batched = AgreementConfig {
-            use_tiny_group: false,
-            fleet_group: true,
-            batched_crypto: true,
-            tau: 10.0,
-            bch_t: 5,
-            ..Default::default()
-        };
-        let scalar = AgreementConfig { batched_crypto: false, ..batched };
-
-        let pooled = keys_via_spawn_many(&batched, n);
-        let batched_loop = keys_via_spawn_loop(&batched, n);
-        let scalar_loop = keys_via_spawn_loop(&scalar, n);
-        assert_eq!(pooled, batched_loop, "pooled starts change no key");
-        assert_eq!(pooled, scalar_loop, "batched executor matches scalar route bit-for-bit");
-        for key in &pooled {
-            assert!(!key.is_empty());
-        }
-    }
-
-    /// `spawn_many` on a tiny owned group (batching inapplicable) falls
-    /// back to the plain spawn loop, bit-identically.
-    #[test]
-    fn spawn_many_falls_back_for_owned_groups() {
-        let config = AgreementConfig { batched_crypto: true, ..manager_config() };
-        assert_eq!(keys_via_spawn_many(&config, 4), keys_via_spawn_loop(&config, 4));
     }
 
     /// Spawns `n` deterministic benign sessions into a fresh manager.

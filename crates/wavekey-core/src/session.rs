@@ -454,8 +454,6 @@ impl Session {
             gesture_window: wk.gesture_window,
             channel_delay: 0.001,
             use_tiny_group: self.config.use_tiny_group,
-            fleet_group: false,
-            batched_crypto: false,
             privacy_amplification: false,
             retry: crate::agreement::RetryPolicy::none(),
         }

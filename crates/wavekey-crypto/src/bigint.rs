@@ -5,13 +5,15 @@
 //! group prime), implemented with Montgomery multiplication — schoolbook
 //! multiply plus REDC, which avoids general long division entirely. On
 //! x86-64 CPUs with BMI2 and ADX the 1024-bit width runs on the
-//! `mulx`/`adcx`/`adox` rows of the `adx` module. A schoolbook remainder
-//! (Knuth's Algorithm D) serves one-time setup (computing `R² mod n`),
-//! reducing random samples, and exponent arithmetic.
+//! `mulx`/`adcx`/`adox` rows of the `adx` module, and on CPUs with
+//! AVX512-IFMA [`MontgomeryCtx::mod_pow_many`] runs 1024-bit
+//! exponentiations eight at a time on the lanes of the `ifma` module. A
+//! schoolbook remainder (Knuth's Algorithm D) serves one-time setup
+//! (computing `R² mod n`), reducing random samples, and exponent
+//! arithmetic.
 
 #[cfg(target_arch = "x86_64")]
-use crate::adx;
-use crate::limb4::{cios_mont_mul_x4, fold_mul_x4, fold_sqr_x4, LANES};
+use crate::{adx, ifma};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::cmp::Ordering;
@@ -544,6 +546,18 @@ pub fn mont_kernel_1024() -> &'static str {
     "portable"
 }
 
+/// Name of the kernel behind [`MontgomeryCtx::mod_pow_many`] at 16
+/// limbs: `"ifma8"` (eight lanes) on x86-64 CPUs with AVX-512F and
+/// AVX512-IFMA, `"scalar"` (one [`MontgomeryCtx::mod_pow`] per pair)
+/// elsewhere.
+pub fn pow_many_kernel_1024() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if ifma::available() {
+        return "ifma8";
+    }
+    "scalar"
+}
+
 /// The one-limb Montgomery product `a·b·2⁻⁶⁴ mod n`, `==` to the CIOS
 /// kernel at `k = 1`. `a·b + m·n` needs 129 bits: the carry out of the
 /// `u128` sum is bit 128, and it forces the same conditional
@@ -633,8 +647,7 @@ fn mont_mul_width<const S: usize>(
 ///
 /// The product phase computes the off-diagonal triangle `a[i]·a[j]`
 /// (`j > i`) once, doubles it and adds the diagonal squares — `k(k+1)/2`
-/// multiplies instead of `k²`, the same trick as
-/// [`crate::limb4::fold_sqr_x4`] — then a separate REDC pass folds the
+/// multiplies instead of `k²` — then a separate REDC pass folds the
 /// `2k`-limb square down. Both kernels compute the same integer
 /// `(a² + M·n)/R` (the quotient `M = −a²·n⁻¹ mod R` is unique) and apply
 /// the same single conditional subtraction, so results are bit-identical.
@@ -791,6 +804,11 @@ pub struct MontgomeryCtx {
     r2_fixed: Vec<u64>,
     /// `1` in Montgomery form (`R mod n`), padded to `k` limbs.
     one_fixed: Vec<u64>,
+    /// Radix-2^52 constants for [`MontgomeryCtx::mod_pow_many`]'s
+    /// eight-lane kernel, present for 16-limb moduli. Boxed, so contexts
+    /// of other widths (one per tiny-group gateway session) stay small.
+    #[cfg(target_arch = "x86_64")]
+    lanes: Option<Box<ifma::Consts>>,
 }
 
 impl MontgomeryCtx {
@@ -812,7 +830,22 @@ impl MontgomeryCtx {
         // R² mod n via slow-path reduction (one-time).
         let r2 = Ubig::one().shl(2 * 64 * k).rem(&n);
         let r2_fixed = pad_limbs(&r2, k);
-        let mut ctx = MontgomeryCtx { n, k, n_prime, r2, r2_fixed, one_fixed: Vec::new() };
+        #[cfg(target_arch = "x86_64")]
+        let lanes = (k == 16).then(|| {
+            let rr = Ubig::one().shl(2 * ifma::R_BITS).rem(&n);
+            let one = Ubig::one().shl(ifma::R_BITS).rem(&n);
+            Box::new(ifma::Consts::new(&n.limbs, n_prime, &rr.limbs, &one.limbs))
+        });
+        let mut ctx = MontgomeryCtx {
+            n,
+            k,
+            n_prime,
+            r2,
+            r2_fixed,
+            one_fixed: Vec::new(),
+            #[cfg(target_arch = "x86_64")]
+            lanes,
+        };
         // 1·R mod n = REDC(R² · 1).
         let one = pad_limbs(&Ubig::one(), k);
         let mut one_m = vec![0u64; k];
@@ -824,6 +857,13 @@ impl MontgomeryCtx {
     /// The modulus.
     pub fn modulus(&self) -> &Ubig {
         &self.n
+    }
+
+    /// Rough cost of one exponentiation in 64-bit limb multiply-adds
+    /// (modulus bits × limbs²), the `work` estimate for `wavekey_par`
+    /// loops over exponentiations.
+    pub fn modexp_work(&self) -> usize {
+        self.n.bit_len() * self.k * self.k
     }
 
     /// Montgomery reduction of a double-width product (reference path and
@@ -1001,6 +1041,51 @@ impl MontgomeryCtx {
         self.from_mont_fixed(&acc)
     }
 
+    /// `bases[i]^exps[i] mod n` for every `i`, each equal to
+    /// [`MontgomeryCtx::mod_pow`] of the same pair.
+    ///
+    /// With a 16-limb modulus on a CPU with AVX512-IFMA, pairs run eight
+    /// at a time on the `ifma` lanes: fixed 5-bit windows with masked
+    /// table reads, so no branch or load address depends on an exponent.
+    /// A trailing group of fewer than eight is padded. Every other width
+    /// and CPU runs `mod_pow` per pair. Groups, or pairs, fan out through
+    /// [`wavekey_par::map`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bases` and `exps` have the same length.
+    pub fn mod_pow_many(&self, bases: &[Ubig], exps: &[Ubig]) -> Vec<Ubig> {
+        assert_eq!(bases.len(), exps.len(), "one exponent per base");
+        let work = self.modexp_work();
+        #[cfg(target_arch = "x86_64")]
+        if let Some(lanes) = self.lanes.as_ref().filter(|_| ifma::available()) {
+            const L: usize = ifma::LANES;
+            let groups = bases.len().div_ceil(L);
+            let out = wavekey_par::map(groups, groups * L * work, |g| {
+                let pairs = g * L..bases.len().min(g * L + L);
+                self.pow_lane_group(lanes, &bases[pairs.clone()], &exps[pairs])
+            });
+            return out.into_iter().flatten().collect();
+        }
+        wavekey_par::map(bases.len(), bases.len() * work, |i| self.mod_pow(&bases[i], &exps[i]))
+    }
+
+    /// Up to eight [`MontgomeryCtx::mod_pow`]s in one `ifma` call.
+    #[cfg(target_arch = "x86_64")]
+    fn pow_lane_group(&self, lanes: &ifma::Consts, bases: &[Ubig], exps: &[Ubig]) -> Vec<Ubig> {
+        /// Lane `l` reads `xs[l]`; lanes past the end read 0 and compute
+        /// `0^0`, which is dropped.
+        fn lane_limbs(xs: &[Ubig]) -> [&[u64]; ifma::LANES] {
+            std::array::from_fn(|l| xs.get(l).map_or(&[][..], |x| &x.limbs[..]))
+        }
+        let reduced: Vec<Ubig> = bases.iter().map(|b| b.rem(&self.n)).collect();
+        // SAFETY: `mod_pow_many` reaches here only after
+        // `ifma::available()` returned true, and every base is reduced
+        // below n.
+        let out = unsafe { ifma::mod_pow_8(lanes, &lane_limbs(&reduced), &lane_limbs(exps)) };
+        out[..bases.len()].iter().map(|r| ubig_from_limbs(r)).collect()
+    }
+
     /// Reference modular exponentiation: the original bit-at-a-time
     /// square-and-multiply over the mul-then-REDC kernel. Retained so
     /// differential tests can pin the windowed [`MontgomeryCtx::mod_pow`]
@@ -1117,131 +1202,6 @@ impl MontgomeryCtx {
         }
     }
 
-    /// 4-way modular exponentiation: lane `l` computes
-    /// `bases[l]^exps[l] mod n`, all four advancing in lockstep through
-    /// the interleaved CIOS kernel ([`crate::limb4`]).
-    ///
-    /// The schedule is a fixed 4-bit window with an *always-multiply*
-    /// digit step (`tbl[0] = 1` absorbs zero digits), so every lane runs
-    /// the identical operation sequence regardless of its exponent —
-    /// that is what lets four independent exponentiations share one
-    /// vector instruction stream. Results are exactly those of
-    /// [`MontgomeryCtx::mod_pow`] per lane; moduli wider than
-    /// [`MAX_CIOS_LIMBS`] fall back to the scalar path.
-    pub fn mod_pow_x4(&self, bases: &[Ubig; LANES], exps: &[Ubig; LANES]) -> [Ubig; LANES] {
-        if self.k > MAX_CIOS_LIMBS {
-            return std::array::from_fn(|l| self.mod_pow(&bases[l], &exps[l]));
-        }
-        const W: usize = 4;
-        let k = self.k;
-        let bits = exps.iter().map(Ubig::bit_len).max().unwrap_or(0);
-        if bits == 0 {
-            let one = Ubig::one().rem(&self.n);
-            return std::array::from_fn(|_| one.clone());
-        }
-        let base_m: Vec<Vec<u64>> =
-            bases.iter().map(|b| self.to_mont_fixed(&b.rem(&self.n))).collect();
-        // tbl[d][j][l] = base_l^d in Montgomery form, interleaved layout.
-        let mut tbl: Vec<Vec<[u64; LANES]>> = Vec::with_capacity(1 << W);
-        let mut one_v = vec![[0u64; LANES]; k];
-        for j in 0..k {
-            one_v[j] = [self.one_fixed[j]; LANES];
-        }
-        tbl.push(one_v);
-        let mut b1 = vec![[0u64; LANES]; k];
-        for j in 0..k {
-            for l in 0..LANES {
-                b1[j][l] = base_m[l][j];
-            }
-        }
-        tbl.push(b1);
-        for d in 2..(1usize << W) {
-            let mut e = vec![[0u64; LANES]; k];
-            cios_mont_mul_x4(&self.n.limbs, self.n_prime, &tbl[d - 1], &tbl[1], &mut e);
-            tbl.push(e);
-        }
-        let windows = bits.div_ceil(W);
-        let mut acc = vec![[0u64; LANES]; k];
-        let mut tmp = vec![[0u64; LANES]; k];
-        let mut stage = vec![[0u64; LANES]; k];
-        // Seed from the top window's digits (zero digits pick up tbl[0]).
-        for l in 0..LANES {
-            let d = exps[l].bits((windows - 1) * W, W) as usize;
-            for j in 0..k {
-                acc[j][l] = tbl[d][j][l];
-            }
-        }
-        for win in (0..windows - 1).rev() {
-            for _ in 0..W {
-                cios_mont_mul_x4(&self.n.limbs, self.n_prime, &acc, &acc, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-            for l in 0..LANES {
-                let d = exps[l].bits(win * W, W) as usize;
-                for j in 0..k {
-                    stage[j][l] = tbl[d][j][l];
-                }
-            }
-            cios_mont_mul_x4(&self.n.limbs, self.n_prime, &acc, &stage, &mut tmp);
-            std::mem::swap(&mut acc, &mut tmp);
-        }
-        std::array::from_fn(|l| {
-            let col: Vec<u64> = (0..k).map(|j| acc[j][l]).collect();
-            self.from_mont_fixed(&col)
-        })
-    }
-
-    /// 4-way fixed-base exponentiation over one comb table: lane `l`
-    /// computes `base^exps[l] mod n` in lockstep through the interleaved
-    /// CIOS kernel, with zero digits multiplying by Montgomery `1` so
-    /// the schedule stays exponent-independent. A window is skipped
-    /// entirely only when *all four* digits are zero. Results are
-    /// exactly those of [`MontgomeryCtx::pow_fixed_base`] per lane; any
-    /// lane beyond the table's coverage (or a too-wide modulus) routes
-    /// the whole quad through the scalar path.
-    pub fn pow_fixed_base_x4(&self, t: &FixedBaseTable, exps: &[Ubig; LANES]) -> [Ubig; LANES] {
-        debug_assert_eq!(t.k, self.k, "table built for a different modulus width");
-        let cover = t.windows * t.w;
-        if self.k > MAX_CIOS_LIMBS || exps.iter().any(|e| e.bit_len() > cover) {
-            return std::array::from_fn(|l| self.pow_fixed_base(t, &exps[l]));
-        }
-        let k = self.k;
-        let epw = (1usize << t.w) - 1;
-        let mut acc = vec![[0u64; LANES]; k];
-        for j in 0..k {
-            acc[j] = [self.one_fixed[j]; LANES];
-        }
-        let mut stage = vec![[0u64; LANES]; k];
-        let mut tmp = vec![[0u64; LANES]; k];
-        for win in 0..t.windows {
-            let mut digits = [0usize; LANES];
-            for l in 0..LANES {
-                digits[l] = exps[l].bits(win * t.w, t.w) as usize;
-            }
-            if digits.iter().all(|&d| d == 0) {
-                continue;
-            }
-            for l in 0..LANES {
-                if digits[l] == 0 {
-                    for j in 0..k {
-                        stage[j][l] = self.one_fixed[j];
-                    }
-                } else {
-                    let entry = &t.table[(win * epw + digits[l] - 1) * k..][..k];
-                    for j in 0..k {
-                        stage[j][l] = entry[j];
-                    }
-                }
-            }
-            cios_mont_mul_x4(&self.n.limbs, self.n_prime, &acc, &stage, &mut tmp);
-            std::mem::swap(&mut acc, &mut tmp);
-        }
-        std::array::from_fn(|l| {
-            let col: Vec<u64> = (0..k).map(|j| acc[j][l]).collect();
-            self.from_mont_fixed(&col)
-        })
-    }
-
     /// Modular inverse of `a` for a *prime* modulus, via Fermat's little
     /// theorem: `a^(n−2) mod n`.
     ///
@@ -1253,234 +1213,6 @@ impl MontgomeryCtx {
         assert!(!a.is_zero(), "zero has no inverse");
         let exp = self.n.sub(&Ubig::from_u64(2));
         self.mod_pow(&a, &exp)
-    }
-}
-
-/// Recognizes a Crandall-form modulus `n = 2^(64k) − c` with small `c`.
-///
-/// Returns `c` when every limb above the lowest is all-ones and the
-/// implied `c = 2^64 − limbs[0]` fits in 32 bits (the bound the fold
-/// kernels' carry analysis in [`crate::limb4`] relies on). Single-limb
-/// moduli are excluded so small test groups (e.g. `2^61 − 1`) never take
-/// the special-form path.
-pub(crate) fn crandall_c(n: &Ubig) -> Option<u64> {
-    let k = n.limbs.len();
-    if k < 2 || k > MAX_CIOS_LIMBS {
-        return None;
-    }
-    if n.limbs[1..].iter().any(|&l| l != u64::MAX) {
-        return None;
-    }
-    let c = (u64::MAX - n.limbs[0]).checked_add(1)?;
-    if c > u64::from(u32::MAX) {
-        return None;
-    }
-    Some(c)
-}
-
-/// Precomputed fixed-base comb table holding *plain* (non-Montgomery)
-/// residues, for the Crandall fold-reduction exponentiation path.
-/// Same radix-2^w layout as [`FixedBaseTable`].
-#[derive(Debug, Clone)]
-pub struct CrandallCombTable {
-    base: Ubig,
-    w: usize,
-    windows: usize,
-    k: usize,
-    table: Vec<u64>,
-}
-
-impl CrandallCombTable {
-    /// Approximate table memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.table.len() * 8
-    }
-}
-
-/// Fold-reduction arithmetic context for a Crandall modulus
-/// `p = 2^(64k) − c`, `c < 2^32`.
-///
-/// Values stay in plain canonical form throughout (no Montgomery
-/// conversion), and each multiplication reduces with `k + 1` extra
-/// multiplies instead of a full `k² + k` REDC pass — see
-/// [`crate::limb4::fold_mul_x4`]. This is the batch executor's fast path
-/// for the WAVEKEY-1024 fleet group; the scalar route keeps generic
-/// Montgomery arithmetic on the same modulus, so both routes produce
-/// identical canonical residues and therefore bit-identical keys.
-#[derive(Debug, Clone)]
-pub struct CrandallCtx {
-    p: Ubig,
-    c: u64,
-    k: usize,
-}
-
-impl CrandallCtx {
-    /// Creates a context if `p` has the recognized Crandall form.
-    pub fn new(p: &Ubig) -> Option<CrandallCtx> {
-        let c = crandall_c(p)?;
-        Some(CrandallCtx { p: p.clone(), c, k: p.limbs.len() })
-    }
-
-    /// The modulus.
-    pub fn modulus(&self) -> &Ubig {
-        &self.p
-    }
-
-    /// Scalar fold multiplication via a broadcast quad (setup-time only;
-    /// hot paths use the x4 kernels directly).
-    fn fold_mul(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        let k = self.k;
-        let mut av = vec![[0u64; LANES]; k];
-        let mut bv = vec![[0u64; LANES]; k];
-        for j in 0..k {
-            av[j] = [a[j]; LANES];
-            bv[j] = [b[j]; LANES];
-        }
-        let mut ov = vec![[0u64; LANES]; k];
-        fold_mul_x4(&self.p.limbs, self.c, &av, &bv, &mut ov);
-        for j in 0..k {
-            out[j] = ov[j][0];
-        }
-    }
-
-    /// 4-way exponentiation `bases[l]^exps[l] mod p` on plain residues.
-    ///
-    /// Fixed 5-bit always-multiply windows (`tbl[0] = 1` absorbs zero
-    /// digits), squarings through the dedicated [`fold_sqr_x4`] kernel.
-    /// Per lane the result equals `MontgomeryCtx::mod_pow` for the same
-    /// modulus: both produce the unique canonical residue.
-    pub fn pow_x4(&self, bases: &[Ubig; LANES], exps: &[Ubig; LANES]) -> [Ubig; LANES] {
-        const W: usize = 5;
-        let k = self.k;
-        let bits = exps.iter().map(Ubig::bit_len).max().unwrap_or(0);
-        if bits == 0 {
-            return std::array::from_fn(|_| Ubig::one());
-        }
-        let base_r: Vec<Vec<u64>> =
-            bases.iter().map(|b| pad_limbs(&b.rem(&self.p), k)).collect();
-        // tbl[d][j][l] = base_l^d as plain residues, interleaved layout.
-        let mut tbl: Vec<Vec<[u64; LANES]>> = Vec::with_capacity(1 << W);
-        let mut one_v = vec![[0u64; LANES]; k];
-        one_v[0] = [1u64; LANES];
-        tbl.push(one_v);
-        let mut b1 = vec![[0u64; LANES]; k];
-        for j in 0..k {
-            for l in 0..LANES {
-                b1[j][l] = base_r[l][j];
-            }
-        }
-        tbl.push(b1);
-        for d in 2..(1usize << W) {
-            let mut e = vec![[0u64; LANES]; k];
-            fold_mul_x4(&self.p.limbs, self.c, &tbl[d - 1], &tbl[1], &mut e);
-            tbl.push(e);
-        }
-        let windows = bits.div_ceil(W);
-        let mut acc = vec![[0u64; LANES]; k];
-        let mut tmp = vec![[0u64; LANES]; k];
-        let mut stage = vec![[0u64; LANES]; k];
-        for l in 0..LANES {
-            let d = exps[l].bits((windows - 1) * W, W) as usize;
-            for j in 0..k {
-                acc[j][l] = tbl[d][j][l];
-            }
-        }
-        for win in (0..windows - 1).rev() {
-            for _ in 0..W {
-                fold_sqr_x4(&self.p.limbs, self.c, &acc, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-            for l in 0..LANES {
-                let d = exps[l].bits(win * W, W) as usize;
-                for j in 0..k {
-                    stage[j][l] = tbl[d][j][l];
-                }
-            }
-            fold_mul_x4(&self.p.limbs, self.c, &acc, &stage, &mut tmp);
-            std::mem::swap(&mut acc, &mut tmp);
-        }
-        std::array::from_fn(|l| {
-            let col: Vec<u64> = (0..k).map(|j| acc[j][l]).collect();
-            ubig_from_limbs(&col)
-        })
-    }
-
-    /// Builds a plain-residue fixed-base comb table (layout and digit
-    /// semantics identical to [`MontgomeryCtx::fixed_base_table`]).
-    pub fn comb_table(&self, base: &Ubig, max_exp_bits: usize, w: usize) -> CrandallCombTable {
-        assert!(w >= 1 && w <= 8, "fixed-base window must be 1..=8 bits");
-        let k = self.k;
-        let windows = max_exp_bits.div_ceil(w).max(1);
-        let epw = (1usize << w) - 1;
-        let base_red = base.rem(&self.p);
-        let mut table = vec![0u64; windows * epw * k];
-        let mut cur = pad_limbs(&base_red, k);
-        let mut next = vec![0u64; k];
-        for win in 0..windows {
-            let start = win * epw * k;
-            table[start..start + k].copy_from_slice(&cur);
-            for d in 2..=epw {
-                let (lo, hi) = table.split_at_mut(start + (d - 1) * k);
-                self.fold_mul(&lo[start + (d - 2) * k..], &cur, &mut hi[..k]);
-            }
-            {
-                let last = &table[start + (epw - 1) * k..start + epw * k];
-                self.fold_mul(last, &cur, &mut next);
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        CrandallCombTable { base: base_red, w, windows, k, table }
-    }
-
-    /// 4-way fixed-base exponentiation over a plain-residue comb table;
-    /// zero digits stage the constant `1`, a window is skipped only when
-    /// all four digits are zero. Lanes whose exponent exceeds the table's
-    /// coverage route the whole quad through the general [`Self::pow_x4`].
-    pub fn pow_fixed_base_x4(
-        &self,
-        t: &CrandallCombTable,
-        exps: &[Ubig; LANES],
-    ) -> [Ubig; LANES] {
-        debug_assert_eq!(t.k, self.k, "table built for a different modulus width");
-        let cover = t.windows * t.w;
-        if exps.iter().any(|e| e.bit_len() > cover) {
-            let bases: [Ubig; LANES] = std::array::from_fn(|_| t.base.clone());
-            return self.pow_x4(&bases, exps);
-        }
-        let k = self.k;
-        let epw = (1usize << t.w) - 1;
-        let mut acc = vec![[0u64; LANES]; k];
-        acc[0] = [1u64; LANES];
-        let mut stage = vec![[0u64; LANES]; k];
-        let mut tmp = vec![[0u64; LANES]; k];
-        for win in 0..t.windows {
-            let mut digits = [0usize; LANES];
-            for l in 0..LANES {
-                digits[l] = exps[l].bits(win * t.w, t.w) as usize;
-            }
-            if digits.iter().all(|&d| d == 0) {
-                continue;
-            }
-            for l in 0..LANES {
-                if digits[l] == 0 {
-                    for j in 0..k {
-                        stage[j][l] = 0;
-                    }
-                    stage[0][l] = 1;
-                } else {
-                    let entry = &t.table[(win * epw + digits[l] - 1) * k..][..k];
-                    for j in 0..k {
-                        stage[j][l] = entry[j];
-                    }
-                }
-            }
-            fold_mul_x4(&self.p.limbs, self.c, &acc, &stage, &mut tmp);
-            std::mem::swap(&mut acc, &mut tmp);
-        }
-        std::array::from_fn(|l| {
-            let col: Vec<u64> = (0..k).map(|j| acc[j][l]).collect();
-            ubig_from_limbs(&col)
-        })
     }
 }
 
@@ -1857,11 +1589,12 @@ mod tests {
         ubig_from_limbs(&out)
     }
 
-    /// The two 1024-bit production moduli: MODP-1024 (`n' = 1`) and
-    /// WAVEKEY-1024 (`n' ≠ 1`, every limb above the lowest all-ones).
+    /// Two 1024-bit moduli: MODP-1024 (`n' = 1`) and the odd literal
+    /// `2^1024 − 1093337` (`n' ≠ 1`, every limb above the lowest
+    /// all-ones; Montgomery arithmetic needs no primality).
     fn moduli_1024() -> [MontgomeryCtx; 2] {
-        [crate::group::MODP_1024_HEX, crate::group::WAVEKEY_1024_HEX]
-            .map(|hex| MontgomeryCtx::new(Ubig::from_hex(hex)))
+        let odd = Ubig::one().shl(1024).sub(&Ubig::from_u64(1_093_337));
+        [Ubig::from_hex(crate::group::MODP_1024_HEX), odd].map(MontgomeryCtx::new)
     }
 
     /// Carry-heavy 16-limb Montgomery operands: 0, 1, n − 1, all-ones
@@ -2050,72 +1783,10 @@ mod tests {
     }
 
     #[test]
-    fn mod_pow_x4_matches_scalar() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let moduli = [
-            Ubig::from_u64(0xffff_ffff_ffff_ffc5),
-            Ubig::from_hex("ffffffffffffffffffffffffffffff61"),
-            Ubig::from_hex("1000000000000000000000000000000000000000000000f1"),
-        ];
-        for m in &moduli {
-            let ctx = MontgomeryCtx::new(m.clone());
-            let bases: [Ubig; 4] =
-                std::array::from_fn(|_| Ubig::random_below(m, &mut rng));
-            // Mixed exponent widths: zero, tiny, and full-width lanes in
-            // one quad exercise the lockstep zero-digit handling.
-            let exps = [
-                Ubig::zero(),
-                Ubig::from_u64(3),
-                Ubig::random_below(m, &mut rng),
-                m.sub(&Ubig::one()),
-            ];
-            let got = ctx.mod_pow_x4(&bases, &exps);
-            for l in 0..4 {
-                assert_eq!(got[l], ctx.mod_pow(&bases[l], &exps[l]), "m {m} lane {l}");
-            }
-        }
-    }
-
-    #[test]
-    fn pow_fixed_base_x4_matches_scalar() {
-        let m = Ubig::from_hex("f123456789abcdef123456789abcdef1");
-        let ctx = MontgomeryCtx::new(m.clone());
-        let base = Ubig::from_u64(2);
-        let mut rng = StdRng::seed_from_u64(43);
-        for w in [1usize, 4, 6] {
-            let table = ctx.fixed_base_table(&base, m.bit_len(), w);
-            let exps: [Ubig; 4] = [
-                Ubig::zero(),
-                Ubig::one(),
-                Ubig::random_below(&m, &mut rng),
-                m.sub(&Ubig::one()),
-            ];
-            let got = ctx.pow_fixed_base_x4(&table, &exps);
-            for l in 0..4 {
-                assert_eq!(got[l], ctx.pow_fixed_base(&table, &exps[l]), "w {w} lane {l}");
-            }
-        }
-        // A lane wider than the table's coverage routes the quad through
-        // the scalar fallback; results must be unchanged.
-        let table = ctx.fixed_base_table(&base, m.bit_len(), 6);
-        let wide = Ubig::one().shl(m.bit_len() + 7);
-        let exps = [
-            Ubig::from_u64(5),
-            wide.clone(),
-            Ubig::zero(),
-            Ubig::random_below(&m, &mut rng),
-        ];
-        let got = ctx.pow_fixed_base_x4(&table, &exps);
-        for l in 0..4 {
-            assert_eq!(got[l], ctx.pow_fixed_base(&table, &exps[l]), "fallback lane {l}");
-        }
-    }
-
-    #[test]
     fn wide_modulus_beyond_cios_limit_falls_back() {
-        // A 33-limb (2112-bit) odd modulus exceeds MAX_CIOS_LIMBS: both
-        // the scalar ctx and the x4 path must route through the
-        // mul-then-REDC fallback and still agree with the reference.
+        // A 33-limb (2112-bit) odd modulus exceeds MAX_CIOS_LIMBS: the
+        // scalar ctx must route through the mul-then-REDC fallback and
+        // still agree with the reference, and so must `mod_pow_many`.
         let mut hex = String::from("1");
         hex.push_str(&"0".repeat(527)); // 2^2108
         let m = Ubig::from_hex(&hex).add(&Ubig::from_u64(7)); // odd
@@ -2126,17 +1797,11 @@ mod tests {
         let exp = Ubig::from_u64(rng.gen());
         assert_eq!(ctx.mod_pow(&base, &exp), ctx.mod_pow_reference(&base, &exp));
         assert_eq!(ctx.mod_mul(&base, &base), ctx.mod_mul_reference(&base, &base));
-        let bases: [Ubig; 4] = std::array::from_fn(|_| Ubig::random_below(&m, &mut rng));
-        let exps: [Ubig; 4] = std::array::from_fn(|_| Ubig::from_u64(rng.gen()));
-        let got = ctx.mod_pow_x4(&bases, &exps);
-        for l in 0..4 {
-            assert_eq!(got[l], ctx.mod_pow_reference(&bases[l], &exps[l]), "lane {l}");
-        }
-        // The fixed-base x4 path takes the same wide-modulus fallback.
-        let table = ctx.fixed_base_table(&Ubig::from_u64(2), 64, 4);
-        let got = ctx.pow_fixed_base_x4(&table, &exps);
-        for l in 0..4 {
-            assert_eq!(got[l], ctx.pow_fixed_base(&table, &exps[l]), "fixed lane {l}");
+        let bases: Vec<Ubig> = (0..4).map(|_| Ubig::random_below(&m, &mut rng)).collect();
+        let exps: Vec<Ubig> = (0..4).map(|_| Ubig::from_u64(rng.gen())).collect();
+        let got = ctx.mod_pow_many(&bases, &exps);
+        for (i, (b, e)) in bases.iter().zip(&exps).enumerate() {
+            assert_eq!(got[i], ctx.mod_pow_reference(b, e), "pair {i}");
         }
     }
 }

@@ -6,9 +6,7 @@
 //! prime with generator 2 — so both sides (and the adversary) know the
 //! parameters, exactly as in the paper's model.
 
-use crate::bigint::{
-    is_probable_prime, CrandallCombTable, CrandallCtx, FixedBaseTable, MontgomeryCtx, Ubig,
-};
+use crate::bigint::{is_probable_prime, FixedBaseTable, MontgomeryCtx, Ubig};
 use rand::rngs::StdRng;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -20,31 +18,6 @@ pub const MODP_1024_HEX: &str = concat!(
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437",
     "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED",
     "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF",
-);
-
-/// The WAVEKEY-1024 fleet deployment prime: `p = 2^1024 − 1093337`,
-/// hexadecimal.
-///
-/// Provenance: `c = 1093337` is the smallest `c ≡ 1 (mod 8)` for which
-/// both `p = 2^1024 − c` and `(p−1)/2` pass the deterministic 12-witness
-/// Miller-Rabin test in [`is_probable_prime`] (search tool:
-/// `tools/primegen`). `p` is thus a safe prime with `p ≡ 7 (mod 8)`, so
-/// the generator 2 is a quadratic residue generating the order-`(p−1)/2`
-/// subgroup — the same convention as the RFC 2409 MODP group.
-///
-/// The Crandall form makes modular reduction a `k+1`-multiply fold
-/// instead of a full Montgomery REDC, which is what the batched OT path
-/// exploits. The trade-off is stated openly: a special-form modulus
-/// admits the special number field sieve, whose asymptotic cost for a
-/// 1024-bit SNFS-friendly prime is roughly that of a ~700-bit general
-/// modulus. [`MODP_1024_HEX`] therefore remains the protocol default;
-/// WAVEKEY-1024 is the opt-in fleet group for throughput-critical
-/// deployments that accept the margin. See DESIGN.md §12.
-pub const WAVEKEY_1024_HEX: &str = concat!(
-    "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF",
-    "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF",
-    "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF",
-    "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEF5127",
 );
 
 /// Fixed-base comb window width for generator powers. 6 bits puts the
@@ -65,20 +38,6 @@ pub struct DhGroup {
     /// powers without a Fermat inversion.
     order: Ubig,
     fixed_base: FixedBaseTable,
-    /// Fold-reduction fast path, present only when the modulus has
-    /// Crandall form `2^(64k) − c`. Used by the x4 batch entry points;
-    /// the scalar `pow`/`pow_g` stay on generic Montgomery arithmetic as
-    /// the pinned reference, so batched and scalar routes can be
-    /// compared on the same group with bit-identical outputs.
-    fold: Option<CrandallFast>,
-}
-
-/// The Crandall-modulus precomputation bundle: fold context plus a
-/// plain-residue generator comb table mirroring `fixed_base`.
-#[derive(Debug, Clone)]
-struct CrandallFast {
-    cr: CrandallCtx,
-    comb: CrandallCombTable,
 }
 
 impl DhGroup {
@@ -87,11 +46,7 @@ impl DhGroup {
         let order = ctx.modulus().sub(&Ubig::one());
         let max_exp_bits = ctx.modulus().bit_len();
         let fixed_base = ctx.fixed_base_table(&generator, max_exp_bits, FIXED_BASE_WINDOW);
-        let fold = CrandallCtx::new(ctx.modulus()).map(|cr| {
-            let comb = cr.comb_table(&generator, max_exp_bits, FIXED_BASE_WINDOW);
-            CrandallFast { cr, comb }
-        });
-        DhGroup { ctx, generator, order, fixed_base, fold }
+        DhGroup { ctx, generator, order, fixed_base }
     }
 
     /// The standard WaveKey group: 1024-bit MODP, generator 2.
@@ -110,28 +65,6 @@ impl DhGroup {
             .get_or_init(|| {
                 PrecompCache::global()
                     .get(&Ubig::from_hex(MODP_1024_HEX), &Ubig::from_u64(2))
-            })
-            .as_ref()
-    }
-
-    /// The WAVEKEY-1024 fleet group: `2^1024 − 1093337`, generator 2.
-    /// Same element width and generator convention as [`DhGroup::modp_1024`],
-    /// but the Crandall-form modulus unlocks the fold-reduction batch
-    /// kernels ([`DhGroup::has_fold_path`] returns `true`). See
-    /// [`WAVEKEY_1024_HEX`] for the provenance and the SNFS trade-off.
-    pub fn wavekey_1024() -> DhGroup {
-        DhGroup::with_params(Ubig::from_hex(WAVEKEY_1024_HEX), Ubig::from_u64(2))
-    }
-
-    /// The process-wide shared WAVEKEY-1024 fleet group (two comb tables:
-    /// Montgomery for the scalar reference, plain-residue for the fold
-    /// path — sharing matters twice as much as for MODP).
-    pub fn wavekey_1024_shared() -> &'static DhGroup {
-        static SHARED: OnceLock<Arc<DhGroup>> = OnceLock::new();
-        SHARED
-            .get_or_init(|| {
-                PrecompCache::global()
-                    .get(&Ubig::from_hex(WAVEKEY_1024_HEX), &Ubig::from_u64(2))
             })
             .as_ref()
     }
@@ -167,13 +100,6 @@ impl DhGroup {
         &self.order
     }
 
-    /// `true` when `other` is the same deployment group (same modulus
-    /// and generator) — the batch executor's grouping predicate.
-    pub fn same_params(&self, other: &DhGroup) -> bool {
-        std::ptr::eq(self, other)
-            || (self.modulus() == other.modulus() && self.generator == other.generator)
-    }
-
     /// Byte width of a serialized group element.
     pub fn element_len(&self) -> usize {
         self.modulus().bit_len().div_ceil(8)
@@ -184,8 +110,7 @@ impl DhGroup {
     /// [`wavekey_par`] loops over exponentiations, so MODP-1024 batches
     /// split across threads and tiny-group batches stay inline.
     pub fn modexp_work(&self) -> usize {
-        let bits = self.modulus().bit_len();
-        bits * bits.div_ceil(64).pow(2)
+        self.ctx.modexp_work()
     }
 
     /// `g^x mod u` via the precomputed fixed-base comb table: at most one
@@ -202,10 +127,9 @@ impl DhGroup {
     }
 
     /// The exponent `(u−1) − (x mod (u−1))`, so that `g^e = g^(−x)`: the
-    /// one place the negation fold is written. Both OT sender routes
-    /// pass `a²` through it to turn `k¹`'s second general
-    /// exponentiation into a comb walk, and they must agree on the
-    /// exponent bit for bit. `x` is reduced only when it exceeds `u−1`.
+    /// one place the negation fold is written. The OT sender passes `a²`
+    /// through it to turn `k¹`'s second general exponentiation into a
+    /// comb walk. `x` is reduced only when it exceeds `u−1`.
     pub fn neg_exponent(&self, x: &Ubig) -> Ubig {
         if x.cmp_abs(&self.order) == Ordering::Greater {
             self.order.sub(&x.rem(&self.order))
@@ -219,32 +143,15 @@ impl DhGroup {
         self.ctx.mod_pow(base, x)
     }
 
-    /// `true` when this group's modulus has Crandall form and the x4
-    /// entry points run on the fold-reduction kernels instead of
-    /// Montgomery CIOS.
-    pub fn has_fold_path(&self) -> bool {
-        self.fold.is_some()
-    }
-
-    /// Four generator powers in lockstep; results equal
-    /// [`DhGroup::pow_g`] per lane. Crandall-form groups dispatch to the
-    /// plain-residue fold comb, others to the Montgomery comb — both
-    /// return the canonical residue, so the dispatch is invisible to
-    /// callers.
-    pub fn pow_g_x4(&self, xs: &[Ubig; 4]) -> [Ubig; 4] {
-        match &self.fold {
-            Some(f) => f.cr.pow_fixed_base_x4(&f.comb, xs),
-            None => self.ctx.pow_fixed_base_x4(&self.fixed_base, xs),
-        }
-    }
-
-    /// Four general exponentiations in lockstep; results equal
-    /// [`DhGroup::pow`] per lane. Dispatches like [`DhGroup::pow_g_x4`].
-    pub fn pow_x4(&self, bases: &[Ubig; 4], xs: &[Ubig; 4]) -> [Ubig; 4] {
-        match &self.fold {
-            Some(f) => f.cr.pow_x4(bases, xs),
-            None => self.ctx.mod_pow_x4(bases, xs),
-        }
+    /// `bases[i]^xs[i] mod u` for every `i`, equal to [`DhGroup::pow`]
+    /// pair by pair. On 1024-bit groups and CPUs with AVX512-IFMA the
+    /// pairs run eight at a time ([`MontgomeryCtx::mod_pow_many`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bases` and `xs` have the same length.
+    pub fn pow_many(&self, bases: &[Ubig], xs: &[Ubig]) -> Vec<Ubig> {
+        self.ctx.mod_pow_many(bases, xs)
     }
 
     /// `a·b mod u`.
@@ -294,10 +201,10 @@ impl DhGroup {
 /// Building a [`DhGroup`] costs a full comb-table precomputation (~1.4 MB
 /// and ~10 ms for MODP-1024), which must be paid once per *deployment
 /// group*, never once per session: `SessionManager` shards, the parallel
-/// drive, and every batched OT round all resolve their group through
-/// here. The map is guarded by a plain mutex — after the first build per
-/// key, a lookup is a hash probe plus an `Arc` clone, nowhere near any
-/// hot loop.
+/// drive, and the gateway all resolve their group through here. The
+/// map is guarded by a plain mutex — after the first build per key, a
+/// lookup is a hash probe plus an `Arc` clone, nowhere near any hot
+/// loop.
 pub struct PrecompCache {
     groups: Mutex<HashMap<(Vec<u8>, Vec<u8>), Arc<DhGroup>>>,
 }
@@ -439,102 +346,17 @@ mod tests {
         let fresh = DhGroup::tiny_test_group();
         let x = Ubig::from_u64(0xABCDEF);
         assert_eq!(a.pow_g(&x), fresh.pow_g(&x));
-        assert!(a.same_params(&fresh));
+        assert_eq!((a.modulus(), a.generator()), (fresh.modulus(), fresh.generator()));
         // A different generator is a different cache entry.
         let c = cache.get(&Ubig::from_u64((1u64 << 61) - 1), &Ubig::from_u64(5));
         assert!(!Arc::ptr_eq(&a, &c));
-        assert!(!a.same_params(&c));
+        assert_ne!(a.generator(), c.generator());
         assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn x4_wrappers_match_scalar_group_ops() {
-        let g = DhGroup::tiny_test_group();
-        let mut rng = StdRng::seed_from_u64(6);
-        let xs: [Ubig; 4] = std::array::from_fn(|_| g.random_exponent(&mut rng));
-        let bases: [Ubig; 4] =
-            std::array::from_fn(|_| Ubig::random_below(g.modulus(), &mut rng));
-        let pg = g.pow_g_x4(&xs);
-        let pp = g.pow_x4(&bases, &xs);
-        for l in 0..4 {
-            assert_eq!(pg[l], g.pow_g(&xs[l]), "pow_g lane {l}");
-            assert_eq!(pp[l], g.pow(&bases[l], &xs[l]), "pow lane {l}");
-        }
-    }
-
-    #[test]
-    fn fold_path_presence_per_group() {
-        // Only the fleet group has Crandall form: the tiny Mersenne
-        // group is single-limb (excluded by detection) and MODP-1024's
-        // middle limbs are π-derived, not all-ones.
-        assert!(DhGroup::wavekey_1024().has_fold_path());
-        assert!(!DhGroup::tiny_test_group().has_fold_path());
-        assert!(!DhGroup::modp_1024().has_fold_path());
-    }
-
-    #[test]
-    fn wavekey_1024_has_expected_form() {
-        let p = Ubig::from_hex(WAVEKEY_1024_HEX);
-        assert_eq!(p.bit_len(), 1024);
-        // p = 2^1024 − 1093337 exactly.
-        assert_eq!(Ubig::one().shl(1024).sub(&p), Ubig::from_u64(1_093_337));
-        // p ≡ 7 (mod 8): generator 2 is a QR, matching the MODP setup.
-        assert_eq!(p.bits(0, 3), 7);
-    }
-
-    #[test]
-    fn wavekey_1024_dh_agreement_and_x4_dispatch() {
-        let g = DhGroup::wavekey_1024();
-        let mut rng = StdRng::seed_from_u64(7);
-        let a = g.random_exponent(&mut rng);
-        let b = g.random_exponent(&mut rng);
-        let ga = g.pow_g(&a);
-        let gb = g.pow_g(&b);
-        assert_eq!(g.pow(&gb, &a), g.pow(&ga, &b));
-        // The x4 entry points run the fold kernels here; they must match
-        // the scalar Montgomery reference bit-for-bit.
-        let xs: [Ubig; 4] = std::array::from_fn(|_| g.random_exponent(&mut rng));
-        let bases: [Ubig; 4] =
-            std::array::from_fn(|_| Ubig::random_below(g.modulus(), &mut rng));
-        let pg = g.pow_g_x4(&xs);
-        let pp = g.pow_x4(&bases, &xs);
-        for l in 0..4 {
-            assert_eq!(pg[l], g.pow_g(&xs[l]), "fold pow_g lane {l}");
-            assert_eq!(pp[l], g.pow(&bases[l], &xs[l]), "fold pow lane {l}");
-        }
-        // Edge exponents through the fold comb: zero and order−1.
-        let edge: [Ubig; 4] = [
-            Ubig::zero(),
-            Ubig::one(),
-            g.order().sub(&Ubig::one()),
-            Ubig::from_u64(2),
-        ];
-        let pe = g.pow_g_x4(&edge);
-        for l in 0..4 {
-            assert_eq!(pe[l], g.pow_g(&edge[l]), "fold pow_g edge lane {l}");
-        }
     }
 
     #[test]
     #[ignore = "1024-bit Miller-Rabin is slow in debug; run with --ignored"]
     fn modp_1024_modulus_is_prime() {
         assert!(DhGroup::modp_1024().check_prime());
-    }
-
-    #[test]
-    #[ignore = "1024-bit Miller-Rabin is slow in debug; run with --ignored"]
-    fn wavekey_1024_modulus_is_safe_prime() {
-        let g = DhGroup::wavekey_1024();
-        assert!(g.check_prime());
-        // Safe prime: (p−1)/2 is also prime. Halve via a 1-bit shift on
-        // the big-endian bytes (Ubig has no shr).
-        let mut bytes = g.modulus().sub(&Ubig::one()).to_be_bytes();
-        let mut carry = 0u8;
-        for b in bytes.iter_mut() {
-            let new_carry = *b & 1;
-            *b = (*b >> 1) | (carry << 7);
-            carry = new_carry;
-        }
-        assert!(is_probable_prime(&Ubig::from_be_bytes(&bytes)));
     }
 }

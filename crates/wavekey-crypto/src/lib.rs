@@ -27,14 +27,14 @@
 
 #[cfg(target_arch = "x86_64")]
 mod adx;
-pub mod batch;
 pub mod bigint;
 pub mod cipher;
 pub mod ecc;
 pub mod group;
 pub mod hmac;
+#[cfg(target_arch = "x86_64")]
+mod ifma;
 pub mod kdf;
-mod limb4;
 pub mod ot;
 pub mod rounds;
 pub mod sha256;

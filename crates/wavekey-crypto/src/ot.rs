@@ -16,7 +16,6 @@
 //! round into one message (`M_A`, `M_B`, `M_E`), which this module
 //! mirrors: a batch of instances moves through three batched messages.
 
-use crate::batch::{BatchResults, JobId, ModexpBatch};
 use crate::bigint::Ubig;
 use crate::cipher::{ctr_decrypt, ctr_encrypt};
 use crate::group::DhGroup;
@@ -110,7 +109,10 @@ impl OtMessageE {
             Ok(v)
         };
         let count = take_u32(&mut pos)? as usize;
-        if count > 1_000_000 {
+        // Every pair carries two 4-byte length prefixes, so a count the
+        // remaining bytes cannot hold is rejected before it sizes the
+        // allocation.
+        if count > 1_000_000 || count > (bytes.len() - pos) / 8 {
             return Err(OtError::Malformed);
         }
         let mut pairs = Vec::with_capacity(count);
@@ -226,7 +228,8 @@ impl OtSender {
     /// derivations run in parallel.
     ///
     /// Each instance costs one general exponentiation (`n^a`, shared by
-    /// both keys) and one comb walk: the naive `k¹ = H((n·g^{−a})^a)`
+    /// both keys, all of them through [`DhGroup::pow_many`]) and one
+    /// comb walk: the naive `k¹ = H((n·g^{−a})^a)`
     /// is folded algebraically into `H(n^a · g^{−a² mod (u−1)})` —
     /// valid because the generator's order divides `u−1` — so its
     /// ~1020 squarings become a fixed-base table walk. The canonical
@@ -240,15 +243,15 @@ impl OtSender {
         if msg_b.elements.len() != self.secrets.len() {
             return Err(OtError::BatchMismatch);
         }
-        // One general exponentiation plus one comb walk per instance,
-        // the walk costed like a general one as in `start`.
-        let work = 2 * self.secrets.len() * group.modexp_work();
+        let na = group.pow_many(&msg_b.elements, &self.a);
+        // One comb walk per instance, costed like a general
+        // exponentiation as in `start`.
+        let work = self.secrets.len() * group.modexp_work();
         let pairs = wavekey_par::map(self.secrets.len(), work, |i| {
             let (x0, x1) = &self.secrets[i];
             let a = &self.a[i];
-            let na = group.pow(&msg_b.elements[i], a);
-            let k1 = derive_key(group, &group.mul(&na, &group.inv_pow_g(&a.mul(a))));
-            let k0 = derive_key(group, &na);
+            let k1 = derive_key(group, &group.mul(&na[i], &group.inv_pow_g(&a.mul(a))));
+            let k0 = derive_key(group, &na[i]);
             (ctr_encrypt(&k0, x0), ctr_encrypt(&k1, x1))
         });
         Ok(OtMessageE { pairs })
@@ -268,125 +271,6 @@ impl OtSender {
         let _span = obs.span("ot_sender_encrypt");
         self.encrypt(group, msg_b)
     }
-
-    /// Enqueue half of [`OtSender::start`]: samples the exponents with
-    /// the identical RNG consumption, pushes the `g^{a_i}` jobs onto
-    /// `batch`, and returns a pending handle to redeem after
-    /// [`ModexpBatch::execute`]. Gathering many sessions' starts into one
-    /// batch is what fills the 4-way kernel lanes fleet-wide.
-    pub fn start_enqueue<'g>(
-        group: &'g DhGroup,
-        secrets: Vec<(Vec<u8>, Vec<u8>)>,
-        rng: &mut StdRng,
-        batch: &mut ModexpBatch<'g>,
-    ) -> OtSenderPending {
-        let a: Vec<Ubig> = secrets.iter().map(|_| group.random_exponent(rng)).collect();
-        let jobs = a.iter().map(|ai| batch.push_pow_g(group, ai.clone())).collect();
-        OtSenderPending { secrets, a, jobs }
-    }
-
-    /// One-shot batched [`OtSender::start`]: enqueue, execute, commit.
-    /// Output is bit-identical to the scalar `start` for the same RNG.
-    pub fn start_batched(
-        group: &DhGroup,
-        secrets: Vec<(Vec<u8>, Vec<u8>)>,
-        rng: &mut StdRng,
-    ) -> (OtSender, OtMessageA) {
-        let mut batch = ModexpBatch::new();
-        let pending = OtSender::start_enqueue(group, secrets, rng, &mut batch);
-        let results = batch.execute();
-        pending.commit(&results)
-    }
-
-    /// Enqueue half of [`OtSender::encrypt`]. Each instance costs one
-    /// general job (`k⁰ = H(n^a)`) and one dependent multiply: the same
-    /// `k¹ = H(n^a · g^{−a² mod (u−1)})` fold as the scalar route, with
-    /// the comb walk riding the fixed-base class.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OtError::BatchMismatch`] when `M_B` has the wrong number
-    /// of elements.
-    pub fn encrypt_enqueue<'g>(
-        &self,
-        group: &'g DhGroup,
-        msg_b: &OtMessageB,
-        batch: &mut ModexpBatch<'g>,
-    ) -> Result<OtEncryptPending, OtError> {
-        if msg_b.elements.len() != self.secrets.len() {
-            return Err(OtError::BatchMismatch);
-        }
-        let mut k0 = Vec::with_capacity(self.a.len());
-        let mut k1 = Vec::with_capacity(self.a.len());
-        for (n, a) in msg_b.elements.iter().zip(&self.a) {
-            let id0 = batch.push_pow(group, n.clone(), a.clone());
-            let id1 = batch.push_mul_pow_g(group, id0, group.neg_exponent(&a.mul(a)));
-            k0.push(id0);
-            k1.push(id1);
-        }
-        Ok(OtEncryptPending { k0, k1 })
-    }
-
-    /// One-shot batched [`OtSender::encrypt`].
-    ///
-    /// # Errors
-    ///
-    /// See [`OtSender::encrypt_enqueue`].
-    pub fn encrypt_batched(
-        &self,
-        group: &DhGroup,
-        msg_b: &OtMessageB,
-    ) -> Result<OtMessageE, OtError> {
-        let mut batch = ModexpBatch::new();
-        let pending = self.encrypt_enqueue(group, msg_b, &mut batch)?;
-        let results = batch.execute();
-        Ok(self.encrypt_commit(group, &pending, &results))
-    }
-
-    /// Commit half of [`OtSender::encrypt`]: derives both keys from the
-    /// executed batch and encrypts the payload pairs (hashing and the
-    /// stream cipher stay scalar — they are microseconds, not the
-    /// bottleneck).
-    pub fn encrypt_commit(
-        &self,
-        group: &DhGroup,
-        pending: &OtEncryptPending,
-        results: &BatchResults,
-    ) -> OtMessageE {
-        let pairs = (0..self.secrets.len())
-            .map(|i| {
-                let (x0, x1) = &self.secrets[i];
-                let k0 = derive_key(group, results.get(pending.k0[i]));
-                let k1 = derive_key(group, results.get(pending.k1[i]));
-                (ctr_encrypt(&k0, x0), ctr_encrypt(&k1, x1))
-            })
-            .collect();
-        OtMessageE { pairs }
-    }
-}
-
-/// Pending [`OtSender::start`]: exponents sampled, `g^{a_i}` jobs in
-/// flight.
-#[derive(Debug)]
-pub struct OtSenderPending {
-    secrets: Vec<(Vec<u8>, Vec<u8>)>,
-    a: Vec<Ubig>,
-    jobs: Vec<JobId>,
-}
-
-impl OtSenderPending {
-    /// Redeems the executed batch into the sender state and `M_A`.
-    pub fn commit(self, results: &BatchResults) -> (OtSender, OtMessageA) {
-        let elements = self.jobs.iter().map(|&id| results.get(id).clone()).collect();
-        (OtSender { secrets: self.secrets, a: self.a }, OtMessageA { elements })
-    }
-}
-
-/// Pending [`OtSender::encrypt`]: both key-derivation jobs in flight.
-#[derive(Debug)]
-pub struct OtEncryptPending {
-    k0: Vec<JobId>,
-    k1: Vec<JobId>,
 }
 
 /// The OT receiver: holds the choice bits and the blinding exponents.
@@ -452,23 +336,31 @@ impl OtReceiver {
         self.choices.is_empty()
     }
 
-    /// Decrypts the chosen secret of every instance from `M_E`, fanning
-    /// the independent per-instance exponentiations out in parallel.
+    /// Decrypts the chosen secret of every instance from `M_E`. The
+    /// per-instance exponentiations `M_A^b` all go through
+    /// [`DhGroup::pow_many`], and the chosen ciphertext is picked by a
+    /// byte mask rather than a branch on the choice bit.
     ///
     /// # Errors
     ///
     /// Returns [`OtError::BatchMismatch`] when `M_E` has the wrong number
-    /// of pairs.
+    /// of pairs, and [`OtError::Malformed`] when a pair's two
+    /// ciphertexts differ in length (an honest sender's never do).
     pub fn decrypt(&self, group: &DhGroup, msg_e: &OtMessageE) -> Result<Vec<Vec<u8>>, OtError> {
         if msg_e.pairs.len() != self.choices.len() {
             return Err(OtError::BatchMismatch);
         }
-        let work = self.choices.len() * group.modexp_work();
-        Ok(wavekey_par::map(self.choices.len(), work, |i| {
-            let k = derive_key(group, &group.pow(&self.m_a[i], &self.b[i]));
-            let ct = if self.choices[i] { &msg_e.pairs[i].1 } else { &msg_e.pairs[i].0 };
-            ctr_decrypt(&k, ct)
-        }))
+        if msg_e.pairs.iter().any(|(e0, e1)| e0.len() != e1.len()) {
+            return Err(OtError::Malformed);
+        }
+        let shared = group.pow_many(&self.m_a, &self.b);
+        Ok(self
+            .choices
+            .iter()
+            .zip(&msg_e.pairs)
+            .zip(&shared)
+            .map(|((&c, (e0, e1)), k)| ctr_decrypt(&derive_key(group, k), &pick(c, e0, e1)))
+            .collect())
     }
 
     /// [`OtReceiver::decrypt`] timed under an `ot_receiver_decrypt` span.
@@ -485,145 +377,6 @@ impl OtReceiver {
         let _span = obs.span("ot_receiver_decrypt");
         self.decrypt(group, msg_e)
     }
-
-    /// Enqueue half of [`OtReceiver::respond`]: samples the blinding
-    /// exponents identically to the scalar path and pushes the `g^{b_i}`
-    /// jobs. The blinding multiply and the masked choice select happen at
-    /// commit (one scalar multiply per instance, whatever its bit).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OtError::BatchMismatch`] when `M_A` has the wrong number
-    /// of elements.
-    pub fn respond_enqueue<'g>(
-        group: &'g DhGroup,
-        choices: &[bool],
-        msg_a: &OtMessageA,
-        rng: &mut StdRng,
-        batch: &mut ModexpBatch<'g>,
-    ) -> Result<OtReceiverPending, OtError> {
-        if msg_a.elements.len() != choices.len() {
-            return Err(OtError::BatchMismatch);
-        }
-        let b: Vec<Ubig> = choices.iter().map(|_| group.random_exponent(rng)).collect();
-        let jobs = b.iter().map(|bi| batch.push_pow_g(group, bi.clone())).collect();
-        Ok(OtReceiverPending {
-            choices: choices.to_vec(),
-            b,
-            m_a: msg_a.elements.clone(),
-            jobs,
-        })
-    }
-
-    /// One-shot batched [`OtReceiver::respond`].
-    ///
-    /// # Errors
-    ///
-    /// See [`OtReceiver::respond_enqueue`].
-    pub fn respond_batched(
-        group: &DhGroup,
-        choices: &[bool],
-        msg_a: &OtMessageA,
-        rng: &mut StdRng,
-    ) -> Result<(OtReceiver, OtMessageB), OtError> {
-        let mut batch = ModexpBatch::new();
-        let pending = OtReceiver::respond_enqueue(group, choices, msg_a, rng, &mut batch)?;
-        let results = batch.execute();
-        Ok(pending.commit(group, &results))
-    }
-
-    /// Enqueue half of [`OtReceiver::decrypt`]: one general job
-    /// `M_a^{b_i}` per instance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OtError::BatchMismatch`] when `M_E` has the wrong number
-    /// of pairs.
-    pub fn decrypt_enqueue<'g>(
-        &self,
-        group: &'g DhGroup,
-        msg_e: &OtMessageE,
-        batch: &mut ModexpBatch<'g>,
-    ) -> Result<OtDecryptPending, OtError> {
-        if msg_e.pairs.len() != self.choices.len() {
-            return Err(OtError::BatchMismatch);
-        }
-        let jobs = self
-            .m_a
-            .iter()
-            .zip(&self.b)
-            .map(|(ma, bi)| batch.push_pow(group, ma.clone(), bi.clone()))
-            .collect();
-        let chosen = self
-            .choices
-            .iter()
-            .zip(&msg_e.pairs)
-            .map(|(&c, (e0, e1))| if c { e1.clone() } else { e0.clone() })
-            .collect();
-        Ok(OtDecryptPending { jobs, chosen })
-    }
-
-    /// One-shot batched [`OtReceiver::decrypt`].
-    ///
-    /// # Errors
-    ///
-    /// See [`OtReceiver::decrypt_enqueue`].
-    pub fn decrypt_batched(
-        &self,
-        group: &DhGroup,
-        msg_e: &OtMessageE,
-    ) -> Result<Vec<Vec<u8>>, OtError> {
-        let mut batch = ModexpBatch::new();
-        let pending = self.decrypt_enqueue(group, msg_e, &mut batch)?;
-        let results = batch.execute();
-        Ok(pending.commit(group, &results))
-    }
-}
-
-/// Pending [`OtReceiver::respond`]: blinding exponents sampled, `g^{b_i}`
-/// jobs in flight.
-#[derive(Debug)]
-pub struct OtReceiverPending {
-    choices: Vec<bool>,
-    b: Vec<Ubig>,
-    m_a: Vec<Ubig>,
-    jobs: Vec<JobId>,
-}
-
-impl OtReceiverPending {
-    /// Redeems the executed batch: applies the blinding with the same
-    /// branch-free select as [`OtReceiver::respond`] and returns the
-    /// receiver state and `M_B`.
-    pub fn commit(self, group: &DhGroup, results: &BatchResults) -> (OtReceiver, OtMessageB) {
-        let elements: Vec<Ubig> = self
-            .jobs
-            .iter()
-            .zip(&self.choices)
-            .zip(&self.m_a)
-            .map(|((&id, &c), ma)| blind(group, c, ma, results.get(id)))
-            .collect();
-        let msg = OtMessageB { elements: elements.clone() };
-        (OtReceiver { choices: self.choices, b: self.b, m_a: self.m_a }, msg)
-    }
-}
-
-/// Pending [`OtReceiver::decrypt`]: key-derivation jobs in flight plus
-/// the chosen ciphertext of every instance.
-#[derive(Debug)]
-pub struct OtDecryptPending {
-    jobs: Vec<JobId>,
-    chosen: Vec<Vec<u8>>,
-}
-
-impl OtDecryptPending {
-    /// Redeems the executed batch into the decrypted payloads.
-    pub fn commit(self, group: &DhGroup, results: &BatchResults) -> Vec<Vec<u8>> {
-        self.jobs
-            .iter()
-            .zip(&self.chosen)
-            .map(|(&id, ct)| ctr_decrypt(&derive_key(group, results.get(id)), ct))
-            .collect()
-    }
 }
 
 /// One instance of `M_B`: `M_A·g^b` when the choice bit is 1, else
@@ -635,6 +388,16 @@ fn blind(group: &DhGroup, choice: bool, m_a: &Ubig, gb: &Ubig) -> Ubig {
     Ubig::ct_select(choice, &group.mul(m_a, gb), gb, limbs)
 }
 
+/// `e1` when `choice` is set, else `e0`, merged under a byte mask so the
+/// pick does not branch on the choice bit. The mask passes through
+/// [`std::hint::black_box`] so the optimizer cannot turn the merge back
+/// into a branch. Both ciphertexts must have the same length.
+fn pick(choice: bool, e0: &[u8], e1: &[u8]) -> Vec<u8> {
+    debug_assert_eq!(e0.len(), e1.len());
+    let mask = std::hint::black_box(u8::from(choice)).wrapping_neg();
+    e0.iter().zip(e1).map(|(&x0, &x1)| x0 ^ (mask & (x0 ^ x1))).collect()
+}
+
 /// Key derivation `H(element)` for the payload cipher.
 fn derive_key(group: &DhGroup, element: &Ubig) -> [u8; 32] {
     sha256(&group.encode_element(element))
@@ -643,7 +406,7 @@ fn derive_key(group: &DhGroup, element: &Ubig) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn run_batch(group: &DhGroup, secrets: Vec<(Vec<u8>, Vec<u8>)>, choices: Vec<bool>) -> Vec<Vec<u8>> {
         let mut rng_s = StdRng::seed_from_u64(100);
@@ -748,6 +511,32 @@ mod tests {
     }
 
     #[test]
+    fn batched_enqueue_detects_mismatch() {
+        // `encrypt` and `decrypt` queue a whole round into one `pow_many`
+        // call. A round of the wrong size must come back as
+        // `BatchMismatch` before that call: a short or long `M_B` would
+        // trip `pow_many`'s equal-length assertion, and a short `M_E`
+        // would zip down to fewer payloads. Eight MODP-1024 instances
+        // fill one lane group.
+        let group = DhGroup::modp_1024_shared();
+        let mut rng = StdRng::seed_from_u64(11);
+        let (sender, msg_a) = OtSender::start(group, vec![(vec![1], vec![2]); 8], &mut rng);
+        let (receiver, msg_b) = OtReceiver::respond(group, &[true; 8], &msg_a, &mut rng).unwrap();
+        for len in [0, 7, 9] {
+            let elements = msg_b.elements.iter().cycle().take(len).cloned().collect();
+            let bad_b = OtMessageB { elements };
+            assert_eq!(sender.encrypt(group, &bad_b).unwrap_err(), OtError::BatchMismatch, "M_B of {len}");
+        }
+        let msg_e = sender.encrypt(group, &msg_b).unwrap();
+        for len in [0, 7, 9] {
+            let pairs = msg_e.pairs.iter().cycle().take(len).cloned().collect();
+            let bad_e = OtMessageE { pairs };
+            assert_eq!(receiver.decrypt(group, &bad_e).unwrap_err(), OtError::BatchMismatch, "M_E of {len}");
+        }
+        assert_eq!(receiver.decrypt(group, &msg_e).unwrap(), vec![vec![2]; 8]);
+    }
+
+    #[test]
     fn empty_batch_is_fine() {
         let group = DhGroup::tiny_test_group();
         let out = run_batch(&group, vec![], vec![]);
@@ -756,19 +545,18 @@ mod tests {
 
     #[test]
     fn batched_rounds_match_scalar_rounds_bit_for_bit() {
-        // Same RNG seeds through both routes: every wire message and
-        // every decrypted payload must be identical, on the generic
-        // Montgomery group and on the fold-path fleet group, across
-        // quad-aligned and ragged batch sizes.
+        // `encrypt` and `decrypt` hand a round's general exponentiations
+        // to `pow_many` in one call. Every ciphertext and payload must
+        // equal a per-instance scalar oracle on the one-limb group and on
+        // MODP-1024, whose batches run on the eight-lane kernel where the
+        // CPU has it: short, padded, full and ragged batches.
         let tiny = DhGroup::tiny_test_group();
-        let wk = DhGroup::wavekey_1024();
-        for group in [&tiny, &wk] {
-            for count in [1usize, 3, 4, 5] {
+        for group in [&tiny, DhGroup::modp_1024_shared()] {
+            for count in [1usize, 2, 3, 8, 9] {
                 let secrets: Vec<_> = (0..count)
                     .map(|i| (vec![i as u8; 4], vec![0xA0 | i as u8; 4]))
                     .collect();
                 let choices: Vec<bool> = (0..count).map(|i| i % 2 == 1).collect();
-
                 let mut rng_s = StdRng::seed_from_u64(77);
                 let mut rng_r = StdRng::seed_from_u64(88);
                 let (sender, msg_a) = OtSender::start(group, secrets.clone(), &mut rng_s);
@@ -776,21 +564,18 @@ mod tests {
                     OtReceiver::respond(group, &choices, &msg_a, &mut rng_r).unwrap();
                 let msg_e = sender.encrypt(group, &msg_b).unwrap();
                 let out = receiver.decrypt(group, &msg_e).unwrap();
-
-                let mut rng_s = StdRng::seed_from_u64(77);
-                let mut rng_r = StdRng::seed_from_u64(88);
-                let (sender_b, msg_a_b) =
-                    OtSender::start_batched(group, secrets, &mut rng_s);
-                let (receiver_b, msg_b_b) =
-                    OtReceiver::respond_batched(group, &choices, &msg_a_b, &mut rng_r)
-                        .unwrap();
-                let msg_e_b = sender_b.encrypt_batched(group, &msg_b_b).unwrap();
-                let out_b = receiver_b.decrypt_batched(group, &msg_e_b).unwrap();
-
-                assert_eq!(msg_a_b, msg_a, "M_A count {count}");
-                assert_eq!(msg_b_b, msg_b, "M_B count {count}");
-                assert_eq!(msg_e_b, msg_e, "M_E count {count}");
-                assert_eq!(out_b, out, "payloads count {count}");
+                for i in 0..count {
+                    let (a, n) = (&sender.a[i], &msg_b.elements[i]);
+                    let na = group.pow(n, a);
+                    let k1 = derive_key(group, &group.mul(&na, &group.inv_pow_g(&a.mul(a))));
+                    let (x0, x1) = &secrets[i];
+                    let want = (ctr_encrypt(&derive_key(group, &na), x0), ctr_encrypt(&k1, x1));
+                    assert_eq!(msg_e.pairs[i], want, "M_E count {count} instance {i}");
+                    let k = derive_key(group, &group.pow(&receiver.m_a[i], &receiver.b[i]));
+                    let ct = if choices[i] { &msg_e.pairs[i].1 } else { &msg_e.pairs[i].0 };
+                    assert_eq!(out[i], ctr_decrypt(&k, ct), "payload count {count} instance {i}");
+                    assert_eq!(&out[i], if choices[i] { x1 } else { x0 });
+                }
             }
         }
     }
@@ -803,8 +588,7 @@ mod tests {
     }
 
     /// Runs the folded sender over the `(n_i, a_i)` instances and checks
-    /// both ciphertexts of every pair against the naive key derivations;
-    /// the batched route must agree too.
+    /// both ciphertexts of every pair against the naive key derivations.
     fn check_fold(group: &DhGroup, instances: &[(Ubig, Ubig)]) {
         let secrets: Vec<_> = (0..instances.len())
             .map(|i| (vec![i as u8; 4], vec![0xF0 ^ i as u8; 4]))
@@ -820,17 +604,12 @@ mod tests {
             assert_eq!(msg_e.pairs[i].0, ctr_encrypt(&k0, x0), "e0, n {n} a {a}");
             assert_eq!(msg_e.pairs[i].1, ctr_encrypt(&naive_k1(group, n, a), x1), "e1, n {n} a {a}");
         }
-        assert_eq!(sender.encrypt_batched(group, &msg_b).unwrap(), msg_e);
     }
 
     #[test]
     fn folded_k1_matches_naive_quotient_power() {
         let tiny = DhGroup::tiny_test_group();
-        let groups = [
-            (&tiny, 24),
-            (DhGroup::modp_1024_shared(), 3),
-            (DhGroup::wavekey_1024_shared(), 3),
-        ];
+        let groups = [(&tiny, 24), (DhGroup::modp_1024_shared(), 3)];
         for (group, cases) in groups {
             let u = group.modulus();
             let one = Ubig::one();
@@ -854,54 +633,53 @@ mod tests {
     }
 
     #[test]
-    fn cross_session_starts_share_one_batch() {
-        // Two independent sessions enqueue into ONE batch; committing
-        // against the shared execution must equal two scalar starts.
-        let group = DhGroup::tiny_test_group();
-        let mut batch = ModexpBatch::new();
-        let mut rng1 = StdRng::seed_from_u64(301);
-        let mut rng2 = StdRng::seed_from_u64(302);
-        let s1 = vec![(vec![1], vec![2]), (vec![3], vec![4])];
-        let s2 = vec![(vec![5], vec![6]), (vec![7], vec![8]), (vec![9], vec![10])];
-        let p1 = OtSender::start_enqueue(&group, s1.clone(), &mut rng1, &mut batch);
-        let p2 = OtSender::start_enqueue(&group, s2.clone(), &mut rng2, &mut batch);
-        let results = batch.execute();
-        let (_, msg_a1) = p1.commit(&results);
-        let (_, msg_a2) = p2.commit(&results);
-
-        let mut rng1 = StdRng::seed_from_u64(301);
-        let mut rng2 = StdRng::seed_from_u64(302);
-        let (_, ref_a1) = OtSender::start(&group, s1, &mut rng1);
-        let (_, ref_a2) = OtSender::start(&group, s2, &mut rng2);
-        assert_eq!(msg_a1, ref_a1);
-        assert_eq!(msg_a2, ref_a2);
+    fn branch_free_pick_matches_branchy_pick() {
+        rand::check::cases("branch_free_pick_matches_branchy_pick", 64, |rng| {
+            let len = rng.gen_range(0..40);
+            let e0: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let e1: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            for choice in [false, true] {
+                let branchy = if choice { &e1 } else { &e0 };
+                assert_eq!(&pick(choice, &e0, &e1), branchy);
+            }
+        });
     }
 
     #[test]
-    fn batched_enqueue_detects_mismatch() {
+    fn unequal_ciphertext_pair_is_malformed() {
         let group = DhGroup::tiny_test_group();
-        let mut rng = StdRng::seed_from_u64(11);
-        let (sender, msg_a) = OtSender::start(&group, vec![(vec![1], vec![2])], &mut rng);
-        let mut batch = ModexpBatch::new();
-        assert!(OtReceiver::respond_enqueue(
-            &group,
-            &[true, false],
-            &msg_a,
-            &mut rng,
-            &mut batch
-        )
-        .is_err());
-        let bad_b = OtMessageB { elements: vec![] };
-        assert_eq!(
-            sender.encrypt_enqueue(&group, &bad_b, &mut batch).unwrap_err(),
-            OtError::BatchMismatch
-        );
+        let mut rng_s = StdRng::seed_from_u64(12);
+        let mut rng_r = StdRng::seed_from_u64(13);
+        let secrets = vec![(vec![1, 2], vec![3, 4]), (vec![5, 6], vec![7, 8])];
+        let (sender, msg_a) = OtSender::start(&group, secrets, &mut rng_s);
+        let (receiver, msg_b) =
+            OtReceiver::respond(&group, &[false, true], &msg_a, &mut rng_r).unwrap();
+        let mut msg_e = sender.encrypt(&group, &msg_b).unwrap();
+        assert!(receiver.decrypt(&group, &msg_e).is_ok());
+        msg_e.pairs[1].1.push(0);
+        assert_eq!(receiver.decrypt(&group, &msg_e).unwrap_err(), OtError::Malformed);
+    }
+
+    #[test]
+    fn decode_rejects_counts_the_frame_cannot_hold() {
+        // 12 bytes declaring a million pairs: rejected before any
+        // allocation sized by the count.
+        let mut frame = 1_000_000u32.to_le_bytes().to_vec();
+        frame.extend_from_slice(&[0; 8]);
+        assert_eq!(OtMessageE::decode(&frame).unwrap_err(), OtError::Malformed);
+        // A count one pair above what the bytes hold is rejected too;
+        // the exact count still parses.
+        let msg = OtMessageE { pairs: vec![(vec![], vec![]); 3] };
+        let mut bytes = msg.encode();
+        assert_eq!(OtMessageE::decode(&bytes).unwrap(), msg);
+        bytes[0] = 4;
+        assert_eq!(OtMessageE::decode(&bytes).unwrap_err(), OtError::Malformed);
     }
 
     #[test]
     fn observed_variants_match_plain_and_record_spans() {
         let group = DhGroup::tiny_test_group();
-        let secrets = vec![(b"left".to_vec(), b"right".to_vec())];
+        let secrets = vec![(b"lefty".to_vec(), b"right".to_vec())];
         let choices = vec![true];
         let (obs, mem) = Obs::with_memory();
 
@@ -926,7 +704,7 @@ mod tests {
         let disabled = Obs::disabled();
         let (_, msg_a2) = OtSender::start_observed(
             &group,
-            vec![(b"left".to_vec(), b"right".to_vec())],
+            vec![(b"lefty".to_vec(), b"right".to_vec())],
             &mut rng_s,
             &disabled,
         );

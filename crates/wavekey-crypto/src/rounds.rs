@@ -74,68 +74,12 @@ pub fn receiver_finish(
     receiver.decrypt(group, &msg_e)
 }
 
-/// Batch-aware [`sender_round_a`]: identical RNG consumption and wire
-/// bytes, exponentiations routed through the 4-way batch executor.
-pub fn sender_round_a_batched(
-    group: &DhGroup,
-    secrets: Vec<(Vec<u8>, Vec<u8>)>,
-    rng: &mut StdRng,
-) -> (OtSender, Vec<u8>) {
-    let (sender, msg_a) = OtSender::start_batched(group, secrets, rng);
-    let bytes = msg_a.encode(group);
-    (sender, bytes)
-}
-
-/// Batch-aware [`receiver_round_b`].
-///
-/// # Errors
-///
-/// See [`receiver_round_b`].
-pub fn receiver_round_b_batched(
-    group: &DhGroup,
-    choices: &[bool],
-    ma_bytes: &[u8],
-    rng: &mut StdRng,
-) -> Result<(OtReceiver, Vec<u8>), OtError> {
-    let msg_a = OtMessageA::decode(group, ma_bytes)?;
-    let (receiver, msg_b) = OtReceiver::respond_batched(group, choices, &msg_a, rng)?;
-    Ok((receiver, msg_b.encode(group)))
-}
-
-/// Batch-aware [`sender_round_e`]: the same `k¹ = H(n^a · g^{−a²})` fold
-/// as the scalar round, with the general jobs packed into 4-way lanes
-/// and the comb walks into the fixed-base class (see
-/// [`OtSender::encrypt_enqueue`]).
-///
-/// # Errors
-///
-/// See [`sender_round_e`].
-pub fn sender_round_e_batched(
-    sender: &OtSender,
-    group: &DhGroup,
-    mb_bytes: &[u8],
-) -> Result<Vec<u8>, OtError> {
-    let msg_b = OtMessageB::decode(group, mb_bytes)?;
-    Ok(sender.encrypt_batched(group, &msg_b)?.encode())
-}
-
-/// Batch-aware [`receiver_finish`].
-///
-/// # Errors
-///
-/// See [`receiver_finish`].
-pub fn receiver_finish_batched(
-    receiver: &OtReceiver,
-    group: &DhGroup,
-    me_bytes: &[u8],
-) -> Result<Vec<Vec<u8>>, OtError> {
-    let msg_e = OtMessageE::decode(me_bytes)?;
-    receiver.decrypt_batched(group, &msg_e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::Ubig;
+    use crate::cipher::{ctr_decrypt, ctr_encrypt};
+    use crate::sha256::sha256;
     use rand::SeedableRng;
 
     #[test]
@@ -174,34 +118,45 @@ mod tests {
 
     #[test]
     fn batched_byte_rounds_match_scalar_byte_rounds() {
-        // The batched wrappers must be a drop-in: same seeds, same wire
-        // bytes, on both a Montgomery-only group and the fold-path fleet
-        // group.
+        // `sender_round_e` and `receiver_finish` hand a round's general
+        // exponentiations to `DhGroup::pow_many` in one call, which on
+        // MODP-1024 runs them eight at a time where the CPU has
+        // AVX512-IFMA: two instances run in one padded lane group, eleven
+        // fill a group plus a padded one. The `M_E` bytes and the payloads must equal
+        // a scalar byte oracle that derives every key from its own `pow`,
+        // with `k¹` in the naive form `H((n·g^{−a})^a)`. The exponents are
+        // redrawn from clones of the parties' RNGs, one per instance.
         let tiny = DhGroup::tiny_test_group();
-        let wk = DhGroup::wavekey_1024();
-        for group in [&tiny, &wk] {
-            let secrets =
-                vec![(b"zero-0".to_vec(), b"one--0".to_vec()), (b"zero-1".to_vec(), b"one--1".to_vec())];
-            let choices = vec![true, false];
+        for group in [&tiny, DhGroup::modp_1024_shared()] {
+            for count in [2usize, 11] {
+                let secrets: Vec<_> = (0..count as u8).map(|i| (vec![i; 5], vec![!i; 5])).collect();
+                let choices: Vec<bool> = (0..count).map(|i| i % 3 != 1).collect();
+                let mut rng_s = StdRng::seed_from_u64(30);
+                let mut rng_r = StdRng::seed_from_u64(40);
+                let (mut draw_s, mut draw_r) = (rng_s.clone(), rng_r.clone());
+                let (sender, ma) = sender_round_a(group, secrets.clone(), &mut rng_s);
+                let (receiver, mb) = receiver_round_b(group, &choices, &ma, &mut rng_r).unwrap();
+                let me = sender_round_e(&sender, group, &mb).unwrap();
+                let out = receiver_finish(&receiver, group, &me).unwrap();
 
-            let mut rng_s = StdRng::seed_from_u64(30);
-            let mut rng_r = StdRng::seed_from_u64(40);
-            let (sender, ma) = sender_round_a(group, secrets.clone(), &mut rng_s);
-            let (receiver, mb) = receiver_round_b(group, &choices, &ma, &mut rng_r).unwrap();
-            let me = sender_round_e(&sender, group, &mb).unwrap();
-            let out = receiver_finish(&receiver, group, &me).unwrap();
-
-            let mut rng_s = StdRng::seed_from_u64(30);
-            let mut rng_r = StdRng::seed_from_u64(40);
-            let (sender_b, ma_b) = sender_round_a_batched(group, secrets, &mut rng_s);
-            assert_eq!(ma_b, ma);
-            let (receiver_b, mb_b) =
-                receiver_round_b_batched(group, &choices, &ma_b, &mut rng_r).unwrap();
-            assert_eq!(mb_b, mb);
-            let me_b = sender_round_e_batched(&sender_b, group, &mb_b).unwrap();
-            assert_eq!(me_b, me);
-            let out_b = receiver_finish_batched(&receiver_b, group, &me_b).unwrap();
-            assert_eq!(out_b, out);
+                let key = |e: &Ubig| sha256(&group.encode_element(e));
+                let m_a = OtMessageA::decode(group, &ma).unwrap().elements;
+                let m_b = OtMessageB::decode(group, &mb).unwrap().elements;
+                let mut pairs = Vec::new();
+                for i in 0..count {
+                    let a = group.random_exponent(&mut draw_s);
+                    let b = group.random_exponent(&mut draw_r);
+                    let k0 = key(&group.pow(&m_b[i], &a));
+                    let k1 = key(&group.pow(&group.div(&m_b[i], &group.pow_g(&a)), &a));
+                    let (x0, x1) = &secrets[i];
+                    pairs.push((ctr_encrypt(&k0, x0), ctr_encrypt(&k1, x1)));
+                    let chosen = if choices[i] { &pairs[i].1 } else { &pairs[i].0 };
+                    let k = key(&group.pow(&m_a[i], &b));
+                    assert_eq!(out[i], ctr_decrypt(&k, chosen), "payload, count {count} instance {i}");
+                    assert_eq!(&out[i], if choices[i] { x1 } else { x0 });
+                }
+                assert_eq!(me, OtMessageE { pairs }.encode(), "M_E bytes, count {count}");
+            }
         }
     }
 

@@ -20,9 +20,6 @@
 //!   with a *gone* peer (`reason="idle"`),
 //! - graceful shutdown: new connections are rejected
 //!   (`reason="shutdown"`) while accepted sessions drain to completion,
-//! - start-cost pooling: eligible servers' first exponentiations are
-//!   collected into one cross-session [`ModexpBatch`] flushed at
-//!   `batch_max` or a `batch_ticks` deadline,
 //! - a per-connection [`EventScope`] causal timeline under actor
 //!   `"gateway"`.
 
@@ -31,14 +28,12 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wavekey_core::agreement::{AgreementConfig, AgreementError};
 use wavekey_core::proto::link::{Endpoint, LinkDiscipline};
-use wavekey_core::proto::{Decoder, Frame, MobileAgreement, ServerAgreement, StartPending};
-use wavekey_crypto::batch::ModexpBatch;
+use wavekey_core::proto::{Decoder, Frame, MobileAgreement, ServerAgreement};
 use wavekey_obs::{EventScope, Obs};
 use wavekey_store::{DurableStore, StoreError, TenantQuota};
 
@@ -58,10 +53,6 @@ pub struct GatewayConfig {
     /// Logical ticks a connection may sit idle (no readable bytes, or
     /// no write progress) before eviction.
     pub idle_ticks: u64,
-    /// Flush the pooled start batch at this many pending sessions.
-    pub batch_max: usize,
-    /// ... or this many logical ticks after the first pending session.
-    pub batch_ticks: u64,
     /// Base seed for per-connection server RNG derivation.
     pub server_seed: u64,
     /// Per-connection read buffer size in bytes.
@@ -70,15 +61,13 @@ pub struct GatewayConfig {
 
 impl GatewayConfig {
     /// Defaults sized for soak fleets: 64 shards, 64 KiB write queues,
-    /// 32-tick idle budget, 64-session start batches.
+    /// 32-tick idle budget.
     pub fn new(agreement: AgreementConfig) -> GatewayConfig {
         GatewayConfig {
             agreement,
             shards: 64,
             write_queue_cap: 1 << 16,
             idle_ticks: 32,
-            batch_max: 64,
-            batch_ticks: 4,
             server_seed: 0xC0_F7EE,
             read_buf: 512,
         }
@@ -174,14 +163,6 @@ struct GatewayInner {
 #[derive(Clone)]
 pub struct Gateway {
     inner: Arc<GatewayInner>,
-}
-
-/// A server whose pooled start exponentiations are awaiting the batch.
-struct PendingStart {
-    stream: SimStream,
-    server: ServerAgreement,
-    pending: StartPending,
-    scope: EventScope,
 }
 
 impl Gateway {
@@ -292,34 +273,8 @@ impl GatewayInner {
 }
 
 async fn accept_loop(gw: Arc<GatewayInner>, handle: Handle, net: SimNet) {
-    // Pooled start batch: only group-shared configs can cross-batch
-    // (tiny test groups are per-machine — same rule as `spawn_many`).
-    let batching = gw.config.agreement.batched_crypto && !gw.config.agreement.use_tiny_group;
-    let mut batch: ModexpBatch<'static> = ModexpBatch::new();
-    let mut pending: Vec<PendingStart> = Vec::new();
-    loop {
-        let accepted = if pending.is_empty() {
-            match net.accept().await {
-                Ok(stream) => Some(stream),
-                Err(_) => None,
-            }
-        } else {
-            match race(net.accept(), handle.sleep(gw.config.batch_ticks)).await {
-                Either::A(Ok(stream)) => Some(stream),
-                Either::A(Err(_)) => None,
-                Either::B(()) => {
-                    let flush = std::mem::take(&mut pending);
-                    flush_starts(&gw, &handle, std::mem::take(&mut batch), flush);
-                    continue;
-                }
-            }
-        };
-        let Some(stream) = accepted else {
-            // Listener closed: flush the stragglers, then stop.
-            let flush = std::mem::take(&mut pending);
-            flush_starts(&gw, &handle, std::mem::take(&mut batch), flush);
-            return;
-        };
+    // The listener closing ends the loop.
+    while let Ok(stream) = net.accept().await {
         if !gw.accepting.load(Ordering::Relaxed) {
             gw.rejected.fetch_add(1, Ordering::Relaxed);
             gw.count_evict(EvictReason::Shutdown);
@@ -343,52 +298,9 @@ async fn accept_loop(gw: Arc<GatewayInner>, handle: Handle, net: SimNet) {
         }
         scope.emit("accept");
         gw.obs.inc("gateway_conns_accepted");
-        if batching {
-            match server.start_enqueue(&mut batch) {
-                Ok(pend) => {
-                    pending.push(PendingStart { stream, server, pending: pend, scope });
-                    if pending.len() >= gw.config.batch_max {
-                        let flush = std::mem::take(&mut pending);
-                        flush_starts(&gw, &handle, std::mem::take(&mut batch), flush);
-                    }
-                    continue;
-                }
-                // Inapplicable after all (owned group): fall through to
-                // the scalar start.
-                Err(AgreementError::Config(_)) => {}
-                Err(err) => {
-                    fail_before_start(&gw, &stream, &scope, err);
-                    continue;
-                }
-            }
-        }
         match server.start() {
             Ok(first) => spawn_conn(&gw, &handle, stream, server, first, scope),
             Err(err) => fail_before_start(&gw, &stream, &scope, err),
-        }
-    }
-}
-
-/// Executes the pooled start batch and launches every pending session,
-/// billing each server its amortized share of the batch wall time.
-fn flush_starts(
-    gw: &Arc<GatewayInner>,
-    handle: &Handle,
-    batch: ModexpBatch<'static>,
-    pending: Vec<PendingStart>,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    gw.obs.inc("gateway_start_batches");
-    let t = Instant::now();
-    let results = batch.execute();
-    let share = t.elapsed().as_secs_f64() / pending.len() as f64;
-    for p in pending {
-        let PendingStart { stream, mut server, pending: pend, scope } = p;
-        match server.start_commit(pend, &results, share) {
-            Ok(first) => spawn_conn(gw, handle, stream, server, first, scope),
-            Err(err) => fail_before_start(gw, &stream, &scope, err),
         }
     }
 }
@@ -636,7 +548,7 @@ mod tests {
 
     /// Closes the listener once everything else has gone quiet: the
     /// huge sleep only fires at quiesce, after every shorter timer
-    /// (idle budgets, batch deadlines) has been consumed or cancelled,
+    /// (idle budgets) has been consumed or cancelled,
     /// which lets the accept loop terminate so `run()` can return.
     fn spawn_closer(exec: &Executor, net: &SimNet) {
         let handle = exec.handle();
@@ -961,34 +873,6 @@ mod tests {
         assert!(obs
             .prometheus_text()
             .contains("wavekey_evictions_total{reason=\"shutdown\"} 1"));
-    }
-
-    #[test]
-    fn pooled_start_batching_matches_scalar_starts_on_the_fleet_group() {
-        // Real group, so the cross-session ModexpBatch path is live.
-        let fleet = AgreementConfig {
-            use_tiny_group: false,
-            fleet_group: true,
-            batched_crypto: true,
-            tau: 10.0,
-            bch_t: 5,
-            ..Default::default()
-        };
-        let scalar = AgreementConfig { batched_crypto: false, ..fleet.clone() };
-        let batched_cfg =
-            GatewayConfig { batch_max: 2, ..GatewayConfig::new(fleet) };
-        let scalar_cfg = GatewayConfig::new(scalar);
-        let (batched, gw) = run_fleet(batched_cfg, Obs::disabled(), 3, |_| StreamFaults::none());
-        let (plain, _) = run_fleet(scalar_cfg, Obs::disabled(), 3, |_| StreamFaults::none());
-        assert_eq!(gw.table().completed(), 3);
-        for ((id_a, a), (id_b, b)) in batched.iter().zip(plain.iter()) {
-            assert_eq!(id_a, id_b);
-            assert_eq!(
-                a.as_ref().expect("batched"),
-                b.as_ref().expect("scalar"),
-                "pooling starts must not change keys"
-            );
-        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   injection: split reads, stalled writes, truncate-and-close.
 //! - [`table`] — the sharded session table tracking every in-flight
 //!   connection and its terminal outcome.
-//! - [`gateway`] — the [`Gateway`] itself: accept loop with pooled
-//!   start batching, per-connection incremental framing over the
+//! - [`gateway`] — the [`Gateway`] itself: accept loop,
+//!   per-connection incremental framing over the
 //!   streaming [`wavekey_core::proto::Decoder`], bounded write queues
 //!   with backpressure eviction, idle eviction, graceful shutdown, and
 //!   per-connection causal timelines.

@@ -1,153 +1,226 @@
-//! Seeded-exhaustive differentials for the batched crypto stack; the
-//! scalar kernels' differentials live in
-//! `crates/wavekey-crypto/tests/differential.rs`.
+//! Seeded differentials for `MontgomeryCtx::mod_pow_many`, the slice
+//! entry point behind every OT round's general exponentiations; the
+//! scalar kernels' differentials live in `wavekey-crypto`'s unit tests.
 //!
-//! Every test here pins an optimized path `==`-exact against the scalar
-//! Montgomery reference over fixed seeds and an exhaustive sweep of the
-//! shapes that matter: ragged tails (quad counts not divisible by 4),
-//! mixed moduli in one batch, fold vs Montgomery dispatch, and the
-//! wider-than-`MAX_CIOS_LIMBS` scalar fallback.
+//! On CPUs with AVX512-IFMA, 16-limb moduli run eight exponentiations at
+//! a time on the lane kernel. Every test here pins that route `==`-exact
+//! against per-pair `mod_pow` and `mod_pow_reference`: edge bases and
+//! exponents, every batch shape (empty, short, padded, full, ragged),
+//! mixed moduli in flight at once, a property sweep, and a whole
+//! 48-instance OT round against a
+//! per-instance oracle. The lane tests print a skip and return on other
+//! CPUs, where `mod_pow_many` is `mod_pow` per pair.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use wavekey::crypto::batch::ModexpBatch;
-use wavekey::crypto::bigint::{CrandallCtx, MontgomeryCtx, Ubig};
-use wavekey::crypto::group::{DhGroup, WAVEKEY_1024_HEX};
+use rand::{Rng, SeedableRng};
+use wavekey::crypto::bigint::{pow_many_kernel_1024, MontgomeryCtx, Ubig};
+use wavekey::crypto::cipher::{ctr_decrypt, ctr_encrypt};
+use wavekey::crypto::group::{DhGroup, MODP_1024_HEX};
+use wavekey::crypto::ot::{OtMessageE, OtReceiver, OtSender};
+use wavekey::crypto::sha256::sha256;
 
-fn quad(ctx_modulus: &Ubig, rng: &mut StdRng) -> [Ubig; 4] {
-    std::array::from_fn(|_| Ubig::random_below(ctx_modulus, rng))
+/// `false` (after printing why) when this CPU has no IFMA lanes.
+fn lanes_present() -> bool {
+    if pow_many_kernel_1024() != "ifma8" {
+        eprintln!("skipped: this CPU lacks AVX512-IFMA; mod_pow_many is mod_pow per pair");
+        return false;
+    }
+    true
 }
 
-/// 4-way interleaved CIOS exponentiation equals the scalar Montgomery
-/// route lane-for-lane, across limb widths from 2 to 16.
-#[test]
-fn quad_cios_pow_matches_scalar_montgomery() {
-    let moduli = [
-        Ubig::from_hex("ffffffffffffffffffffffffffffff61"), // 2 limbs
-        Ubig::from_hex("1000000000000000000000000000000000000000000000f1"), // 3 limbs
-        Ubig::from_hex(wavekey::crypto::group::MODP_1024_HEX), // 16 limbs
-    ];
-    let mut rng = StdRng::seed_from_u64(0xD1FF_0001);
-    for m in &moduli {
-        let ctx = MontgomeryCtx::new(m.clone());
-        for _ in 0..3 {
-            let bases = quad(m, &mut rng);
-            let exps = quad(m, &mut rng);
-            let fast = ctx.mod_pow_x4(&bases, &exps);
-            for l in 0..4 {
-                assert_eq!(fast[l], ctx.mod_pow(&bases[l], &exps[l]), "lane {l} mod {m:?}");
-            }
+/// MODP-1024 (`n' = 1`) and the odd literal `2^1024 − 1093337`
+/// (`n' ≠ 1`; Montgomery arithmetic needs no primality).
+fn moduli() -> [MontgomeryCtx; 2] {
+    let odd = Ubig::one().shl(1024).sub(&Ubig::from_u64(1_093_337));
+    [Ubig::from_hex(MODP_1024_HEX), odd].map(MontgomeryCtx::new)
+}
+
+/// Asserts `mod_pow_many` equals `mod_pow` pair by pair, and also
+/// `mod_pow_reference` on every `reference_every`-th pair.
+fn assert_matches_scalar(
+    ctx: &MontgomeryCtx,
+    bases: &[Ubig],
+    exps: &[Ubig],
+    reference_every: usize,
+) {
+    let got = ctx.mod_pow_many(bases, exps);
+    assert_eq!(got.len(), bases.len());
+    for (i, (b, e)) in bases.iter().zip(exps).enumerate() {
+        assert_eq!(
+            got[i],
+            ctx.mod_pow(b, e),
+            "pair {i} of {}: b {b} e {e}",
+            bases.len()
+        );
+        if i % reference_every == 0 {
+            assert_eq!(got[i], ctx.mod_pow_reference(b, e), "reference, pair {i}");
         }
     }
 }
 
-/// The Crandall fold kernels (general and fixed-base) equal the scalar
-/// Montgomery route on the WAVEKEY-1024 fleet modulus and on a tiny
-/// 2-limb Crandall modulus, including the edge exponents that hit the
-/// window machinery's boundary paths.
+/// Bases 0, 1, u−1, u and u+1 against exponents 0, 1, 3 and u−2, all 20
+/// pairs in one call: two full lane groups plus a padded one.
 #[test]
-fn crandall_fold_pow_matches_montgomery() {
-    let mut rng = StdRng::seed_from_u64(0xD1FF_0002);
-    for p in [Ubig::from_hex(WAVEKEY_1024_HEX), Ubig::from_hex("ffffffffffffffffffffffffffffff61")]
-    {
-        let cr = CrandallCtx::new(&p).expect("Crandall-form modulus");
-        let mont = MontgomeryCtx::new(p.clone());
-        for _ in 0..3 {
-            let bases = quad(&p, &mut rng);
-            let exps = quad(&p, &mut rng);
-            let fold = cr.pow_x4(&bases, &exps);
-            for l in 0..4 {
-                assert_eq!(fold[l], mont.mod_pow(&bases[l], &exps[l]), "lane {l}");
-            }
-        }
-        // Edge exponents: zero, one, all-ones tail, and one lane past the
-        // comb table's coverage (drags the whole quad through the
-        // general-path fallback).
-        let g = Ubig::from_u64(2);
-        let comb = cr.comb_table(&g, p.bit_len(), 5);
-        let edge: [Ubig; 4] = [
+fn lanes_match_scalar_on_edge_bases_and_exponents() {
+    if !lanes_present() {
+        return;
+    }
+    for ctx in moduli() {
+        let u = ctx.modulus().clone();
+        let one = Ubig::one();
+        let bases = [
             Ubig::zero(),
-            Ubig::one(),
-            Ubig::from_u64(u64::MAX),
-            p.sub(&Ubig::one()),
+            one.clone(),
+            u.sub(&one),
+            u.clone(),
+            u.add(&one),
         ];
-        let fixed = cr.pow_fixed_base_x4(&comb, &edge);
-        for l in 0..4 {
-            assert_eq!(fixed[l], mont.mod_pow(&g, &edge[l]), "fixed-base edge lane {l}");
-        }
-        let wide: [Ubig; 4] = [p.shl(64), Ubig::one(), Ubig::zero(), Ubig::from_u64(7)];
-        let fallback = cr.pow_fixed_base_x4(&comb, &wide);
-        for l in 0..4 {
-            assert_eq!(fallback[l], mont.mod_pow(&g, &wide[l]), "fallback lane {l}");
+        let exps = [
+            Ubig::zero(),
+            one.clone(),
+            Ubig::from_u64(3),
+            u.sub(&Ubig::from_u64(2)),
+        ];
+        let (b, e): (Vec<Ubig>, Vec<Ubig>) = bases
+            .iter()
+            .flat_map(|b| exps.iter().map(move |e| (b.clone(), e.clone())))
+            .unzip();
+        assert_matches_scalar(&ctx, &b, &e, 1);
+    }
+}
+
+/// Empty, padded (1, 2, 7), full (8, 48) and ragged (9) batches.
+#[test]
+fn lanes_match_scalar_at_every_batch_size() {
+    if !lanes_present() {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(0xD1FF_0001);
+    for ctx in moduli() {
+        let u = ctx.modulus().clone();
+        for len in [0usize, 1, 2, 7, 8, 9, 48] {
+            let bases: Vec<Ubig> = (0..len).map(|_| Ubig::random_below(&u, &mut rng)).collect();
+            let exps: Vec<Ubig> = (0..len).map(|_| Ubig::random_below(&u, &mut rng)).collect();
+            assert_matches_scalar(&ctx, &bases, &exps, 16);
         }
     }
 }
 
-/// Fills a batch with a deterministic mix of every job kind across every
-/// supplied group — exercising negated fixed-base exponents, dependent
-/// jobs (`MulPowG`) and cross-group interleaving exactly as the OT rounds
-/// produce them.
-fn fill_mixed(batch: &mut ModexpBatch<'_>, groups: &[&'static DhGroup], n: usize, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    for i in 0..n {
-        let g = groups[i % groups.len()];
-        let x = g.random_exponent(&mut rng);
-        match i % 4 {
-            0 => {
-                batch.push_pow_g(g, x);
-            }
-            1 => {
-                batch.push_pow_g(g, g.neg_exponent(&x));
-            }
-            2 => {
-                let base = Ubig::random_below(g.modulus(), &mut rng);
-                batch.push_pow(g, base, x);
-            }
-            _ => {
-                let base = Ubig::random_below(g.modulus(), &mut rng);
-                let dep = batch.push_pow(g, base, x);
-                batch.push_mul_pow_g(g, dep, g.random_exponent(&mut rng));
-            }
-        }
-    }
-}
-
-/// The batch executor (quad-packed sweeps with dummy-lane padding) equals
-/// the pinned scalar route job-for-job, over ragged tails and a mix of
-/// fold-path (WAVEKEY-1024) and Montgomery-path (MODP-1024) moduli in the
-/// same batch.
+/// `mod_pow_many` as the batch executor: ragged batches over mixed
+/// moduli, the two lane-route ones and a one- and a two-limb modulus
+/// that always run scalar, called from four threads at once so that
+/// lane groups of different moduli are in flight together. This runs
+/// on every CPU.
 #[test]
 fn batch_executor_matches_scalar_ragged_and_mixed() {
-    let groups: Vec<&'static DhGroup> =
-        vec![DhGroup::wavekey_1024_shared(), DhGroup::modp_1024_shared()];
-    for n in [1usize, 2, 3, 5, 7] {
-        let mut fast = ModexpBatch::new();
-        let mut slow = ModexpBatch::new();
-        fill_mixed(&mut fast, &groups, n, 0xD1FF_0003 + n as u64);
-        fill_mixed(&mut slow, &groups, n, 0xD1FF_0003 + n as u64);
-        let fast = fast.execute().into_vec();
-        let slow = slow.execute_scalar().into_vec();
-        assert_eq!(fast.len(), slow.len());
-        for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
-            assert_eq!(f, s, "job {i} of {n}-instance mixed batch");
+    let [modp, odd] = moduli();
+    let [m61, m128] = [
+        Ubig::from_u64((1 << 61) - 1),
+        Ubig::from_hex("ffffffffffffffffffffffffffffff61"),
+    ]
+    .map(MontgomeryCtx::new);
+    let batches = [(&modp, 10usize), (&odd, 11), (&m61, 13), (&m128, 17)];
+    std::thread::scope(|scope| {
+        for (seed, (ctx, len)) in (0xD1FF_0005u64..).zip(batches) {
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let u = ctx.modulus();
+                let bases: Vec<Ubig> = (0..len).map(|_| Ubig::random_below(u, &mut rng)).collect();
+                let exps: Vec<Ubig> = (0..len).map(|_| Ubig::random_below(u, &mut rng)).collect();
+                assert_matches_scalar(ctx, &bases, &exps, 8);
+            });
         }
-    }
+    });
 }
 
-/// Moduli wider than the interleaved kernel's 32-limb ceiling take the
-/// scalar fallback inside `mod_pow_x4` (same answers), and the Crandall
-/// context refuses them outright.
+/// Random batches of 1–12 pairs with unreduced bases up to 1100 bits and
+/// exponents from 0 to 1100 bits, so some groups run more than the 205
+/// windows a 1024-bit exponent needs.
+#[test]
+fn lanes_match_scalar_on_random_widths() {
+    if !lanes_present() {
+        return;
+    }
+    let [modp, odd] = moduli();
+    rand::check::cases("lanes_match_scalar_on_random_widths", 64, |rng| {
+        let ctx = if rng.gen() { &modp } else { &odd };
+        let len = rng.gen_range(1..=12);
+        let wide = |rng: &mut StdRng| {
+            let bits = rng.gen_range(0..=1100);
+            Ubig::random_below(&Ubig::one().shl(bits), rng)
+        };
+        let bases: Vec<Ubig> = (0..len).map(|_| wide(rng)).collect();
+        let exps: Vec<Ubig> = (0..len).map(|_| wide(rng)).collect();
+        assert_matches_scalar(ctx, &bases, &exps, usize::MAX);
+    });
+}
+
+/// One 48-instance MODP-1024 OT round: the `M_E` bytes and the decrypted
+/// payloads equal an oracle that derives every key from its own scalar
+/// exponentiations, with `k¹` in the protocol's naive form
+/// `H((n·g^{−a})^a)`. The exponents are redrawn from clones of the
+/// parties' RNGs, which the OT consumes one exponent per instance.
+#[test]
+fn ot_round_of_48_matches_per_instance_scalar_oracle() {
+    let group = DhGroup::modp_1024_shared();
+    let secrets: Vec<_> = (0..48u8).map(|i| (vec![i; 16], vec![!i; 16])).collect();
+    let choices: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
+    let (mut rng_s, mut rng_r) = (StdRng::seed_from_u64(20), StdRng::seed_from_u64(21));
+    let (mut draw_s, mut draw_r) = (rng_s.clone(), rng_r.clone());
+    let (sender, msg_a) = OtSender::start(group, secrets.clone(), &mut rng_s);
+    let (receiver, msg_b) = OtReceiver::respond(group, &choices, &msg_a, &mut rng_r).unwrap();
+    let me = sender.encrypt(group, &msg_b).unwrap().encode();
+    let payloads = receiver
+        .decrypt(group, &OtMessageE::decode(&me).unwrap())
+        .unwrap();
+
+    let key = |e: &Ubig| sha256(&group.encode_element(e));
+    let a: Vec<Ubig> = (0..48)
+        .map(|_| group.random_exponent(&mut draw_s))
+        .collect();
+    let b: Vec<Ubig> = (0..48)
+        .map(|_| group.random_exponent(&mut draw_r))
+        .collect();
+    let mut pairs = Vec::new();
+    for i in 0..48 {
+        let n = &msg_b.elements[i];
+        let k0 = key(&group.pow(n, &a[i]));
+        let k1 = key(&group.pow(&group.div(n, &group.pow_g(&a[i])), &a[i]));
+        pairs.push((
+            ctr_encrypt(&k0, &secrets[i].0),
+            ctr_encrypt(&k1, &secrets[i].1),
+        ));
+        let k = key(&group.pow(&msg_a.elements[i], &b[i]));
+        let chosen = if choices[i] { &pairs[i].1 } else { &pairs[i].0 };
+        assert_eq!(payloads[i], ctr_decrypt(&k, chosen), "payload {i}");
+        assert_eq!(
+            &payloads[i],
+            if choices[i] {
+                &secrets[i].1
+            } else {
+                &secrets[i].0
+            }
+        );
+    }
+    assert_eq!(me, OtMessageE { pairs }.encode(), "M_E wire bytes");
+}
+
+/// Every width but 16 limbs runs `mod_pow` per pair: one and two limbs,
+/// and a 33-limb modulus past the CIOS kernels' 32-limb ceiling.
 #[test]
 fn oversized_moduli_fall_back_to_scalar() {
-    // 33 limbs of Crandall shape: 2^2112 − 159.
-    let p = Ubig::one().shl(33 * 64).sub(&Ubig::from_u64(159));
-    assert!(CrandallCtx::new(&p).is_none(), "33-limb modulus must be rejected");
-    let ctx = MontgomeryCtx::new(p.clone());
     let mut rng = StdRng::seed_from_u64(0xD1FF_0004);
-    let bases = quad(&p, &mut rng);
-    let exps: [Ubig; 4] = std::array::from_fn(|_| Ubig::random_below(&Ubig::one().shl(128), &mut rng));
-    let out = ctx.mod_pow_x4(&bases, &exps);
-    for l in 0..4 {
-        assert_eq!(out[l], ctx.mod_pow(&bases[l], &exps[l]), "lane {l}");
+    let moduli = [
+        Ubig::from_u64((1 << 61) - 1),
+        Ubig::from_hex("ffffffffffffffffffffffffffffff61"),
+        Ubig::one().shl(33 * 64).sub(&Ubig::from_u64(159)),
+    ];
+    for m in moduli {
+        let ctx = MontgomeryCtx::new(m.clone());
+        let bases: Vec<Ubig> = (0..9).map(|_| Ubig::random_below(&m, &mut rng)).collect();
+        let exps: Vec<Ubig> = (0..9)
+            .map(|_| Ubig::random_below(&Ubig::one().shl(128), &mut rng))
+            .collect();
+        assert_matches_scalar(&ctx, &bases, &exps, 4);
     }
 }
