@@ -15,8 +15,14 @@
 //! with `*_x48` ops reporting per-exponentiation cost (total / 48), then
 //! one record naming the 16-limb Montgomery kernel the run used
 //! (`{"op": "mont_kernel_1024", "kernel": "adx" | "portable"}`) and one
-//! naming the kernel behind `DhGroup::pow_many`
+//! naming the kernel behind `DhGroup::pow_many` and the comb walk of
+//! `DhGroup::pow_g_many`
 //! (`{"op": "pow_many_kernel_1024", "kernel": "ifma8" | "scalar"}`).
+//!
+//! On `ifma8` hosts the single-call `modp1024_pow_g_fixed_base` and
+//! `modp1024_inv_pow_g` rows time a lane group of eight padded around
+//! one exponent; `modp1024_pow_g_x48` is the per-walk cost of the
+//! 48-exponent calls the OT makes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,6 +137,11 @@ fn main() {
     let exps: Vec<Ubig> = (0..48).map(|_| group.random_exponent(&mut rng48)).collect();
     samples.push(time_op_amortized("modp1024_general_modexp_x48", 48, || {
         std::hint::black_box(group.pow_many(&bases, &exps));
+    }));
+    // 48 comb walks in one `pow_g_many` call, the shape of rounds A and B
+    // and the `k¹` fold.
+    samples.push(time_op_amortized("modp1024_pow_g_x48", 48, || {
+        std::hint::black_box(group.pow_g_many(&exps));
     }));
     samples.push(time_op("modp1024_inv_pow_g", || {
         std::hint::black_box(group.inv_pow_g(&x));

@@ -122,7 +122,7 @@ impl MobileAgreement {
         let t = Instant::now();
         self.x_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
         let (sender, ma) = rounds::sender_round_a(
-            self.core.group.get(),
+            self.core.group,
             payload_pairs(&self.x_pairs),
             &mut self.core.rng,
         );
@@ -216,7 +216,7 @@ impl MobileAgreement {
         self.core.arrive(MessageKind::OtA, arrival)?;
         let t = Instant::now();
         let (receiver, mb) = rounds::receiver_round_b(
-            self.core.group.get(),
+            self.core.group,
             &self.seed,
             &frame.payload,
             &mut self.core.rng,
@@ -235,7 +235,7 @@ impl MobileAgreement {
         self.core.arrive(MessageKind::OtB, arrival)?;
         let sender = self.sender.as_ref().expect("sender set in start()");
         let t = Instant::now();
-        let me = rounds::sender_round_e(sender, self.core.group.get(), &frame.payload)
+        let me = rounds::sender_round_e(sender, self.core.group, &frame.payload)
             .map_err(ot_err)?;
         let d = self.core.spend(t);
         self.core.stages.ot_round_e += d;
@@ -257,7 +257,7 @@ impl MobileAgreement {
         self.core.arrive(MessageKind::OtE, arrival)?;
         let receiver = self.receiver.as_ref().expect("receiver set in respond_ot_a");
         let t = Instant::now();
-        let y_received = rounds::receiver_finish(receiver, self.core.group.get(), &frame.payload)
+        let y_received = rounds::receiver_finish(receiver, self.core.group, &frame.payload)
             .map_err(ot_err)?;
         // K_M = x₁^{sm₁} ‖ y₁^{sm₁} ‖ … (own pair selected by own seed,
         // plus the sequence obliviously received — also seed-selected).

@@ -134,35 +134,6 @@ impl DeadlineBudgets {
     }
 }
 
-/// The machine's group handle: sessions on MODP-1024 share the
-/// process-wide instance (its fixed-base tables are expensive), while
-/// tiny-group test sessions own a private cheap copy — so the machine is
-/// `'static` and self-contained either way.
-#[derive(Debug)]
-pub(crate) enum GroupSlot {
-    /// The shared MODP-1024 group.
-    Shared(&'static DhGroup),
-    /// A privately owned (tiny test) group.
-    Owned(Box<DhGroup>),
-}
-
-impl GroupSlot {
-    pub(crate) fn from_config(config: &AgreementConfig) -> GroupSlot {
-        if config.use_tiny_group {
-            GroupSlot::Owned(Box::new(DhGroup::tiny_test_group()))
-        } else {
-            GroupSlot::Shared(DhGroup::modp_1024_shared())
-        }
-    }
-
-    pub(crate) fn get(&self) -> &DhGroup {
-        match self {
-            GroupSlot::Shared(g) => g,
-            GroupSlot::Owned(b) => b,
-        }
-    }
-}
-
 /// The party-agnostic half of a protocol machine: configuration, group,
 /// RNG, logical clock, compute/stage accounting, and deadline handling.
 ///
@@ -173,7 +144,9 @@ impl GroupSlot {
 #[derive(Debug)]
 pub(crate) struct PartyCore {
     pub(crate) config: AgreementConfig,
-    pub(crate) group: GroupSlot,
+    /// The process-wide shared group: MODP-1024, or the tiny test group
+    /// under `use_tiny_group`. Its comb table is built once per process.
+    pub(crate) group: &'static DhGroup,
     pub(crate) rng: StdRng,
     pub(crate) budgets: DeadlineBudgets,
     pub(crate) state: State,
@@ -203,7 +176,11 @@ impl PartyCore {
         }
         Ok(PartyCore {
             config: *config,
-            group: GroupSlot::from_config(config),
+            group: if config.use_tiny_group {
+                DhGroup::tiny_test_group_shared()
+            } else {
+                DhGroup::modp_1024_shared()
+            },
             rng,
             budgets,
             state: State::Init,

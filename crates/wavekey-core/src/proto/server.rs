@@ -113,7 +113,7 @@ impl ServerAgreement {
         let t = Instant::now();
         self.y_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
         let (sender, ma) = rounds::sender_round_a(
-            self.core.group.get(),
+            self.core.group,
             payload_pairs(&self.y_pairs),
             &mut self.core.rng,
         );
@@ -205,7 +205,7 @@ impl ServerAgreement {
         self.core.arrive(MessageKind::OtA, arrival)?;
         let t = Instant::now();
         let (receiver, mb) = rounds::receiver_round_b(
-            self.core.group.get(),
+            self.core.group,
             &self.seed,
             &frame.payload,
             &mut self.core.rng,
@@ -224,7 +224,7 @@ impl ServerAgreement {
         self.core.arrive(MessageKind::OtB, arrival)?;
         let sender = self.sender.as_ref().expect("sender set in start()");
         let t = Instant::now();
-        let me = rounds::sender_round_e(sender, self.core.group.get(), &frame.payload)
+        let me = rounds::sender_round_e(sender, self.core.group, &frame.payload)
             .map_err(ot_err)?;
         let d = self.core.spend(t);
         self.core.stages.ot_round_e += d;
@@ -238,7 +238,7 @@ impl ServerAgreement {
         self.core.arrive(MessageKind::OtE, arrival)?;
         let receiver = self.receiver.as_ref().expect("receiver set in respond_ot_a");
         let t = Instant::now();
-        let x_received = rounds::receiver_finish(receiver, self.core.group.get(), &frame.payload)
+        let x_received = rounds::receiver_finish(receiver, self.core.group, &frame.payload)
             .map_err(ot_err)?;
         // K_R = x₁^{sr₁} ‖ y₁^{sr₁} ‖ … (the sequence obliviously
         // received, plus the own pair — both selected by own seed).

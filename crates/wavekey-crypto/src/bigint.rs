@@ -6,11 +6,11 @@
 //! multiply plus REDC, which avoids general long division entirely. On
 //! x86-64 CPUs with BMI2 and ADX the 1024-bit width runs on the
 //! `mulx`/`adcx`/`adox` rows of the `adx` module, and on CPUs with
-//! AVX512-IFMA [`MontgomeryCtx::mod_pow_many`] runs 1024-bit
-//! exponentiations eight at a time on the lanes of the `ifma` module. A
-//! schoolbook remainder (Knuth's Algorithm D) serves one-time setup
-//! (computing `R² mod n`), reducing random samples, and exponent
-//! arithmetic.
+//! AVX512-IFMA [`MontgomeryCtx::mod_pow_many`] and the generator comb
+//! walk run 1024-bit exponentiations eight at a time on the lanes of the
+//! `ifma` module. A schoolbook remainder (Knuth's Algorithm D) serves
+//! one-time setup (computing `R² mod n`), reducing random samples, and
+//! exponent arithmetic.
 
 #[cfg(target_arch = "x86_64")]
 use crate::{adx, ifma};
@@ -546,10 +546,12 @@ pub fn mont_kernel_1024() -> &'static str {
     "portable"
 }
 
-/// Name of the kernel behind [`MontgomeryCtx::mod_pow_many`] at 16
+/// Name of the kernel behind [`MontgomeryCtx::mod_pow_many`] and the
+/// generator comb walk of
+/// [`DhGroup::pow_g_many`](crate::group::DhGroup::pow_g_many) at 16
 /// limbs: `"ifma8"` (eight lanes) on x86-64 CPUs with AVX-512F and
-/// AVX512-IFMA, `"scalar"` (one [`MontgomeryCtx::mod_pow`] per pair)
-/// elsewhere.
+/// AVX512-IFMA, `"scalar"` (one [`MontgomeryCtx::mod_pow`] per pair, one
+/// [`MontgomeryCtx::pow_fixed_base`] per exponent) elsewhere.
 pub fn pow_many_kernel_1024() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if ifma::available() {
@@ -804,9 +806,10 @@ pub struct MontgomeryCtx {
     r2_fixed: Vec<u64>,
     /// `1` in Montgomery form (`R mod n`), padded to `k` limbs.
     one_fixed: Vec<u64>,
-    /// Radix-2^52 constants for [`MontgomeryCtx::mod_pow_many`]'s
-    /// eight-lane kernel, present for 16-limb moduli. Boxed, so contexts
-    /// of other widths (one per tiny-group gateway session) stay small.
+    /// Radix-2^52 constants for the eight-lane kernels of
+    /// [`MontgomeryCtx::mod_pow_many`] and
+    /// [`MontgomeryCtx::pow_comb_many`], present for 16-limb moduli.
+    /// Boxed, so contexts of other widths stay small.
     #[cfg(target_arch = "x86_64")]
     lanes: Option<Box<ifma::Consts>>,
 }
@@ -1084,6 +1087,69 @@ impl MontgomeryCtx {
         // below n.
         let out = unsafe { ifma::mod_pow_8(lanes, &lane_limbs(&reduced), &lane_limbs(exps)) };
         out[..bases.len()].iter().map(|r| ubig_from_limbs(r)).collect()
+    }
+
+    /// The `ifma` comb table of `base` for
+    /// [`MontgomeryCtx::pow_comb_many`], or `None` for a modulus other
+    /// than 16 limbs or a CPU without AVX512-IFMA.
+    ///
+    /// Five scalar Montgomery squarings per window give the window bases
+    /// `base^(2^(5i))`, which leave Montgomery form for the lane passes.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn lane_comb_table(&self, base: &Ubig) -> Option<ifma::CombTable> {
+        let lanes = self.lanes.as_deref().filter(|_| ifma::available())?;
+        let unit = pad_limbs(&Ubig::one(), self.k);
+        let mut cur = self.to_mont_fixed(&base.rem(&self.n));
+        let mut tmp = vec![0u64; self.k];
+        let mut bases = vec![[0u64; 16]; ifma::COMB_WINDOWS];
+        for plain in &mut bases {
+            self.mont_mul_fixed(&cur, &unit, plain);
+            for _ in 0..ifma::WINDOW {
+                self.mont_sqr_fixed(&cur, &mut tmp);
+                std::mem::swap(&mut cur, &mut tmp);
+            }
+        }
+        // SAFETY: `ifma::available()` returned true above.
+        Some(unsafe { ifma::comb_table(lanes, &bases) })
+    }
+
+    /// `base^exps[i] mod n` for every `i`, each equal to
+    /// [`MontgomeryCtx::mod_pow`] of `base` and `exps[i]`, where `t` is
+    /// [`MontgomeryCtx::lane_comb_table`] of `base`.
+    ///
+    /// Exponents go eight at a time through the `ifma` comb walk, one
+    /// product per 5-bit window and no branch or load address that
+    /// depends on an exponent. The groups fan out through
+    /// [`wavekey_par::map`], and the last one is padded with zero
+    /// exponents whose results are dropped. An exponent wider than the
+    /// table's 1025 bits runs `mod_pow` instead.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn pow_comb_many(
+        &self,
+        t: &ifma::CombTable,
+        base: &Ubig,
+        exps: &[Ubig],
+    ) -> Vec<Ubig> {
+        const L: usize = ifma::LANES;
+        let lanes = self.lanes.as_deref().expect("a lane comb table needs lane constants");
+        let covered = |x: &Ubig| x.bit_len() <= ifma::COMB_BITS;
+        let groups = exps.len().div_ceil(L);
+        let work = L * ifma::COMB_WINDOWS * self.k * self.k;
+        let out = wavekey_par::map(groups, groups * work, |g| {
+            let xs = &exps[g * L..exps.len().min(g * L + L)];
+            let lane_exps = std::array::from_fn(|l| match xs.get(l) {
+                Some(x) if covered(x) => &x.limbs[..],
+                _ => &[][..],
+            });
+            // SAFETY: a comb table exists only once `ifma::comb_table`
+            // has run, which requires `ifma::available()`.
+            let walked = unsafe { ifma::comb_8(lanes, t, &lane_exps) };
+            xs.iter()
+                .zip(&walked)
+                .map(|(x, r)| if covered(x) { ubig_from_limbs(r) } else { self.mod_pow(base, x) })
+                .collect::<Vec<_>>()
+        });
+        out.into_iter().flatten().collect()
     }
 
     /// Reference modular exponentiation: the original bit-at-a-time

@@ -7,6 +7,8 @@
 //! parameters, exactly as in the paper's model.
 
 use crate::bigint::{is_probable_prime, FixedBaseTable, MontgomeryCtx, Ubig};
+#[cfg(target_arch = "x86_64")]
+use crate::ifma;
 use rand::rngs::StdRng;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -20,15 +22,28 @@ pub const MODP_1024_HEX: &str = concat!(
     "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF",
 );
 
-/// Fixed-base comb window width for generator powers. 6 bits puts the
-/// MODP-1024 table at ⌈1024/6⌉ · 63 ≈ 10.8k entries ≈ 1.4 MB and the
+/// Window width of the scalar fixed-base comb. 6 bits puts the MODP-1024
+/// table at ⌈1024/6⌉ · 63 = 10,773 entries (1.32 MiB) and the
 /// per-exponentiation cost at ≤ 171 Montgomery multiplications (versus
 /// ~1024 squarings for square-and-multiply) — see DESIGN.md §7.
 const FIXED_BASE_WINDOW: usize = 6;
 
+/// The generator's comb table, in exactly one of two forms.
+#[derive(Debug, Clone)]
+enum Comb {
+    /// 5-bit windows in radix 2^52, walked eight exponents at a time on
+    /// the `ifma` lanes (0.97 MiB for MODP-1024): 16-limb groups on CPUs
+    /// with AVX512-IFMA.
+    #[cfg(target_arch = "x86_64")]
+    Lanes(ifma::CombTable),
+    /// The scalar w = 6 comb everywhere else, and the lane walk's
+    /// differential oracle.
+    Scalar(FixedBaseTable),
+}
+
 /// A fixed prime-modulus DH group with precomputed Montgomery context and
-/// a fixed-base comb table of generator powers (built once per group,
-/// reused by every `pow_g` across all OT instances and sessions).
+/// one comb table of generator powers (built once per group, reused by
+/// every `pow_g_many` across all OT instances and sessions).
 #[derive(Debug, Clone)]
 pub struct DhGroup {
     ctx: MontgomeryCtx,
@@ -37,16 +52,26 @@ pub struct DhGroup {
     /// (the generator's order divides it), used to invert generator
     /// powers without a Fermat inversion.
     order: Ubig,
-    fixed_base: FixedBaseTable,
+    comb: Comb,
 }
 
 impl DhGroup {
     fn with_params(p: Ubig, generator: Ubig) -> DhGroup {
         let ctx = MontgomeryCtx::new(p);
         let order = ctx.modulus().sub(&Ubig::one());
+        let comb = Self::comb_for(&ctx, &generator);
+        DhGroup { ctx, generator, order, comb }
+    }
+
+    /// The lane comb table where the context and CPU allow it, else the
+    /// scalar one; never both.
+    fn comb_for(ctx: &MontgomeryCtx, generator: &Ubig) -> Comb {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(table) = ctx.lane_comb_table(generator) {
+            return Comb::Lanes(table);
+        }
         let max_exp_bits = ctx.modulus().bit_len();
-        let fixed_base = ctx.fixed_base_table(&generator, max_exp_bits, FIXED_BASE_WINDOW);
-        DhGroup { ctx, generator, order, fixed_base }
+        Comb::Scalar(ctx.fixed_base_table(generator, max_exp_bits, FIXED_BASE_WINDOW))
     }
 
     /// The standard WaveKey group: 1024-bit MODP, generator 2.
@@ -55,7 +80,7 @@ impl DhGroup {
     }
 
     /// The process-wide shared MODP-1024 group. Building a [`DhGroup`]
-    /// precomputes the fixed-base table, so protocol code should use this
+    /// precomputes the comb table, so protocol code should use this
     /// shared instance to amortize that cost across sessions. Backed by
     /// the keyed [`PrecompCache`]; the `&'static` shape is kept for the
     /// hot paths that want a borrow with no refcount traffic.
@@ -76,11 +101,18 @@ impl DhGroup {
         DhGroup::with_params(Ubig::from_u64((1u64 << 61) - 1), Ubig::from_u64(37))
     }
 
-    /// The cache-backed shared tiny test group: same parameters as
-    /// [`DhGroup::tiny_test_group`], but the comb table is built once per
-    /// process instead of once per session.
-    pub fn tiny_test_group_shared() -> Arc<DhGroup> {
-        PrecompCache::global().get(&Ubig::from_u64((1u64 << 61) - 1), &Ubig::from_u64(37))
+    /// The process-wide shared tiny test group: same parameters as
+    /// [`DhGroup::tiny_test_group`], built once per process through the
+    /// [`PrecompCache`], so every tiny-group session borrows one group
+    /// instead of owning a copy of its comb table.
+    pub fn tiny_test_group_shared() -> &'static DhGroup {
+        static SHARED: OnceLock<Arc<DhGroup>> = OnceLock::new();
+        SHARED
+            .get_or_init(|| {
+                PrecompCache::global()
+                    .get(&Ubig::from_u64((1u64 << 61) - 1), &Ubig::from_u64(37))
+            })
+            .as_ref()
     }
 
     /// The group modulus `u` (paper notation).
@@ -95,7 +127,7 @@ impl DhGroup {
 
     /// `u − 1`, the order of the full multiplicative group mod `u`. The
     /// OT sender folds exponent algebra (`−a² mod (u−1)`) through this
-    /// ([`DhGroup::neg_exponent`]) before hitting the fixed-base table.
+    /// ([`DhGroup::neg_exponent`]) before hitting the comb table.
     pub fn order(&self) -> &Ubig {
         &self.order
     }
@@ -105,23 +137,38 @@ impl DhGroup {
         self.modulus().bit_len().div_ceil(8)
     }
 
-    /// Rough cost of one exponentiation in 64-bit limb multiply-adds
-    /// (exponent bits × limbs²): the `work` estimate for
-    /// [`wavekey_par`] loops over exponentiations, so MODP-1024 batches
-    /// split across threads and tiny-group batches stay inline.
-    pub fn modexp_work(&self) -> usize {
-        self.ctx.modexp_work()
+    /// `g^x mod u` for every `x` in `xs`, each equal to
+    /// [`DhGroup::pow`] of the generator, through the group's comb table:
+    /// one Montgomery multiplication per exponent window, no squarings.
+    /// This is the kernel under the OT's `M_A` and `M_B` and the `k¹`
+    /// fold.
+    ///
+    /// With the lane table (1024-bit groups on CPUs with AVX512-IFMA) the
+    /// exponents go eight at a time through an always-multiply walk with
+    /// masked table reads, and a trailing group of fewer than eight is
+    /// padded. The scalar table walks one exponent at a time and skips
+    /// zero digits. Either way the calls fan out through
+    /// [`wavekey_par::map`], and an exponent wider than the table runs a
+    /// general exponentiation.
+    pub fn pow_g_many(&self, xs: &[Ubig]) -> Vec<Ubig> {
+        match &self.comb {
+            #[cfg(target_arch = "x86_64")]
+            Comb::Lanes(t) => self.ctx.pow_comb_many(t, &self.generator, xs),
+            Comb::Scalar(t) => wavekey_par::map(xs.len(), xs.len() * self.ctx.modexp_work(), |i| {
+                self.ctx.pow_fixed_base(t, &xs[i])
+            }),
+        }
     }
 
-    /// `g^x mod u` via the precomputed fixed-base comb table: at most one
-    /// Montgomery multiplication per exponent digit, no squarings. This
-    /// is the kernel under the deadline-bound `M_A`/`M_B` preparation.
+    /// `g^x mod u`: a one-element [`DhGroup::pow_g_many`]. With the lane
+    /// table that is a padded group of eight, so batch callers should use
+    /// `pow_g_many` directly.
     pub fn pow_g(&self, x: &Ubig) -> Ubig {
-        self.ctx.pow_fixed_base(&self.fixed_base, x)
+        self.pow_g_many(std::slice::from_ref(x)).pop().expect("one exponent, one power")
     }
 
-    /// `g^(−x) mod u`, computed as `g^(u−1−x)` through the same
-    /// fixed-base table — far cheaper than a Fermat inversion of `g^x`.
+    /// `g^(−x) mod u`, computed as `g^(u−1−x)` through the same comb
+    /// table — far cheaper than a Fermat inversion of `g^x`.
     pub fn inv_pow_g(&self, x: &Ubig) -> Ubig {
         self.pow_g(&self.neg_exponent(x))
     }
@@ -183,9 +230,12 @@ impl DhGroup {
         e.to_be_bytes_padded(self.element_len())
     }
 
-    /// Parses a fixed-width element, reducing modulo `u`.
-    pub fn decode_element(&self, bytes: &[u8]) -> Ubig {
-        Ubig::from_be_bytes(bytes).rem(self.modulus())
+    /// Parses a fixed-width element: `None` for 0 and for any encoding
+    /// of `u` or above, which no honest party sends. A peer that could
+    /// send 0 would zero the OT keys derived from it.
+    pub fn decode_element(&self, bytes: &[u8]) -> Option<Ubig> {
+        let e = Ubig::from_be_bytes(bytes);
+        (!e.is_zero() && e.cmp_abs(self.modulus()) == Ordering::Less).then_some(e)
     }
 
     /// Verifies that the group modulus is prime (sanity check; expensive
@@ -198,13 +248,14 @@ impl DhGroup {
 /// Process-wide cache of per-deployment group precomputation, keyed by
 /// `(modulus, generator)`.
 ///
-/// Building a [`DhGroup`] costs a full comb-table precomputation (~1.4 MB
-/// and ~10 ms for MODP-1024), which must be paid once per *deployment
-/// group*, never once per session: `SessionManager` shards, the parallel
-/// drive, and the gateway all resolve their group through here. The
-/// map is guarded by a plain mutex — after the first build per key, a
-/// lookup is a hash probe plus an `Arc` clone, nowhere near any hot
-/// loop.
+/// Building a [`DhGroup`] costs a full comb-table precomputation (for
+/// MODP-1024, 0.97 MiB and ~1–2 ms for the lane table on CPUs with
+/// AVX512-IFMA, 1.32 MiB and ~3–8 ms for the scalar one elsewhere),
+/// which must be paid once per *deployment group*, never once per
+/// session: `SessionManager` shards, the parallel drive, and the gateway
+/// all resolve their group through here. The map is guarded by a plain
+/// mutex — after the first build per key, a lookup is a hash probe plus
+/// an `Arc` clone, nowhere near any hot loop.
 pub struct PrecompCache {
     groups: Mutex<HashMap<(Vec<u8>, Vec<u8>), Arc<DhGroup>>>,
 }
@@ -289,7 +340,7 @@ mod tests {
         let e = Ubig::random_below(g.modulus(), &mut rng);
         let bytes = g.encode_element(&e);
         assert_eq!(bytes.len(), 128);
-        assert_eq!(g.decode_element(&bytes), e);
+        assert_eq!(g.decode_element(&bytes), Some(e));
     }
 
     #[test]
@@ -341,7 +392,7 @@ mod tests {
         let cache = PrecompCache::global();
         let a = cache.get(&Ubig::from_u64((1u64 << 61) - 1), &Ubig::from_u64(37));
         let b = DhGroup::tiny_test_group_shared();
-        assert!(Arc::ptr_eq(&a, &b), "same key must share one table build");
+        assert!(std::ptr::eq(&*a, b), "same key must share one table build");
         // Cached group behaves exactly like a fresh build.
         let fresh = DhGroup::tiny_test_group();
         let x = Ubig::from_u64(0xABCDEF);
@@ -349,7 +400,7 @@ mod tests {
         assert_eq!((a.modulus(), a.generator()), (fresh.modulus(), fresh.generator()));
         // A different generator is a different cache entry.
         let c = cache.get(&Ubig::from_u64((1u64 << 61) - 1), &Ubig::from_u64(5));
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(!std::ptr::eq(&*a, &*c));
         assert_ne!(a.generator(), c.generator());
         assert!(!cache.is_empty());
     }

@@ -55,7 +55,7 @@ impl OtMessageA {
     /// # Errors
     ///
     /// Returns [`OtError::Malformed`] when the length is not a whole number
-    /// of elements.
+    /// of elements, or when an element is 0 or not below `u`.
     pub fn decode(group: &DhGroup, bytes: &[u8]) -> Result<OtMessageA, OtError> {
         Ok(OtMessageA { elements: decode_elements(group, bytes)? })
     }
@@ -72,7 +72,7 @@ impl OtMessageB {
     /// # Errors
     ///
     /// Returns [`OtError::Malformed`] when the length is not a whole number
-    /// of elements.
+    /// of elements, or when an element is 0 or not below `u`.
     pub fn decode(group: &DhGroup, bytes: &[u8]) -> Result<OtMessageB, OtError> {
         Ok(OtMessageB { elements: decode_elements(group, bytes)? })
     }
@@ -146,12 +146,19 @@ fn encode_elements(group: &DhGroup, elements: &[Ubig]) -> Vec<u8> {
     out
 }
 
+/// Parses fixed-width elements, rejecting any that is 0 or not below
+/// `u`. A zero `M_B` would give the receiver both keys of an instance
+/// (`k⁰ = k¹ = H(0)`), and a zero `M_A` would make `M_B` zero exactly on
+/// choice-1 instances, showing the sender every choice bit.
 fn decode_elements(group: &DhGroup, bytes: &[u8]) -> Result<Vec<Ubig>, OtError> {
     let w = group.element_len();
     if bytes.len() % w != 0 {
         return Err(OtError::Malformed);
     }
-    Ok(bytes.chunks_exact(w).map(|c| group.decode_element(c)).collect())
+    bytes
+        .chunks_exact(w)
+        .map(|c| group.decode_element(c).ok_or(OtError::Malformed))
+        .collect()
 }
 
 /// Errors from the OT protocol layer.
@@ -189,16 +196,15 @@ impl OtSender {
     /// per instance), returning the sender state and the batched `M_A`.
     ///
     /// Exponent sampling stays sequential (deterministic per RNG seed);
-    /// the independent `g^{a_i}` exponentiations fan out in parallel.
+    /// the `g^{a_i}` comb walks all go through one
+    /// [`DhGroup::pow_g_many`] call.
     pub fn start(
         group: &DhGroup,
         secrets: Vec<(Vec<u8>, Vec<u8>)>,
         rng: &mut StdRng,
     ) -> (OtSender, OtMessageA) {
         let a: Vec<Ubig> = secrets.iter().map(|_| group.random_exponent(rng)).collect();
-        let work = a.len() * group.modexp_work();
-        let elements = wavekey_par::map(a.len(), work, |i| group.pow_g(&a[i]));
-        let msg = OtMessageA { elements };
+        let msg = OtMessageA { elements: group.pow_g_many(&a) };
         (OtSender { secrets, a }, msg)
     }
 
@@ -224,16 +230,17 @@ impl OtSender {
     }
 
     /// Processes the receiver's `M_B` and produces the ciphertext batch
-    /// `M_E`. Instances share no state, so the per-instance key
-    /// derivations run in parallel.
+    /// `M_E`.
     ///
     /// Each instance costs one general exponentiation (`n^a`, shared by
     /// both keys, all of them through [`DhGroup::pow_many`]) and one
-    /// comb walk: the naive `k¹ = H((n·g^{−a})^a)`
-    /// is folded algebraically into `H(n^a · g^{−a² mod (u−1)})` —
-    /// valid because the generator's order divides `u−1` — so its
-    /// ~1020 squarings become a fixed-base table walk. The canonical
-    /// group element, and so the key, is the same as the naive form's.
+    /// comb walk (all of them through [`DhGroup::pow_g_many`]): the naive
+    /// `k¹ = H((n·g^{−a})^a)` is folded algebraically into
+    /// `H(n^a · g^{−a² mod (u−1)})` — valid because the generator's order
+    /// divides `u−1` — so its ~1020 squarings become a fixed-base table
+    /// walk. The canonical group element, and so the key, is the same as
+    /// the naive form's. What is left per instance is one product, two
+    /// hashes and the CTR encryptions.
     ///
     /// # Errors
     ///
@@ -244,16 +251,18 @@ impl OtSender {
             return Err(OtError::BatchMismatch);
         }
         let na = group.pow_many(&msg_b.elements, &self.a);
-        // One comb walk per instance, costed like a general
-        // exponentiation as in `start`.
-        let work = self.secrets.len() * group.modexp_work();
-        let pairs = wavekey_par::map(self.secrets.len(), work, |i| {
-            let (x0, x1) = &self.secrets[i];
-            let a = &self.a[i];
-            let k1 = derive_key(group, &group.mul(&na[i], &group.inv_pow_g(&a.mul(a))));
-            let k0 = derive_key(group, &na[i]);
-            (ctr_encrypt(&k0, x0), ctr_encrypt(&k1, x1))
-        });
+        let neg_a2: Vec<Ubig> = self.a.iter().map(|a| group.neg_exponent(&a.mul(a))).collect();
+        let g_neg_a2 = group.pow_g_many(&neg_a2);
+        let pairs = self
+            .secrets
+            .iter()
+            .zip(na.iter().zip(&g_neg_a2))
+            .map(|((x0, x1), (na, g_neg_a2))| {
+                let k0 = derive_key(group, na);
+                let k1 = derive_key(group, &group.mul(na, g_neg_a2));
+                (ctr_encrypt(&k0, x0), ctr_encrypt(&k1, x1))
+            })
+            .collect();
         Ok(OtMessageE { pairs })
     }
 
@@ -287,8 +296,9 @@ pub struct OtReceiver {
 impl OtReceiver {
     /// Responds to the sender's `M_A` with the blinded choices `M_B`.
     ///
-    /// Blinding-exponent sampling stays sequential; the per-instance
-    /// exponentiations fan out in parallel.
+    /// Blinding-exponent sampling stays sequential; the `g^{b_i}` comb
+    /// walks all go through one [`DhGroup::pow_g_many`] call, and each
+    /// instance then blinds with one product.
     pub fn respond(
         group: &DhGroup,
         choices: &[bool],
@@ -299,11 +309,13 @@ impl OtReceiver {
             return Err(OtError::BatchMismatch);
         }
         let b: Vec<Ubig> = choices.iter().map(|_| group.random_exponent(rng)).collect();
-        let work = choices.len() * group.modexp_work();
-        let elements = wavekey_par::map(choices.len(), work, |i| {
-            blind(group, choices[i], &msg_a.elements[i], &group.pow_g(&b[i]))
-        });
-        let msg = OtMessageB { elements: elements.clone() };
+        let gb = group.pow_g_many(&b);
+        let elements = choices
+            .iter()
+            .zip(msg_a.elements.iter().zip(&gb))
+            .map(|(&choice, (m_a, gb))| blind(group, choice, m_a, gb))
+            .collect();
+        let msg = OtMessageB { elements };
         Ok((
             OtReceiver { choices: choices.to_vec(), b, m_a: msg_a.elements.clone() },
             msg,
@@ -677,6 +689,29 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_zero_and_unreduced_elements() {
+        // 0, u, u+1 and the all-0xFF encoding are never honest
+        // elements: 0 would zero the keys derived from it, and an
+        // encoding of u or above is not a reduced element.
+        for group in [DhGroup::tiny_test_group_shared(), DhGroup::modp_1024_shared()] {
+            let (u, w) = (group.modulus(), group.element_len());
+            let honest = group.encode_element(&group.pow_g(&Ubig::from_u64(5)));
+            assert!(OtMessageA::decode(group, &honest).is_ok());
+            let all_ff = Ubig::from_be_bytes(&vec![0xFF; w]);
+            for bad in [Ubig::zero(), u.clone(), u.add(&Ubig::one()), all_ff] {
+                let bytes = bad.to_be_bytes_padded(w);
+                // The bad element alone, and behind an honest one.
+                for frame in [bytes.clone(), [honest.clone(), bytes].concat()] {
+                    let a = OtMessageA::decode(group, &frame);
+                    assert_eq!(a.unwrap_err(), OtError::Malformed, "M_A {bad}");
+                    let b = OtMessageB::decode(group, &frame);
+                    assert_eq!(b.unwrap_err(), OtError::Malformed, "M_B {bad}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn observed_variants_match_plain_and_record_spans() {
         let group = DhGroup::tiny_test_group();
         let secrets = vec![(b"lefty".to_vec(), b"right".to_vec())];
@@ -713,8 +748,7 @@ mod tests {
 
     #[test]
     fn branch_free_blinding_matches_branchy_form() {
-        let tiny = DhGroup::tiny_test_group_shared();
-        for group in [&*tiny, DhGroup::modp_1024_shared()] {
+        for group in [DhGroup::tiny_test_group_shared(), DhGroup::modp_1024_shared()] {
             let cases_n = if group.modulus().bit_len() > 64 { 16 } else { 256 };
             rand::check::cases("branch_free_blinding_matches_branchy_form", cases_n, |rng| {
                 let m_a = Ubig::random_below(group.modulus(), rng);

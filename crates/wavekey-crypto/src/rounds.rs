@@ -178,6 +178,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_m_a_is_rejected_before_any_choice_is_blinded() {
+        // Against M_A = 0 an honest M_B would be 0 exactly on the
+        // choice-1 instances, so the receiver must refuse to answer.
+        for group in [DhGroup::tiny_test_group_shared(), DhGroup::modp_1024_shared()] {
+            let mut rng = StdRng::seed_from_u64(3);
+            let (_, ma) = sender_round_a(group, vec![(vec![1], vec![2]); 2], &mut rng);
+            let (w, zero) = (group.element_len(), vec![0; group.element_len()]);
+            for bad in [[&zero[..], &zero[..]].concat(), [&ma[..w], &zero[..]].concat()] {
+                assert_eq!(
+                    receiver_round_b(group, &[false, true], &bad, &mut rng).unwrap_err(),
+                    OtError::Malformed
+                );
+            }
+        }
+    }
+
+    #[test]
     fn batch_mismatch_is_rejected_at_every_round() {
         let group = DhGroup::tiny_test_group();
         let mut rng = StdRng::seed_from_u64(2);
