@@ -1,5 +1,6 @@
 //! Machine-readable crypto micro-benchmarks: times the exponentiation
-//! kernels, the 48-instance OT rounds and the full MODP-1024 agreement,
+//! kernels, SHA-256 and HMAC at the OT's and the access verify's input
+//! sizes, the 48-instance OT rounds and the full MODP-1024 agreement,
 //! then writes `results/BENCH_crypto.json` so future PRs can track the
 //! perf trajectory.
 //!
@@ -17,7 +18,9 @@
 //! (`{"op": "mont_kernel_1024", "kernel": "adx" | "portable"}`) and one
 //! naming the kernel behind `DhGroup::pow_many` and the comb walk of
 //! `DhGroup::pow_g_many`
-//! (`{"op": "pow_many_kernel_1024", "kernel": "ifma8" | "scalar"}`).
+//! (`{"op": "pow_many_kernel_1024", "kernel": "ifma8" | "scalar"}`),
+//! and one naming the SHA-256 compression kernel behind the two hash
+//! rows (`{"op": "sha256_kernel", "kernel": "shani" | "portable"}`).
 //!
 //! On `ifma8` hosts the single-call `modp1024_pow_g_fixed_base` and
 //! `modp1024_inv_pow_g` rows time a lane group of eight padded around
@@ -32,6 +35,8 @@ use wavekey_core::channel::PassiveChannel;
 use wavekey_crypto::bigint::{mont_kernel_1024, pow_many_kernel_1024, Ubig};
 use wavekey_crypto::group::DhGroup;
 use wavekey_crypto::ot::{OtReceiver, OtSender};
+use wavekey_crypto::sha256::sha256_kernel;
+use wavekey_crypto::{hmac_sha256, sha256};
 
 /// Minimum total measurement time per op (seconds); `WAVEKEY_BENCH_WINDOW`
 /// overrides it (the CI overhead gate uses a longer window so the slow
@@ -119,6 +124,16 @@ fn main() {
 
     let mut samples = Vec::new();
 
+    // `H(element)` of the OT: one 128-byte MODP-1024 element, three blocks.
+    let element = base.to_be_bytes_padded(128);
+    samples.push(time_op("sha256_128B", || {
+        std::hint::black_box(sha256(std::hint::black_box(&element)));
+    }));
+    // The access verify: a 32-byte key over a 32-byte message, four blocks.
+    let (key, message) = ([0x5a; 32], [0xa5; 32]);
+    samples.push(time_op("hmac_sha256_32B", || {
+        std::hint::black_box(hmac_sha256(std::hint::black_box(&key), &message));
+    }));
     samples.push(time_op("modp1024_mod_mul", || {
         std::hint::black_box(group.mul(&base, &other));
     }));
@@ -192,7 +207,10 @@ fn main() {
     json.push_str(&format!("  {{\"op\": \"mont_kernel_1024\", \"kernel\": \"{kernel}\"}},\n"));
     let lanes = pow_many_kernel_1024();
     println!("{:<46} {lanes}", "pow_many_kernel_1024");
-    json.push_str(&format!("  {{\"op\": \"pow_many_kernel_1024\", \"kernel\": \"{lanes}\"}}\n]\n"));
+    json.push_str(&format!("  {{\"op\": \"pow_many_kernel_1024\", \"kernel\": \"{lanes}\"}},\n"));
+    let hash = sha256_kernel();
+    println!("{:<46} {hash}", "sha256_kernel");
+    json.push_str(&format!("  {{\"op\": \"sha256_kernel\", \"kernel\": \"{hash}\"}}\n]\n"));
 
     write_out(&out_path, &json);
 }

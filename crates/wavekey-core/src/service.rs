@@ -552,18 +552,15 @@ impl AccessService {
         mac: &[u8],
     ) -> bool {
         self.obs.inc("service_verify_requests");
-        let key = match self.store.key_for(tenant, epc.0) {
-            Ok(k) => k.map(|k| k.to_vec()),
-            Err(_) => {
-                self.obs.inc("service_verify_store_errors");
-                None
+        // The MAC is computed on the borrowed key: neither arm allocates.
+        let accepted = match self.store.key_for(tenant, epc.0) {
+            Ok(Some(key)) => {
+                wavekey_crypto::hmac::mac_eq(&wavekey_crypto::hmac_sha256(key, message), mac)
             }
-        };
-        let accepted = match key {
-            Some(key) => {
-                wavekey_crypto::hmac::mac_eq(&wavekey_crypto::hmac_sha256(&key, message), mac)
-            }
-            None => {
+            missing => {
+                if missing.is_err() {
+                    self.obs.inc("service_verify_store_errors");
+                }
                 let dummy = wavekey_crypto::hmac_sha256(&self.dummy_key, message);
                 let _ = std::hint::black_box(wavekey_crypto::hmac::mac_eq(&dummy, mac));
                 false

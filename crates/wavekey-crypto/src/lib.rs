@@ -13,6 +13,7 @@
 //!   two parties agree on (the paper's public primes `g`, `u`).
 //! * [`sha256`] / [`hmac`] — FIPS 180-4 SHA-256 and RFC 2104 HMAC, used as
 //!   the OT key-derivation hash `H(·)` and the final key confirmation.
+//!   Blocks compress on the x86 SHA extensions where the CPU has them.
 //! * [`cipher`] — a SHA-256-CTR keystream cipher implementing the OT
 //!   payload encryption `E(x, k)`.
 //! * [`ot`] — the "simplest OT" of Chou-Orlandi (Fig. 3 of the paper),
@@ -38,6 +39,8 @@ pub mod kdf;
 pub mod ot;
 pub mod rounds;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod shani;
 
 pub use bigint::Ubig;
 pub use cipher::{ctr_decrypt, ctr_encrypt};

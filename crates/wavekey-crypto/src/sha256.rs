@@ -2,6 +2,12 @@
 //!
 //! Used as the OT key-derivation hash `H(·)`, inside HMAC, and as the
 //! keystream generator of the [`crate::cipher`] module.
+//!
+//! Every block goes through one compression function: on x86-64 CPUs
+//! with the SHA extensions it runs the `sha256rnds2` kernel of the
+//! `shani` module, elsewhere the scalar `portable_compress`, which is
+//! also the kernel's oracle in the tests. Both return the same bits;
+//! [`sha256_kernel`] names the one this process runs.
 
 /// SHA-256 initial hash values.
 const H0: [u32; 8] = [
@@ -10,7 +16,7 @@ const H0: [u32; 8] = [
 ];
 
 /// SHA-256 round constants.
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
     0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
     0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
@@ -101,8 +107,31 @@ impl Sha256 {
     }
 }
 
-/// The SHA-256 compression function over one 64-byte block.
+/// The SHA-256 compression function over one 64-byte block: the SHA
+/// extensions kernel (the `shani` module) when the CPU has it,
+/// [`portable_compress`] otherwise.
 fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::shani::available() {
+        // SAFETY: `available()` checked SHA, SSE2, SSSE3 and SSE4.1.
+        return unsafe { crate::shani::compress(h, block) };
+    }
+    portable_compress(h, block)
+}
+
+/// Name of the SHA-256 compression kernel this process runs: `"shani"`
+/// on x86-64 CPUs with the SHA extensions, `"portable"` elsewhere.
+pub fn sha256_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::shani::available() {
+        return "shani";
+    }
+    "portable"
+}
+
+/// The SHA-256 compression function over one 64-byte block, in scalar
+/// Rust: the round loop of FIPS 180-4 §6.2.2.
+pub(crate) fn portable_compress(h: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -156,22 +185,44 @@ pub fn to_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    /// FIPS 180-4 / NIST CAVP test vectors.
+    /// SHA-256 with the padding written out and every block run through
+    /// [`portable_compress`]: the oracle for the streaming hasher and the
+    /// dispatched kernel.
+    fn portable_sha256(data: &[u8]) -> [u8; 32] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        padded.resize((data.len() + 9).next_multiple_of(64) - 8, 0);
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut h = H0;
+        for block in padded.chunks_exact(64) {
+            portable_compress(&mut h, block.try_into().expect("64-byte block"));
+        }
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(h) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// FIPS 180-4 / NIST CAVP test vectors, through the dispatched kernel
+    /// and through [`portable_sha256`].
     #[test]
     fn nist_vectors() {
-        assert_eq!(
-            to_hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            to_hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            to_hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        let vectors: [(&[u8], &str); 3] = [
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ];
+        for (input, want) in vectors {
+            assert_eq!(to_hex(&sha256(input)), want);
+            assert_eq!(to_hex(&portable_sha256(input)), want);
+        }
     }
 
     #[test]
@@ -200,6 +251,7 @@ mod tests {
         for (len, want) in vectors {
             let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
             assert_eq!(to_hex(&sha256(&data)), want, "length {len}");
+            assert_eq!(to_hex(&portable_sha256(&data)), want, "portable, length {len}");
             // Any split into two updates digests the same.
             for cut in [0, 1.min(len), len / 2, len.saturating_sub(1), len] {
                 let mut hasher = Sha256::new();
@@ -207,6 +259,52 @@ mod tests {
                 hasher.update(&data[cut..]);
                 assert_eq!(to_hex(&hasher.finalize()), want, "length {len} cut {cut}");
             }
+        }
+    }
+
+    /// The SHA extensions kernel against [`portable_compress`] on random
+    /// states and blocks, and on the initial state with the all-zero and
+    /// the all-ones block.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn shani_matches_portable_compression() {
+        if !crate::shani::available() {
+            eprintln!(
+                "skipped: this CPU lacks the SHA extensions; the portable kernel is the only path"
+            );
+            return;
+        }
+        let check = |h: [u32; 8], block: [u8; 64]| {
+            let (mut fast, mut oracle) = (h, h);
+            // SAFETY: `available()` returned true above.
+            unsafe { crate::shani::compress(&mut fast, &block) };
+            portable_compress(&mut oracle, &block);
+            assert_eq!(fast, oracle, "state {h:08x?}, block {block:02x?}");
+        };
+        check(H0, [0; 64]);
+        check(H0, [0xff; 64]);
+        rand::check::cases("shani_matches_portable_compression", 256, |rng| {
+            check(std::array::from_fn(|_| rng.gen()), std::array::from_fn(|_| rng.gen()));
+        });
+    }
+
+    /// The streaming hasher on the dispatched kernel against
+    /// [`portable_sha256`] at every length up to five blocks, and on one
+    /// 130-byte input split into two updates at every point.
+    #[test]
+    fn sha256_matches_portable_at_every_length() {
+        let mut rng = StdRng::seed_from_u64(320);
+        let data: Vec<u8> = (0..320).map(|_| rng.gen()).collect();
+        for len in 0..=data.len() {
+            assert_eq!(sha256(&data[..len]), portable_sha256(&data[..len]), "length {len}");
+        }
+        let input = &data[..130];
+        let want = portable_sha256(input);
+        for cut in 0..=input.len() {
+            let mut hasher = Sha256::new();
+            hasher.update(&input[..cut]);
+            hasher.update(&input[cut..]);
+            assert_eq!(hasher.finalize(), want, "cut {cut}");
         }
     }
 
