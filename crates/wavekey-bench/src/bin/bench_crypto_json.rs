@@ -47,8 +47,6 @@ fn min_window() -> f64 {
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.25)
 }
-/// Iteration cap for very slow ops.
-const MAX_ITERS: usize = 10_000;
 
 struct Sample {
     op: String,
@@ -56,10 +54,9 @@ struct Sample {
     iters: usize,
 }
 
-/// Times `f` adaptively: doubles the iteration count until the run
-/// exceeds [`min_window`], then reports the mean.
-fn time_op<F: FnMut()>(op: &str, mut f: F) -> Sample {
-    let min_window = min_window();
+/// Times `f` adaptively: doubles the iteration count until one run
+/// lasts at least `window` seconds, then reports that run's mean.
+fn time_op<F: FnMut()>(op: &str, window: f64, mut f: F) -> Sample {
     f(); // warm-up (also warms caches / lazy statics)
     let mut iters = 1usize;
     loop {
@@ -68,17 +65,17 @@ fn time_op<F: FnMut()>(op: &str, mut f: F) -> Sample {
             f();
         }
         let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= min_window || iters >= MAX_ITERS {
+        if elapsed >= window {
             return Sample { op: op.into(), mean_ns: elapsed * 1e9 / iters as f64, iters };
         }
-        iters = (iters * 2).min(MAX_ITERS);
+        iters *= 2;
     }
 }
 
 /// Like [`time_op`], but reports the amortized per-item mean for a
 /// closure that processes `n` items per call.
-fn time_op_amortized<F: FnMut()>(op: &str, n: usize, f: F) -> Sample {
-    let mut s = time_op(op, f);
+fn time_op_amortized<F: FnMut()>(op: &str, window: f64, n: usize, f: F) -> Sample {
+    let mut s = time_op(op, window, f);
     s.mean_ns /= n as f64;
     s
 }
@@ -115,6 +112,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut rng = StdRng::seed_from_u64(7);
     let out_path = args.first().cloned().unwrap_or_else(|| "results/BENCH_crypto.json".into());
+    let window = min_window();
 
     let group = DhGroup::modp_1024_shared();
     let x = group.random_exponent(&mut rng);
@@ -126,21 +124,21 @@ fn main() {
 
     // `H(element)` of the OT: one 128-byte MODP-1024 element, three blocks.
     let element = base.to_be_bytes_padded(128);
-    samples.push(time_op("sha256_128B", || {
+    samples.push(time_op("sha256_128B", window, || {
         std::hint::black_box(sha256(std::hint::black_box(&element)));
     }));
     // The access verify: a 32-byte key over a 32-byte message, four blocks.
     let (key, message) = ([0x5a; 32], [0xa5; 32]);
-    samples.push(time_op("hmac_sha256_32B", || {
+    samples.push(time_op("hmac_sha256_32B", window, || {
         std::hint::black_box(hmac_sha256(std::hint::black_box(&key), &message));
     }));
-    samples.push(time_op("modp1024_mod_mul", || {
+    samples.push(time_op("modp1024_mod_mul", window, || {
         std::hint::black_box(group.mul(&base, &other));
     }));
-    samples.push(time_op("modp1024_pow_g_fixed_base", || {
+    samples.push(time_op("modp1024_pow_g_fixed_base", window, || {
         std::hint::black_box(group.pow_g(&x));
     }));
-    samples.push(time_op("modp1024_general_modexp", || {
+    samples.push(time_op("modp1024_general_modexp", window, || {
         std::hint::black_box(group.pow(&base, &x));
     }));
     // 48 general exponentiations in one `pow_many` call, the shape of
@@ -150,15 +148,15 @@ fn main() {
     let bases: Vec<Ubig> =
         (0..48).map(|_| Ubig::random_below(group.modulus(), &mut rng48)).collect();
     let exps: Vec<Ubig> = (0..48).map(|_| group.random_exponent(&mut rng48)).collect();
-    samples.push(time_op_amortized("modp1024_general_modexp_x48", 48, || {
+    samples.push(time_op_amortized("modp1024_general_modexp_x48", window, 48, || {
         std::hint::black_box(group.pow_many(&bases, &exps));
     }));
     // 48 comb walks in one `pow_g_many` call, the shape of rounds A and B
     // and the `k¹` fold.
-    samples.push(time_op_amortized("modp1024_pow_g_x48", 48, || {
+    samples.push(time_op_amortized("modp1024_pow_g_x48", window, 48, || {
         std::hint::black_box(group.pow_g_many(&exps));
     }));
-    samples.push(time_op("modp1024_inv_pow_g", || {
+    samples.push(time_op("modp1024_inv_pow_g", window, || {
         std::hint::black_box(group.inv_pow_g(&x));
     }));
 
@@ -169,17 +167,17 @@ fn main() {
     let (sender, ma) = OtSender::start(group, secrets, &mut StdRng::seed_from_u64(20));
     let (_, mb) =
         OtReceiver::respond(group, &choices, &ma, &mut StdRng::seed_from_u64(21)).unwrap();
-    samples.push(time_op("modp1024_ot_sender_encrypt48", || {
+    samples.push(time_op("modp1024_ot_sender_encrypt48", window, || {
         std::hint::black_box(sender.encrypt(group, &mb).unwrap());
     }));
 
-    samples.push(time_op("ot_batch48_three_rounds", || {
+    samples.push(time_op("ot_batch48_three_rounds", window, || {
         std::hint::black_box(ot48(group));
     }));
 
     let s: Vec<bool> = (0..48).map(|_| rng.gen()).collect();
     let config = AgreementConfig { tau: 10.0, ..Default::default() };
-    samples.push(time_op("agreement_full_modp1024_seed48_key256", || {
+    samples.push(time_op("agreement_full_modp1024_seed48_key256", window, || {
         let mut rng_m = StdRng::seed_from_u64(31);
         let mut rng_s = StdRng::seed_from_u64(32);
         std::hint::black_box(
@@ -213,4 +211,19 @@ fn main() {
     json.push_str(&format!("  {{\"op\": \"sha256_kernel\", \"kernel\": \"{hash}\"}}\n]\n"));
 
     write_out(&out_path, &json);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fast_ops_are_timed_over_the_whole_window() {
+        let window = 0.002;
+        let s = time_op("noop", window, || {
+            std::hint::black_box(0u64);
+        });
+        let total_ns = s.iters as f64 * s.mean_ns;
+        assert!(total_ns >= window * 1e9, "{} iters over {total_ns} ns", s.iters);
+    }
 }

@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! cargo run --release -p wavekey-bench --bin concurrent_sessions [out_path]
-//! cargo run --release -p wavekey-bench --bin concurrent_sessions throughput [out_path]
 //! ```
 //!
 //! This is the demonstration (and the CI gate's evidence) that the
@@ -16,17 +15,11 @@
 //! same success count as running them one at a time. The JSON records
 //! both success counts, a `keys_bit_identical` flag, and wall-clock
 //! throughput for each mode.
-//!
-//! The `throughput` mode instead compares the sequential round-robin
-//! scheduler against [`SessionManager::run_to_completion_parallel`] at
-//! 1, 2, and 4 worker threads, asserting bit-identical per-session
-//! outcomes, and writes sessions/sec for each width to
-//! `results/BENCH_throughput.json` (consumed by the CI throughput gate).
 
 use rand::rngs::StdRng;
 use std::time::Instant;
 use wavekey_core::agreement::{run_agreement, AgreementConfig};
-use wavekey_core::channel::{Adversary, PassiveChannel};
+use wavekey_core::channel::PassiveChannel;
 use wavekey_core::SessionManager;
 
 const SESSIONS: u64 = 48;
@@ -43,138 +36,11 @@ fn rngs(i: u64) -> (StdRng, StdRng) {
     wavekey_bench::traffic::rng_pair(0xA11CE, 0xB0B, i)
 }
 
-/// Spawns the benchmark's standard batch of sessions into a fresh manager.
-fn spawn_batch(config: &AgreementConfig) -> (SessionManager, Vec<u64>) {
-    let mut adversary = PassiveChannel;
-    let mut manager = SessionManager::new(8);
-    let mut ids = Vec::new();
-    for i in 0..SESSIONS {
-        let (s_m, s_r) = seed_pair(i);
-        let (rng_m, rng_r) = rngs(i);
-        ids.push(
-            manager
-                .spawn(&s_m, &s_r, config, rng_m, rng_r, &mut adversary)
-                .expect("spawn session"),
-        );
-    }
-    (manager, ids)
-}
-
-/// `true` when every session's outcome in `a` matches `b` bit for bit:
-/// same success/failure, and on success the same mobile key, server key,
-/// and quantized key bits.
-fn same_outcomes(a: &SessionManager, b: &SessionManager, ids: &[u64]) -> bool {
-    ids.iter().all(|id| match (a.outcome(*id), b.outcome(*id)) {
-        (Some(Ok(x)), Some(Ok(y))) => {
-            x.agreement.key == y.agreement.key
-                && x.server_key == y.server_key
-                && x.agreement.key_bits == y.agreement.key_bits
-        }
-        (Some(Err(_)), Some(Err(_))) => true,
-        _ => false,
-    })
-}
-
-/// The `throughput` mode: sequential round-robin scheduler vs the
-/// work-stealing parallel drive at 1/2/4 threads, with bit-identical
-/// outcomes asserted between every pair of modes.
-fn throughput_mode(out_path: &str, config: &AgreementConfig) {
-    // Sequential reference: the round-robin scheduler.
-    let (mut seq_manager, ids) = spawn_batch(config);
-    let t0 = Instant::now();
-    let sequential_success = seq_manager.run_to_completion(&mut PassiveChannel);
-    let sequential_s = t0.elapsed().as_secs_f64();
-    let sequential_sps = SESSIONS as f64 / sequential_s;
-
-    println!("sessions               {SESSIONS}");
-    println!("sequential             {sequential_s:.4} s  ({sequential_sps:.1} sessions/s)");
-
-    let factory: &(dyn Fn() -> Box<dyn Adversary + Send> + Sync) =
-        &|| Box::new(PassiveChannel) as Box<dyn Adversary + Send>;
-    let available_parallelism =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads_used = [1usize, 2, 4];
-    let mut keys_bit_identical = true;
-    let mut successes_equal = true;
-    let mut rows = Vec::new();
-    let mut best_parallel_sps = 0.0f64;
-    let mut best_threads = 0usize;
-    for threads in threads_used {
-        let (mut manager, par_ids) = spawn_batch(config);
-        assert_eq!(par_ids, ids, "deterministic spawn order");
-        let t = Instant::now();
-        let success = manager.run_to_completion_parallel(threads, factory);
-        let wall_s = t.elapsed().as_secs_f64();
-        let sps = SESSIONS as f64 / wall_s;
-        if sps > best_parallel_sps {
-            best_parallel_sps = sps;
-            best_threads = threads;
-        }
-        keys_bit_identical &= same_outcomes(&manager, &seq_manager, &ids);
-        successes_equal &= success == sequential_success;
-        println!(
-            "parallel x{threads}            {wall_s:.4} s  ({sps:.1} sessions/s)  successes {success}"
-        );
-        rows.push(format!(
-            "    {{ \"threads\": {threads}, \"wall_s\": {wall_s:.6}, \"sessions_per_sec\": {sps:.3} }}"
-        ));
-    }
-    println!("keys bit-identical     {keys_bit_identical}");
-    println!("successes equal        {successes_equal}");
-    println!("available parallelism  {available_parallelism}");
-    // Surface scaling regressions instead of letting a small host mask
-    // them: on a machine with the cores to exploit, the widest tested
-    // width should win; anywhere else the reader must know the host
-    // could not have shown a scaling win in the first place.
-    let max_threads = *threads_used.last().unwrap();
-    if best_threads != max_threads {
-        if available_parallelism >= max_threads {
-            println!(
-                "WARNING: best throughput at {best_threads} threads, not the maximum tested \
-                 ({max_threads}) — parallel scaling regression on a {available_parallelism}-way host"
-            );
-        } else {
-            println!(
-                "WARNING: best throughput at {best_threads} threads (max tested {max_threads}); \
-                 host exposes only {available_parallelism} — scaling unverifiable on this machine"
-            );
-        }
-    }
-
-    let json = format!(
-        "{{\n  \"sessions\": {SESSIONS},\n  \
-         \"sequential_success\": {sequential_success},\n  \
-         \"sequential_wall_s\": {sequential_s:.6},\n  \
-         \"sequential_sessions_per_sec\": {sequential_sps:.3},\n  \
-         \"threads_used\": [{}],\n  \
-         \"available_parallelism\": {available_parallelism},\n  \
-         \"parallel\": [\n{}\n  ],\n  \
-         \"best_threads\": {best_threads},\n  \
-         \"best_parallel_sessions_per_sec\": {best_parallel_sps:.3},\n  \
-         \"successes_equal\": {successes_equal},\n  \
-         \"keys_bit_identical\": {keys_bit_identical}\n}}\n",
-        threads_used.map(|t| t.to_string()).join(", "),
-        rows.join(",\n")
-    );
-    if let Some(parent) = std::path::Path::new(out_path).parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    std::fs::write(out_path, json).expect("write BENCH_throughput.json");
-    println!("\nwrote {out_path}");
-}
-
 fn main() {
     let config =
         AgreementConfig { use_tiny_group: true, tau: 10.0, bch_t: 5, ..Default::default() };
-    let mut args = std::env::args().skip(1);
-    let first = args.next();
-    if first.as_deref() == Some("throughput") {
-        let out_path =
-            args.next().unwrap_or_else(|| "results/BENCH_throughput.json".into());
-        throughput_mode(&out_path, &config);
-        return;
-    }
-    let out_path = first.unwrap_or_else(|| "results/BENCH_concurrent.json".into());
+    let out_path =
+        std::env::args().nth(1).unwrap_or_else(|| "results/BENCH_concurrent.json".into());
 
     // --- Interleaved: all sessions live at once, one frame per step.
     let mut adversary = PassiveChannel;

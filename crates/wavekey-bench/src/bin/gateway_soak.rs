@@ -39,7 +39,7 @@ use wavekey_gateway::{
     drive_mobile, server_rng, Executor, Gateway, GatewayConfig, SessionOutcome, SimNet,
     StreamFaults,
 };
-use wavekey_obs::{Json, Obs};
+use wavekey_obs::{EventScope, Json, Obs};
 
 const SEED_BASE: u64 = 0x6A7E_0000;
 const MOBILE_RNG_BASE: u64 = 0x6A7E_0B11;
@@ -170,6 +170,7 @@ fn lockstep_mirror(soak: &FleetStats, server_seed: u64) -> (u64, bool) {
             &mut rng_m,
             &mut rng_r,
             &mut PassiveChannel,
+            &EventScope::disabled(),
         );
         identical &= matches!(&outcome, Ok(out) if out.key == *gateway_key);
         checked += 1;

@@ -16,8 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wavekey_bench::{
-    agreement_failure_label, print_row, print_sep, trace_from_agreement, trained_models,
-    write_results, Scale,
+    print_row, print_sep, trace_from_agreement, trained_models, write_results, Scale,
 };
 use wavekey_core::agreement::{run_agreement, AgreementConfig};
 use wavekey_core::channel::PassiveChannel;
@@ -78,7 +77,7 @@ fn main() {
                 Ok(out) => set.push(trace_from_agreement(i as u64 + 1, &out)),
                 Err(e) => {
                     let mut trace = SessionTrace::new(i as u64 + 1);
-                    trace.outcome = agreement_failure_label(&e);
+                    trace.outcome = e.label();
                     set.push(trace);
                 }
             }

@@ -245,22 +245,36 @@ pub enum AgreementError {
     /// The session manager evicted the session (idle timeout or a peer
     /// that vanished mid-protocol).
     Evicted,
-    /// The worker thread driving the session died (panicked adversary or
-    /// driver bug); the failure is confined to this session.
-    Worker(String),
 }
 
 impl AgreementError {
     /// The typed failure taxonomy: `true` for channel-level faults that
     /// bounded retransmission (or simply retrying the enrolment) can
     /// plausibly clear — lost frames, mangled bytes, a starved scheduler.
-    /// Deadline violations, crypto failures, and config/worker errors are
+    /// Deadline violations, crypto failures, and config errors are
     /// terminal: retrying the same exchange cannot fix them.
     pub fn is_recoverable(&self) -> bool {
         matches!(
             self,
             AgreementError::Dropped(_) | AgreementError::Wire(_) | AgreementError::Evicted
         )
+    }
+
+    /// The short failure label of session traces, flight records and
+    /// the `wavekey_failures_total{label=...}` counters (e.g.
+    /// `"timeout_ota"`, `"reconciliation_failed"`).
+    pub fn label(&self) -> String {
+        match self {
+            AgreementError::BadSeeds => "bad_seeds".to_string(),
+            AgreementError::Timeout(k) => format!("timeout_{k:?}").to_lowercase(),
+            AgreementError::Dropped(k) => format!("dropped_{k:?}").to_lowercase(),
+            AgreementError::Ot(_) => "ot_error".to_string(),
+            AgreementError::ReconciliationFailed => "reconciliation_failed".to_string(),
+            AgreementError::ConfirmationFailed => "confirmation_failed".to_string(),
+            AgreementError::Config(_) => "bad_config".to_string(),
+            AgreementError::Wire(_) => "wire_error".to_string(),
+            AgreementError::Evicted => "evicted".to_string(),
+        }
     }
 }
 
@@ -276,7 +290,6 @@ impl std::fmt::Display for AgreementError {
             AgreementError::Config(msg) => write!(f, "bad agreement config: {msg}"),
             AgreementError::Wire(msg) => write!(f, "wire error: {msg}"),
             AgreementError::Evicted => write!(f, "session evicted by manager"),
-            AgreementError::Worker(msg) => write!(f, "worker failure: {msg}"),
         }
     }
 }
@@ -307,65 +320,15 @@ pub fn run_agreement(
     rng_server: &mut StdRng,
     adversary: &mut dyn Adversary,
 ) -> Result<AgreementOutcome, AgreementError> {
-    crate::proto::driver::drive_lockstep(s_m, s_r, config, rng_mobile, rng_server, adversary)
-}
-
-/// [`run_agreement`] plus causal timeline emission: when `obs` is
-/// enabled, both machines emit state-transition events under
-/// `session_id` (actors "mobile" / "server" over one shared sequence)
-/// through [`crate::proto::driver::drive_lockstep_observed`]. With a
-/// disabled handle this is exactly [`run_agreement`].
-///
-/// # Errors
-///
-/// See [`run_agreement`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_agreement_observed(
-    s_m: &[bool],
-    s_r: &[bool],
-    config: &AgreementConfig,
-    rng_mobile: &mut StdRng,
-    rng_server: &mut StdRng,
-    adversary: &mut dyn Adversary,
-    obs: &Obs,
-    session_id: u64,
-) -> Result<AgreementOutcome, AgreementError> {
-    let events = wavekey_obs::EventScope::new(obs, session_id, "driver");
-    crate::proto::driver::drive_lockstep_observed(
-        s_m, s_r, config, rng_mobile, rng_server, adversary, &events,
+    crate::proto::driver::drive_lockstep(
+        s_m,
+        s_r,
+        config,
+        rng_mobile,
+        rng_server,
+        adversary,
+        &wavekey_obs::EventScope::disabled(),
     )
-}
-
-/// [`run_agreement`] plus observability: on success the per-stage compute
-/// timings (already measured for the logical clocks) are recorded as
-/// pre-measured spans on `obs`, and success/failure counters are kept.
-///
-/// With a disabled handle this is exactly [`run_agreement`].
-///
-/// # Errors
-///
-/// See [`run_agreement`].
-pub fn run_agreement_with_obs(
-    s_m: &[bool],
-    s_r: &[bool],
-    config: &AgreementConfig,
-    rng_mobile: &mut StdRng,
-    rng_server: &mut StdRng,
-    adversary: &mut dyn Adversary,
-    obs: &Obs,
-) -> Result<AgreementOutcome, AgreementError> {
-    let result = run_agreement(s_m, s_r, config, rng_mobile, rng_server, adversary);
-    if obs.is_enabled() {
-        obs.inc("agreement_runs_total");
-        match &result {
-            Ok(outcome) => {
-                outcome.stages.record_to(obs);
-                obs.event("preliminary_mismatch_bits", outcome.preliminary_mismatch_bits as f64);
-            }
-            Err(_) => obs.inc("agreement_failures_total"),
-        }
-    }
-    result
 }
 
 /// Runs only the *information layer* of the agreement — sequence-pair
@@ -756,6 +719,24 @@ mod tests {
     }
 
     #[test]
+    fn failure_labels_are_pinned_per_variant() {
+        let cases = [
+            (AgreementError::BadSeeds, "bad_seeds"),
+            (AgreementError::Timeout(MessageKind::OtA), "timeout_ota"),
+            (AgreementError::Dropped(MessageKind::OtE), "dropped_ote"),
+            (AgreementError::Ot("x".into()), "ot_error"),
+            (AgreementError::ReconciliationFailed, "reconciliation_failed"),
+            (AgreementError::ConfirmationFailed, "confirmation_failed"),
+            (AgreementError::Config("x".into()), "bad_config"),
+            (AgreementError::Wire("x".into()), "wire_error"),
+            (AgreementError::Evicted, "evicted"),
+        ];
+        for (err, label) in cases {
+            assert_eq!(err.label(), label, "{err:?}");
+        }
+    }
+
+    #[test]
     fn elapsed_includes_gesture_window() {
         let mut rng = StdRng::seed_from_u64(13);
         let s = random_seed(48, &mut rng);
@@ -778,30 +759,5 @@ mod tests {
         assert_eq!(out.stages.deadline_s, 12.0); // gesture_window 2 + τ 10
         assert!(out.stages.deadline_consumed_s > 0.0);
         assert!(out.stages.deadline_consumed_s <= out.stages.deadline_s);
-    }
-
-    #[test]
-    fn with_obs_records_every_stage_span() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let s = random_seed(48, &mut rng);
-        let (obs, mem) = Obs::with_memory();
-        let mut rm = StdRng::seed_from_u64(1);
-        let mut rs = StdRng::seed_from_u64(2);
-        run_agreement_with_obs(&s, &s, &test_config(), &mut rm, &mut rs, &mut PassiveChannel, &obs)
-            .unwrap();
-        let names: Vec<String> = mem.spans().iter().map(|(n, _)| n.clone()).collect();
-        for expected in [
-            stage::OT_ROUND_A,
-            stage::OT_ROUND_B,
-            stage::OT_ROUND_E,
-            stage::PRELIM_KEY,
-            stage::ECC_RECONCILE,
-            stage::HMAC_CONFIRM,
-        ] {
-            assert!(names.contains(&expected.to_string()), "missing span {expected}");
-        }
-        let text = obs.prometheus_text();
-        assert!(text.contains("agreement_runs_total 1"));
-        assert!(!text.contains("agreement_failures_total"));
     }
 }

@@ -138,7 +138,7 @@ pub struct FaultPlan {
     schedule: Vec<ScheduledFault>,
     counts: HashMap<(Direction, MessageKind), u64>,
     injected: Vec<InjectedFault>,
-    inner: Option<Box<dyn Adversary + Send>>,
+    inner: Option<Box<dyn Adversary>>,
 }
 
 impl std::fmt::Debug for FaultPlan {
@@ -190,7 +190,7 @@ impl FaultPlan {
     /// Composes this plan over another adversary: `inner` intercepts
     /// first (and may mutate the frame); a non-`Forward` verdict from it
     /// stands and the plan's own decision is skipped for that frame.
-    pub fn wrapping(mut self, inner: Box<dyn Adversary + Send>) -> FaultPlan {
+    pub fn wrapping(mut self, inner: Box<dyn Adversary>) -> FaultPlan {
         self.inner = Some(inner);
         self
     }

@@ -57,8 +57,7 @@ pub mod session;
 pub mod training;
 
 pub use agreement::{
-    run_agreement, run_agreement_with_obs, AgreementConfig, AgreementError, AgreementOutcome,
-    AgreementStages, RetryPolicy,
+    run_agreement, AgreementConfig, AgreementError, AgreementOutcome, AgreementStages, RetryPolicy,
 };
 pub use channel::{Adversary, Direction, MessageKind, PassiveChannel};
 pub use config::WaveKeyConfig;

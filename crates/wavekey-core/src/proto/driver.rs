@@ -31,40 +31,16 @@ use wavekey_obs::EventScope;
 /// RNGs are threaded through the machines and their end state is copied
 /// back to the caller on *every* path, so callers chaining runs off one
 /// RNG observe the same stream the monolithic implementation produced.
+/// Both machines bind actor-tagged views of `events` ("mobile" /
+/// "server" sharing one per-session sequence), so every state
+/// transition lands in the scope's event log; pass
+/// [`EventScope::disabled`] to record nothing.
 ///
 /// # Errors
 ///
 /// See [`AgreementError`]; identical taxonomy and precedence as the
 /// monolith this replaced.
 pub fn drive_lockstep(
-    s_m: &[bool],
-    s_r: &[bool],
-    config: &AgreementConfig,
-    rng_mobile: &mut StdRng,
-    rng_server: &mut StdRng,
-    adversary: &mut dyn Adversary,
-) -> Result<AgreementOutcome, AgreementError> {
-    drive_lockstep_observed(
-        s_m,
-        s_r,
-        config,
-        rng_mobile,
-        rng_server,
-        adversary,
-        &EventScope::disabled(),
-    )
-}
-
-/// [`drive_lockstep`] with causal timeline emission: both machines bind
-/// actor-tagged views of `events` ("mobile" / "server" sharing one
-/// per-session sequence), so every state transition lands in the scope's
-/// event log. A disabled scope makes this exactly [`drive_lockstep`].
-///
-/// # Errors
-///
-/// See [`drive_lockstep`].
-#[allow(clippy::too_many_arguments)]
-pub fn drive_lockstep_observed(
     s_m: &[bool],
     s_r: &[bool],
     config: &AgreementConfig,

@@ -14,8 +14,8 @@
 //!   session** (both directions share its budgets, exactly as the
 //!   manager always enforced them).
 //! * [`Endpoint`] — one party's machine behind a party-agnostic face:
-//!   frame routing, idle accounting, and accessors, so drivers hold
-//!   "two endpoints" rather than matching on mobile/server everywhere.
+//!   frame routing and accessors, so drivers hold "two endpoints"
+//!   rather than matching on mobile/server everywhere.
 //!
 //! What deliberately stays with the driver: the channel model itself
 //! (adversary interception, in-flight queues, clean-copy checksums) and
@@ -38,33 +38,23 @@ pub enum Machine {
 
 /// One party's protocol machine behind a party-agnostic interface.
 ///
-/// Beyond delegation, the endpoint tracks per-endpoint idle age for
-/// drivers that evict silent peers (the gateway's idle timeout); the
-/// manager keeps its own session-level idle counter because its
-/// scheduler visits the session, not the endpoint.
+/// Idle eviction is the driver's business, not the endpoint's: the
+/// gateway evicts on executor timers, and the manager counts idle
+/// visits per session because its scheduler visits the session.
 #[derive(Debug)]
 pub struct Endpoint {
     machine: Machine,
-    idle_ticks: u32,
 }
 
 impl Endpoint {
     /// Wraps a mobile machine.
     pub fn mobile(machine: MobileAgreement) -> Endpoint {
-        Endpoint { machine: Machine::Mobile(machine), idle_ticks: 0 }
+        Endpoint { machine: Machine::Mobile(machine) }
     }
 
     /// Wraps a server machine.
     pub fn server(machine: ServerAgreement) -> Endpoint {
-        Endpoint { machine: Machine::Server(machine), idle_ticks: 0 }
-    }
-
-    /// Stable actor label for causal timelines.
-    pub fn actor(&self) -> &'static str {
-        match self.machine {
-            Machine::Mobile(_) => "mobile",
-            Machine::Server(_) => "server",
-        }
+        Endpoint { machine: Machine::Server(machine) }
     }
 
     /// Produces this party's opening `M_A` frame (both parties open; the
@@ -173,23 +163,6 @@ impl Endpoint {
             Machine::Server(s) => Some(s),
         }
     }
-
-    /// Ages the endpoint by one silent scheduler visit and returns the
-    /// new idle age.
-    pub fn idle_tick(&mut self) -> u32 {
-        self.idle_ticks += 1;
-        self.idle_ticks
-    }
-
-    /// Resets the idle age (traffic arrived).
-    pub fn touch(&mut self) {
-        self.idle_ticks = 0;
-    }
-
-    /// Consecutive silent visits since the last [`Endpoint::touch`].
-    pub fn idle_ticks(&self) -> u32 {
-        self.idle_ticks
-    }
 }
 
 /// The budgeted recovery policy for one session.
@@ -230,11 +203,6 @@ impl LinkDiscipline {
     /// Whether any recovery is configured at all.
     pub fn enabled(&self) -> bool {
         self.retry.enabled()
-    }
-
-    /// The underlying policy.
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// Total frames recovery put back on the wire (drop retransmissions
@@ -325,8 +293,6 @@ mod tests {
         let server = ServerAgreement::new(&s, &config, StdRng::seed_from_u64(2)).unwrap();
         let mut a = Endpoint::mobile(mobile);
         let mut b = Endpoint::server(server);
-        assert_eq!(a.actor(), "mobile");
-        assert_eq!(b.actor(), "server");
         assert!(a.as_mobile().is_some() && a.as_server().is_none());
         assert!(b.as_server().is_some() && b.as_mobile().is_none());
 
@@ -354,20 +320,6 @@ mod tests {
         assert_eq!(a.key(), b.key());
         assert!(!a.key().is_empty());
         assert_eq!(a.preliminary_key(), b.preliminary_key());
-    }
-
-    #[test]
-    fn endpoint_idle_age_counts_and_resets() {
-        let config = tiny_config();
-        let s = seeds(24);
-        let mut e = Endpoint::server(
-            ServerAgreement::new(&s, &config, StdRng::seed_from_u64(3)).unwrap(),
-        );
-        assert_eq!(e.idle_ticks(), 0);
-        assert_eq!(e.idle_tick(), 1);
-        assert_eq!(e.idle_tick(), 2);
-        e.touch();
-        assert_eq!(e.idle_ticks(), 0);
     }
 
     #[test]

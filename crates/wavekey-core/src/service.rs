@@ -974,89 +974,6 @@ impl SessionManager {
         self.successes()
     }
 
-    /// Drives all live sessions to completion on a pool of `threads` OS
-    /// threads stealing work from a shared queue, then returns the number
-    /// of successes — the parallel counterpart of [`run_to_completion`].
-    ///
-    /// Outcomes are **bit-identical** to the sequential scheduler (the
-    /// `concurrent_sessions` bench and CI throughput gate assert this):
-    ///
-    /// * Each session is an independent machine pair with private RNG
-    ///   streams and logical clocks; a worker drives one session
-    ///   exclusively, delivering its wire FIFO in the same order the
-    ///   round-robin scheduler would.
-    /// * `make_adversary` builds a fresh interceptor per *session* (not
-    ///   per worker), so interception cannot depend on which worker picks
-    ///   a session up or how sessions interleave.
-    /// * Eviction counts consecutive empty-wire deliveries against the
-    ///   same `idle_timeout_passes` threshold as the sequential pass
-    ///   counter, so silent sessions fail with the same
-    ///   [`AgreementError::Evicted`].
-    ///
-    /// Results are merged in spawn order (ascending id), making
-    /// [`outcomes`](Self::outcomes) deterministic at any thread count.
-    /// `threads == 0` resolves to `WAVEKEY_THREADS` when set, else the
-    /// machine's available parallelism.
-    ///
-    /// [`run_to_completion`]: Self::run_to_completion
-    pub fn run_to_completion_parallel(
-        &mut self,
-        threads: usize,
-        make_adversary: &(dyn Fn() -> Box<dyn Adversary + Send> + Sync),
-    ) -> usize {
-        let threads = if threads == 0 { wavekey_par::threads() } else { threads };
-        let sessions = std::mem::take(&mut self.sessions);
-        self.cursor = 0;
-        let timeout = self.idle_timeout_passes;
-        // A worker failure (a panic while driving one session — e.g. a
-        // buggy adversary) must not poison the whole drive: it is caught
-        // and surfaced as that session's typed `AgreementError::Worker`,
-        // and every other session completes normally.
-        let drive = |mut session: ManagedSession| {
-            let id = session.id;
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut adversary = make_adversary();
-                let result = loop {
-                    if let Some(r) = session.advance(adversary.as_mut(), timeout) {
-                        break r;
-                    }
-                };
-                session.emit_terminal(&result);
-                (session.disc.retransmits(), result)
-            }));
-            match caught {
-                Ok((retransmits, result)) => (id, retransmits, result),
-                Err(payload) => (id, 0, Err(AgreementError::Worker(panic_message(payload.as_ref())))),
-            }
-        };
-        let mut results = if threads <= 1 || sessions.len() <= 1 {
-            sessions.into_iter().map(drive).collect::<Vec<_>>()
-        } else {
-            let queue = std::sync::Mutex::new(sessions);
-            let done = std::sync::Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    // One layer of threads: the crypto loops inside a
-                    // session run inline on its worker.
-                    scope.spawn(|| {
-                        wavekey_par::inline(|| loop {
-                            let Some(session) = queue.lock().unwrap().pop() else { break };
-                            let outcome = drive(session);
-                            done.lock().unwrap().push(outcome);
-                        })
-                    });
-                }
-            });
-            done.into_inner().unwrap()
-        };
-        results.sort_by_key(|&(id, _, _)| id);
-        for (id, retransmits, result) in results {
-            self.retransmits_total += retransmits;
-            self.finish(id, result);
-        }
-        self.successes()
-    }
-
     /// Number of sessions still live.
     pub fn live(&self) -> usize {
         self.sessions.len()
@@ -1090,16 +1007,10 @@ impl SessionManager {
         if matches!(result, Err(AgreementError::Evicted)) {
             self.obs.inc("manager_sessions_evicted");
         }
-        if matches!(result, Err(AgreementError::Worker(_))) {
-            // The session (and its scope) died with the worker: stamp the
-            // post-mortem event on a fresh scope whose sequence starts far
-            // past any live timeline, so it sorts last without colliding.
-            EventScope::starting_at(&self.obs, id, "manager", 1 << 20).emit("worker_panic");
-        }
         if let Err(e) = &result {
             // Per-failure-label counter family plus the recoverable /
             // terminal split of the failure taxonomy.
-            let label = crate::session::agreement_outcome_label(e);
+            let label = e.label();
             self.obs.with_registry(|r| {
                 r.inc_counter(&format!("wavekey_failures_total{{label=\"{label}\"}}"), 1);
             });
@@ -1124,22 +1035,11 @@ impl SessionManager {
                     trace.deadline_s = Some(out.agreement.stages.deadline_s);
                     trace.deadline_consumed_s = Some(out.agreement.stages.deadline_consumed_s);
                 }
-                Err(e) => trace.outcome = crate::session::agreement_outcome_label(e),
+                Err(e) => trace.outcome = e.label(),
             }
             self.obs.session(&trace);
         }
         self.completed.push((id, result));
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 
@@ -1554,88 +1454,6 @@ mod tests {
         }
     }
 
-    /// Spawns `n` deterministic benign sessions into a fresh manager.
-    fn spawn_benign(manager: &mut SessionManager, n: u64) -> Vec<u64> {
-        let config = manager_config();
-        let mut adversary = PassiveChannel;
-        (0..n)
-            .map(|i| {
-                let (s_m, s_r) = seed_pair(100 + i);
-                manager
-                    .spawn(
-                        &s_m,
-                        &s_r,
-                        &config,
-                        StdRng::seed_from_u64(9000 + i),
-                        StdRng::seed_from_u64(9900 + i),
-                        &mut adversary,
-                    )
-                    .expect("spawn")
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_drive_matches_sequential_outcomes_at_any_width() {
-        let n = 6u64;
-        let mut sequential = SessionManager::new(4);
-        let ids = spawn_benign(&mut sequential, n);
-        let seq_successes = sequential.run_to_completion(&mut PassiveChannel);
-
-        for threads in [1usize, 2, 4] {
-            let mut parallel = SessionManager::new(4);
-            let par_ids = spawn_benign(&mut parallel, n);
-            assert_eq!(ids, par_ids, "same spawn order");
-            let par_successes =
-                parallel.run_to_completion_parallel(threads, &|| Box::new(PassiveChannel));
-            assert_eq!(par_successes, seq_successes, "{threads} threads");
-            for id in &ids {
-                let seq = sequential.outcome(*id).expect("seq").as_ref().expect("ok");
-                let par = parallel.outcome(*id).expect("par").as_ref().expect("ok");
-                assert_eq!(par.agreement.key, seq.agreement.key, "session {id}");
-                assert_eq!(par.server_key, seq.server_key);
-                assert_eq!(par.agreement.key_bits, seq.agreement.key_bits);
-                assert_eq!(
-                    par.agreement.preliminary_mismatch_bits,
-                    seq.agreement.preliminary_mismatch_bits
-                );
-            }
-            // Results merge in spawn order regardless of completion order.
-            let order: Vec<u64> = parallel.outcomes().iter().map(|(id, _)| *id).collect();
-            assert_eq!(order, ids);
-        }
-    }
-
-    #[test]
-    fn parallel_drive_preserves_eviction_semantics() {
-        let config = manager_config();
-        let mut manager = SessionManager::new(3);
-        let ids: Vec<u64> = (0..3u64)
-            .map(|i| {
-                let (s_m, s_r) = seed_pair(70 + i);
-                manager
-                    .spawn(
-                        &s_m,
-                        &s_r,
-                        &config,
-                        StdRng::seed_from_u64(81 + i),
-                        StdRng::seed_from_u64(91 + i),
-                        &mut Dropper { target: MessageKind::OtE },
-                    )
-                    .expect("spawn")
-            })
-            .collect();
-        let successes = manager
-            .run_to_completion_parallel(2, &|| Box::new(Dropper { target: MessageKind::OtE }));
-        assert_eq!(successes, 0);
-        for id in ids {
-            assert!(
-                matches!(manager.outcome(id), Some(Err(AgreementError::Evicted))),
-                "session {id} must be evicted"
-            );
-        }
-    }
-
     #[test]
     fn silent_sessions_are_evicted() {
         let config = manager_config();
@@ -1887,63 +1705,9 @@ mod tests {
         assert_eq!(arq.retransmits_total(), 0);
     }
 
-    /// An adversary whose `intercept` panics mid-protocol must not poison
-    /// the parallel drive: the affected sessions complete with the typed
-    /// `Worker` error and the manager stays usable.
-    #[test]
-    fn panicking_adversary_surfaces_as_typed_worker_error() {
-        struct PanickingAdversary;
-        impl Adversary for PanickingAdversary {
-            fn intercept(&mut self, _d: Direction, frame: &mut Frame) -> AdversaryAction {
-                if frame.kind == MessageKind::OtE {
-                    panic!("adversary exploded");
-                }
-                AdversaryAction::Forward
-            }
-        }
-        let recorder = std::sync::Arc::new(wavekey_obs::FlightRecorder::new(8));
-        let mut manager = SessionManager::new(4);
-        manager.set_obs(Obs::new(recorder.clone()));
-        let config = manager_config();
-        let ids: Vec<u64> = (0..3u64)
-            .map(|i| {
-                let (s_m, s_r) = seed_pair(300 + i);
-                manager
-                    .spawn(
-                        &s_m,
-                        &s_r,
-                        &config,
-                        StdRng::seed_from_u64(310 + i),
-                        StdRng::seed_from_u64(320 + i),
-                        &mut PanickingAdversary,
-                    )
-                    .expect("spawn")
-            })
-            .collect();
-        // Silence the default panic-to-stderr hook for the duration.
-        let prior = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let successes = manager.run_to_completion_parallel(2, &|| Box::new(PanickingAdversary));
-        std::panic::set_hook(prior);
-        assert_eq!(successes, 0);
-        for id in ids {
-            match manager.outcome(id) {
-                Some(Err(AgreementError::Worker(msg))) => {
-                    assert!(msg.contains("adversary exploded"), "message: {msg}");
-                }
-                other => panic!("session {id}: expected Worker error, got {other:?}"),
-            }
-        }
-        let text = manager.obs.prometheus_text();
-        assert!(
-            text.contains("wavekey_failures_total{label=\"worker_panic\"} 3"),
-            "labeled counter missing:\n{text}"
-        );
-        assert!(text.contains("manager_failures_terminal 3"));
-    }
-
-    /// Eviction (a recoverable failure class) lands in both the labeled
-    /// failure-counter family and the recoverable/terminal split.
+    /// Eviction (recoverable) and a reconciliation failure (terminal)
+    /// each land in the labeled failure-counter family and in their half
+    /// of the recoverable/terminal split.
     #[test]
     fn failure_labels_reach_the_exporter() {
         let recorder = std::sync::Arc::new(wavekey_obs::FlightRecorder::new(8));
@@ -1962,9 +1726,30 @@ mod tests {
             )
             .expect("spawn");
         manager.run_to_completion(&mut adversary);
+        // The server's seed is the mobile's complement: far past the BCH
+        // radius, so reconciliation fails on a clean channel.
+        let (s_m, _) = seed_pair(10);
+        let s_r: Vec<bool> = s_m.iter().map(|b| !b).collect();
+        let id = manager
+            .spawn(
+                &s_m,
+                &s_r,
+                &manager_config(),
+                StdRng::seed_from_u64(7),
+                StdRng::seed_from_u64(8),
+                &mut PassiveChannel,
+            )
+            .expect("spawn");
+        manager.run_to_completion(&mut PassiveChannel);
+        assert!(matches!(manager.outcome(id), Some(Err(AgreementError::ReconciliationFailed))));
         let text = manager.obs.prometheus_text();
         assert!(text.contains("wavekey_failures_total{label=\"evicted\"} 1"), "{text}");
-        assert!(text.contains("manager_failures_recoverable 1"));
+        assert!(text.contains("manager_failures_recoverable 1"), "{text}");
+        assert!(
+            text.contains("wavekey_failures_total{label=\"reconciliation_failed\"} 1"),
+            "{text}"
+        );
+        assert!(text.contains("manager_failures_terminal 1"), "{text}");
     }
 
     /// The enrolment degradation ladder: BCH escalation re-runs the same

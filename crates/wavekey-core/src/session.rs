@@ -5,7 +5,7 @@
 //! configuration; every call to [`Session::establish_key`] simulates one
 //! fresh user gesture and runs the complete WaveKey workflow of Fig. 2.
 
-use crate::agreement::{AgreementConfig, AgreementError, AgreementOutcome};
+use crate::agreement::{AgreementConfig, AgreementOutcome};
 use crate::bits::hamming_distance;
 use crate::channel::{Adversary, PassiveChannel};
 use crate::config::WaveKeyConfig;
@@ -15,7 +15,7 @@ use crate::Error;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use wavekey_obs::{stage, Obs, SessionTrace};
+use wavekey_obs::{stage, EventScope, Obs, SessionTrace};
 use wavekey_imu::gesture::{Gesture, GestureConfig, GestureGenerator, VolunteerId};
 use wavekey_imu::pipeline::{process_imu, ImuPipelineConfig};
 use wavekey_imu::sensors::{sample_imu, DeviceModel};
@@ -516,15 +516,14 @@ impl Session {
         let agreement_config = self.agreement_config();
         trace.deadline_s = Some(agreement_config.gesture_window + agreement_config.tau);
         let mut rng_server = StdRng::seed_from_u64(self.rng.gen());
-        let outcome = crate::agreement::run_agreement_observed(
+        let outcome = crate::proto::driver::drive_lockstep(
             s_m,
             s_r,
             &agreement_config,
             &mut self.rng,
             &mut rng_server,
             adversary,
-            &self.obs,
-            trace.session_id,
+            &EventScope::new(&self.obs, trace.session_id, "driver"),
         )?;
         for (name, seconds) in outcome.stages.timings() {
             trace.record_stage(name, seconds);
@@ -593,27 +592,10 @@ fn outcome_label(err: &Error) -> String {
     match err {
         Error::Imu(_) => "imu_pipeline_error".to_string(),
         Error::Rfid(_) => "rfid_pipeline_error".to_string(),
-        Error::Agreement(e) => agreement_outcome_label(e),
+        Error::Agreement(e) => e.label(),
         Error::Training(_) => "training_error".to_string(),
         Error::Config(_) => "config_error".to_string(),
         Error::Store(_) => "store_error".to_string(),
-    }
-}
-
-/// Short failure label for an [`AgreementError`] (e.g. `"timeout_ota"`),
-/// shared by session traces and the session manager's flight records.
-pub(crate) fn agreement_outcome_label(e: &AgreementError) -> String {
-    match e {
-        AgreementError::BadSeeds => "bad_seeds".to_string(),
-        AgreementError::Timeout(k) => format!("timeout_{k:?}").to_lowercase(),
-        AgreementError::Dropped(k) => format!("dropped_{k:?}").to_lowercase(),
-        AgreementError::Ot(_) => "ot_error".to_string(),
-        AgreementError::ReconciliationFailed => "reconciliation_failed".to_string(),
-        AgreementError::ConfirmationFailed => "confirmation_failed".to_string(),
-        AgreementError::Config(_) => "bad_config".to_string(),
-        AgreementError::Wire(_) => "wire_error".to_string(),
-        AgreementError::Evicted => "evicted".to_string(),
-        AgreementError::Worker(_) => "worker_panic".to_string(),
     }
 }
 
@@ -766,6 +748,26 @@ mod tests {
         }
         let text = session.obs().prometheus_text();
         assert!(text.contains("sessions_total 2"));
+    }
+
+    #[test]
+    fn agree_records_every_stage_span() {
+        let mut session = test_session();
+        let (obs, mem) = Obs::with_memory();
+        session.set_obs(obs);
+        let seed: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
+        session.agree(&seed, &seed, &mut PassiveChannel).unwrap();
+        let names: Vec<String> = mem.spans().iter().map(|(n, _)| n.clone()).collect();
+        for expected in [
+            stage::OT_ROUND_A,
+            stage::OT_ROUND_B,
+            stage::OT_ROUND_E,
+            stage::PRELIM_KEY,
+            stage::ECC_RECONCILE,
+            stage::HMAC_CONFIRM,
+        ] {
+            assert!(names.contains(&expected.to_string()), "missing span {expected}");
+        }
     }
 
     #[test]

@@ -252,10 +252,11 @@ impl DhGroup {
 /// MODP-1024, 0.97 MiB and ~1–2 ms for the lane table on CPUs with
 /// AVX512-IFMA, 1.32 MiB and ~3–8 ms for the scalar one elsewhere),
 /// which must be paid once per *deployment group*, never once per
-/// session: `SessionManager` shards, the parallel drive, and the gateway
-/// all resolve their group through here. The map is guarded by a plain
-/// mutex — after the first build per key, a lookup is a hash probe plus
-/// an `Arc` clone, nowhere near any hot loop.
+/// session: the protocol machines, whichever driver runs them (the
+/// lockstep driver, the `SessionManager` or the gateway), all resolve
+/// their group through here. The map is guarded by a plain mutex — after
+/// the first build per key, a lookup is a hash probe plus an `Arc`
+/// clone, nowhere near any hot loop.
 pub struct PrecompCache {
     groups: Mutex<HashMap<(Vec<u8>, Vec<u8>), Arc<DhGroup>>>,
 }

@@ -21,7 +21,6 @@ use crate::cipher::{ctr_decrypt, ctr_encrypt};
 use crate::group::DhGroup;
 use crate::sha256::sha256;
 use rand::rngs::StdRng;
-use wavekey_obs::Obs;
 
 /// The batched first message `M_A`: one group element per instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,17 +207,6 @@ impl OtSender {
         (OtSender { secrets, a }, msg)
     }
 
-    /// [`OtSender::start`] timed under an `ot_sender_start` span.
-    pub fn start_observed(
-        group: &DhGroup,
-        secrets: Vec<(Vec<u8>, Vec<u8>)>,
-        rng: &mut StdRng,
-        obs: &Obs,
-    ) -> (OtSender, OtMessageA) {
-        let _span = obs.span("ot_sender_start");
-        OtSender::start(group, secrets, rng)
-    }
-
     /// Number of instances in the batch.
     pub fn len(&self) -> usize {
         self.secrets.len()
@@ -265,21 +253,6 @@ impl OtSender {
             .collect();
         Ok(OtMessageE { pairs })
     }
-
-    /// [`OtSender::encrypt`] timed under an `ot_sender_encrypt` span.
-    ///
-    /// # Errors
-    ///
-    /// See [`OtSender::encrypt`].
-    pub fn encrypt_observed(
-        &self,
-        group: &DhGroup,
-        msg_b: &OtMessageB,
-        obs: &Obs,
-    ) -> Result<OtMessageE, OtError> {
-        let _span = obs.span("ot_sender_encrypt");
-        self.encrypt(group, msg_b)
-    }
 }
 
 /// The OT receiver: holds the choice bits and the blinding exponents.
@@ -322,22 +295,6 @@ impl OtReceiver {
         ))
     }
 
-    /// [`OtReceiver::respond`] timed under an `ot_receiver_respond` span.
-    ///
-    /// # Errors
-    ///
-    /// See [`OtReceiver::respond`].
-    pub fn respond_observed(
-        group: &DhGroup,
-        choices: &[bool],
-        msg_a: &OtMessageA,
-        rng: &mut StdRng,
-        obs: &Obs,
-    ) -> Result<(OtReceiver, OtMessageB), OtError> {
-        let _span = obs.span("ot_receiver_respond");
-        OtReceiver::respond(group, choices, msg_a, rng)
-    }
-
     /// Number of instances in the batch.
     pub fn len(&self) -> usize {
         self.choices.len()
@@ -373,21 +330,6 @@ impl OtReceiver {
             .zip(&shared)
             .map(|((&c, (e0, e1)), k)| ctr_decrypt(&derive_key(group, k), &pick(c, e0, e1)))
             .collect())
-    }
-
-    /// [`OtReceiver::decrypt`] timed under an `ot_receiver_decrypt` span.
-    ///
-    /// # Errors
-    ///
-    /// See [`OtReceiver::decrypt`].
-    pub fn decrypt_observed(
-        &self,
-        group: &DhGroup,
-        msg_e: &OtMessageE,
-        obs: &Obs,
-    ) -> Result<Vec<Vec<u8>>, OtError> {
-        let _span = obs.span("ot_receiver_decrypt");
-        self.decrypt(group, msg_e)
     }
 }
 
@@ -709,41 +651,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn observed_variants_match_plain_and_record_spans() {
-        let group = DhGroup::tiny_test_group();
-        let secrets = vec![(b"lefty".to_vec(), b"right".to_vec())];
-        let choices = vec![true];
-        let (obs, mem) = Obs::with_memory();
-
-        let mut rng_s = StdRng::seed_from_u64(100);
-        let mut rng_r = StdRng::seed_from_u64(200);
-        let (sender, msg_a) =
-            OtSender::start_observed(&group, secrets.clone(), &mut rng_s, &obs);
-        let (receiver, msg_b) =
-            OtReceiver::respond_observed(&group, &choices, &msg_a, &mut rng_r, &obs).unwrap();
-        let msg_e = sender.encrypt_observed(&group, &msg_b, &obs).unwrap();
-        let out = receiver.decrypt_observed(&group, &msg_e, &obs).unwrap();
-        assert_eq!(out, run_batch(&group, secrets, choices));
-
-        let names: Vec<String> = mem.spans().iter().map(|(n, _)| n.clone()).collect();
-        assert_eq!(
-            names,
-            vec!["ot_sender_start", "ot_receiver_respond", "ot_sender_encrypt", "ot_receiver_decrypt"]
-        );
-
-        // A disabled handle changes nothing about the protocol outputs.
-        let mut rng_s = StdRng::seed_from_u64(100);
-        let disabled = Obs::disabled();
-        let (_, msg_a2) = OtSender::start_observed(
-            &group,
-            vec![(b"lefty".to_vec(), b"right".to_vec())],
-            &mut rng_s,
-            &disabled,
-        );
-        assert_eq!(msg_a2, msg_a);
     }
 
     #[test]

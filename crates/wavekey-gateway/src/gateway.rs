@@ -23,11 +23,9 @@
 //! - a per-connection [`EventScope`] causal timeline under actor
 //!   `"gateway"`.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,13 +39,16 @@ use crate::exec::{race, Either, Handle};
 use crate::stream::{SimNet, SimStream};
 use crate::table::{EvictReason, SessionOutcome, SessionTable};
 
+/// Bytes one read takes at most, on the gateway's and the mobile's end
+/// of a connection alike; the streaming decoder reassembles frames that
+/// span reads.
+const READ_BUF: usize = 512;
+
 /// Gateway tuning knobs on top of the protocol's [`AgreementConfig`].
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Protocol parameters for every session.
     pub agreement: AgreementConfig,
-    /// Session-table shards (rounded up to a power of two).
-    pub shards: usize,
     /// Per-connection write-queue byte bound; overflow evicts.
     pub write_queue_cap: usize,
     /// Logical ticks a connection may sit idle (no readable bytes, or
@@ -55,21 +56,17 @@ pub struct GatewayConfig {
     pub idle_ticks: u64,
     /// Base seed for per-connection server RNG derivation.
     pub server_seed: u64,
-    /// Per-connection read buffer size in bytes.
-    pub read_buf: usize,
 }
 
 impl GatewayConfig {
-    /// Defaults sized for soak fleets: 64 shards, 64 KiB write queues,
-    /// 32-tick idle budget.
+    /// Defaults sized for soak fleets: 64 KiB write queues, 32-tick idle
+    /// budget.
     pub fn new(agreement: AgreementConfig) -> GatewayConfig {
         GatewayConfig {
             agreement,
-            shards: 64,
             write_queue_cap: 1 << 16,
             idle_ticks: 32,
             server_seed: 0xC0_F7EE,
-            read_buf: 512,
         }
     }
 }
@@ -153,16 +150,20 @@ struct GatewayInner {
     config: GatewayConfig,
     obs: Obs,
     table: SessionTable,
-    accepting: AtomicBool,
-    rejected: AtomicU64,
+    accepting: Cell<bool>,
+    rejected: Cell<u64>,
     seed_fn: Box<dyn Fn(u64) -> Vec<bool>>,
     sink: Option<EnrollmentSink>,
 }
 
 /// A cloneable handle to one gateway instance.
+///
+/// The gateway is `!Send`: its seed source and enrolment sink are not
+/// thread-safe, and every task it spawns runs on the executor's one
+/// thread. Its state is therefore shared through `Rc` and `Cell`.
 #[derive(Clone)]
 pub struct Gateway {
-    inner: Arc<GatewayInner>,
+    inner: Rc<GatewayInner>,
 }
 
 impl Gateway {
@@ -196,14 +197,13 @@ impl Gateway {
         seed_fn: impl Fn(u64) -> Vec<bool> + 'static,
         sink: Option<EnrollmentSink>,
     ) -> Gateway {
-        let table = SessionTable::new(config.shards);
         Gateway {
-            inner: Arc::new(GatewayInner {
+            inner: Rc::new(GatewayInner {
                 config,
                 obs,
-                table,
-                accepting: AtomicBool::new(true),
-                rejected: AtomicU64::new(0),
+                table: SessionTable::new(),
+                accepting: Cell::new(true),
+                rejected: Cell::new(0),
                 seed_fn: Box::new(seed_fn),
                 sink,
             }),
@@ -217,12 +217,12 @@ impl Gateway {
 
     /// Connections rejected (accept-time errors or shutdown).
     pub fn rejected(&self) -> u64 {
-        self.inner.rejected.load(Ordering::Relaxed)
+        self.inner.rejected.get()
     }
 
     /// Spawns the accept loop onto the executor.
     pub fn listen(&self, handle: &Handle, net: &SimNet) {
-        let gw = Arc::clone(&self.inner);
+        let gw = Rc::clone(&self.inner);
         let net = net.clone();
         let handle2 = handle.clone();
         handle.spawn(accept_loop(gw, handle2, net));
@@ -233,7 +233,7 @@ impl Gateway {
     /// `reason="shutdown"`, and every in-flight session drains to its
     /// natural end.
     pub fn shutdown(&self, net: &SimNet) {
-        self.inner.accepting.store(false, Ordering::Relaxed);
+        self.inner.accepting.set(false);
         net.close();
     }
 }
@@ -272,11 +272,11 @@ impl GatewayInner {
     }
 }
 
-async fn accept_loop(gw: Arc<GatewayInner>, handle: Handle, net: SimNet) {
+async fn accept_loop(gw: Rc<GatewayInner>, handle: Handle, net: SimNet) {
     // The listener closing ends the loop.
     while let Ok(stream) = net.accept().await {
-        if !gw.accepting.load(Ordering::Relaxed) {
-            gw.rejected.fetch_add(1, Ordering::Relaxed);
+        if !gw.accepting.get() {
+            gw.rejected.set(gw.rejected.get() + 1);
             gw.count_evict(EvictReason::Shutdown);
             stream.close();
             continue;
@@ -287,7 +287,7 @@ async fn accept_loop(gw: Arc<GatewayInner>, handle: Handle, net: SimNet) {
         let mut server = match ServerAgreement::new(&seed, &gw.config.agreement, rng) {
             Ok(server) => server,
             Err(_) => {
-                gw.rejected.fetch_add(1, Ordering::Relaxed);
+                gw.rejected.set(gw.rejected.get() + 1);
                 stream.close();
                 continue;
             }
@@ -317,14 +317,14 @@ fn fail_before_start(gw: &GatewayInner, stream: &SimStream, scope: &EventScope, 
 }
 
 fn spawn_conn(
-    gw: &Arc<GatewayInner>,
+    gw: &Rc<GatewayInner>,
     handle: &Handle,
     stream: SimStream,
     server: ServerAgreement,
     first: Frame,
     scope: EventScope,
 ) {
-    let gw = Arc::clone(gw);
+    let gw = Rc::clone(gw);
     let handle2 = handle.clone();
     let endpoint = Endpoint::server(server);
     let disc = LinkDiscipline::new(gw.config.agreement.retry);
@@ -333,7 +333,7 @@ fn spawn_conn(
 
 /// Drives one accepted connection to a terminal table entry.
 async fn serve_conn(
-    gw: Arc<GatewayInner>,
+    gw: Rc<GatewayInner>,
     handle: Handle,
     stream: SimStream,
     mut server: Endpoint,
@@ -348,7 +348,7 @@ async fn serve_conn(
     let mut wq: VecDeque<u8> = first.encode().into();
     let mut dec = Decoder::new();
     let mut held: VecDeque<Frame> = VecDeque::new();
-    let mut buf = vec![0u8; gw.config.read_buf.max(64)];
+    let mut buf = vec![0u8; READ_BUF];
     loop {
         // Flush before reading: replies already owed take priority, and
         // a queue that cannot drain is the backpressure signal.
@@ -474,7 +474,7 @@ pub async fn drive_mobile(
     let first = mobile.start()?;
     let mut wq: VecDeque<u8> = first.encode().into();
     let mut dec = Decoder::new();
-    let mut buf = vec![0u8; 512];
+    let mut buf = vec![0u8; READ_BUF];
     loop {
         while !wq.is_empty() {
             wq.make_contiguous();
@@ -517,8 +517,7 @@ mod tests {
     use crate::exec::Executor;
     use crate::stream::StreamFaults;
     use rand::Rng;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use std::sync::Arc;
     use wavekey_core::proto::driver;
     use wavekey_core::PassiveChannel;
     use wavekey_obs::EventLog;
@@ -632,6 +631,7 @@ mod tests {
                 &mut rng_m,
                 &mut rng_r,
                 &mut PassiveChannel,
+                &EventScope::disabled(),
             )
             .expect("lockstep");
             assert_eq!(client_key, outcome.key, "conn {conn_id}");

@@ -11,13 +11,18 @@
 //! - [`stream`] — simulated non-blocking byte streams (bounded duplex
 //!   pipes with readiness wakers) plus seeded stream-level fault
 //!   injection: split reads, stalled writes, truncate-and-close.
-//! - [`table`] — the sharded session table tracking every in-flight
+//! - [`table`] — the session table tracking every in-flight
 //!   connection and its terminal outcome.
 //! - [`gateway`] — the [`Gateway`] itself: accept loop,
 //!   per-connection incremental framing over the
 //!   streaming [`wavekey_core::proto::Decoder`], bounded write queues
 //!   with backpressure eviction, idle eviction, graceful shutdown, and
 //!   per-connection causal timelines.
+//!
+//! Everything runs on the executor's one thread: the gateway is
+//! `!Send`, and its state is shared through `Rc`, `RefCell` and `Cell`.
+//! Threads come only from `wavekey-par`, inside a session's group
+//! arithmetic and neural-network layers.
 //!
 //! Because arrival chunking never reaches the machines — only whole
 //! frames do — a gateway fleet's keys are bit-identical to the lockstep

@@ -15,11 +15,16 @@
 //! quiet for a few polls), and truncate-and-close (a peer dying mid
 //! frame). Decisions are pure functions of `(seed, connection, lane,
 //! op index)` — replaying a seed replays the exact fault schedule.
+//!
+//! Both ends of a connection, and every clone of a listener, live on
+//! the executor's one thread, so they share state through
+//! `Rc<RefCell<_>>`.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 /// Stream-level failures.
@@ -172,7 +177,7 @@ struct Duplex {
 /// One end of a simulated connection.
 #[derive(Debug)]
 pub struct SimStream {
-    duplex: Arc<Mutex<Duplex>>,
+    duplex: Rc<RefCell<Duplex>>,
     /// True for the connecting (client) end.
     a_side: bool,
     conn_id: u64,
@@ -201,7 +206,7 @@ impl SimStream {
     /// Closes both directions: the peer reads EOF after draining
     /// buffered bytes, and all writes fail with [`StreamError::Closed`].
     pub fn close(&self) {
-        let mut dx = self.duplex.lock().unwrap();
+        let mut dx = self.duplex.borrow_mut();
         dx.a2b.closed = true;
         dx.b2a.closed = true;
         dx.a2b.wake_reader();
@@ -212,7 +217,7 @@ impl SimStream {
 
     /// Whether the stream has been closed (either end).
     pub fn is_closed(&self) -> bool {
-        self.duplex.lock().unwrap().a2b.closed
+        self.duplex.borrow().a2b.closed
     }
 }
 
@@ -227,7 +232,7 @@ impl Future for ReadSome<'_> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let mut dx = this.stream.duplex.lock().unwrap();
+        let mut dx = this.stream.duplex.borrow_mut();
         let faults = dx.faults;
         let pipe = if this.stream.a_side { &mut dx.b2a } else { &mut dx.a2b };
         if pipe.buf.is_empty() {
@@ -261,7 +266,7 @@ impl Future for WriteSome<'_> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let mut dx = this.stream.duplex.lock().unwrap();
+        let mut dx = this.stream.duplex.borrow_mut();
         let faults = dx.faults;
         let pipe = if this.stream.a_side { &mut dx.a2b } else { &mut dx.b2a };
         if pipe.closed {
@@ -321,7 +326,7 @@ struct NetInner {
 /// An in-process listener creating [`SimStream`] pairs.
 #[derive(Debug, Clone)]
 pub struct SimNet {
-    inner: Arc<Mutex<NetInner>>,
+    inner: Rc<RefCell<NetInner>>,
 }
 
 impl SimNet {
@@ -329,7 +334,7 @@ impl SimNet {
     /// direction.
     pub fn new(stream_cap: usize) -> SimNet {
         SimNet {
-            inner: Arc::new(Mutex::new(NetInner {
+            inner: Rc::new(RefCell::new(NetInner {
                 backlog: VecDeque::new(),
                 accept_waker: None,
                 closed: false,
@@ -354,18 +359,18 @@ impl SimNet {
     ///
     /// [`StreamError::Refused`] once the listener closed.
     pub fn connect_with(&self, faults: StreamFaults) -> Result<SimStream, StreamError> {
-        let mut net = self.inner.lock().unwrap();
+        let mut net = self.inner.borrow_mut();
         if net.closed {
             return Err(StreamError::Refused);
         }
         net.next_conn += 1;
         let conn_id = net.next_conn;
-        let duplex = Arc::new(Mutex::new(Duplex {
+        let duplex = Rc::new(RefCell::new(Duplex {
             a2b: Pipe::new(net.stream_cap, conn_id * 2),
             b2a: Pipe::new(net.stream_cap, conn_id * 2 + 1),
             faults,
         }));
-        let client = SimStream { duplex: Arc::clone(&duplex), a_side: true, conn_id };
+        let client = SimStream { duplex: Rc::clone(&duplex), a_side: true, conn_id };
         let server = SimStream { duplex, a_side: false, conn_id };
         net.backlog.push_back(server);
         if let Some(w) = net.accept_waker.take() {
@@ -385,7 +390,7 @@ impl SimNet {
     /// acceptor decides their fate — the gateway rejects them when
     /// draining for shutdown).
     pub fn close(&self) {
-        let mut net = self.inner.lock().unwrap();
+        let mut net = self.inner.borrow_mut();
         net.closed = true;
         if let Some(w) = net.accept_waker.take() {
             w.wake();
@@ -394,7 +399,7 @@ impl SimNet {
 
     /// Connections queued but not yet accepted.
     pub fn pending(&self) -> usize {
-        self.inner.lock().unwrap().backlog.len()
+        self.inner.borrow().backlog.len()
     }
 }
 
@@ -407,7 +412,7 @@ impl Future for Accept {
     type Output = Result<SimStream, StreamError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut net = self.net.inner.lock().unwrap();
+        let mut net = self.net.inner.borrow_mut();
         if let Some(stream) = net.backlog.pop_front() {
             return Poll::Ready(Ok(stream));
         }
@@ -423,8 +428,6 @@ impl Future for Accept {
 mod tests {
     use super::*;
     use crate::exec::Executor;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[test]
     fn bytes_flow_with_partial_writes_under_a_tiny_cap() {

@@ -1,15 +1,14 @@
-//! Sharded session table.
+//! The gateway's session table.
 //!
-//! The gateway tracks every in-flight connection in a [`SessionTable`]
-//! split across power-of-two shards, each behind its own mutex, so a
-//! 100k-session soak never serializes on one lock and a single shard's
-//! map stays small enough to rehash cheaply. Aggregate gauges (live,
-//! peak-live, completed, evicted) are lock-free atomics updated outside
-//! the shard locks.
+//! The gateway tracks every connection it accepted in one
+//! [`SessionTable`]: a map from connection id to the session's terminal
+//! outcome, plus live, peak-live, completed, failed and evicted gauges.
+//! The gateway is `!Send` and every task runs on the executor's one
+//! thread, so the map sits in a `RefCell` and the gauges in `Cell`s: no
+//! lock or atomic guards state that no second thread can reach.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use wavekey_core::agreement::AgreementError;
 
@@ -48,118 +47,76 @@ pub enum SessionOutcome {
     Evicted(EvictReason),
 }
 
-#[derive(Debug)]
-struct Slot {
-    outcome: Option<SessionOutcome>,
-}
-
-/// Sharded map from connection id to session slot.
-#[derive(Debug)]
+/// Map from connection id to its terminal outcome (`None` while live).
+#[derive(Debug, Default)]
 pub struct SessionTable {
-    shards: Vec<Mutex<HashMap<u64, Slot>>>,
-    mask: u64,
-    live: AtomicU64,
-    peak_live: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    evicted: AtomicU64,
+    sessions: RefCell<HashMap<u64, Option<SessionOutcome>>>,
+    live: Cell<u64>,
+    peak_live: Cell<u64>,
+    completed: Cell<u64>,
+    failed: Cell<u64>,
+    evicted: Cell<u64>,
 }
 
 impl SessionTable {
-    /// A table with `shards` shards, rounded up to a power of two.
-    pub fn new(shards: usize) -> SessionTable {
-        let n = shards.max(1).next_power_of_two();
-        SessionTable {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: n as u64 - 1,
-            live: AtomicU64::new(0),
-            peak_live: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, id: u64) -> &Mutex<HashMap<u64, Slot>> {
-        // Multiplicative spread so sequential conn ids do not all land
-        // in consecutive shards of one arena page.
-        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[(h & self.mask) as usize]
+    /// An empty table.
+    pub fn new() -> SessionTable {
+        SessionTable::default()
     }
 
     /// Registers a new in-flight session.
     pub fn insert(&self, id: u64) {
-        self.shard(id).lock().unwrap().insert(id, Slot { outcome: None });
-        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_live.fetch_max(live, Ordering::Relaxed);
+        self.sessions.borrow_mut().insert(id, None);
+        let live = self.live.get() + 1;
+        self.live.set(live);
+        self.peak_live.set(self.peak_live.get().max(live));
     }
 
     /// Records a terminal outcome for `id` and drops it from the live
-    /// set. Unknown ids are ignored (an eviction can race a completion
-    /// only through driver bugs; last write wins on the counters).
+    /// set. The first terminal outcome wins: later ones for the same id
+    /// (an eviction racing a completion) are ignored, and so are unknown
+    /// ids.
     pub fn finish(&self, id: u64, outcome: SessionOutcome) {
-        let mut shard = self.shard(id).lock().unwrap();
-        let Some(slot) = shard.get_mut(&id) else { return };
-        if slot.outcome.is_some() {
-            return;
-        }
-        match &outcome {
-            SessionOutcome::Done(_) => self.completed.fetch_add(1, Ordering::Relaxed),
-            SessionOutcome::Failed(_) => self.failed.fetch_add(1, Ordering::Relaxed),
-            SessionOutcome::Evicted(_) => self.evicted.fetch_add(1, Ordering::Relaxed),
+        let mut sessions = self.sessions.borrow_mut();
+        let Some(slot @ None) = sessions.get_mut(&id) else { return };
+        let gauge = match &outcome {
+            SessionOutcome::Done(_) => &self.completed,
+            SessionOutcome::Failed(_) => &self.failed,
+            SessionOutcome::Evicted(_) => &self.evicted,
         };
-        slot.outcome = Some(outcome);
-        drop(shard);
-        self.live.fetch_sub(1, Ordering::Relaxed);
+        gauge.set(gauge.get() + 1);
+        *slot = Some(outcome);
+        self.live.set(self.live.get() - 1);
     }
 
     /// Sessions inserted but not yet finished.
     pub fn live(&self) -> u64 {
-        self.live.load(Ordering::Relaxed)
+        self.live.get()
     }
 
     /// High-water mark of [`live`](Self::live).
     pub fn peak_live(&self) -> u64 {
-        self.peak_live.load(Ordering::Relaxed)
+        self.peak_live.get()
     }
 
     /// Sessions that completed the agreement.
     pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
+        self.completed.get()
     }
 
     /// Sessions that failed with a protocol error.
     pub fn failed(&self) -> u64 {
-        self.failed.load(Ordering::Relaxed)
+        self.failed.get()
     }
 
     /// Sessions evicted by the gateway.
     pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Every recorded outcome, sorted by connection id.
-    pub fn outcomes(&self) -> Vec<(u64, SessionOutcome)> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            for (id, slot) in shard.lock().unwrap().iter() {
-                if let Some(outcome) = &slot.outcome {
-                    all.push((*id, outcome.clone()));
-                }
-            }
-        }
-        all.sort_by_key(|(id, _)| *id);
-        all
+        self.evicted.get()
     }
 
     /// The outcome for one session, if terminal.
     pub fn outcome(&self, id: u64) -> Option<SessionOutcome> {
-        self.shard(id).lock().unwrap().get(&id).and_then(|s| s.outcome.clone())
+        self.sessions.borrow().get(&id).cloned().flatten()
     }
 }
 
@@ -168,15 +125,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shard_count_rounds_up_to_power_of_two() {
-        assert_eq!(SessionTable::new(1).shard_count(), 1);
-        assert_eq!(SessionTable::new(5).shard_count(), 8);
-        assert_eq!(SessionTable::new(64).shard_count(), 64);
-    }
-
-    #[test]
     fn live_and_peak_track_insert_and_finish() {
-        let table = SessionTable::new(4);
+        let table = SessionTable::new();
         for id in 1..=10 {
             table.insert(id);
         }
@@ -196,24 +146,12 @@ mod tests {
 
     #[test]
     fn first_terminal_outcome_wins() {
-        let table = SessionTable::new(2);
+        let table = SessionTable::new();
         table.insert(3);
         table.finish(3, SessionOutcome::Done(vec![9]));
         table.finish(3, SessionOutcome::Evicted(EvictReason::Idle));
         assert!(matches!(table.outcome(3), Some(SessionOutcome::Done(k)) if k == vec![9]));
         assert_eq!(table.live(), 0);
         assert_eq!(table.evicted(), 0);
-    }
-
-    #[test]
-    fn outcomes_are_sorted_and_skip_live_sessions() {
-        let table = SessionTable::new(8);
-        for id in [5u64, 2, 9, 4] {
-            table.insert(id);
-        }
-        table.finish(9, SessionOutcome::Done(vec![1]));
-        table.finish(2, SessionOutcome::Done(vec![2]));
-        let ids: Vec<u64> = table.outcomes().into_iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![2, 9]);
     }
 }

@@ -167,21 +167,6 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// [`process_imu`] timed under the canonical `imu_pipeline` span (a no-op
-/// with a disabled [`wavekey_obs::Obs`] handle).
-///
-/// # Errors
-///
-/// See [`process_imu`].
-pub fn process_imu_observed(
-    recording: &ImuRecording,
-    config: &ImuPipelineConfig,
-    obs: &wavekey_obs::Obs,
-) -> Result<AccelMatrix, PipelineError> {
-    let _span = obs.span(wavekey_obs::stage::IMU_PIPELINE);
-    process_imu(recording, config)
-}
-
 /// Per-thread intermediate buffers reused across [`process_imu`] calls,
 /// mirroring the RFID pipeline's scratch: without them every call built
 /// ~10 recording-length temporaries, and the allocator jitter dominated

@@ -150,10 +150,9 @@ impl EventScope {
     }
 
     /// Like [`EventScope::new`] but with the sequence counter starting at
-    /// `first_seq`. Used for post-mortem events (worker panic) emitted
-    /// after the session's own scope is gone: a large `first_seq` sorts
-    /// them to the end of the timeline without colliding with live
-    /// sequence numbers.
+    /// `first_seq`, for post-mortem events emitted after the session's
+    /// own scope is gone: a large `first_seq` sorts them to the end of
+    /// the timeline without colliding with live sequence numbers.
     pub fn starting_at(
         obs: &Obs,
         session_id: u64,

@@ -70,7 +70,7 @@ pub struct StageTiming {
 pub struct SessionTrace {
     /// Monotonic id (unique per process, assigned by the caller).
     pub session_id: u64,
-    /// `"success"`, or a short failure label (e.g. `"timeout_ot_a"`,
+    /// `"success"`, or a short failure label (e.g. `"timeout_ota"`,
     /// `"confirmation_failed"`).
     pub outcome: String,
     /// Final key length in bits (0 if the session failed).

@@ -58,9 +58,9 @@ pub fn threads() -> usize {
 }
 
 /// Runs `f` as one range of a parallel region: every loop of this crate
-/// that `f` starts runs inline on the current thread. Callers that spawn
-/// their own workers (one per session, say) wrap each worker's body in
-/// this, so the loops below them do not spawn a second layer of threads.
+/// that `f` starts runs inline on the current thread. Every worker of
+/// [`map`] and [`for_each_chunk_mut`] runs its range under this, so a
+/// loop nested inside another does not spawn a second layer of threads.
 pub fn inline<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {

@@ -127,21 +127,6 @@ impl std::fmt::Display for RfidPipelineError {
 
 impl std::error::Error for RfidPipelineError {}
 
-/// [`process_rfid`] timed under the canonical `rfid_pipeline` span (a
-/// no-op with a disabled [`wavekey_obs::Obs`] handle).
-///
-/// # Errors
-///
-/// See [`RfidPipelineError`].
-pub fn process_rfid_observed(
-    recording: &RfidRecording,
-    config: &RfidPipelineConfig,
-    obs: &wavekey_obs::Obs,
-) -> Result<RfidMatrix, RfidPipelineError> {
-    let _span = obs.span(wavekey_obs::stage::RFID_PIPELINE);
-    process_rfid(recording, config)
-}
-
 /// Per-thread intermediate buffers reused across [`process_rfid`] calls.
 ///
 /// The pipeline's p99 latency sat ~3× above its p50 purely from
