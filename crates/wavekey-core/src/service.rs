@@ -1534,7 +1534,7 @@ mod tests {
     }
 
     /// Same seeds, same fault plan → byte-identical causal timelines: the
-    /// sharded event log's JSONL export is deterministic, and it carries
+    /// event log's JSONL export is deterministic, and it carries
     /// both the machines' state transitions and the manager's recovery
     /// events.
     #[test]

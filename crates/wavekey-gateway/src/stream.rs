@@ -510,8 +510,12 @@ mod tests {
             let net = net.clone();
             let results = Rc::clone(&results);
             exec.spawn(async move {
-                results.borrow_mut().push(net.accept().await.is_ok());
-                results.borrow_mut().push(net.accept().await.is_ok());
+                // Await first: a borrow held across the await would clash
+                // with any other task touching `results` meanwhile.
+                let first = net.accept().await.is_ok();
+                results.borrow_mut().push(first);
+                let second = net.accept().await.is_ok();
+                results.borrow_mut().push(second);
             });
         }
         exec.run();

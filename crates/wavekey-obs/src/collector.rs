@@ -1,23 +1,23 @@
 //! Pluggable sinks for spans, events, and session traces.
 //!
 //! A [`Collector`] receives every record an enabled [`crate::Obs`] handle
-//! produces. Three sinks ship with the crate: [`NullCollector`] (reports
+//! produces. Two sinks ship with the crate: [`NullCollector`] (reports
 //! itself inert, so the handle collapses to the zero-overhead disabled
-//! path), [`MemoryCollector`] (in-process buffers for tests and report
-//! bins), and [`JsonLinesCollector`] (one JSON object per record, for
-//! post-hoc analysis). [`MultiCollector`] fans records out to several
-//! sinks at once.
+//! path) and [`MemoryCollector`] (in-process buffers for tests and report
+//! bins). [`MultiCollector`] fans records out to several sinks at once.
+//!
+//! Collectors live on the thread that drives their sessions: they keep
+//! their buffers in `RefCell`s, take no lock, and are not `Sync`.
 
 use crate::event::CausalEvent;
-use crate::json::Json;
 use crate::span::{EventRecord, SpanRecord};
 use crate::trace::SessionTrace;
-use std::io::{self, BufWriter, Write};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::sync::Arc;
 
-/// A sink for observability records. All methods must be thread-safe; the
-/// handle may be cloned across threads.
-pub trait Collector: Send + Sync {
+/// A sink for observability records, called on the thread that owns the
+/// [`crate::Obs`] handle it is attached to.
+pub trait Collector {
     /// Whether attaching this collector should enable instrumentation at
     /// all. Defaults to `true`; [`NullCollector`] overrides to `false`.
     fn is_enabled(&self) -> bool {
@@ -35,7 +35,7 @@ pub trait Collector: Send + Sync {
 }
 
 /// The zero-overhead default: discards everything, and tells the handle to
-/// disable instrumentation entirely (no clock reads, no locks).
+/// disable instrumentation entirely (no clock reads, no allocation).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullCollector;
 
@@ -48,10 +48,10 @@ impl Collector for NullCollector {
 /// In-memory sink: keeps every record, in arrival order.
 #[derive(Debug, Default)]
 pub struct MemoryCollector {
-    spans: Mutex<Vec<(String, f64)>>,
-    events: Mutex<Vec<(String, f64)>>,
-    sessions: Mutex<Vec<SessionTrace>>,
-    causal: Mutex<Vec<CausalEvent>>,
+    spans: RefCell<Vec<(String, f64)>>,
+    events: RefCell<Vec<(String, f64)>>,
+    sessions: RefCell<Vec<SessionTrace>>,
+    causal: RefCell<Vec<CausalEvent>>,
 }
 
 impl MemoryCollector {
@@ -62,153 +62,46 @@ impl MemoryCollector {
 
     /// All recorded spans as `(name, seconds)`.
     pub fn spans(&self) -> Vec<(String, f64)> {
-        self.spans.lock().expect("spans poisoned").clone()
+        self.spans.borrow().clone()
     }
 
     /// All recorded events as `(name, value)`.
     pub fn events(&self) -> Vec<(String, f64)> {
-        self.events.lock().expect("events poisoned").clone()
+        self.events.borrow().clone()
     }
 
     /// All recorded session traces.
     pub fn sessions(&self) -> Vec<SessionTrace> {
-        self.sessions.lock().expect("sessions poisoned").clone()
+        self.sessions.borrow().clone()
     }
 
     /// All recorded causal events (unbounded; tests and report bins only —
     /// long-running processes should sink into [`crate::EventLog`]).
     pub fn causal_events(&self) -> Vec<CausalEvent> {
-        self.causal.lock().expect("causal poisoned").clone()
+        self.causal.borrow().clone()
     }
 }
 
 impl Collector for MemoryCollector {
     fn record_span(&self, span: &SpanRecord) {
-        self.spans.lock().expect("spans poisoned").push((span.name.to_string(), span.seconds));
+        self.spans.borrow_mut().push((span.name.to_string(), span.seconds));
     }
     fn record_event(&self, event: &EventRecord) {
-        self.events
-            .lock()
-            .expect("events poisoned")
-            .push((event.name.to_string(), event.value));
+        self.events.borrow_mut().push((event.name.to_string(), event.value));
     }
     fn record_session(&self, trace: &SessionTrace) {
-        self.sessions.lock().expect("sessions poisoned").push(trace.clone());
+        self.sessions.borrow_mut().push(trace.clone());
     }
     fn record_causal(&self, event: &CausalEvent) {
-        self.causal.lock().expect("causal poisoned").push(event.clone());
+        self.causal.borrow_mut().push(event.clone());
     }
 }
 
-/// One observability record parsed back from a JSON line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ObsRecord {
-    /// A span: name and seconds.
-    Span(String, f64),
-    /// An event: name and value.
-    Event(String, f64),
-    /// A full session trace.
-    Session(SessionTrace),
-    /// A causal timeline event.
-    Causal(CausalEvent),
-}
-
-/// JSON-lines sink: one compact JSON object per record. Write errors are
-/// swallowed (telemetry must never take down the pipeline it observes).
-pub struct JsonLinesCollector {
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl std::fmt::Debug for JsonLinesCollector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonLinesCollector").finish_non_exhaustive()
-    }
-}
-
-impl JsonLinesCollector {
-    /// Wrap any writer (kept behind a mutex; one line per record).
-    pub fn new<W: Write + Send + 'static>(writer: W) -> JsonLinesCollector {
-        JsonLinesCollector { out: Mutex::new(Box::new(writer)) }
-    }
-
-    /// Create (truncate) a file at `path`, buffered.
-    pub fn create(path: &std::path::Path) -> io::Result<JsonLinesCollector> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        Ok(JsonLinesCollector::new(BufWriter::new(std::fs::File::create(path)?)))
-    }
-
-    fn write_line(&self, json: &Json) {
-        let mut out = self.out.lock().expect("jsonl writer poisoned");
-        let _ = writeln!(out, "{}", json.to_string_compact());
-    }
-
-    /// Flush the underlying writer.
-    pub fn flush(&self) {
-        let _ = self.out.lock().expect("jsonl writer poisoned").flush();
-    }
-
-    /// Parse one line previously produced by this collector.
-    pub fn parse_line(line: &str) -> Option<ObsRecord> {
-        let json = Json::parse(line.trim())?;
-        match json.get("type")?.as_str()? {
-            "span" => Some(ObsRecord::Span(
-                json.get("name")?.as_str()?.to_string(),
-                json.get("seconds")?.as_f64()?,
-            )),
-            "event" => Some(ObsRecord::Event(
-                json.get("name")?.as_str()?.to_string(),
-                json.get("value")?.as_f64()?,
-            )),
-            "session" => Some(ObsRecord::Session(SessionTrace::from_json(
-                json.get("trace")?,
-            )?)),
-            "causal" => Some(ObsRecord::Causal(CausalEvent::from_json(&json)?)),
-            _ => None,
-        }
-    }
-}
-
-impl Drop for JsonLinesCollector {
-    fn drop(&mut self) {
-        if let Ok(mut out) = self.out.lock() {
-            let _ = out.flush();
-        }
-    }
-}
-
-impl Collector for JsonLinesCollector {
-    fn record_span(&self, span: &SpanRecord) {
-        self.write_line(&Json::obj(vec![
-            ("type", Json::Str("span".into())),
-            ("name", Json::Str(span.name.into())),
-            ("seconds", Json::Num(span.seconds)),
-        ]));
-    }
-    fn record_event(&self, event: &EventRecord) {
-        self.write_line(&Json::obj(vec![
-            ("type", Json::Str("event".into())),
-            ("name", Json::Str(event.name.into())),
-            ("value", Json::Num(event.value)),
-        ]));
-    }
-    fn record_session(&self, trace: &SessionTrace) {
-        self.write_line(&Json::obj(vec![
-            ("type", Json::Str("session".into())),
-            ("trace", trace.to_json()),
-        ]));
-    }
-    fn record_causal(&self, event: &CausalEvent) {
-        self.write_line(&event.to_json());
-    }
-}
-
-/// Fans every record out to several collectors (e.g. a flight recorder
-/// plus a JSON-lines file).
+/// Fans every record out to several collectors (e.g. a memory collector
+/// plus an [`crate::EventLog`]).
 #[derive(Default)]
 pub struct MultiCollector {
-    sinks: Vec<std::sync::Arc<dyn Collector>>,
+    sinks: Vec<Arc<dyn Collector>>,
 }
 
 impl std::fmt::Debug for MultiCollector {
@@ -219,7 +112,7 @@ impl std::fmt::Debug for MultiCollector {
 
 impl MultiCollector {
     /// Fan out to `sinks` (inert sinks are dropped).
-    pub fn new(sinks: Vec<std::sync::Arc<dyn Collector>>) -> MultiCollector {
+    pub fn new(sinks: Vec<Arc<dyn Collector>>) -> MultiCollector {
         MultiCollector { sinks: sinks.into_iter().filter(|s| s.is_enabled()).collect() }
     }
 }
@@ -253,61 +146,6 @@ impl Collector for MultiCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::stage;
-    use std::sync::Arc;
-
-    /// Shared Vec<u8> writer so the test can read back what was written.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.lock().expect("buf").extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_round_trips_all_record_kinds() {
-        let buf = SharedBuf::default();
-        let collector = JsonLinesCollector::new(buf.clone());
-        collector.record_span(&SpanRecord { name: "ot_round_a", seconds: 0.043 });
-        collector.record_event(&EventRecord { name: "seed_mismatch_bits", value: 4.0 });
-        let mut trace = SessionTrace::new(11);
-        trace.outcome = "success".into();
-        trace.seed_len = 48;
-        trace.seed_mismatch_bits = Some(4);
-        trace.record_stage(stage::ECC_RECONCILE, 0.0011);
-        collector.record_session(&trace);
-        let causal = crate::event::CausalEvent {
-            session_id: 11,
-            seq: 2,
-            actor: "manager",
-            kind: "retransmit",
-            state: None,
-            frame: Some("ot_b".into()),
-            n: Some(1),
-        };
-        collector.record_causal(&causal);
-        collector.flush();
-
-        let text = String::from_utf8(buf.0.lock().expect("buf").clone()).expect("utf8");
-        let records: Vec<ObsRecord> = text
-            .lines()
-            .map(|l| JsonLinesCollector::parse_line(l).expect("parse line"))
-            .collect();
-        assert_eq!(
-            records,
-            vec![
-                ObsRecord::Span("ot_round_a".into(), 0.043),
-                ObsRecord::Event("seed_mismatch_bits".into(), 4.0),
-                ObsRecord::Session(trace),
-                ObsRecord::Causal(causal),
-            ]
-        );
-    }
 
     #[test]
     fn multi_collector_fans_out_and_drops_inert_sinks() {

@@ -1,4 +1,4 @@
-//! Causal structured event log: bounded, lock-sharded, per-session.
+//! Causal structured event log: bounded, per-session.
 //!
 //! Metrics say *how much*; the event log says *what happened, in order*.
 //! Every record is a [`CausalEvent`] carrying a causal identity — session
@@ -13,21 +13,19 @@
 //!
 //! Producers emit through an [`EventScope`]: a cheap per-session handle
 //! (disabled = a `None`, no allocation) that stamps the session id and a
-//! shared atomic sequence counter, so the mobile machine, server machine,
-//! and the session manager wrapper of one session interleave into a single
-//! totally-ordered timeline. Storage is the [`EventLog`] collector:
-//! sixteen mutex shards keyed by session id, each session's timeline
-//! bounded by a per-session cap (overflow increments a drop counter
-//! instead of growing without bound).
+//! sequence counter shared by the session's actors, so the mobile machine,
+//! server machine, and the session manager wrapper of one session
+//! interleave into a single totally-ordered timeline. Storage is the
+//! [`EventLog`] collector: one map keyed by session id, each session's
+//! timeline bounded by a per-session cap (overflow increments a drop
+//! counter instead of growing without bound).
 
 use crate::collector::Collector;
 use crate::json::Json;
 use crate::span::Obs;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-const SHARDS: usize = 16;
+use std::rc::Rc;
 
 /// Default bound on events retained per session.
 pub const DEFAULT_PER_SESSION_CAP: usize = 256;
@@ -75,40 +73,13 @@ impl CausalEvent {
         }
         Json::obj(pairs)
     }
-
-    /// Parse a JSON value previously produced by [`CausalEvent::to_json`].
-    ///
-    /// `actor`/`kind` are interned against the known vocabulary (they are
-    /// `&'static str` so the hot emit path never allocates); unknown
-    /// values map to `"other"`.
-    pub fn from_json(json: &Json) -> Option<CausalEvent> {
-        Some(CausalEvent {
-            session_id: json.get("session")?.as_f64()? as u64,
-            seq: json.get("seq")?.as_f64()? as u64,
-            actor: intern(json.get("actor")?.as_str()?),
-            kind: intern(json.get("kind")?.as_str()?),
-            state: json.get("state").and_then(Json::as_str).map(str::to_string),
-            frame: json.get("frame").and_then(Json::as_str).map(str::to_string),
-            n: json.get("n").and_then(Json::as_f64).map(|v| v as u64),
-        })
-    }
-}
-
-/// The emit-side vocabulary, so parsing can return `&'static str`.
-fn intern(s: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        "mobile", "server", "manager", "driver", "state", "deliver", "duplicate",
-        "reorder_hold", "reorder_release", "retransmit", "nak", "defer", "evict",
-        "complete", "fail", "worker_panic",
-    ];
-    KNOWN.iter().find(|k| **k == s).copied().unwrap_or("other")
 }
 
 struct ScopeInner {
     obs: Obs,
     session_id: u64,
     actor: &'static str,
-    seq: Arc<AtomicU64>,
+    seq: Rc<Cell<u64>>,
 }
 
 /// Per-session emitting handle: stamps session id, actor, and a shared
@@ -120,9 +91,17 @@ struct ScopeInner {
 /// scope (from [`EventScope::disabled`], or `new` over a disabled `Obs`)
 /// holds nothing and allocates nothing — instrumented protocol code pays
 /// one pointer test.
+///
+/// Like [`Obs`], a scope is not `Send`: it holds `Rc`s and a `Cell`
+/// counter, and stays on the thread that drives its session.
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<wavekey_obs::EventScope>();
+/// ```
 #[derive(Clone)]
 pub struct EventScope {
-    inner: Option<Arc<ScopeInner>>,
+    inner: Option<Rc<ScopeInner>>,
 }
 
 impl std::fmt::Debug for EventScope {
@@ -146,28 +125,15 @@ impl EventScope {
     /// A scope for `session_id` emitting as `actor`; collapses to the
     /// disabled scope when `obs` is disabled.
     pub fn new(obs: &Obs, session_id: u64, actor: &'static str) -> EventScope {
-        EventScope::starting_at(obs, session_id, actor, 0)
-    }
-
-    /// Like [`EventScope::new`] but with the sequence counter starting at
-    /// `first_seq`, for post-mortem events emitted after the session's
-    /// own scope is gone: a large `first_seq` sorts them to the end of
-    /// the timeline without colliding with live sequence numbers.
-    pub fn starting_at(
-        obs: &Obs,
-        session_id: u64,
-        actor: &'static str,
-        first_seq: u64,
-    ) -> EventScope {
         if !obs.is_enabled() {
             return EventScope::disabled();
         }
         EventScope {
-            inner: Some(Arc::new(ScopeInner {
+            inner: Some(Rc::new(ScopeInner {
                 obs: obs.clone(),
                 session_id,
                 actor,
-                seq: Arc::new(AtomicU64::new(first_seq)),
+                seq: Rc::new(Cell::new(0)),
             })),
         }
     }
@@ -177,11 +143,11 @@ impl EventScope {
     pub fn with_actor(&self, actor: &'static str) -> EventScope {
         match &self.inner {
             Some(inner) => EventScope {
-                inner: Some(Arc::new(ScopeInner {
+                inner: Some(Rc::new(ScopeInner {
                     obs: inner.obs.clone(),
                     session_id: inner.session_id,
                     actor,
-                    seq: Arc::clone(&inner.seq),
+                    seq: Rc::clone(&inner.seq),
                 })),
             },
             None => EventScope::disabled(),
@@ -227,9 +193,11 @@ impl EventScope {
         n: Option<u64>,
     ) {
         let Some(inner) = &self.inner else { return };
+        let seq = inner.seq.get();
+        inner.seq.set(seq + 1);
         let event = CausalEvent {
             session_id: inner.session_id,
-            seq: inner.seq.fetch_add(1, Ordering::Relaxed),
+            seq,
             actor: inner.actor,
             kind,
             state: state.map(str::to_string),
@@ -240,26 +208,23 @@ impl EventScope {
     }
 }
 
-/// Bounded, lock-sharded per-session event store; a [`Collector`] that
-/// only listens to [`Collector::record_causal`].
+/// Bounded per-session event store; a [`Collector`] that only listens to
+/// [`Collector::record_causal`].
 ///
-/// Sessions hash (by id) onto sixteen mutex shards, and each session's
-/// timeline is capped at `per_session_cap` events — overflow is counted,
-/// not stored, so a pathological session cannot grow the log without
-/// bound. Because storage is keyed per session and each session is driven
-/// by exactly one thread at a time, cross-thread arrival interleaving
-/// cannot perturb a timeline: the JSONL export (sessions by id, events by
-/// seq) is deterministic whenever the traffic is.
+/// Each session's timeline is capped at `per_session_cap` events —
+/// overflow is counted, not stored, so a pathological session cannot grow
+/// the log without bound. The JSONL export (sessions by id, events by seq)
+/// is deterministic whenever the traffic is.
 pub struct EventLog {
-    shards: Vec<Mutex<HashMap<u64, Vec<CausalEvent>>>>,
+    sessions: RefCell<HashMap<u64, Vec<CausalEvent>>>,
     per_session_cap: usize,
-    dropped: AtomicU64,
+    dropped: Cell<u64>,
 }
 
 impl std::fmt::Debug for EventLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventLog")
-            .field("sessions", &self.session_ids().len())
+            .field("sessions", &self.sessions.borrow().len())
             .field("cap", &self.per_session_cap)
             .finish()
     }
@@ -275,33 +240,26 @@ impl EventLog {
     /// An empty log retaining at most `per_session_cap` events per session.
     pub fn new(per_session_cap: usize) -> EventLog {
         EventLog {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            sessions: RefCell::new(HashMap::new()),
             per_session_cap: per_session_cap.max(1),
-            dropped: AtomicU64::new(0),
+            dropped: Cell::new(0),
         }
-    }
-
-    fn shard(&self, session_id: u64) -> &Mutex<HashMap<u64, Vec<CausalEvent>>> {
-        &self.shards[(session_id as usize) % SHARDS]
     }
 
     /// Store one event (dropped and counted past the per-session cap).
     pub fn record(&self, event: CausalEvent) {
-        let mut shard = self.shard(event.session_id).lock().expect("event shard poisoned");
-        let timeline = shard.entry(event.session_id).or_default();
+        let mut sessions = self.sessions.borrow_mut();
+        let timeline = sessions.entry(event.session_id).or_default();
         if timeline.len() < self.per_session_cap {
             timeline.push(event);
         } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped.set(self.dropped.get() + 1);
         }
     }
 
     /// Total stored events across all sessions.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("event shard poisoned").values().map(Vec::len).sum::<usize>())
-            .sum()
+        self.sessions.borrow().values().map(Vec::len).sum()
     }
 
     /// Whether no events are stored.
@@ -311,24 +269,19 @@ impl EventLog {
 
     /// Events dropped by the per-session cap.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.get()
     }
 
     /// All session ids with at least one event, ascending.
     pub fn session_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().expect("event shard poisoned").keys().copied().collect::<Vec<_>>())
-            .collect();
+        let mut ids: Vec<u64> = self.sessions.borrow().keys().copied().collect();
         ids.sort_unstable();
         ids
     }
 
     /// One session's timeline, ordered by sequence number.
     pub fn timeline(&self, session_id: u64) -> Vec<CausalEvent> {
-        let shard = self.shard(session_id).lock().expect("event shard poisoned");
-        let mut events = shard.get(&session_id).cloned().unwrap_or_default();
+        let mut events = self.sessions.borrow().get(&session_id).cloned().unwrap_or_default();
         events.sort_by_key(|e| e.seq);
         events
     }
@@ -345,10 +298,8 @@ impl EventLog {
 
     /// Discard everything (between load-generator mixes).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("event shard poisoned").clear();
-        }
-        self.dropped.store(0, Ordering::Relaxed);
+        self.sessions.borrow_mut().clear();
+        self.dropped.set(0);
     }
 }
 
@@ -375,6 +326,7 @@ pub fn timelines_jsonl(events: &[CausalEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn log_obs(cap: usize) -> (Obs, Arc<EventLog>) {
         let log = Arc::new(EventLog::new(cap));
@@ -430,32 +382,23 @@ mod tests {
         let a = EventScope::new(&obs, 1, "mobile");
         b.emit_frame("deliver", "ot_a");
         a.emit_state("ot_round_a");
-        b.emit_state("done");
+        b.emit_n("retransmit", 1);
         let jsonl = log.timelines_jsonl();
-        let events: Vec<CausalEvent> = jsonl
-            .lines()
-            .map(|l| CausalEvent::from_json(&Json::parse(l).expect("json")).expect("event"))
-            .collect();
+        // Fixed key order, and `None` fields are omitted, not `null`.
         assert_eq!(
-            events.iter().map(|e| (e.session_id, e.seq)).collect::<Vec<_>>(),
-            vec![(1, 0), (2, 0), (2, 1)]
+            jsonl.lines().collect::<Vec<_>>(),
+            vec![
+                r#"{"type":"causal","session":1,"seq":0,"actor":"mobile","kind":"state","state":"ot_round_a"}"#,
+                r#"{"type":"causal","session":2,"seq":0,"actor":"manager","kind":"deliver","frame":"ot_a"}"#,
+                r#"{"type":"causal","session":2,"seq":1,"actor":"manager","kind":"retransmit","n":1}"#,
+            ]
         );
-        assert_eq!(events[0].state.as_deref(), Some("ot_round_a"));
-        assert_eq!(events[1].frame.as_deref(), Some("ot_a"));
+        // Every line parses back to the object `to_json` wrote.
+        let events = [log.timeline(1), log.timeline(2)].concat();
+        for (line, event) in jsonl.lines().zip(&events) {
+            assert_eq!(Json::parse(line).expect("json"), event.to_json());
+        }
         // Byte-determinism of the export itself.
         assert_eq!(jsonl, log.timelines_jsonl());
-    }
-
-    #[test]
-    fn starting_at_sorts_post_mortem_events_last() {
-        let (obs, log) = log_obs(64);
-        let live = EventScope::new(&obs, 5, "manager");
-        live.emit_state("ot_round_a");
-        live.emit_state("failed");
-        drop(live);
-        EventScope::starting_at(&obs, 5, "manager", 1 << 20).emit("worker_panic");
-        let timeline = log.timeline(5);
-        assert_eq!(timeline.last().expect("event").kind, "worker_panic");
-        assert_eq!(timeline.last().expect("event").seq, 1 << 20);
     }
 }

@@ -7,27 +7,27 @@
 
 use crate::collector::Collector;
 use crate::trace::{SessionTrace, TraceSet};
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// Bounded ring buffer of recent session traces; usable as a [`Collector`]
 /// (spans and events are ignored, sessions are retained).
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
-    ring: Mutex<VecDeque<SessionTrace>>,
+    ring: RefCell<VecDeque<SessionTrace>>,
 }
 
 impl FlightRecorder {
     /// A recorder keeping at most `capacity` sessions (min 1).
     pub fn new(capacity: usize) -> FlightRecorder {
         let capacity = capacity.max(1);
-        FlightRecorder { capacity, ring: Mutex::new(VecDeque::with_capacity(capacity)) }
+        FlightRecorder { capacity, ring: RefCell::new(VecDeque::with_capacity(capacity)) }
     }
 
     /// Number of retained sessions.
     pub fn len(&self) -> usize {
-        self.ring.lock().expect("flight ring poisoned").len()
+        self.ring.borrow().len()
     }
 
     /// Whether nothing has been recorded yet.
@@ -37,12 +37,12 @@ impl FlightRecorder {
 
     /// The retained sessions, oldest first.
     pub fn recent(&self) -> Vec<SessionTrace> {
-        self.ring.lock().expect("flight ring poisoned").iter().cloned().collect()
+        self.ring.borrow().iter().cloned().collect()
     }
 
     /// The most recent session, if any.
     pub fn latest(&self) -> Option<SessionTrace> {
-        self.ring.lock().expect("flight ring poisoned").back().cloned()
+        self.ring.borrow().back().cloned()
     }
 
     /// Copy the retained sessions into a [`TraceSet`] for aggregation.
@@ -57,7 +57,7 @@ impl FlightRecorder {
 
 impl Collector for FlightRecorder {
     fn record_session(&self, trace: &SessionTrace) {
-        let mut ring = self.ring.lock().expect("flight ring poisoned");
+        let mut ring = self.ring.borrow_mut();
         if ring.len() == self.capacity {
             ring.pop_front();
         }

@@ -2,8 +2,8 @@
 //!
 //! The observability crate is dependency-free by design, so it carries
 //! its own tiny JSON implementation: enough to emit the `results/OBS_session.json`
-//! artifact and JSON-lines collector output, and to parse them back for
-//! round-trip tests and baseline comparisons (`results/BENCH_crypto.json`).
+//! artifact and the causal JSONL timelines, and to parse JSON back for
+//! tests and baseline comparisons (`results/BENCH_crypto.json`).
 //! Object key order is preserved; numbers round-trip through Rust's
 //! shortest-representation `f64` formatting.
 

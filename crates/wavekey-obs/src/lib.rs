@@ -12,26 +12,26 @@
 //! * **Spans & events** — [`Obs`] is a cheaply clonable handle; `obs.span
 //!   ("ot_round_a")` returns an RAII guard timed with the monotonic clock.
 //!   A *disabled* handle (the default) is a `None` niche: instrumented
-//!   code pays one pointer test, no clock read, no allocation, no lock.
+//!   code pays one pointer test, no clock read, no allocation.
 //! * **Collectors** — the pluggable [`Collector`] trait with
 //!   [`NullCollector`] (inert; collapses the handle to the disabled
-//!   path), [`MemoryCollector`], [`JsonLinesCollector`], a fan-out
-//!   [`MultiCollector`], and the ring-buffer [`FlightRecorder`].
+//!   path), [`MemoryCollector`], a fan-out [`MultiCollector`], and the
+//!   ring-buffer [`FlightRecorder`].
 //! * **Metrics** — counters, gauges, and log-linear histograms
-//!   (p50/p90/p99) behind a sharded [`Registry`], with Prometheus-style
+//!   (p50/p90/p99) in a per-handle [`Registry`], with Prometheus-style
 //!   text and JSON exporters.
 //! * **Session traces** — [`SessionTrace`] captures one key-establishment
 //!   attempt end to end: per-stage timings (see [`stage`]), seed mismatch,
 //!   deadline slack consumed, and outcome. [`TraceSet`] aggregates many
 //!   traces into the `results/OBS_session.json` report.
-//! * **Causal events** — [`event`] adds the bounded, lock-sharded
-//!   [`EventLog`] of per-session [`CausalEvent`] timelines (session id,
+//! * **Causal events** — [`event`] adds the bounded [`EventLog`] of
+//!   per-session [`CausalEvent`] timelines (session id,
 //!   sequence number, actor, state/frame context), emitted through cheap
 //!   per-session [`EventScope`] handles and exported as deterministic
 //!   JSONL.
-//! * **Profiles** — [`profile`] aggregates the RAII spans into a call
-//!   tree keyed by span path (inclusive/exclusive time, counts), exported
-//!   as JSON and flamegraph collapsed-stack text.
+//! * **Profiles** — [`profile`] aggregates the RAII spans by span path
+//!   (counts, inclusive time), exported as flamegraph collapsed-stack
+//!   text.
 //! * **SLOs** — [`slo`] evaluates declarative objectives (percentile +
 //!   threshold + window + success floor) into error budgets, burn rates,
 //!   and machine-readable verdicts that `ci.sh` gates on.
@@ -53,6 +53,12 @@
 //!
 //! Everything is `std`-only by design: an observability layer must not
 //! tax the crates it instruments.
+//!
+//! The crate follows the workspace's one-thread model: each session is
+//! driven on one thread, and only `wavekey-par`'s workers run elsewhere,
+//! which never touch a handle. So handles, scopes and collectors keep
+//! their state in `Rc`, `Cell` and `RefCell`, take no lock, and are not
+//! `Send` (see [`Obs`] and [`EventScope`]).
 
 #![deny(missing_docs)]
 
@@ -66,14 +72,12 @@ pub mod slo;
 pub mod span;
 pub mod trace;
 
-pub use collector::{
-    Collector, JsonLinesCollector, MemoryCollector, MultiCollector, NullCollector, ObsRecord,
-};
+pub use collector::{Collector, MemoryCollector, MultiCollector, NullCollector};
 pub use event::{CausalEvent, EventLog, EventScope};
 pub use flight::FlightRecorder;
 pub use json::Json;
 pub use metrics::{Bucket, Histogram, MetricSnapshot, Registry};
-pub use profile::{PathStat, ProfileNode, ProfileStore};
+pub use profile::{PathStat, ProfileStore};
 pub use slo::{SloReport, SloSpec, SloVerdict};
 pub use span::{EventRecord, Obs, SpanGuard, SpanRecord};
 pub use trace::{stage, SessionTrace, StageStats, StageTiming, TraceSet};

@@ -1,23 +1,18 @@
-//! Metrics: counters, gauges, and log-linear histograms behind a sharded
-//! registry.
+//! Metrics: counters, gauges, and log-linear histograms behind a registry.
 //!
-//! The registry is keyed by metric name and sharded across 16 mutexes
-//! (hash of the name picks the shard) so concurrent instrumented code paths
-//! rarely contend. Histograms are log-linear — 16 linear sub-buckets per
-//! power of two — which bounds the relative quantile error at ≈6% while
-//! keeping updates O(1) and allocation-free after the first observation.
+//! The registry is one map keyed by metric name, owned by one
+//! [`crate::Obs`] handle on the thread that drives its sessions.
+//! Histograms are log-linear — 16 linear sub-buckets per power of two —
+//! which bounds the relative quantile error at ≈6% while keeping updates
+//! O(1) and allocation-free after the first observation.
 //!
 //! Two exporters are provided: a Prometheus-style text rendering
 //! ([`Registry::prometheus_text`]) and a JSON tree ([`Registry::to_json`])
 //! used by the `results/OBS_session.json` artifact.
 
 use crate::json::Json;
-use std::collections::hash_map::DefaultHasher;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
-
-const SHARDS: usize = 16;
 
 /// Number of linear sub-buckets per power of two.
 const SUB_BUCKETS: usize = 16;
@@ -220,57 +215,44 @@ pub enum MetricSnapshot {
     Histogram(Histogram),
 }
 
-/// Thread-safe, sharded metric registry.
+/// Metric registry: one map from metric name to slot.
 ///
 /// Metric kind is fixed by first use: incrementing a name that currently
 /// holds a gauge (or vice versa) silently re-types the slot — instrumented
 /// code keeps naming disciplined via the `stage`/`span.` prefixes instead
 /// of the registry policing it.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Registry {
-    shards: Vec<Mutex<HashMap<String, Metric>>>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
+    metrics: RefCell<HashMap<String, Metric>>,
 }
 
 impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
-        Registry { shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
-    }
-
-    fn shard(&self, name: &str) -> &Mutex<HashMap<String, Metric>> {
-        let mut hasher = DefaultHasher::new();
-        name.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
+        Registry::default()
     }
 
     /// Add `delta` to the named counter (creating it at zero).
     pub fn inc_counter(&self, name: &str, delta: u64) {
-        let mut shard = self.shard(name).lock().expect("metrics shard poisoned");
-        match shard.get_mut(name) {
+        let mut metrics = self.metrics.borrow_mut();
+        match metrics.get_mut(name) {
             Some(Metric::Counter(v)) => *v += delta,
             Some(slot) => *slot = Metric::Counter(delta),
             None => {
-                shard.insert(name.to_string(), Metric::Counter(delta));
+                metrics.insert(name.to_string(), Metric::Counter(delta));
             }
         }
     }
 
     /// Set the named gauge.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut shard = self.shard(name).lock().expect("metrics shard poisoned");
-        shard.insert(name.to_string(), Metric::Gauge(value));
+        self.metrics.borrow_mut().insert(name.to_string(), Metric::Gauge(value));
     }
 
     /// Record a histogram sample under `name`.
     pub fn observe(&self, name: &str, value: f64) {
-        let mut shard = self.shard(name).lock().expect("metrics shard poisoned");
-        match shard.get_mut(name) {
+        let mut metrics = self.metrics.borrow_mut();
+        match metrics.get_mut(name) {
             Some(Metric::Histogram(h)) => h.observe(value),
             Some(slot) => {
                 let mut h = Histogram::new();
@@ -280,25 +262,26 @@ impl Registry {
             None => {
                 let mut h = Histogram::new();
                 h.observe(value);
-                shard.insert(name.to_string(), Metric::Histogram(h));
+                metrics.insert(name.to_string(), Metric::Histogram(h));
             }
         }
     }
 
     /// Copy out every metric, sorted by name.
     pub fn snapshot(&self) -> Vec<(String, MetricSnapshot)> {
-        let mut out: Vec<(String, MetricSnapshot)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("metrics shard poisoned");
-            for (name, metric) in shard.iter() {
+        let mut out: Vec<(String, MetricSnapshot)> = self
+            .metrics
+            .borrow()
+            .iter()
+            .map(|(name, metric)| {
                 let snap = match metric {
                     Metric::Counter(v) => MetricSnapshot::Counter(*v),
                     Metric::Gauge(v) => MetricSnapshot::Gauge(*v),
                     Metric::Histogram(h) => MetricSnapshot::Histogram(h.clone()),
                 };
-                out.push((name.clone(), snap));
-            }
-        }
+                (name.clone(), snap)
+            })
+            .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -464,37 +447,6 @@ mod tests {
         assert_eq!(a.count(), all.count());
         assert_eq!(a.quantile(0.5), all.quantile(0.5));
         assert_eq!(a.quantile(0.99), all.quantile(0.99));
-    }
-
-    #[test]
-    fn registry_counters_exact_under_concurrency() {
-        use std::sync::Arc;
-        let reg = Arc::new(Registry::new());
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let reg = Arc::clone(&reg);
-                std::thread::spawn(move || {
-                    for i in 0..1000 {
-                        reg.inc_counter("sessions_total", 1);
-                        reg.observe("span.seconds", (t * 1000 + i) as f64 * 1e-6);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().expect("thread");
-        }
-        let snap = reg.snapshot();
-        let counter = snap.iter().find(|(n, _)| n == "sessions_total").expect("counter");
-        match &counter.1 {
-            MetricSnapshot::Counter(v) => assert_eq!(*v, 8000),
-            other => panic!("wrong kind: {other:?}"),
-        }
-        let hist = snap.iter().find(|(n, _)| n == "span.seconds").expect("hist");
-        match &hist.1 {
-            MetricSnapshot::Histogram(h) => assert_eq!(h.count(), 8000),
-            other => panic!("wrong kind: {other:?}"),
-        }
     }
 
     #[test]

@@ -1,29 +1,25 @@
-//! Hierarchical span aggregation: a call tree keyed by span path.
+//! Hierarchical span aggregation: per-path span statistics.
 //!
 //! The RAII spans of [`crate::Obs`] already measure durations; this module
-//! adds *attribution*. Each thread keeps a stack of the spans currently
-//! open on it, and every closing span records its full path — the open
-//! ancestors joined with `;`, e.g. `enrol_mix;wave;manager_step` — into a
-//! [`ProfileStore`] of per-path counts and inclusive time. Pre-measured
-//! durations ([`crate::Obs::record_duration`]) attribute as leaves under
-//! whatever spans are open, so the agreement's logically-clocked stage
-//! timings land in the right subtree for free.
+//! adds *attribution*. Each enabled handle keeps a stack of the spans
+//! currently open on it, and every closing span records its full path —
+//! the open ancestors joined with `;`, e.g. `enrol_mix;wave;manager_step`
+//! — into a [`ProfileStore`] of per-path counts and inclusive time.
+//! Pre-measured durations ([`crate::Obs::record_duration`]) attribute as
+//! leaves under whatever spans are open, so the agreement's
+//! logically-clocked stage timings land in the right subtree for free.
 //!
-//! Two exports:
-//!
-//! * [`collapsed`] — flamegraph-compatible collapsed-stack text, one
-//!   `path weight` line per path, weight = *exclusive* time in integer
-//!   microseconds (the format `inferno`/`flamegraph.pl` consume).
-//! * [`tree`] — a [`ProfileNode`] forest with inclusive/exclusive seconds,
-//!   counts, and children, rendered to JSON via [`ProfileNode::to_json`].
+//! [`collapsed`] exports the store as flamegraph-compatible
+//! collapsed-stack text, one `path weight` line per path, weight =
+//! *exclusive* time in integer microseconds (the format
+//! `inferno`/`flamegraph.pl` consume).
 //!
 //! Everything here runs only on the *enabled* obs path; a disabled handle
-//! never touches the thread-local stack or the store, preserving the
+//! never touches the span stack or the store, preserving the
 //! one-pointer-test disabled cost.
 
-use crate::json::Json;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Aggregated samples for one span path.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -34,10 +30,10 @@ pub struct PathStat {
     pub total_s: f64,
 }
 
-/// Thread-safe accumulator of per-path span statistics.
+/// Accumulator of per-path span statistics.
 #[derive(Debug, Default)]
 pub struct ProfileStore {
-    paths: Mutex<HashMap<String, PathStat>>,
+    paths: RefCell<HashMap<String, PathStat>>,
 }
 
 impl ProfileStore {
@@ -48,7 +44,7 @@ impl ProfileStore {
 
     /// Add one closed span's inclusive time under `path`.
     pub fn record(&self, path: &str, seconds: f64) {
-        let mut paths = self.paths.lock().expect("profile store poisoned");
+        let mut paths = self.paths.borrow_mut();
         match paths.get_mut(path) {
             Some(stat) => {
                 stat.count += 1;
@@ -63,97 +59,15 @@ impl ProfileStore {
     /// Copy out every `(path, stat)`, sorted by path.
     pub fn snapshot(&self) -> Vec<(String, PathStat)> {
         let mut out: Vec<(String, PathStat)> =
-            self.paths.lock().expect("profile store poisoned").iter().map(|(p, s)| (p.clone(), *s)).collect();
+            self.paths.borrow().iter().map(|(p, s)| (p.clone(), *s)).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.paths.lock().expect("profile store poisoned").is_empty()
+        self.paths.borrow().is_empty()
     }
-}
-
-/// One node of the aggregated call tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileNode {
-    /// Span name (one path segment).
-    pub name: String,
-    /// Spans closed exactly at this path.
-    pub count: u64,
-    /// Inclusive seconds: this path's own recorded time, or the sum of its
-    /// children's when the path itself was never closed directly (a pure
-    /// interior node).
-    pub inclusive_s: f64,
-    /// Exclusive seconds: inclusive minus the children's inclusive time,
-    /// floored at zero (clock jitter can make a child measure marginally
-    /// longer than its parent).
-    pub exclusive_s: f64,
-    /// Child nodes, sorted by name.
-    pub children: Vec<ProfileNode>,
-}
-
-impl ProfileNode {
-    /// JSON rendering of the subtree.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("count", Json::Num(self.count as f64)),
-            ("inclusive_s", Json::Num(self.inclusive_s)),
-            ("exclusive_s", Json::Num(self.exclusive_s)),
-            ("children", Json::Arr(self.children.iter().map(ProfileNode::to_json).collect())),
-        ])
-    }
-}
-
-/// Build the call-tree forest from a [`ProfileStore::snapshot`].
-pub fn tree(snapshot: &[(String, PathStat)]) -> Vec<ProfileNode> {
-    fn build(prefix: &str, name: &str, snapshot: &[(String, PathStat)]) -> ProfileNode {
-        let path = if prefix.is_empty() { name.to_string() } else { format!("{prefix};{name}") };
-        let own = snapshot
-            .iter()
-            .find(|(p, _)| *p == path)
-            .map(|(_, s)| *s)
-            .unwrap_or_default();
-        let children: Vec<ProfileNode> = child_names(&path, snapshot)
-            .into_iter()
-            .map(|child| build(&path, &child, snapshot))
-            .collect();
-        let children_inclusive: f64 = children.iter().map(|c| c.inclusive_s).sum();
-        let inclusive_s = if own.count > 0 { own.total_s } else { children_inclusive };
-        ProfileNode {
-            name: name.to_string(),
-            count: own.count,
-            inclusive_s,
-            exclusive_s: (inclusive_s - children_inclusive).max(0.0),
-            children,
-        }
-    }
-    child_names("", snapshot).into_iter().map(|root| build("", &root, snapshot)).collect()
-}
-
-/// Distinct next path segments under `prefix`, in sorted order.
-fn child_names(prefix: &str, snapshot: &[(String, PathStat)]) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    for (path, _) in snapshot {
-        let rest = if prefix.is_empty() {
-            path.as_str()
-        } else {
-            match path.strip_prefix(prefix).and_then(|r| r.strip_prefix(';')) {
-                Some(rest) => rest,
-                None => continue,
-            }
-        };
-        let segment = rest.split(';').next().unwrap_or(rest);
-        if segment.is_empty() {
-            continue;
-        }
-        if !names.iter().any(|n| n == segment) {
-            names.push(segment.to_string());
-        }
-    }
-    names.sort();
-    names
 }
 
 /// Render a snapshot as flamegraph collapsed-stack text: one
@@ -178,30 +92,6 @@ pub fn collapsed(snapshot: &[(String, PathStat)]) -> String {
     out
 }
 
-/// JSON rendering of the whole forest plus a flat per-path table.
-pub fn report_json(snapshot: &[(String, PathStat)]) -> Json {
-    let forest = tree(snapshot);
-    Json::obj(vec![
-        ("paths", Json::Num(snapshot.len() as f64)),
-        ("tree", Json::Arr(forest.iter().map(ProfileNode::to_json).collect())),
-        (
-            "flat",
-            Json::Arr(
-                snapshot
-                    .iter()
-                    .map(|(path, stat)| {
-                        Json::obj(vec![
-                            ("path", Json::Str(path.clone())),
-                            ("count", Json::Num(stat.count as f64)),
-                            ("total_s", Json::Num(stat.total_s)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,32 +114,34 @@ mod tests {
             ("root;child_a;leaf", 2, 0.1),
             ("root;child_b", 1, 0.3),
         ]);
-        let forest = tree(&snap);
-        assert_eq!(forest.len(), 1);
-        let root = &forest[0];
-        assert_eq!(root.name, "root");
-        assert_eq!(root.count, 1);
-        assert!((root.inclusive_s - 1.0).abs() < 1e-9);
-        assert!((root.exclusive_s - 0.3).abs() < 1e-9, "1.0 - (0.4 + 0.3)");
-        assert_eq!(root.children.len(), 2);
-        let a = &root.children[0];
-        assert_eq!(a.name, "child_a");
-        assert_eq!(a.count, 2);
-        assert!((a.exclusive_s - 0.3).abs() < 1e-9, "0.4 - 0.1");
-        assert_eq!(a.children[0].name, "leaf");
-        assert!((a.children[0].exclusive_s - 0.1).abs() < 1e-9);
+        // The store keeps each path's count and inclusive time ...
+        let stat = |path: &str| snap.iter().find(|(p, _)| p == path).expect(path).1;
+        assert_eq!(stat("root").count, 1);
+        assert!((stat("root").total_s - 1.0).abs() < 1e-9);
+        assert_eq!(stat("root;child_a").count, 2);
+        assert!((stat("root;child_a").total_s - 0.4).abs() < 1e-9);
+        // ... and the export weighs each by its exclusive time.
+        assert_eq!(
+            collapsed(&snap).lines().collect::<Vec<_>>(),
+            vec![
+                "root 300000",              // 1.0 - (0.4 + 0.3)
+                "root;child_a 300000",      // 0.4 - 0.1
+                "root;child_a;leaf 100000",
+                "root;child_b 300000",
+            ]
+        );
     }
 
     #[test]
     fn interior_node_without_direct_samples_sums_children() {
         // "outer" never closed directly (e.g. only pre-measured leaves
-        // were recorded under it).
+        // were recorded under it): it gets no line of its own, so a
+        // flamegraph draws it as exactly the sum of its children.
         let snap = store_with(&[("outer;leaf_a", 1, 0.2), ("outer;leaf_b", 1, 0.3)]);
-        let forest = tree(&snap);
-        let outer = &forest[0];
-        assert_eq!(outer.count, 0);
-        assert!((outer.inclusive_s - 0.5).abs() < 1e-9);
-        assert_eq!(outer.exclusive_s, 0.0);
+        assert_eq!(
+            collapsed(&snap).lines().collect::<Vec<_>>(),
+            vec!["outer;leaf_a 200000", "outer;leaf_b 300000"]
+        );
     }
 
     #[test]
@@ -266,14 +158,5 @@ mod tests {
         let snap = store_with(&[("a", 1, 1.0), ("a;b", 1, 0.6), ("a;b;c", 1, 0.2)]);
         let text = collapsed(&snap);
         assert_eq!(text.lines().next(), Some("a 400000"), "1.0 - 0.6 only");
-    }
-
-    #[test]
-    fn report_json_shape() {
-        let snap = store_with(&[("root", 1, 0.5)]);
-        let json = report_json(&snap);
-        assert_eq!(json.get("paths").and_then(Json::as_f64), Some(1.0));
-        assert!(json.get("tree").and_then(Json::as_arr).is_some());
-        assert!(json.get("flat").and_then(Json::as_arr).is_some());
     }
 }

@@ -3,9 +3,13 @@
 //! `Obs` is a cheaply clonable handle that is either *disabled* (the
 //! default — a `None` inside, so every instrumentation call is a branch on
 //! a niche-optimized pointer and nothing else: no clock read, no
-//! allocation, no lock) or *enabled*, in which case spans, events, and
-//! session traces flow to the attached [`Collector`] and into the
-//! process-wide sharded metrics [`Registry`].
+//! allocation) or *enabled*, in which case spans, events, and session
+//! traces flow to the attached [`Collector`] and into the handle's own
+//! metrics [`Registry`] (each [`Obs::new`] builds a fresh one, shared by
+//! the handle's clones).
+//!
+//! An enabled handle lives on the thread that drives its sessions: its
+//! state sits behind an `Rc`, so `Obs` is not `Send` and takes no lock.
 //!
 //! Span timings use [`std::time::Instant`], the monotonic clock.
 
@@ -15,15 +19,9 @@ use crate::metrics::Registry;
 use crate::profile::{PathStat, ProfileStore};
 use crate::trace::SessionTrace;
 use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
-
-thread_local! {
-    /// The spans currently open on this thread, outermost first. Touched
-    /// only on the *enabled* path — a disabled handle never reaches it, so
-    /// the disabled span cost stays one pointer test.
-    static SPAN_STACK: RefCell<Vec<&'static str>> = RefCell::new(Vec::new());
-}
 
 /// A completed span: a named duration.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,6 +45,10 @@ struct Inner {
     collector: Arc<dyn Collector>,
     registry: Registry,
     profile: ProfileStore,
+    /// The spans currently open on this handle, outermost first. Touched
+    /// only on the *enabled* path — a disabled handle never reaches it, so
+    /// the disabled span cost stays one pointer test.
+    stack: RefCell<Vec<&'static str>>,
 }
 
 impl Inner {
@@ -58,12 +60,10 @@ impl Inner {
         self.registry.observe(&format!("span.{name}"), seconds);
         self.profile.record(path, seconds);
     }
-}
 
-/// The current thread's span path with `name` appended (`;`-joined).
-fn path_with(name: &str) -> String {
-    SPAN_STACK.with(|stack| {
-        let stack = stack.borrow();
+    /// The open-span path with `name` appended (`;`-joined).
+    fn path_with(&self, name: &str) -> String {
+        let stack = self.stack.borrow();
         if stack.is_empty() {
             name.to_string()
         } else {
@@ -72,13 +72,21 @@ fn path_with(name: &str) -> String {
             path.push_str(name);
             path
         }
-    })
+    }
 }
 
 /// Observability handle passed into instrumented code.
+///
+/// Not `Send`: clones share one `Rc`, so a handle stays on the thread
+/// that drives its sessions.
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<wavekey_obs::Obs>();
+/// ```
 #[derive(Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Rc<Inner>>,
 }
 
 impl std::fmt::Debug for Obs {
@@ -104,10 +112,11 @@ impl Obs {
             return Obs::disabled();
         }
         Obs {
-            inner: Some(Arc::new(Inner {
+            inner: Some(Rc::new(Inner {
                 collector,
                 registry: Registry::new(),
                 profile: ProfileStore::new(),
+                stack: RefCell::new(Vec::new()),
             })),
         }
     }
@@ -126,17 +135,17 @@ impl Obs {
 
     /// Open an RAII span; the duration is recorded when the guard drops.
     /// On a disabled handle this does not even read the clock. When
-    /// enabled, the span also joins the thread's open-span stack, so its
-    /// closing time is attributed hierarchically in the profile call tree
+    /// enabled, the span also joins the handle's open-span stack, so its
+    /// closing time is attributed hierarchically in the profile
     /// (see [`crate::profile`]).
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
         SpanGuard {
             live: self.inner.as_deref().map(|inner| {
-                let depth = SPAN_STACK.with(|stack| {
-                    let mut stack = stack.borrow_mut();
+                let depth = {
+                    let mut stack = inner.stack.borrow_mut();
                     stack.push(name);
                     stack.len() - 1
-                });
+                };
                 (inner, name, Instant::now(), depth)
             }),
         }
@@ -145,10 +154,10 @@ impl Obs {
     /// Record an already-measured duration as a span (used where code
     /// already times a stage for protocol-logic reasons, e.g. the
     /// agreement's logical clocks — avoids double clock reads). Attributes
-    /// as a leaf under the spans currently open on this thread.
+    /// as a leaf under the spans currently open on this handle.
     pub fn record_duration(&self, name: &'static str, seconds: f64) {
         if let Some(inner) = self.inner.as_deref() {
-            inner.record_span_at(name, &path_with(name), seconds);
+            inner.record_span_at(name, &inner.path_with(name), seconds);
         }
     }
 
@@ -231,14 +240,6 @@ impl Obs {
         crate::profile::collapsed(&self.profile_snapshot())
     }
 
-    /// The profile as a JSON call tree (`Json::Null` when disabled).
-    pub fn profile_json(&self) -> crate::json::Json {
-        if self.inner.is_none() {
-            return crate::json::Json::Null;
-        }
-        crate::profile::report_json(&self.profile_snapshot())
-    }
-
     /// Run `f` against the registry, if enabled (snapshotting, exporting).
     pub fn with_registry<T>(&self, f: impl FnOnce(&Registry) -> T) -> Option<T> {
         self.inner.as_deref().map(|inner| f(&inner.registry))
@@ -265,12 +266,12 @@ impl SpanGuard<'_> {
     fn close(&mut self) -> f64 {
         if let Some((inner, name, start, depth)) = self.live.take() {
             let seconds = start.elapsed().as_secs_f64();
-            // Pop this span off the thread's stack and take the ancestry
-            // as the profile path. RAII guards nest LIFO; if a guard was
-            // held across manual stack surgery (another thread's guard
-            // moved here, say) fall back to attributing at the root.
-            let path = SPAN_STACK.with(|stack| {
-                let mut stack = stack.borrow_mut();
+            // Pop this span off the handle's stack and take the ancestry
+            // as the profile path. RAII guards nest LIFO; if guards closed
+            // out of order (sessions interleaved on one executor, say)
+            // fall back to attributing at the root.
+            let path = {
+                let mut stack = inner.stack.borrow_mut();
                 if stack.get(depth).copied() == Some(name) {
                     let path = stack[..=depth].join(";");
                     stack.truncate(depth);
@@ -278,7 +279,7 @@ impl SpanGuard<'_> {
                 } else {
                     name.to_string()
                 }
-            });
+            };
             inner.record_span_at(name, &path, seconds);
             seconds
         } else {
@@ -382,13 +383,28 @@ mod tests {
         let leaf = snap.iter().find(|(p, _)| p == "outer;inner;leaf").expect("leaf");
         assert_eq!(leaf.1.count, 1);
         assert_eq!(leaf.1.total_s, 0.25);
-        // Exports exist and contain the paths.
+        // The export exists and contains the paths.
         assert!(obs.profile_collapsed().contains("outer;inner;leaf "));
-        let json = obs.profile_json();
-        assert!(json.get("tree").is_some());
         // Flat span recording is unchanged: names stay bare.
         let text = obs.prometheus_text();
         assert!(text.contains("span_leaf_count 1"));
+    }
+
+    #[test]
+    fn profile_paths_are_per_handle() {
+        let (obs, _mem) = Obs::with_memory();
+        let (other, _other_mem) = Obs::with_memory();
+        {
+            let _outer = obs.span("outer");
+            // A clone shares the handle's open-span stack ...
+            let clone = obs.clone();
+            let _child = clone.span("child");
+            // ... another handle on the same thread does not.
+            let _root = other.span("other_root");
+        }
+        let paths = |o: &Obs| o.profile_snapshot().into_iter().map(|(p, _)| p).collect::<Vec<_>>();
+        assert_eq!(paths(&obs), vec!["outer", "outer;child"]);
+        assert_eq!(paths(&other), vec!["other_root"]);
     }
 
     #[test]
@@ -400,7 +416,6 @@ mod tests {
         obs.record_duration("y", 1.0);
         assert!(obs.profile_snapshot().is_empty());
         assert_eq!(obs.profile_collapsed(), "");
-        assert_eq!(obs.profile_json(), crate::json::Json::Null);
         obs.causal(&CausalEvent {
             session_id: 1,
             seq: 0,
@@ -423,54 +438,5 @@ mod tests {
         assert_eq!(events[0].session_id, 42);
         assert_eq!(events[1].seq, 1);
         assert_eq!(events[1].state.as_deref(), Some("done"));
-    }
-
-    #[test]
-    fn profile_paths_are_per_thread() {
-        let (obs, _mem) = Obs::with_memory();
-        let _outer = obs.span("main_only");
-        let handle = {
-            let obs = obs.clone();
-            std::thread::spawn(move || {
-                // This thread's stack is empty: no "main_only" ancestry.
-                let _g = obs.span("worker");
-            })
-        };
-        handle.join().expect("thread");
-        let snap = obs.profile_snapshot();
-        assert!(snap.iter().any(|(p, _)| p == "worker"));
-        assert!(!snap.iter().any(|(p, _)| p == "main_only;worker"));
-    }
-
-    #[test]
-    fn concurrent_spans_lose_nothing() {
-        let (obs, mem) = Obs::with_memory();
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let obs = obs.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..500 {
-                        let _g = obs.span("hot");
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().expect("thread");
-        }
-        assert_eq!(mem.spans().len(), 4000);
-        let count = obs
-            .with_registry(|r| {
-                r.snapshot()
-                    .into_iter()
-                    .find(|(n, _)| n == "span.hot")
-                    .map(|(_, m)| match m {
-                        crate::metrics::MetricSnapshot::Histogram(h) => h.count(),
-                        _ => 0,
-                    })
-                    .unwrap_or(0)
-            })
-            .expect("registry");
-        assert_eq!(count, 4000);
     }
 }

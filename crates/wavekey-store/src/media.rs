@@ -8,9 +8,10 @@
 //! `deep_clone` freezes a crash image).
 //! [`FileVolume`] maps the same primitives onto a directory of real files.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::StoreError;
 
@@ -50,9 +51,17 @@ pub trait Volume {
 /// In-memory volume. `Clone` shares the underlying files (a handle), so a
 /// test can keep a handle while the store owns a `Box<dyn Volume>` of the
 /// same media; `deep_clone` takes an independent crash image.
+///
+/// The handles share one `Rc<RefCell<…>>`: a volume and its clones live on
+/// the thread that drives the store, so `MemVolume` is not `Send`.
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<wavekey_store::MemVolume>();
+/// ```
 #[derive(Clone, Default)]
 pub struct MemVolume {
-    files: Arc<Mutex<BTreeMap<String, Vec<u8>>>>,
+    files: Rc<RefCell<BTreeMap<String, Vec<u8>>>>,
 }
 
 impl MemVolume {
@@ -63,21 +72,16 @@ impl MemVolume {
     /// Independent copy of the current media contents — "what would be on
     /// disk if the process died right now".
     pub fn deep_clone(&self) -> MemVolume {
-        let files = self.files.lock().unwrap().clone();
+        let files = self.files.borrow().clone();
         MemVolume {
-            files: Arc::new(Mutex::new(files)),
+            files: Rc::new(RefCell::new(files)),
         }
-    }
-
-    /// Snapshot of the file map, for byte-level assertions in tests.
-    pub fn dump(&self) -> BTreeMap<String, Vec<u8>> {
-        self.files.lock().unwrap().clone()
     }
 }
 
 impl core::fmt::Debug for MemVolume {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let files = self.files.lock().unwrap();
+        let files = self.files.borrow();
         let mut d = f.debug_map();
         for (name, bytes) in files.iter() {
             d.entry(name, &bytes.len());
@@ -88,7 +92,7 @@ impl core::fmt::Debug for MemVolume {
 
 impl Volume for MemVolume {
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
-        Ok(self.files.lock().unwrap().get(name).cloned())
+        Ok(self.files.borrow().get(name).cloned())
     }
 
     fn read_range(
@@ -97,7 +101,7 @@ impl Volume for MemVolume {
         offset: usize,
         len: usize,
     ) -> Result<Option<Vec<u8>>, StoreError> {
-        let files = self.files.lock().unwrap();
+        let files = self.files.borrow();
         let end = offset.checked_add(len);
         Ok(files
             .get(name)
@@ -106,17 +110,13 @@ impl Volume for MemVolume {
     }
 
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.files
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), bytes.to_vec());
+        self.files.borrow_mut().insert(name.to_string(), bytes.to_vec());
         Ok(())
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         self.files
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .entry(name.to_string())
             .or_default()
             .extend_from_slice(bytes);
@@ -124,7 +124,7 @@ impl Volume for MemVolume {
     }
 
     fn truncate(&mut self, name: &str, len: usize) -> Result<(), StoreError> {
-        if let Some(f) = self.files.lock().unwrap().get_mut(name) {
+        if let Some(f) = self.files.borrow_mut().get_mut(name) {
             if f.len() > len {
                 f.truncate(len);
             }
@@ -133,7 +133,7 @@ impl Volume for MemVolume {
     }
 
     fn rename(&mut self, from: &str, to: &str) -> Result<(), StoreError> {
-        let mut files = self.files.lock().unwrap();
+        let mut files = self.files.borrow_mut();
         match files.remove(from) {
             Some(bytes) => {
                 files.insert(to.to_string(), bytes);
@@ -144,18 +144,12 @@ impl Volume for MemVolume {
     }
 
     fn remove(&mut self, name: &str) -> Result<(), StoreError> {
-        self.files.lock().unwrap().remove(name);
+        self.files.borrow_mut().remove(name);
         Ok(())
     }
 
     fn len(&self, name: &str) -> Result<usize, StoreError> {
-        Ok(self
-            .files
-            .lock()
-            .unwrap()
-            .get(name)
-            .map(|f| f.len())
-            .unwrap_or(0))
+        Ok(self.files.borrow().get(name).map_or(0, Vec::len))
     }
 }
 

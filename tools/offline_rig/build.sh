@@ -62,10 +62,10 @@ lib wavekey_obs     wavekey-obs
 lib wavekey_store   wavekey-store
 lib wavekey_dsp     wavekey-dsp     wavekey_math
 lib wavekey_nn      wavekey-nn      rand wavekey_par
-lib wavekey_imu     wavekey-imu     rand wavekey_math wavekey_dsp wavekey_obs
-lib wavekey_rfid    wavekey-rfid    rand wavekey_math wavekey_dsp wavekey_imu wavekey_obs
-lib wavekey_crypto  wavekey-crypto  rand wavekey_par wavekey_obs
-lib wavekey_core    wavekey-core    rand wavekey_par wavekey_math wavekey_dsp wavekey_nn \
+lib wavekey_imu     wavekey-imu     rand wavekey_math wavekey_dsp
+lib wavekey_rfid    wavekey-rfid    rand wavekey_math wavekey_dsp wavekey_imu
+lib wavekey_crypto  wavekey-crypto  rand wavekey_par
+lib wavekey_core    wavekey-core    rand wavekey_math wavekey_dsp wavekey_nn \
     wavekey_imu wavekey_rfid wavekey_crypto wavekey_store wavekey_obs
 lib wavekey_gateway wavekey-gateway rand wavekey_crypto wavekey_core wavekey_store wavekey_obs
 lib wavekey_bench   wavekey-bench   rand wavekey_par wavekey_math wavekey_dsp wavekey_nn \
