@@ -1,7 +1,7 @@
-//! Chaos soak: many concurrent sessions under the reference
-//! [`FaultPlan`] mixture, with and without the recovery layer, plus a
-//! fault-free differential control. Writes `results/BENCH_faults.json`
-//! (consumed by the ci.sh fault-soak gate).
+//! Chaos soak: many concurrent gateway sessions under the reference
+//! [`FaultPlan`] mixture on the [`SimNet`], with and without the
+//! recovery layer, plus a fault-free differential control. Writes
+//! `results/BENCH_faults.json` (consumed by the ci.sh fault-soak gate).
 //!
 //! ```text
 //! cargo run --release -p wavekey-bench --bin fault_soak [out_path]
@@ -18,19 +18,25 @@
 //!    (default 0.90). Every surviving session must hold *matching*
 //!    mobile/server keys — `divergent_key_successes` must be 0.
 //! 3. **fault-free control** — retries enabled but a passive channel:
-//!    outcomes must be bit-identical to the lockstep `run_agreement`
-//!    driver, proving the recovery layer is inert without faults.
+//!    every key must be bit-identical to the lockstep `run_agreement`
+//!    driver with mirrored seeds and RNGs (the server's from
+//!    `server_rng`), with 0 retransmits, proving the recovery layer is
+//!    inert without faults.
 //!
 //! A sensing-layer section additionally pushes the reference IMU/RFID
 //! fault mixtures through both processing pipelines to confirm the
 //! front-end absorbs them without panicking.
 
 use rand::rngs::StdRng;
+use rand::SeedableRng;
+use wavekey_bench::fleet::{run_fleet, Fleet};
 use wavekey_bench::traffic::soak_config;
-use wavekey_core::agreement::{run_agreement, AgreementConfig, RetryPolicy};
+use wavekey_core::agreement::{run_agreement, RetryPolicy};
 use wavekey_core::channel::PassiveChannel;
 use wavekey_core::fault::{FaultPlan, FaultProfile};
-use wavekey_core::SessionManager;
+use wavekey_core::MobileAgreement;
+use wavekey_gateway::{server_rng, Gateway, GatewayConfig, SimNet, StreamFaults};
+use wavekey_obs::Obs;
 use wavekey_imu::gesture::{GestureConfig, GestureGenerator, VolunteerId};
 use wavekey_imu::pipeline::{process_imu, ImuPipelineConfig};
 use wavekey_imu::sensors::{sample_imu, DeviceModel};
@@ -52,44 +58,24 @@ fn seed_pair(base: u64) -> (Vec<bool>, Vec<bool>) {
     wavekey_bench::traffic::seed_pair(0xC0DE, base, SEED_LEN)
 }
 
-fn rngs(i: u64) -> (StdRng, StdRng) {
-    wavekey_bench::traffic::rng_pair(0xA11CE, 0xB0B, i)
+fn mobile_rng(i: u64) -> StdRng {
+    StdRng::seed_from_u64(0xA11CE + i)
 }
 
-fn config(retry: RetryPolicy) -> AgreementConfig {
-    soak_config(retry)
+fn config(retry: RetryPolicy) -> GatewayConfig {
+    GatewayConfig::new(soak_config(retry))
 }
 
-/// Spawns the soak batch and drives it to completion under `adversary`.
-fn run_arm(
-    config: &AgreementConfig,
-    adversary: &mut dyn wavekey_core::channel::Adversary,
-) -> (SessionManager, Vec<u64>) {
-    let mut manager = SessionManager::new(12);
-    let mut ids = Vec::new();
-    for i in 0..SESSIONS {
-        let (s_m, s_r) = seed_pair(i);
-        let (rng_m, rng_r) = rngs(i);
-        ids.push(
-            manager
-                .spawn(&s_m, &s_r, config, rng_m, rng_r, adversary)
-                .expect("spawn session"),
-        );
-    }
-    manager.run_to_completion(adversary);
-    (manager, ids)
-}
-
-/// Successes whose mobile and server keys disagree — must never happen.
-fn divergent(manager: &SessionManager, ids: &[u64]) -> u64 {
-    ids.iter()
-        .filter(|id| {
-            matches!(
-                manager.outcome(**id),
-                Some(Ok(out)) if out.agreement.key != out.server_key
-            )
-        })
-        .count() as u64
+/// Runs the soak batch through one gateway over `net`; session `i` is
+/// conn id `i + 1`.
+fn run_arm(config: &GatewayConfig, net: &SimNet) -> (Fleet, Gateway) {
+    let gateway = Gateway::new(config.clone(), Obs::disabled(), |conn_id| seed_pair(conn_id - 1).1);
+    let mobile = |conn_id: u64| {
+        let (s_m, _) = seed_pair(conn_id - 1);
+        MobileAgreement::new(&s_m, &config.agreement, mobile_rng(conn_id - 1)).expect("mobile")
+    };
+    let fleet = run_fleet(&gateway, config, net, SESSIONS, mobile, |_| StreamFaults::none());
+    (fleet, gateway)
 }
 
 /// Sensing-layer soak: reference IMU/RFID fault mixtures through both
@@ -128,47 +114,46 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_faults.json".to_string());
 
+    let faulted =
+        || SimNet::with_adversary(1 << 16, FaultPlan::new(FAULT_SEED, FaultProfile::reference()));
+
     // Arm 1: reference faults, no recovery.
-    let mut plan = FaultPlan::new(FAULT_SEED, FaultProfile::reference());
-    let (bare, bare_ids) = run_arm(&config(RetryPolicy::none()), &mut plan);
-    let bare_success = bare.successes() as u64;
+    let (bare, bare_gateway) = run_arm(&config(RetryPolicy::none()), &faulted());
+    let bare_success = bare.successes();
     let rate_bare = bare_success as f64 / SESSIONS as f64;
-    let divergent_bare = divergent(&bare, &bare_ids);
+    let divergent_bare = bare.divergent(&bare_gateway);
 
     // Arm 2: the same fault mixture, recovery on.
-    let mut plan = FaultPlan::new(FAULT_SEED, FaultProfile::reference());
-    let (recovered, rec_ids) = run_arm(&config(RetryPolicy::arq()), &mut plan);
-    let rec_success = recovered.successes() as u64;
+    let net = faulted();
+    let (recovered, rec_gateway) = run_arm(&config(RetryPolicy::arq()), &net);
+    let rec_success = recovered.successes();
     let rate_rec = rec_success as f64 / SESSIONS as f64;
-    let divergent_rec = divergent(&recovered, &rec_ids);
-    let retransmits = recovered.retransmits_total();
+    let divergent_rec = recovered.divergent(&rec_gateway);
+    let retransmits = net.retransmits();
 
     // Arm 3: fault-free control — retries enabled, passive channel,
     // differential against the lockstep driver.
-    let (control, control_ids) = run_arm(&config(RetryPolicy::arq()), &mut PassiveChannel);
-    let mut bit_identical = control.successes() as u64 == SESSIONS;
-    for (i, id) in control_ids.iter().enumerate() {
-        let (s_m, s_r) = seed_pair(i as u64);
-        let (mut rng_m, mut rng_r) = rngs(i as u64);
+    let net = SimNet::new(1 << 16);
+    let control_config = config(RetryPolicy::arq());
+    let (control, control_gateway) = run_arm(&control_config, &net);
+    let mut bit_identical = control.successes() == SESSIONS
+        && control.divergent(&control_gateway) == 0
+        && net.retransmits() == 0;
+    for (conn_id, _, got) in &control.sessions {
+        let (s_m, s_r) = seed_pair(conn_id - 1);
+        let mut rng_m = mobile_rng(conn_id - 1);
+        let mut rng_r = server_rng(control_config.server_seed, *conn_id);
         let reference = run_agreement(
             &s_m,
             &s_r,
-            &config(RetryPolicy::arq()),
+            &control_config.agreement,
             &mut rng_m,
             &mut rng_r,
             &mut PassiveChannel,
         )
         .expect("fault-free lockstep agreement succeeds");
-        match control.outcome(*id) {
-            Some(Ok(out)) => {
-                bit_identical &= out.agreement.key == reference.key
-                    && out.server_key == reference.key
-                    && out.agreement.key_bits == reference.key_bits;
-            }
-            _ => bit_identical = false,
-        }
+        bit_identical &= got.as_ref().is_ok_and(|key| *key == reference.key);
     }
-    bit_identical &= control.retransmits_total() == 0;
 
     let divergent_total = divergent_bare + divergent_rec;
     let sensing_ok = sensing_soak(16);

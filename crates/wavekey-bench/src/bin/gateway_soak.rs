@@ -30,15 +30,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
+use wavekey_bench::fleet::{run_fleet, Fleet};
 use wavekey_bench::traffic::{env_f64, env_u64, seed_pair};
-use wavekey_core::agreement::{AgreementConfig, AgreementError};
+use wavekey_core::agreement::AgreementConfig;
 use wavekey_core::proto::{driver, MobileAgreement};
 use wavekey_core::PassiveChannel;
-use wavekey_gateway::{
-    drive_mobile, server_rng, Executor, Gateway, GatewayConfig, SessionOutcome, SimNet,
-    StreamFaults,
-};
+use wavekey_gateway::{server_rng, Gateway, GatewayConfig, SimNet, StreamFaults};
 use wavekey_obs::{EventScope, Json, Obs};
 
 const SEED_BASE: u64 = 0x6A7E_0000;
@@ -53,87 +50,19 @@ fn mobile_rng(conn_id: u64) -> StdRng {
     StdRng::seed_from_u64(MOBILE_RNG_BASE + conn_id)
 }
 
-/// One fleet run's aggregate.
-struct FleetStats {
-    /// Client-side results sorted by conn id (1-based, connect order).
-    results: Vec<(u64, Result<Vec<u8>, AgreementError>)>,
-    completed: u64,
-    evicted: u64,
-    failed: u64,
-    peak_live: u64,
-    /// Sessions where the client holds a key the gateway's table
-    /// disagrees with (or never recorded) — the zero-tolerance count.
-    divergent: u64,
-    wall_s: f64,
-}
-
-/// Connects `n` clients, then runs the whole fleet on one deterministic
-/// executor. All connects land in the listener backlog before the first
-/// poll, so the accept loop admits every session before any completes —
-/// the fleet genuinely has `n` sessions in flight at once.
-fn run_fleet(n: u64, faults: impl Fn(u64) -> StreamFaults) -> FleetStats {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
+/// Runs `n` fault-free-seeded sessions through one gateway, with
+/// `faults(i)` on the `i`-th connection.
+fn run_arm(n: u64, faults: impl Fn(u64) -> StreamFaults) -> (Fleet, Gateway) {
     let config = GatewayConfig::new(soak_agreement());
-    let agreement = config.agreement.clone();
-    let idle = config.idle_ticks;
-    let gateway = Gateway::new(config, Obs::disabled(), |conn_id| {
+    let gateway = Gateway::new(config.clone(), Obs::disabled(), |conn_id| {
         seed_pair(SEED_BASE, conn_id, SEED_LEN).1
     });
-    let net = SimNet::new(1 << 16);
-    let mut exec = Executor::new();
-    gateway.listen(&exec.handle(), &net);
-    // The huge timer fires only once everything else has quiesced,
-    // closing the listener so the accept loop (and the run) can end.
-    {
-        let handle = exec.handle();
-        let net = net.clone();
-        exec.spawn(async move {
-            handle.sleep(1_000_000).await;
-            net.close();
-        });
-    }
-    let results = Rc::new(RefCell::new(Vec::with_capacity(n as usize)));
-    let t0 = Instant::now();
-    for i in 0..n {
-        let stream = net.connect_with(faults(i)).expect("listener open");
-        let conn_id = stream.conn_id();
+    let mobile = |conn_id| {
         let (s_m, _) = seed_pair(SEED_BASE, conn_id, SEED_LEN);
-        let mobile =
-            MobileAgreement::new(&s_m, &agreement, mobile_rng(conn_id)).expect("mobile machine");
-        let handle = exec.handle();
-        let results = Rc::clone(&results);
-        let delay = agreement.channel_delay;
-        exec.spawn(async move {
-            let got = drive_mobile(handle, stream, mobile, delay, idle).await;
-            results.borrow_mut().push((conn_id, got));
-        });
-    }
-    exec.run();
-    let wall_s = t0.elapsed().as_secs_f64();
-
-    let mut results = Rc::try_unwrap(results).expect("all client tasks done").into_inner();
-    results.sort_by_key(|(id, _)| *id);
-    let divergent = results
-        .iter()
-        .filter(|(conn_id, got)| match got {
-            Ok(key) => !matches!(
-                gateway.table().outcome(*conn_id),
-                Some(SessionOutcome::Done(server_key)) if server_key == *key
-            ),
-            Err(_) => false,
-        })
-        .count() as u64;
-    FleetStats {
-        results,
-        completed: gateway.table().completed(),
-        evicted: gateway.table().evicted(),
-        failed: gateway.table().failed(),
-        peak_live: gateway.table().peak_live(),
-        divergent,
-        wall_s,
-    }
+        MobileAgreement::new(&s_m, &config.agreement, mobile_rng(conn_id)).expect("mobile machine")
+    };
+    let fleet = run_fleet(&gateway, &config, &SimNet::new(1 << 16), n, mobile, faults);
+    (fleet, gateway)
 }
 
 /// Peak resident set of this process (`VmHWM`), in MiB.
@@ -149,13 +78,13 @@ fn peak_rss_mb() -> f64 {
 /// Re-runs an evenly-strided subsample of the soak fleet through the
 /// lockstep driver with mirrored seeds/RNGs; returns
 /// `(checked, all bit-identical)`.
-fn lockstep_mirror(soak: &FleetStats, server_seed: u64) -> (u64, bool) {
-    let n = soak.results.len() as u64;
+fn lockstep_mirror(soak: &Fleet, server_seed: u64) -> (u64, bool) {
+    let n = soak.sessions.len() as u64;
     let stride = (n / 256).max(1);
     let config = soak_agreement();
     let mut checked = 0u64;
     let mut identical = true;
-    for (conn_id, got) in soak.results.iter().filter(|(id, _)| (id - 1) % stride == 0) {
+    for (conn_id, _, got) in soak.sessions.iter().filter(|(id, _, _)| (id - 1) % stride == 0) {
         let Ok(gateway_key) = got else {
             identical = false;
             continue;
@@ -212,7 +141,9 @@ fn main() {
     let server_seed = GatewayConfig::new(soak_agreement()).server_seed;
 
     eprintln!("[gateway_soak] soak arm: {sessions} concurrent fault-free sessions…");
-    let soak = run_fleet(sessions, |_| StreamFaults::none());
+    let (soak, soak_gateway) = run_arm(sessions, |_| StreamFaults::none());
+    let table = soak_gateway.table();
+    let soak_divergent = soak.divergent(&soak_gateway);
     let sps = if soak.wall_s > 0.0 { sessions as f64 / soak.wall_s } else { 0.0 };
     let rss_mb = peak_rss_mb();
     let rss_pass = rss_mb > 0.0 && rss_mb <= max_rss_mb;
@@ -221,48 +152,54 @@ fn main() {
     let (lockstep_checked, lockstep_identical) = lockstep_mirror(&soak, server_seed);
 
     eprintln!("[gateway_soak] lossless-fault arm: {fault_sessions} sessions…");
-    let lossless = run_fleet(fault_sessions, |i| StreamFaults::lossless(0xFA_57 + i));
+    let (lossless, _) = run_arm(fault_sessions, |i| StreamFaults::lossless(0xFA_57 + i));
     // Same conn ids, same seeds: splits and stalls must not change keys.
-    let lossless_identical = lossless.results.len() == fault_sessions as usize
-        && lossless
-            .results
-            .iter()
-            .zip(soak.results.iter())
-            .all(|((id_a, a), (id_b, b))| id_a == id_b && a.as_ref().ok() == b.as_ref().ok());
+    let lossless_identical = lossless.sessions.len() == fault_sessions as usize
+        && lossless.sessions.iter().zip(soak.sessions.iter()).all(|((id_a, _, a), (id_b, _, b))| {
+            id_a == id_b && a.as_ref().ok() == b.as_ref().ok()
+        });
 
     eprintln!("[gateway_soak] lossy-fault arm: {fault_sessions} sessions…");
-    let lossy = run_fleet(fault_sessions, |i| StreamFaults::lossy(0x10_55 + i));
+    let (lossy, lossy_gateway) = run_arm(fault_sessions, |i| StreamFaults::lossy(0x10_55 + i));
+    let lossy_divergent = lossy.divergent(&lossy_gateway);
+    let lossy_table = lossy_gateway.table();
 
-    let soak_pass = soak.completed == sessions
-        && soak.divergent == 0
-        && soak.peak_live >= sessions
+    let soak_pass = table.completed() == sessions
+        && soak_divergent == 0
+        && table.peak_live() >= sessions
         && rss_pass
         && lockstep_identical
         && lossless_identical
-        && lossy.divergent == 0;
+        && lossy_divergent == 0;
     let trend_run = append_trend(sessions, sps, rss_mb, soak_pass);
 
     println!("sessions                {sessions}");
-    println!("completed               {} (evicted {}, failed {})", soak.completed, soak.evicted, soak.failed);
-    println!("peak_in_flight          {}  (floor {sessions})", soak.peak_live);
-    println!("divergent keys          {}", soak.divergent);
+    println!(
+        "completed               {} (evicted {}, failed {})",
+        table.completed(),
+        table.evicted(),
+        table.failed()
+    );
+    println!("peak_in_flight          {}  (floor {sessions})", table.peak_live());
+    println!("divergent keys          {soak_divergent}");
     println!("wall                    {:.2} s  ({sps:.0} sessions/s)", soak.wall_s);
     println!("peak RSS                {rss_mb:.1} MiB  (ceiling {max_rss_mb:.0})  pass {rss_pass}");
     println!("lockstep mirror         {lockstep_checked} checked, bit_identical {lockstep_identical}");
     println!("lossless faults         keys identical {lossless_identical}");
     println!(
-        "lossy faults            {} completed, {} evicted, {} divergent",
-        lossy.completed, lossy.evicted, lossy.divergent
+        "lossy faults            {} completed, {} evicted, {lossy_divergent} divergent",
+        lossy_table.completed(),
+        lossy_table.evicted()
     );
     println!("gateway_soak_pass       {soak_pass}");
 
     let json = Json::obj(vec![
         ("sessions", Json::Num(sessions as f64)),
-        ("completed", Json::Num(soak.completed as f64)),
-        ("evicted", Json::Num(soak.evicted as f64)),
-        ("failed", Json::Num(soak.failed as f64)),
-        ("peak_in_flight", Json::Num(soak.peak_live as f64)),
-        ("divergent_keys", Json::Num(soak.divergent as f64)),
+        ("completed", Json::Num(table.completed() as f64)),
+        ("evicted", Json::Num(table.evicted() as f64)),
+        ("failed", Json::Num(table.failed() as f64)),
+        ("peak_in_flight", Json::Num(table.peak_live() as f64)),
+        ("divergent_keys", Json::Num(soak_divergent as f64)),
         ("wall_s", Json::Num(soak.wall_s)),
         ("sessions_per_s", Json::Num(sps)),
         ("peak_rss_mb", Json::Num(rss_mb)),
@@ -273,9 +210,9 @@ fn main() {
         ("lossless_sessions", Json::Num(fault_sessions as f64)),
         ("lossless_keys_identical", Json::Bool(lossless_identical)),
         ("lossy_sessions", Json::Num(fault_sessions as f64)),
-        ("lossy_completed", Json::Num(lossy.completed as f64)),
-        ("lossy_evicted", Json::Num(lossy.evicted as f64)),
-        ("lossy_divergent", Json::Num(lossy.divergent as f64)),
+        ("lossy_completed", Json::Num(lossy_table.completed() as f64)),
+        ("lossy_evicted", Json::Num(lossy_table.evicted() as f64)),
+        ("lossy_divergent", Json::Num(lossy_divergent as f64)),
         ("gateway_soak_pass", Json::Bool(soak_pass)),
         ("trend_run", Json::Num(trend_run as f64)),
     ]);

@@ -6,23 +6,24 @@
 //! cargo run --release -p wavekey-bench --bin load_gen [out_path]
 //! ```
 //!
-//! Three deterministic traffic mixes, all driven through
-//! [`SessionManager`] over the tiny test group (the protocol path, not
-//! the group arithmetic, is under test):
+//! Three deterministic traffic mixes, all driven through a [`Gateway`]
+//! fleet over the tiny test group (the protocol path, not the group
+//! arithmetic, is under test):
 //!
 //! 1. **enrol-heavy** — 96 key-establishment sessions across 64 tenants
-//!    whose popularity follows a Zipf(1.1) law, spawned in waves of 8
-//!    and interleaved by the round-robin scheduler; per-session latency
-//!    is the wall time from wave start to that session's completion.
+//!    whose popularity follows a Zipf(1.1) law, started in waves of 8
+//!    that interleave on the gateway's executor; per-session latency is
+//!    the wall time from wave start to that session's completion.
 //! 2. **auth-heavy** — 600 Zipfian authentication requests: a tenant's
-//!    first request enrols it (a full managed session), every later
+//!    first request enrols it (a full gateway session), every later
 //!    request is an HMAC-SHA256 sign + constant-time verify against the
 //!    established key.
 //! 3. **fault-heavy** — 96 sessions under the reference [`FaultPlan`]
-//!    mixture with ARQ recovery. The mix runs **twice** with a fresh
-//!    causal [`EventLog`] each time: the two JSONL timeline exports
-//!    must be byte-identical (`timelines_deterministic`), and no
-//!    surviving session may hold divergent mobile/server keys.
+//!    mixture on the [`SimNet`], with ARQ recovery. The mix runs
+//!    **twice** with a fresh causal [`EventLog`] each time: the two
+//!    JSONL timeline exports must be byte-identical
+//!    (`timelines_deterministic`), and no surviving session may hold
+//!    divergent mobile/gateway keys.
 //!
 //! Each mix is judged by declarative [`SloSpec`]s — a p99 latency
 //! objective (`WAVEKEY_SLO_P99_MS`, default 100 ms; the fault mix gets
@@ -36,12 +37,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
+use wavekey_bench::fleet::{run_fleet, Fleet};
 use wavekey_bench::traffic::{env_f64, percentile, soak_config, Zipf};
-use wavekey_core::agreement::{AgreementConfig, RetryPolicy};
-use wavekey_core::channel::{Adversary, PassiveChannel};
+use wavekey_core::agreement::RetryPolicy;
 use wavekey_core::fault::{FaultPlan, FaultProfile};
-use wavekey_core::SessionManager;
+use wavekey_core::MobileAgreement;
 use wavekey_crypto::hmac::{hmac_sha256, mac_eq};
+use wavekey_gateway::{Gateway, GatewayConfig, SimNet, StreamFaults};
 use wavekey_obs::{
     EventLog, Json, MemoryCollector, MultiCollector, Obs, SloReport, SloSpec,
 };
@@ -62,12 +64,31 @@ fn seed_pair(tenant: u64) -> (Vec<bool>, Vec<bool>) {
     wavekey_bench::traffic::seed_pair(SEED_BASE, tenant, SEED_LEN)
 }
 
-fn rngs(i: u64) -> (StdRng, StdRng) {
-    wavekey_bench::traffic::rng_pair(RNG_BASE_MOBILE, RNG_BASE_SERVER, i)
+fn mobile_rng(i: u64) -> StdRng {
+    StdRng::seed_from_u64(RNG_BASE_MOBILE + i)
 }
 
-fn config(retry: RetryPolicy) -> AgreementConfig {
-    soak_config(retry)
+/// Runs one ARQ gateway fleet over `net`: session `j` (conn id `j + 1`)
+/// enrols `tenants[j]` with the mobile RNG stream `rng_base + j`, and
+/// the gateway keys its per-connection RNGs from `rng_base` too.
+fn enrol_fleet(obs: &Obs, net: &SimNet, tenants: &[u64], rng_base: u64) -> (Fleet, Gateway) {
+    let config = GatewayConfig {
+        server_seed: RNG_BASE_SERVER + rng_base,
+        ..GatewayConfig::new(soak_config(RetryPolicy::arq()))
+    };
+    let seeds: Vec<_> = tenants.iter().map(|t| seed_pair(*t)).collect();
+    let server_seeds: Vec<_> = seeds.iter().map(|(_, s_r)| s_r.clone()).collect();
+    let gateway = Gateway::new(config.clone(), obs.clone(), move |conn_id| {
+        server_seeds[conn_id as usize - 1].clone()
+    });
+    let mobile = |conn_id: u64| {
+        let j = conn_id - 1;
+        MobileAgreement::new(&seeds[j as usize].0, &config.agreement, mobile_rng(rng_base + j))
+            .expect("mobile")
+    };
+    let n = tenants.len() as u64;
+    let fleet = run_fleet(&gateway, &config, net, n, mobile, |_| StreamFaults::none());
+    (fleet, gateway)
 }
 
 /// One mix's aggregate: latencies (ms), throughput, and outcome counts.
@@ -120,83 +141,54 @@ impl MixStats {
     }
 }
 
-/// Spawns `n` Zipfian-tenant sessions in waves of [`ENROL_WAVE`] and
+/// Starts `n` Zipfian-tenant sessions in waves of [`ENROL_WAVE`] and
 /// drives each wave to completion, recording per-session latency.
 fn enrol_mix(obs: &Obs) -> MixStats {
     let _mix = obs.span("mix_enrol");
-    let config = config(RetryPolicy::arq());
     let zipf = Zipf::new(TENANTS, ZIPF_S);
     let mut tenant_rng = StdRng::seed_from_u64(FAULT_SEED ^ 0xE14);
-    let mut manager = SessionManager::new(12);
-    manager.set_obs(obs.clone());
-    let mut adversary = PassiveChannel;
     let mut latencies_ms = Vec::new();
+    let mut successes = 0;
     let t_mix = Instant::now();
     for wave in 0..ENROL_SESSIONS / ENROL_WAVE {
         let _w = obs.span("enrol_wave");
-        let t0 = Instant::now();
-        for j in 0..ENROL_WAVE {
-            let tenant = zipf.sample(&mut tenant_rng) as u64;
-            let (s_m, s_r) = seed_pair(tenant);
-            let (rng_m, rng_r) = rngs(wave * ENROL_WAVE + j);
-            manager
-                .spawn(&s_m, &s_r, &config, rng_m, rng_r, &mut adversary)
-                .expect("spawn enrol session");
-        }
-        let mut done = manager.outcomes().len();
-        loop {
-            let more = manager.step(&mut adversary);
-            while manager.outcomes().len() > done {
-                latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                done += 1;
-            }
-            if !more {
-                break;
-            }
-        }
+        let tenants: Vec<u64> =
+            (0..ENROL_WAVE).map(|_| zipf.sample(&mut tenant_rng) as u64).collect();
+        let net = SimNet::new(1 << 16);
+        let (fleet, _) = enrol_fleet(obs, &net, &tenants, wave * ENROL_WAVE);
+        latencies_ms.extend(fleet.sessions.iter().map(|(_, t, _)| t * 1e3));
+        successes += fleet.successes();
     }
     MixStats {
         name: "enrol_heavy",
         latencies_ms,
         ops: ENROL_SESSIONS,
-        successes: manager.successes() as u64,
-        retransmits: manager.retransmits_total(),
+        successes,
+        retransmits: 0,
         elapsed_s: t_mix.elapsed().as_secs_f64(),
     }
 }
 
 /// Zipfian authentication traffic: first touch of a tenant enrols it
-/// through a managed session; every other op signs and verifies a
+/// through a gateway session; every other op signs and verifies a
 /// request against the tenant's established key.
 fn auth_mix(obs: &Obs) -> MixStats {
     let _mix = obs.span("mix_auth");
-    let config = config(RetryPolicy::arq());
     let zipf = Zipf::new(TENANTS, ZIPF_S);
     let mut op_rng = StdRng::seed_from_u64(FAULT_SEED ^ 0xA07);
     let mut keys: Vec<Option<Vec<u8>>> = vec![None; TENANTS];
     let mut latencies_ms = Vec::new();
     let mut successes = 0u64;
-    let mut retransmits = 0u64;
     let t_mix = Instant::now();
     for op in 0..AUTH_OPS {
         let tenant = zipf.sample(&mut op_rng);
         let t0 = Instant::now();
         if keys[tenant].is_none() {
-            // Lazy enrolment: one full managed session for this tenant.
+            // Lazy enrolment: one full gateway session for this tenant.
             let _e = obs.span("auth_enrol");
-            let (s_m, s_r) = seed_pair(tenant as u64);
-            let (rng_m, rng_r) = rngs(0x1000 + op);
-            let mut manager = SessionManager::new(12);
-            manager.set_obs(obs.clone());
-            let mut adversary = PassiveChannel;
-            let id = manager
-                .spawn(&s_m, &s_r, &config, rng_m, rng_r, &mut adversary)
-                .expect("spawn auth enrolment");
-            manager.run_to_completion(&mut adversary);
-            retransmits += manager.retransmits_total();
-            if let Some(Ok(out)) = manager.outcome(id) {
-                keys[tenant] = Some(out.agreement.key.clone());
-            }
+            let net = SimNet::new(1 << 16);
+            let (fleet, _) = enrol_fleet(obs, &net, &[tenant as u64], 0x1000 + op);
+            keys[tenant] = fleet.sessions.into_iter().next().and_then(|(_, _, got)| got.ok());
         }
         let ok = match &keys[tenant] {
             Some(key) => {
@@ -215,7 +207,7 @@ fn auth_mix(obs: &Obs) -> MixStats {
         latencies_ms,
         ops: AUTH_OPS,
         successes,
-        retransmits,
+        retransmits: 0,
         elapsed_s: t_mix.elapsed().as_secs_f64(),
     }
 }
@@ -223,52 +215,20 @@ fn auth_mix(obs: &Obs) -> MixStats {
 /// One full fault-heavy pass over a dedicated observability handle;
 /// returns the stats plus the number of divergent-key successes.
 fn fault_mix_run(obs: &Obs) -> (MixStats, u64) {
-    let config = config(RetryPolicy::arq());
-    let mut plan = FaultPlan::new(FAULT_SEED, FaultProfile::reference());
-    let mut manager = SessionManager::new(12);
-    manager.set_obs(obs.clone());
-    let mut ids = Vec::new();
-    let t_mix = Instant::now();
-    let t0 = Instant::now();
-    for i in 0..FAULT_SESSIONS {
-        let (s_m, s_r) = seed_pair(i);
-        let (rng_m, rng_r) = rngs(0x2000 + i);
-        ids.push(
-            manager
-                .spawn(&s_m, &s_r, &config, rng_m, rng_r, &mut plan as &mut dyn Adversary)
-                .expect("spawn fault session"),
-        );
-    }
-    let mut latencies_ms = Vec::new();
-    let mut done = manager.outcomes().len();
-    loop {
-        let more = manager.step(&mut plan);
-        while manager.outcomes().len() > done {
-            latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            done += 1;
-        }
-        if !more {
-            break;
-        }
-    }
-    let divergent = ids
-        .iter()
-        .filter(|id| {
-            matches!(
-                manager.outcome(**id),
-                Some(Ok(out)) if out.agreement.key != out.server_key
-            )
-        })
-        .count() as u64;
+    let plan = FaultPlan::new(FAULT_SEED, FaultProfile::reference());
+    let net = SimNet::with_adversary(1 << 16, plan);
+    let tenants: Vec<u64> = (0..FAULT_SESSIONS).collect();
+    let (fleet, gateway) = enrol_fleet(obs, &net, &tenants, 0x2000);
+    let latencies_ms = fleet.sessions.iter().map(|(_, t, _)| t * 1e3).collect();
     let stats = MixStats {
         name: "fault_heavy",
         latencies_ms,
         ops: FAULT_SESSIONS,
-        successes: manager.successes() as u64,
-        retransmits: manager.retransmits_total(),
-        elapsed_s: t_mix.elapsed().as_secs_f64(),
+        successes: fleet.successes(),
+        retransmits: net.retransmits(),
+        elapsed_s: fleet.wall_s,
     };
-    (stats, divergent)
+    (stats, fleet.divergent(&gateway))
 }
 
 /// Runs the fault mix twice over fresh event logs; the causal timelines

@@ -1,13 +1,11 @@
 //! Shared deterministic traffic-mix helpers for the bench binaries.
 //!
-//! `load_gen`, `fault_soak`, `concurrent_sessions`, and `gateway_soak`
-//! all drive fleets of scripted sessions: Zipf-popular tenants, a
+//! `load_gen`, `fault_soak` and `gateway_soak` all drive gateway fleets
+//! of scripted sessions ([`crate::fleet`]): Zipf-popular tenants, a
 //! gesture-derived seed pair per tenant with one in-budget bit flip,
-//! and per-session RNG streams derived from fixed bases. Those helpers
-//! used to be copy-pasted per binary; this module is the single copy.
-//! Every function is parameterized by its seed bases so each binary
-//! keeps the exact byte streams (and therefore the exact published
-//! artifact numbers) it had before the extraction.
+//! and the soak protocol config. This module is the single copy of
+//! those helpers. Every function is parameterized by
+//! its seed bases, so each binary keeps its own byte streams.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,11 +49,6 @@ pub fn seed_pair(base: u64, tenant: u64, seed_len: usize) -> (Vec<bool>, Vec<boo
     let mut s_r = s_m.clone();
     s_r[(tenant as usize) % seed_len] ^= true;
     (s_m, s_r)
-}
-
-/// Per-session protocol RNG pair (mobile, server) from two stream bases.
-pub fn rng_pair(base_mobile: u64, base_server: u64, i: u64) -> (StdRng, StdRng) {
-    (StdRng::seed_from_u64(base_mobile + i), StdRng::seed_from_u64(base_server + i))
 }
 
 /// The soak benches' standard protocol config: tiny test group and a
@@ -118,7 +111,7 @@ mod tests {
 
     #[test]
     fn seed_pair_matches_the_pre_extraction_streams() {
-        // The exact helper `fault_soak`/`concurrent_sessions` inlined:
+        // The exact helper `fault_soak` inlined before the extraction:
         // base 0xC0DE, 24 bits, flip at `base % len`. Guards the
         // published artifact numbers across the refactor.
         let mut rng = StdRng::seed_from_u64(0xC0DE + 5);

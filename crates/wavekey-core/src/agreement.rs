@@ -242,24 +242,12 @@ pub enum AgreementError {
     /// A wire frame was malformed, mis-versioned, or arrived in a state
     /// that does not expect its kind.
     Wire(String),
-    /// The session manager evicted the session (idle timeout or a peer
-    /// that vanished mid-protocol).
+    /// The peer went away: the gateway closed the connection, or it
+    /// fell silent past the idle budget.
     Evicted,
 }
 
 impl AgreementError {
-    /// The typed failure taxonomy: `true` for channel-level faults that
-    /// bounded retransmission (or simply retrying the enrolment) can
-    /// plausibly clear — lost frames, mangled bytes, a starved scheduler.
-    /// Deadline violations, crypto failures, and config errors are
-    /// terminal: retrying the same exchange cannot fix them.
-    pub fn is_recoverable(&self) -> bool {
-        matches!(
-            self,
-            AgreementError::Dropped(_) | AgreementError::Wire(_) | AgreementError::Evicted
-        )
-    }
-
     /// The short failure label of session traces, flight records and
     /// the `wavekey_failures_total{label=...}` counters (e.g.
     /// `"timeout_ota"`, `"reconciliation_failed"`).
@@ -289,7 +277,7 @@ impl std::fmt::Display for AgreementError {
             AgreementError::ConfirmationFailed => write!(f, "key confirmation failed"),
             AgreementError::Config(msg) => write!(f, "bad agreement config: {msg}"),
             AgreementError::Wire(msg) => write!(f, "wire error: {msg}"),
-            AgreementError::Evicted => write!(f, "session evicted by manager"),
+            AgreementError::Evicted => write!(f, "session evicted"),
         }
     }
 }

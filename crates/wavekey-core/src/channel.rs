@@ -86,10 +86,11 @@ impl MessageKind {
 
 /// What the adversary does with an intercepted message.
 ///
-/// Every frame scheduler (the lockstep driver and the concurrent
-/// [`crate::SessionManager`]) handles all five actions uniformly; in the
-/// strictly alternating lockstep exchange `Duplicate` and `Reorder`
-/// degenerate to `Forward` because at most one frame is ever in flight.
+/// Both frame channels (the lockstep driver and the
+/// [`crate::proto::Link`] the gateway attaches to each connection)
+/// handle all five actions; in the strictly alternating lockstep
+/// exchange `Duplicate` and `Reorder` degenerate to `Forward` because at
+/// most one frame is ever in flight.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdversaryAction {
     /// Deliver (possibly after modifying the frame).

@@ -15,10 +15,6 @@
 //! * [`FaultPlan::scripted`] — explicit [`ScheduledFault`] entries
 //!   (fire fault F on the `n`-th occurrence of kind K in direction D),
 //!   for targeted recovery tests.
-//!
-//! A plan can also wrap another adversary ([`FaultPlan::wrapping`]): the
-//! inner adversary intercepts first and its non-`Forward` verdict stands,
-//! so faults compose with the §VI-E attack suite.
 
 use crate::channel::{Adversary, AdversaryAction, Direction, MessageKind};
 use crate::proto::frame::Frame;
@@ -138,7 +134,6 @@ pub struct FaultPlan {
     schedule: Vec<ScheduledFault>,
     counts: HashMap<(Direction, MessageKind), u64>,
     injected: Vec<InjectedFault>,
-    inner: Option<Box<dyn Adversary>>,
 }
 
 impl std::fmt::Debug for FaultPlan {
@@ -148,7 +143,6 @@ impl std::fmt::Debug for FaultPlan {
             .field("profile", &self.profile)
             .field("scheduled", &self.schedule.len())
             .field("injected", &self.injected.len())
-            .field("wraps_inner", &self.inner.is_some())
             .finish()
     }
 }
@@ -176,7 +170,6 @@ impl FaultPlan {
             schedule: Vec::new(),
             counts: HashMap::new(),
             injected: Vec::new(),
-            inner: None,
         }
     }
 
@@ -185,14 +178,6 @@ impl FaultPlan {
         let mut plan = FaultPlan::new(seed, FaultProfile::none());
         plan.schedule = schedule;
         plan
-    }
-
-    /// Composes this plan over another adversary: `inner` intercepts
-    /// first (and may mutate the frame); a non-`Forward` verdict from it
-    /// stands and the plan's own decision is skipped for that frame.
-    pub fn wrapping(mut self, inner: Box<dyn Adversary>) -> FaultPlan {
-        self.inner = Some(inner);
-        self
     }
 
     /// Every fault injected so far, in interception order.
@@ -260,12 +245,6 @@ impl FaultPlan {
 
 impl Adversary for FaultPlan {
     fn intercept(&mut self, direction: Direction, frame: &mut Frame) -> AdversaryAction {
-        if let Some(inner) = self.inner.as_mut() {
-            let verdict = inner.intercept(direction, frame);
-            if verdict != AdversaryAction::Forward {
-                return verdict;
-            }
-        }
         let kind = frame.kind;
         let counter = self.counts.entry((direction, kind)).or_insert(0);
         let occurrence = *counter;
@@ -419,16 +398,5 @@ mod tests {
         );
         assert!(truncated.payload.len() < clean.payload.len());
         assert!(Frame::decode(&truncated.encode()).is_err(), "truncated frames are rejected");
-    }
-
-    #[test]
-    fn wrapping_lets_the_inner_adversary_win() {
-        use crate::channel::Dropper;
-        let mut plan = FaultPlan::new(1, FaultProfile::none())
-            .wrapping(Box::new(Dropper { target: MessageKind::Challenge }));
-        let mut f = frame(MessageKind::Challenge);
-        assert_eq!(plan.intercept(Direction::MobileToServer, &mut f), AdversaryAction::Drop);
-        let mut f = frame(MessageKind::OtA);
-        assert_eq!(plan.intercept(Direction::MobileToServer, &mut f), AdversaryAction::Forward);
     }
 }

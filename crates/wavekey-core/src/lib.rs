@@ -63,11 +63,11 @@ pub use channel::{Adversary, Direction, MessageKind, PassiveChannel};
 pub use config::WaveKeyConfig;
 pub use fault::{FaultKind, FaultPlan, FaultProfile, ScheduledFault};
 pub use model::WaveKeyModels;
-pub use proto::link::{Endpoint, LinkDiscipline};
+pub use proto::Link;
 pub use proto::{Decoder, Frame, FrameError, MobileAgreement, ServerAgreement};
 pub use quantize::{calibrate, QuantizeOutcome};
 pub use seed::SeedGenerator;
-pub use service::{AccessService, DegradePolicy, ManagedOutcome, ServiceTicket, SessionManager, DEFAULT_TENANT};
+pub use service::{AccessService, DegradePolicy, ServiceTicket, DEFAULT_TENANT};
 pub use session::{ConfigGuard, Session, SessionConfig, SessionOutcome};
 
 /// The durable state layer under [`AccessService`] (re-exported so the

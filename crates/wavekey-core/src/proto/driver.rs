@@ -160,8 +160,8 @@ pub(crate) fn combine(
 /// retransmitted copy starts from the sender's clean frame and passes
 /// through the adversary again. In this strictly alternating lockstep
 /// exchange at most one frame is ever in flight, so `Duplicate` and
-/// `Reorder` degenerate to `Forward` (the concurrent
-/// [`crate::SessionManager`] scheduler gives them real semantics).
+/// `Reorder` degenerate to `Forward` (the [`crate::proto::Link`] a
+/// concurrent driver runs over gives them real semantics).
 pub(crate) fn transmit(
     adversary: &mut dyn Adversary,
     direction: Direction,

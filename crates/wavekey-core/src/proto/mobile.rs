@@ -324,6 +324,11 @@ impl MobileAgreement {
         self.core.state
     }
 
+    /// The protocol parameters this machine runs.
+    pub fn config(&self) -> &AgreementConfig {
+        &self.core.config
+    }
+
     /// The logical clock (seconds since gesture start).
     pub fn clock(&self) -> f64 {
         self.core.clock

@@ -12,8 +12,9 @@
 //!   protocol outputs bit-identical to the monolithic implementation it
 //!   replaced — the per-party RNG draw order is the machines', which is
 //!   the monolith's.
-//! * [`crate::service::SessionManager`] interleaves many machine pairs
-//!   round-robin over byte-encoded frames.
+//! * [`link::Link`] is the frame channel a concurrent driver runs each
+//!   session over: the gateway (`wavekey-gateway`) attaches one to every
+//!   connection and interleaves many sessions on its executor.
 //!
 //! Each machine advances through explicit [`State`]s
 //! (`Init → OtRound(i) → Reconcile → Confirm → Done/Failed`), and each
@@ -28,7 +29,7 @@ pub mod mobile;
 pub mod server;
 
 pub use frame::{Decoder, Frame, FrameError};
-pub use link::{Endpoint, LinkDiscipline};
+pub use link::Link;
 pub use mobile::MobileAgreement;
 pub use server::ServerAgreement;
 

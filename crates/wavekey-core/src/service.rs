@@ -18,20 +18,14 @@
 //! ([`AccessService::new`]) keeps the historical behaviour by running on
 //! an in-memory volume with one unlimited default tenant.
 
-use crate::agreement::{AgreementConfig, AgreementError, AgreementOutcome};
-use crate::bits::hamming_distance;
-use crate::channel::{Adversary, AdversaryAction, Direction};
+use crate::agreement::AgreementError;
 use crate::model::WaveKeyModels;
-use crate::proto::link::{Endpoint, LinkDiscipline};
-use crate::proto::{driver, Frame, MobileAgreement, ServerAgreement};
 use crate::session::{Session, SessionConfig, SessionOutcome};
 use crate::Error;
-use rand::rngs::StdRng;
-use std::collections::VecDeque;
 use wavekey_store::{
     DurableStore, MemVolume, StoreConfig, StoreStats, TenantQuota, Volume,
 };
-use wavekey_obs::{EventScope, Obs, SessionTrace};
+use wavekey_obs::Obs;
 use wavekey_imu::gesture::VolunteerId;
 use wavekey_rfid::channel::TagModel;
 use wavekey_rfid::environment::Environment;
@@ -576,477 +570,9 @@ impl AccessService {
     }
 }
 
-/// Result of one manager-driven session: the mobile-side view (the
-/// protocol's deliverable) plus the server's reconciled key so callers
-/// can assert both parties hold the same bytes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ManagedOutcome {
-    /// Manager-assigned session id.
-    pub id: u64,
-    /// The combined agreement diagnostics (key, timings, mismatch).
-    pub agreement: AgreementOutcome,
-    /// The key the *server* reconciled to (equal to `agreement.key` on
-    /// every honest run — the HMAC confirmation proves it).
-    pub server_key: Vec<u8>,
-    /// How many frames the recovery layer put back on the wire for this
-    /// session (drop retransmissions + NAK re-sends); 0 on a clean run.
-    pub retransmits: u64,
-}
-
-/// One in-flight wire message: encoded frame bytes plus logical arrival.
-#[derive(Debug)]
-struct InFlight {
-    to_mobile: bool,
-    bytes: Vec<u8>,
-    arrival: f64,
-    /// Pristine copy of the frame as the sender's machine produced it
-    /// (kept only when retries are enabled): the link-layer "checksum"
-    /// reference, and the payload a NAK retransmission puts back on the
-    /// wire.
-    clean: Option<Frame>,
-}
-
-/// One live machine pair under management.
-///
-/// The recovery judgement calls (retransmit budgets, NAK budgets, defer
-/// budgets) live in the shared [`LinkDiscipline`] so the async gateway
-/// enforces the same semantics; what stays here is the channel model —
-/// the in-flight queue, adversary interception, clean-copy checksums,
-/// and reorder holds.
-#[derive(Debug)]
-struct ManagedSession {
-    id: u64,
-    mobile: Endpoint,
-    server: Endpoint,
-    channel_delay: f64,
-    /// Session-level recovery budgets, shared by both directions.
-    disc: LinkDiscipline,
-    in_flight: VecDeque<InFlight>,
-    idle_passes: u32,
-    /// A frame the adversary reordered: held back until the next frame
-    /// goes onto the wire (or the queue drains), then delivered behind it.
-    reorder_hold: Option<InFlight>,
-    /// Manager-actor causal scope: delivery, recovery, and terminal
-    /// events for this session's timeline (disabled unless the manager
-    /// has an enabled [`Obs`]).
-    events: EventScope,
-}
-
-impl ManagedSession {
-    /// The channel: intercepts the frame (freshly per attempt) and places
-    /// the survivor(s) on the wire. `Drop` is retransmitted up to
-    /// `retry.max_retries` times, each retry charging the policy's backoff
-    /// onto the *sender's* logical clock — so recovered deadline-critical
-    /// messages arrive later and the `2 + τ` fence stays honest.
-    ///
-    /// Without a retry policy a dropped frame simply vanishes — the
-    /// session stalls (or desynchronizes) and fails, as a real endpoint
-    /// would time out a silent peer.
-    fn transmit(&mut self, adversary: &mut dyn Adversary, direction: Direction, frame: Frame) {
-        let to_mobile = direction == Direction::ServerToMobile;
-        let kind_label = frame.kind.label();
-        let clean = if self.disc.enabled() { Some(frame.clone()) } else { None };
-        let mut attempt = 0u32;
-        loop {
-            let send_time = match direction {
-                Direction::MobileToServer => self.mobile.clock(),
-                Direction::ServerToMobile => self.server.clock(),
-            };
-            let arrival = send_time + self.channel_delay;
-            let mut copy = frame.clone();
-            match adversary.intercept(direction, &mut copy) {
-                AdversaryAction::Forward => {
-                    return self.push(InFlight {
-                        to_mobile,
-                        bytes: copy.encode(),
-                        arrival,
-                        clean,
-                    });
-                }
-                AdversaryAction::Delay(extra) => {
-                    return self.push(InFlight {
-                        to_mobile,
-                        bytes: copy.encode(),
-                        arrival: arrival + extra,
-                        clean,
-                    });
-                }
-                AdversaryAction::Duplicate => {
-                    self.events.emit_frame("duplicate", kind_label);
-                    let bytes = copy.encode();
-                    self.push(InFlight {
-                        to_mobile,
-                        bytes: bytes.clone(),
-                        arrival,
-                        clean: clean.clone(),
-                    });
-                    return self.push(InFlight {
-                        to_mobile,
-                        bytes,
-                        arrival: arrival + self.channel_delay,
-                        clean,
-                    });
-                }
-                AdversaryAction::Reorder => {
-                    // Hold this frame behind the next transmission; a
-                    // second reorder releases the first hold.
-                    self.events.emit_frame("reorder_hold", kind_label);
-                    if let Some(held) = self.reorder_hold.take() {
-                        self.events.emit("reorder_release");
-                        self.in_flight.push_back(held);
-                    }
-                    self.reorder_hold =
-                        Some(InFlight { to_mobile, bytes: copy.encode(), arrival, clean });
-                    return;
-                }
-                AdversaryAction::Drop => {
-                    let Some(backoff) = self.disc.drop_retry(&mut attempt) else {
-                        return; // vanished; eviction will claim the session
-                    };
-                    self.events.emit_full("retransmit", None, Some(kind_label), Some(attempt as u64));
-                    match direction {
-                        Direction::MobileToServer => self.mobile.charge(backoff),
-                        Direction::ServerToMobile => self.server.charge(backoff),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Puts a message on the wire, releasing any reorder hold behind it.
-    fn push(&mut self, msg: InFlight) {
-        self.in_flight.push_back(msg);
-        if let Some(held) = self.reorder_hold.take() {
-            self.events.emit("reorder_release");
-            self.in_flight.push_back(held);
-        }
-    }
-
-    /// NAK recovery: re-sends the failed delivery's clean copy (decode
-    /// failure or in-transit corruption). Returns `false` when the budget
-    /// is exhausted or no clean copy rode along (retries disabled).
-    fn nak(&mut self, adversary: &mut dyn Adversary, msg: &InFlight) -> bool {
-        let Some(clean) = msg.clean.clone() else { return false };
-        let Some(backoff) = self.disc.nak_retry() else { return false };
-        let direction = if msg.to_mobile {
-            Direction::ServerToMobile
-        } else {
-            Direction::MobileToServer
-        };
-        self.events.emit_full(
-            "nak",
-            None,
-            Some(clean.kind.label()),
-            Some(self.disc.nak_budget_used() as u64),
-        );
-        match direction {
-            Direction::MobileToServer => self.mobile.charge(backoff),
-            Direction::ServerToMobile => self.server.charge(backoff),
-        }
-        self.transmit(adversary, direction, clean);
-        true
-    }
-
-    /// Delivers the next in-flight message (or ages the idle counter).
-    /// Returns `Some` when the session completed, successfully or not.
-    fn advance(
-        &mut self,
-        adversary: &mut dyn Adversary,
-        idle_timeout_passes: u32,
-    ) -> Option<Result<ManagedOutcome, AgreementError>> {
-        let msg = match self.in_flight.pop_front() {
-            Some(msg) => msg,
-            // Flush a dangling reorder hold before idling: the frame it
-            // was waiting behind may have been dropped.
-            None => match self.reorder_hold.take() {
-                Some(held) => held,
-                None => {
-                    self.idle_passes += 1;
-                    if self.idle_passes > idle_timeout_passes {
-                        return Some(Err(AgreementError::Evicted));
-                    }
-                    return None;
-                }
-            },
-        };
-        self.idle_passes = 0;
-        let frame = match Frame::decode(&msg.bytes) {
-            Ok(frame) => frame,
-            Err(e) => {
-                // The link layer rejected the datagram (truncation, bad
-                // version): NAK the sender for a clean retransmission.
-                if self.nak(adversary, &msg) {
-                    return None;
-                }
-                return Some(Err(AgreementError::Wire(e.to_string())));
-            }
-        };
-        if self.disc.enabled() {
-            // Link-layer CRC: the manager *is* the channel, so each
-            // delivery can be compared against the clean copy that rode
-            // along with it; a mismatch models a checksum failure and is
-            // NAK'd like a truncated datagram. (A wrapped MitM that
-            // rewrites frames is caught here too — and fails once the NAK
-            // budget runs out.)
-            if let Some(clean) = &msg.clean {
-                if *clean != frame {
-                    if self.nak(adversary, &msg) {
-                        return None;
-                    }
-                    return Some(Err(AgreementError::Wire("corrupted frame".into())));
-                }
-            }
-            // Reordered future messages (a kind the receiver is not ready
-            // for yet) go back to the end of the queue, bounded so a
-            // missing prerequisite cannot spin forever.
-            let expected =
-                if msg.to_mobile { self.mobile.expected_kind() } else { self.server.expected_kind() };
-            if self.disc.should_defer(expected, frame.kind) {
-                self.events.emit_frame("defer", frame.kind.label());
-                self.in_flight.push_back(msg);
-                return None;
-            }
-        }
-        self.events.emit_frame("deliver", frame.kind.label());
-        let (produced, reply_direction) = if msg.to_mobile {
-            (self.mobile.handle(&frame, msg.arrival), Direction::MobileToServer)
-        } else {
-            (self.server.handle(&frame, msg.arrival), Direction::ServerToMobile)
-        };
-        let produced = match produced {
-            Ok(frames) => frames,
-            Err(e) => return Some(Err(e)),
-        };
-        for out in produced {
-            self.transmit(adversary, reply_direction, out);
-        }
-        if self.mobile.is_done() {
-            let mobile = self.mobile.as_mobile().expect("mobile endpoint");
-            let server = self.server.as_server().expect("server endpoint");
-            let mismatch =
-                hamming_distance(mobile.preliminary_key(), server.preliminary_key());
-            return Some(Ok(ManagedOutcome {
-                id: self.id,
-                agreement: driver::combine(mobile, server, mismatch),
-                server_key: server.key().to_vec(),
-                retransmits: self.disc.retransmits(),
-            }));
-        }
-        None
-    }
-
-    /// Stamps the session's terminal causal event ("complete", "evict",
-    /// or "fail") at the end of its timeline.
-    fn emit_terminal(&self, result: &Result<ManagedOutcome, AgreementError>) {
-        match result {
-            Ok(_) => self.events.emit("complete"),
-            Err(AgreementError::Evicted) => self.events.emit("evict"),
-            Err(_) => self.events.emit("fail"),
-        }
-    }
-}
-
-/// Interleaves many concurrent machine-driven key agreements.
-///
-/// Each spawned session is an independent [`MobileAgreement`] /
-/// [`ServerAgreement`] pair exchanging *encoded* wire frames through a
-/// per-manager adversary hook. [`SessionManager::step`] delivers exactly
-/// one message of one session, cycling round-robin — N gestures being
-/// served at once, as the paper's line-up context demands. Because each
-/// party's RNG stream and logical clock are private to its machine,
-/// interleaving cannot change any session's outcome relative to running
-/// it alone (the `concurrent_sessions` bench and CI gate assert this).
-///
-/// Sessions whose wire goes silent (an adversary swallowed a frame) are
-/// evicted with [`AgreementError::Evicted`] after `idle_timeout_passes`
-/// consecutive empty-queue visits.
-#[derive(Debug)]
-pub struct SessionManager {
-    sessions: Vec<ManagedSession>,
-    completed: Vec<(u64, Result<ManagedOutcome, AgreementError>)>,
-    cursor: usize,
-    next_id: u64,
-    idle_timeout_passes: u32,
-    retransmits_total: u64,
-    obs: Obs,
-}
-
-impl SessionManager {
-    /// Creates a manager; `idle_timeout_passes` is how many consecutive
-    /// scheduler visits with an empty wire a session survives before
-    /// eviction.
-    pub fn new(idle_timeout_passes: u32) -> SessionManager {
-        SessionManager {
-            sessions: Vec::new(),
-            completed: Vec::new(),
-            cursor: 0,
-            next_id: 1,
-            idle_timeout_passes,
-            retransmits_total: 0,
-            obs: Obs::disabled(),
-        }
-    }
-
-    /// Attaches an observability handle: per-session flight records and
-    /// manager counters land in its collector.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// Spawns one session over the given seeds: builds the machine pair,
-    /// emits both `M_A` frames onto the wire, and returns the session id.
-    ///
-    /// # Errors
-    ///
-    /// [`AgreementError::BadSeeds`] / [`AgreementError::Config`] for
-    /// invalid inputs; nothing is spawned in that case.
-    pub fn spawn(
-        &mut self,
-        s_m: &[bool],
-        s_r: &[bool],
-        config: &AgreementConfig,
-        rng_mobile: StdRng,
-        rng_server: StdRng,
-        adversary: &mut dyn Adversary,
-    ) -> Result<u64, AgreementError> {
-        if s_m.is_empty() || s_m.len() != s_r.len() {
-            return Err(AgreementError::BadSeeds);
-        }
-        let mut mobile = MobileAgreement::new(s_m, config, rng_mobile)?;
-        let mut server = ServerAgreement::new(s_r, config, rng_server)?;
-        // Bind causal scopes before start() so the first transitions land
-        // in the timeline; `next_id` only advances once the spawn sticks.
-        let id = self.next_id;
-        let events = EventScope::new(&self.obs, id, "manager");
-        if events.is_enabled() {
-            mobile.bind_events(events.with_actor("mobile"));
-            server.bind_events(events.with_actor("server"));
-        }
-        let ma_m = mobile.start()?;
-        let ma_r = server.start()?;
-        self.next_id += 1;
-        let mut session = ManagedSession {
-            id,
-            mobile: Endpoint::mobile(mobile),
-            server: Endpoint::server(server),
-            channel_delay: config.channel_delay,
-            disc: LinkDiscipline::new(config.retry),
-            in_flight: VecDeque::new(),
-            idle_passes: 0,
-            reorder_hold: None,
-            events,
-        };
-        session.transmit(adversary, Direction::MobileToServer, ma_m);
-        session.transmit(adversary, Direction::ServerToMobile, ma_r);
-        self.sessions.push(session);
-        self.obs.inc("manager_sessions_spawned");
-        Ok(id)
-    }
-
-    /// Advances the manager by one scheduling quantum: one message
-    /// delivery (or one idle-age tick) of the session under the
-    /// round-robin cursor. Returns `true` while live sessions remain.
-    pub fn step(&mut self, adversary: &mut dyn Adversary) -> bool {
-        if self.sessions.is_empty() {
-            return false;
-        }
-        if self.cursor >= self.sessions.len() {
-            self.cursor = 0;
-        }
-        match self.sessions[self.cursor].advance(adversary, self.idle_timeout_passes) {
-            Some(result) => {
-                let session = self.sessions.remove(self.cursor);
-                session.emit_terminal(&result);
-                self.retransmits_total += session.disc.retransmits();
-                self.finish(session.id, result);
-            }
-            None => self.cursor += 1,
-        }
-        !self.sessions.is_empty()
-    }
-
-    /// Steps until every session has completed; returns the number of
-    /// successes among all completed sessions.
-    pub fn run_to_completion(&mut self, adversary: &mut dyn Adversary) -> usize {
-        let obs = self.obs.clone();
-        let _drive = obs.span("manager_drive");
-        while self.step(adversary) {}
-        self.successes()
-    }
-
-    /// Number of sessions still live.
-    pub fn live(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// All completed sessions, in completion order.
-    pub fn outcomes(&self) -> &[(u64, Result<ManagedOutcome, AgreementError>)] {
-        &self.completed
-    }
-
-    /// The result of one completed session.
-    pub fn outcome(&self, id: u64) -> Option<&Result<ManagedOutcome, AgreementError>> {
-        self.completed.iter().find(|(sid, _)| *sid == id).map(|(_, r)| r)
-    }
-
-    /// Number of completed sessions that established a key.
-    pub fn successes(&self) -> usize {
-        self.completed.iter().filter(|(_, r)| r.is_ok()).count()
-    }
-
-    /// Total frames the recovery layer put back on the wire across all
-    /// completed sessions (drop retransmissions + NAK re-sends).
-    pub fn retransmits_total(&self) -> u64 {
-        self.retransmits_total
-    }
-
-    /// Records counters and the per-session flight record, then archives
-    /// the result.
-    fn finish(&mut self, id: u64, result: Result<ManagedOutcome, AgreementError>) {
-        self.obs.inc("manager_sessions_completed");
-        if matches!(result, Err(AgreementError::Evicted)) {
-            self.obs.inc("manager_sessions_evicted");
-        }
-        if let Err(e) = &result {
-            // Per-failure-label counter family plus the recoverable /
-            // terminal split of the failure taxonomy.
-            let label = e.label();
-            self.obs.with_registry(|r| {
-                r.inc_counter(&format!("wavekey_failures_total{{label=\"{label}\"}}"), 1);
-            });
-            if e.is_recoverable() {
-                self.obs.inc("manager_failures_recoverable");
-            } else {
-                self.obs.inc("manager_failures_terminal");
-            }
-        }
-        if self.obs.is_enabled() {
-            let mut trace = SessionTrace::new(id);
-            match &result {
-                Ok(out) => {
-                    trace.outcome = "success".to_string();
-                    for (name, seconds) in out.agreement.stages.timings() {
-                        trace.record_stage(name, seconds);
-                    }
-                    trace.key_bits = out.agreement.key_bits.len();
-                    trace.preliminary_mismatch_bits =
-                        Some(out.agreement.preliminary_mismatch_bits);
-                    trace.elapsed_s = Some(out.agreement.elapsed);
-                    trace.deadline_s = Some(out.agreement.stages.deadline_s);
-                    trace.deadline_consumed_s = Some(out.agreement.stages.deadline_consumed_s);
-                }
-                Err(e) => trace.outcome = e.label(),
-            }
-            self.obs.session(&trace);
-        }
-        self.completed.push((id, result));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agreement::RetryPolicy;
     use crate::config::WaveKeyConfig;
 
     fn service() -> AccessService {
@@ -1390,368 +916,6 @@ mod tests {
         assert!(text.contains("wavekey_store_snapshots_total 1"));
     }
 
-    // ------------------------------------------------------ SessionManager
-
-    use crate::agreement::run_agreement;
-    use crate::channel::{Dropper, MessageKind, PassiveChannel, VersionSpoofer};
-    use rand::{Rng, SeedableRng};
-
-    fn manager_config() -> AgreementConfig {
-        AgreementConfig { use_tiny_group: true, tau: 10.0, bch_t: 5, ..Default::default() }
-    }
-
-    fn seed_pair(base: u64) -> (Vec<bool>, Vec<bool>) {
-        let mut rng = StdRng::seed_from_u64(base);
-        let s_m: Vec<bool> = (0..24).map(|_| rng.gen()).collect();
-        let mut s_r = s_m.clone();
-        // One flipped bit: within BCH correction range, exercises
-        // reconciliation without failing it.
-        s_r[3] = !s_r[3];
-        (s_m, s_r)
-    }
-
-    #[test]
-    fn interleaved_sessions_match_sequential_runs() {
-        let config = manager_config();
-        let n = 6u64;
-        let mut manager = SessionManager::new(4);
-        let mut adversary = PassiveChannel;
-        let mut ids = Vec::new();
-        for i in 0..n {
-            let (s_m, s_r) = seed_pair(100 + i);
-            let id = manager
-                .spawn(
-                    &s_m,
-                    &s_r,
-                    &config,
-                    StdRng::seed_from_u64(9000 + i),
-                    StdRng::seed_from_u64(9900 + i),
-                    &mut adversary,
-                )
-                .expect("spawn");
-            ids.push(id);
-        }
-        assert_eq!(manager.live(), n as usize);
-        let successes = manager.run_to_completion(&mut adversary);
-        assert_eq!(successes, n as usize, "all benign sessions succeed");
-        assert_eq!(manager.live(), 0);
-
-        for (i, id) in ids.iter().enumerate() {
-            let (s_m, s_r) = seed_pair(100 + i as u64);
-            let mut rm = StdRng::seed_from_u64(9000 + i as u64);
-            let mut rr = StdRng::seed_from_u64(9900 + i as u64);
-            let sequential =
-                run_agreement(&s_m, &s_r, &config, &mut rm, &mut rr, &mut PassiveChannel)
-                    .expect("sequential agreement");
-            let managed = manager.outcome(*id).expect("outcome").as_ref().expect("success");
-            assert_eq!(managed.agreement.key, sequential.key, "session {id}");
-            assert_eq!(managed.server_key, sequential.key, "both parties agree");
-            assert_eq!(
-                managed.agreement.preliminary_mismatch_bits,
-                sequential.preliminary_mismatch_bits
-            );
-            assert_eq!(managed.agreement.key_bits, sequential.key_bits);
-        }
-    }
-
-    #[test]
-    fn silent_sessions_are_evicted() {
-        let config = manager_config();
-        let (s_m, s_r) = seed_pair(7);
-        let mut manager = SessionManager::new(3);
-        let mut adversary = Dropper { target: MessageKind::OtE };
-        let id = manager
-            .spawn(
-                &s_m,
-                &s_r,
-                &config,
-                StdRng::seed_from_u64(1),
-                StdRng::seed_from_u64(2),
-                &mut adversary,
-            )
-            .expect("spawn");
-        manager.run_to_completion(&mut adversary);
-        assert!(matches!(manager.outcome(id), Some(Err(AgreementError::Evicted))));
-        assert_eq!(manager.successes(), 0);
-    }
-
-    #[test]
-    fn spoofed_versions_fail_as_wire_errors() {
-        let config = manager_config();
-        let (s_m, s_r) = seed_pair(8);
-        let mut manager = SessionManager::new(3);
-        let mut adversary = VersionSpoofer { target: MessageKind::OtB, version: 0x7f };
-        let id = manager
-            .spawn(
-                &s_m,
-                &s_r,
-                &config,
-                StdRng::seed_from_u64(3),
-                StdRng::seed_from_u64(4),
-                &mut adversary,
-            )
-            .expect("spawn");
-        manager.run_to_completion(&mut adversary);
-        assert!(matches!(manager.outcome(id), Some(Err(AgreementError::Wire(_)))));
-    }
-
-    #[test]
-    fn manager_traces_and_counters_reach_the_collector() {
-        let config = manager_config();
-        let recorder = std::sync::Arc::new(wavekey_obs::FlightRecorder::new(8));
-        let mut manager = SessionManager::new(3);
-        manager.set_obs(Obs::new(recorder.clone()));
-        let mut adversary = PassiveChannel;
-        for i in 0..2 {
-            let (s_m, s_r) = seed_pair(40 + i);
-            manager
-                .spawn(
-                    &s_m,
-                    &s_r,
-                    &config,
-                    StdRng::seed_from_u64(50 + i),
-                    StdRng::seed_from_u64(60 + i),
-                    &mut adversary,
-                )
-                .expect("spawn");
-        }
-        manager.run_to_completion(&mut adversary);
-        assert_eq!(recorder.len(), 2, "one flight record per session");
-        let trace = recorder.latest().expect("trace");
-        assert_eq!(trace.outcome, "success");
-        assert!(trace.key_bits > 0);
-        let text = manager.obs.prometheus_text();
-        assert!(text.contains("manager_sessions_spawned 2"));
-        assert!(text.contains("manager_sessions_completed 2"));
-    }
-
-    // -------------------------------------------------- fault recovery
-
-    use crate::fault::{FaultKind, FaultPlan, ScheduledFault};
-
-    fn arq_config() -> AgreementConfig {
-        AgreementConfig { retry: RetryPolicy::arq(), ..manager_config() }
-    }
-
-    /// Same seeds, same fault plan → byte-identical causal timelines: the
-    /// event log's JSONL export is deterministic, and it carries
-    /// both the machines' state transitions and the manager's recovery
-    /// events.
-    #[test]
-    fn causal_timelines_are_deterministic_under_replayed_faults() {
-        use crate::fault::FaultProfile;
-        use std::sync::Arc;
-        use wavekey_obs::EventLog;
-
-        let run = || {
-            let log = Arc::new(EventLog::new(256));
-            let obs = Obs::new(log.clone());
-            let config = arq_config();
-            let mut manager = SessionManager::new(8);
-            manager.set_obs(obs);
-            let mut plan = FaultPlan::new(42, FaultProfile::reference());
-            for i in 0..6u64 {
-                let (s_m, s_r) = seed_pair(800 + i);
-                manager
-                    .spawn(
-                        &s_m,
-                        &s_r,
-                        &config,
-                        StdRng::seed_from_u64(8100 + i),
-                        StdRng::seed_from_u64(8200 + i),
-                        &mut plan,
-                    )
-                    .expect("spawn");
-            }
-            manager.run_to_completion(&mut plan);
-            log.timelines_jsonl()
-        };
-        let first = run();
-        let second = run();
-        assert!(!first.is_empty(), "timelines were recorded");
-        assert!(first.contains("\"kind\":\"state\""), "machine transitions present");
-        assert!(first.contains("\"kind\":\"deliver\""), "manager deliveries present");
-        assert_eq!(first, second, "timelines byte-identical under a fixed seed");
-    }
-
-    /// Runs one managed session over `adversary` with `config`; returns
-    /// the manager for inspection.
-    fn run_one(config: &AgreementConfig, adversary: &mut dyn Adversary) -> (u64, SessionManager) {
-        let (s_m, s_r) = seed_pair(555);
-        let mut manager = SessionManager::new(8);
-        let id = manager
-            .spawn(
-                &s_m,
-                &s_r,
-                config,
-                StdRng::seed_from_u64(7001),
-                StdRng::seed_from_u64(7002),
-                adversary,
-            )
-            .expect("spawn");
-        manager.run_to_completion(adversary);
-        (id, manager)
-    }
-
-    /// Every scripted single-fault scenario recovers to the *same key* a
-    /// fault-free run establishes: retransmission and replay consume no
-    /// RNG, so recovery cannot steer the protocol.
-    #[test]
-    fn scripted_faults_recover_to_the_fault_free_key() {
-        let config = arq_config();
-        let (baseline_id, baseline) = run_one(&config, &mut PassiveChannel);
-        let baseline_key = baseline
-            .outcome(baseline_id)
-            .expect("outcome")
-            .as_ref()
-            .expect("fault-free success")
-            .agreement
-            .key
-            .clone();
-        assert_eq!(baseline.retransmits_total(), 0, "no faults, no retransmits");
-
-        let scenarios: Vec<(&str, Direction, MessageKind, FaultKind)> = vec![
-            ("drop", Direction::ServerToMobile, MessageKind::OtA, FaultKind::Drop),
-            ("duplicate", Direction::MobileToServer, MessageKind::OtB, FaultKind::Duplicate),
-            ("reorder", Direction::ServerToMobile, MessageKind::OtA, FaultKind::Reorder),
-            ("truncate", Direction::ServerToMobile, MessageKind::OtA, FaultKind::Truncate),
-            ("corrupt", Direction::MobileToServer, MessageKind::OtB, FaultKind::Corrupt),
-            ("delay", Direction::MobileToServer, MessageKind::OtE, FaultKind::Delay),
-        ];
-        for (name, direction, kind, fault) in scenarios {
-            let mut plan = FaultPlan::scripted(
-                1,
-                vec![ScheduledFault { direction, kind, occurrence: 0, fault }],
-            );
-            let (id, manager) = run_one(&config, &mut plan);
-            let outcome = manager
-                .outcome(id)
-                .expect("outcome")
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{name}: session failed: {e}"));
-            assert_eq!(outcome.agreement.key, baseline_key, "{name}: key diverged");
-            assert_eq!(outcome.server_key, baseline_key, "{name}: server key diverged");
-            let needs_resend = matches!(
-                fault,
-                FaultKind::Drop | FaultKind::Truncate | FaultKind::Corrupt
-            );
-            assert_eq!(
-                manager.retransmits_total() > 0,
-                needs_resend,
-                "{name}: retransmits_total = {}",
-                manager.retransmits_total()
-            );
-        }
-    }
-
-    /// The same drop that recovery survives is fatal without a retry
-    /// policy: the frame vanishes and the session is evicted.
-    #[test]
-    fn dropped_frame_without_retry_policy_is_fatal() {
-        let mut plan = FaultPlan::scripted(
-            1,
-            vec![ScheduledFault {
-                direction: Direction::ServerToMobile,
-                kind: MessageKind::OtA,
-                occurrence: 0,
-                fault: FaultKind::Drop,
-            }],
-        );
-        let (id, manager) = run_one(&manager_config(), &mut plan);
-        let outcome = manager.outcome(id).expect("completed");
-        assert!(outcome.is_err(), "drop without retry must be fatal, got {outcome:?}");
-        assert_eq!(manager.retransmits_total(), 0, "no retry policy, no retransmits");
-    }
-
-    /// Retransmission backoff is charged against the paper's `2 + τ`
-    /// deadline: a retry whose backoff exceeds the slack arrives too late
-    /// and the session fails with the deadline's own error, not silence.
-    #[test]
-    fn retransmission_backoff_is_charged_against_the_deadline() {
-        let config = AgreementConfig {
-            retry: RetryPolicy { max_retries: 3, backoff_base_s: 20.0, backoff_factor: 1.0 },
-            ..manager_config()
-        };
-        // M_{A,R} (server -> mobile OtA) is the mobile's budgeted message.
-        let mut plan = FaultPlan::scripted(
-            1,
-            vec![ScheduledFault {
-                direction: Direction::ServerToMobile,
-                kind: MessageKind::OtA,
-                occurrence: 0,
-                fault: FaultKind::Drop,
-            }],
-        );
-        let (id, manager) = run_one(&config, &mut plan);
-        // tau = 10.0: one 20 s backoff pushes the arrival past the fence.
-        assert!(
-            matches!(manager.outcome(id), Some(Err(AgreementError::Timeout(MessageKind::OtA)))),
-            "expected Timeout(OtA), got {:?}",
-            manager.outcome(id)
-        );
-    }
-
-    /// With no faults on the wire, enabling the retry policy changes
-    /// nothing: outcomes are bit-identical to the no-retry manager.
-    #[test]
-    fn fault_free_runs_are_bit_identical_with_and_without_retry() {
-        let (id_a, plain) = run_one(&manager_config(), &mut PassiveChannel);
-        let (id_b, arq) = run_one(&arq_config(), &mut PassiveChannel);
-        let a = plain.outcome(id_a).expect("a").as_ref().expect("ok");
-        let b = arq.outcome(id_b).expect("b").as_ref().expect("ok");
-        assert_eq!(a.agreement.key, b.agreement.key);
-        assert_eq!(a.agreement.key_bits, b.agreement.key_bits);
-        assert_eq!(a.server_key, b.server_key);
-        assert_eq!(arq.retransmits_total(), 0);
-    }
-
-    /// Eviction (recoverable) and a reconciliation failure (terminal)
-    /// each land in the labeled failure-counter family and in their half
-    /// of the recoverable/terminal split.
-    #[test]
-    fn failure_labels_reach_the_exporter() {
-        let recorder = std::sync::Arc::new(wavekey_obs::FlightRecorder::new(8));
-        let mut manager = SessionManager::new(3);
-        manager.set_obs(Obs::new(recorder.clone()));
-        let (s_m, s_r) = seed_pair(9);
-        let mut adversary = Dropper { target: MessageKind::OtE };
-        manager
-            .spawn(
-                &s_m,
-                &s_r,
-                &manager_config(),
-                StdRng::seed_from_u64(5),
-                StdRng::seed_from_u64(6),
-                &mut adversary,
-            )
-            .expect("spawn");
-        manager.run_to_completion(&mut adversary);
-        // The server's seed is the mobile's complement: far past the BCH
-        // radius, so reconciliation fails on a clean channel.
-        let (s_m, _) = seed_pair(10);
-        let s_r: Vec<bool> = s_m.iter().map(|b| !b).collect();
-        let id = manager
-            .spawn(
-                &s_m,
-                &s_r,
-                &manager_config(),
-                StdRng::seed_from_u64(7),
-                StdRng::seed_from_u64(8),
-                &mut PassiveChannel,
-            )
-            .expect("spawn");
-        manager.run_to_completion(&mut PassiveChannel);
-        assert!(matches!(manager.outcome(id), Some(Err(AgreementError::ReconciliationFailed))));
-        let text = manager.obs.prometheus_text();
-        assert!(text.contains("wavekey_failures_total{label=\"evicted\"} 1"), "{text}");
-        assert!(text.contains("manager_failures_recoverable 1"), "{text}");
-        assert!(
-            text.contains("wavekey_failures_total{label=\"reconciliation_failed\"} 1"),
-            "{text}"
-        );
-        assert!(text.contains("manager_failures_terminal 1"), "{text}");
-    }
-
     /// The enrolment degradation ladder: BCH escalation re-runs the same
     /// seeds at higher correction capacity, and a re-gesture gets one
     /// more wave — recovering enrolments the base path loses. Disabled
@@ -1792,23 +956,5 @@ mod tests {
         assert!(text.contains("service_enroll_recovered 1"), "{text}");
         assert!(text.contains("service_enroll_success 1"), "{text}");
         assert!(!text.contains("service_enroll_failures"), "{text}");
-    }
-
-    #[test]
-    fn manager_rejects_bad_seeds_without_spawning() {
-        let config = manager_config();
-        let mut manager = SessionManager::new(3);
-        let err = manager
-            .spawn(
-                &[],
-                &[],
-                &config,
-                StdRng::seed_from_u64(1),
-                StdRng::seed_from_u64(2),
-                &mut PassiveChannel,
-            )
-            .unwrap_err();
-        assert!(matches!(err, AgreementError::BadSeeds));
-        assert_eq!(manager.live(), 0);
     }
 }

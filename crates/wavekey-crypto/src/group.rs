@@ -253,7 +253,7 @@ impl DhGroup {
 /// AVX512-IFMA, 1.32 MiB and ~3–8 ms for the scalar one elsewhere),
 /// which must be paid once per *deployment group*, never once per
 /// session: the protocol machines, whichever driver runs them (the
-/// lockstep driver, the `SessionManager` or the gateway), all resolve
+/// lockstep driver or the gateway), all resolve
 /// their group through here. The map is guarded by a plain mutex — after
 /// the first build per key, a lookup is a hash probe plus an `Arc`
 /// clone, nowhere near any hot loop.

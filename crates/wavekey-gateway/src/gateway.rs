@@ -2,9 +2,10 @@
 //!
 //! [`Gateway`] is the event-loop face of the protocol: it accepts
 //! simulated connections from a [`SimNet`], frames bytes through the
-//! streaming [`Decoder`], and drives one transport-agnostic
-//! [`Endpoint`] (the same session core `SessionManager` uses) per
-//! connection. The sans-IO split does the heavy lifting — machines
+//! streaming [`Decoder`], and drives one [`ServerAgreement`] per
+//! connection over the connection's frame channel (the
+//! [`wavekey_core::proto::Link`] the net attaches); [`drive_mobile`] is
+//! the client end. The sans-IO split does the heavy lifting — machines
 //! never see sockets, the gateway never sees group elements — so a
 //! gateway session's key is **bit-identical** to the lockstep driver's
 //! for the same seeds and RNGs, regardless of how the bytes were
@@ -13,6 +14,10 @@
 //! Concerns handled here, per connection:
 //!
 //! - incremental framing with resync (garbage never kills the loop),
+//! - the frame channel: every frame carries its sender's clock, so the
+//!   `2 + τ` fence is charged for the sender's compute and any relay
+//!   delay, and under a net adversary the link's ARQ recovers drops
+//!   and damage,
 //! - a bounded write queue: flush-before-read, with eviction when the
 //!   queue overflows or stops draining (`reason="backpressure"`),
 //! - idle eviction on the executor's logical clock — timers only fire
@@ -21,7 +26,8 @@
 //! - graceful shutdown: new connections are rejected
 //!   (`reason="shutdown"`) while accepted sessions drain to completion,
 //! - a per-connection [`EventScope`] causal timeline under actor
-//!   `"gateway"`.
+//!   `"gateway"`, and every protocol failure counted under
+//!   `wavekey_failures_total{label=...}`.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -30,8 +36,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wavekey_core::agreement::{AgreementConfig, AgreementError};
-use wavekey_core::proto::link::{Endpoint, LinkDiscipline};
-use wavekey_core::proto::{Decoder, Frame, MobileAgreement, ServerAgreement};
+use wavekey_core::proto::{Decoder, Frame, MobileAgreement, ServerAgreement, State};
 use wavekey_obs::{EventScope, Obs};
 use wavekey_store::{DurableStore, StoreError, TenantQuota};
 
@@ -270,6 +275,44 @@ impl GatewayInner {
         self.table.finish(id, SessionOutcome::Evicted(reason));
         stream.close();
     }
+
+    /// Records a protocol failure, counted under its label, and closes
+    /// the stream.
+    fn fail(&self, id: u64, err: AgreementError, scope: &EventScope, stream: &SimStream) {
+        self.obs.inc("gateway_sessions_failed");
+        self.obs.with_registry(|r| {
+            r.inc_counter(&format!("wavekey_failures_total{{label=\"{}\"}}", err.label()), 1);
+        });
+        scope.emit("protocol_error");
+        self.table.finish(id, SessionOutcome::Failed(err));
+        stream.close();
+    }
+
+    /// Hands every frame decoded so far to the connection's link and
+    /// feeds the server what crosses; stops early once it is done.
+    fn receive(
+        &self,
+        stream: &SimStream,
+        dec: &mut Decoder,
+        server: &mut ServerAgreement,
+        wq: &mut VecDeque<u8>,
+        scope: &EventScope,
+    ) -> Result<(), AgreementError> {
+        let agreement = &self.config.agreement;
+        while let Some(item) = dec.next_frame() {
+            let Ok(frame) = item else {
+                // Streams resync instead of NAKing: the decoder already
+                // skipped the garbage.
+                self.obs.inc("gateway_frame_resyncs");
+                scope.emit("resync");
+                continue;
+            };
+            stream.arrive(frame, agreement.channel_delay, &agreement.retry, scope)?;
+            serve_ready(stream, server, wq, scope)?;
+        }
+        stream.release(scope);
+        serve_ready(stream, server, wq, scope)
+    }
 }
 
 async fn accept_loop(gw: Rc<GatewayInner>, handle: Handle, net: SimNet) {
@@ -299,36 +342,18 @@ async fn accept_loop(gw: Rc<GatewayInner>, handle: Handle, net: SimNet) {
         scope.emit("accept");
         gw.obs.inc("gateway_conns_accepted");
         match server.start() {
-            Ok(first) => spawn_conn(&gw, &handle, stream, server, first, scope),
-            Err(err) => fail_before_start(&gw, &stream, &scope, err),
+            Ok(first) => {
+                let conn = serve_conn(Rc::clone(&gw), handle.clone(), stream, server, first, scope);
+                handle.spawn(conn);
+            }
+            // Failed before its first frame: still recorded, so the fleet
+            // accounting sums to the accept count.
+            Err(err) => {
+                gw.table.insert(stream.conn_id());
+                gw.fail(stream.conn_id(), err, &scope, &stream);
+            }
         }
     }
-}
-
-/// A session whose machine failed before its first frame: record the
-/// failure so the fleet accounting still sums to the accept count.
-fn fail_before_start(gw: &GatewayInner, stream: &SimStream, scope: &EventScope, err: AgreementError) {
-    let id = stream.conn_id();
-    gw.obs.inc("gateway_sessions_failed");
-    scope.emit("protocol_error");
-    gw.table.insert(id);
-    gw.table.finish(id, SessionOutcome::Failed(err));
-    stream.close();
-}
-
-fn spawn_conn(
-    gw: &Rc<GatewayInner>,
-    handle: &Handle,
-    stream: SimStream,
-    server: ServerAgreement,
-    first: Frame,
-    scope: EventScope,
-) {
-    let gw = Rc::clone(gw);
-    let handle2 = handle.clone();
-    let endpoint = Endpoint::server(server);
-    let disc = LinkDiscipline::new(gw.config.agreement.retry);
-    handle.spawn(serve_conn(gw, handle2, stream, endpoint, disc, first, scope));
 }
 
 /// Drives one accepted connection to a terminal table entry.
@@ -336,18 +361,16 @@ async fn serve_conn(
     gw: Rc<GatewayInner>,
     handle: Handle,
     stream: SimStream,
-    mut server: Endpoint,
-    mut disc: LinkDiscipline,
+    mut server: ServerAgreement,
     first: Frame,
     scope: EventScope,
 ) {
     let id = stream.conn_id();
     let idle = gw.config.idle_ticks;
-    let delay = gw.config.agreement.channel_delay;
     gw.table.insert(id);
+    stream.depart(server.clock());
     let mut wq: VecDeque<u8> = first.encode().into();
     let mut dec = Decoder::new();
-    let mut held: VecDeque<Frame> = VecDeque::new();
     let mut buf = vec![0u8; READ_BUF];
     loop {
         // Flush before reading: replies already owed take priority, and
@@ -371,7 +394,7 @@ async fn serve_conn(
                 Either::B(()) => return gw.evict(id, EvictReason::Backpressure, &scope, &stream),
             }
         }
-        if server.is_done() {
+        if server.state() == State::Done {
             let key = server.key().to_vec();
             scope.emit("complete");
             gw.obs.inc("gateway_sessions_completed");
@@ -387,38 +410,8 @@ async fn serve_conn(
             }
             Either::A(Ok(n)) => {
                 dec.push(&buf[..n]);
-                while let Some(item) = dec.next_frame() {
-                    let frame = match item {
-                        Ok(frame) => frame,
-                        Err(_) => {
-                            // Streams resync instead of NAKing: the
-                            // decoder already skipped the garbage.
-                            gw.obs.inc("gateway_frame_resyncs");
-                            scope.emit("resync");
-                            continue;
-                        }
-                    };
-                    if disc.should_defer(server.expected_kind(), frame.kind) {
-                        scope.emit_frame("defer", frame.kind.label());
-                        held.push_back(frame);
-                        continue;
-                    }
-                    scope.emit_frame("deliver", frame.kind.label());
-                    if !deliver(&gw, id, &mut server, &frame, delay, &mut wq, &scope) {
-                        stream.close();
-                        return;
-                    }
-                    // Progress may have made a deferred frame current.
-                    while let Some(pos) =
-                        held.iter().position(|h| server.expected_kind() == Some(h.kind))
-                    {
-                        let h = held.remove(pos).expect("position in bounds");
-                        scope.emit_frame("deliver", h.kind.label());
-                        if !deliver(&gw, id, &mut server, &h, delay, &mut wq, &scope) {
-                            stream.close();
-                            return;
-                        }
-                    }
+                if let Err(err) = gw.receive(&stream, &mut dec, &mut server, &mut wq, &scope) {
+                    return gw.fail(id, err, &scope, &stream);
                 }
             }
             Either::B(()) => return gw.evict(id, EvictReason::Idle, &scope, &stream),
@@ -426,52 +419,47 @@ async fn serve_conn(
     }
 }
 
-/// Feeds one frame to the machine; queues replies. `false` means the
-/// session reached a terminal protocol failure (already recorded).
-fn deliver(
-    gw: &GatewayInner,
-    id: u64,
-    server: &mut Endpoint,
-    frame: &Frame,
-    delay: f64,
+/// Feeds the server every frame its link has ready, queueing the replies
+/// stamped with its clock; stops once the server is done.
+fn serve_ready(
+    stream: &SimStream,
+    server: &mut ServerAgreement,
     wq: &mut VecDeque<u8>,
     scope: &EventScope,
-) -> bool {
-    let arrival = server.clock() + delay;
-    match server.handle(frame, arrival) {
-        Ok(replies) => {
-            for reply in &replies {
-                wq.extend(reply.encode());
-            }
-            true
-        }
-        Err(err) => {
-            gw.obs.inc("gateway_sessions_failed");
-            scope.emit("protocol_error");
-            gw.table.finish(id, SessionOutcome::Failed(err));
-            false
+) -> Result<(), AgreementError> {
+    while server.state() != State::Done {
+        let Some((frame, arrival)) = stream.next_frame(server.expected_kind(), scope) else {
+            break;
+        };
+        server.charge(stream.owed());
+        for reply in server.handle(&frame, arrival)? {
+            stream.depart(server.clock());
+            wq.extend(reply.encode());
         }
     }
+    Ok(())
 }
 
 /// Drives the mobile side of one agreement over `stream` — the client
 /// mirror of the gateway's connection loop, shared by the unit tests
-/// and the `gateway_soak` fleet driver.
+/// and the bench fleets. Frames from the gateway arrive at their
+/// departure plus `channel_delay`.
 ///
 /// # Errors
 ///
 /// [`AgreementError::Evicted`] when the gateway closes the stream or
-/// goes silent past `idle_ticks`; otherwise whatever the machine
-/// reports.
+/// goes silent past `idle_ticks`; otherwise whatever the link or the
+/// machine reports.
 pub async fn drive_mobile(
     handle: Handle,
     stream: SimStream,
-    mobile: MobileAgreement,
+    mut mobile: MobileAgreement,
     channel_delay: f64,
     idle_ticks: u64,
 ) -> Result<Vec<u8>, AgreementError> {
-    let mut mobile = Endpoint::mobile(mobile);
+    let retry = mobile.config().retry;
     let first = mobile.start()?;
+    stream.depart(mobile.clock());
     let mut wq: VecDeque<u8> = first.encode().into();
     let mut dec = Decoder::new();
     let mut buf = vec![0u8; READ_BUF];
@@ -489,7 +477,7 @@ pub async fn drive_mobile(
                 Either::A(Err(_)) | Either::B(()) => return Err(AgreementError::Evicted),
             }
         }
-        if mobile.is_done() {
+        if mobile.state() == State::Done {
             stream.close();
             return Ok(mobile.key().to_vec());
         }
@@ -499,16 +487,38 @@ pub async fn drive_mobile(
             }
             Either::A(Ok(n)) => {
                 dec.push(&buf[..n]);
+                let events = EventScope::disabled();
                 while let Some(item) = dec.next_frame() {
                     let Ok(frame) = item else { continue };
-                    let arrival = mobile.clock() + channel_delay;
-                    for reply in mobile.handle(&frame, arrival)? {
-                        wq.extend(reply.encode());
-                    }
+                    stream.arrive(frame, channel_delay, &retry, &events)?;
+                    mobile_ready(&stream, &mut mobile, &mut wq)?;
                 }
+                stream.release(&events);
+                mobile_ready(&stream, &mut mobile, &mut wq)?;
             }
         }
     }
+}
+
+/// The client mirror of [`serve_ready`].
+fn mobile_ready(
+    stream: &SimStream,
+    mobile: &mut MobileAgreement,
+    wq: &mut VecDeque<u8>,
+) -> Result<(), AgreementError> {
+    while mobile.state() != State::Done {
+        let Some((frame, arrival)) =
+            stream.next_frame(mobile.expected_kind(), &EventScope::disabled())
+        else {
+            break;
+        };
+        mobile.charge(stream.owed());
+        for reply in mobile.handle(&frame, arrival)? {
+            stream.depart(mobile.clock());
+            wq.extend(reply.encode());
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -518,12 +528,19 @@ mod tests {
     use crate::stream::StreamFaults;
     use rand::Rng;
     use std::sync::Arc;
+    use wavekey_core::agreement::RetryPolicy;
+    use wavekey_core::channel::{Delayer, Direction, Dropper, MessageKind, VersionSpoofer};
+    use wavekey_core::fault::{FaultKind, FaultPlan, FaultProfile, ScheduledFault};
     use wavekey_core::proto::driver;
     use wavekey_core::PassiveChannel;
     use wavekey_obs::EventLog;
 
     fn tiny_config() -> AgreementConfig {
         AgreementConfig { use_tiny_group: true, tau: 10.0, bch_t: 5, ..Default::default() }
+    }
+
+    fn arq_config() -> GatewayConfig {
+        GatewayConfig::new(AgreementConfig { retry: RetryPolicy::arq(), ..tiny_config() })
     }
 
     /// Mobile/server seed bits for session `conn_id`: close enough to
@@ -567,23 +584,23 @@ mod tests {
         faults: impl Fn(u64) -> StreamFaults,
     ) -> (Vec<(u64, Result<Vec<u8>, AgreementError>)>, Gateway) {
         let gateway = Gateway::new(config.clone(), obs, |conn_id| seed_pair(conn_id).1);
-        let out = run_fleet_on(&gateway, &config, n, faults);
+        let out = run_fleet_on(&gateway, &config, &SimNet::new(1 << 16), n, faults);
         (out, gateway)
     }
 
-    /// Drives `n` clients against an already-built gateway.
+    /// Drives `n` clients against an already-built gateway over `net`.
     fn run_fleet_on(
         gateway: &Gateway,
         config: &GatewayConfig,
+        net: &SimNet,
         n: u64,
         faults: impl Fn(u64) -> StreamFaults,
     ) -> Vec<(u64, Result<Vec<u8>, AgreementError>)> {
         let agreement = config.agreement.clone();
         let idle = config.idle_ticks;
-        let net = SimNet::new(1 << 16);
         let mut exec = Executor::new();
-        gateway.listen(&exec.handle(), &net);
-        spawn_closer(&exec, &net);
+        gateway.listen(&exec.handle(), net);
+        spawn_closer(&exec, net);
         let results = Rc::new(RefCell::new(Vec::new()));
         for i in 0..n {
             let stream = net.connect_with(faults(i)).unwrap();
@@ -652,7 +669,8 @@ mod tests {
         let config = gateway_config();
         let gateway =
             Gateway::with_sink(config.clone(), Obs::disabled(), |id| seed_pair(id).1, sink);
-        let clients = run_fleet_on(&gateway, &config, 6, |_| StreamFaults::none());
+        let clients =
+            run_fleet_on(&gateway, &config, &SimNet::new(1 << 16), 6, |_| StreamFaults::none());
         assert_eq!(gateway.table().completed(), 6);
 
         // Every completed key is durably bound under the gateway EPC.
@@ -886,5 +904,242 @@ mod tests {
         let a = run();
         assert!(a.contains("\"actor\":\"gateway\"") || a.contains("gateway"));
         assert_eq!(a, run(), "same fleet, same causal timelines");
+    }
+
+    /// One session over `net`: what the client got, the table's outcome,
+    /// and the frames the link resent.
+    fn run_one(
+        config: GatewayConfig,
+        net: SimNet,
+    ) -> (Result<Vec<u8>, AgreementError>, Option<SessionOutcome>, u64) {
+        let gateway = Gateway::new(config.clone(), Obs::disabled(), |id| seed_pair(id).1);
+        let (id, got) = run_fleet_on(&gateway, &config, &net, 1, |_| StreamFaults::none())
+            .pop()
+            .expect("one client");
+        (got, gateway.table().outcome(id), net.retransmits())
+    }
+
+    fn scripted(direction: Direction, kind: MessageKind, fault: FaultKind) -> SimNet {
+        let plan =
+            FaultPlan::scripted(1, vec![ScheduledFault { direction, kind, occurrence: 0, fault }]);
+        SimNet::with_adversary(1 << 16, plan)
+    }
+
+    /// Every scripted single fault recovers to the key a fault-free run
+    /// establishes: recovery consumes no RNG, so it cannot steer the
+    /// protocol.
+    #[test]
+    fn scripted_faults_recover_to_the_fault_free_key() {
+        let (baseline, _, resent) = run_one(arq_config(), SimNet::new(1 << 16));
+        let baseline = baseline.expect("fault-free key");
+        assert_eq!(resent, 0, "no faults, no retransmits");
+        let scenarios = [
+            ("drop", Direction::ServerToMobile, MessageKind::OtA, FaultKind::Drop),
+            ("duplicate", Direction::MobileToServer, MessageKind::OtB, FaultKind::Duplicate),
+            ("reorder", Direction::ServerToMobile, MessageKind::OtA, FaultKind::Reorder),
+            ("truncate", Direction::ServerToMobile, MessageKind::OtA, FaultKind::Truncate),
+            ("corrupt", Direction::MobileToServer, MessageKind::OtB, FaultKind::Corrupt),
+            ("delay", Direction::MobileToServer, MessageKind::OtE, FaultKind::Delay),
+        ];
+        for (name, direction, kind, fault) in scenarios {
+            let (got, table, resent) = run_one(arq_config(), scripted(direction, kind, fault));
+            let key = got.unwrap_or_else(|e| panic!("{name}: session failed: {e}"));
+            assert_eq!(key, baseline, "{name}: key diverged");
+            assert!(
+                matches!(&table, Some(SessionOutcome::Done(k)) if *k == baseline),
+                "{name}: {table:?}"
+            );
+            let needs_resend =
+                matches!(fault, FaultKind::Drop | FaultKind::Truncate | FaultKind::Corrupt);
+            assert_eq!(resent > 0, needs_resend, "{name}: {resent} retransmits");
+        }
+    }
+
+    /// The drop that recovery survives is fatal without a retry policy.
+    #[test]
+    fn dropped_frame_without_retry_policy_is_fatal() {
+        let net = scripted(Direction::ServerToMobile, MessageKind::OtA, FaultKind::Drop);
+        let (got, table, resent) = run_one(gateway_config(), net);
+        assert!(got.is_err(), "drop without retry must be fatal, got {got:?}");
+        assert!(!matches!(table, Some(SessionOutcome::Done(_))), "{table:?}");
+        assert_eq!(resent, 0, "no retry policy, no retransmits");
+    }
+
+    /// Retransmission backoff is charged against the `2 + τ` fence: a
+    /// retry whose backoff exceeds the slack arrives too late.
+    #[test]
+    fn retransmission_backoff_is_charged_against_the_deadline() {
+        let retry = RetryPolicy { max_retries: 3, backoff_base_s: 20.0, backoff_factor: 1.0 };
+        let config = GatewayConfig::new(AgreementConfig { retry, ..tiny_config() });
+        // M_{A,R} is the mobile's budgeted message; τ = 10 s < one backoff.
+        let net = scripted(Direction::ServerToMobile, MessageKind::OtA, FaultKind::Drop);
+        let (got, _, _) = run_one(config, net);
+        assert_eq!(got, Err(AgreementError::Timeout(MessageKind::OtA)));
+    }
+
+    /// Without faults the retry policy changes nothing: keys are
+    /// bit-identical with and without it, and nothing is resent.
+    #[test]
+    fn fault_free_runs_are_bit_identical_with_and_without_retry() {
+        let plain = run_fleet(gateway_config(), Obs::disabled(), 4, |_| StreamFaults::none()).0;
+        let net = SimNet::new(1 << 16);
+        let config = arq_config();
+        let gateway = Gateway::new(config.clone(), Obs::disabled(), |id| seed_pair(id).1);
+        let arq = run_fleet_on(&gateway, &config, &net, 4, |_| StreamFaults::none());
+        assert_eq!(plain, arq);
+        assert!(arq.iter().all(|(_, got)| got.is_ok()));
+        assert_eq!(net.retransmits(), 0);
+    }
+
+    /// Same seeds, same fault plan: byte-identical causal timelines,
+    /// carrying the server's transitions and the link's deliveries.
+    #[test]
+    fn causal_timelines_are_deterministic_under_replayed_faults() {
+        let run = || {
+            let log = Arc::new(EventLog::new(256));
+            let config = arq_config();
+            let gateway = Gateway::new(config.clone(), Obs::new(log.clone()), |id| seed_pair(id).1);
+            let plan = FaultPlan::new(42, FaultProfile::reference());
+            let net = SimNet::with_adversary(1 << 16, plan);
+            run_fleet_on(&gateway, &config, &net, 6, |_| StreamFaults::none());
+            log.timelines_jsonl()
+        };
+        let first = run();
+        assert!(first.contains("\"kind\":\"state\""), "machine transitions present");
+        assert!(first.contains("\"kind\":\"deliver\""), "link deliveries present");
+        assert_eq!(first, run(), "timelines byte-identical under a fixed seed");
+    }
+
+    /// A re-versioned frame is refused by the codec: no key on either
+    /// side, with or without NAK recovery.
+    #[test]
+    fn spoofed_versions_never_yield_a_key() {
+        for config in [gateway_config(), arq_config()] {
+            let spoof = VersionSpoofer { target: MessageKind::OtB, version: 0x7f };
+            let (got, table, _) = run_one(config, SimNet::with_adversary(1 << 16, spoof));
+            assert!(matches!(got, Err(AgreementError::Wire(_))), "{got:?}");
+            assert!(!matches!(table, Some(SessionOutcome::Done(_))), "{table:?}");
+        }
+    }
+
+    /// A seed source that yields no bits cannot start a session: the
+    /// gateway rejects the connection and the table never sees it.
+    #[test]
+    fn bad_seeds_are_rejected_without_a_session() {
+        assert!(matches!(
+            MobileAgreement::new(&[], &tiny_config(), mobile_rng(1)),
+            Err(AgreementError::BadSeeds)
+        ));
+        let config = gateway_config();
+        let gateway = Gateway::new(config.clone(), Obs::disabled(), |_| Vec::new());
+        let clients = run_fleet_on(&gateway, &config, &SimNet::new(1 << 16), 1, |_| {
+            StreamFaults::none()
+        });
+        assert_eq!(gateway.rejected(), 1);
+        assert_eq!(gateway.table().peak_live(), 0);
+        assert!(gateway.table().outcome(clients[0].0).is_none());
+        assert_eq!(clients[0].1, Err(AgreementError::Evicted));
+    }
+
+    /// Protocol failures land in the labeled failure family; a jammed
+    /// round is an idle eviction.
+    #[test]
+    fn failure_labels_reach_the_exporter() {
+        let (obs, _) = Obs::with_memory();
+        let config = gateway_config();
+        // The server's seed is the mobile's complement: far past the BCH
+        // radius, so reconciliation fails on a clean channel.
+        let gateway = Gateway::new(config.clone(), obs.clone(), |id| {
+            seed_pair(id).0.iter().map(|b| !b).collect()
+        });
+        run_fleet_on(&gateway, &config, &SimNet::new(1 << 16), 1, |_| StreamFaults::none());
+        assert!(matches!(
+            gateway.table().outcome(1),
+            Some(SessionOutcome::Failed(AgreementError::ReconciliationFailed))
+        ));
+        let jammed = Gateway::new(config.clone(), obs.clone(), |id| seed_pair(id).1);
+        let net = SimNet::with_adversary(1 << 16, Dropper { target: MessageKind::OtE });
+        run_fleet_on(&jammed, &config, &net, 1, |_| StreamFaults::none());
+        assert!(matches!(
+            jammed.table().outcome(1),
+            Some(SessionOutcome::Evicted(EvictReason::Idle))
+        ));
+        let text = obs.prometheus_text();
+        let label = "wavekey_failures_total{label=\"reconciliation_failed\"} 1";
+        assert!(text.contains(label), "{text}");
+        assert!(text.contains("wavekey_evictions_total{reason=\"idle\"} 1"), "{text}");
+        assert!(text.contains("gateway_sessions_failed 1"), "{text}");
+    }
+
+    /// A relay that holds `M_B` past `2 + τ` trips the server's fence.
+    #[test]
+    fn relayed_ot_b_past_the_fence_fails_at_the_gateway() {
+        let config = gateway_config();
+        let relay = Delayer { target: Some(MessageKind::OtB), extra: config.agreement.tau + 1.0 };
+        let (got, table, _) = run_one(config, SimNet::with_adversary(1 << 16, relay));
+        let late = AgreementError::Timeout(MessageKind::OtB);
+        assert!(matches!(&table, Some(SessionOutcome::Failed(e)) if *e == late), "{table:?}");
+        assert!(got.is_err());
+    }
+
+    /// A mobile that computes `M_B` for τ + 1 s stamps it that late, and
+    /// the server's fence refuses it: arrivals carry the sender's clock,
+    /// not the receiver's.
+    #[test]
+    fn slow_mobile_past_the_fence_fails_at_the_gateway() {
+        let config = gateway_config();
+        let (delay, tau) = (config.agreement.channel_delay, config.agreement.tau);
+        let gateway = Gateway::new(config.clone(), Obs::disabled(), |id| seed_pair(id).1);
+        let net = SimNet::new(1 << 16);
+        let mut exec = Executor::new();
+        gateway.listen(&exec.handle(), &net);
+        spawn_closer(&exec, &net);
+        let stream = net.connect().unwrap();
+        let id = stream.conn_id();
+        let mut mobile =
+            MobileAgreement::new(&seed_pair(id).0, &config.agreement, mobile_rng(id)).unwrap();
+        exec.spawn(async move {
+            async fn send(stream: &SimStream, frame: &Frame, clock: f64) {
+                stream.depart(clock);
+                let bytes = frame.encode();
+                let mut at = 0;
+                while at < bytes.len() {
+                    at += stream.write_some(&bytes[at..]).await.expect("write");
+                }
+            }
+            let ma = mobile.start().unwrap();
+            send(&stream, &ma, mobile.clock()).await;
+            let (mut dec, mut buf) = (Decoder::new(), [0u8; READ_BUF]);
+            let frame = loop {
+                if let Some(Ok(frame)) = dec.next_frame() {
+                    break frame;
+                }
+                let n = stream.read_some(&mut buf).await.expect("read");
+                dec.push(&buf[..n]);
+            };
+            let events = EventScope::disabled();
+            stream.arrive(frame, delay, &RetryPolicy::none(), &events).unwrap();
+            let (frame, arrival) = stream.next_frame(mobile.expected_kind(), &events).unwrap();
+            let mb = mobile.handle(&frame, arrival).unwrap().pop().unwrap();
+            mobile.charge(tau + 1.0);
+            send(&stream, &mb, mobile.clock()).await;
+        });
+        exec.run();
+        assert!(matches!(
+            gateway.table().outcome(id),
+            Some(SessionOutcome::Failed(AgreementError::Timeout(MessageKind::OtB)))
+        ));
+    }
+
+    /// The gateway twin of the lockstep `deadline_defeats_slow_relays`: a
+    /// relay holding `M_A` for 0.5 s against τ = 0.2 s times the mobile
+    /// out.
+    #[test]
+    fn slow_relays_on_ot_a_time_out_at_the_mobile() {
+        let agreement = AgreementConfig { use_tiny_group: true, tau: 0.2, ..Default::default() };
+        let relay = Delayer { target: Some(MessageKind::OtA), extra: 0.5 };
+        let (got, _, _) =
+            run_one(GatewayConfig::new(agreement), SimNet::with_adversary(1 << 16, relay));
+        assert_eq!(got, Err(AgreementError::Timeout(MessageKind::OtA)));
     }
 }

@@ -16,16 +16,30 @@
 //! frame). Decisions are pure functions of `(seed, connection, lane,
 //! op index)` — replaying a seed replays the exact fault schedule.
 //!
+//! Every connection also carries the session's frame channel: a
+//! [`Link`] shared by both ends. Each end stamps the frames it writes
+//! with its logical clock (`SimStream::depart`) and hands the frames it
+//! decodes to the link (`SimStream::arrive`, then `next_frame`), which
+//! pairs them with their stamps and applies the net's [`Adversary`]
+//! ([`SimNet::with_adversary`]) and the session's ARQ. A net with no
+//! adversary is the passive channel. The client (connecting) end is the
+//! mobile, the accepted end the server.
+//!
 //! Both ends of a connection, and every clone of a listener, live on
 //! the executor's one thread, so they share state through
 //! `Rc<RefCell<_>>`.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
+
+use wavekey_core::agreement::{AgreementError, RetryPolicy};
+use wavekey_core::channel::{Adversary, Direction, MessageKind};
+use wavekey_core::proto::{Frame, Link};
+use wavekey_obs::EventScope;
 
 /// Stream-level failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,6 +186,21 @@ struct Duplex {
     /// Server → client bytes.
     b2a: Pipe,
     faults: StreamFaults,
+    link: Link,
+    channel: Option<Rc<Channel>>,
+}
+
+/// The adversary every link of a net answers to, and the frames their
+/// recovery put back on the wire.
+struct Channel {
+    adversary: RefCell<Box<dyn Adversary>>,
+    retransmits: Cell<u64>,
+}
+
+impl std::fmt::Debug for Channel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Channel").field("retransmits", &self.retransmits.get()).finish()
+    }
 }
 
 /// One end of a simulated connection.
@@ -218,6 +247,80 @@ impl SimStream {
     /// Whether the stream has been closed (either end).
     pub fn is_closed(&self) -> bool {
         self.duplex.borrow().a2b.closed
+    }
+
+    fn sends(&self) -> Direction {
+        if self.a_side {
+            Direction::MobileToServer
+        } else {
+            Direction::ServerToMobile
+        }
+    }
+
+    fn receives(&self) -> Direction {
+        if self.a_side {
+            Direction::ServerToMobile
+        } else {
+            Direction::MobileToServer
+        }
+    }
+
+    /// Stamps the next frame this end writes with its departure, the
+    /// sender's logical `clock` ([`Link::depart`]). Every frame written
+    /// must be stamped, in write order: the peer refuses frames without
+    /// a stamp.
+    pub(crate) fn depart(&self, clock: f64) {
+        self.duplex.borrow_mut().link.depart(self.sends(), clock);
+    }
+
+    /// The backoff this end owes its clock for resends the peer's end of
+    /// the link ran on its behalf ([`Link::owed`]); charge it before
+    /// handling the next frame.
+    pub(crate) fn owed(&self) -> f64 {
+        self.duplex.borrow_mut().link.owed(self.sends())
+    }
+
+    /// Hands a frame this end decoded to the connection's link, under the
+    /// net's adversary ([`Link::arrive`]).
+    ///
+    /// # Errors
+    ///
+    /// [`AgreementError::Wire`] for an unstamped frame, or one damaged
+    /// past what `retry` recovers.
+    pub(crate) fn arrive(
+        &self,
+        frame: Frame,
+        delay: f64,
+        retry: &RetryPolicy,
+        events: &EventScope,
+    ) -> Result<(), AgreementError> {
+        let dir = self.receives();
+        let mut dx = self.duplex.borrow_mut();
+        let Duplex { link, channel, .. } = &mut *dx;
+        let Some(channel) = channel.as_deref() else {
+            return link.arrive(dir, frame, delay, retry, None, events);
+        };
+        let before = link.retransmits();
+        let mut adversary = channel.adversary.borrow_mut();
+        let result = link.arrive(dir, frame, delay, retry, Some(&mut **adversary), events);
+        channel.retransmits.set(channel.retransmits.get() + link.retransmits() - before);
+        result
+    }
+
+    /// The next frame the link holds for this end, with its arrival time,
+    /// given the kind the machine `expected` ([`Link::next`]).
+    pub(crate) fn next_frame(
+        &self,
+        expected: Option<MessageKind>,
+        events: &EventScope,
+    ) -> Option<(Frame, f64)> {
+        self.duplex.borrow_mut().link.next(self.receives(), expected, events)
+    }
+
+    /// Releases a frame the adversary reordered for this end
+    /// ([`Link::release`]); call it once everything read is handled.
+    pub(crate) fn release(&self, events: &EventScope) {
+        self.duplex.borrow_mut().link.release(self.receives(), events);
     }
 }
 
@@ -321,6 +424,7 @@ struct NetInner {
     closed: bool,
     stream_cap: usize,
     next_conn: u64,
+    channel: Option<Rc<Channel>>,
 }
 
 /// An in-process listener creating [`SimStream`] pairs.
@@ -331,7 +435,7 @@ pub struct SimNet {
 
 impl SimNet {
     /// A listener whose streams buffer up to `stream_cap` bytes per
-    /// direction.
+    /// direction, over the passive channel.
     pub fn new(stream_cap: usize) -> SimNet {
         SimNet {
             inner: Rc::new(RefCell::new(NetInner {
@@ -340,8 +444,27 @@ impl SimNet {
                 closed: false,
                 stream_cap,
                 next_conn: 0,
+                channel: None,
             })),
         }
+    }
+
+    /// Like [`SimNet::new`], but every frame of every connection crosses
+    /// `adversary` (one instance for the whole net, so a
+    /// [`wavekey_core::FaultPlan`]'s occurrence counters span sessions).
+    pub fn with_adversary(stream_cap: usize, adversary: impl Adversary + 'static) -> SimNet {
+        let net = SimNet::new(stream_cap);
+        net.inner.borrow_mut().channel = Some(Rc::new(Channel {
+            adversary: RefCell::new(Box::new(adversary)),
+            retransmits: Cell::new(0),
+        }));
+        net
+    }
+
+    /// Frames the links' recovery put back on the wire so far (drop
+    /// retransmissions and NAK re-sends; always 0 without an adversary).
+    pub fn retransmits(&self) -> u64 {
+        self.inner.borrow().channel.as_ref().map_or(0, |c| c.retransmits.get())
     }
 
     /// Connects a clean stream.
@@ -369,6 +492,8 @@ impl SimNet {
             a2b: Pipe::new(net.stream_cap, conn_id * 2),
             b2a: Pipe::new(net.stream_cap, conn_id * 2 + 1),
             faults,
+            link: Link::new(),
+            channel: net.channel.clone(),
         }));
         let client = SimStream { duplex: Rc::clone(&duplex), a_side: true, conn_id };
         let server = SimStream { duplex, a_side: false, conn_id };

@@ -6,7 +6,7 @@
 //! available for post-incident inspection without unbounded memory growth.
 
 use crate::collector::Collector;
-use crate::trace::{SessionTrace, TraceSet};
+use crate::trace::SessionTrace;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
@@ -44,15 +44,6 @@ impl FlightRecorder {
     pub fn latest(&self) -> Option<SessionTrace> {
         self.ring.borrow().back().cloned()
     }
-
-    /// Copy the retained sessions into a [`TraceSet`] for aggregation.
-    pub fn trace_set(&self) -> TraceSet {
-        let mut set = TraceSet::new();
-        for t in self.recent() {
-            set.push(t);
-        }
-        set
-    }
 }
 
 impl Collector for FlightRecorder {
@@ -78,7 +69,6 @@ mod tests {
         let ids: Vec<u64> = rec.recent().iter().map(|t| t.session_id).collect();
         assert_eq!(ids, vec![2, 3, 4]);
         assert_eq!(rec.latest().expect("latest").session_id, 4);
-        assert_eq!(rec.trace_set().len(), 3);
     }
 
     #[test]

@@ -164,23 +164,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.counts.is_empty() {
-            return;
-        }
-        if self.counts.is_empty() {
-            self.counts = vec![0; BUCKETS];
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// One non-empty histogram bucket (see [`Histogram::buckets`]).
@@ -431,22 +414,6 @@ mod tests {
         // [min, max] caps the representative at the observed max (0.0).
         assert_eq!(empty.quantile(0.5), 0.0);
         assert_eq!(empty.min(), -3.0);
-    }
-
-    #[test]
-    fn histogram_merge_matches_combined_stream() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for i in 0..500 {
-            let v = (i as f64 * 7.3) % 100.0 + 0.5;
-            if i % 2 == 0 { a.observe(v) } else { b.observe(v) }
-            all.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.quantile(0.5), all.quantile(0.5));
-        assert_eq!(a.quantile(0.99), all.quantile(0.99));
     }
 
     #[test]
