@@ -34,7 +34,7 @@ use wavekey_core::agreement::{run_agreement, AgreementConfig};
 use wavekey_core::channel::PassiveChannel;
 use wavekey_crypto::bigint::{mont_kernel_1024, pow_many_kernel_1024, Ubig};
 use wavekey_crypto::group::DhGroup;
-use wavekey_crypto::ot::{OtReceiver, OtSender};
+use wavekey_crypto::ot::{OtPairs, OtReceiver, OtSender};
 use wavekey_crypto::sha256::sha256_kernel;
 use wavekey_crypto::{hmac_sha256, sha256};
 
@@ -81,8 +81,8 @@ fn time_op_amortized<F: FnMut()>(op: &str, window: f64, n: usize, f: F) -> Sampl
 }
 
 /// The standard 48-instance three-round OT workload on `group`. Returns
-/// the encoded wire messages and decrypted payloads.
-fn ot48(group: &DhGroup) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<Vec<u8>>) {
+/// the encoded wire messages and the decrypted payloads, in one buffer.
+fn ot48(group: &DhGroup) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>) {
     let (secrets, choices) = ot48_inputs();
     let mut rng_s = StdRng::seed_from_u64(20);
     let mut rng_r = StdRng::seed_from_u64(21);
@@ -94,8 +94,11 @@ fn ot48(group: &DhGroup) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<Vec<u8>>) {
 }
 
 /// The sender secrets and receiver choice bits of the 48-instance workload.
-fn ot48_inputs() -> (Vec<(Vec<u8>, Vec<u8>)>, Vec<bool>) {
-    let secrets = (0..48).map(|i| (vec![i as u8; 3], vec![!(i as u8); 3])).collect();
+fn ot48_inputs() -> (OtPairs, Vec<bool>) {
+    let mut secrets = OtPairs::with_capacity(3, 48);
+    for i in 0..48u8 {
+        secrets.push(&[i; 3], &[!i; 3]);
+    }
     let choices = (0..48).map(|i| i % 3 == 0).collect();
     (secrets, choices)
 }
@@ -145,16 +148,24 @@ fn main() {
     // round E and prelim: eight-lane IFMA groups where the CPU has them.
     // Own RNG, so the ops below see the same inputs as without this row.
     let mut rng48 = StdRng::seed_from_u64(48);
-    let bases: Vec<Ubig> =
-        (0..48).map(|_| Ubig::random_below(group.modulus(), &mut rng48)).collect();
-    let exps: Vec<Ubig> = (0..48).map(|_| group.random_exponent(&mut rng48)).collect();
+    let k = group.limbs();
+    let (mut bases, mut exps) = (vec![0u64; 48 * k], vec![0u64; 48 * k]);
+    for b in bases.chunks_exact_mut(k) {
+        Ubig::random_below(group.modulus(), &mut rng48).write_limbs(b);
+    }
+    for e in exps.chunks_exact_mut(k) {
+        group.random_exponent_into(&mut rng48, e);
+    }
+    let mut powers = vec![0u64; 48 * k];
     samples.push(time_op_amortized("modp1024_general_modexp_x48", window, 48, || {
-        std::hint::black_box(group.pow_many(&bases, &exps));
+        group.pow_many(&bases, &exps, &mut powers);
+        std::hint::black_box(&powers);
     }));
     // 48 comb walks in one `pow_g_many` call, the shape of rounds A and B
     // and the `k¹` fold.
     samples.push(time_op_amortized("modp1024_pow_g_x48", window, 48, || {
-        std::hint::black_box(group.pow_g_many(&exps));
+        group.pow_g_many(&exps, &mut powers);
+        std::hint::black_box(&powers);
     }));
     samples.push(time_op("modp1024_inv_pow_g", window, || {
         std::hint::black_box(group.inv_pow_g(&x));

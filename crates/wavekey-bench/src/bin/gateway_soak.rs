@@ -16,8 +16,10 @@
 //!    session is in flight at once: `peak_in_flight` must reach the
 //!    fleet size, every session must complete with matching
 //!    mobile/gateway keys, and peak RSS (`VmHWM`) must stay under
-//!    `WAVEKEY_GATEWAY_MAX_RSS_MB` (default 6144 — the fleet measures
-//!    ≈4.1 GiB at 100k, ≈41 KiB per in-flight session).
+//!    `WAVEKEY_GATEWAY_MAX_RSS_MB` (default 820: the fleet measures
+//!    650 MiB at 100k, ≈6.7 KiB per in-flight session). A counting
+//!    allocator reports the arm's peak live heap and live allocations
+//!    per in-flight session beside `VmHWM`.
 //! 2. **lockstep mirror** — an evenly-strided subsample (~256 sessions)
 //!    of the soak arm is re-run through `drive_lockstep` with mirrored
 //!    seeds and RNG streams; keys must be bit-identical, proving byte
@@ -30,6 +32,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use wavekey_bench::count_alloc::{self, Counting};
 use wavekey_bench::fleet::{run_fleet, Fleet};
 use wavekey_bench::traffic::{env_f64, env_u64, seed_pair};
 use wavekey_core::agreement::AgreementConfig;
@@ -37,6 +40,16 @@ use wavekey_core::proto::{driver, MobileAgreement};
 use wavekey_core::PassiveChannel;
 use wavekey_gateway::{server_rng, Gateway, GatewayConfig, SimNet, StreamFaults};
 use wavekey_obs::{EventScope, Json, Obs};
+
+/// The default peak-RSS ceiling of the soak arm, in MiB: the 100k fleet
+/// measured 650.2 MiB `VmHWM` (about 6.7 KiB per in-flight session, of
+/// which 6.4 KB is live heap in 20 blocks) on a 2-vCPU Intel Xeon host,
+/// and 820 leaves it a 26 % margin.
+const MAX_RSS_MB_DEFAULT: f64 = 820.0;
+
+/// Reports the soak arm's peak live heap per in-flight session.
+#[global_allocator]
+static ALLOC: Counting = Counting;
 
 const SEED_BASE: u64 = 0x6A7E_0000;
 const MOBILE_RNG_BASE: u64 = 0x6A7E_0B11;
@@ -137,11 +150,14 @@ fn main() {
         .unwrap_or_else(|| "results/BENCH_gateway.json".to_string());
     let sessions = env_u64("WAVEKEY_GATEWAY_SESSIONS", 100_000);
     let fault_sessions = env_u64("WAVEKEY_GATEWAY_FAULT_SESSIONS", 512);
-    let max_rss_mb = env_f64("WAVEKEY_GATEWAY_MAX_RSS_MB", 6144.0);
+    let max_rss_mb = env_f64("WAVEKEY_GATEWAY_MAX_RSS_MB", MAX_RSS_MB_DEFAULT);
     let server_seed = GatewayConfig::new(soak_agreement()).server_seed;
 
     eprintln!("[gateway_soak] soak arm: {sessions} concurrent fault-free sessions…");
-    let (soak, soak_gateway) = run_arm(sessions, |_| StreamFaults::none());
+    let ((soak, soak_gateway), heap_bytes, heap_blocks) =
+        count_alloc::peak_of(|| run_arm(sessions, |_| StreamFaults::none()));
+    let heap_per_session = heap_bytes as f64 / sessions.max(1) as f64;
+    let blocks_per_session = heap_blocks as f64 / sessions.max(1) as f64;
     let table = soak_gateway.table();
     let soak_divergent = soak.divergent(&soak_gateway);
     let sps = if soak.wall_s > 0.0 { sessions as f64 / soak.wall_s } else { 0.0 };
@@ -184,6 +200,10 @@ fn main() {
     println!("divergent keys          {soak_divergent}");
     println!("wall                    {:.2} s  ({sps:.0} sessions/s)", soak.wall_s);
     println!("peak RSS                {rss_mb:.1} MiB  (ceiling {max_rss_mb:.0})  pass {rss_pass}");
+    println!(
+        "peak live heap          {heap_per_session:.0} B in {blocks_per_session:.1} blocks \
+         per in-flight session"
+    );
     println!("lockstep mirror         {lockstep_checked} checked, bit_identical {lockstep_identical}");
     println!("lossless faults         keys identical {lossless_identical}");
     println!(
@@ -205,6 +225,8 @@ fn main() {
         ("peak_rss_mb", Json::Num(rss_mb)),
         ("max_rss_mb", Json::Num(max_rss_mb)),
         ("rss_pass", Json::Bool(rss_pass)),
+        ("heap_per_session_b", Json::Num(heap_per_session.round())),
+        ("heap_blocks_per_session", Json::Num((blocks_per_session * 10.0).round() / 10.0)),
         ("lockstep_checked", Json::Num(lockstep_checked as f64)),
         ("lockstep_bit_identical", Json::Bool(lockstep_identical)),
         ("lossless_sessions", Json::Num(fault_sessions as f64)),

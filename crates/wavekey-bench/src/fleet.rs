@@ -74,11 +74,14 @@ pub fn run_fleet(
     for i in 0..n {
         let stream = net.connect_with(faults(i)).expect("listener open");
         let conn_id = stream.conn_id();
-        let machine = mobile(conn_id);
+        // Boxed until the task's first poll moves it into the session:
+        // a machine the task captured by value would stay in its state
+        // beside the copy `drive_mobile` runs.
+        let machine = Box::new(mobile(conn_id));
         let handle = exec.handle();
         let sessions = Rc::clone(&sessions);
         exec.spawn(async move {
-            let got = drive_mobile(handle, stream, machine, delay, idle).await;
+            let got = drive_mobile(handle, stream, *machine, delay, idle).await;
             sessions.borrow_mut().push((conn_id, t0.elapsed().as_secs_f64(), got));
         });
     }

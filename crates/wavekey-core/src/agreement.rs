@@ -29,13 +29,14 @@
 //! ([`crate::proto::driver::drive_lockstep`]), with outputs bit-identical
 //! to the pre-refactor monolith.
 
-use crate::bits::{deinterleave, hamming_distance, interleave, pack_bits};
+use crate::bits::{deinterleave, interleave, pack_bits, PackedBits};
 use crate::channel::{Adversary, MessageKind};
 use rand::rngs::StdRng;
 use rand::Rng;
 use wavekey_obs::{stage, Obs};
-use wavekey_crypto::ecc::{Bch, CodeOffset};
+use wavekey_crypto::ecc::CodeOffset;
 use wavekey_crypto::hmac::{hmac_sha256, mac_eq};
+use wavekey_crypto::ot::OtPairs;
 
 /// Configuration of one key-agreement run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -351,22 +352,22 @@ pub fn run_agreement_information_layer(
     let x_pairs = random_pairs(l_s, l_b, rng_mobile);
     let y_pairs = random_pairs(l_s, l_b, rng_server);
 
-    let mut k_m: Vec<bool> = Vec::with_capacity(2 * l_s * l_b);
-    let mut k_r: Vec<bool> = Vec::with_capacity(2 * l_s * l_b);
+    let mut k_m = PackedBits::with_capacity(2 * l_s * l_b);
+    let mut k_r = PackedBits::with_capacity(2 * l_s * l_b);
     for i in 0..l_s {
         // Mobile: own x selected by S_M, received y (OT-selected by S_M).
-        k_m.extend_from_slice(if s_m[i] { &x_pairs[i].1 } else { &x_pairs[i].0 });
-        k_m.extend_from_slice(if s_m[i] { &y_pairs[i].1 } else { &y_pairs[i].0 });
+        k_m.extend_from_msb_bytes(chosen(&x_pairs, i, s_m[i]), l_b);
+        k_m.extend_from_msb_bytes(chosen(&y_pairs, i, s_m[i]), l_b);
         // Server: received x (OT-selected by S_R), own y selected by S_R.
-        k_r.extend_from_slice(if s_r[i] { &x_pairs[i].1 } else { &x_pairs[i].0 });
-        k_r.extend_from_slice(if s_r[i] { &y_pairs[i].1 } else { &y_pairs[i].0 });
+        k_r.extend_from_msb_bytes(chosen(&x_pairs, i, s_r[i]), l_b);
+        k_r.extend_from_msb_bytes(chosen(&y_pairs, i, s_r[i]), l_b);
     }
-    let preliminary_mismatch_bits = hamming_distance(&k_m, &k_r);
+    let preliminary_mismatch_bits = k_m.hamming_distance(&k_r);
+    let (k_m, k_r) = (k_m.to_bools(), k_r.to_bools());
 
     let k_len = 2 * l_s * l_b;
     let blocks = k_len.div_ceil(ECC_BLOCK);
-    let bch = Bch::new(config.bch_t).map_err(|e| AgreementError::Config(e.to_string()))?;
-    let co = CodeOffset::new(bch);
+    let co = CodeOffset::shared(config.bch_t).map_err(|e| AgreementError::Config(e.to_string()))?;
     let k_m_inter = interleave(&k_m, blocks, ECC_BLOCK);
     let helper = co.commit(&k_m_inter, rng_mobile);
     let nonce: [u8; NONCE_LEN] = {
@@ -418,20 +419,35 @@ pub(crate) fn finalize_key(k: &[bool], config: &AgreementConfig, nonce: &[u8]) -
     }
 }
 
-/// `l_s` pairs of fresh random `l_b`-bit sequences.
-pub(crate) fn random_pairs(l_s: usize, l_b: usize, rng: &mut StdRng) -> Vec<(Vec<bool>, Vec<bool>)> {
-    (0..l_s)
-        .map(|_| {
-            let a: Vec<bool> = (0..l_b).map(|_| rng.gen()).collect();
-            let b: Vec<bool> = (0..l_b).map(|_| rng.gen()).collect();
-            (a, b)
-        })
-        .collect()
+/// `l_s` pairs of fresh random `l_b`-bit sequences as one OT secret
+/// batch, each sequence MSB-first and zero-padded in `⌈l_b/8⌉` bytes
+/// (the bytes [`crate::bits::pack_bits`] makes). The bits are drawn one
+/// `rng.gen::<bool>()` each, pair by pair, sequence 0 first.
+pub(crate) fn random_pairs(l_s: usize, l_b: usize, rng: &mut StdRng) -> OtPairs {
+    let len = l_b.div_ceil(8);
+    let mut pairs = OtPairs::with_capacity(len, l_s);
+    let mut x = vec![0u8; 2 * len];
+    for _ in 0..l_s {
+        x.fill(0);
+        for seq in x.chunks_exact_mut(len) {
+            for j in 0..l_b {
+                seq[j / 8] |= u8::from(rng.gen::<bool>()) << (7 - j % 8);
+            }
+        }
+        let (x0, x1) = x.split_at(len);
+        pairs.push(x0, x1);
+    }
+    pairs
 }
 
-/// Packs bit-sequence pairs into OT payload byte pairs.
-pub(crate) fn payload_pairs(pairs: &[(Vec<bool>, Vec<bool>)]) -> Vec<(Vec<u8>, Vec<u8>)> {
-    pairs.iter().map(|(a, b)| (pack_bits(a), pack_bits(b))).collect()
+/// Sequence `choice` of pair `i`: what the seed bit `choice` selects.
+pub(crate) fn chosen(pairs: &OtPairs, i: usize, choice: bool) -> &[u8] {
+    let (x0, x1) = pairs.pair(i);
+    if choice {
+        x1
+    } else {
+        x0
+    }
 }
 
 #[cfg(test)]

@@ -27,6 +27,89 @@ pub fn unpack_bits(bytes: &[u8], n: usize) -> Vec<bool> {
     (0..n).map(|i| (bytes[i / 8] >> (7 - i % 8)) & 1 == 1).collect()
 }
 
+/// A bit string packed into `u64` words: bit `i` sits at bit `i % 64` of
+/// word `i / 64`. The protocol machines hold their seeds, sequence pairs
+/// and preliminary keys in this form, one heap block each instead of a
+/// byte per bit.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PackedBits {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl PackedBits {
+    /// An empty string with room for `bits` bits.
+    pub fn with_capacity(bits: usize) -> PackedBits {
+        PackedBits { words: Vec::with_capacity(bits.div_ceil(64)), len: 0 }
+    }
+
+    /// Packs `bits`.
+    pub fn from_bools(bits: &[bool]) -> PackedBits {
+        let mut out = PackedBits::with_capacity(bits.len());
+        for &b in bits {
+            out.push(b);
+        }
+        out
+    }
+
+    /// Number of bits.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` for the empty string.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bit `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> bool {
+        assert!(i < self.len, "bit {i} of {}", self.len);
+        (self.words[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// Appends one bit.
+    pub fn push(&mut self, bit: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.words[self.len / 64] |= u64::from(bit) << (self.len % 64);
+        self.len += 1;
+    }
+
+    /// Appends the first `n` bits of `bytes`, MSB-first within each byte
+    /// (the bits [`unpack_bits`] returns).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` holds fewer than `n` bits.
+    pub fn extend_from_msb_bytes(&mut self, bytes: &[u8], n: usize) {
+        assert!(bytes.len() * 8 >= n, "not enough bytes for {n} bits");
+        for i in 0..n {
+            self.push((bytes[i / 8] >> (7 - i % 8)) & 1 == 1);
+        }
+    }
+
+    /// The bits, one `bool` each.
+    pub fn to_bools(&self) -> Vec<bool> {
+        (0..self.len).map(|i| self.get(i)).collect()
+    }
+
+    /// Number of positions where `self` and `other` disagree.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    pub fn hamming_distance(&self, other: &PackedBits) -> usize {
+        assert_eq!(self.len, other.len, "length mismatch in hamming distance");
+        self.words.iter().zip(&other.words).map(|(a, b)| (a ^ b).count_ones() as usize).sum()
+    }
+}
+
 /// Number of positions where the two bit strings disagree.
 ///
 /// # Panics
@@ -82,6 +165,26 @@ mod tests {
         assert_eq!(bytes.len(), 2);
         assert_eq!(bytes[0], 0b1011_0001);
         assert_eq!(unpack_bits(&bytes, 10), bits);
+    }
+
+    #[test]
+    fn packed_bits_match_bool_strings() {
+        let bits: Vec<bool> = (0..150).map(|i| (i * 7 + i / 5) % 3 == 0).collect();
+        let packed = PackedBits::from_bools(&bits);
+        assert_eq!(packed.len(), 150);
+        assert_eq!(packed.to_bools(), bits);
+        // MSB-first bytes append the bits `unpack_bits` reads, onto any
+        // length, padding ignored.
+        for (start, count) in [(0usize, 150usize), (3, 17), (64, 64), (149, 1), (10, 0)] {
+            let mut back = PackedBits::from_bools(&bits[..start]);
+            back.extend_from_msb_bytes(&pack_bits(&bits[start..start + count]), count);
+            assert_eq!(back.to_bools(), &bits[..start + count], "{start}+{count}");
+        }
+        let flipped: Vec<bool> = bits.iter().enumerate().map(|(i, &b)| b ^ (i % 13 == 0)).collect();
+        assert_eq!(
+            packed.hamming_distance(&PackedBits::from_bools(&flipped)),
+            hamming_distance(&bits, &flipped)
+        );
     }
 
     #[test]

@@ -21,7 +21,6 @@ use super::{Frame, MobileAgreement, ServerAgreement};
 use crate::agreement::{
     AgreementConfig, AgreementError, AgreementOutcome, AgreementStages, RetryPolicy,
 };
-use crate::bits::hamming_distance;
 use crate::channel::{Adversary, AdversaryAction, Direction};
 use rand::rngs::StdRng;
 use wavekey_obs::EventScope;
@@ -105,7 +104,7 @@ fn exchange(
     mobile.absorb_ot_e(&me_r, me_r_arrival)?;
     server.handle(&me_m, me_m_arrival)?;
     let preliminary_mismatch_bits =
-        hamming_distance(mobile.preliminary_key(), server.preliminary_key());
+        mobile.preliminary_key().hamming_distance(server.preliminary_key());
     let challenge = mobile.emit_challenge()?;
 
     // --- Challenge / Response.
@@ -139,7 +138,7 @@ pub(crate) fn combine(
     };
     AgreementOutcome {
         key: mobile.key().to_vec(),
-        key_bits: mobile.key_bits().to_vec(),
+        key_bits: mobile.key_bits(),
         mobile_compute: mobile.compute(),
         server_compute: server.compute(),
         elapsed: mobile.clock().max(server.clock()),

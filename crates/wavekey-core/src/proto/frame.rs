@@ -258,12 +258,13 @@ impl Decoder {
         Err(err)
     }
 
-    /// Reclaims the consumed prefix once it dominates the buffer (or the
-    /// buffer is fully drained), keeping long-lived connections from
-    /// retaining every byte they ever received.
+    /// Reclaims the consumed prefix once it dominates the buffer, and
+    /// frees the buffer once it is fully drained, keeping long-lived
+    /// connections from retaining every byte they ever received, or a
+    /// frame's worth of capacity while they wait for the next one.
     fn compact(&mut self) {
         if self.start == self.buf.len() {
-            self.buf.clear();
+            self.buf = Vec::new();
             self.start = 0;
         } else if self.start >= 4096 && self.start * 2 >= self.buf.len() {
             self.buf.drain(..self.start);

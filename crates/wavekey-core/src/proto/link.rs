@@ -59,6 +59,17 @@ impl Lane {
     }
 }
 
+/// Pops the front of `queue`, freeing its buffer once it is empty: a
+/// session's lanes hold a frame or two at a time, and nothing between
+/// frames.
+fn pop_front<T>(queue: &mut VecDeque<T>) -> Option<T> {
+    let front = queue.pop_front();
+    if queue.is_empty() {
+        *queue = VecDeque::new();
+    }
+    front
+}
+
 fn lane(dir: Direction) -> usize {
     match dir {
         Direction::MobileToServer => 0,
@@ -156,7 +167,7 @@ impl Link {
         let Link { disc, lanes } = self;
         let disc = disc.get_or_insert_with(|| LinkDiscipline::new(*retry));
         let lane = &mut lanes[lane(dir)];
-        let Some(departure) = lane.departures.pop_front() else {
+        let Some(departure) = pop_front(&mut lane.departures) else {
             return Err(AgreementError::Wire(format!("unstamped {:?} frame", frame.kind)));
         };
         let mut arrival = departure + delay;
@@ -238,7 +249,7 @@ impl Link {
         let next = match lane.deferred.iter().position(|(f, _)| Some(f.kind) == expected) {
             Some(pos) => lane.deferred.remove(pos),
             None => loop {
-                let (frame, arrival) = lane.ready.pop_front()?;
+                let (frame, arrival) = pop_front(&mut lane.ready)?;
                 if disc.as_mut().is_some_and(|d| d.should_defer(expected, frame.kind)) {
                     events.emit_frame("defer", frame.kind.label());
                     lane.deferred.push((frame, arrival));

@@ -10,20 +10,26 @@
 //! Init ──start()──▶ OtRound(0) ──M_A──▶ OtRound(1) ──M_B──▶ OtRound(2)
 //!   ──M_E──▶ Reconcile ──(commit)──▶ Confirm ──Response──▶ Done/Failed
 //! ```
+//!
+//! What the machine holds, packed: the seed throughout; the OT sender,
+//! and in it the sequence pairs, until `M_B` is answered; then the pairs
+//! the spent sender hands back until `K_M` is assembled; the OT receiver
+//! from `M_A` until `M_E` is decrypted; `K_M` until the key is
+//! confirmed; then only the key.
 
-use super::{ot_err, DeadlineBudgets, Frame, PartyCore, State};
+use super::{assemble_key, ot_err, DeadlineBudgets, Frame, PartyCore, State};
 use crate::agreement::{
-    finalize_key, payload_pairs, random_pairs, AgreementConfig, AgreementError,
-    AgreementStages, ECC_BLOCK, NONCE_LEN,
+    chosen, finalize_key, random_pairs, AgreementConfig, AgreementError, AgreementStages,
+    ECC_BLOCK, NONCE_LEN,
 };
-use crate::bits::{interleave, pack_bits, unpack_bits};
+use crate::bits::{interleave, pack_bits, unpack_bits, PackedBits};
 use crate::channel::MessageKind;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::time::Instant;
-use wavekey_crypto::ecc::{Bch, CodeOffset};
+use wavekey_crypto::ecc::CodeOffset;
 use wavekey_crypto::hmac::{hmac_sha256, mac_eq};
-use wavekey_crypto::ot::{OtReceiver, OtSender};
+use wavekey_crypto::ot::{OtPairs, OtReceiver, OtSender};
 use wavekey_crypto::rounds;
 use wavekey_obs::EventScope;
 
@@ -31,15 +37,20 @@ use wavekey_obs::EventScope;
 #[derive(Debug)]
 pub struct MobileAgreement {
     core: PartyCore,
-    seed: Vec<bool>,
+    /// The key-seed `S_M`.
+    seed: PackedBits,
     l_b: usize,
-    x_pairs: Vec<(Vec<bool>, Vec<bool>)>,
+    /// Over the sequence pairs `x_i` ([`random_pairs`]), until `M_B` is
+    /// answered with `M_E`.
     sender: Option<OtSender>,
+    /// The pairs the spent sender hands back, until `K_M` is assembled.
+    x_pairs: Option<OtPairs>,
+    /// From `M_A` until `M_E` is decrypted.
     receiver: Option<OtReceiver>,
-    k_m: Vec<bool>,
+    /// `K_M`, until the key is confirmed.
+    k_m: PackedBits,
     nonce: [u8; NONCE_LEN],
     key: Vec<u8>,
-    key_bits: Vec<bool>,
     ma_prep: f64,
     mb_prep: f64,
     /// Replies already emitted, per consumed message kind. Only populated
@@ -83,15 +94,14 @@ impl MobileAgreement {
         let l_b = config.key_len_bits.div_ceil(2 * seed.len());
         Ok(MobileAgreement {
             core,
-            seed: seed.to_vec(),
+            seed: PackedBits::from_bools(seed),
             l_b,
-            x_pairs: Vec::new(),
             sender: None,
+            x_pairs: None,
             receiver: None,
-            k_m: Vec::new(),
+            k_m: PackedBits::default(),
             nonce: [0u8; NONCE_LEN],
             key: Vec::new(),
-            key_bits: Vec::new(),
             ma_prep: 0.0,
             mb_prep: 0.0,
             history: Vec::new(),
@@ -120,12 +130,8 @@ impl MobileAgreement {
             )));
         }
         let t = Instant::now();
-        self.x_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
-        let (sender, ma) = rounds::sender_round_a(
-            self.core.group,
-            payload_pairs(&self.x_pairs),
-            &mut self.core.rng,
-        );
+        let x_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
+        let (sender, ma) = rounds::sender_round_a(self.core.group, x_pairs, &mut self.core.rng);
         let d = self.core.spend(t);
         self.ma_prep = d;
         self.core.stages.ot_round_a += d;
@@ -217,7 +223,7 @@ impl MobileAgreement {
         let t = Instant::now();
         let (receiver, mb) = rounds::receiver_round_b(
             self.core.group,
-            &self.seed,
+            &self.seed.to_bools(),
             &frame.payload,
             &mut self.core.rng,
         )
@@ -230,21 +236,24 @@ impl MobileAgreement {
         Ok(Frame::new(MessageKind::OtB, mb))
     }
 
-    /// `M_{B,R}` received: encrypt the ciphertext batch `M_{E,M}`.
+    /// `M_{B,R}` received: encrypt the ciphertext batch `M_{E,M}`. The
+    /// OT sender is spent; its pairs stay for `K_M`.
     fn encrypt_ot_e(&mut self, frame: &Frame, arrival: f64) -> Result<Frame, AgreementError> {
         self.core.arrive(MessageKind::OtB, arrival)?;
-        let sender = self.sender.as_ref().expect("sender set in start()");
+        let sender = self.sender.take().expect("sender set in start()");
         let t = Instant::now();
-        let me = rounds::sender_round_e(sender, self.core.group, &frame.payload)
+        let me = rounds::sender_round_e(&sender, self.core.group, &frame.payload)
             .map_err(ot_err)?;
         let d = self.core.spend(t);
         self.core.stages.ot_round_e += d;
+        self.x_pairs = Some(sender.into_secrets());
         self.core.transition(State::OtRound(2));
         Ok(Frame::new(MessageKind::OtE, me))
     }
 
     /// `M_{E,R}` received: decrypt the obliviously received sequences and
     /// assemble the preliminary key `K_M`; transitions to `Reconcile`.
+    /// The OT receiver and the sequence pairs are spent.
     ///
     /// Split from [`MobileAgreement::emit_challenge`] so the lockstep
     /// driver can schedule the (RNG-consuming) commit *after* the
@@ -255,18 +264,18 @@ impl MobileAgreement {
         arrival: f64,
     ) -> Result<(), AgreementError> {
         self.core.arrive(MessageKind::OtE, arrival)?;
-        let receiver = self.receiver.as_ref().expect("receiver set in respond_ot_a");
+        let receiver = self.receiver.take().expect("receiver set in respond_ot_a");
+        let pairs = self.x_pairs.take().expect("pairs handed back at M_B");
         let t = Instant::now();
-        let y_received = rounds::receiver_finish(receiver, self.core.group, &frame.payload)
+        let y_received = rounds::receiver_finish(&receiver, self.core.group, &frame.payload)
             .map_err(ot_err)?;
         // K_M = x₁^{sm₁} ‖ y₁^{sm₁} ‖ … (own pair selected by own seed,
         // plus the sequence obliviously received — also seed-selected).
-        let mut k_m: Vec<bool> = Vec::with_capacity(2 * self.seed.len() * self.l_b);
-        for i in 0..self.seed.len() {
-            let own = if self.seed[i] { &self.x_pairs[i].1 } else { &self.x_pairs[i].0 };
-            k_m.extend_from_slice(own);
-            k_m.extend(unpack_bits(&y_received[i], self.l_b));
-        }
+        let (seed, l_b) = (&self.seed, self.l_b);
+        let k_m = assemble_key(&y_received, seed.len(), l_b, |k, i, y| {
+            k.extend_from_msb_bytes(chosen(&pairs, i, seed.get(i)), l_b);
+            k.extend_from_msb_bytes(y, l_b);
+        })?;
         let d = self.core.spend(t);
         self.core.stages.prelim_key += d;
         self.k_m = k_m;
@@ -280,11 +289,10 @@ impl MobileAgreement {
         debug_assert_eq!(self.core.state, State::Reconcile);
         let k_len = 2 * self.seed.len() * self.l_b;
         let blocks = k_len.div_ceil(ECC_BLOCK);
-        let bch = Bch::new(self.core.config.bch_t)
+        let co = CodeOffset::shared(self.core.config.bch_t)
             .map_err(|e| AgreementError::Config(e.to_string()))?;
-        let co = CodeOffset::new(bch);
         let t = Instant::now();
-        let k_m_inter = interleave(&self.k_m, blocks, ECC_BLOCK);
+        let k_m_inter = interleave(&self.k_m.to_bools(), blocks, ECC_BLOCK);
         let helper = co.commit(&k_m_inter, &mut self.core.rng);
         let nonce: [u8; NONCE_LEN] = {
             let mut n = [0u8; NONCE_LEN];
@@ -300,12 +308,12 @@ impl MobileAgreement {
         Ok(Frame::new(MessageKind::Challenge, challenge))
     }
 
-    /// `Response` received: finalize the key and verify the HMAC.
+    /// `Response` received: finalize the key and verify the HMAC. `K_M`
+    /// is spent once the key is confirmed.
     fn confirm(&mut self, frame: &Frame, arrival: f64) -> Result<(), AgreementError> {
         self.core.arrive(MessageKind::Response, arrival)?;
         let t = Instant::now();
-        let key = finalize_key(&self.k_m, &self.core.config, &self.nonce);
-        let key_bits = unpack_bits(&key, self.core.config.key_len_bits);
+        let key = finalize_key(&self.k_m.to_bools(), &self.core.config, &self.nonce);
         let expected = hmac_sha256(&key, &self.nonce);
         let ok = mac_eq(&expected, &frame.payload);
         let d = self.core.spend(t);
@@ -314,7 +322,7 @@ impl MobileAgreement {
             return Err(AgreementError::ConfirmationFailed);
         }
         self.key = key;
-        self.key_bits = key_bits;
+        self.k_m = PackedBits::default();
         self.core.transition(State::Done);
         Ok(())
     }
@@ -385,8 +393,9 @@ impl MobileAgreement {
         self.mb_prep
     }
 
-    /// The preliminary key `K_M` (empty before the OT completes).
-    pub fn preliminary_key(&self) -> &[bool] {
+    /// The preliminary key `K_M` (empty before the OT completes and
+    /// once the key is confirmed).
+    pub fn preliminary_key(&self) -> &PackedBits {
         &self.k_m
     }
 
@@ -396,8 +405,11 @@ impl MobileAgreement {
     }
 
     /// The established key as bits (empty unless [`State::Done`]).
-    pub fn key_bits(&self) -> &[bool] {
-        &self.key_bits
+    pub fn key_bits(&self) -> Vec<bool> {
+        if self.key.is_empty() {
+            return Vec::new();
+        }
+        unpack_bits(&self.key, self.core.config.key_len_bits)
     }
 
     /// The machine's RNG — the lockstep driver copies its end state back

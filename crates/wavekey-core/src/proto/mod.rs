@@ -34,6 +34,7 @@ pub use mobile::MobileAgreement;
 pub use server::ServerAgreement;
 
 use crate::agreement::{AgreementConfig, AgreementError, AgreementStages};
+use crate::bits::PackedBits;
 use crate::channel::MessageKind;
 use rand::rngs::StdRng;
 use std::time::Instant;
@@ -263,6 +264,30 @@ impl PartyCore {
 /// Maps an OT-layer error into the agreement taxonomy.
 pub(crate) fn ot_err(e: wavekey_crypto::ot::OtError) -> AgreementError {
     AgreementError::Ot(e.to_string())
+}
+
+/// Assembles a packed preliminary key from the `l_s` payloads the OT
+/// receiver decrypted (`received`, one run per instance):
+/// `push(key, i, y_i)` appends instance `i`'s two `l_b`-bit sequences.
+///
+/// # Errors
+///
+/// [`AgreementError::Ot`] when a payload holds fewer than `l_b` bits.
+pub(crate) fn assemble_key(
+    received: &[u8],
+    l_s: usize,
+    l_b: usize,
+    mut push: impl FnMut(&mut PackedBits, usize, &[u8]),
+) -> Result<PackedBits, AgreementError> {
+    let len = received.len() / l_s;
+    if len * 8 < l_b {
+        return Err(ot_err(wavekey_crypto::ot::OtError::Malformed));
+    }
+    let mut key = PackedBits::with_capacity(2 * l_s * l_b);
+    for i in 0..l_s {
+        push(&mut key, i, &received[i * len..][..len]);
+    }
+    Ok(key)
 }
 
 /// Upper bound on duplicate-frame replays per machine: enough for every

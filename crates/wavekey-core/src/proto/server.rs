@@ -10,19 +10,25 @@
 //! Init ──start()──▶ OtRound(0) ──M_A──▶ OtRound(1) ──M_B──▶ OtRound(2)
 //!   ──M_E──▶ Reconcile ──Challenge──▶ Done
 //! ```
+//!
+//! What the machine holds, packed: the seed throughout; the OT sender,
+//! and in it the sequence pairs, until `M_B` is answered; then the pairs
+//! the spent sender hands back until `K_R` is assembled; the OT receiver
+//! from `M_A` until `M_E` is decrypted; `K_R` until the challenge is
+//! reconciled; then only the key.
 
-use super::{ot_err, DeadlineBudgets, Frame, PartyCore, State};
+use super::{assemble_key, ot_err, DeadlineBudgets, Frame, PartyCore, State};
 use crate::agreement::{
-    finalize_key, payload_pairs, random_pairs, AgreementConfig, AgreementError,
-    AgreementStages, ECC_BLOCK, NONCE_LEN,
+    chosen, finalize_key, random_pairs, AgreementConfig, AgreementError, AgreementStages,
+    ECC_BLOCK, NONCE_LEN,
 };
-use crate::bits::{deinterleave, interleave, unpack_bits};
+use crate::bits::{deinterleave, interleave, unpack_bits, PackedBits};
 use crate::channel::MessageKind;
 use rand::rngs::StdRng;
 use std::time::Instant;
-use wavekey_crypto::ecc::{Bch, CodeOffset};
+use wavekey_crypto::ecc::CodeOffset;
 use wavekey_crypto::hmac::hmac_sha256;
-use wavekey_crypto::ot::{OtReceiver, OtSender};
+use wavekey_crypto::ot::{OtPairs, OtReceiver, OtSender};
 use wavekey_crypto::rounds;
 use wavekey_obs::EventScope;
 
@@ -30,12 +36,18 @@ use wavekey_obs::EventScope;
 #[derive(Debug)]
 pub struct ServerAgreement {
     core: PartyCore,
-    seed: Vec<bool>,
+    /// The key-seed `S_R`.
+    seed: PackedBits,
     l_b: usize,
-    y_pairs: Vec<(Vec<bool>, Vec<bool>)>,
+    /// Over the sequence pairs `y_i` ([`random_pairs`]), until `M_B` is
+    /// answered with `M_E`.
     sender: Option<OtSender>,
+    /// The pairs the spent sender hands back, until `K_R` is assembled.
+    y_pairs: Option<OtPairs>,
+    /// From `M_A` until `M_E` is decrypted.
     receiver: Option<OtReceiver>,
-    k_r: Vec<bool>,
+    /// `K_R`, until the challenge is reconciled.
+    k_r: PackedBits,
     key: Vec<u8>,
     /// Replies already emitted, per consumed message kind. Only populated
     /// when the retry policy is enabled: duplicate frames are re-answered
@@ -78,12 +90,12 @@ impl ServerAgreement {
         let l_b = config.key_len_bits.div_ceil(2 * seed.len());
         Ok(ServerAgreement {
             core,
-            seed: seed.to_vec(),
+            seed: PackedBits::from_bools(seed),
             l_b,
-            y_pairs: Vec::new(),
             sender: None,
+            y_pairs: None,
             receiver: None,
-            k_r: Vec::new(),
+            k_r: PackedBits::default(),
             key: Vec::new(),
             history: Vec::new(),
             replays: 0,
@@ -111,12 +123,8 @@ impl ServerAgreement {
             )));
         }
         let t = Instant::now();
-        self.y_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
-        let (sender, ma) = rounds::sender_round_a(
-            self.core.group,
-            payload_pairs(&self.y_pairs),
-            &mut self.core.rng,
-        );
+        let y_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
+        let (sender, ma) = rounds::sender_round_a(self.core.group, y_pairs, &mut self.core.rng);
         let d = self.core.spend(t);
         self.core.stages.ot_round_a += d;
         self.sender = Some(sender);
@@ -206,7 +214,7 @@ impl ServerAgreement {
         let t = Instant::now();
         let (receiver, mb) = rounds::receiver_round_b(
             self.core.group,
-            &self.seed,
+            &self.seed.to_bools(),
             &frame.payload,
             &mut self.core.rng,
         )
@@ -219,35 +227,38 @@ impl ServerAgreement {
     }
 
     /// `M_{B,M}` received (the server's `2 + τ` fence): encrypt the
-    /// ciphertext batch `M_{E,R}`.
+    /// ciphertext batch `M_{E,R}`. The OT sender is spent; its pairs stay
+    /// for `K_R`.
     fn encrypt_ot_e(&mut self, frame: &Frame, arrival: f64) -> Result<Frame, AgreementError> {
         self.core.arrive(MessageKind::OtB, arrival)?;
-        let sender = self.sender.as_ref().expect("sender set in start()");
+        let sender = self.sender.take().expect("sender set in start()");
         let t = Instant::now();
-        let me = rounds::sender_round_e(sender, self.core.group, &frame.payload)
+        let me = rounds::sender_round_e(&sender, self.core.group, &frame.payload)
             .map_err(ot_err)?;
         let d = self.core.spend(t);
         self.core.stages.ot_round_e += d;
+        self.y_pairs = Some(sender.into_secrets());
         self.core.transition(State::OtRound(2));
         Ok(Frame::new(MessageKind::OtE, me))
     }
 
     /// `M_{E,M}` received: decrypt the obliviously received sequences and
     /// assemble the preliminary key `K_R`; transitions to `Reconcile`.
+    /// The OT receiver and the sequence pairs are spent.
     fn absorb_ot_e(&mut self, frame: &Frame, arrival: f64) -> Result<(), AgreementError> {
         self.core.arrive(MessageKind::OtE, arrival)?;
-        let receiver = self.receiver.as_ref().expect("receiver set in respond_ot_a");
+        let receiver = self.receiver.take().expect("receiver set in respond_ot_a");
+        let pairs = self.y_pairs.take().expect("pairs handed back at M_B");
         let t = Instant::now();
-        let x_received = rounds::receiver_finish(receiver, self.core.group, &frame.payload)
+        let x_received = rounds::receiver_finish(&receiver, self.core.group, &frame.payload)
             .map_err(ot_err)?;
         // K_R = x₁^{sr₁} ‖ y₁^{sr₁} ‖ … (the sequence obliviously
         // received, plus the own pair — both selected by own seed).
-        let mut k_r: Vec<bool> = Vec::with_capacity(2 * self.seed.len() * self.l_b);
-        for i in 0..self.seed.len() {
-            k_r.extend(unpack_bits(&x_received[i], self.l_b));
-            let own = if self.seed[i] { &self.y_pairs[i].1 } else { &self.y_pairs[i].0 };
-            k_r.extend_from_slice(own);
-        }
+        let (seed, l_b) = (&self.seed, self.l_b);
+        let k_r = assemble_key(&x_received, seed.len(), l_b, |k, i, x| {
+            k.extend_from_msb_bytes(x, l_b);
+            k.extend_from_msb_bytes(chosen(&pairs, i, seed.get(i)), l_b);
+        })?;
         let d = self.core.spend(t);
         self.core.stages.prelim_key += d;
         self.k_r = k_r;
@@ -265,13 +276,12 @@ impl ServerAgreement {
         if frame.payload.len() != helper_bytes_len + NONCE_LEN {
             return Err(AgreementError::ReconciliationFailed);
         }
-        let bch = Bch::new(self.core.config.bch_t)
+        let co = CodeOffset::shared(self.core.config.bch_t)
             .map_err(|e| AgreementError::Config(e.to_string()))?;
-        let co = CodeOffset::new(bch);
         let t = Instant::now();
         let helper_rx = unpack_bits(&frame.payload[..helper_bytes_len], blocks * ECC_BLOCK);
         let nonce_rx = &frame.payload[helper_bytes_len..];
-        let k_r_inter = interleave(&self.k_r, blocks, ECC_BLOCK);
+        let k_r_inter = interleave(&self.k_r.to_bools(), blocks, ECC_BLOCK);
         let Some(recovered_inter) = co.reconcile(&k_r_inter, &helper_rx, blocks * ECC_BLOCK)
         else {
             return Err(AgreementError::ReconciliationFailed);
@@ -282,6 +292,7 @@ impl ServerAgreement {
         let d = self.core.spend(t);
         self.core.stages.ecc_reconcile += d;
         self.key = key;
+        self.k_r = PackedBits::default();
         self.core.transition(State::Done);
         Ok(Frame::new(MessageKind::Response, response))
     }
@@ -337,8 +348,9 @@ impl ServerAgreement {
         self.core.deadline_consumed
     }
 
-    /// The preliminary key `K_R` (empty before the OT completes).
-    pub fn preliminary_key(&self) -> &[bool] {
+    /// The preliminary key `K_R` (empty before the OT completes and
+    /// once the challenge is reconciled).
+    pub fn preliminary_key(&self) -> &PackedBits {
         &self.k_r
     }
 

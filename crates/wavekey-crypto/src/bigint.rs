@@ -133,11 +133,7 @@ impl Ubig {
 
     /// The value of bit `i` (little-endian bit order).
     pub fn bit(&self, i: usize) -> bool {
-        let limb = i / 64;
-        if limb >= self.limbs.len() {
-            return false;
-        }
-        (self.limbs[limb] >> (i % 64)) & 1 == 1
+        limbs_bit(&self.limbs, i)
     }
 
     /// The value of the `count` bits starting at bit `lo` (little-endian
@@ -147,19 +143,32 @@ impl Ubig {
     ///
     /// Panics if `count` is 0 or greater than 64.
     pub fn bits(&self, lo: usize, count: usize) -> u64 {
-        assert!(count >= 1 && count <= 64, "bits() window must be 1..=64");
-        let limb = lo / 64;
-        let off = lo % 64;
-        let mut v = self.limbs.get(limb).copied().unwrap_or(0) >> off;
-        if off + count > 64 {
-            let hi = self.limbs.get(limb + 1).copied().unwrap_or(0);
-            v |= hi << (64 - off);
-        }
-        if count < 64 {
-            v & ((1u64 << count) - 1)
-        } else {
-            v
-        }
+        limbs_bits(&self.limbs, lo, count)
+    }
+
+    /// Builds from little-endian limbs; leading zero limbs are allowed.
+    pub fn from_limbs(limbs: &[u64]) -> Ubig {
+        let mut u = Ubig { limbs: limbs.to_vec() };
+        u.normalize();
+        u
+    }
+
+    /// The little-endian limbs, without leading zero limbs (empty for 0).
+    pub fn as_limbs(&self) -> &[u64] {
+        &self.limbs
+    }
+
+    /// Writes the value into `out` as little-endian limbs, zero-padded to
+    /// `out.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value needs more than `out.len()` limbs.
+    pub fn write_limbs(&self, out: &mut [u64]) {
+        assert!(self.limbs.len() <= out.len(), "value wider than {} limbs", out.len());
+        let (lo, hi) = out.split_at_mut(self.limbs.len());
+        lo.copy_from_slice(&self.limbs);
+        hi.fill(0);
     }
 
     fn normalize(&mut self) {
@@ -373,25 +382,6 @@ impl Ubig {
         r
     }
 
-    /// `if choice { a } else { b }` with no branch on `choice`: both
-    /// values are read as `limbs` limbs and merged under an all-ones or
-    /// all-zeros mask, so the work is the same for either bit. The mask
-    /// passes through [`std::hint::black_box`] so the optimizer cannot
-    /// turn the merge back into a branch.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if either value is wider than `limbs`.
-    pub(crate) fn ct_select(choice: bool, a: &Ubig, b: &Ubig, limbs: usize) -> Ubig {
-        debug_assert!(a.limbs.len() <= limbs && b.limbs.len() <= limbs);
-        let mask = std::hint::black_box(u64::from(choice)).wrapping_neg();
-        let limb = |x: &Ubig, i: usize| x.limbs.get(i).copied().unwrap_or(0);
-        let mut out =
-            Ubig { limbs: (0..limbs).map(|i| (limb(a, i) & mask) | (limb(b, i) & !mask)).collect() };
-        out.normalize();
-        out
-    }
-
     /// Modular addition (`self`, `other` already < `modulus`).
     pub fn mod_add(&self, other: &Ubig, modulus: &Ubig) -> Ubig {
         let s = self.add(other);
@@ -483,6 +473,75 @@ pub(crate) fn limbs_sub_in_place(a: &mut [u64], b: &[u64]) {
         a[i] = d2;
         borrow = u64::from(b1) + u64::from(b2);
     }
+}
+
+/// Bit length of a little-endian limb slice; leading zero limbs are
+/// allowed.
+pub(crate) fn limbs_bit_len(x: &[u64]) -> usize {
+    x.iter()
+        .rposition(|&v| v != 0)
+        .map_or(0, |i| 64 * i + 64 - x[i].leading_zeros() as usize)
+}
+
+/// Bit `i` of a little-endian limb slice (0 past its end).
+fn limbs_bit(x: &[u64], i: usize) -> bool {
+    x.get(i / 64).is_some_and(|&l| (l >> (i % 64)) & 1 == 1)
+}
+
+/// The `count` bits of a little-endian limb slice starting at bit `lo`,
+/// as a `u64` (0 past its end).
+///
+/// # Panics
+///
+/// Panics if `count` is 0 or greater than 64.
+fn limbs_bits(x: &[u64], lo: usize, count: usize) -> u64 {
+    assert!(count >= 1 && count <= 64, "bits() window must be 1..=64");
+    let (limb, off) = (lo / 64, lo % 64);
+    let mut v = x.get(limb).copied().unwrap_or(0) >> off;
+    if off + count > 64 {
+        v |= x.get(limb + 1).copied().unwrap_or(0) << (64 - off);
+    }
+    if count < 64 {
+        v & ((1u64 << count) - 1)
+    } else {
+        v
+    }
+}
+
+/// `a ← if choice { a } else { b }` over equal-length limb slices, with
+/// no branch on `choice`: every limb is merged under an all-ones or
+/// all-zeros mask, so the work is the same for either bit. The mask
+/// passes through [`std::hint::black_box`] so the optimizer cannot turn
+/// the merge back into a branch.
+pub(crate) fn ct_select_limbs(choice: bool, a: &mut [u64], b: &[u64]) {
+    debug_assert_eq!(a.len(), b.len());
+    let mask = std::hint::black_box(u64::from(choice)).wrapping_neg();
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x = (*x & mask) | (y & !mask);
+    }
+}
+
+/// Runs `f` over `len` zeroed limbs of scratch: on the stack for the
+/// short runs the one-limb group needs, on the heap past that.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    const STACK: usize = 64;
+    if len <= STACK {
+        f(&mut [0u64; STACK][..len])
+    } else {
+        f(&mut vec![0u64; len])
+    }
+}
+
+/// Limbs per value of a flat batch of `count` values held in `len`
+/// limbs.
+///
+/// # Panics
+///
+/// Panics unless `len` splits evenly into `count` values.
+fn width(len: usize, count: usize) -> usize {
+    let w = len / count;
+    assert_eq!(w * count, len, "a flat batch must split evenly into {count} values");
+    w
 }
 
 /// `a << shift` over limbs (`shift < 64`), one limb longer than `a`:
@@ -732,13 +791,6 @@ fn pad_limbs(a: &Ubig, k: usize) -> Vec<u64> {
     v
 }
 
-/// Builds a normalized [`Ubig`] from a fixed-width limb slice.
-fn ubig_from_limbs(limbs: &[u64]) -> Ubig {
-    let mut u = Ubig { limbs: limbs.to_vec() };
-    u.normalize();
-    u
-}
-
 /// Precomputed fixed-base exponentiation table (radix-2^w comb).
 ///
 /// Stores `base^(d·2^(w·i))` in Montgomery form for every window position
@@ -806,6 +858,9 @@ pub struct MontgomeryCtx {
     r2_fixed: Vec<u64>,
     /// `1` in Montgomery form (`R mod n`), padded to `k` limbs.
     one_fixed: Vec<u64>,
+    /// Plain `1` padded to `k` limbs: a Montgomery product by it leaves
+    /// Montgomery form.
+    unit: Vec<u64>,
     /// Radix-2^52 constants for the eight-lane kernels of
     /// [`MontgomeryCtx::mod_pow_many`] and
     /// [`MontgomeryCtx::pow_comb_many`], present for 16-limb moduli.
@@ -846,13 +901,13 @@ impl MontgomeryCtx {
             r2,
             r2_fixed,
             one_fixed: Vec::new(),
+            unit: pad_limbs(&Ubig::one(), k),
             #[cfg(target_arch = "x86_64")]
             lanes,
         };
         // 1·R mod n = REDC(R² · 1).
-        let one = pad_limbs(&Ubig::one(), k);
         let mut one_m = vec![0u64; k];
-        ctx.mont_mul_fixed(&one, &ctx.r2_fixed, &mut one_m);
+        ctx.mont_mul_fixed(&ctx.unit, &ctx.r2_fixed, &mut one_m);
         ctx.one_fixed = one_m;
         ctx
     }
@@ -860,6 +915,12 @@ impl MontgomeryCtx {
     /// The modulus.
     pub fn modulus(&self) -> &Ubig {
         &self.n
+    }
+
+    /// Limbs per residue, `k`: a flat batch holds each result as a run of
+    /// `k` little-endian limbs.
+    pub fn limbs(&self) -> usize {
+        self.k
     }
 
     /// Rough cost of one exponentiation in 64-bit limb multiply-adds
@@ -914,7 +975,7 @@ impl MontgomeryCtx {
         if self.k <= MAX_CIOS_LIMBS {
             cios_mont_mul(&self.n.limbs, self.n_prime, a, b, out);
         } else {
-            let r = self.mont_mul_mul_then_redc(&ubig_from_limbs(a), &ubig_from_limbs(b));
+            let r = self.mont_mul_mul_then_redc(&Ubig::from_limbs(a), &Ubig::from_limbs(b));
             let padded = pad_limbs(&r, self.k);
             out.copy_from_slice(&padded);
         }
@@ -940,11 +1001,30 @@ impl MontgomeryCtx {
 
     /// Converts a fixed-width Montgomery value back to plain form.
     fn from_mont_fixed(&self, a: &[u64]) -> Ubig {
-        let mut one = vec![0u64; self.k];
-        one[0] = 1;
         let mut out = vec![0u64; self.k];
-        self.mont_mul_fixed(a, &one, &mut out);
-        ubig_from_limbs(&out)
+        self.from_mont_into(a, &mut out);
+        Ubig::from_limbs(&out)
+    }
+
+    /// Converts a fixed-width Montgomery value back to plain form in
+    /// `out` (`k` limbs).
+    fn from_mont_into(&self, a: &[u64], out: &mut [u64]) {
+        self.mont_mul_fixed(a, &self.unit, out);
+    }
+
+    /// `x mod n` into the `k` limbs of `out`, for `x` of any width. A
+    /// value that already fits below `n` is copied; only a wider or
+    /// unreduced one runs [`Ubig::rem`].
+    fn reduce_into(&self, x: &[u64], out: &mut [u64]) {
+        let top = x.iter().rposition(|&v| v != 0).map_or(0, |i| i + 1);
+        if top <= self.k {
+            out[..top].copy_from_slice(&x[..top]);
+            out[top..].fill(0);
+            if !limbs_ge(out, &self.n.limbs) {
+                return;
+            }
+        }
+        Ubig::from_limbs(x).rem(&self.n).write_limbs(out);
     }
 
     /// In-place Montgomery-domain doubling: `a ← 2a mod n`.
@@ -958,6 +1038,16 @@ impl MontgomeryCtx {
         if carry != 0 || limbs_ge(a, &self.n.limbs) {
             limbs_sub_in_place(a, &self.n.limbs);
         }
+    }
+
+    /// `a·b mod n` into `out`, for `a` and `b` of `k` limbs below `n`
+    /// (plain form in, plain form out): one Montgomery product gives
+    /// `a·b·R⁻¹`, and a second, by `R²`, brings it back to `a·b`.
+    pub fn mod_mul_limbs(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        with_scratch(self.k, |t| {
+            self.mont_mul_fixed(a, b, t);
+            self.mont_mul_fixed(t, &self.r2_fixed, out);
+        });
     }
 
     /// Modular multiplication `a·b mod n` (plain form in, plain form out).
@@ -982,13 +1072,13 @@ impl MontgomeryCtx {
     /// The largest window of at most `w` bits whose lowest bit is set,
     /// with its top at bit `i` (which must be set). Returns the window
     /// value and the index of its lowest bit.
-    fn window_at(exp: &Ubig, i: isize, w: usize) -> (usize, isize) {
+    fn window_at(exp: &[u64], i: isize, w: usize) -> (usize, isize) {
         let mut j = (i - w as isize + 1).max(0);
-        while !exp.bit(j as usize) {
+        while !limbs_bit(exp, j as usize) {
             j += 1;
         }
         let count = (i - j + 1) as usize;
-        (exp.bits(j as usize, count) as usize, j)
+        (limbs_bits(exp, j as usize, count) as usize, j)
     }
 
     /// Modular exponentiation `base^exp mod n` by left-to-right k-ary
@@ -998,95 +1088,131 @@ impl MontgomeryCtx {
     /// instead of ~512 on top of the squarings). Squarings go through
     /// the dedicated [`cios_mont_sqr`] kernel.
     pub fn mod_pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        if exp.is_zero() {
-            return Ubig::one().rem(&self.n);
-        }
-        let k = self.k;
-        let bits = exp.bit_len();
-        let w = pow_window_size(bits);
-        let base = base.rem(&self.n);
-        let base_m = self.to_mont_fixed(&base);
-        // tbl[i] = base^(2i+1) in Montgomery form.
-        let half = 1usize << (w - 1);
-        let mut tbl = vec![0u64; half * k];
-        tbl[..k].copy_from_slice(&base_m);
-        if half > 1 {
-            let mut sq = vec![0u64; k];
-            self.mont_sqr_fixed(&base_m, &mut sq);
-            for i in 1..half {
-                let (lo, hi) = tbl.split_at_mut(i * k);
-                self.mont_mul_fixed(&lo[(i - 1) * k..], &sq, &mut hi[..k]);
-            }
-        }
-        let mut tmp = vec![0u64; k];
-        // The top bit is set, so the first window always forms there and
-        // seeds the accumulator directly (no leading squarings of 1).
-        let mut i = bits as isize - 1;
-        let (val, j) = Self::window_at(exp, i, w);
-        let mut acc = tbl[((val - 1) / 2) * k..][..k].to_vec();
-        i = j - 1;
-        while i >= 0 {
-            if !exp.bit(i as usize) {
-                self.mont_sqr_fixed(&acc, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-                i -= 1;
-            } else {
-                let (val, j) = Self::window_at(exp, i, w);
-                for _ in 0..(i - j + 1) {
-                    self.mont_sqr_fixed(&acc, &mut tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-                self.mont_mul_fixed(&acc, &tbl[((val - 1) / 2) * k..][..k], &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-                i = j - 1;
-            }
-        }
-        self.from_mont_fixed(&acc)
+        let mut out = vec![0u64; self.k];
+        with_scratch(self.k, |b| {
+            self.reduce_into(&base.limbs, b);
+            self.mod_pow_limbs(b, &exp.limbs, &mut out);
+        });
+        Ubig::from_limbs(&out)
     }
 
-    /// `bases[i]^exps[i] mod n` for every `i`, each equal to
-    /// [`MontgomeryCtx::mod_pow`] of the same pair.
+    /// [`MontgomeryCtx::mod_pow`] over limb slices: `base^exp mod n` into
+    /// `out` (`k` limbs), for a `base` of `k` limbs below `n` and an `exp`
+    /// of any width.
+    fn mod_pow_limbs(&self, base: &[u64], exp: &[u64], out: &mut [u64]) {
+        let k = self.k;
+        let bits = limbs_bit_len(exp);
+        if bits == 0 {
+            return self.from_mont_into(&self.one_fixed, out);
+        }
+        let w = pow_window_size(bits);
+        // tbl[i] = base^(2i+1) in Montgomery form, then two accumulators.
+        let half = 1usize << (w - 1);
+        with_scratch((half + 2) * k, |scratch| {
+            let (tbl, rest) = scratch.split_at_mut(half * k);
+            let (mut acc, mut tmp) = rest.split_at_mut(k);
+            self.mont_mul_fixed(base, &self.r2_fixed, &mut tbl[..k]);
+            if half > 1 {
+                // base² in `acc`, only until the first window seeds it.
+                self.mont_sqr_fixed(&tbl[..k], acc);
+                for i in 1..half {
+                    let (lo, hi) = tbl.split_at_mut(i * k);
+                    self.mont_mul_fixed(&lo[(i - 1) * k..], acc, &mut hi[..k]);
+                }
+            }
+            // The top bit is set, so the first window always forms there
+            // and seeds the accumulator directly (no leading squarings of
+            // 1).
+            let mut i = bits as isize - 1;
+            let (val, j) = Self::window_at(exp, i, w);
+            acc.copy_from_slice(&tbl[((val - 1) / 2) * k..][..k]);
+            i = j - 1;
+            while i >= 0 {
+                if !limbs_bit(exp, i as usize) {
+                    self.mont_sqr_fixed(acc, tmp);
+                    std::mem::swap(&mut acc, &mut tmp);
+                    i -= 1;
+                } else {
+                    let (val, j) = Self::window_at(exp, i, w);
+                    for _ in 0..(i - j + 1) {
+                        self.mont_sqr_fixed(acc, tmp);
+                        std::mem::swap(&mut acc, &mut tmp);
+                    }
+                    self.mont_mul_fixed(acc, &tbl[((val - 1) / 2) * k..][..k], tmp);
+                    std::mem::swap(&mut acc, &mut tmp);
+                    i = j - 1;
+                }
+            }
+            self.from_mont_into(acc, out);
+        });
+    }
+
+    /// `bases[i]^exps[i] mod n` for every pair `i`, written to the `i`-th
+    /// `k`-limb run of `out`, each equal to [`MontgomeryCtx::mod_pow`] of
+    /// the same pair.
+    ///
+    /// The batch is flat: `out` holds `count = out.len() / k` results,
+    /// and `bases` and `exps` hold `count` little-endian values each, of
+    /// `bases.len() / count` and `exps.len() / count` limbs. Bases may
+    /// be unreduced and exponents of any width.
     ///
     /// With a 16-limb modulus on a CPU with AVX512-IFMA, pairs run eight
     /// at a time on the `ifma` lanes: fixed 5-bit windows with masked
     /// table reads, so no branch or load address depends on an exponent.
     /// A trailing group of fewer than eight is padded. Every other width
     /// and CPU runs `mod_pow` per pair. Groups, or pairs, fan out through
-    /// [`wavekey_par::map`].
+    /// [`wavekey_par::for_each_chunk_mut`].
     ///
     /// # Panics
     ///
-    /// Panics unless `bases` and `exps` have the same length.
-    pub fn mod_pow_many(&self, bases: &[Ubig], exps: &[Ubig]) -> Vec<Ubig> {
-        assert_eq!(bases.len(), exps.len(), "one exponent per base");
+    /// Panics unless `out` is a whole number of residues and `bases` and
+    /// `exps` split evenly into one value per result.
+    pub fn mod_pow_many(&self, bases: &[u64], exps: &[u64], out: &mut [u64]) {
+        let k = self.k;
+        let count = width(out.len(), k);
+        if count == 0 {
+            assert!(bases.is_empty() && exps.is_empty(), "one base and one exponent per result");
+            return;
+        }
+        let (bw, ew) = (width(bases.len(), count), width(exps.len(), count));
         let work = self.modexp_work();
         #[cfg(target_arch = "x86_64")]
         if let Some(lanes) = self.lanes.as_ref().filter(|_| ifma::available()) {
             const L: usize = ifma::LANES;
-            let groups = bases.len().div_ceil(L);
-            let out = wavekey_par::map(groups, groups * L * work, |g| {
-                let pairs = g * L..bases.len().min(g * L + L);
-                self.pow_lane_group(lanes, &bases[pairs.clone()], &exps[pairs])
+            let groups = count.div_ceil(L);
+            return wavekey_par::for_each_chunk_mut(out, L * k, groups * L * work, |g, chunk| {
+                let (lo, hi) = (g * L, g * L + chunk.len() / k);
+                self.pow_lane_group(lanes, &bases[lo * bw..hi * bw], &exps[lo * ew..hi * ew], chunk);
             });
-            return out.into_iter().flatten().collect();
         }
-        wavekey_par::map(bases.len(), bases.len() * work, |i| self.mod_pow(&bases[i], &exps[i]))
+        wavekey_par::for_each_chunk_mut(out, k, count * work, |i, r| {
+            with_scratch(k, |b| {
+                self.reduce_into(&bases[i * bw..][..bw], b);
+                self.mod_pow_limbs(b, &exps[i * ew..][..ew], r);
+            });
+        });
     }
 
-    /// Up to eight [`MontgomeryCtx::mod_pow`]s in one `ifma` call.
+    /// Up to eight [`MontgomeryCtx::mod_pow`]s in one `ifma` call: the
+    /// flat `bases` and `exps` of one lane group, results into `out`.
     #[cfg(target_arch = "x86_64")]
-    fn pow_lane_group(&self, lanes: &ifma::Consts, bases: &[Ubig], exps: &[Ubig]) -> Vec<Ubig> {
-        /// Lane `l` reads `xs[l]`; lanes past the end read 0 and compute
-        /// `0^0`, which is dropped.
-        fn lane_limbs(xs: &[Ubig]) -> [&[u64]; ifma::LANES] {
-            std::array::from_fn(|l| xs.get(l).map_or(&[][..], |x| &x.limbs[..]))
+    fn pow_lane_group(&self, lanes: &ifma::Consts, bases: &[u64], exps: &[u64], out: &mut [u64]) {
+        let m = out.len() / 16;
+        let (bw, ew) = (bases.len() / m, exps.len() / m);
+        let mut reduced = [[0u64; 16]; ifma::LANES];
+        for (l, r) in reduced.iter_mut().take(m).enumerate() {
+            self.reduce_into(&bases[l * bw..][..bw], r);
         }
-        let reduced: Vec<Ubig> = bases.iter().map(|b| b.rem(&self.n)).collect();
+        // Lanes past the end read 0 and compute `0^0`, which is dropped.
+        let b = std::array::from_fn(|l| if l < m { &reduced[l][..] } else { &[][..] });
+        let e = std::array::from_fn(|l| if l < m { &exps[l * ew..][..ew] } else { &[][..] });
         // SAFETY: `mod_pow_many` reaches here only after
         // `ifma::available()` returned true, and every base is reduced
         // below n.
-        let out = unsafe { ifma::mod_pow_8(lanes, &lane_limbs(&reduced), &lane_limbs(exps)) };
-        out[..bases.len()].iter().map(|r| ubig_from_limbs(r)).collect()
+        let walked = unsafe { ifma::mod_pow_8(lanes, &b, &e) };
+        for (r, w) in out.chunks_exact_mut(16).zip(&walked) {
+            r.copy_from_slice(w);
+        }
     }
 
     /// The `ifma` comb table of `base` for
@@ -1098,12 +1224,11 @@ impl MontgomeryCtx {
     #[cfg(target_arch = "x86_64")]
     pub(crate) fn lane_comb_table(&self, base: &Ubig) -> Option<ifma::CombTable> {
         let lanes = self.lanes.as_deref().filter(|_| ifma::available())?;
-        let unit = pad_limbs(&Ubig::one(), self.k);
         let mut cur = self.to_mont_fixed(&base.rem(&self.n));
         let mut tmp = vec![0u64; self.k];
         let mut bases = vec![[0u64; 16]; ifma::COMB_WINDOWS];
         for plain in &mut bases {
-            self.mont_mul_fixed(&cur, &unit, plain);
+            self.from_mont_into(&cur, plain);
             for _ in 0..ifma::WINDOW {
                 self.mont_sqr_fixed(&cur, &mut tmp);
                 std::mem::swap(&mut cur, &mut tmp);
@@ -1113,43 +1238,57 @@ impl MontgomeryCtx {
         Some(unsafe { ifma::comb_table(lanes, &bases) })
     }
 
-    /// `base^exps[i] mod n` for every `i`, each equal to
-    /// [`MontgomeryCtx::mod_pow`] of `base` and `exps[i]`, where `t` is
-    /// [`MontgomeryCtx::lane_comb_table`] of `base`.
+    /// `base^exps[i] mod n` for every exponent `i`, into the `i`-th
+    /// 16-limb run of `out`, each equal to [`MontgomeryCtx::mod_pow`] of
+    /// `base` and that exponent, where `t` is
+    /// [`MontgomeryCtx::lane_comb_table`] of `base`. `exps` holds one
+    /// little-endian exponent per result, all of `exps.len() / count`
+    /// limbs.
     ///
     /// Exponents go eight at a time through the `ifma` comb walk, one
     /// product per 5-bit window and no branch or load address that
     /// depends on an exponent. The groups fan out through
-    /// [`wavekey_par::map`], and the last one is padded with zero
-    /// exponents whose results are dropped. An exponent wider than the
-    /// table's 1025 bits runs `mod_pow` instead.
+    /// [`wavekey_par::for_each_chunk_mut`], and the last one is padded
+    /// with zero exponents whose results are dropped. An exponent wider
+    /// than the table's 1025 bits runs `mod_pow` instead.
     #[cfg(target_arch = "x86_64")]
     pub(crate) fn pow_comb_many(
         &self,
         t: &ifma::CombTable,
         base: &Ubig,
-        exps: &[Ubig],
-    ) -> Vec<Ubig> {
+        exps: &[u64],
+        out: &mut [u64],
+    ) {
         const L: usize = ifma::LANES;
         let lanes = self.lanes.as_deref().expect("a lane comb table needs lane constants");
-        let covered = |x: &Ubig| x.bit_len() <= ifma::COMB_BITS;
-        let groups = exps.len().div_ceil(L);
-        let work = L * ifma::COMB_WINDOWS * self.k * self.k;
-        let out = wavekey_par::map(groups, groups * work, |g| {
-            let xs = &exps[g * L..exps.len().min(g * L + L)];
-            let lane_exps = std::array::from_fn(|l| match xs.get(l) {
-                Some(x) if covered(x) => &x.limbs[..],
-                _ => &[][..],
-            });
+        let k = self.k;
+        let count = width(out.len(), k);
+        if count == 0 {
+            return;
+        }
+        let ew = width(exps.len(), count);
+        let covered = |x: &[u64]| limbs_bit_len(x) <= ifma::COMB_BITS;
+        let groups = count.div_ceil(L);
+        let work = L * ifma::COMB_WINDOWS * k * k;
+        wavekey_par::for_each_chunk_mut(out, L * k, groups * work, |g, chunk| {
+            let m = chunk.len() / k;
+            let x = |l: usize| &exps[(g * L + l) * ew..][..ew];
+            let lane_exps =
+                std::array::from_fn(|l| if l < m && covered(x(l)) { x(l) } else { &[][..] });
             // SAFETY: a comb table exists only once `ifma::comb_table`
             // has run, which requires `ifma::available()`.
             let walked = unsafe { ifma::comb_8(lanes, t, &lane_exps) };
-            xs.iter()
-                .zip(&walked)
-                .map(|(x, r)| if covered(x) { ubig_from_limbs(r) } else { self.mod_pow(base, x) })
-                .collect::<Vec<_>>()
+            for (l, r) in chunk.chunks_exact_mut(k).enumerate() {
+                if covered(x(l)) {
+                    r.copy_from_slice(&walked[l]);
+                } else {
+                    with_scratch(k, |b| {
+                        self.reduce_into(&base.limbs, b);
+                        self.mod_pow_limbs(b, x(l), r);
+                    });
+                }
+            }
         });
-        out.into_iter().flatten().collect()
     }
 
     /// Reference modular exponentiation: the original bit-at-a-time
@@ -1236,36 +1375,63 @@ impl MontgomeryCtx {
     /// zero squarings. Falls back to the general [`MontgomeryCtx::mod_pow`]
     /// for exponents wider than the table's coverage.
     pub fn pow_fixed_base(&self, t: &FixedBaseTable, exp: &Ubig) -> Ubig {
+        let mut out = vec![0u64; self.k];
+        self.pow_fixed_base_limbs(t, &exp.limbs, &mut out);
+        Ubig::from_limbs(&out)
+    }
+
+    /// [`MontgomeryCtx::pow_fixed_base`] for every exponent of the flat
+    /// batch `exps`, into the matching `k`-limb run of `out`, in the
+    /// layout of [`MontgomeryCtx::mod_pow_many`]. The exponents fan out
+    /// through [`wavekey_par::for_each_chunk_mut`].
+    pub(crate) fn pow_fixed_base_many(&self, t: &FixedBaseTable, exps: &[u64], out: &mut [u64]) {
+        let count = width(out.len(), self.k);
+        if count == 0 {
+            return;
+        }
+        let ew = width(exps.len(), count);
+        wavekey_par::for_each_chunk_mut(out, self.k, count * self.modexp_work(), |i, r| {
+            self.pow_fixed_base_limbs(t, &exps[i * ew..][..ew], r);
+        });
+    }
+
+    /// [`MontgomeryCtx::pow_fixed_base`] over limb slices: the power into
+    /// `out` (`k` limbs), for an `exp` of any width.
+    fn pow_fixed_base_limbs(&self, t: &FixedBaseTable, exp: &[u64], out: &mut [u64]) {
         debug_assert_eq!(t.k, self.k, "table built for a different modulus width");
-        if exp.is_zero() {
-            return Ubig::one().rem(&self.n);
-        }
-        if exp.bit_len() > t.windows * t.w {
-            return self.mod_pow(&t.base, exp);
-        }
         let k = self.k;
+        let bits = limbs_bit_len(exp);
+        if bits == 0 {
+            return self.from_mont_into(&self.one_fixed, out);
+        }
+        if bits > t.windows * t.w {
+            return with_scratch(k, |b| {
+                t.base.write_limbs(b);
+                self.mod_pow_limbs(b, exp, out);
+            });
+        }
         let epw = (1usize << t.w) - 1;
-        let mut acc: Option<Vec<u64>> = None;
-        let mut tmp = vec![0u64; k];
-        for win in 0..t.windows {
-            let digit = exp.bits(win * t.w, t.w) as usize;
-            if digit == 0 {
-                continue;
-            }
-            let entry = &t.table[(win * epw + digit - 1) * k..][..k];
-            match acc.as_mut() {
-                None => acc = Some(entry.to_vec()),
-                Some(a) => {
-                    self.mont_mul_fixed(a, entry, &mut tmp);
-                    std::mem::swap(a, &mut tmp);
+        with_scratch(2 * k, |scratch| {
+            let (acc, tmp) = scratch.split_at_mut(k);
+            let mut started = false;
+            for win in 0..t.windows {
+                let digit = limbs_bits(exp, win * t.w, t.w) as usize;
+                if digit == 0 {
+                    continue;
+                }
+                let entry = &t.table[(win * epw + digit - 1) * k..][..k];
+                if started {
+                    self.mont_mul_fixed(acc, entry, tmp);
+                    acc.copy_from_slice(tmp);
+                } else {
+                    acc.copy_from_slice(entry);
+                    started = true;
                 }
             }
-        }
-        match acc {
-            Some(a) => self.from_mont_fixed(&a),
-            // exp != 0 guarantees at least one non-zero digit.
-            None => unreachable!("non-zero exponent with all-zero digits"),
-        }
+            // A non-zero exponent has at least one non-zero digit.
+            debug_assert!(started, "non-zero exponent with all-zero digits");
+            self.from_mont_into(acc, out);
+        });
     }
 
     /// Modular inverse of `a` for a *prime* modulus, via Fermat's little
@@ -1613,7 +1779,7 @@ mod tests {
                     Ubig::zero(),
                     Ubig::one(),
                     m.sub(&Ubig::one()),
-                    ubig_from_limbs(&ones_top),
+                    Ubig::from_limbs(&ones_top),
                     Ubig::random_below(m, &mut rng),
                 ];
                 for a in &operands {
@@ -1652,7 +1818,7 @@ mod tests {
         }
         let mut out = vec![0u64; k];
         portable_mont_mul(n, np, &prod, &pad_limbs(&Ubig::one(), k), &mut out);
-        ubig_from_limbs(&out)
+        Ubig::from_limbs(&out)
     }
 
     /// Two 1024-bit moduli: MODP-1024 (`n' = 1`) and the odd literal
@@ -1863,11 +2029,19 @@ mod tests {
         let exp = Ubig::from_u64(rng.gen());
         assert_eq!(ctx.mod_pow(&base, &exp), ctx.mod_pow_reference(&base, &exp));
         assert_eq!(ctx.mod_mul(&base, &base), ctx.mod_mul_reference(&base, &base));
+        let k = ctx.limbs();
         let bases: Vec<Ubig> = (0..4).map(|_| Ubig::random_below(&m, &mut rng)).collect();
         let exps: Vec<Ubig> = (0..4).map(|_| Ubig::from_u64(rng.gen())).collect();
-        let got = ctx.mod_pow_many(&bases, &exps);
+        let mut flat_bases = vec![0u64; 4 * k];
+        for (b, o) in bases.iter().zip(flat_bases.chunks_exact_mut(k)) {
+            b.write_limbs(o);
+        }
+        let flat_exps: Vec<u64> = exps.iter().map(|e| e.as_limbs()[0]).collect();
+        let mut got = vec![0u64; 4 * k];
+        ctx.mod_pow_many(&flat_bases, &flat_exps, &mut got);
         for (i, (b, e)) in bases.iter().zip(&exps).enumerate() {
-            assert_eq!(got[i], ctx.mod_pow_reference(b, e), "pair {i}");
+            let got = Ubig::from_limbs(&got[i * k..][..k]);
+            assert_eq!(got, ctx.mod_pow_reference(b, e), "pair {i}");
         }
     }
 }

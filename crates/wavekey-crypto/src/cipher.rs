@@ -18,19 +18,23 @@ use crate::sha256::sha256;
 /// assert_eq!(ctr_decrypt(&key, &ct), b"hello wavekey");
 /// ```
 pub fn ctr_encrypt(key: &[u8; 32], data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len());
-    let mut counter: u64 = 0;
+    let mut out = data.to_vec();
+    ctr_apply(key, &mut out);
+    out
+}
+
+/// [`ctr_encrypt`] in place: XORs the keystream of `key` into `data`,
+/// which encrypts a plaintext and decrypts a ciphertext alike.
+pub fn ctr_apply(key: &[u8; 32], data: &mut [u8]) {
     let mut block = [0u8; 40];
     block[..32].copy_from_slice(key);
-    for chunk in data.chunks(32) {
+    for (counter, chunk) in (0u64..).zip(data.chunks_mut(32)) {
         block[32..].copy_from_slice(&counter.to_be_bytes());
         let ks = sha256(&block);
-        for (i, &b) in chunk.iter().enumerate() {
-            out.push(b ^ ks[i]);
+        for (b, k) in chunk.iter_mut().zip(ks) {
+            *b ^= k;
         }
-        counter += 1;
     }
-    out
 }
 
 /// Decrypts data encrypted by [`ctr_encrypt`] (XOR is its own inverse).

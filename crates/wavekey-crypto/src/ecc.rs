@@ -20,6 +20,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// GF(2⁷) field size minus one (the multiplicative order).
 const GF_ORDER: usize = 127;
@@ -378,6 +379,24 @@ impl CodeOffset {
         CodeOffset { bch }
     }
 
+    /// The process-wide construction for `t`: [`Bch::new`] runs once per
+    /// `t` in `1..=15` per process, on first use, behind a `OnceLock`,
+    /// and every later call borrows that build. Protocol code reconciles
+    /// through these, so a session builds no code.
+    ///
+    /// # Errors
+    ///
+    /// [`BchError::InvalidT`] as for [`Bch::new`].
+    pub fn shared(t: usize) -> Result<&'static CodeOffset, BchError> {
+        static CODES: [OnceLock<CodeOffset>; 15] = [const { OnceLock::new() }; 15];
+        let slot = CODES.get(t.wrapping_sub(1)).ok_or(BchError::InvalidT)?;
+        if let Some(code) = slot.get() {
+            return Ok(code);
+        }
+        let bch = Bch::new(t)?;
+        Ok(slot.get_or_init(|| CodeOffset::new(bch)))
+    }
+
     /// The underlying code.
     pub fn bch(&self) -> &Bch {
         &self.bch
@@ -592,6 +611,33 @@ mod tests {
         let helper = co.commit(&key, &mut rng);
         let recovered = co.reconcile(&key, &helper, key.len()).unwrap();
         assert_eq!(recovered, key);
+    }
+
+    #[test]
+    fn shared_codes_equal_fresh_builds() {
+        // Every valid t: the shared code is one build per process, and it
+        // is the code `Bch::new` makes — generator, k, and the encode and
+        // decode of a random word with t errors in it.
+        let mut rng = StdRng::seed_from_u64(19);
+        for t in 1..=15 {
+            let shared = CodeOffset::shared(t).unwrap().bch();
+            assert!(std::ptr::eq(shared, CodeOffset::shared(t).unwrap().bch()), "t = {t}: one build");
+            let fresh = Bch::new(t).unwrap();
+            assert_eq!(shared.generator, fresh.generator, "t = {t}");
+            assert_eq!((shared.k(), shared.t()), (fresh.k(), fresh.t()), "t = {t}");
+            let message: Vec<bool> = (0..fresh.k()).map(|_| rng.gen()).collect();
+            let codeword = fresh.encode(&message).unwrap();
+            assert_eq!(shared.encode(&message).unwrap(), codeword, "t = {t}");
+            let mut noisy = codeword.clone();
+            for j in 0..t {
+                noisy[j * 8] = !noisy[j * 8];
+            }
+            assert_eq!(shared.decode(&noisy), fresh.decode(&noisy), "t = {t}");
+            assert_eq!(shared.decode(&noisy).unwrap(), codeword, "t = {t}");
+        }
+        for t in [0, 16] {
+            assert_eq!(CodeOffset::shared(t).unwrap_err(), BchError::InvalidT);
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! prime with generator 2 — so both sides (and the adversary) know the
 //! parameters, exactly as in the paper's model.
 
-use crate::bigint::{is_probable_prime, FixedBaseTable, MontgomeryCtx, Ubig};
+use crate::bigint::{is_probable_prime, limbs_ge, FixedBaseTable, MontgomeryCtx, Ubig};
 #[cfg(target_arch = "x86_64")]
 use crate::ifma;
 use rand::rngs::StdRng;
+use rand::Rng;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -137,26 +138,39 @@ impl DhGroup {
         self.modulus().bit_len().div_ceil(8)
     }
 
-    /// `g^x mod u` for every `x` in `xs`, each equal to
-    /// [`DhGroup::pow`] of the generator, through the group's comb table:
-    /// one Montgomery multiplication per exponent window, no squarings.
-    /// This is the kernel under the OT's `M_A` and `M_B` and the `k¹`
-    /// fold.
+    /// Limbs per group element, `k` (1 on the tiny group, 16 on
+    /// MODP-1024): a flat batch of `n` elements or exponents is one
+    /// `Vec<u64>` of `n·k` little-endian limbs.
+    pub fn limbs(&self) -> usize {
+        self.ctx.limbs()
+    }
+
+    /// `g^x mod u` for every exponent `x` of the flat batch `exps`, into
+    /// the matching `k`-limb run of `out`, each equal to [`DhGroup::pow`]
+    /// of the generator, through the group's comb table: one Montgomery
+    /// multiplication per exponent window, no squarings. This is the
+    /// kernel under the OT's `M_A` and `M_B` and the `k¹` fold.
+    ///
+    /// `out` holds `count = out.len() / k` results, and `exps` holds
+    /// `count` exponents of `exps.len() / count` limbs each.
     ///
     /// With the lane table (1024-bit groups on CPUs with AVX512-IFMA) the
     /// exponents go eight at a time through an always-multiply walk with
     /// masked table reads, and a trailing group of fewer than eight is
     /// padded. The scalar table walks one exponent at a time and skips
     /// zero digits. Either way the calls fan out through
-    /// [`wavekey_par::map`], and an exponent wider than the table runs a
-    /// general exponentiation.
-    pub fn pow_g_many(&self, xs: &[Ubig]) -> Vec<Ubig> {
+    /// [`wavekey_par::for_each_chunk_mut`], and an exponent wider than
+    /// the table runs a general exponentiation.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` is a whole number of elements and `exps`
+    /// splits evenly into one exponent per result.
+    pub fn pow_g_many(&self, exps: &[u64], out: &mut [u64]) {
         match &self.comb {
             #[cfg(target_arch = "x86_64")]
-            Comb::Lanes(t) => self.ctx.pow_comb_many(t, &self.generator, xs),
-            Comb::Scalar(t) => wavekey_par::map(xs.len(), xs.len() * self.ctx.modexp_work(), |i| {
-                self.ctx.pow_fixed_base(t, &xs[i])
-            }),
+            Comb::Lanes(t) => self.ctx.pow_comb_many(t, &self.generator, exps, out),
+            Comb::Scalar(t) => self.ctx.pow_fixed_base_many(t, exps, out),
         }
     }
 
@@ -164,7 +178,9 @@ impl DhGroup {
     /// table that is a padded group of eight, so batch callers should use
     /// `pow_g_many` directly.
     pub fn pow_g(&self, x: &Ubig) -> Ubig {
-        self.pow_g_many(std::slice::from_ref(x)).pop().expect("one exponent, one power")
+        let mut out = vec![0u64; self.limbs()];
+        self.pow_g_many(x.as_limbs(), &mut out);
+        Ubig::from_limbs(&out)
     }
 
     /// `g^(−x) mod u`, computed as `g^(u−1−x)` through the same comb
@@ -190,20 +206,29 @@ impl DhGroup {
         self.ctx.mod_pow(base, x)
     }
 
-    /// `bases[i]^xs[i] mod u` for every `i`, equal to [`DhGroup::pow`]
+    /// `bases[i]^exps[i] mod u` for every pair `i` of the flat batches,
+    /// into the `i`-th `k`-limb run of `out`, equal to [`DhGroup::pow`]
     /// pair by pair. On 1024-bit groups and CPUs with AVX512-IFMA the
-    /// pairs run eight at a time ([`MontgomeryCtx::mod_pow_many`]).
+    /// pairs run eight at a time ([`MontgomeryCtx::mod_pow_many`], which
+    /// also gives the batch layout).
     ///
     /// # Panics
     ///
-    /// Panics unless `bases` and `xs` have the same length.
-    pub fn pow_many(&self, bases: &[Ubig], xs: &[Ubig]) -> Vec<Ubig> {
-        self.ctx.mod_pow_many(bases, xs)
+    /// Panics unless `out` is a whole number of elements and `bases` and
+    /// `exps` split evenly into one value per result.
+    pub fn pow_many(&self, bases: &[u64], exps: &[u64], out: &mut [u64]) {
+        self.ctx.mod_pow_many(bases, exps, out);
     }
 
     /// `a·b mod u`.
     pub fn mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
         self.ctx.mod_mul(a, b)
+    }
+
+    /// `a·b mod u` into `out`, for elements `a` and `b` of `k` limbs
+    /// below `u` ([`MontgomeryCtx::mod_mul_limbs`]).
+    pub fn mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        self.ctx.mod_mul_limbs(a, b, out);
     }
 
     /// `a / b mod u` (prime modulus inverse via Fermat).
@@ -215,12 +240,27 @@ impl DhGroup {
         self.ctx.mod_mul(a, &self.ctx.mod_inv_prime(b))
     }
 
-    /// Samples a random exponent in `[1, u−1)`.
+    /// Samples a random exponent in `[1, u)`.
     pub fn random_exponent(&self, rng: &mut StdRng) -> Ubig {
+        let mut x = vec![0u64; self.limbs()];
+        self.random_exponent_into(rng, &mut x);
+        Ubig::from_limbs(&x)
+    }
+
+    /// [`DhGroup::random_exponent`] into the `k` limbs of `out`, drawing
+    /// the same RNG words: per attempt one `u64` per limb, the top limb
+    /// masked to the modulus width, rejected when not below `u` or zero.
+    pub fn random_exponent_into(&self, rng: &mut StdRng, out: &mut [u64]) {
+        let u = self.modulus().as_limbs();
+        let bits = self.modulus().bit_len();
+        let top_mask = if bits.is_multiple_of(64) { u64::MAX } else { (1u64 << (bits % 64)) - 1 };
         loop {
-            let x = Ubig::random_below(self.modulus(), rng);
-            if !x.is_zero() {
-                return x;
+            for limb in out.iter_mut() {
+                *limb = rng.gen();
+            }
+            out[u.len() - 1] &= top_mask;
+            if !limbs_ge(out, u) && out.iter().any(|&l| l != 0) {
+                return;
             }
         }
     }
@@ -230,12 +270,30 @@ impl DhGroup {
         e.to_be_bytes_padded(self.element_len())
     }
 
-    /// Parses a fixed-width element: `None` for 0 and for any encoding
-    /// of `u` or above, which no honest party sends. A peer that could
-    /// send 0 would zero the OT keys derived from it.
-    pub fn decode_element(&self, bytes: &[u8]) -> Option<Ubig> {
-        let e = Ubig::from_be_bytes(bytes);
-        (!e.is_zero() && e.cmp_abs(self.modulus()) == Ordering::Less).then_some(e)
+    /// Writes the element `x` (`k` limbs) as [`DhGroup::element_len`]
+    /// big-endian bytes into `out`, the wire form of
+    /// [`DhGroup::encode_element`].
+    pub fn encode_into(&self, x: &[u64], out: &mut [u8]) {
+        let w = out.len();
+        for (j, byte) in out.iter_mut().enumerate() {
+            let b = w - 1 - j;
+            *byte = (x[b / 8] >> (8 * (b % 8))) as u8;
+        }
+    }
+
+    /// Parses one [`DhGroup::element_len`]-byte element straight into the
+    /// `k` limbs of `out`: `false` for 0 and for any encoding of `u` or
+    /// above, which no honest party sends. A peer that could send 0 would
+    /// zero the OT keys derived from it.
+    pub fn decode_into(&self, bytes: &[u8], out: &mut [u64]) -> bool {
+        debug_assert_eq!(bytes.len(), self.element_len());
+        out.fill(0);
+        let w = bytes.len();
+        for (j, &byte) in bytes.iter().enumerate() {
+            let b = w - 1 - j;
+            out[b / 8] |= u64::from(byte) << (8 * (b % 8));
+        }
+        out.iter().any(|&l| l != 0) && !limbs_ge(out, self.modulus().as_limbs())
     }
 
     /// Verifies that the group modulus is prime (sanity check; expensive
@@ -341,7 +399,9 @@ mod tests {
         let e = Ubig::random_below(g.modulus(), &mut rng);
         let bytes = g.encode_element(&e);
         assert_eq!(bytes.len(), 128);
-        assert_eq!(g.decode_element(&bytes), Some(e));
+        let mut limbs = vec![0u64; g.limbs()];
+        assert!(g.decode_into(&bytes, &mut limbs));
+        assert_eq!(Ubig::from_limbs(&limbs), e);
     }
 
     #[test]

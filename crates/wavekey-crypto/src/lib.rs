@@ -43,10 +43,10 @@ pub mod sha256;
 mod shani;
 
 pub use bigint::Ubig;
-pub use cipher::{ctr_decrypt, ctr_encrypt};
+pub use cipher::{ctr_apply, ctr_decrypt, ctr_encrypt};
 pub use ecc::{Bch, CodeOffset};
 pub use group::DhGroup;
 pub use hmac::hmac_sha256;
 pub use kdf::hkdf;
-pub use ot::{OtReceiver, OtSender};
+pub use ot::{OtPairs, OtReceiver, OtSender};
 pub use sha256::sha256;

@@ -15,32 +15,116 @@
 //! WaveKey runs `l_s` instances per direction and batches each protocol
 //! round into one message (`M_A`, `M_B`, `M_E`), which this module
 //! mirrors: a batch of instances moves through three batched messages.
+//!
+//! Every batch is flat. Its exponents and its group elements are each
+//! one `Vec<u64>` of `n·k` little-endian limbs (`k` =
+//! [`DhGroup::limbs`]: 1 on the tiny group, 16 on MODP-1024), and its
+//! secret pairs are one byte buffer ([`OtPairs`]). Wire decode and
+//! encode go straight between frame bytes and limbs.
 
-use crate::bigint::Ubig;
-use crate::cipher::{ctr_decrypt, ctr_encrypt};
+use crate::bigint::{ct_select_limbs, Ubig};
+use crate::cipher::ctr_apply;
 use crate::group::DhGroup;
 use crate::sha256::sha256;
 use rand::rngs::StdRng;
 
+/// A batch of byte-string pairs in one buffer: `len()` instances of two
+/// `secret_len()`-byte strings, laid out `x⁰₀ ‖ x¹₀ ‖ x⁰₁ ‖ x¹₁ ‖ …`.
+/// The sender's secrets, and the ciphertext pairs of `M_E` that encrypt
+/// them in place.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OtPairs {
+    secret_len: usize,
+    count: usize,
+    bytes: Vec<u8>,
+}
+
+impl OtPairs {
+    /// An empty batch of `secret_len`-byte pairs with room for `count`.
+    pub fn with_capacity(secret_len: usize, count: usize) -> OtPairs {
+        OtPairs { secret_len, count: 0, bytes: Vec::with_capacity(2 * secret_len * count) }
+    }
+
+    /// Owned pairs copied into one buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every string has the length of the first.
+    pub fn from_pairs(pairs: &[(Vec<u8>, Vec<u8>)]) -> OtPairs {
+        let secret_len = pairs.first().map_or(0, |(x0, _)| x0.len());
+        let mut out = OtPairs::with_capacity(secret_len, pairs.len());
+        for (x0, x1) in pairs {
+            out.push(x0, x1);
+        }
+        out
+    }
+
+    /// Appends one pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both strings are `secret_len()` bytes.
+    pub fn push(&mut self, x0: &[u8], x1: &[u8]) {
+        assert!(
+            x0.len() == self.secret_len && x1.len() == self.secret_len,
+            "every string of a batch is {} bytes",
+            self.secret_len
+        );
+        self.bytes.extend_from_slice(x0);
+        self.bytes.extend_from_slice(x1);
+        self.count += 1;
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// `true` for an empty batch.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Bytes per string.
+    pub fn secret_len(&self) -> usize {
+        self.secret_len
+    }
+
+    /// Pair `i` as `(x⁰, x¹)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn pair(&self, i: usize) -> (&[u8], &[u8]) {
+        assert!(i < self.count, "pair {i} of {}", self.count);
+        self.bytes[2 * i * self.secret_len..][..2 * self.secret_len].split_at(self.secret_len)
+    }
+
+    fn pair_mut(&mut self, i: usize) -> (&mut [u8], &mut [u8]) {
+        self.bytes[2 * i * self.secret_len..][..2 * self.secret_len].split_at_mut(self.secret_len)
+    }
+}
+
 /// The batched first message `M_A`: one group element per instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OtMessageA {
-    /// `m_i = g^{a_i}` for every instance.
-    pub elements: Vec<Ubig>,
+    /// `m_i = g^{a_i}` for every instance, `k` limbs each.
+    pub elements: Vec<u64>,
 }
 
 /// The batched response `M_B`: one group element per instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OtMessageB {
-    /// `n_i` (the receiver's blinded choice) per instance.
-    pub elements: Vec<Ubig>,
+    /// `n_i` (the receiver's blinded choice) per instance, `k` limbs
+    /// each.
+    pub elements: Vec<u64>,
 }
 
 /// The batched ciphertext message `M_E`: a ciphertext pair per instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OtMessageE {
     /// `(e_i⁰, e_i¹)` per instance.
-    pub pairs: Vec<(Vec<u8>, Vec<u8>)>,
+    pub pairs: OtPairs,
 }
 
 impl OtMessageA {
@@ -81,13 +165,16 @@ impl OtMessageE {
     /// Serializes as `u32` count, then per pair two `u32`-length-prefixed
     /// ciphertexts.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.pairs.len() as u32).to_le_bytes());
-        for (e0, e1) in &self.pairs {
-            out.extend_from_slice(&(e0.len() as u32).to_le_bytes());
-            out.extend_from_slice(e0);
-            out.extend_from_slice(&(e1.len() as u32).to_le_bytes());
-            out.extend_from_slice(e1);
+        let p = &self.pairs;
+        let mut out = Vec::with_capacity(4 + p.count * (8 + 2 * p.secret_len));
+        out.extend_from_slice(&(p.count as u32).to_le_bytes());
+        let prefix = (p.secret_len as u32).to_le_bytes();
+        for i in 0..p.count {
+            let (e0, e1) = p.pair(i);
+            for e in [e0, e1] {
+                out.extend_from_slice(&prefix);
+                out.extend_from_slice(e);
+            }
         }
         out
     }
@@ -96,68 +183,73 @@ impl OtMessageE {
     ///
     /// # Errors
     ///
-    /// Returns [`OtError::Malformed`] on truncated input.
+    /// Returns [`OtError::Malformed`] on truncated input, and when the
+    /// ciphertexts are not all of one length: an honest sender encrypts
+    /// two strings of one length per instance, the same for the whole
+    /// batch.
     pub fn decode(bytes: &[u8]) -> Result<OtMessageE, OtError> {
-        let mut pos = 0usize;
-        let take_u32 = |pos: &mut usize| -> Result<u32, OtError> {
-            if *pos + 4 > bytes.len() {
-                return Err(OtError::Malformed);
-            }
-            let v = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().unwrap());
+        let take_u32 = |pos: &mut usize| -> Result<usize, OtError> {
+            let v = bytes.get(*pos..*pos + 4).ok_or(OtError::Malformed)?;
             *pos += 4;
-            Ok(v)
+            Ok(u32::from_le_bytes(v.try_into().expect("4 bytes")) as usize)
         };
-        let count = take_u32(&mut pos)? as usize;
+        let mut pos = 0usize;
+        let count = take_u32(&mut pos)?;
         // Every pair carries two 4-byte length prefixes, so a count the
         // remaining bytes cannot hold is rejected before it sizes the
         // allocation.
         if count > 1_000_000 || count > (bytes.len() - pos) / 8 {
             return Err(OtError::Malformed);
         }
-        let mut pairs = Vec::with_capacity(count);
-        for _ in 0..count {
-            let l0 = take_u32(&mut pos)? as usize;
-            if pos + l0 > bytes.len() {
-                return Err(OtError::Malformed);
-            }
-            let e0 = bytes[pos..pos + l0].to_vec();
-            pos += l0;
-            let l1 = take_u32(&mut pos)? as usize;
-            if pos + l1 > bytes.len() {
-                return Err(OtError::Malformed);
-            }
-            let e1 = bytes[pos..pos + l1].to_vec();
-            pos += l1;
-            pairs.push((e0, e1));
-        }
-        if pos != bytes.len() {
+        // The first prefix, read ahead, fixes every string's length.
+        let mut peek = pos;
+        let secret_len = if count == 0 { 0 } else { take_u32(&mut peek)? };
+        let body = secret_len.checked_mul(2).and_then(|n| n.checked_add(8));
+        if body.and_then(|n| n.checked_mul(count)) != Some(bytes.len() - pos) {
             return Err(OtError::Malformed);
+        }
+        let mut pairs = OtPairs::with_capacity(secret_len, count);
+        for _ in 0..count {
+            let mut at = [0usize; 2];
+            for slot in &mut at {
+                if take_u32(&mut pos)? != secret_len {
+                    return Err(OtError::Malformed);
+                }
+                *slot = pos;
+                pos += secret_len;
+            }
+            pairs.push(&bytes[at[0]..][..secret_len], &bytes[at[1]..][..secret_len]);
         }
         Ok(OtMessageE { pairs })
     }
 }
 
-fn encode_elements(group: &DhGroup, elements: &[Ubig]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(elements.len() * group.element_len());
-    for e in elements {
-        out.extend_from_slice(&group.encode_element(e));
+fn encode_elements(group: &DhGroup, elements: &[u64]) -> Vec<u8> {
+    let (k, w) = (group.limbs(), group.element_len());
+    let mut out = vec![0u8; elements.len() / k * w];
+    for (x, bytes) in elements.chunks_exact(k).zip(out.chunks_exact_mut(w)) {
+        group.encode_into(x, bytes);
     }
     out
 }
 
-/// Parses fixed-width elements, rejecting any that is 0 or not below
-/// `u`. A zero `M_B` would give the receiver both keys of an instance
-/// (`k⁰ = k¹ = H(0)`), and a zero `M_A` would make `M_B` zero exactly on
-/// choice-1 instances, showing the sender every choice bit.
-fn decode_elements(group: &DhGroup, bytes: &[u8]) -> Result<Vec<Ubig>, OtError> {
-    let w = group.element_len();
+/// Parses fixed-width elements straight into limbs, rejecting any that
+/// is 0 or not below `u`. A zero `M_B` would give the receiver both keys
+/// of an instance (`k⁰ = k¹ = H(0)`), and a zero `M_A` would make `M_B`
+/// zero exactly on choice-1 instances, showing the sender every choice
+/// bit.
+fn decode_elements(group: &DhGroup, bytes: &[u8]) -> Result<Vec<u64>, OtError> {
+    let (k, w) = (group.limbs(), group.element_len());
     if bytes.len() % w != 0 {
         return Err(OtError::Malformed);
     }
-    bytes
-        .chunks_exact(w)
-        .map(|c| group.decode_element(c).ok_or(OtError::Malformed))
-        .collect()
+    let mut out = vec![0u64; bytes.len() / w * k];
+    for (c, x) in bytes.chunks_exact(w).zip(out.chunks_exact_mut(k)) {
+        if !group.decode_into(c, x) {
+            return Err(OtError::Malformed);
+        }
+    }
+    Ok(out)
 }
 
 /// Errors from the OT protocol layer.
@@ -180,14 +272,26 @@ impl std::fmt::Display for OtError {
 
 impl std::error::Error for OtError {}
 
+/// `count` random exponents of `k` limbs in one flat buffer, drawn in
+/// instance order.
+fn random_exponents(group: &DhGroup, count: usize, rng: &mut StdRng) -> Vec<u64> {
+    let k = group.limbs();
+    let mut out = vec![0u64; count * k];
+    for x in out.chunks_exact_mut(k) {
+        group.random_exponent_into(rng, x);
+    }
+    out
+}
+
 /// The OT sender: holds the secret pairs and the per-instance exponents.
 ///
 /// The group is *not* stored here — it is borrowed through the protocol
 /// calls, so batches never clone the (table-carrying) [`DhGroup`].
 #[derive(Debug, Clone)]
 pub struct OtSender {
-    secrets: Vec<(Vec<u8>, Vec<u8>)>,
-    a: Vec<Ubig>,
+    secrets: OtPairs,
+    /// `a_i`, `k` limbs each.
+    a: Vec<u64>,
 }
 
 impl OtSender {
@@ -197,14 +301,11 @@ impl OtSender {
     /// Exponent sampling stays sequential (deterministic per RNG seed);
     /// the `g^{a_i}` comb walks all go through one
     /// [`DhGroup::pow_g_many`] call.
-    pub fn start(
-        group: &DhGroup,
-        secrets: Vec<(Vec<u8>, Vec<u8>)>,
-        rng: &mut StdRng,
-    ) -> (OtSender, OtMessageA) {
-        let a: Vec<Ubig> = secrets.iter().map(|_| group.random_exponent(rng)).collect();
-        let msg = OtMessageA { elements: group.pow_g_many(&a) };
-        (OtSender { secrets, a }, msg)
+    pub fn start(group: &DhGroup, secrets: OtPairs, rng: &mut StdRng) -> (OtSender, OtMessageA) {
+        let a = random_exponents(group, secrets.len(), rng);
+        let mut elements = vec![0u64; a.len()];
+        group.pow_g_many(&a, &mut elements);
+        (OtSender { secrets, a }, OtMessageA { elements })
     }
 
     /// Number of instances in the batch.
@@ -215,6 +316,11 @@ impl OtSender {
     /// `true` for an empty batch.
     pub fn is_empty(&self) -> bool {
         self.secrets.is_empty()
+    }
+
+    /// The secret pairs the batch was started over, once it is spent.
+    pub fn into_secrets(self) -> OtPairs {
+        self.secrets
     }
 
     /// Processes the receiver's `M_B` and produces the ciphertext batch
@@ -228,29 +334,36 @@ impl OtSender {
     /// divides `u−1` — so its ~1020 squarings become a fixed-base table
     /// walk. The canonical group element, and so the key, is the same as
     /// the naive form's. What is left per instance is one product, two
-    /// hashes and the CTR encryptions.
+    /// hashes and the CTR encryptions, which run in place on a copy of
+    /// the secrets.
     ///
     /// # Errors
     ///
     /// Returns [`OtError::BatchMismatch`] when `M_B` has the wrong number
     /// of elements.
     pub fn encrypt(&self, group: &DhGroup, msg_b: &OtMessageB) -> Result<OtMessageE, OtError> {
-        if msg_b.elements.len() != self.secrets.len() {
+        if msg_b.elements.len() != self.a.len() {
             return Err(OtError::BatchMismatch);
         }
-        let na = group.pow_many(&msg_b.elements, &self.a);
-        let neg_a2: Vec<Ubig> = self.a.iter().map(|a| group.neg_exponent(&a.mul(a))).collect();
-        let g_neg_a2 = group.pow_g_many(&neg_a2);
-        let pairs = self
-            .secrets
-            .iter()
-            .zip(na.iter().zip(&g_neg_a2))
-            .map(|((x0, x1), (na, g_neg_a2))| {
-                let k0 = derive_key(group, na);
-                let k1 = derive_key(group, &group.mul(na, g_neg_a2));
-                (ctr_encrypt(&k0, x0), ctr_encrypt(&k1, x1))
-            })
-            .collect();
+        let k = group.limbs();
+        let mut na = vec![0u64; self.a.len()];
+        group.pow_many(&msg_b.elements, &self.a, &mut na);
+        let mut neg_a2 = vec![0u64; self.a.len()];
+        for (a, e) in self.a.chunks_exact(k).zip(neg_a2.chunks_exact_mut(k)) {
+            let a = Ubig::from_limbs(a);
+            group.neg_exponent(&a.mul(&a)).write_limbs(e);
+        }
+        let mut g_neg_a2 = vec![0u64; self.a.len()];
+        group.pow_g_many(&neg_a2, &mut g_neg_a2);
+        // The spent exponents take each instance's `n^a·g^{−a²}`.
+        let k1 = &mut neg_a2;
+        let mut pairs = self.secrets.clone();
+        for (i, (na, k1)) in na.chunks_exact(k).zip(k1.chunks_exact_mut(k)).enumerate() {
+            group.mul_into(na, &g_neg_a2[i * k..][..k], k1);
+            let (e0, e1) = pairs.pair_mut(i);
+            ctr_apply(&derive_key(group, na), e0);
+            ctr_apply(&derive_key(group, k1), e1);
+        }
         Ok(OtMessageE { pairs })
     }
 }
@@ -261,9 +374,13 @@ impl OtSender {
 /// rather than cloned into the state.
 #[derive(Debug, Clone)]
 pub struct OtReceiver {
-    choices: Vec<bool>,
-    b: Vec<Ubig>,
-    m_a: Vec<Ubig>,
+    /// Choice bit `i` at bit `i % 64` of word `i / 64`.
+    choices: Vec<u64>,
+    count: usize,
+    /// `b_i`, `k` limbs each.
+    b: Vec<u64>,
+    /// The sender's `M_A` elements, `k` limbs each.
+    m_a: Vec<u64>,
 }
 
 impl OtReceiver {
@@ -272,103 +389,168 @@ impl OtReceiver {
     /// Blinding-exponent sampling stays sequential; the `g^{b_i}` comb
     /// walks all go through one [`DhGroup::pow_g_many`] call, and each
     /// instance then blinds with one product.
+    ///
+    /// # Errors
+    ///
+    /// [`OtError::BatchMismatch`] when `M_A` does not hold one element
+    /// per choice.
     pub fn respond(
         group: &DhGroup,
         choices: &[bool],
         msg_a: &OtMessageA,
         rng: &mut StdRng,
     ) -> Result<(OtReceiver, OtMessageB), OtError> {
-        if msg_a.elements.len() != choices.len() {
+        OtReceiver::respond_to(group, choices, msg_a.elements.clone(), rng)
+    }
+
+    /// [`OtReceiver::respond`] over `M_A`'s elements, which the receiver
+    /// keeps.
+    fn respond_to(
+        group: &DhGroup,
+        choices: &[bool],
+        m_a: Vec<u64>,
+        rng: &mut StdRng,
+    ) -> Result<(OtReceiver, OtMessageB), OtError> {
+        let k = group.limbs();
+        if m_a.len() != choices.len() * k {
             return Err(OtError::BatchMismatch);
         }
-        let b: Vec<Ubig> = choices.iter().map(|_| group.random_exponent(rng)).collect();
-        let gb = group.pow_g_many(&b);
-        let elements = choices
-            .iter()
-            .zip(msg_a.elements.iter().zip(&gb))
-            .map(|(&choice, (m_a, gb))| blind(group, choice, m_a, gb))
-            .collect();
-        let msg = OtMessageB { elements };
-        Ok((
-            OtReceiver { choices: choices.to_vec(), b, m_a: msg_a.elements.clone() },
-            msg,
-        ))
+        let b = random_exponents(group, choices.len(), rng);
+        let mut gb = vec![0u64; b.len()];
+        group.pow_g_many(&b, &mut gb);
+        let mut elements = vec![0u64; b.len()];
+        let mut packed = vec![0u64; choices.len().div_ceil(64)];
+        for (i, &choice) in choices.iter().enumerate() {
+            let at = i * k..(i + 1) * k;
+            blind(group, choice, &m_a[at.clone()], &gb[at.clone()], &mut elements[at]);
+            packed[i / 64] |= u64::from(choice) << (i % 64);
+        }
+        let receiver = OtReceiver { choices: packed, count: choices.len(), b, m_a };
+        Ok((receiver, OtMessageB { elements }))
     }
 
     /// Number of instances in the batch.
     pub fn len(&self) -> usize {
-        self.choices.len()
+        self.count
     }
 
     /// `true` for an empty batch.
     pub fn is_empty(&self) -> bool {
-        self.choices.is_empty()
+        self.count == 0
     }
 
-    /// Decrypts the chosen secret of every instance from `M_E`. The
-    /// per-instance exponentiations `M_A^b` all go through
-    /// [`DhGroup::pow_many`], and the chosen ciphertext is picked by a
-    /// byte mask rather than a branch on the choice bit.
+    /// Decrypts the chosen secret of every instance from `M_E`, returning
+    /// them in one buffer: instance `i`'s at
+    /// `i·secret_len..(i+1)·secret_len`, where `secret_len` is `M_E`'s
+    /// ciphertext length. The per-instance exponentiations `M_A^b` all go
+    /// through [`DhGroup::pow_many`], and the chosen ciphertext is picked
+    /// by a byte mask rather than a branch on the choice bit.
     ///
     /// # Errors
     ///
     /// Returns [`OtError::BatchMismatch`] when `M_E` has the wrong number
-    /// of pairs, and [`OtError::Malformed`] when a pair's two
-    /// ciphertexts differ in length (an honest sender's never do).
-    pub fn decrypt(&self, group: &DhGroup, msg_e: &OtMessageE) -> Result<Vec<Vec<u8>>, OtError> {
-        if msg_e.pairs.len() != self.choices.len() {
+    /// of pairs.
+    pub fn decrypt(&self, group: &DhGroup, msg_e: &OtMessageE) -> Result<Vec<u8>, OtError> {
+        if msg_e.pairs.len() != self.count {
             return Err(OtError::BatchMismatch);
         }
-        if msg_e.pairs.iter().any(|(e0, e1)| e0.len() != e1.len()) {
-            return Err(OtError::Malformed);
+        let k = group.limbs();
+        let mut shared = vec![0u64; self.b.len()];
+        group.pow_many(&self.m_a, &self.b, &mut shared);
+        let len = msg_e.pairs.secret_len();
+        let mut out = vec![0u8; self.count * len];
+        for i in 0..self.count {
+            let (e0, e1) = msg_e.pairs.pair(i);
+            let x = &mut out[i * len..][..len];
+            pick((self.choices[i / 64] >> (i % 64)) & 1 == 1, e0, e1, x);
+            ctr_apply(&derive_key(group, &shared[i * k..][..k]), x);
         }
-        let shared = group.pow_many(&self.m_a, &self.b);
-        Ok(self
-            .choices
-            .iter()
-            .zip(&msg_e.pairs)
-            .zip(&shared)
-            .map(|((&c, (e0, e1)), k)| ctr_decrypt(&derive_key(group, k), &pick(c, e0, e1)))
-            .collect())
+        Ok(out)
     }
 }
 
-/// One instance of `M_B`: `M_A·g^b` when the choice bit is 1, else
-/// `g^b`. The product is always computed and the pick is a masked
+/// One instance of `M_B` into `out`: `M_A·g^b` when the choice bit is 1,
+/// else `g^b`. The product is always computed and the pick is a masked
 /// select over the modulus width, so the time to build `M_B` does not
 /// depend on the choice bit, which is a key-seed bit.
-fn blind(group: &DhGroup, choice: bool, m_a: &Ubig, gb: &Ubig) -> Ubig {
-    let limbs = group.modulus().bit_len().div_ceil(64);
-    Ubig::ct_select(choice, &group.mul(m_a, gb), gb, limbs)
+fn blind(group: &DhGroup, choice: bool, m_a: &[u64], gb: &[u64], out: &mut [u64]) {
+    group.mul_into(m_a, gb, out);
+    ct_select_limbs(choice, out, gb);
 }
 
-/// `e1` when `choice` is set, else `e0`, merged under a byte mask so the
-/// pick does not branch on the choice bit. The mask passes through
-/// [`std::hint::black_box`] so the optimizer cannot turn the merge back
-/// into a branch. Both ciphertexts must have the same length.
-fn pick(choice: bool, e0: &[u8], e1: &[u8]) -> Vec<u8> {
-    debug_assert_eq!(e0.len(), e1.len());
+/// `e1` when `choice` is set, else `e0`, merged into `out` under a byte
+/// mask so the pick does not branch on the choice bit. The mask passes
+/// through [`std::hint::black_box`] so the optimizer cannot turn the
+/// merge back into a branch. All three slices have one length.
+fn pick(choice: bool, e0: &[u8], e1: &[u8], out: &mut [u8]) {
+    debug_assert!(e0.len() == out.len() && e1.len() == out.len());
     let mask = std::hint::black_box(u8::from(choice)).wrapping_neg();
-    e0.iter().zip(e1).map(|(&x0, &x1)| x0 ^ (mask & (x0 ^ x1))).collect()
+    for ((o, &x0), &x1) in out.iter_mut().zip(e0).zip(e1) {
+        *o = x0 ^ (mask & (x0 ^ x1));
+    }
 }
 
-/// Key derivation `H(element)` for the payload cipher.
-fn derive_key(group: &DhGroup, element: &Ubig) -> [u8; 32] {
-    sha256(&group.encode_element(element))
+/// Key derivation `H(element)` for the payload cipher, over the
+/// element's wire bytes.
+fn derive_key(group: &DhGroup, element: &[u64]) -> [u8; 32] {
+    let w = group.element_len();
+    let mut buf = [0u8; 256];
+    if w <= buf.len() {
+        group.encode_into(element, &mut buf[..w]);
+        sha256(&buf[..w])
+    } else {
+        let mut wide = vec![0u8; w];
+        group.encode_into(element, &mut wide);
+        sha256(&wide)
+    }
+}
+
+/// The byte-round entry points of [`crate::rounds`]: `M_A` straight from
+/// its wire bytes into the receiver.
+pub(crate) fn respond_to_bytes(
+    group: &DhGroup,
+    choices: &[bool],
+    ma_bytes: &[u8],
+    rng: &mut StdRng,
+) -> Result<(OtReceiver, OtMessageB), OtError> {
+    OtReceiver::respond_to(group, choices, decode_elements(group, ma_bytes)?, rng)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cipher::{ctr_decrypt, ctr_encrypt};
     use rand::{Rng, SeedableRng};
+
+    /// Instance `i` of a flat batch.
+    fn at(group: &DhGroup, flat: &[u64], i: usize) -> Ubig {
+        let k = group.limbs();
+        Ubig::from_limbs(&flat[i * k..][..k])
+    }
+
+    /// `xs` as a flat batch of `k`-limb values.
+    fn flat(group: &DhGroup, xs: &[Ubig]) -> Vec<u64> {
+        let k = group.limbs();
+        let mut out = vec![0u64; xs.len() * k];
+        for (x, o) in xs.iter().zip(out.chunks_exact_mut(k)) {
+            x.write_limbs(o);
+        }
+        out
+    }
+
+    /// A decrypted batch split back into its `count` payloads.
+    fn split(plain: &[u8], count: usize) -> Vec<Vec<u8>> {
+        let len = plain.len() / count.max(1);
+        (0..count).map(|i| plain[i * len..][..len].to_vec()).collect()
+    }
 
     fn run_batch(group: &DhGroup, secrets: Vec<(Vec<u8>, Vec<u8>)>, choices: Vec<bool>) -> Vec<Vec<u8>> {
         let mut rng_s = StdRng::seed_from_u64(100);
         let mut rng_r = StdRng::seed_from_u64(200);
-        let (sender, msg_a) = OtSender::start(group, secrets, &mut rng_s);
+        let (sender, msg_a) = OtSender::start(group, OtPairs::from_pairs(&secrets), &mut rng_s);
         let (receiver, msg_b) = OtReceiver::respond(group, &choices, &msg_a, &mut rng_r).unwrap();
         let msg_e = sender.encrypt(group, &msg_b).unwrap();
-        receiver.decrypt(group, &msg_e).unwrap()
+        split(&receiver.decrypt(group, &msg_e).unwrap(), choices.len())
     }
 
     #[test]
@@ -390,7 +572,7 @@ mod tests {
         let group = DhGroup::tiny_test_group();
         let mut rng_s = StdRng::seed_from_u64(1);
         let mut rng_r = StdRng::seed_from_u64(2);
-        let secrets = vec![(b"secret-zero".to_vec(), b"secret-one!".to_vec())];
+        let secrets = OtPairs::from_pairs(&[(b"secret-zero".to_vec(), b"secret-one!".to_vec())]);
         let (sender, msg_a) = OtSender::start(&group, secrets, &mut rng_s);
         let (receiver, msg_b) =
             OtReceiver::respond(&group, &[false], &msg_a, &mut rng_r).unwrap();
@@ -399,13 +581,10 @@ mod tests {
         let k = {
             // Receiver key = H(M_a^b): reconstruct what it would use.
             let out = receiver.decrypt(&group, &msg_e).unwrap();
-            assert_eq!(out[0], b"secret-zero");
+            assert_eq!(out, b"secret-zero");
             // Decrypt e1 with the receiver's k (choice 0 key): garbage.
-            let wrong = ctr_decrypt(
-                &derive_key(&group, &group.pow(&msg_a.elements[0], &receiver.b[0])),
-                &msg_e.pairs[0].1,
-            );
-            wrong
+            let shared = group.pow(&at(&group, &msg_a.elements, 0), &at(&group, &receiver.b, 0));
+            ctr_decrypt(&derive_key(&group, &flat(&group, &[shared])), msg_e.pairs.pair(0).1)
         };
         assert_ne!(k, b"secret-one!");
     }
@@ -422,11 +601,8 @@ mod tests {
     fn message_codecs_roundtrip() {
         let group = DhGroup::tiny_test_group();
         let mut rng = StdRng::seed_from_u64(9);
-        let (sender, msg_a) = OtSender::start(
-            &group,
-            vec![(vec![1, 2], vec![3, 4]), (vec![5], vec![6])],
-            &mut rng,
-        );
+        let secrets = OtPairs::from_pairs(&[(vec![1, 2], vec![3, 4]), (vec![5, 6], vec![7, 8])]);
+        let (sender, msg_a) = OtSender::start(&group, secrets, &mut rng);
         let bytes_a = msg_a.encode(&group);
         assert_eq!(OtMessageA::decode(&group, &bytes_a).unwrap(), msg_a);
 
@@ -448,7 +624,7 @@ mod tests {
             OtError::Malformed
         );
         assert_eq!(OtMessageE::decode(&[1, 2]).unwrap_err(), OtError::Malformed);
-        let msg = OtMessageE { pairs: vec![(vec![1], vec![2])] };
+        let msg = OtMessageE { pairs: OtPairs::from_pairs(&[(vec![1], vec![2])]) };
         let mut bytes = msg.encode();
         bytes.pop();
         assert_eq!(OtMessageE::decode(&bytes).unwrap_err(), OtError::Malformed);
@@ -458,7 +634,8 @@ mod tests {
     fn batch_mismatch_detected() {
         let group = DhGroup::tiny_test_group();
         let mut rng = StdRng::seed_from_u64(10);
-        let (sender, msg_a) = OtSender::start(&group, vec![(vec![1], vec![2])], &mut rng);
+        let secrets = OtPairs::from_pairs(&[(vec![1], vec![2])]);
+        let (sender, msg_a) = OtSender::start(&group, secrets, &mut rng);
         assert!(OtReceiver::respond(&group, &[true, false], &msg_a, &mut rng).is_err());
         let bad_b = OtMessageB { elements: vec![] };
         assert_eq!(sender.encrypt(&group, &bad_b).unwrap_err(), OtError::BatchMismatch);
@@ -469,25 +646,32 @@ mod tests {
         // `encrypt` and `decrypt` queue a whole round into one `pow_many`
         // call. A round of the wrong size must come back as
         // `BatchMismatch` before that call: a short or long `M_B` would
-        // trip `pow_many`'s equal-length assertion, and a short `M_E`
-        // would zip down to fewer payloads. Eight MODP-1024 instances
+        // trip `pow_many`'s batch-shape assertion, and a short `M_E`
+        // would leave payloads undecrypted. Eight MODP-1024 instances
         // fill one lane group.
         let group = DhGroup::modp_1024_shared();
+        let k = group.limbs();
         let mut rng = StdRng::seed_from_u64(11);
-        let (sender, msg_a) = OtSender::start(group, vec![(vec![1], vec![2]); 8], &mut rng);
+        let secrets = OtPairs::from_pairs(&vec![(vec![1], vec![2]); 8]);
+        let (sender, msg_a) = OtSender::start(group, secrets, &mut rng);
         let (receiver, msg_b) = OtReceiver::respond(group, &[true; 8], &msg_a, &mut rng).unwrap();
         for len in [0, 7, 9] {
-            let elements = msg_b.elements.iter().cycle().take(len).cloned().collect();
+            let elements =
+                msg_b.elements.chunks_exact(k).cycle().take(len).flatten().copied().collect();
             let bad_b = OtMessageB { elements };
             assert_eq!(sender.encrypt(group, &bad_b).unwrap_err(), OtError::BatchMismatch, "M_B of {len}");
         }
         let msg_e = sender.encrypt(group, &msg_b).unwrap();
         for len in [0, 7, 9] {
-            let pairs = msg_e.pairs.iter().cycle().take(len).cloned().collect();
+            let mut pairs = OtPairs::with_capacity(msg_e.pairs.secret_len(), len);
+            for i in (0..8).cycle().take(len) {
+                let (e0, e1) = msg_e.pairs.pair(i);
+                pairs.push(e0, e1);
+            }
             let bad_e = OtMessageE { pairs };
             assert_eq!(receiver.decrypt(group, &bad_e).unwrap_err(), OtError::BatchMismatch, "M_E of {len}");
         }
-        assert_eq!(receiver.decrypt(group, &msg_e).unwrap(), vec![vec![2]; 8]);
+        assert_eq!(receiver.decrypt(group, &msg_e).unwrap(), vec![2; 8]);
     }
 
     #[test]
@@ -513,21 +697,27 @@ mod tests {
                 let choices: Vec<bool> = (0..count).map(|i| i % 2 == 1).collect();
                 let mut rng_s = StdRng::seed_from_u64(77);
                 let mut rng_r = StdRng::seed_from_u64(88);
-                let (sender, msg_a) = OtSender::start(group, secrets.clone(), &mut rng_s);
+                let (sender, msg_a) =
+                    OtSender::start(group, OtPairs::from_pairs(&secrets), &mut rng_s);
                 let (receiver, msg_b) =
                     OtReceiver::respond(group, &choices, &msg_a, &mut rng_r).unwrap();
                 let msg_e = sender.encrypt(group, &msg_b).unwrap();
-                let out = receiver.decrypt(group, &msg_e).unwrap();
+                let out = split(&receiver.decrypt(group, &msg_e).unwrap(), count);
+                let key = |e: &Ubig| derive_key(group, &flat(group, std::slice::from_ref(e)));
                 for i in 0..count {
-                    let (a, n) = (&sender.a[i], &msg_b.elements[i]);
-                    let na = group.pow(n, a);
-                    let k1 = derive_key(group, &group.mul(&na, &group.inv_pow_g(&a.mul(a))));
+                    let (a, n) = (at(group, &sender.a, i), at(group, &msg_b.elements, i));
+                    let na = group.pow(&n, &a);
+                    let k1 = key(&group.mul(&na, &group.inv_pow_g(&a.mul(&a))));
                     let (x0, x1) = &secrets[i];
-                    let want = (ctr_encrypt(&derive_key(group, &na), x0), ctr_encrypt(&k1, x1));
-                    assert_eq!(msg_e.pairs[i], want, "M_E count {count} instance {i}");
-                    let k = derive_key(group, &group.pow(&receiver.m_a[i], &receiver.b[i]));
-                    let ct = if choices[i] { &msg_e.pairs[i].1 } else { &msg_e.pairs[i].0 };
-                    assert_eq!(out[i], ctr_decrypt(&k, ct), "payload count {count} instance {i}");
+                    let want = (ctr_encrypt(&key(&na), x0), ctr_encrypt(&k1, x1));
+                    let got = msg_e.pairs.pair(i);
+                    let got_pair = (got.0.to_vec(), got.1.to_vec());
+                    assert_eq!(got_pair, want, "M_E count {count} instance {i}");
+                    let (m_a, b) = (at(group, &msg_a.elements, i), at(group, &receiver.b, i));
+                    let shared = group.pow(&m_a, &b);
+                    let ct = if choices[i] { got.1 } else { got.0 };
+                    let plain = ctr_decrypt(&key(&shared), ct);
+                    assert_eq!(out[i], plain, "payload count {count} instance {i}");
                     assert_eq!(&out[i], if choices[i] { x1 } else { x0 });
                 }
             }
@@ -538,7 +728,7 @@ mod tests {
     /// Fermat inversion, then a second general exponentiation.
     fn naive_k1(group: &DhGroup, n: &Ubig, a: &Ubig) -> [u8; 32] {
         let quotient = group.div(n, &group.pow_g(a));
-        derive_key(group, &group.pow(&quotient, a))
+        derive_key(group, &flat(group, &[group.pow(&quotient, a)]))
     }
 
     /// Runs the folded sender over the `(n_i, a_i)` instances and checks
@@ -547,16 +737,15 @@ mod tests {
         let secrets: Vec<_> = (0..instances.len())
             .map(|i| (vec![i as u8; 4], vec![0xF0 ^ i as u8; 4]))
             .collect();
-        let sender = OtSender {
-            secrets: secrets.clone(),
-            a: instances.iter().map(|(_, a)| a.clone()).collect(),
-        };
-        let msg_b = OtMessageB { elements: instances.iter().map(|(n, _)| n.clone()).collect() };
+        let (ns, as_): (Vec<Ubig>, Vec<Ubig>) = instances.iter().cloned().unzip();
+        let sender = OtSender { secrets: OtPairs::from_pairs(&secrets), a: flat(group, &as_) };
+        let msg_b = OtMessageB { elements: flat(group, &ns) };
         let msg_e = sender.encrypt(group, &msg_b).unwrap();
         for (i, ((n, a), (x0, x1))) in instances.iter().zip(&secrets).enumerate() {
-            let k0 = derive_key(group, &group.pow(n, a));
-            assert_eq!(msg_e.pairs[i].0, ctr_encrypt(&k0, x0), "e0, n {n} a {a}");
-            assert_eq!(msg_e.pairs[i].1, ctr_encrypt(&naive_k1(group, n, a), x1), "e1, n {n} a {a}");
+            let k0 = derive_key(group, &flat(group, &[group.pow(n, a)]));
+            let (e0, e1) = msg_e.pairs.pair(i);
+            assert_eq!(e0, ctr_encrypt(&k0, x0), "e0, n {n} a {a}");
+            assert_eq!(e1, ctr_encrypt(&naive_k1(group, n, a), x1), "e1, n {n} a {a}");
         }
     }
 
@@ -594,7 +783,9 @@ mod tests {
             let e1: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
             for choice in [false, true] {
                 let branchy = if choice { &e1 } else { &e0 };
-                assert_eq!(&pick(choice, &e0, &e1), branchy);
+                let mut out = vec![0u8; len];
+                pick(choice, &e0, &e1, &mut out);
+                assert_eq!(&out, branchy);
             }
         });
     }
@@ -604,14 +795,23 @@ mod tests {
         let group = DhGroup::tiny_test_group();
         let mut rng_s = StdRng::seed_from_u64(12);
         let mut rng_r = StdRng::seed_from_u64(13);
-        let secrets = vec![(vec![1, 2], vec![3, 4]), (vec![5, 6], vec![7, 8])];
+        let secrets = OtPairs::from_pairs(&[(vec![1, 2], vec![3, 4]), (vec![5, 6], vec![7, 8])]);
         let (sender, msg_a) = OtSender::start(&group, secrets, &mut rng_s);
         let (receiver, msg_b) =
             OtReceiver::respond(&group, &[false, true], &msg_a, &mut rng_r).unwrap();
-        let mut msg_e = sender.encrypt(&group, &msg_b).unwrap();
+        let bytes = sender.encrypt(&group, &msg_b).unwrap().encode();
+        let msg_e = OtMessageE::decode(&bytes).unwrap();
         assert!(receiver.decrypt(&group, &msg_e).is_ok());
-        msg_e.pairs[1].1.push(0);
-        assert_eq!(receiver.decrypt(&group, &msg_e).unwrap_err(), OtError::Malformed);
+        // Lengthen pair 1's e¹ (its prefix sits 6 bytes from the end) by
+        // one byte.
+        let mut long = bytes.clone();
+        let at = long.len() - 6;
+        long[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+        long.push(0);
+        assert_eq!(OtMessageE::decode(&long).unwrap_err(), OtError::Malformed);
+        // A whole batch of one other length still parses.
+        let short = OtMessageE { pairs: OtPairs::from_pairs(&vec![(vec![1], vec![2]); 2]) };
+        assert!(OtMessageE::decode(&short.encode()).is_ok());
     }
 
     #[test]
@@ -623,11 +823,39 @@ mod tests {
         assert_eq!(OtMessageE::decode(&frame).unwrap_err(), OtError::Malformed);
         // A count one pair above what the bytes hold is rejected too;
         // the exact count still parses.
-        let msg = OtMessageE { pairs: vec![(vec![], vec![]); 3] };
+        let msg = OtMessageE { pairs: OtPairs::from_pairs(&vec![(vec![], vec![]); 3]) };
         let mut bytes = msg.encode();
         assert_eq!(OtMessageE::decode(&bytes).unwrap(), msg);
         bytes[0] = 4;
         assert_eq!(OtMessageE::decode(&bytes).unwrap_err(), OtError::Malformed);
+    }
+
+    #[test]
+    fn m_e_decode_is_total_and_canonical() {
+        // `M_E` arrives from the peer: well-formed batches decode, and no
+        // damaged one panics; whatever decodes re-encodes to its bytes.
+        rand::check::cases("m_e_decode_is_total_and_canonical", 512, |rng| {
+            let (count, len) = (rng.gen_range(0..4usize), rng.gen_range(0..4usize));
+            let mut bytes = (count as u32).to_le_bytes().to_vec();
+            for _ in 0..2 * count {
+                bytes.extend_from_slice(&(len as u32).to_le_bytes());
+                bytes.extend((0..len).map(|_| rng.gen::<u8>()));
+            }
+            let damage = rng.gen_range(0..4);
+            match damage {
+                0 => {}
+                1 => {
+                    let at = rng.gen_range(0..bytes.len());
+                    bytes[at] = rng.gen();
+                }
+                2 => bytes.truncate(rng.gen_range(0..bytes.len())),
+                _ => bytes.push(rng.gen()),
+            }
+            match OtMessageE::decode(&bytes) {
+                Ok(msg) => assert_eq!(msg.encode(), bytes),
+                Err(e) => assert!(damage != 0, "well-formed batch rejected: {e}"),
+            }
+        });
     }
 
     #[test]
@@ -661,12 +889,33 @@ mod tests {
                 let m_a = Ubig::random_below(group.modulus(), rng);
                 let gb = group.pow_g(&group.random_exponent(rng));
                 let product = group.mul(&m_a, &gb);
-                let limbs = group.modulus().bit_len().div_ceil(64);
+                let (m_a_l, gb_l) = (flat(group, &[m_a]), flat(group, std::slice::from_ref(&gb)));
                 for choice in [false, true] {
                     let branchy = if choice { product.clone() } else { gb.clone() };
-                    assert_eq!(Ubig::ct_select(choice, &product, &gb, limbs), branchy);
-                    assert_eq!(blind(group, choice, &m_a, &gb), branchy);
+                    let mut selected = flat(group, std::slice::from_ref(&product));
+                    ct_select_limbs(choice, &mut selected, &gb_l);
+                    assert_eq!(Ubig::from_limbs(&selected), branchy);
+                    let mut blinded = vec![0u64; group.limbs()];
+                    blind(group, choice, &m_a_l, &gb_l, &mut blinded);
+                    assert_eq!(Ubig::from_limbs(&blinded), branchy);
                 }
+            });
+        }
+    }
+
+    #[test]
+    fn flat_element_codec_matches_ubig_codec() {
+        // The limb codec is the `Ubig` codec: the same wire bytes out,
+        // the same value back, on both widths.
+        for group in [DhGroup::tiny_test_group_shared(), DhGroup::modp_1024_shared()] {
+            rand::check::cases("flat_element_codec_matches_ubig_codec", 32, |rng| {
+                let e = group.pow_g(&group.random_exponent(rng));
+                let mut bytes = vec![0u8; group.element_len()];
+                group.encode_into(&flat(group, std::slice::from_ref(&e)), &mut bytes);
+                assert_eq!(bytes, group.encode_element(&e));
+                let mut back = vec![0u64; group.limbs()];
+                assert!(group.decode_into(&bytes, &mut back));
+                assert_eq!(Ubig::from_limbs(&back), e);
             });
         }
     }

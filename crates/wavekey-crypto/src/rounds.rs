@@ -9,23 +9,19 @@
 //! from a frame without the caller ever touching the typed messages.
 
 use crate::group::DhGroup;
-use crate::ot::{OtError, OtMessageA, OtMessageB, OtMessageE, OtReceiver, OtSender};
+use crate::ot::{respond_to_bytes, OtError, OtMessageB, OtMessageE, OtPairs, OtReceiver, OtSender};
 use rand::rngs::StdRng;
 
 /// Sender round 1: starts a batch over `secrets` and returns the state
 /// plus the encoded `M_A`.
-pub fn sender_round_a(
-    group: &DhGroup,
-    secrets: Vec<(Vec<u8>, Vec<u8>)>,
-    rng: &mut StdRng,
-) -> (OtSender, Vec<u8>) {
+pub fn sender_round_a(group: &DhGroup, secrets: OtPairs, rng: &mut StdRng) -> (OtSender, Vec<u8>) {
     let (sender, msg_a) = OtSender::start(group, secrets, rng);
     let bytes = msg_a.encode(group);
     (sender, bytes)
 }
 
-/// Receiver round 2: parses an encoded `M_A` and answers with the
-/// receiver state plus the encoded blinded-choice `M_B`.
+/// Receiver round 2: parses an encoded `M_A` straight into the receiver
+/// state and answers with the encoded blinded-choice `M_B`.
 ///
 /// # Errors
 ///
@@ -37,8 +33,7 @@ pub fn receiver_round_b(
     ma_bytes: &[u8],
     rng: &mut StdRng,
 ) -> Result<(OtReceiver, Vec<u8>), OtError> {
-    let msg_a = OtMessageA::decode(group, ma_bytes)?;
-    let (receiver, msg_b) = OtReceiver::respond(group, choices, &msg_a, rng)?;
+    let (receiver, msg_b) = respond_to_bytes(group, choices, ma_bytes, rng)?;
     Ok((receiver, msg_b.encode(group)))
 }
 
@@ -59,7 +54,7 @@ pub fn sender_round_e(
 }
 
 /// Receiver finish: parses an encoded `M_E` and decrypts the chosen
-/// secret of every instance.
+/// secret of every instance, all in one buffer ([`OtReceiver::decrypt`]).
 ///
 /// # Errors
 ///
@@ -69,7 +64,7 @@ pub fn receiver_finish(
     receiver: &OtReceiver,
     group: &DhGroup,
     me_bytes: &[u8],
-) -> Result<Vec<Vec<u8>>, OtError> {
+) -> Result<Vec<u8>, OtError> {
     let msg_e = OtMessageE::decode(me_bytes)?;
     receiver.decrypt(group, &msg_e)
 }
@@ -79,8 +74,14 @@ mod tests {
     use super::*;
     use crate::bigint::Ubig;
     use crate::cipher::{ctr_decrypt, ctr_encrypt};
+    use crate::ot::OtMessageA;
     use crate::sha256::sha256;
     use rand::SeedableRng;
+
+    /// `pairs` as one [`OtPairs`] batch.
+    fn batch(pairs: Vec<(Vec<u8>, Vec<u8>)>) -> OtPairs {
+        OtPairs::from_pairs(&pairs)
+    }
 
     #[test]
     fn byte_rounds_match_typed_rounds() {
@@ -94,7 +95,7 @@ mod tests {
         // Typed path.
         let mut rng_s = StdRng::seed_from_u64(10);
         let mut rng_r = StdRng::seed_from_u64(20);
-        let (sender_t, msg_a) = OtSender::start(&group, secrets.clone(), &mut rng_s);
+        let (sender_t, msg_a) = OtSender::start(&group, batch(secrets.clone()), &mut rng_s);
         let (receiver_t, msg_b) =
             OtReceiver::respond(&group, &choices, &msg_a, &mut rng_r).unwrap();
         let msg_e = sender_t.encrypt(&group, &msg_b).unwrap();
@@ -104,7 +105,7 @@ mod tests {
         // and therefore produce identical wire bytes and plaintexts.
         let mut rng_s = StdRng::seed_from_u64(10);
         let mut rng_r = StdRng::seed_from_u64(20);
-        let (sender, ma) = sender_round_a(&group, secrets, &mut rng_s);
+        let (sender, ma) = sender_round_a(&group, batch(secrets), &mut rng_s);
         assert_eq!(ma, msg_a.encode(&group));
         let (receiver, mb) = receiver_round_b(&group, &choices, &ma, &mut rng_r).unwrap();
         assert_eq!(mb, msg_b.encode(&group));
@@ -112,8 +113,8 @@ mod tests {
         assert_eq!(me, msg_e.encode());
         let out = receiver_finish(&receiver, &group, &me).unwrap();
         assert_eq!(out, typed_out);
-        assert_eq!(out[0], b"one--0");
-        assert_eq!(out[1], b"zero-1");
+        assert_eq!(&out[..6], b"one--0");
+        assert_eq!(&out[6..], b"zero-1");
     }
 
     #[test]
@@ -134,14 +135,19 @@ mod tests {
                 let mut rng_s = StdRng::seed_from_u64(30);
                 let mut rng_r = StdRng::seed_from_u64(40);
                 let (mut draw_s, mut draw_r) = (rng_s.clone(), rng_r.clone());
-                let (sender, ma) = sender_round_a(group, secrets.clone(), &mut rng_s);
+                let (sender, ma) = sender_round_a(group, batch(secrets.clone()), &mut rng_s);
                 let (receiver, mb) = receiver_round_b(group, &choices, &ma, &mut rng_r).unwrap();
                 let me = sender_round_e(&sender, group, &mb).unwrap();
                 let out = receiver_finish(&receiver, group, &me).unwrap();
 
                 let key = |e: &Ubig| sha256(&group.encode_element(e));
+                let k = group.limbs();
+                let element = |flat: &[u64], i: usize| Ubig::from_limbs(&flat[i * k..][..k]);
                 let m_a = OtMessageA::decode(group, &ma).unwrap().elements;
                 let m_b = OtMessageB::decode(group, &mb).unwrap().elements;
+                let (m_a, m_b): (Vec<_>, Vec<_>) =
+                    (0..count).map(|i| (element(&m_a, i), element(&m_b, i))).unzip();
+                let out: Vec<&[u8]> = out.chunks(5).collect();
                 let mut pairs = Vec::new();
                 for i in 0..count {
                     let a = group.random_exponent(&mut draw_s);
@@ -153,8 +159,9 @@ mod tests {
                     let chosen = if choices[i] { &pairs[i].1 } else { &pairs[i].0 };
                     let k = key(&group.pow(&m_a[i], &b));
                     assert_eq!(out[i], ctr_decrypt(&k, chosen), "payload, count {count} instance {i}");
-                    assert_eq!(&out[i], if choices[i] { x1 } else { x0 });
+                    assert_eq!(out[i], if choices[i] { x1 } else { x0 });
                 }
+                let pairs = OtPairs::from_pairs(&pairs);
                 assert_eq!(me, OtMessageE { pairs }.encode(), "M_E bytes, count {count}");
             }
         }
@@ -168,7 +175,7 @@ mod tests {
             receiver_round_b(&group, &[true], &[1, 2, 3], &mut rng).unwrap_err(),
             OtError::Malformed
         );
-        let (sender, ma) = sender_round_a(&group, vec![(vec![1], vec![2])], &mut rng);
+        let (sender, ma) = sender_round_a(&group, batch(vec![(vec![1], vec![2])]), &mut rng);
         assert_eq!(sender_round_e(&sender, &group, &[9]).unwrap_err(), OtError::Malformed);
         let (receiver, _) = receiver_round_b(&group, &[true], &ma, &mut rng).unwrap();
         assert_eq!(
@@ -183,7 +190,7 @@ mod tests {
         // choice-1 instances, so the receiver must refuse to answer.
         for group in [DhGroup::tiny_test_group_shared(), DhGroup::modp_1024_shared()] {
             let mut rng = StdRng::seed_from_u64(3);
-            let (_, ma) = sender_round_a(group, vec![(vec![1], vec![2]); 2], &mut rng);
+            let (_, ma) = sender_round_a(group, batch(vec![(vec![1], vec![2]); 2]), &mut rng);
             let (w, zero) = (group.element_len(), vec![0; group.element_len()]);
             for bad in [[&zero[..], &zero[..]].concat(), [&ma[..w], &zero[..]].concat()] {
                 assert_eq!(
@@ -198,7 +205,7 @@ mod tests {
     fn batch_mismatch_is_rejected_at_every_round() {
         let group = DhGroup::tiny_test_group();
         let mut rng = StdRng::seed_from_u64(2);
-        let (sender, ma) = sender_round_a(&group, vec![(vec![1], vec![2])], &mut rng);
+        let (sender, ma) = sender_round_a(&group, batch(vec![(vec![1], vec![2])]), &mut rng);
         // Two choices against a one-instance M_A.
         assert_eq!(
             receiver_round_b(&group, &[true, false], &ma, &mut rng).unwrap_err(),

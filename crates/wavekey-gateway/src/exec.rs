@@ -47,9 +47,10 @@ struct ReadyState {
     next_timer: u64,
 }
 
-/// One spawned task.
+/// One spawned task, with the one waker every poll of it hands out.
 struct Task {
     future: Pin<Box<dyn Future<Output = ()>>>,
+    waker: Waker,
 }
 
 /// The single-threaded deterministic executor.
@@ -137,8 +138,7 @@ impl Executor {
             let Some(task) = self.tasks.get_mut(&id) else {
                 continue; // completed task woken by a stale timer
             };
-            let waker = task_waker(id, Arc::clone(&self.shared));
-            let mut cx = Context::from_waker(&waker);
+            let mut cx = Context::from_waker(&task.waker);
             self.polls += 1;
             if task.future.as_mut().poll(&mut cx).is_ready() {
                 self.tasks.remove(&id);
@@ -158,7 +158,8 @@ impl Executor {
         for future in inbox.drain(..) {
             let id = self.next_task;
             self.next_task += 1;
-            self.tasks.insert(id, Task { future });
+            let waker = task_waker(id, Arc::clone(&self.shared));
+            self.tasks.insert(id, Task { future, waker });
             st.ready.push_back(id);
             st.queued.insert(id);
         }
@@ -266,6 +267,14 @@ impl Future for Sleep {
                 let seq = st.next_timer;
                 st.next_timer += 1;
                 this.seq = Some(seq);
+                // Cancelled timers leave their heap entries behind; once
+                // they outnumber the live ones, drop them, so the heap
+                // holds O(live timers) rather than one entry per wait
+                // since the last quiesce.
+                if st.timer_heap.len() > 2 * st.timers.len() + 64 {
+                    let ReadyState { timer_heap, timers, .. } = &mut *st;
+                    timer_heap.retain(|std::cmp::Reverse((_, seq))| timers.contains_key(seq));
+                }
                 st.timer_heap.push(std::cmp::Reverse((due, seq)));
                 st.timers.insert(seq, cx.waker().clone());
             }
@@ -295,35 +304,37 @@ pub enum Either<A, B> {
 
 /// Polls two futures concurrently, resolving with the first to finish
 /// (the loser is dropped, cancelling any timer it held). `A` is polled
-/// first each round, so ties resolve deterministically to `A`.
+/// first each round, so ties resolve deterministically to `A`. Both arms
+/// are `Unpin` (the stream and timer futures are), so the race holds
+/// them inline rather than boxing each.
 pub fn race<FA, FB>(a: FA, b: FB) -> Race<FA, FB>
 where
-    FA: Future,
-    FB: Future,
+    FA: Future + Unpin,
+    FB: Future + Unpin,
 {
-    Race { a: Some(Box::pin(a)), b: Some(Box::pin(b)) }
+    Race { a: Some(a), b: Some(b) }
 }
 
 /// Future returned by [`race`].
-pub struct Race<FA: Future, FB: Future> {
-    a: Option<Pin<Box<FA>>>,
-    b: Option<Pin<Box<FB>>>,
+pub struct Race<FA: Future + Unpin, FB: Future + Unpin> {
+    a: Option<FA>,
+    b: Option<FB>,
 }
 
-impl<FA: Future, FB: Future> Future for Race<FA, FB> {
+impl<FA: Future + Unpin, FB: Future + Unpin> Future for Race<FA, FB> {
     type Output = Either<FA::Output, FB::Output>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         if let Some(a) = this.a.as_mut() {
-            if let Poll::Ready(out) = a.as_mut().poll(cx) {
+            if let Poll::Ready(out) = Pin::new(a).poll(cx) {
                 this.a = None;
                 this.b = None;
                 return Poll::Ready(Either::A(out));
             }
         }
         if let Some(b) = this.b.as_mut() {
-            if let Poll::Ready(out) = b.as_mut().poll(cx) {
+            if let Poll::Ready(out) = Pin::new(b).poll(cx) {
                 this.a = None;
                 this.b = None;
                 return Poll::Ready(Either::B(out));

@@ -31,23 +31,19 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::future::Future;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wavekey_core::agreement::{AgreementConfig, AgreementError};
-use wavekey_core::proto::{Decoder, Frame, MobileAgreement, ServerAgreement, State};
+use wavekey_core::proto::{Decoder, MobileAgreement, ServerAgreement, State};
 use wavekey_obs::{EventScope, Obs};
 use wavekey_store::{DurableStore, StoreError, TenantQuota};
 
 use crate::exec::{race, Either, Handle};
 use crate::stream::{SimNet, SimStream};
 use crate::table::{EvictReason, SessionOutcome, SessionTable};
-
-/// Bytes one read takes at most, on the gateway's and the mobile's end
-/// of a connection alike; the streaming decoder reassembles frames that
-/// span reads.
-const READ_BUF: usize = 512;
 
 /// Gateway tuning knobs on top of the protocol's [`AgreementConfig`].
 #[derive(Debug, Clone)]
@@ -343,7 +339,8 @@ async fn accept_loop(gw: Rc<GatewayInner>, handle: Handle, net: SimNet) {
         gw.obs.inc("gateway_conns_accepted");
         match server.start() {
             Ok(first) => {
-                let conn = serve_conn(Rc::clone(&gw), handle.clone(), stream, server, first, scope);
+                let wq = first.encode().into();
+                let conn = serve_conn(Rc::clone(&gw), handle.clone(), stream, server, wq, scope);
                 handle.spawn(conn);
             }
             // Failed before its first frame: still recorded, so the fleet
@@ -356,65 +353,76 @@ async fn accept_loop(gw: Rc<GatewayInner>, handle: Handle, net: SimNet) {
     }
 }
 
-/// Drives one accepted connection to a terminal table entry.
-async fn serve_conn(
+/// Drives one accepted connection to a terminal table entry; `wq` holds
+/// the server's opening frame.
+///
+/// The body is an `async move` block, not an `async fn`: an `async fn`
+/// keeps each by-value argument twice in its future (the argument, and
+/// the local it is moved into), and the machine is most of the state.
+/// The block stores what it captures once. Reads go straight into the
+/// frame decoder.
+#[allow(clippy::manual_async_fn)] // the block is what stores the machine once
+fn serve_conn(
     gw: Rc<GatewayInner>,
     handle: Handle,
     stream: SimStream,
     mut server: ServerAgreement,
-    first: Frame,
+    mut wq: VecDeque<u8>,
     scope: EventScope,
-) {
-    let id = stream.conn_id();
-    let idle = gw.config.idle_ticks;
-    gw.table.insert(id);
-    stream.depart(server.clock());
-    let mut wq: VecDeque<u8> = first.encode().into();
-    let mut dec = Decoder::new();
-    let mut buf = vec![0u8; READ_BUF];
-    loop {
-        // Flush before reading: replies already owed take priority, and
-        // a queue that cannot drain is the backpressure signal.
-        while !wq.is_empty() {
-            if wq.len() > gw.config.write_queue_cap {
-                return gw.evict(id, EvictReason::Backpressure, &scope, &stream);
-            }
-            wq.make_contiguous();
-            let outcome = {
-                let (front, _) = wq.as_slices();
-                race(stream.write_some(front), handle.sleep(idle)).await
-            };
-            match outcome {
-                Either::A(Ok(n)) => {
-                    wq.drain(..n);
+) -> impl Future<Output = ()> {
+    async move {
+        let id = stream.conn_id();
+        let idle = gw.config.idle_ticks;
+        gw.table.insert(id);
+        stream.depart(server.clock());
+        let mut dec = Decoder::new();
+        loop {
+            // Flush before reading: replies already owed take priority,
+            // and a queue that cannot drain is the backpressure signal.
+            while !wq.is_empty() {
+                if wq.len() > gw.config.write_queue_cap {
+                    return gw.evict(id, EvictReason::Backpressure, &scope, &stream);
                 }
-                // Peer closed with our reply undelivered — it vanished.
-                Either::A(Err(_)) => return gw.evict(id, EvictReason::Idle, &scope, &stream),
-                // No write progress for a whole idle window.
-                Either::B(()) => return gw.evict(id, EvictReason::Backpressure, &scope, &stream),
-            }
-        }
-        if server.state() == State::Done {
-            let key = server.key().to_vec();
-            scope.emit("complete");
-            gw.obs.inc("gateway_sessions_completed");
-            gw.persist_enrollment(id, &key, &scope);
-            gw.table.finish(id, SessionOutcome::Done(key));
-            stream.close();
-            return;
-        }
-        match race(stream.read_some(&mut buf), handle.sleep(idle)).await {
-            Either::A(Ok(0)) | Either::A(Err(_)) => {
-                // EOF (or a torn stream) mid-protocol: the peer is gone.
-                return gw.evict(id, EvictReason::Idle, &scope, &stream);
-            }
-            Either::A(Ok(n)) => {
-                dec.push(&buf[..n]);
-                if let Err(err) = gw.receive(&stream, &mut dec, &mut server, &mut wq, &scope) {
-                    return gw.fail(id, err, &scope, &stream);
+                wq.make_contiguous();
+                let outcome = {
+                    let (front, _) = wq.as_slices();
+                    race(stream.write_some(front), handle.sleep(idle)).await
+                };
+                match outcome {
+                    Either::A(Ok(n)) => {
+                        wq.drain(..n);
+                    }
+                    // Peer closed with our reply undelivered — it vanished.
+                    Either::A(Err(_)) => return gw.evict(id, EvictReason::Idle, &scope, &stream),
+                    // No write progress for a whole idle window.
+                    Either::B(()) => {
+                        return gw.evict(id, EvictReason::Backpressure, &scope, &stream)
+                    }
                 }
             }
-            Either::B(()) => return gw.evict(id, EvictReason::Idle, &scope, &stream),
+            // A flushed queue holds no buffer while the peer computes.
+            wq = VecDeque::new();
+            if server.state() == State::Done {
+                let key = server.key().to_vec();
+                scope.emit("complete");
+                gw.obs.inc("gateway_sessions_completed");
+                gw.persist_enrollment(id, &key, &scope);
+                gw.table.finish(id, SessionOutcome::Done(key));
+                stream.close();
+                return;
+            }
+            match race(stream.read_into(&mut dec), handle.sleep(idle)).await {
+                Either::A(Ok(0)) | Either::A(Err(_)) => {
+                    // EOF (or a torn stream) mid-protocol: the peer is gone.
+                    return gw.evict(id, EvictReason::Idle, &scope, &stream);
+                }
+                Either::A(Ok(_)) => {
+                    if let Err(err) = gw.receive(&stream, &mut dec, &mut server, &mut wq, &scope) {
+                        return gw.fail(id, err, &scope, &stream);
+                    }
+                }
+                Either::B(()) => return gw.evict(id, EvictReason::Idle, &scope, &stream),
+            }
         }
     }
 }
@@ -443,17 +451,40 @@ fn serve_ready(
 /// Drives the mobile side of one agreement over `stream` — the client
 /// mirror of the gateway's connection loop, shared by the unit tests
 /// and the bench fleets. Frames from the gateway arrive at their
-/// departure plus `channel_delay`.
+/// departure plus `channel_delay`. On every error it closes the stream,
+/// so the gateway sees the end of the session at once rather than after
+/// its idle window.
+///
+/// Like the gateway's connection loop, the body is an `async move` block
+/// that stores the machine once, and reads go straight into the decoder.
 ///
 /// # Errors
 ///
 /// [`AgreementError::Evicted`] when the gateway closes the stream or
 /// goes silent past `idle_ticks`; otherwise whatever the link or the
 /// machine reports.
-pub async fn drive_mobile(
+#[allow(clippy::manual_async_fn)] // the block is what stores the machine once
+pub fn drive_mobile(
     handle: Handle,
     stream: SimStream,
     mut mobile: MobileAgreement,
+    channel_delay: f64,
+    idle_ticks: u64,
+) -> impl Future<Output = Result<Vec<u8>, AgreementError>> {
+    async move {
+        let got = mobile_session(&handle, &stream, &mut mobile, channel_delay, idle_ticks).await;
+        if got.is_err() {
+            stream.close();
+        }
+        got
+    }
+}
+
+/// [`drive_mobile`]'s loop, up to its first error.
+async fn mobile_session(
+    handle: &Handle,
+    stream: &SimStream,
+    mobile: &mut MobileAgreement,
     channel_delay: f64,
     idle_ticks: u64,
 ) -> Result<Vec<u8>, AgreementError> {
@@ -462,7 +493,6 @@ pub async fn drive_mobile(
     stream.depart(mobile.clock());
     let mut wq: VecDeque<u8> = first.encode().into();
     let mut dec = Decoder::new();
-    let mut buf = vec![0u8; READ_BUF];
     loop {
         while !wq.is_empty() {
             wq.make_contiguous();
@@ -477,24 +507,24 @@ pub async fn drive_mobile(
                 Either::A(Err(_)) | Either::B(()) => return Err(AgreementError::Evicted),
             }
         }
+        wq = VecDeque::new();
         if mobile.state() == State::Done {
             stream.close();
             return Ok(mobile.key().to_vec());
         }
-        match race(stream.read_some(&mut buf), handle.sleep(idle_ticks)).await {
+        match race(stream.read_into(&mut dec), handle.sleep(idle_ticks)).await {
             Either::A(Ok(0)) | Either::A(Err(_)) | Either::B(()) => {
                 return Err(AgreementError::Evicted)
             }
-            Either::A(Ok(n)) => {
-                dec.push(&buf[..n]);
+            Either::A(Ok(_)) => {
                 let events = EventScope::disabled();
                 while let Some(item) = dec.next_frame() {
                     let Ok(frame) = item else { continue };
                     stream.arrive(frame, channel_delay, &retry, &events)?;
-                    mobile_ready(&stream, &mut mobile, &mut wq)?;
+                    mobile_ready(stream, mobile, &mut wq)?;
                 }
                 stream.release(&events);
-                mobile_ready(&stream, &mut mobile, &mut wq)?;
+                mobile_ready(stream, mobile, &mut wq)?;
             }
         }
     }
@@ -531,7 +561,7 @@ mod tests {
     use wavekey_core::agreement::RetryPolicy;
     use wavekey_core::channel::{Delayer, Direction, Dropper, MessageKind, VersionSpoofer};
     use wavekey_core::fault::{FaultKind, FaultPlan, FaultProfile, ScheduledFault};
-    use wavekey_core::proto::driver;
+    use wavekey_core::proto::{driver, Frame};
     use wavekey_core::PassiveChannel;
     use wavekey_obs::EventLog;
 
@@ -875,8 +905,8 @@ mod tests {
                 // Connects after shutdown are refused outright.
                 done.borrow_mut().push(net.connect().is_err());
                 // The rejected stream reads EOF without a single frame.
-                let mut buf = [0u8; 64];
-                let n = late.read_some(&mut buf).await.expect("eof");
+                let mut buf = Vec::new();
+                let n = late.read_into(&mut buf).await.expect("eof");
                 done.borrow_mut().push(n == 0);
             });
         }
@@ -1022,6 +1052,50 @@ mod tests {
         }
     }
 
+    /// A mobile that fails mid-session closes its stream, so its gateway
+    /// session turns terminal at once rather than when the gateway's
+    /// idle window runs out. The spoofed `M_B,R` fails the mobile in the
+    /// read batch that also queued its own `M_B`, which it never sends.
+    #[test]
+    fn failed_mobile_ends_its_gateway_session_before_the_idle_window() {
+        let config = gateway_config();
+        let (delay, idle) = (config.agreement.channel_delay, config.idle_ticks);
+        let spoof = VersionSpoofer { target: MessageKind::OtB, version: 0x7f };
+        let net = SimNet::with_adversary(1 << 16, spoof);
+        let gateway = Gateway::new(config.clone(), Obs::disabled(), |id| seed_pair(id).1);
+        let mut exec = Executor::new();
+        gateway.listen(&exec.handle(), &net);
+        spawn_closer(&exec, &net);
+        let stream = net.connect().unwrap();
+        let id = stream.conn_id();
+        let mobile =
+            MobileAgreement::new(&seed_pair(id).0, &config.agreement, mobile_rng(id)).unwrap();
+        let got = Rc::new(RefCell::new(None));
+        {
+            let (handle, got) = (exec.handle(), Rc::clone(&got));
+            exec.spawn(async move {
+                *got.borrow_mut() = Some(drive_mobile(handle, stream, mobile, delay, idle).await);
+            });
+        }
+        // Reads the table once per logical tick until the session ends.
+        let ended_at = Rc::new(Cell::new(None));
+        {
+            let (handle, gateway) = (exec.handle(), gateway.clone());
+            let ended_at = Rc::clone(&ended_at);
+            exec.spawn(async move {
+                while gateway.table().outcome(id).is_none() {
+                    handle.sleep(1).await;
+                }
+                ended_at.set(Some(handle.now()));
+            });
+        }
+        exec.run();
+        assert!(matches!(*got.borrow(), Some(Err(AgreementError::Wire(_)))), "{:?}", got.borrow());
+        let ended = ended_at.get().expect("the gateway session ended");
+        assert!(ended < idle, "gateway session ended at tick {ended}, idle window {idle}");
+        assert!(!matches!(gateway.table().outcome(id), Some(SessionOutcome::Done(_))));
+    }
+
     /// A seed source that yields no bits cannot start a session: the
     /// gateway rejects the connection and the table never sees it.
     #[test]
@@ -1109,13 +1183,12 @@ mod tests {
             }
             let ma = mobile.start().unwrap();
             send(&stream, &ma, mobile.clock()).await;
-            let (mut dec, mut buf) = (Decoder::new(), [0u8; READ_BUF]);
+            let mut dec = Decoder::new();
             let frame = loop {
                 if let Some(Ok(frame)) = dec.next_frame() {
                     break frame;
                 }
-                let n = stream.read_some(&mut buf).await.expect("read");
-                dec.push(&buf[..n]);
+                stream.read_into(&mut dec).await.expect("read");
             };
             let events = EventScope::disabled();
             stream.arrive(frame, delay, &RetryPolicy::none(), &events).unwrap();

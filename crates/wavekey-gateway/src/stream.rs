@@ -38,7 +38,7 @@ use std::task::{Context, Poll, Waker};
 
 use wavekey_core::agreement::{AgreementError, RetryPolicy};
 use wavekey_core::channel::{Adversary, Direction, MessageKind};
-use wavekey_core::proto::{Frame, Link};
+use wavekey_core::proto::{Decoder, Frame, Link};
 use wavekey_obs::EventScope;
 
 /// Stream-level failures.
@@ -177,6 +177,18 @@ impl Pipe {
             w.wake();
         }
     }
+
+    /// How many of the buffered bytes one read takes: all of them,
+    /// unless a split fault shortens it. Counts the read.
+    fn read_len(&mut self, faults: StreamFaults) -> usize {
+        self.read_ops += 1;
+        let n = self.buf.len();
+        if n > 1 && faults.fires(faults.split_per_mille, self.lane, self.read_ops, 0x51) {
+            1 + (faults.roll(self.lane, self.read_ops, 0x52) % (n as u64 - 1).max(1)) as usize
+        } else {
+            n
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -218,11 +230,14 @@ impl SimStream {
         self.conn_id
     }
 
-    /// Reads *some* bytes into `buf`: resolves with `Ok(n > 0)` on data,
-    /// `Ok(0)` on EOF (peer closed and the pipe drained), and waits
-    /// while the pipe is empty but open. Split faults may shorten `n`.
-    pub fn read_some<'a>(&'a self, buf: &'a mut [u8]) -> ReadSome<'a> {
-        ReadSome { stream: self, buf }
+    /// Reads *some* bytes straight into `sink` (the gateway's sinks are
+    /// frame decoders, so no read buffer sits between pipe and decoder):
+    /// resolves with `Ok(n > 0)` on data, as many bytes as the pipe
+    /// holds unless a split fault shortens the read, `Ok(0)` on EOF
+    /// (peer closed and the pipe drained), and waits while the pipe is
+    /// empty but open.
+    pub fn read_into<'a, S: ReadSink>(&'a self, sink: &'a mut S) -> ReadInto<'a, S> {
+        ReadInto { stream: self, sink }
     }
 
     /// Writes *some* prefix of `bytes`: resolves with `Ok(n)` on first
@@ -324,13 +339,31 @@ impl SimStream {
     }
 }
 
-/// Future returned by [`SimStream::read_some`].
-pub struct ReadSome<'a> {
-    stream: &'a SimStream,
-    buf: &'a mut [u8],
+/// Where [`SimStream::read_into`] puts the bytes it reads.
+pub trait ReadSink {
+    /// Appends `bytes`, which follow every byte put before them.
+    fn put(&mut self, bytes: &[u8]);
 }
 
-impl Future for ReadSome<'_> {
+impl ReadSink for Decoder {
+    fn put(&mut self, bytes: &[u8]) {
+        self.push(bytes);
+    }
+}
+
+impl ReadSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Future returned by [`SimStream::read_into`].
+pub struct ReadInto<'a, S> {
+    stream: &'a SimStream,
+    sink: &'a mut S,
+}
+
+impl<S: ReadSink> Future for ReadInto<'_, S> {
     type Output = Result<usize, StreamError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -345,13 +378,15 @@ impl Future for ReadSome<'_> {
             pipe.read_waker = Some(cx.waker().clone());
             return Poll::Pending;
         }
-        pipe.read_ops += 1;
-        let mut n = this.buf.len().min(pipe.buf.len());
-        if n > 1 && faults.fires(faults.split_per_mille, pipe.lane, pipe.read_ops, 0x51) {
-            n = 1 + (faults.roll(pipe.lane, pipe.read_ops, 0x52) % (n as u64 - 1).max(1)) as usize;
-        }
-        for slot in this.buf.iter_mut().take(n) {
-            *slot = pipe.buf.pop_front().expect("n <= len");
+        let n = pipe.read_len(faults);
+        let (front, back) = pipe.buf.as_slices();
+        let k = n.min(front.len());
+        this.sink.put(&front[..k]);
+        this.sink.put(&back[..n - k]);
+        pipe.buf.drain(..n);
+        if pipe.buf.is_empty() {
+            // A drained pipe holds no buffer until the next write.
+            pipe.buf = VecDeque::new();
         }
         pipe.wake_writer();
         Poll::Ready(Ok(n))
@@ -567,13 +602,9 @@ mod tests {
             let accept = net.accept();
             exec.spawn(async move {
                 let server = accept.await.unwrap();
-                let mut buf = [0u8; 8];
-                loop {
-                    match server.read_some(&mut buf).await.unwrap() {
-                        0 => break,
-                        n => received.borrow_mut().extend_from_slice(&buf[..n]),
-                    }
-                }
+                let mut buf = Vec::new();
+                while server.read_into(&mut buf).await.unwrap() > 0 {}
+                *received.borrow_mut() = buf;
             });
         }
         {
@@ -608,13 +639,9 @@ mod tests {
         {
             let saw = Rc::clone(&saw);
             exec.spawn(async move {
-                let mut buf = [0u8; 16];
-                loop {
-                    match client.read_some(&mut buf).await.unwrap() {
-                        0 => break,
-                        n => saw.borrow_mut().extend_from_slice(&buf[..n]),
-                    }
-                }
+                let mut buf = Vec::new();
+                while client.read_into(&mut buf).await.unwrap() > 0 {}
+                *saw.borrow_mut() = buf;
                 // Buffered bytes arrived before the EOF.
                 assert_eq!(client.write_some(b"y").await, Err(StreamError::Closed));
             });
@@ -661,13 +688,9 @@ mod tests {
             let accept = net.accept();
             exec.spawn(async move {
                 let server = accept.await.unwrap();
-                let mut buf = [0u8; 13];
-                loop {
-                    match server.read_some(&mut buf).await.unwrap() {
-                        0 => break,
-                        n => received.borrow_mut().extend_from_slice(&buf[..n]),
-                    }
-                }
+                let mut buf = Vec::new();
+                while server.read_into(&mut buf).await.unwrap() > 0 {}
+                *received.borrow_mut() = buf;
             });
         }
         {
@@ -696,13 +719,9 @@ mod tests {
                 let accept = net.accept();
                 exec.spawn(async move {
                     let server = accept.await.unwrap();
-                    let mut buf = [0u8; 7];
-                    loop {
-                        match server.read_some(&mut buf).await {
-                            Ok(0) | Err(_) => break,
-                            Ok(n) => received.borrow_mut().extend_from_slice(&buf[..n]),
-                        }
-                    }
+                    let mut buf = Vec::new();
+                    while let Ok(1..) = server.read_into(&mut buf).await {}
+                    *received.borrow_mut() = buf;
                 });
             }
             exec.spawn(async move {

@@ -32,6 +32,13 @@ pub trait Collector {
     /// A causal event was emitted (see [`crate::event`]). Defaults to a
     /// no-op so pre-existing collectors keep compiling unchanged.
     fn record_causal(&self, _event: &CausalEvent) {}
+    /// Whether this collector keeps causal events. Defaults to `true`; a
+    /// collector that drops them returns `false`, and then
+    /// [`crate::EventScope::new`] hands out the disabled scope, so
+    /// instrumented code builds no events nobody records.
+    fn records_causal(&self) -> bool {
+        true
+    }
 }
 
 /// The zero-overhead default: discards everything, and tells the handle to
@@ -120,6 +127,9 @@ impl MultiCollector {
 impl Collector for MultiCollector {
     fn is_enabled(&self) -> bool {
         !self.sinks.is_empty()
+    }
+    fn records_causal(&self) -> bool {
+        self.sinks.iter().any(|s| s.records_causal())
     }
     fn record_span(&self, span: &SpanRecord) {
         for s in &self.sinks {

@@ -123,9 +123,10 @@ impl EventScope {
     }
 
     /// A scope for `session_id` emitting as `actor`; collapses to the
-    /// disabled scope when `obs` is disabled.
+    /// disabled scope when `obs` is disabled or its collector drops
+    /// causal events ([`crate::Collector::records_causal`]).
     pub fn new(obs: &Obs, session_id: u64, actor: &'static str) -> EventScope {
-        if !obs.is_enabled() {
+        if !obs.records_causal() {
             return EventScope::disabled();
         }
         EventScope {

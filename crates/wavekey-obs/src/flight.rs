@@ -47,6 +47,12 @@ impl FlightRecorder {
 }
 
 impl Collector for FlightRecorder {
+    /// A recorder keeps session traces only, so causal scopes over it
+    /// stay disabled.
+    fn records_causal(&self) -> bool {
+        false
+    }
+
     fn record_session(&self, trace: &SessionTrace) {
         let mut ring = self.ring.borrow_mut();
         if ring.len() == self.capacity {
@@ -69,6 +75,23 @@ mod tests {
         let ids: Vec<u64> = rec.recent().iter().map(|t| t.session_id).collect();
         assert_eq!(ids, vec![2, 3, 4]);
         assert_eq!(rec.latest().expect("latest").session_id, 4);
+    }
+
+    #[test]
+    fn causal_scopes_over_a_recorder_are_disabled() {
+        use crate::{EventLog, EventScope, MultiCollector, Obs};
+        use std::sync::Arc;
+        let rec: Arc<dyn Collector> = Arc::new(FlightRecorder::new(4));
+        assert!(!rec.records_causal());
+        let obs = Obs::new(Arc::clone(&rec));
+        assert!(obs.is_enabled(), "sessions still reach the recorder");
+        assert!(!EventScope::new(&obs, 1, "gateway").is_enabled());
+        // A fan-out records causal events when any sink does.
+        let log: Arc<dyn Collector> = Arc::new(EventLog::new(8));
+        let both = MultiCollector::new(vec![Arc::clone(&rec), log]);
+        assert!(both.records_causal());
+        assert!(EventScope::new(&Obs::new(Arc::new(both)), 1, "gateway").is_enabled());
+        assert!(!MultiCollector::new(vec![rec]).records_causal());
     }
 
     #[test]

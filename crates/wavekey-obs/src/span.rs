@@ -133,6 +133,13 @@ impl Obs {
         self.inner.is_some()
     }
 
+    /// Whether causal events reach a collector that keeps them: the
+    /// handle is enabled and its collector
+    /// [records causal events](Collector::records_causal).
+    pub fn records_causal(&self) -> bool {
+        self.inner.as_deref().is_some_and(|inner| inner.collector.records_causal())
+    }
+
     /// Open an RAII span; the duration is recorded when the guard drops.
     /// On a disabled handle this does not even read the clock. When
     /// enabled, the span also joins the handle's open-span stack, so its

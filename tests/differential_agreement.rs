@@ -24,7 +24,7 @@ use wavekey::core::channel::{Delayer, Dropper, MessageKind, PassiveChannel};
 use wavekey::crypto::ecc::{Bch, CodeOffset};
 use wavekey::crypto::group::DhGroup;
 use wavekey::crypto::hmac::{hmac_sha256, mac_eq};
-use wavekey::crypto::ot::{OtReceiver, OtSender};
+use wavekey::crypto::ot::{OtPairs, OtReceiver, OtSender};
 
 const ECC_BLOCK: usize = 127;
 const NONCE_LEN: usize = 16;
@@ -57,8 +57,9 @@ fn random_pairs(l_s: usize, l_b: usize, rng: &mut StdRng) -> Vec<(Vec<bool>, Vec
         .collect()
 }
 
-fn payload_pairs(pairs: &[(Vec<bool>, Vec<bool>)]) -> Vec<(Vec<u8>, Vec<u8>)> {
-    pairs.iter().map(|(a, b)| (pack_bits(a), pack_bits(b))).collect()
+fn payload_pairs(pairs: &[(Vec<bool>, Vec<bool>)]) -> OtPairs {
+    let packed: Vec<_> = pairs.iter().map(|(a, b)| (pack_bits(a), pack_bits(b))).collect();
+    OtPairs::from_pairs(&packed)
 }
 
 struct RefOutcome {
@@ -98,16 +99,18 @@ fn reference_agreement(
     let me_r = server_sender.encrypt(group, &mb_m).expect("benign M_B");
 
     let y_received = mobile_receiver.decrypt(group, &me_r).expect("benign M_E");
+    let y_received: Vec<&[u8]> = y_received.chunks(l_b.div_ceil(8)).collect();
     let mut k_m: Vec<bool> = Vec::with_capacity(2 * l_s * l_b);
     for i in 0..l_s {
         let own = if s_m[i] { &x_pairs[i].1 } else { &x_pairs[i].0 };
         k_m.extend_from_slice(own);
-        k_m.extend(unpack_bits(&y_received[i], l_b));
+        k_m.extend(unpack_bits(y_received[i], l_b));
     }
     let x_received = server_receiver.decrypt(group, &me_m).expect("benign M_E");
+    let x_received: Vec<&[u8]> = x_received.chunks(l_b.div_ceil(8)).collect();
     let mut k_r: Vec<bool> = Vec::with_capacity(2 * l_s * l_b);
     for i in 0..l_s {
-        k_r.extend(unpack_bits(&x_received[i], l_b));
+        k_r.extend(unpack_bits(x_received[i], l_b));
         let own = if s_r[i] { &y_pairs[i].1 } else { &y_pairs[i].0 };
         k_r.extend_from_slice(own);
     }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use wavekey::crypto::bigint::{pow_many_kernel_1024, FixedBaseTable, MontgomeryCtx, Ubig};
 use wavekey::crypto::cipher::{ctr_decrypt, ctr_encrypt};
 use wavekey::crypto::group::{DhGroup, PrecompCache, MODP_1024_HEX};
-use wavekey::crypto::ot::{OtMessageE, OtReceiver, OtSender};
+use wavekey::crypto::ot::{OtMessageE, OtPairs, OtReceiver, OtSender};
 use wavekey::crypto::sha256::sha256;
 
 /// `false` (after printing why) when this CPU has no IFMA lanes.
@@ -31,6 +31,22 @@ fn lanes_present() -> bool {
         return false;
     }
     true
+}
+
+/// `xs` as one flat batch, every value padded to the widest one's limbs
+/// (at least one), the layout the slice entry points take.
+fn flat(xs: &[Ubig]) -> Vec<u64> {
+    let w = xs.iter().map(|x| x.as_limbs().len()).max().unwrap_or(0).max(1);
+    let mut out = vec![0u64; xs.len() * w];
+    for (x, o) in xs.iter().zip(out.chunks_exact_mut(w)) {
+        x.write_limbs(o);
+    }
+    out
+}
+
+/// Result `i` of a flat batch of `k`-limb results.
+fn nth(results: &[u64], k: usize, i: usize) -> Ubig {
+    Ubig::from_limbs(&results[i * k..][..k])
 }
 
 /// MODP-1024 (`n' = 1`) and the odd literal `2^1024 − 1093337`
@@ -75,8 +91,10 @@ fn comb_cases() -> Vec<CombCase> {
 /// Asserts `pow_g_many` equals the scalar comb exponent by exponent, and
 /// also `mod_pow_reference` on every `reference_every`-th exponent.
 fn assert_comb_matches_scalar(case: &CombCase, exps: &[Ubig], reference_every: usize) {
-    let got = case.group.pow_g_many(exps);
-    assert_eq!(got.len(), exps.len());
+    let k = case.group.limbs();
+    let mut results = vec![0u64; exps.len() * k];
+    case.group.pow_g_many(&flat(exps), &mut results);
+    let got: Vec<Ubig> = (0..exps.len()).map(|i| nth(&results, k, i)).collect();
     let g = case.group.generator();
     for (i, e) in exps.iter().enumerate() {
         let want = case.ctx.pow_fixed_base(&case.scalar, e);
@@ -99,8 +117,10 @@ fn assert_matches_scalar(
     exps: &[Ubig],
     reference_every: usize,
 ) {
-    let got = ctx.mod_pow_many(bases, exps);
-    assert_eq!(got.len(), bases.len());
+    let k = ctx.limbs();
+    let mut results = vec![0u64; bases.len() * k];
+    ctx.mod_pow_many(&flat(bases), &flat(exps), &mut results);
+    let got: Vec<Ubig> = (0..bases.len()).map(|i| nth(&results, k, i)).collect();
     for (i, (b, e)) in bases.iter().zip(exps).enumerate() {
         assert_eq!(
             got[i],
@@ -227,12 +247,13 @@ fn ot_round_of_48_matches_per_instance_scalar_oracle() {
     let choices: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
     let (mut rng_s, mut rng_r) = (StdRng::seed_from_u64(20), StdRng::seed_from_u64(21));
     let (mut draw_s, mut draw_r) = (rng_s.clone(), rng_r.clone());
-    let (sender, msg_a) = OtSender::start(group, secrets.clone(), &mut rng_s);
+    let (sender, msg_a) = OtSender::start(group, OtPairs::from_pairs(&secrets), &mut rng_s);
     let (receiver, msg_b) = OtReceiver::respond(group, &choices, &msg_a, &mut rng_r).unwrap();
     let me = sender.encrypt(group, &msg_b).unwrap().encode();
     let payloads = receiver
         .decrypt(group, &OtMessageE::decode(&me).unwrap())
         .unwrap();
+    let payloads: Vec<&[u8]> = payloads.chunks(16).collect();
 
     let key = |e: &Ubig| sha256(&group.encode_element(e));
     let (mut ma, mut mb, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
@@ -258,7 +279,7 @@ fn ot_round_of_48_matches_per_instance_scalar_oracle() {
         let chosen = if choices[i] { &pairs[i].1 } else { &pairs[i].0 };
         assert_eq!(payloads[i], ctr_decrypt(&k, chosen), "payload {i}");
         assert_eq!(
-            &payloads[i],
+            payloads[i],
             if choices[i] {
                 &secrets[i].1
             } else {
@@ -268,6 +289,7 @@ fn ot_round_of_48_matches_per_instance_scalar_oracle() {
     }
     assert_eq!(msg_a.encode(group), ma, "M_A wire bytes");
     assert_eq!(msg_b.encode(group), mb, "M_B wire bytes");
+    let pairs = OtPairs::from_pairs(&pairs);
     assert_eq!(me, OtMessageE { pairs }.encode(), "M_E wire bytes");
 }
 

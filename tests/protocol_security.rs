@@ -192,3 +192,32 @@ fn established_keys_pass_randomness_tests() {
     let mono = wavekey::math::monobit_test(&chain);
     assert!(mono.p_value > 0.01, "monobit p = {}", mono.p_value);
 }
+
+/// Rewrites every `M_E` into a well-formed batch of the right size whose
+/// ciphertexts are all empty.
+struct EmptyCiphertexts;
+
+impl wavekey::core::Adversary for EmptyCiphertexts {
+    fn intercept(
+        &mut self,
+        _direction: wavekey::core::Direction,
+        frame: &mut wavekey::core::Frame,
+    ) -> wavekey::core::channel::AdversaryAction {
+        if frame.kind == MessageKind::OtE {
+            let count = u32::from_le_bytes(frame.payload[..4].try_into().expect("count"));
+            let mut forged = count.to_le_bytes().to_vec();
+            forged.resize(4 + 8 * count as usize, 0);
+            frame.payload = forged;
+        }
+        wavekey::core::channel::AdversaryAction::Forward
+    }
+}
+
+#[test]
+fn empty_ot_ciphertexts_fail_the_session_instead_of_panicking() {
+    // A peer's `M_E` whose payloads hold fewer than `l_b` bits is an OT
+    // error for the receiving machine, not a panic while it assembles
+    // its preliminary key.
+    let err = run_with(&seed(48, 9), &mut EmptyCiphertexts).expect_err("no key from empty M_E");
+    assert!(matches!(err, AgreementError::Ot(_)), "{err:?}");
+}

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wavekey::crypto::ecc::{Bch, CodeOffset};
 use wavekey::crypto::group::DhGroup;
-use wavekey::crypto::ot::{OtReceiver, OtSender};
+use wavekey::crypto::ot::{OtPairs, OtReceiver, OtSender};
 use wavekey::imu::gesture::{GestureConfig, GestureGenerator, VolunteerId};
 use wavekey::imu::pipeline::{process_imu, ImuPipelineConfig};
 use wavekey::imu::sensors::{sample_imu, DeviceModel};
@@ -71,13 +71,13 @@ fn ot_transports_bch_codewords_exactly() {
     let mut rng_r = StdRng::seed_from_u64(23);
     let (sender, ma) = OtSender::start(
         &group,
-        vec![(payload.clone(), vec![0u8; payload.len()])],
+        OtPairs::from_pairs(&[(payload.clone(), vec![0u8; payload.len()])]),
         &mut rng_s,
     );
     let (receiver, mb) = OtReceiver::respond(&group, &[false], &ma, &mut rng_r).unwrap();
     let me = sender.encrypt(&group, &mb).unwrap();
     let received = receiver.decrypt(&group, &me).unwrap();
-    let bits = wavekey::core::bits::unpack_bits(&received[0], 127);
+    let bits = wavekey::core::bits::unpack_bits(&received, 127);
 
     // Flip two bits in transit-equivalent corruption; BCH repairs them.
     let mut noisy = bits;
