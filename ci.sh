@@ -5,6 +5,8 @@
 # registry dependencies, so both run offline.
 #
 # The gates, in order (each section below states its contract):
+#   lane product registers   the release build's `ifma::amm` stores at
+#                            most 40 zmm registers (right after the build)
 #   observability overhead   the full MODP-1024 agreement with a disabled
 #                            `Obs` handle stays within
 #                            WAVEKEY_OVERHEAD_TOL (default 1%) of the
@@ -35,6 +37,33 @@ bench() {
 
 echo "== build + test =="
 cargo build --release --offline
+
+echo "== lane product register check =="
+# DESIGN.md §7: `ifma::amm`, the AVX512-IFMA lane product under every
+# MODP-1024 exponentiation of the OT, keeps its 20 accumulators in zmm
+# registers for the whole product. Its only zmm stores are then the 20
+# registers of its result; a build that keeps the rotating frame in
+# memory stores ~260. Fail above AMM_MAX_ZMM_STORES, or if the symbol is
+# missing from the release binary.
+AMM_MAX_ZMM_STORES=40
+AMM_BIN="$ROOT/target/release/bench_crypto_json"
+if ! command -v objdump >/dev/null; then
+    echo "skipped: objdump is not installed"
+elif [[ "$(rustc -vV | sed -n 's/^host: //p')" != x86_64-* ]]; then
+    echo "skipped: the target is not x86-64, so there is no IFMA kernel"
+else
+    amm_asm=$(objdump -d --no-show-raw-insn -C "$AMM_BIN" \
+        | awk '/<wavekey_crypto::ifma::amm>:$/ { p = 1; next } /^$/ { p = 0 } p')
+    [[ -n "$amm_asm" ]] \
+        || { echo "FAIL: wavekey_crypto::ifma::amm not found in $AMM_BIN" >&2; exit 1; }
+    # AT&T syntax: a store names its zmm source before a memory operand.
+    amm_stores=$(grep -cE '%zmm[0-9]+,[^%]*\(' <<<"$amm_asm" || true)
+    echo "ifma::amm: $amm_stores zmm stores (max $AMM_MAX_ZMM_STORES)"
+    (( amm_stores <= AMM_MAX_ZMM_STORES )) \
+        || { echo "FAIL: ifma::amm spills its accumulators to memory" >&2; exit 1; }
+    echo "OK: the lane product keeps its accumulators in registers"
+fi
+
 cargo test -q --offline
 
 if [[ "${1:-}" == "fast" ]]; then

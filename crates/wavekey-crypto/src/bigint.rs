@@ -241,21 +241,7 @@ impl Ubig {
             return Ubig::zero();
         }
         let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
-        for (i, &a) in self.limbs.iter().enumerate() {
-            let mut carry = 0u128;
-            for (j, &b) in other.limbs.iter().enumerate() {
-                let cur = u128::from(out[i + j]) + u128::from(a) * u128::from(b) + carry;
-                out[i + j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let mut k = i + other.limbs.len();
-            while carry > 0 {
-                let cur = u128::from(out[k]) + carry;
-                out[k] = cur as u64;
-                carry = cur >> 64;
-                k += 1;
-            }
-        }
+        limbs_mul_into(&self.limbs, &other.limbs, &mut out);
         let mut r = Ubig { limbs: out };
         r.normalize();
         r
@@ -287,14 +273,8 @@ impl Ubig {
     }
 
     /// Remainder `self mod modulus` by limb-wise schoolbook division
-    /// (Knuth vol. 2, §4.3.1, Algorithm D): normalize so the divisor's
-    /// top bit is set, estimate each quotient limb from the top limbs,
-    /// correct the estimate at most twice, then multiply and subtract
-    /// (adding the divisor back in the rare case the estimate was still
-    /// one too large). A `2k → k`-limb reduction costs about `k²`
-    /// multiply-adds. Used for setup, reducing random samples, and
-    /// exponent arithmetic (both OT sender routes reduce `a² mod (u−1)`
-    /// through here).
+    /// ([`limbs_rem_into`]). Used for setup, reducing random samples, and
+    /// exponent arithmetic.
     ///
     /// # Panics
     ///
@@ -304,64 +284,11 @@ impl Ubig {
         if self.cmp_abs(modulus) == Ordering::Less {
             return self.clone();
         }
-        let n = modulus.limbs.len();
-        if n == 1 {
-            let d = u128::from(modulus.limbs[0]);
-            let r = self.limbs.iter().rev().fold(0u128, |r, &l| ((r << 64) | u128::from(l)) % d);
-            return Ubig::from_u64(r as u64);
-        }
-        // D1: shift both operands so the divisor's top limb has its top
-        // bit set; the dividend gains one limb for the bits shifted out.
-        let shift = modulus.limbs[n - 1].leading_zeros();
-        let mut v = shl_limbs(&modulus.limbs, shift);
-        v.pop();
-        let mut u = shl_limbs(&self.limbs, shift);
-        let (v_top, v_next) = (u128::from(v[n - 1]), u128::from(v[n - 2]));
-        for j in (0..u.len() - n).rev() {
-            // D3: estimate q from the top two limbs of the window, then
-            // correct it with the third; afterwards it is exact or one
-            // too large.
-            let top = (u128::from(u[j + n]) << 64) | u128::from(u[j + n - 1]);
-            let (mut q, mut r) = (top / v_top, top % v_top);
-            while q > u128::from(u64::MAX) || q * v_next > ((r << 64) | u128::from(u[j + n - 2])) {
-                q -= 1;
-                r += v_top;
-                if r > u128::from(u64::MAX) {
-                    break;
-                }
-            }
-            // D4: u[j..=j+n] −= q·v. Each limb borrows at most once.
-            let (mut mul_carry, mut borrow) = (0u64, false);
-            for (uj, &vi) in u[j..j + n].iter_mut().zip(&v) {
-                let p = q * u128::from(vi) + u128::from(mul_carry);
-                mul_carry = (p >> 64) as u64;
-                let (d, b1) = uj.overflowing_sub(p as u64);
-                let (d, b2) = d.overflowing_sub(u64::from(borrow));
-                *uj = d;
-                borrow = b1 | b2;
-            }
-            let (d, b1) = u[j + n].overflowing_sub(mul_carry);
-            let (d, b2) = d.overflowing_sub(u64::from(borrow));
-            u[j + n] = d;
-            // D6: q was one too large; add the divisor back (the carry
-            // out of the top limb cancels the borrow).
-            if b1 || b2 {
-                let mut carry = false;
-                for (uj, &vi) in u[j..j + n].iter_mut().zip(&v) {
-                    let (s, c1) = uj.overflowing_add(vi);
-                    let (s, c2) = s.overflowing_add(u64::from(carry));
-                    *uj = s;
-                    carry = c1 | c2;
-                }
-                u[j + n] = u[j + n].wrapping_add(u64::from(carry));
-            }
-        }
-        // D8: the remainder is the low n limbs (the limb above them is
-        // now zero), shifted back.
-        u.truncate(n);
-        let mut out = Ubig { limbs: shr_limbs(&u, shift) };
-        out.normalize();
-        out
+        let mut out = vec![0u64; modulus.limbs.len()];
+        limbs_rem_into(&self.limbs, &modulus.limbs, &mut out);
+        let mut r = Ubig { limbs: out };
+        r.normalize();
+        r
     }
 
     /// Reference remainder: the original allocate-per-step shift-subtract
@@ -461,6 +388,16 @@ pub(crate) fn limbs_ge(a: &[u64], b: &[u64]) -> bool {
     true
 }
 
+/// Compares two little-endian limb slices by value; either may carry
+/// leading zero limbs.
+pub(crate) fn limbs_cmp(a: &[u64], b: &[u64]) -> Ordering {
+    (0..a.len().max(b.len()))
+        .rev()
+        .map(|i| a.get(i).unwrap_or(&0).cmp(b.get(i).unwrap_or(&0)))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
 /// `a -= b` over equal-length limb slices, wrapping modulo `2^(64·len)`
 /// (the final borrow is discarded — callers guarantee it cancels against
 /// a carried top bit).
@@ -521,9 +458,9 @@ pub(crate) fn ct_select_limbs(choice: bool, a: &mut [u64], b: &[u64]) {
     }
 }
 
-/// Runs `f` over `len` zeroed limbs of scratch: on the stack for the
-/// short runs the one-limb group needs, on the heap past that.
-fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
+/// Runs `f` over `len` zeroed limbs of scratch: on the stack up to 64
+/// limbs, on the heap past that.
+pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
     const STACK: usize = 64;
     if len <= STACK {
         f(&mut [0u64; STACK][..len])
@@ -544,23 +481,114 @@ fn width(len: usize, count: usize) -> usize {
     w
 }
 
-/// `a << shift` over limbs (`shift < 64`), one limb longer than `a`:
-/// the last limb holds the bits shifted out of the top.
-fn shl_limbs(a: &[u64], shift: u32) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + 1);
-    let mut carry = 0u64;
-    for &l in a {
-        out.push((l << shift) | carry);
-        carry = l.checked_shr(64 - shift).unwrap_or(0);
+/// `out = a·b` by schoolbook multiplication, for `out` of exactly
+/// `a.len() + b.len()` zeroed limbs.
+pub(crate) fn limbs_mul_into(a: &[u64], b: &[u64], out: &mut [u64]) {
+    debug_assert_eq!(out.len(), a.len() + b.len());
+    for (i, &x) in a.iter().enumerate() {
+        let mut carry = 0u64;
+        for (o, &y) in out[i..].iter_mut().zip(b) {
+            let cur = u128::from(*o) + u128::from(x) * u128::from(y) + u128::from(carry);
+            *o = cur as u64;
+            carry = (cur >> 64) as u64;
+        }
+        // Limb i + b.len() is still zero: no earlier row reached it.
+        out[i + b.len()] = carry;
     }
-    out.push(carry);
-    out
 }
 
-/// `a >> shift` over limbs (`shift < 64`).
-fn shr_limbs(a: &[u64], shift: u32) -> Vec<u64> {
-    let next = a.iter().skip(1).chain([&0]);
-    a.iter().zip(next).map(|(&l, &h)| (l >> shift) | h.checked_shl(64 - shift).unwrap_or(0)).collect()
+/// `x mod m` into `out` (`m.len()` limbs), for `m` whose top limb is
+/// nonzero, by limb-wise schoolbook division (Knuth vol. 2, §4.3.1,
+/// Algorithm D): normalize so the divisor's top bit is set, estimate
+/// each quotient limb from the top limbs, correct the estimate at most
+/// twice, then multiply and subtract (adding the divisor back in the
+/// rare case the estimate was still one too large). A `2k → k`-limb
+/// reduction costs about `k²` multiply-adds, and its scratch
+/// (`x.len() + m.len() + 1` limbs) is on the stack up to 64 limbs.
+pub(crate) fn limbs_rem_into(x: &[u64], m: &[u64], out: &mut [u64]) {
+    let n = m.len();
+    assert!(
+        m.last().is_some_and(|&t| t != 0),
+        "divisor needs a nonzero top limb"
+    );
+    debug_assert_eq!(out.len(), n);
+    if x.len() < n {
+        out[..x.len()].copy_from_slice(x);
+        out[x.len()..].fill(0);
+        return;
+    }
+    if n == 1 {
+        let d = u128::from(m[0]);
+        out[0] = x
+            .iter()
+            .rev()
+            .fold(0u128, |r, &l| ((r << 64) | u128::from(l)) % d) as u64;
+        return;
+    }
+    with_scratch(x.len() + 1 + n, |scratch| {
+        // D1: shift both operands so the divisor's top limb has its top
+        // bit set; the dividend gains one limb for the bits shifted out.
+        let (u, v) = scratch.split_at_mut(x.len() + 1);
+        let shift = m[n - 1].leading_zeros();
+        shl_into(m, shift, v);
+        u[x.len()] = shl_into(x, shift, &mut u[..x.len()]);
+        let (v_top, v_next) = (u128::from(v[n - 1]), u128::from(v[n - 2]));
+        for j in (0..u.len() - n).rev() {
+            // D3: estimate q from the top two limbs of the window, then
+            // correct it with the third; afterwards it is exact or one
+            // too large.
+            let top = (u128::from(u[j + n]) << 64) | u128::from(u[j + n - 1]);
+            let (mut q, mut r) = (top / v_top, top % v_top);
+            while q > u128::from(u64::MAX) || q * v_next > ((r << 64) | u128::from(u[j + n - 2])) {
+                q -= 1;
+                r += v_top;
+                if r > u128::from(u64::MAX) {
+                    break;
+                }
+            }
+            // D4: u[j..=j+n] −= q·v. Each limb borrows at most once.
+            let (mut mul_carry, mut borrow) = (0u64, false);
+            for (uj, &vi) in u[j..j + n].iter_mut().zip(&*v) {
+                let p = q * u128::from(vi) + u128::from(mul_carry);
+                mul_carry = (p >> 64) as u64;
+                let (d, b1) = uj.overflowing_sub(p as u64);
+                let (d, b2) = d.overflowing_sub(u64::from(borrow));
+                *uj = d;
+                borrow = b1 | b2;
+            }
+            let (d, b1) = u[j + n].overflowing_sub(mul_carry);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            u[j + n] = d;
+            // D6: q was one too large; add the divisor back (the carry
+            // out of the top limb cancels the borrow).
+            if b1 || b2 {
+                let mut carry = false;
+                for (uj, &vi) in u[j..j + n].iter_mut().zip(&*v) {
+                    let (s, c1) = uj.overflowing_add(vi);
+                    let (s, c2) = s.overflowing_add(u64::from(carry));
+                    *uj = s;
+                    carry = c1 | c2;
+                }
+                u[j + n] = u[j + n].wrapping_add(u64::from(carry));
+            }
+        }
+        // D8: the remainder is the low n limbs (the limb above them is
+        // now zero), shifted back.
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = (u[i] >> shift) | u[i + 1].checked_shl(64 - shift).unwrap_or(0);
+        }
+    });
+}
+
+/// `out = a << shift` over `a.len()` limbs (`shift < 64`), returning the
+/// bits shifted out of the top.
+fn shl_into(a: &[u64], shift: u32, out: &mut [u64]) -> u64 {
+    let mut carry = 0u64;
+    for (o, &l) in out.iter_mut().zip(a) {
+        *o = (l << shift) | carry;
+        carry = l.checked_shr(64 - shift).unwrap_or(0);
+    }
+    carry
 }
 
 /// Montgomery multiplication `out = a·b·R⁻¹ mod n` for `a`, `b` in

@@ -6,7 +6,10 @@
 //! prime with generator 2 — so both sides (and the adversary) know the
 //! parameters, exactly as in the paper's model.
 
-use crate::bigint::{is_probable_prime, limbs_ge, FixedBaseTable, MontgomeryCtx, Ubig};
+use crate::bigint::{
+    is_probable_prime, limbs_cmp, limbs_ge, limbs_mul_into, limbs_rem_into, with_scratch,
+    FixedBaseTable, MontgomeryCtx, Ubig,
+};
 #[cfg(target_arch = "x86_64")]
 use crate::ifma;
 use rand::rngs::StdRng;
@@ -33,7 +36,7 @@ const FIXED_BASE_WINDOW: usize = 6;
 #[derive(Debug, Clone)]
 enum Comb {
     /// 5-bit windows in radix 2^52, walked eight exponents at a time on
-    /// the `ifma` lanes (0.97 MiB for MODP-1024): 16-limb groups on CPUs
+    /// the `ifma` lanes (1.00 MiB for MODP-1024): 16-limb groups on CPUs
     /// with AVX512-IFMA.
     #[cfg(target_arch = "x86_64")]
     Lanes(ifma::CombTable),
@@ -189,16 +192,47 @@ impl DhGroup {
         self.pow_g(&self.neg_exponent(x))
     }
 
-    /// The exponent `(u−1) − (x mod (u−1))`, so that `g^e = g^(−x)`: the
-    /// one place the negation fold is written. The OT sender passes `a²`
-    /// through it to turn `k¹`'s second general exponentiation into a
-    /// comb walk. `x` is reduced only when it exceeds `u−1`.
+    /// The exponent `(u−1) − (x mod (u−1))`, so that `g^e = g^(−x)`.
+    /// `x` is reduced only when it exceeds `u−1`.
     pub fn neg_exponent(&self, x: &Ubig) -> Ubig {
-        if x.cmp_abs(&self.order) == Ordering::Greater {
-            self.order.sub(&x.rem(&self.order))
+        let mut out = vec![0u64; self.order.as_limbs().len()];
+        self.neg_exponent_into(x.as_limbs(), &mut out);
+        Ubig::from_limbs(&out)
+    }
+
+    /// [`DhGroup::neg_exponent`] of `a²` into the `k` limbs of `out`, for
+    /// an exponent `a` of `k` limbs, with the square and the reduction on
+    /// stack scratch. The OT sender writes each instance's `k¹` fold
+    /// exponent `−a² mod (u−1)` straight into its flat batch this way.
+    pub(crate) fn neg_square_exponent_into(&self, a: &[u64], out: &mut [u64]) {
+        with_scratch(2 * a.len(), |square| {
+            limbs_mul_into(a, a, square);
+            self.neg_exponent_into(square, out);
+        });
+    }
+
+    /// The negation fold on limbs, the one place it is written: `x` of
+    /// any width, `out` of at least the order's limbs, zero-padded.
+    fn neg_exponent_into(&self, x: &[u64], out: &mut [u64]) {
+        let order = self.order.as_limbs();
+        let (r, pad) = out.split_at_mut(order.len());
+        pad.fill(0);
+        if limbs_cmp(x, order) == Ordering::Greater {
+            limbs_rem_into(x, order, r);
         } else {
-            self.order.sub(x)
+            for (i, o) in r.iter_mut().enumerate() {
+                *o = x.get(i).copied().unwrap_or(0);
+            }
         }
+        // r ← (u−1) − r, which cannot borrow: r ≤ u−1.
+        let mut borrow = false;
+        for (o, &m) in r.iter_mut().zip(order) {
+            let (d, b1) = m.overflowing_sub(*o);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            *o = d;
+            borrow = b1 | b2;
+        }
+        debug_assert!(!borrow);
     }
 
     /// `base^x mod u`.
@@ -307,7 +341,7 @@ impl DhGroup {
 /// `(modulus, generator)`.
 ///
 /// Building a [`DhGroup`] costs a full comb-table precomputation (for
-/// MODP-1024, 0.97 MiB and ~1–2 ms for the lane table on CPUs with
+/// MODP-1024, 1.00 MiB and ~1–2 ms for the lane table on CPUs with
 /// AVX512-IFMA, 1.32 MiB and ~3–8 ms for the scalar one elsewhere),
 /// which must be paid once per *deployment group*, never once per
 /// session: the protocol machines, whichever driver runs them (the
@@ -431,6 +465,28 @@ mod tests {
         assert_eq!(g.neg_exponent(&order.add(&order)), order);
         for x in [Ubig::from_u64(5), order.sub(&one), order.mul(&order).add(&Ubig::from_u64(7))] {
             assert_eq!(g.pow_g(&g.neg_exponent(&x)), g.div(&one, &g.pow_g(&x)), "x {x}");
+        }
+    }
+
+    #[test]
+    fn neg_square_exponent_matches_the_ubig_fold() {
+        for g in [DhGroup::tiny_test_group(), DhGroup::modp_1024()] {
+            let (k, u, order) = (g.limbs(), g.modulus(), g.order());
+            let (one, two) = (Ubig::one(), Ubig::from_u64(2));
+            let mut rng = StdRng::seed_from_u64(6);
+            let edges = [one.clone(), two.clone(), u.sub(&two), u.sub(&one)];
+            let randoms: Vec<Ubig> = (0..256).map(|_| g.random_exponent(&mut rng)).collect();
+            for a in edges.iter().chain(&randoms) {
+                let mut limbs = vec![0u64; k];
+                a.write_limbs(&mut limbs);
+                let mut got = vec![0u64; k];
+                g.neg_square_exponent_into(&limbs, &mut got);
+                let (got, square) = (Ubig::from_limbs(&got), a.mul(a));
+                assert_eq!(got, g.neg_exponent(&square), "a {a}");
+                // The shift-subtract remainder, which shares no code with
+                // Algorithm D.
+                assert_eq!(got, order.sub(&square.rem_reference(order)), "a {a}");
+            }
         }
     }
 

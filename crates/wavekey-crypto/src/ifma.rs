@@ -23,14 +23,15 @@
 //!   table entry is read by a masked scan over all 32 entries.
 //! * [`comb_8`] (one fixed base) walks a [`CombTable`] of the base's
 //!   powers in 5-bit windows: one product per window and no squarings.
-//!   Each window's entry is read by a masked scan over all 31 of its
-//!   entries, and digit 0 multiplies by Montgomery one.
+//!   Each window's entry is picked from all 32 of its entries by
+//!   in-register permutes, and digit 0 multiplies by Montgomery one.
 //!
 //! In both walks the instruction stream and the addresses it touches do
 //! not depend on the exponents. The module compiles only on x86-64, and
 //! [`crate::bigint`] reaches it only after [`available`] has returned
 //! `true`.
 
+use std::arch::asm;
 use std::arch::x86_64::*;
 use std::sync::OnceLock;
 
@@ -104,13 +105,15 @@ impl Consts {
 /// Montgomery form.
 ///
 /// Entry `(i, d)`, for window `i < 205` and digit `d` in 1–31, is
-/// `g^(d·2^(5i))·R mod n` below `2n`, as 20 radix-2^52 limbs. The 127,100
-/// limbs are one flat slice, 1,016,800 bytes. A table exists only once
-/// [`comb_table`] has run, so holding one means the CPU has AVX-512F and
-/// AVX512-IFMA.
+/// `g^(d·2^(5i))·R mod n` below `2n`, as 20 radix-2^52 limbs, and entry
+/// `(i, 0)` is Montgomery one. Each window stores its entries limb-major:
+/// limb `j` of all 32 digits is one run of 32 words, four registers that
+/// [`scan`] permutes by digit. The 131,200 limbs are one flat slice,
+/// 1,049,600 bytes. A table exists only once [`comb_table`] has run, so
+/// holding one means the CPU has AVX-512F and AVX512-IFMA.
 #[derive(Debug, Clone)]
 pub(crate) struct CombTable {
-    /// Entry `(i, d)` at `[((i·31) + d − 1)·20..][..20]`.
+    /// Limb `j` of entry `(i, d)` at `[(i·20 + j)·32 + d]`.
     entries: Vec<u64>,
 }
 
@@ -208,7 +211,7 @@ pub(crate) unsafe fn mod_pow_8(
 ///
 /// Eight windows go through each lane pass: one product by `R² mod n`
 /// moves them into Montgomery form (digit 1), and 30 products form
-/// digits 2–31.
+/// digits 2–31. Digit 0 of every window is Montgomery one.
 ///
 /// # Safety
 ///
@@ -338,7 +341,10 @@ fn build_comb(c: &Consts, bases: &[[u64; 16]]) -> CombTable {
     let n = splat(&c.n);
     let k0 = _mm512_set1_epi64(c.k0 as i64);
     let rr = splat(&c.rr);
-    let mut entries = vec![0u64; COMB_WINDOWS * COMB_DIGITS * LIMBS];
+    let mut entries = vec![0u64; COMB_WINDOWS * LIMBS * TABLE];
+    for (slots, &one) in entries.chunks_exact_mut(TABLE).zip(c.one.iter().cycle()) {
+        slots[0] = one;
+    }
     for (pass, windows) in bases.chunks(LANES).enumerate() {
         // Lane l carries window 8·pass + l; lanes past the last window
         // carry 0, and are not stored.
@@ -352,7 +358,9 @@ fn build_comb(c: &Consts, bases: &[[u64; 16]]) -> CombTable {
             }
             for (l, lane) in from_lanes(&power).iter().take(windows.len()).enumerate() {
                 let i = pass * LANES + l;
-                entries[(i * COMB_DIGITS + d - 1) * LIMBS..][..LIMBS].copy_from_slice(lane);
+                for (j, &v) in lane.iter().enumerate() {
+                    entries[(i * LIMBS + j) * TABLE + d] = v;
+                }
             }
         }
     }
@@ -364,27 +372,30 @@ fn build_comb(c: &Consts, bases: &[[u64; 16]]) -> CombTable {
 fn comb_lanes(c: &Consts, t: &CombTable, exps: &[&[u64]; LANES]) -> [[u64; 16]; LANES] {
     let n = splat(&c.n);
     let k0 = _mm512_set1_epi64(c.k0 as i64);
-    let one = splat(&c.one);
-    let mut acc = scan(t, 0, load(&digits(exps, 0)), &one);
+    let mut acc = scan(t, 0, load(&digits(exps, 0)));
     for i in 1..COMB_WINDOWS {
-        let entry = scan(t, i, load(&digits(exps, i * WINDOW)), &one);
+        let entry = scan(t, i, load(&digits(exps, i * WINDOW)));
         acc = amm(&acc, &entry, &n, k0);
     }
     leave(c, &acc, &n, k0)
 }
 
-/// Window `i`'s entry for each lane's digit, starting from Montgomery
-/// `one` (digit 0) and overwritten by a masked broadcast of every
-/// entry's limbs, so no load address depends on a digit.
+/// Window `i`'s entry for each lane's digit. Each limb's 32 slots are
+/// loaded whole, and two `vpermt2q` and a blend on the digit's bit 4 pick
+/// each lane's slot inside the registers, so no load address depends on
+/// a digit.
 #[target_feature(enable = "avx512f")]
-fn scan(t: &CombTable, i: usize, digits: __m512i, one: &Num) -> Num {
-    let mut out = *one;
-    let window = &t.entries[i * COMB_DIGITS * LIMBS..][..COMB_DIGITS * LIMBS];
-    for (d, entry) in (1..).zip(window.chunks_exact(LIMBS)) {
-        let hit = _mm512_cmpeq_epi64_mask(digits, _mm512_set1_epi64(d));
-        for (o, &e) in out.iter_mut().zip(entry) {
-            *o = _mm512_mask_set1_epi64(*o, hit, e as i64);
-        }
+fn scan(t: &CombTable, i: usize, digits: __m512i) -> Num {
+    let upper = _mm512_test_epi64_mask(digits, _mm512_set1_epi64(16));
+    let window = &t.entries[i * LIMBS * TABLE..][..LIMBS * TABLE];
+    let mut out = [_mm512_setzero_si512(); LIMBS];
+    for (o, slots) in out.iter_mut().zip(window.chunks_exact(TABLE)) {
+        let q: [__m512i; 4] =
+            std::array::from_fn(|k| load(slots[k * LANES..][..LANES].try_into().expect("8 slots")));
+        // Bits 0–3 of each digit index the 16 slots of a register pair.
+        let lower = _mm512_permutex2var_epi64(q[0], digits, q[1]);
+        let higher = _mm512_permutex2var_epi64(q[2], digits, q[3]);
+        *o = _mm512_mask_blend_epi64(upper, lower, higher);
     }
     out
 }
@@ -403,60 +414,214 @@ fn select(tbl: &[Num; TABLE], digits: __m512i) -> Num {
     out
 }
 
+/// Template lines `op {p<d>}, {x}, [ptr + 64·j]`, one per `j d` pair.
+#[rustfmt::skip]
+macro_rules! madds {
+    ($op:literal, $x:literal, $ptr:literal; $($j:literal $d:literal)*) => {
+        concat!($($op, " {p", $d, "}, {", $x, "}, zmmword ptr [{", $ptr, "} + ", $j, "*64]\n",)*)
+    };
+}
+
+/// One row of [`amm`] on the frame whose position `j` is `{p<j>}`:
+/// `p += a·bi + m·n` with `m` chosen to clear `p0`, then `p0`'s carry
+/// goes up and the high halves land one position up, so `p0`, now
+/// zero, takes position 20 (the next frame's top limb).
+#[rustfmt::skip]
+macro_rules! row_template {
+    () => {
+        concat!(
+            madds!("vpmadd52luq", "bi", "a";
+                0 0 1 1 2 2 3 3 4 4 5 5 6 6 7 7 8 8 9 9
+                10 10 11 11 12 12 13 13 14 14 15 15 16 16 17 17 18 18 19 19),
+            // The REDC quotient: one 52-bit multiply-add, not a vpmullq.
+            "vpxorq {m}, {m}, {m}\n",
+            "vpmadd52luq {m}, {p0}, {k0}\n",
+            madds!("vpmadd52luq", "m", "n";
+                0 0 1 1 2 2 3 3 4 4 5 5 6 6 7 7 8 8 9 9
+                10 10 11 11 12 12 13 13 14 14 15 15 16 16 17 17 18 18 19 19),
+            "vpsrlq {t}, {p0}, 52\n",
+            "vpaddq {p1}, {p1}, {t}\n",
+            "vpxorq {p0}, {p0}, {p0}\n",
+            madds!("vpmadd52huq", "bi", "a";
+                0 1 1 2 2 3 3 4 4 5 5 6 6 7 7 8 8 9 9 10
+                10 11 11 12 12 13 13 14 14 15 15 16 16 17 17 18 18 19 19 0),
+            madds!("vpmadd52huq", "m", "n";
+                0 1 1 2 2 3 3 4 4 5 5 6 6 7 7 8 8 9 9 10
+                10 11 11 12 12 13 13 14 14 15 15 16 16 17 17 18 18 19 19 0),
+        )
+    };
+}
+
 /// Almost-Montgomery product `(a·b + m·n)/R`, lane by lane, for
 /// normalized `a`, `b < 2n`; the result is normalized and below `2n`.
 ///
 /// Row `i` adds `a·b[i]` and `m·n` into 20 accumulators with `m` chosen
-/// to clear the low limb, then drops that limb. Rows are unrolled and
-/// the frame rotates through constant indices (position `j` of row `i`
-/// lives in `acc[(i + j) % 20]`), so the accumulators stay in registers.
-/// Each accumulator gains at most four 52-bit halves per row over at
-/// most 20 rows, well inside 64 bits, so carries wait until the end.
+/// to clear the low limb, then drops that limb. Each row is one `asm!`
+/// block over [`row_template`] whose 20 accumulators are `zmm` register
+/// operands, and `a[j]` and `n[j]` are memory operands of the
+/// multiply-adds that read them, so the accumulators stay in registers
+/// for the whole product; `ci.sh` fails a release build whose `amm`
+/// stores more than 40 zmm registers (the result is 20). The frame
+/// rotates through constant indices (position `j` of row `i` is
+/// `acc[(i + j) % 20]`), so no register moves between rows. Each
+/// accumulator gains at most four 52-bit halves per row over at most 20
+/// rows, well inside 64 bits, so carries wait until the end.
 #[target_feature(enable = "avx512f,avx512ifma")]
 #[inline(never)]
 fn amm(a: &Num, b: &Num, n: &Num, k0: __m512i) -> Num {
-    let zero = _mm512_setzero_si512();
-    let mut acc = [zero; LIMBS];
-    macro_rules! row {
-        ($($i:literal)*) => {$({
-            let bi = b[$i];
-            for j in 0..LIMBS {
-                let s = ($i + j) % LIMBS;
-                acc[s] = _mm512_madd52lo_epu64(acc[s], a[j], bi);
+    let mut acc = [_mm512_setzero_si512(); LIMBS];
+    macro_rules! rows {
+        ($($i:literal)*) => {$(
+            // SAFETY: every memory operand reads `a[j]` or `n[j]` for
+            // `j < 20`, inside the two arrays, and this function's target
+            // features (AVX-512F, AVX512-IFMA) cover every instruction.
+            unsafe {
+                asm!(
+                    row_template!(),
+                    a = in(reg) a.as_ptr(),
+                    n = in(reg) n.as_ptr(),
+                    bi = in(zmm_reg) b[$i],
+                    k0 = in(zmm_reg) k0,
+                    m = out(zmm_reg) _,
+                    t = out(zmm_reg) _,
+                    p0 = inout(zmm_reg) acc[($i + 0) % LIMBS],
+                    p1 = inout(zmm_reg) acc[($i + 1) % LIMBS],
+                    p2 = inout(zmm_reg) acc[($i + 2) % LIMBS],
+                    p3 = inout(zmm_reg) acc[($i + 3) % LIMBS],
+                    p4 = inout(zmm_reg) acc[($i + 4) % LIMBS],
+                    p5 = inout(zmm_reg) acc[($i + 5) % LIMBS],
+                    p6 = inout(zmm_reg) acc[($i + 6) % LIMBS],
+                    p7 = inout(zmm_reg) acc[($i + 7) % LIMBS],
+                    p8 = inout(zmm_reg) acc[($i + 8) % LIMBS],
+                    p9 = inout(zmm_reg) acc[($i + 9) % LIMBS],
+                    p10 = inout(zmm_reg) acc[($i + 10) % LIMBS],
+                    p11 = inout(zmm_reg) acc[($i + 11) % LIMBS],
+                    p12 = inout(zmm_reg) acc[($i + 12) % LIMBS],
+                    p13 = inout(zmm_reg) acc[($i + 13) % LIMBS],
+                    p14 = inout(zmm_reg) acc[($i + 14) % LIMBS],
+                    p15 = inout(zmm_reg) acc[($i + 15) % LIMBS],
+                    p16 = inout(zmm_reg) acc[($i + 16) % LIMBS],
+                    p17 = inout(zmm_reg) acc[($i + 17) % LIMBS],
+                    p18 = inout(zmm_reg) acc[($i + 18) % LIMBS],
+                    p19 = inout(zmm_reg) acc[($i + 19) % LIMBS],
+                    options(nostack, readonly, preserves_flags),
+                );
             }
-            // The REDC quotient: one 52-bit multiply-add, not a vpmullq.
-            let m = _mm512_madd52lo_epu64(zero, acc[$i % LIMBS], k0);
-            for j in 0..LIMBS {
-                let s = ($i + j) % LIMBS;
-                acc[s] = _mm512_madd52lo_epu64(acc[s], n[j], m);
-            }
-            // The low limb is now a multiple of 2^52: carry it up and
-            // reuse its register as the next frame's top limb.
-            let carry = _mm512_srli_epi64::<52>(acc[$i % LIMBS]);
-            acc[$i % LIMBS] = zero;
-            acc[($i + 1) % LIMBS] = _mm512_add_epi64(acc[($i + 1) % LIMBS], carry);
-            // High halves land one limb up, position j of the next frame.
-            for j in 0..LIMBS {
-                let s = ($i + 1 + j) % LIMBS;
-                acc[s] = _mm512_madd52hi_epu64(acc[s], a[j], bi);
-                acc[s] = _mm512_madd52hi_epu64(acc[s], n[j], m);
-            }
-        })*};
+        )*};
     }
-    row!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19);
-    // After 20 rows position j is back in acc[j]; normalize to 52 bits.
+    rows!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19);
+    // After 20 rows position j is back in acc[j]; normalize to 52 bits
+    // into a fresh array. Returned as is, `acc` would be the caller's
+    // result memory, which a `readonly` row may read, so every row would
+    // first store all 20 accumulators there.
     let mask = _mm512_set1_epi64(MASK52 as i64);
-    for j in 0..LIMBS - 1 {
-        let carry = _mm512_srli_epi64::<52>(acc[j]);
-        acc[j] = _mm512_and_si512(acc[j], mask);
-        acc[j + 1] = _mm512_add_epi64(acc[j + 1], carry);
-    }
-    acc
+    let mut carry = _mm512_setzero_si512();
+    std::array::from_fn(|j| {
+        let v = _mm512_add_epi64(acc[j], carry);
+        carry = _mm512_srli_epi64::<52>(v);
+        if j < LIMBS - 1 {
+            _mm512_and_si512(v, mask)
+        } else {
+            v
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::Ubig;
+    use crate::group::MODP_1024_HEX;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// `x` (below 2^1024) as 16 little-endian limbs.
+    fn limbs(x: &Ubig) -> [u64; 16] {
+        let mut out = [0u64; 16];
+        x.write_limbs(&mut out);
+        out
+    }
+
+    /// A radix-2^52 value as a `Ubig`.
+    fn value(x: &[u64; LIMBS]) -> Ubig {
+        x.iter()
+            .rev()
+            .fold(Ubig::zero(), |v, &l| v.shl(52).add(&Ubig::from_u64(l)))
+    }
+
+    /// `MontgomeryCtx::new`'s lane constants for the 16-limb odd `u`: n'
+    /// by Newton iteration on the low limb, R² and R mod n.
+    fn consts(u: &Ubig) -> Consts {
+        let n = limbs(u);
+        let n_prime = (0..5).fold(n[0], |inv, _| {
+            inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)))
+        });
+        let [rr, one] = [2 * R_BITS, R_BITS].map(|bits| limbs(&Ubig::one().shl(bits).rem(u)));
+        Consts::new(&n, n_prime.wrapping_neg(), &rr, &one)
+    }
+
+    #[test]
+    fn lane_product_matches_ubig_at_carry_extremes() {
+        if !available() {
+            eprintln!("skipped: this CPU lacks AVX512-IFMA");
+            return;
+        }
+        let odd = Ubig::one().shl(1024).sub(&Ubig::from_u64(1_093_337));
+        for u in [Ubig::from_hex(MODP_1024_HEX), odd] {
+            let c = consts(&u);
+            let one = Ubig::one();
+            let two_n = u.add(&u);
+            // The value below 2n whose 19 low limbs are all 2^52 − 1.
+            let mut full = to_radix52(two_n.sub(&one).as_limbs());
+            full[LIMBS - 1] -= 1;
+            full[..LIMBS - 1].fill(MASK52);
+            let edges = [
+                Ubig::zero(),
+                one.clone(),
+                u.sub(&one),
+                u.clone(),
+                two_n.sub(&one),
+                Ubig::one().shl(R_BITS).rem(&u),
+                value(&full),
+            ];
+            let mut rng = StdRng::seed_from_u64(0x1F3A_0052);
+            let mut pairs: Vec<(Ubig, Ubig)> = edges
+                .iter()
+                .flat_map(|a| edges.iter().map(|b| (a.clone(), b.clone())))
+                .collect();
+            pairs.extend((0..1000).map(|_| {
+                (
+                    Ubig::random_below(&two_n, &mut rng),
+                    Ubig::random_below(&two_n, &mut rng),
+                )
+            }));
+            for group in pairs.chunks(LANES) {
+                let lanes = |pick: fn(&(Ubig, Ubig)) -> &Ubig| {
+                    std::array::from_fn(|l| {
+                        group
+                            .get(l)
+                            .map_or([0; LIMBS], |p| to_radix52(pick(p).as_limbs()))
+                    })
+                };
+                let (a, b) = (lanes(|p| &p.0), lanes(|p| &p.1));
+                // SAFETY: `available()` returned true above.
+                let products = unsafe {
+                    let k0 = _mm512_set1_epi64(c.k0 as i64);
+                    from_lanes(&amm(&to_lanes(&a), &to_lanes(&b), &splat(&c.n), k0))
+                };
+                for ((x, y), r) in group.iter().zip(&products) {
+                    assert!(
+                        r.iter().all(|&l| l <= MASK52),
+                        "{x} · {y}: limb above 52 bits"
+                    );
+                    let r = value(r);
+                    assert!(r.cmp_abs(&two_n).is_lt(), "{x} · {y}: result not below 2n");
+                    // r = x·y·R⁻¹ mod n, checked as r·R ≡ x·y.
+                    assert_eq!(r.shl(R_BITS).rem(&u), x.mul(y).rem(&u), "{x} · {y}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn radix52_roundtrips() {
@@ -485,23 +650,9 @@ mod tests {
             eprintln!("skipped: this CPU lacks AVX512-IFMA");
             return;
         }
-        use crate::bigint::{MontgomeryCtx, Ubig};
-        use crate::group::MODP_1024_HEX;
+        use crate::bigint::MontgomeryCtx;
         let u = Ubig::from_hex(MODP_1024_HEX);
-        let limbs = |x: &Ubig| -> [u64; 16] {
-            let be = x.to_be_bytes_padded(128);
-            std::array::from_fn(|i| {
-                u64::from_be_bytes(be[128 - 8 * (i + 1)..][..8].try_into().unwrap())
-            })
-        };
-        // `MontgomeryCtx::new`'s constants: n' by Newton iteration on the
-        // low limb (MODP-1024's is all ones, so n' = 1), R² and R mod n.
-        let n = limbs(&u);
-        let n_prime = (0..5).fold(n[0], |inv, _| {
-            inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)))
-        });
-        let [rr, one] = [2 * R_BITS, R_BITS].map(|bits| limbs(&Ubig::one().shl(bits).rem(&u)));
-        let c = Consts::new(&n, n_prime.wrapping_neg(), &rr, &one);
+        let c = consts(&u);
         let ctx = MontgomeryCtx::new(u.clone());
         let g = Ubig::from_u64(2);
         let bases: Vec<[u64; 16]> = (0..COMB_WINDOWS)
@@ -509,19 +660,15 @@ mod tests {
             .collect();
         // SAFETY: `available()` returned true above.
         let t = unsafe { comb_table(&c, &bases) };
-        assert_eq!(t.entries.len() * 8, 1_016_800);
+        assert_eq!(t.entries.len() * 8, 1_049_600);
         let two_n = u.add(&u);
         for i in [0, COMB_WINDOWS / 2, COMB_WINDOWS - 1] {
-            for d in 1..=COMB_DIGITS {
-                let entry: [u64; LIMBS] = t.entries[(i * COMB_DIGITS + d - 1) * LIMBS..][..LIMBS]
-                    .try_into()
-                    .unwrap();
-                let value = entry
-                    .iter()
-                    .rev()
-                    .fold(Ubig::zero(), |v, &l| v.shl(52).add(&Ubig::from_u64(l)));
+            // Digit 0 is Montgomery one, which leaves as g^0 = 1.
+            for d in 0..TABLE {
+                let entry: [u64; LIMBS] =
+                    std::array::from_fn(|j| t.entries[(i * LIMBS + j) * TABLE + d]);
                 assert!(
-                    value.cmp_abs(&two_n).is_lt(),
+                    value(&entry).cmp_abs(&two_n).is_lt(),
                     "entry ({i}, {d}) not below 2n"
                 );
                 // SAFETY: `available()` returned true above.

@@ -22,7 +22,7 @@
 //! secret pairs are one byte buffer ([`OtPairs`]). Wire decode and
 //! encode go straight between frame bytes and limbs.
 
-use crate::bigint::{ct_select_limbs, Ubig};
+use crate::bigint::ct_select_limbs;
 use crate::cipher::ctr_apply;
 use crate::group::DhGroup;
 use crate::sha256::sha256;
@@ -350,8 +350,7 @@ impl OtSender {
         group.pow_many(&msg_b.elements, &self.a, &mut na);
         let mut neg_a2 = vec![0u64; self.a.len()];
         for (a, e) in self.a.chunks_exact(k).zip(neg_a2.chunks_exact_mut(k)) {
-            let a = Ubig::from_limbs(a);
-            group.neg_exponent(&a.mul(&a)).write_limbs(e);
+            group.neg_square_exponent_into(a, e);
         }
         let mut g_neg_a2 = vec![0u64; self.a.len()];
         group.pow_g_many(&neg_a2, &mut g_neg_a2);
@@ -519,6 +518,7 @@ pub(crate) fn respond_to_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::Ubig;
     use crate::cipher::{ctr_decrypt, ctr_encrypt};
     use rand::{Rng, SeedableRng};
 
