@@ -1,17 +1,18 @@
-//! Machine-readable crypto micro-benchmarks: times the exponentiation
-//! kernels, SHA-256 and HMAC at the OT's and the access verify's input
-//! sizes, the 48-instance OT rounds and the full MODP-1024 agreement,
-//! then writes `results/BENCH_crypto.json` so future PRs can track the
-//! perf trajectory.
+//! Machine-readable crypto micro-benchmarks and the observability
+//! overhead gate: times the exponentiation kernels, SHA-256 and HMAC at
+//! the OT's and the access verify's input sizes, the 48-instance OT
+//! rounds and the full MODP-1024 agreement, then writes
+//! `results/BENCH_crypto.json`, the perf trajectory and the gate's
+//! baseline.
 //!
 //! ```text
 //! cargo run --release -p wavekey-bench --bin bench_crypto_json [out_path]
 //! ```
 //!
-//! Each op is warmed up once, then timed over enough iterations to fill
-//! a minimum measurement window (`WAVEKEY_BENCH_WINDOW` overrides the
-//! default 0.25 s; `WAVEKEY_THREADS` caps the parallelism as everywhere
-//! else). The JSON schema is a flat list:
+//! Each row is warmed up once, then timed over enough iterations to fill
+//! a 0.25 s window ([`wavekey_bench::timing::time_window`];
+//! `WAVEKEY_THREADS` caps the parallelism as everywhere else). The JSON
+//! schema is a flat list:
 //! `{ "op": str, "mean_ns": float, "iters": int, "throughput_per_s": float }`,
 //! with `*_x48` ops reporting per-exponentiation cost (total / 48), then
 //! one record naming the 16-limb Montgomery kernel the run used
@@ -19,17 +20,34 @@
 //! naming the kernel behind `DhGroup::pow_many` and the comb walk of
 //! `DhGroup::pow_g_many`
 //! (`{"op": "pow_many_kernel_1024", "kernel": "ifma8" | "scalar"}`),
-//! and one naming the SHA-256 compression kernel behind the two hash
-//! rows (`{"op": "sha256_kernel", "kernel": "shani" | "portable"}`).
+//! one naming the SHA-256 compression kernel behind the two hash
+//! rows (`{"op": "sha256_kernel", "kernel": "shani" | "portable"}`), and
+//! the overhead gate's record (`{"op": "agreement_over_control",
+//! "median_ratio": float, "rounds": int, "threads": 1}`).
 //!
 //! On `ifma8` hosts the single-call `modp1024_pow_g_fixed_base` and
 //! `modp1024_inv_pow_g` rows time a lane group of eight padded around
 //! one exponent; `modp1024_pow_g_x48` is the per-walk cost of the
 //! 48-exponent calls the OT makes.
+//!
+//! **The overhead gate.** The full agreement, observability compiled in
+//! with no collector attached, must stay within 1 % of the baseline.
+//! Host speed drifts by far more than 1 % between runs, so the agreement
+//! is timed against a control op, `ot_batch48_three_rounds`: its hot
+//! path has no observability attach point (the OT calls take no `Obs`
+//! handle; the machines time the rounds on their logical clocks) and it
+//! runs the same kernels for about half the time. The two alternate
+//! call by call on one thread ([`wavekey_bench::timing::alternate`]),
+//! and the record holds the median of the per-round agreement/control
+//! ratios with that width. A run that writes anywhere but
+//! `results/BENCH_crypto.json` compares its ratio with that file's and
+//! exits non-zero when it is more than 1 % higher; the gate is
+//! one-sided, a faster agreement passes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
+use wavekey_bench::gate::{self, Check};
+use wavekey_bench::timing::{alternate, median_ratio, time_window};
 use wavekey_core::agreement::{run_agreement, AgreementConfig};
 use wavekey_core::channel::PassiveChannel;
 use wavekey_crypto::bigint::{mont_kernel_1024, pow_many_kernel_1024, Ubig};
@@ -37,16 +55,17 @@ use wavekey_crypto::group::DhGroup;
 use wavekey_crypto::ot::{OtPairs, OtReceiver, OtSender};
 use wavekey_crypto::sha256::sha256_kernel;
 use wavekey_crypto::{hmac_sha256, sha256};
+use wavekey_obs::Json;
 
-/// Minimum total measurement time per op (seconds); `WAVEKEY_BENCH_WINDOW`
-/// overrides it (the CI overhead gate uses a longer window so the slow
-/// full-agreement op averages over enough iterations to be stable).
-fn min_window() -> f64 {
-    std::env::var("WAVEKEY_BENCH_WINDOW")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.25)
-}
+/// Minimum measurement window per row, in seconds.
+const WINDOW_S: f64 = 0.25;
+/// The overhead gate's baseline, and the default output.
+const BASELINE: &str = "results/BENCH_crypto.json";
+/// Rounds of the alternating agreement/control timing: about 10 s at
+/// ~22 and ~11 ms per call on one thread.
+const OVERHEAD_ROUNDS: usize = 300;
+/// How far the agreement/control ratio may rise above the baseline's.
+const OVERHEAD_TOL: f64 = 0.01;
 
 struct Sample {
     op: String,
@@ -54,30 +73,33 @@ struct Sample {
     iters: usize,
 }
 
-/// Times `f` adaptively: doubles the iteration count until one run
-/// lasts at least `window` seconds, then reports that run's mean.
-fn time_op<F: FnMut()>(op: &str, window: f64, mut f: F) -> Sample {
-    f(); // warm-up (also warms caches / lazy statics)
-    let mut iters = 1usize;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= window {
-            return Sample { op: op.into(), mean_ns: elapsed * 1e9 / iters as f64, iters };
-        }
-        iters *= 2;
-    }
+/// Times one row over the window, as the mean per item of a closure
+/// that processes `per_call` items per call.
+fn time_op<F: FnMut()>(op: &str, per_call: usize, f: F) -> Sample {
+    let (mean_ns, iters) = time_window(WINDOW_S, f);
+    Sample { op: op.into(), mean_ns: mean_ns / per_call as f64, iters }
 }
 
-/// Like [`time_op`], but reports the amortized per-item mean for a
-/// closure that processes `n` items per call.
-fn time_op_amortized<F: FnMut()>(op: &str, window: f64, n: usize, f: F) -> Sample {
-    let mut s = time_op(op, window, f);
-    s.mean_ns /= n as f64;
-    s
+/// The overhead gate: the fresh agreement/control ratio against the
+/// baseline's.
+fn overhead_check(ratio: f64, baseline_ratio: f64) -> Check {
+    Check::at_most("agreement/control vs baseline", ratio / baseline_ratio - 1.0, OVERHEAD_TOL)
+}
+
+/// The median ratio recorded in the baseline file.
+fn baseline_ratio() -> f64 {
+    let text = std::fs::read_to_string(BASELINE)
+        .unwrap_or_else(|e| panic!("overhead gate baseline {BASELINE}: {e}"));
+    Json::parse(&text)
+        .as_ref()
+        .and_then(Json::as_arr)
+        .and_then(|rows| {
+            rows.iter()
+                .find(|r| r.get("op").and_then(Json::as_str) == Some("agreement_over_control"))
+        })
+        .and_then(|r| r.get("median_ratio"))
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("{BASELINE} has no agreement_over_control median_ratio"))
 }
 
 /// The standard 48-instance three-round OT workload on `group`. Returns
@@ -103,19 +125,10 @@ fn ot48_inputs() -> (OtPairs, Vec<bool>) {
     (secrets, choices)
 }
 
-fn write_out(out_path: &str, json: &str) {
-    if let Some(parent) = std::path::Path::new(out_path).parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    std::fs::write(out_path, json).expect("write bench json");
-    println!("\nwrote {out_path}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut rng = StdRng::seed_from_u64(7);
-    let out_path = args.first().cloned().unwrap_or_else(|| "results/BENCH_crypto.json".into());
-    let window = min_window();
+    let out_path = args.first().cloned().unwrap_or_else(|| BASELINE.into());
 
     let group = DhGroup::modp_1024_shared();
     let x = group.random_exponent(&mut rng);
@@ -127,21 +140,21 @@ fn main() {
 
     // `H(element)` of the OT: one 128-byte MODP-1024 element, three blocks.
     let element = base.to_be_bytes_padded(128);
-    samples.push(time_op("sha256_128B", window, || {
+    samples.push(time_op("sha256_128B", 1, || {
         std::hint::black_box(sha256(std::hint::black_box(&element)));
     }));
     // The access verify: a 32-byte key over a 32-byte message, four blocks.
     let (key, message) = ([0x5a; 32], [0xa5; 32]);
-    samples.push(time_op("hmac_sha256_32B", window, || {
+    samples.push(time_op("hmac_sha256_32B", 1, || {
         std::hint::black_box(hmac_sha256(std::hint::black_box(&key), &message));
     }));
-    samples.push(time_op("modp1024_mod_mul", window, || {
+    samples.push(time_op("modp1024_mod_mul", 1, || {
         std::hint::black_box(group.mul(&base, &other));
     }));
-    samples.push(time_op("modp1024_pow_g_fixed_base", window, || {
+    samples.push(time_op("modp1024_pow_g_fixed_base", 1, || {
         std::hint::black_box(group.pow_g(&x));
     }));
-    samples.push(time_op("modp1024_general_modexp", window, || {
+    samples.push(time_op("modp1024_general_modexp", 1, || {
         std::hint::black_box(group.pow(&base, &x));
     }));
     // 48 general exponentiations in one `pow_many` call, the shape of
@@ -157,17 +170,17 @@ fn main() {
         group.random_exponent_into(&mut rng48, e);
     }
     let mut powers = vec![0u64; 48 * k];
-    samples.push(time_op_amortized("modp1024_general_modexp_x48", window, 48, || {
+    samples.push(time_op("modp1024_general_modexp_x48", 48, || {
         group.pow_many(&bases, &exps, &mut powers);
         std::hint::black_box(&powers);
     }));
     // 48 comb walks in one `pow_g_many` call, the shape of rounds A and B
     // and the `k¹` fold.
-    samples.push(time_op_amortized("modp1024_pow_g_x48", window, 48, || {
+    samples.push(time_op("modp1024_pow_g_x48", 48, || {
         group.pow_g_many(&exps, &mut powers);
         std::hint::black_box(&powers);
     }));
-    samples.push(time_op("modp1024_inv_pow_g", window, || {
+    samples.push(time_op("modp1024_inv_pow_g", 1, || {
         std::hint::black_box(group.inv_pow_g(&x));
     }));
 
@@ -178,24 +191,25 @@ fn main() {
     let (sender, ma) = OtSender::start(group, secrets, &mut StdRng::seed_from_u64(20));
     let (_, mb) =
         OtReceiver::respond(group, &choices, &ma, &mut StdRng::seed_from_u64(21)).unwrap();
-    samples.push(time_op("modp1024_ot_sender_encrypt48", window, || {
+    samples.push(time_op("modp1024_ot_sender_encrypt48", 1, || {
         std::hint::black_box(sender.encrypt(group, &mb).unwrap());
     }));
 
-    samples.push(time_op("ot_batch48_three_rounds", window, || {
+    let control = || {
         std::hint::black_box(ot48(group));
-    }));
+    };
+    samples.push(time_op("ot_batch48_three_rounds", 1, control));
 
     let s: Vec<bool> = (0..48).map(|_| rng.gen()).collect();
     let config = AgreementConfig { tau: 10.0, ..Default::default() };
-    samples.push(time_op("agreement_full_modp1024_seed48_key256", window, || {
+    let agreement = || {
         let mut rng_m = StdRng::seed_from_u64(31);
         let mut rng_s = StdRng::seed_from_u64(32);
         std::hint::black_box(
-            run_agreement(&s, &s, &config, &mut rng_m, &mut rng_s, &mut PassiveChannel)
-                .unwrap(),
+            run_agreement(&s, &s, &config, &mut rng_m, &mut rng_s, &mut PassiveChannel).unwrap(),
         );
-    }));
+    };
+    samples.push(time_op("agreement_full_modp1024_seed48_key256", 1, agreement));
 
     // Flat JSON array, written by hand: the bench harness must not pull
     // in a serializer for a handful of records.
@@ -219,22 +233,48 @@ fn main() {
     json.push_str(&format!("  {{\"op\": \"pow_many_kernel_1024\", \"kernel\": \"{lanes}\"}},\n"));
     let hash = sha256_kernel();
     println!("{:<46} {hash}", "sha256_kernel");
-    json.push_str(&format!("  {{\"op\": \"sha256_kernel\", \"kernel\": \"{hash}\"}}\n]\n"));
+    json.push_str(&format!("  {{\"op\": \"sha256_kernel\", \"kernel\": \"{hash}\"}},\n"));
 
-    write_out(&out_path, &json);
+    let ratio = median_ratio(&alternate(OVERHEAD_ROUNDS, agreement, control));
+    println!(
+        "{:<46} {ratio:.4} (median of {OVERHEAD_ROUNDS} rounds, one thread)",
+        "agreement_over_control"
+    );
+    json.push_str(&format!(
+        "  {{\"op\": \"agreement_over_control\", \"median_ratio\": {ratio:.4}, \
+         \"rounds\": {OVERHEAD_ROUNDS}, \"threads\": 1}}\n]\n"
+    ));
+    wavekey_bench::write_results(&out_path, &json);
+
+    if out_path != BASELINE {
+        gate::enforce("observability overhead", &[overhead_check(ratio, baseline_ratio())]);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The gate's decision on synthetic rounds of (agreement, control)
+    /// seconds, against a baseline ratio of 2.
+    fn decide(rounds: &[(f64, f64)]) -> bool {
+        overhead_check(median_ratio(rounds), 2.0).pass
+    }
+
     #[test]
-    fn fast_ops_are_timed_over_the_whole_window() {
-        let window = 0.002;
-        let s = time_op("noop", window, || {
-            std::hint::black_box(0u64);
-        });
-        let total_ns = s.iters as f64 * s.mean_ns;
-        assert!(total_ns >= window * 1e9, "{} iters over {total_ns} ns", s.iters);
+    fn equal_sides_pass() {
+        assert!(decide(&[(0.012, 0.006); 300]));
+    }
+
+    #[test]
+    fn a_slow_phase_over_both_sides_passes() {
+        let rounds: Vec<_> =
+            (0..300).map(|i| if i < 150 { (0.024, 0.012) } else { (0.012, 0.006) }).collect();
+        assert!(decide(&rounds));
+    }
+
+    #[test]
+    fn an_agreement_ten_percent_slower_fails() {
+        assert!(!decide(&[(0.0132, 0.006); 300]));
     }
 }

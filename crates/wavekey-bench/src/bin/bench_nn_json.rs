@@ -1,8 +1,9 @@
-//! Machine-readable NN kernel benchmarks: times forward+backward on every
-//! layer shape the WaveKey models actually use, under both the blocked
-//! im2col/GEMM kernels and the pinned naive reference loops, then runs a
-//! reduced-epoch `train` on production-shaped batches with each backend and
-//! writes `results/BENCH_nn.json` so ci.sh can gate the training speedup.
+//! Machine-readable NN kernel benchmarks and the neural training-speed
+//! and int8 inference gates. Times forward+backward on every layer shape
+//! the WaveKey models actually use, under both the blocked im2col/GEMM
+//! kernels and the pinned naive reference loops, trains on
+//! production-shaped batches with each backend, calibrates the int8
+//! encoders, and writes `results/BENCH_nn.json`.
 //!
 //! ```text
 //! cargo run --release -p wavekey-bench --bin bench_nn_json [out_path]
@@ -12,20 +13,30 @@
 //! `{ "op": str, "reference_ns": float, "gemm_ns": float, "speedup": float }`;
 //! int8 records are `{ "op": str, "f32_ns": float, "int8_ns": float,
 //! "int8_speedup": float }` (inference-shaped, batch 1) followed by one
-//! `int8_quantization_summary` record carrying the ci.sh int8-gate fields:
+//! `int8_quantization_summary` record carrying the int8 gate's fields:
 //! `encoder_int8_speedup` (the slower of the two encoders' whole-forward
 //! speedups), `seeds_bit_identical` (quantized key-seeds equal the f32
 //! seeds on every corpus window), `model_bytes_f64`/`model_bytes_int8` and
 //! their `int8_size_ratio`, plus `wavekey_threads` (the `WAVEKEY_THREADS`
-//! cap in effect, 0 = unset, recorded the way `bench_crypto_json` does).
-//! The final record is the training comparison with `reference_s`/`gemm_s`/
-//! `train_speedup` plus `loss_bit_identical`, which must be `true`: the GEMM
-//! lowering preserves accumulation order, so the two backends produce
-//! bit-identical loss curves and models.
+//! cap in effect, 0 = unset). The final record is the training comparison
+//! with `reference_s`/`gemm_s` (per-side medians), `train_speedup` and
+//! `loss_bit_identical`: the GEMM lowering preserves accumulation order,
+//! so the two backends produce bit-identical loss curves and models.
 //!
-//! The run also appends one `nn_int8_*` line to `results/TREND.jsonl`.
+//! Layer and per-op rows time each side over its own adaptive window and
+//! are informational. The two gated speedups time their sides call by
+//! call in alternation on one thread ([`wavekey_bench::timing::alternate`])
+//! and take the median of the per-round ratios, so a slow phase of the
+//! host hits both sides of a round alike: whole GEMM against whole reference
+//! trainings (fresh models, same seed, bit-identity checked on every
+//! pair), and each encoder's f32 against its int8 forward. The gates, at
+//! the bounds below: losses and models bit-identical, training speedup
+//! ≥ 2.5×, both encoders calibrated with bit-identical int8 seeds, int8
+//! encoder speedup ≥ 2.0×, and int8 bytes ≤ 0.30 of f64. The run exits
+//! non-zero when one fails.
 
-use std::time::Instant;
+use wavekey_bench::gate::{self, Check};
+use wavekey_bench::timing::{alternate, median, median_ratio, time_window};
 use wavekey_core::dataset::{generate, DatasetConfig};
 use wavekey_core::model::WaveKeyModels;
 use wavekey_core::quantize::calibrate;
@@ -39,36 +50,46 @@ use wavekey_nn::net::Sequential;
 use wavekey_nn::quant::QuantizedSequential;
 use wavekey_nn::tensor::Tensor;
 use wavekey_nn::{set_kernel_backend, KernelBackend};
-use wavekey_obs::Json;
 
-/// Minimum total measurement time per op (seconds); `WAVEKEY_BENCH_WINDOW`
-/// overrides it.
-fn min_window() -> f64 {
-    std::env::var("WAVEKEY_BENCH_WINDOW")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.2)
+/// Minimum measurement window per informational row, in seconds.
+const WINDOW_S: f64 = 0.2;
+/// Alternating rounds of whole GEMM and reference trainings.
+const TRAIN_ROUNDS: usize = 15;
+/// Alternating rounds of f32 and int8 forwards, per encoder.
+const ENCODER_ROUNDS: usize = 2_000;
+/// The GEMM backend's floor over the reference loops, whole training.
+const TRAIN_SPEEDUP_MIN: f64 = 2.5;
+/// The int8 floor over the f32 forward, the slower of the two encoders.
+const INT8_SPEEDUP_MIN: f64 = 2.0;
+/// The int8 models' ceiling as a share of the f64 serialization.
+const INT8_SIZE_RATIO_MAX: f64 = 0.30;
+
+/// Mean nanoseconds per call of `f` over the window.
+fn time_ns<F: FnMut()>(f: F) -> f64 {
+    time_window(WINDOW_S, f).0
 }
-/// Iteration cap for very slow ops.
-const MAX_ITERS: usize = 4_096;
 
-/// Times `f` adaptively: doubles the iteration count until the run exceeds
-/// [`min_window`], then reports the mean in nanoseconds.
-fn time_ns<F: FnMut()>(mut f: F) -> f64 {
-    let min_window = min_window();
-    f(); // warm-up
-    let mut iters = 1usize;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= min_window || iters >= MAX_ITERS {
-            return elapsed * 1e9 / iters as f64;
-        }
-        iters = (iters * 2).min(MAX_ITERS);
-    }
+/// The two gates: bit-identical trainings at the speedup floor, and both
+/// encoders calibrated, with bit-identical seeds, at the int8 speedup
+/// floor and size ceiling.
+fn checks(
+    loss_bit_identical: bool,
+    train_speedup: f64,
+    imu_quantized: bool,
+    rf_quantized: bool,
+    seeds_bit_identical: bool,
+    int8_speedup: f64,
+    int8_size_ratio: f64,
+) -> Vec<Check> {
+    vec![
+        Check::holds("losses and models bit-identical", loss_bit_identical),
+        Check::at_least("training speedup (x)", train_speedup, TRAIN_SPEEDUP_MIN),
+        Check::holds("imu encoder calibrated", imu_quantized),
+        Check::holds("rf encoder calibrated", rf_quantized),
+        Check::holds("int8 seeds bit-identical", seeds_bit_identical),
+        Check::at_least("int8 encoder speedup (x)", int8_speedup, INT8_SPEEDUP_MIN),
+        Check::at_most("int8 bytes / f64 bytes", int8_size_ratio, INT8_SIZE_RATIO_MAX),
+    ]
 }
 
 struct LayerRecord {
@@ -81,12 +102,7 @@ struct Int8Record {
     op: &'static str,
     f32_ns: f64,
     int8_ns: f64,
-}
-
-impl Int8Record {
-    fn speedup(&self) -> f64 {
-        self.f32_ns / self.int8_ns
-    }
+    speedup: f64,
 }
 
 /// Dataset samples are un-batched `[C, L]`; the conv stacks want
@@ -103,39 +119,15 @@ fn input_q(n: usize) -> Vec<i16> {
 }
 
 /// Prints and records one f32-vs-int8 comparison.
-fn int8_record(op: &'static str, f32_ns: f64, int8_ns: f64) -> Int8Record {
-    println!(
-        "{:<34} f32 {:>12.0} ns  int8 {:>12.0} ns  speedup {:>5.2}x",
-        op,
-        f32_ns,
-        int8_ns,
-        f32_ns / int8_ns
-    );
-    Int8Record { op, f32_ns, int8_ns }
+fn int8_record(op: &'static str, f32_ns: f64, int8_ns: f64, speedup: f64) -> Int8Record {
+    println!("{op:<34} f32 {f32_ns:>12.0} ns  int8 {int8_ns:>12.0} ns  speedup {speedup:>5.2}x");
+    Int8Record { op, f32_ns, int8_ns, speedup }
 }
 
-/// Appends one int8-inference line to the `results/TREND.jsonl` run
-/// ledger (same pattern as `load_gen` / `gateway_soak`).
-fn append_trend(encoder_speedup: f64, seeds_identical: bool, size_ratio: f64) -> u64 {
-    let prior = std::fs::read_to_string("results/TREND.jsonl").unwrap_or_default();
-    let run = prior
-        .lines()
-        .rev()
-        .find(|l| !l.trim().is_empty())
-        .and_then(Json::parse)
-        .as_ref()
-        .and_then(|j| j.get("run"))
-        .and_then(Json::as_f64)
-        .map_or(1, |r| r as u64 + 1);
-    let line = Json::obj(vec![
-        ("run", Json::Num(run as f64)),
-        ("nn_int8_encoder_speedup", Json::Num(encoder_speedup)),
-        ("nn_int8_seeds_bit_identical", Json::Bool(seeds_identical)),
-        ("nn_int8_size_ratio", Json::Num(size_ratio)),
-    ]);
-    let appended = format!("{}{}\n", prior, line.to_string_compact());
-    wavekey_bench::write_results("results/TREND.jsonl", &appended);
-    run
+/// Each side's median of alternated rounds, in nanoseconds.
+fn side_medians(rounds: &[(f64, f64)]) -> (f64, f64) {
+    let side = |pick: fn(&(f64, f64)) -> f64| median(rounds.iter().map(pick).collect()) * 1e9;
+    (side(|r| r.0), side(|r| r.1))
 }
 
 /// A deterministic pseudo-random input tensor (no RNG needed: layer seeds
@@ -224,24 +216,31 @@ fn main() {
     let config = TrainingConfig { epochs: 3, ..Default::default() };
     let seed = 0x5eed;
 
+    // One whole training per backend: fresh models, the same seed.
     let run_train = |backend| {
         set_kernel_backend(backend);
         let mut models = WaveKeyModels::new(config.l_f, seed);
-        let start = Instant::now();
         let report = train(&mut models, &dataset, &config, seed).expect("train");
-        (start.elapsed().as_secs_f64(), report.epoch_losses, models.encode())
+        (report.epoch_losses, models.encode())
     };
-    let (gemm_s, gemm_losses, gemm_model) = run_train(KernelBackend::Gemm);
-    let (reference_s, reference_losses, reference_model) = run_train(KernelBackend::Reference);
+    let (mut reference_runs, mut gemm_runs) = (Vec::new(), Vec::new());
+    let rounds = alternate(
+        TRAIN_ROUNDS,
+        || reference_runs.push(run_train(KernelBackend::Reference)),
+        || gemm_runs.push(run_train(KernelBackend::Gemm)),
+    );
     set_kernel_backend(KernelBackend::Gemm);
 
-    let loss_bit_identical =
-        gemm_losses == reference_losses && gemm_model == reference_model;
-    let train_speedup = reference_s / gemm_s;
+    let loss_bit_identical = reference_runs == gemm_runs;
+    let train_speedup = median_ratio(&rounds);
+    let (reference_ns, gemm_ns) = side_medians(&rounds);
+    let (reference_s, gemm_s) = (reference_ns / 1e9, gemm_ns / 1e9);
     println!(
         "train_autoencoders  ref {reference_s:.3} s  gemm {gemm_s:.3} s  \
-         speedup {train_speedup:.2}x  loss_bit_identical {loss_bit_identical}"
+         speedup {train_speedup:.2}x (median of {TRAIN_ROUNDS} rounds)  \
+         loss_bit_identical {loss_bit_identical}"
     );
+    let gemm_model = gemm_runs.swap_remove(0).1;
 
     // Quantized inference: calibrate int8 encoders against the training
     // corpus, verify key-seed equivalence end to end, and time the int8
@@ -311,7 +310,7 @@ fn main() {
                 q.forward(&xq, shape[2], &mut cols, &mut acc, &mut out);
                 std::hint::black_box(&out);
             });
-            int8_record(op, f32_ns, int8_ns)
+            int8_record(op, f32_ns, int8_ns, f32_ns / int8_ns)
         };
         int8_records.push(conv_pair(
             "imu_conv1_int8_3x8k7s2_l200",
@@ -343,25 +342,30 @@ fn main() {
         let int8_ns = time_ns(|| {
             std::hint::black_box(q_dense.forward(&xq, &mut acc));
         });
-        int8_records.push(int8_record("enc_dense_int8_752x12", f32_ns, int8_ns));
+        int8_records.push(int8_record("enc_dense_int8_752x12", f32_ns, int8_ns, f32_ns / int8_ns));
     }
 
-    // Whole-encoder forwards: the quantity the ci.sh int8 gate floors.
-    let encoder_pair = |op, net: &mut Sequential, q: &mut QuantizedSequential, shape: Vec<usize>| {
-        let x = input(shape);
-        let f32_ns = time_ns(|| {
-            std::hint::black_box(net.forward(&x, false));
-        });
-        let int8_ns = time_ns(|| {
-            std::hint::black_box(q.forward(&x));
-        });
-        int8_record(op, f32_ns, int8_ns)
-    };
+    // Whole-encoder forwards, the int8 gate's speedup: alternated rounds.
+    let encoder_pair =
+        |op, net: &mut Sequential, q: &mut QuantizedSequential, shape: Vec<usize>| {
+            let x = input(shape);
+            let rounds = alternate(
+                ENCODER_ROUNDS,
+                || {
+                    std::hint::black_box(net.forward(&x, false));
+                },
+                || {
+                    std::hint::black_box(q.forward(&x));
+                },
+            );
+            let (f32_ns, int8_ns) = side_medians(&rounds);
+            int8_record(op, f32_ns, int8_ns, median_ratio(&rounds))
+        };
     let imu_encoder =
         encoder_pair("imu_encoder_int8_3x200", &mut models.imu_en, &mut q_imu, vec![1, 3, 200]);
     let rf_encoder =
         encoder_pair("rf_encoder_int8_3x400", &mut models.rf_en, &mut q_rf, vec![1, 3, 400]);
-    let encoder_int8_speedup = imu_encoder.speedup().min(rf_encoder.speedup());
+    let encoder_int8_speedup = imu_encoder.speedup.min(rf_encoder.speedup);
     int8_records.push(imu_encoder);
     int8_records.push(rf_encoder);
 
@@ -380,7 +384,7 @@ fn main() {
         let int8_ns = time_ns(|| {
             std::hint::black_box(int8_session.derive_seeds().expect("sensing pipeline"));
         });
-        int8_record("sense_to_seed_stage", f32_ns, int8_ns)
+        int8_record("sense_to_seed_stage", f32_ns, int8_ns, f32_ns / int8_ns)
     };
 
     let wavekey_threads = wavekey_par::configured_threads().unwrap_or(0);
@@ -390,8 +394,6 @@ fn main() {
          ({:.1}%)",
         int8_size_ratio * 100.0
     );
-    let trend_run = append_trend(encoder_int8_speedup, seeds_bit_identical, int8_size_ratio);
-    println!("trend run {trend_run} appended to results/TREND.jsonl");
 
     // Flat JSON array, written by hand (no serializer needed here).
     let mut json = String::from("[\n");
@@ -410,7 +412,7 @@ fn main() {
             r.op,
             r.f32_ns,
             r.int8_ns,
-            r.speedup()
+            r.speedup
         ));
     }
     json.push_str(&format!(
@@ -433,9 +435,40 @@ fn main() {
         reference_s, gemm_s, train_speedup, loss_bit_identical
     ));
 
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(parent).ok();
+    wavekey_bench::write_results(&out_path, &json);
+
+    let checks = checks(
+        loss_bit_identical,
+        train_speedup,
+        outcome.imu_quantized,
+        outcome.rf_quantized,
+        seeds_bit_identical,
+        encoder_int8_speedup,
+        int8_size_ratio,
+    );
+    gate::enforce("neural training-speed and int8 inference", &checks);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wavekey_bench::gate::failing;
+
+    #[test]
+    fn each_condition_fails_alone() {
+        let t = true;
+        assert!(failing(&checks(t, 2.5, t, t, t, 2.0, 0.30)).is_empty());
+        let cases = [
+            (checks(false, 2.5, t, t, t, 2.0, 0.30), "losses and models bit-identical"),
+            (checks(t, 2.49, t, t, t, 2.0, 0.30), "training speedup (x)"),
+            (checks(t, 2.5, false, t, t, 2.0, 0.30), "imu encoder calibrated"),
+            (checks(t, 2.5, t, false, t, 2.0, 0.30), "rf encoder calibrated"),
+            (checks(t, 2.5, t, t, false, 2.0, 0.30), "int8 seeds bit-identical"),
+            (checks(t, 2.5, t, t, t, 1.99, 0.30), "int8 encoder speedup (x)"),
+            (checks(t, 2.5, t, t, t, 2.0, 0.31), "int8 bytes / f64 bytes"),
+        ];
+        for (checks, name) in cases {
+            assert_eq!(failing(&checks), [name]);
+        }
     }
-    std::fs::write(&out_path, json).expect("write BENCH_nn.json");
-    println!("\nwrote {out_path}");
 }

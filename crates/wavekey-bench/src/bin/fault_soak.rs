@@ -1,7 +1,7 @@
-//! Chaos soak: many concurrent gateway sessions under the reference
-//! [`FaultPlan`] mixture on the [`SimNet`], with and without the
-//! recovery layer, plus a fault-free differential control. Writes
-//! `results/BENCH_faults.json` (consumed by the ci.sh fault-soak gate).
+//! Chaos soak and its gate: many concurrent gateway sessions under the
+//! reference [`FaultPlan`] mixture on the [`SimNet`], with and without
+//! the recovery layer, plus a fault-free differential control. Writes
+//! `results/BENCH_faults.json` and exits non-zero when a check fails.
 //!
 //! ```text
 //! cargo run --release -p wavekey-bench --bin fault_soak [out_path]
@@ -10,13 +10,13 @@
 //! Three arms, all fully deterministic in the baked-in seeds:
 //!
 //! 1. **no recovery** — the reference fault mixture with retries
-//!    disabled. Most sessions die: the gate requires `< 50%` survival,
+//!    disabled. Most sessions die: survival must stay below 50 %,
 //!    demonstrating the mixture actually bites.
 //! 2. **recovered** — the same mixture with [`RetryPolicy::arq`]:
 //!    retransmission, NAK/re-send, duplicate suppression, and reorder
-//!    deferral must lift survival to `>= WAVEKEY_FAULT_SOAK_MIN`
-//!    (default 0.90). Every surviving session must hold *matching*
-//!    mobile/server keys — `divergent_key_successes` must be 0.
+//!    deferral must lift survival to at least 90 %. Every surviving
+//!    session must hold *matching* mobile/server keys:
+//!    `divergent_key_successes` must be 0.
 //! 3. **fault-free control** — retries enabled but a passive channel:
 //!    every key must be bit-identical to the lockstep `run_agreement`
 //!    driver with mirrored seeds and RNGs (the server's from
@@ -24,12 +24,13 @@
 //!    inert without faults.
 //!
 //! A sensing-layer section additionally pushes the reference IMU/RFID
-//! fault mixtures through both processing pipelines to confirm the
-//! front-end absorbs them without panicking.
+//! fault mixtures through both processing pipelines: all 16 seeds must
+//! process cleanly end to end.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wavekey_bench::fleet::{run_fleet, Fleet};
+use wavekey_bench::gate::{self, Check};
 use wavekey_bench::traffic::soak_config;
 use wavekey_core::agreement::{run_agreement, RetryPolicy};
 use wavekey_core::channel::PassiveChannel;
@@ -51,6 +52,25 @@ use wavekey_math::Vec3;
 const SESSIONS: u64 = 96;
 const SEED_LEN: usize = 24;
 const FAULT_SEED: u64 = 0xFA_117;
+/// Survival without recovery stays below this, or the mixture is too
+/// gentle to test recovery.
+const NO_RECOVERY_MAX: f64 = 0.5;
+/// The recovery layer's survival floor.
+const RECOVERED_MIN: f64 = 0.90;
+/// Sensing-layer seeds, every one of which must process cleanly.
+const SENSING_RUNS: u64 = 16;
+
+/// The gate: survival without and with recovery, divergent-key
+/// successes, the fault-free arm's bit-identity, and clean sensing seeds.
+fn checks(bare: f64, recovered: f64, divergent: u64, identical: bool, sensing: u64) -> Vec<Check> {
+    vec![
+        Check::below("no-recovery survival", bare, NO_RECOVERY_MAX),
+        Check::at_least("recovered survival", recovered, RECOVERED_MIN),
+        Check::zero("divergent-key successes", divergent),
+        Check::holds("fault-free keys bit-identical", identical),
+        Check::zero("sensing seeds that failed", SENSING_RUNS - sensing),
+    ]
+}
 
 // One gesture-channel bit error per seed pair: inside the BCH budget,
 // so every session agrees when the wire cooperates.
@@ -156,15 +176,12 @@ fn main() {
     }
 
     let divergent_total = divergent_bare + divergent_rec;
-    let sensing_ok = sensing_soak(16);
+    let sensing_ok = sensing_soak(SENSING_RUNS);
 
     println!("sessions                   {SESSIONS}");
     println!("no recovery                {bare_success}/{SESSIONS}  ({rate_bare:.3})");
     println!("recovered                  {rec_success}/{SESSIONS}  ({rate_rec:.3})");
     println!("retransmits (recovered)    {retransmits}");
-    println!("divergent-key successes    {divergent_total}");
-    println!("fault-free bit-identical   {bit_identical}");
-    println!("sensing pipelines ok       {sensing_ok}/16");
 
     let json = format!(
         "{{\n  \"sessions\": {SESSIONS},\n  \
@@ -174,7 +191,28 @@ fn main() {
          \"divergent_key_successes\": {divergent_total},\n  \
          \"fault_free_keys_bit_identical\": {bit_identical},\n  \
          \"sensing_pipelines_ok\": {sensing_ok},\n  \
-         \"sensing_pipelines_run\": 16\n}}\n"
+         \"sensing_pipelines_run\": {SENSING_RUNS}\n}}\n"
     );
     wavekey_bench::write_results(&out_path, &json);
+
+    gate::enforce(
+        "fault soak",
+        &checks(rate_bare, rate_rec, divergent_total, bit_identical, sensing_ok),
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wavekey_bench::gate::failing;
+
+    #[test]
+    fn each_condition_fails_alone() {
+        assert!(failing(&checks(0.4999, 0.90, 0, true, 16)).is_empty());
+        assert_eq!(failing(&checks(0.5, 0.90, 0, true, 16)), ["no-recovery survival"]);
+        assert_eq!(failing(&checks(0.1, 0.89, 0, true, 16)), ["recovered survival"]);
+        assert_eq!(failing(&checks(0.1, 0.9, 1, true, 16)), ["divergent-key successes"]);
+        assert_eq!(failing(&checks(0.1, 0.9, 0, false, 16)), ["fault-free keys bit-identical"]);
+        assert_eq!(failing(&checks(0.1, 0.9, 0, true, 15)), ["sensing seeds that failed"]);
+    }
 }

@@ -1,8 +1,7 @@
 //! Gateway soak: a 100k-session concurrent fleet through the async
 //! `wavekey-gateway` event loop, with lockstep-equivalence, fault, and
-//! memory gates. Writes `results/BENCH_gateway.json` (consumed by the
-//! ci.sh gateway soak gate) and appends a trend line to
-//! `results/TREND.jsonl`.
+//! memory gates. Writes `results/BENCH_gateway.json` and exits non-zero
+//! when a check fails.
 //!
 //! ```text
 //! cargo run --release -p wavekey-bench --bin gateway_soak [out_path]
@@ -16,15 +15,15 @@
 //!    session is in flight at once: `peak_in_flight` must reach the
 //!    fleet size, every session must complete with matching
 //!    mobile/gateway keys, and peak RSS (`VmHWM`) must stay under
-//!    `WAVEKEY_GATEWAY_MAX_RSS_MB` (default 820: the fleet measures
-//!    650 MiB at 100k, ≈6.7 KiB per in-flight session). A counting
-//!    allocator reports the arm's peak live heap and live allocations
-//!    per in-flight session beside `VmHWM`.
+//!    [`MAX_RSS_MB`] (820: the fleet measures 650 MiB at 100k, ≈6.7 KiB
+//!    per in-flight session). A counting allocator reports the arm's
+//!    peak live heap and live allocations per in-flight session beside
+//!    `VmHWM`.
 //! 2. **lockstep mirror** — an evenly-strided subsample (~256 sessions)
 //!    of the soak arm is re-run through `drive_lockstep` with mirrored
 //!    seeds and RNG streams; keys must be bit-identical, proving byte
 //!    chunking and interleaving never reach the machines.
-//! 3. **lossless faults** — a smaller fleet under split-read and
+//! 3. **lossless faults** — a 512-session fleet under split-read and
 //!    stalled-write injection: every key must equal the fault-free run's.
 //! 4. **lossy faults** — the same fleet plus truncate-and-close: evicted
 //!    sessions are expected, but no surviving session may hold divergent
@@ -34,18 +33,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wavekey_bench::count_alloc::{self, Counting};
 use wavekey_bench::fleet::{run_fleet, Fleet};
-use wavekey_bench::traffic::{env_f64, env_u64, seed_pair};
+use wavekey_bench::gate::{self, Check};
+use wavekey_bench::traffic::seed_pair;
 use wavekey_core::agreement::AgreementConfig;
 use wavekey_core::proto::{driver, MobileAgreement};
 use wavekey_core::PassiveChannel;
 use wavekey_gateway::{server_rng, Gateway, GatewayConfig, SimNet, StreamFaults};
 use wavekey_obs::{EventScope, Json, Obs};
 
-/// The default peak-RSS ceiling of the soak arm, in MiB: the 100k fleet
+/// The peak-RSS ceiling of the soak arm, in MiB: the 100k fleet
 /// measured 650.2 MiB `VmHWM` (about 6.7 KiB per in-flight session, of
 /// which 6.4 KB is live heap in 20 blocks) on a 2-vCPU Intel Xeon host,
 /// and 820 leaves it a 26 % margin.
-const MAX_RSS_MB_DEFAULT: f64 = 820.0;
+const MAX_RSS_MB: f64 = 820.0;
+/// Sessions in each of the lossless and lossy fault arms.
+const FAULT_SESSIONS: u64 = 512;
 
 /// Reports the soak arm's peak live heap per in-flight session.
 #[global_allocator]
@@ -120,37 +122,47 @@ fn lockstep_mirror(soak: &Fleet, server_seed: u64) -> (u64, bool) {
     (checked, identical && checked > 0)
 }
 
-/// Appends one gateway line to the `results/TREND.jsonl` run ledger.
-fn append_trend(sessions: u64, sps: f64, rss_mb: f64, pass: bool) -> u64 {
-    let prior = std::fs::read_to_string("results/TREND.jsonl").unwrap_or_default();
-    let run = prior
-        .lines()
-        .rev()
-        .find(|l| !l.trim().is_empty())
-        .and_then(Json::parse)
-        .as_ref()
-        .and_then(|j| j.get("run"))
-        .and_then(Json::as_f64)
-        .map_or(1, |r| r as u64 + 1);
-    let line = Json::obj(vec![
-        ("run", Json::Num(run as f64)),
-        ("gateway_sessions", Json::Num(sessions as f64)),
-        ("gateway_sps", Json::Num(sps)),
-        ("gateway_peak_rss_mb", Json::Num(rss_mb)),
-        ("gateway_pass", Json::Bool(pass)),
-    ]);
-    let appended = format!("{}{}\n", prior, line.to_string_compact());
-    wavekey_bench::write_results("results/TREND.jsonl", &appended);
-    run
+/// The soak arm's peak RSS is read (0 means `VmHWM` was unreadable) and
+/// under the ceiling.
+fn rss_within_ceiling(mb: f64) -> bool {
+    mb > 0.0 && mb <= MAX_RSS_MB
+}
+
+/// The gate: every session completes, all are in flight at once, no key
+/// diverges in the soak or lossy arm, peak RSS stays under the ceiling,
+/// the lockstep mirror is bit-identical, and lossless faults change no
+/// key.
+fn checks(
+    sessions: u64,
+    completed: u64,
+    peak_in_flight: u64,
+    divergent: u64,
+    rss_mb: f64,
+    lockstep_identical: bool,
+    lossless_identical: bool,
+) -> Vec<Check> {
+    vec![
+        Check::zero("sessions not completed", sessions.saturating_sub(completed)),
+        Check::zero("peak in flight short of the fleet", sessions.saturating_sub(peak_in_flight)),
+        Check::zero("divergent keys, soak and lossy arms", divergent),
+        Check::new(
+            "peak RSS (MiB)",
+            rss_within_ceiling(rss_mb),
+            format!("{rss_mb:.1} (above 0, at most {MAX_RSS_MB})"),
+        ),
+        Check::holds("lockstep mirror bit-identical", lockstep_identical),
+        Check::holds("lossless fault keys identical", lossless_identical),
+    ]
 }
 
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_gateway.json".to_string());
-    let sessions = env_u64("WAVEKEY_GATEWAY_SESSIONS", 100_000);
-    let fault_sessions = env_u64("WAVEKEY_GATEWAY_FAULT_SESSIONS", 512);
-    let max_rss_mb = env_f64("WAVEKEY_GATEWAY_MAX_RSS_MB", MAX_RSS_MB_DEFAULT);
+    let sessions = std::env::var("WAVEKEY_GATEWAY_SESSIONS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(100_000);
     let server_seed = GatewayConfig::new(soak_agreement()).server_seed;
 
     eprintln!("[gateway_soak] soak arm: {sessions} concurrent fault-free sessions…");
@@ -162,32 +174,33 @@ fn main() {
     let soak_divergent = soak.divergent(&soak_gateway);
     let sps = if soak.wall_s > 0.0 { sessions as f64 / soak.wall_s } else { 0.0 };
     let rss_mb = peak_rss_mb();
-    let rss_pass = rss_mb > 0.0 && rss_mb <= max_rss_mb;
 
     eprintln!("[gateway_soak] lockstep mirror (stride over the soak fleet)…");
     let (lockstep_checked, lockstep_identical) = lockstep_mirror(&soak, server_seed);
 
-    eprintln!("[gateway_soak] lossless-fault arm: {fault_sessions} sessions…");
-    let (lossless, _) = run_arm(fault_sessions, |i| StreamFaults::lossless(0xFA_57 + i));
+    eprintln!("[gateway_soak] lossless-fault arm: {FAULT_SESSIONS} sessions…");
+    let (lossless, _) = run_arm(FAULT_SESSIONS, |i| StreamFaults::lossless(0xFA_57 + i));
     // Same conn ids, same seeds: splits and stalls must not change keys.
-    let lossless_identical = lossless.sessions.len() == fault_sessions as usize
+    let lossless_identical = lossless.sessions.len() == FAULT_SESSIONS as usize
         && lossless.sessions.iter().zip(soak.sessions.iter()).all(|((id_a, _, a), (id_b, _, b))| {
             id_a == id_b && a.as_ref().ok() == b.as_ref().ok()
         });
 
-    eprintln!("[gateway_soak] lossy-fault arm: {fault_sessions} sessions…");
-    let (lossy, lossy_gateway) = run_arm(fault_sessions, |i| StreamFaults::lossy(0x10_55 + i));
+    eprintln!("[gateway_soak] lossy-fault arm: {FAULT_SESSIONS} sessions…");
+    let (lossy, lossy_gateway) = run_arm(FAULT_SESSIONS, |i| StreamFaults::lossy(0x10_55 + i));
     let lossy_divergent = lossy.divergent(&lossy_gateway);
     let lossy_table = lossy_gateway.table();
 
-    let soak_pass = table.completed() == sessions
-        && soak_divergent == 0
-        && table.peak_live() >= sessions
-        && rss_pass
-        && lockstep_identical
-        && lossless_identical
-        && lossy_divergent == 0;
-    let trend_run = append_trend(sessions, sps, rss_mb, soak_pass);
+    let checks = checks(
+        sessions,
+        table.completed(),
+        table.peak_live(),
+        soak_divergent + lossy_divergent,
+        rss_mb,
+        lockstep_identical,
+        lossless_identical,
+    );
+    let soak_pass = checks.iter().all(|c| c.pass);
 
     println!("sessions                {sessions}");
     println!(
@@ -196,22 +209,17 @@ fn main() {
         table.evicted(),
         table.failed()
     );
-    println!("peak_in_flight          {}  (floor {sessions})", table.peak_live());
-    println!("divergent keys          {soak_divergent}");
     println!("wall                    {:.2} s  ({sps:.0} sessions/s)", soak.wall_s);
-    println!("peak RSS                {rss_mb:.1} MiB  (ceiling {max_rss_mb:.0})  pass {rss_pass}");
     println!(
         "peak live heap          {heap_per_session:.0} B in {blocks_per_session:.1} blocks \
          per in-flight session"
     );
-    println!("lockstep mirror         {lockstep_checked} checked, bit_identical {lockstep_identical}");
-    println!("lossless faults         keys identical {lossless_identical}");
+    println!("lockstep mirror         {lockstep_checked} sessions checked");
     println!(
-        "lossy faults            {} completed, {} evicted, {lossy_divergent} divergent",
+        "lossy faults            {} completed, {} evicted",
         lossy_table.completed(),
         lossy_table.evicted()
     );
-    println!("gateway_soak_pass       {soak_pass}");
 
     let json = Json::obj(vec![
         ("sessions", Json::Num(sessions as f64)),
@@ -223,23 +231,43 @@ fn main() {
         ("wall_s", Json::Num(soak.wall_s)),
         ("sessions_per_s", Json::Num(sps)),
         ("peak_rss_mb", Json::Num(rss_mb)),
-        ("max_rss_mb", Json::Num(max_rss_mb)),
-        ("rss_pass", Json::Bool(rss_pass)),
+        ("max_rss_mb", Json::Num(MAX_RSS_MB)),
+        ("rss_pass", Json::Bool(rss_within_ceiling(rss_mb))),
         ("heap_per_session_b", Json::Num(heap_per_session.round())),
         ("heap_blocks_per_session", Json::Num((blocks_per_session * 10.0).round() / 10.0)),
         ("lockstep_checked", Json::Num(lockstep_checked as f64)),
         ("lockstep_bit_identical", Json::Bool(lockstep_identical)),
-        ("lossless_sessions", Json::Num(fault_sessions as f64)),
+        ("lossless_sessions", Json::Num(FAULT_SESSIONS as f64)),
         ("lossless_keys_identical", Json::Bool(lossless_identical)),
-        ("lossy_sessions", Json::Num(fault_sessions as f64)),
+        ("lossy_sessions", Json::Num(FAULT_SESSIONS as f64)),
         ("lossy_completed", Json::Num(lossy_table.completed() as f64)),
         ("lossy_evicted", Json::Num(lossy_table.evicted() as f64)),
         ("lossy_divergent", Json::Num(lossy_divergent as f64)),
         ("gateway_soak_pass", Json::Bool(soak_pass)),
-        ("trend_run", Json::Num(trend_run as f64)),
     ]);
     wavekey_bench::write_results(&out_path, &format!("{}\n", json.to_string_pretty()));
-    if !soak_pass {
-        std::process::exit(1);
+    gate::enforce("gateway soak", &checks);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wavekey_bench::gate::failing;
+
+    #[test]
+    fn each_condition_fails_alone() {
+        let rss = MAX_RSS_MB;
+        assert!(failing(&checks(100, 100, 100, 0, rss, true, true)).is_empty());
+        assert_eq!(failing(&checks(100, 99, 100, 0, rss, true, true)), ["sessions not completed"]);
+        let in_flight = "peak in flight short of the fleet";
+        assert_eq!(failing(&checks(100, 100, 99, 0, rss, true, true)), [in_flight]);
+        let divergent = "divergent keys, soak and lossy arms";
+        assert_eq!(failing(&checks(100, 100, 100, 1, rss, true, true)), [divergent]);
+        assert_eq!(failing(&checks(100, 100, 100, 0, rss + 0.1, true, true)), ["peak RSS (MiB)"]);
+        assert_eq!(failing(&checks(100, 100, 100, 0, 0.0, true, true)), ["peak RSS (MiB)"]);
+        let lockstep = "lockstep mirror bit-identical";
+        assert_eq!(failing(&checks(100, 100, 100, 0, rss, false, true)), [lockstep]);
+        let lossless = "lossless fault keys identical";
+        assert_eq!(failing(&checks(100, 100, 100, 0, rss, true, false)), [lossless]);
     }
 }

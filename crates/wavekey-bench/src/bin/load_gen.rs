@@ -1,6 +1,6 @@
 //! Zipfian tenant/session load generator gated by the `wavekey-obs` SLO
-//! engine. Writes `results/BENCH_load.json` (consumed by the ci.sh SLO
-//! gate) and appends a trend line to `results/TREND.jsonl`.
+//! engine. Writes `results/BENCH_load.json` and exits non-zero when a
+//! check fails.
 //!
 //! ```text
 //! cargo run --release -p wavekey-bench --bin load_gen [out_path]
@@ -26,26 +26,26 @@
 //!    divergent mobile/gateway keys.
 //!
 //! Each mix is judged by declarative [`SloSpec`]s — a p99 latency
-//! objective (`WAVEKEY_SLO_P99_MS`, default 100 ms; the fault mix gets
-//! 4× slack for recovery backoff) with a success-rate floor, plus a
-//! throughput floor (`WAVEKEY_SLO_MIN_SPS`, default 20 sessions/s on
+//! objective (100 ms; the fault mix gets 4× slack for recovery backoff)
+//! with a success-rate floor, plus a throughput floor (20 sessions/s on
 //! the enrol mix) — calibrated ~15× above the 1-core container's
-//! observed numbers so only real regressions trip. The overall
-//! `slo_all_pass` verdict is what ci.sh gates on.
+//! observed numbers so only real regressions trip. `slo_all_pass` folds
+//! in every verdict, the determinism check and zero divergent keys.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 use wavekey_bench::fleet::{run_fleet, Fleet};
-use wavekey_bench::traffic::{env_f64, percentile, soak_config, Zipf};
+use wavekey_bench::gate::{self, Check};
+use wavekey_bench::traffic::{percentile, soak_config, Zipf};
 use wavekey_core::agreement::RetryPolicy;
 use wavekey_core::fault::{FaultPlan, FaultProfile};
 use wavekey_core::MobileAgreement;
 use wavekey_crypto::hmac::{hmac_sha256, mac_eq};
 use wavekey_gateway::{Gateway, GatewayConfig, SimNet, StreamFaults};
 use wavekey_obs::{
-    EventLog, Json, MemoryCollector, MultiCollector, Obs, SloReport, SloSpec,
+    EventLog, Json, MemoryCollector, MultiCollector, Obs, SloReport, SloSpec, SloVerdict,
 };
 
 const TENANTS: usize = 64;
@@ -59,6 +59,12 @@ const FAULT_SEED: u64 = 0x10AD_F417;
 const SEED_BASE: u64 = 0x7E4A_47;
 const RNG_BASE_MOBILE: u64 = 0x10AD_A;
 const RNG_BASE_SERVER: u64 = 0x10AD_B;
+/// The p99 latency objective of the enrol and auth mixes.
+const SLO_P99_MS: f64 = 100.0;
+/// The fault mix's p99 objective, as a multiple of [`SLO_P99_MS`].
+const FAULT_P99_SLACK: f64 = 4.0;
+/// The enrol mix's throughput floor.
+const MIN_SESSIONS_PER_S: f64 = 20.0;
 
 fn seed_pair(tenant: u64) -> (Vec<bool>, Vec<bool>) {
     wavekey_bench::traffic::seed_pair(SEED_BASE, tenant, SEED_LEN)
@@ -265,52 +271,41 @@ fn top_stacks(obs: &Obs, n: usize) -> Json {
     )
 }
 
-/// Appends one run line to `results/TREND.jsonl`, comparing against the
-/// previous line; returns (run index, regressed flag).
-fn append_trend(enrol: &MixStats, auth: &MixStats, faults: &MixStats, all_pass: bool) -> (u64, bool) {
-    let path = std::path::Path::new("results/TREND.jsonl");
-    let prior = std::fs::read_to_string(path).unwrap_or_default();
-    let last = prior.lines().rev().find(|l| !l.trim().is_empty()).and_then(Json::parse);
-    let run = last
-        .as_ref()
-        .and_then(|j| j.get("run"))
-        .and_then(Json::as_f64)
-        .map_or(1, |r| r as u64 + 1);
-    let p99 = percentile(&enrol.latencies_ms, 0.99);
-    let sps = enrol.ops_per_s();
-    // A regression flags when the enrol mix's p99 or throughput moved
-    // more than 25% the wrong way against the previous run. The flag is
-    // informational (the SLO gate is the hard line): trend noise on a
-    // shared CI box must not fail the build.
-    let regressed = last
-        .as_ref()
-        .map(|j| {
-            let prev_p99 = j.get("enrol_p99_ms").and_then(Json::as_f64).unwrap_or(p99);
-            let prev_sps = j.get("enrol_sps").and_then(Json::as_f64).unwrap_or(sps);
-            p99 > prev_p99 * 1.25 || sps < prev_sps * 0.75
+/// The gate: every mix's SLO verdict, the enrol mix's throughput floor,
+/// deterministic fault timelines, and no divergent-key success.
+fn checks(
+    slo: &[SloVerdict],
+    sessions_per_s: f64,
+    deterministic: bool,
+    divergent: u64,
+) -> Vec<Check> {
+    let mut checks: Vec<Check> = slo
+        .iter()
+        .map(|v| {
+            let detail = format!(
+                "p99 {:.1} ms, burn rate {:.2} (at most 1, objective {} ms), \
+                 success {:.4} (at least {})",
+                v.observed * 1e3,
+                v.burn_rate,
+                v.threshold * 1e3,
+                v.success_rate,
+                v.min_success_rate
+            );
+            Check::new(&v.name, v.pass, detail)
         })
-        .unwrap_or(false);
-    let line = Json::obj(vec![
-        ("run", Json::Num(run as f64)),
-        ("enrol_p99_ms", Json::Num(p99)),
-        ("enrol_sps", Json::Num(sps)),
-        ("auth_p99_ms", Json::Num(percentile(&auth.latencies_ms, 0.99))),
-        ("fault_p99_ms", Json::Num(percentile(&faults.latencies_ms, 0.99))),
-        ("fault_retransmits", Json::Num(faults.retransmits as f64)),
-        ("slo_all_pass", Json::Bool(all_pass)),
-        ("regressed_vs_prev", Json::Bool(regressed)),
+        .collect();
+    checks.extend([
+        Check::at_least("enrol sessions/s", sessions_per_s, MIN_SESSIONS_PER_S),
+        Check::holds("fault timelines deterministic", deterministic),
+        Check::zero("divergent-key successes", divergent),
     ]);
-    let appended = format!("{}{}\n", prior, line.to_string_compact());
-    wavekey_bench::write_results("results/TREND.jsonl", &appended);
-    (run, regressed)
+    checks
 }
 
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_load.json".to_string());
-    let p99_ms = env_f64("WAVEKEY_SLO_P99_MS", 100.0);
-    let min_sps = env_f64("WAVEKEY_SLO_MIN_SPS", 20.0);
 
     let log = Arc::new(EventLog::new(512));
     let memory = Arc::new(MemoryCollector::new());
@@ -324,16 +319,15 @@ fn main() {
     let (faults, divergent, deterministic, fault_events) = fault_mix(&obs);
 
     let mut report = SloReport::new();
-    let enrol_json = enrol.to_json(&mut report, p99_ms, 0.99);
-    let auth_json = auth.to_json(&mut report, p99_ms, 0.99);
+    let enrol_json = enrol.to_json(&mut report, SLO_P99_MS, 0.99);
+    let auth_json = auth.to_json(&mut report, SLO_P99_MS, 0.99);
     // The reference fault mixture kills a small tail even with ARQ; the
     // floor asks recovery to save ≥85% (the soak gate's territory).
-    let faults_json = faults.to_json(&mut report, p99_ms * 4.0, 0.85);
+    let faults_json = faults.to_json(&mut report, SLO_P99_MS * FAULT_P99_SLACK, 0.85);
 
     let sps = enrol.ops_per_s();
-    let sps_pass = sps >= min_sps;
-    let all_pass = report.all_pass() && sps_pass && deterministic && divergent == 0;
-    let (trend_run, regressed) = append_trend(&enrol, &auth, &faults, all_pass);
+    let checks = checks(&report.verdicts, sps, deterministic, divergent);
+    let all_pass = checks.iter().all(|c| c.pass);
 
     for mix in [&enrol, &auth, &faults] {
         println!(
@@ -347,26 +341,42 @@ fn main() {
             mix.retransmits,
         );
     }
-    println!("sessions/s (enrol)        {sps:.1}  (floor {min_sps})  pass {sps_pass}");
-    println!("timelines deterministic   {deterministic}  ({fault_events} events/run)");
-    println!("divergent-key successes   {divergent}");
-    println!("slo_all_pass              {all_pass}");
-    println!("trend run #{trend_run}, regressed vs prev: {regressed}");
+    println!("fault timelines           {fault_events} events/run");
 
     let json = Json::obj(vec![
         ("mixes", Json::Arr(vec![enrol_json, auth_json, faults_json])),
         ("sessions_per_s", Json::Num(sps)),
-        ("min_sessions_per_s", Json::Num(min_sps)),
-        ("slo_p99_ms", Json::Num(p99_ms)),
+        ("min_sessions_per_s", Json::Num(MIN_SESSIONS_PER_S)),
+        ("slo_p99_ms", Json::Num(SLO_P99_MS)),
         ("slo_all_pass", Json::Bool(all_pass)),
         ("timelines_deterministic", Json::Bool(deterministic)),
         ("divergent_key_successes", Json::Num(divergent as f64)),
         ("fault_events_per_run", Json::Num(fault_events as f64)),
         ("events_recorded", Json::Num(log.len() as f64)),
         ("events_dropped", Json::Num(log.dropped() as f64)),
-        ("trend_run", Json::Num(trend_run as f64)),
-        ("regressed_vs_prev", Json::Bool(regressed)),
         ("top_stacks", top_stacks(&obs, 8)),
     ]);
     wavekey_bench::write_results(&out_path, &format!("{}\n", json.to_string_pretty()));
+    gate::enforce("SLO load", &checks);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wavekey_bench::gate::failing;
+
+    #[test]
+    fn each_condition_fails_alone() {
+        let slo = |seconds| {
+            let spec = SloSpec::latency("enrol_heavy_p99", 0.99, SLO_P99_MS / 1e3);
+            [spec.with_success_floor(0.99).evaluate(&[seconds; 100], 1.0)]
+        };
+        let floor = MIN_SESSIONS_PER_S;
+        assert!(failing(&checks(&slo(0.001), floor, true, 0)).is_empty());
+        assert_eq!(failing(&checks(&slo(0.101), floor, true, 0)), ["enrol_heavy_p99"]);
+        assert_eq!(failing(&checks(&slo(0.001), 19.9, true, 0)), ["enrol sessions/s"]);
+        let deterministic = "fault timelines deterministic";
+        assert_eq!(failing(&checks(&slo(0.001), floor, false, 0)), [deterministic]);
+        assert_eq!(failing(&checks(&slo(0.001), floor, true, 1)), ["divergent-key successes"]);
+    }
 }

@@ -1,15 +1,15 @@
 //! Recovery soak for the durable store: kill-and-recover at **every**
 //! journal record boundary, under fault-free and faulted arms, asserting
 //! the recovered state is bit-identical to a never-crashed twin. Writes
-//! `results/BENCH_store.json` (consumed by the ci.sh store soak gate)
-//! and appends a trend line to `results/TREND.jsonl`.
+//! `results/BENCH_store.json` and exits non-zero when a check fails.
 //!
 //! ```text
 //! cargo run --release -p wavekey-bench --bin store_soak [out_path]
 //! ```
 //!
-//! Six deterministic arms over a seeded multi-tenant workload
-//! (`WAVEKEY_STORE_OPS` operations, default 220, across 4 tenants):
+//! Six deterministic arms over a seeded multi-tenant workload (220
+//! operations across 4 tenants). Every kill point must recover
+//! (`recovered_rate` 1.0), and no arm may surface a divergent key:
 //!
 //! 1. **kill at every boundary** — the journal is truncated at every
 //!    record boundary (a crash exactly between appends); recovery must
@@ -40,7 +40,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use wavekey_bench::traffic::env_u64;
+use wavekey_bench::gate::{self, Check};
 use wavekey_obs::Json;
 use wavekey_store::record::decode_record;
 use wavekey_store::state::TICKET_OVERHEAD_BYTES;
@@ -51,6 +51,10 @@ use wavekey_store::{
 
 const SOAK_SEED: u64 = 0x57_4A_2024;
 const TENANTS: u64 = 4;
+/// Workload operations, one journal record each.
+const OPS: u64 = 220;
+/// Every kill point must recover to the twin's exact operation prefix.
+const RECOVERED_RATE_MIN: f64 = 1.0;
 
 fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -246,38 +250,33 @@ fn reopen_with(media: &MemVolume, cut: Option<usize>, salvage: bool) -> DurableS
     DurableStore::open(Box::new(image), config).expect("recovery never fails")
 }
 
-/// Appends one store line to the `results/TREND.jsonl` run ledger.
-fn append_trend(ops: u64, kill_points: u64, rate: f64, pass: bool) -> u64 {
-    let prior = std::fs::read_to_string("results/TREND.jsonl").unwrap_or_default();
-    let run = prior
-        .lines()
-        .rev()
-        .find(|l| !l.trim().is_empty())
-        .and_then(Json::parse)
-        .as_ref()
-        .and_then(|j| j.get("run"))
-        .and_then(Json::as_f64)
-        .map_or(1, |r| r as u64 + 1);
-    let line = Json::obj(vec![
-        ("run", Json::Num(run as f64)),
-        ("store_ops", Json::Num(ops as f64)),
-        ("store_kill_points", Json::Num(kill_points as f64)),
-        ("store_recovered_rate", Json::Num(rate)),
-        ("store_pass", Json::Bool(pass)),
-    ]);
-    let appended = format!("{}{}\n", prior, line.to_string_compact());
-    wavekey_bench::write_results("results/TREND.jsonl", &appended);
-    run
+/// The gate: every kill point recovers (rate 1.0), no recovery surfaces
+/// a divergent key, reads under the memory ceiling reload and never
+/// return a stale key, and every named arm property holds.
+fn checks(
+    rate: f64,
+    divergent: u64,
+    stale: u64,
+    reloads: u64,
+    arms: &[(&str, bool)],
+) -> Vec<Check> {
+    let mut checks = vec![
+        Check::at_least("recovered rate", rate, RECOVERED_RATE_MIN),
+        Check::zero("divergent keys", divergent),
+        Check::zero("ceiling stale keys", stale),
+        Check::new("ceiling reloads", reloads > 0, format!("{reloads} (above 0)")),
+    ];
+    checks.extend(arms.iter().map(|&(name, ok)| Check::holds(name, ok)));
+    checks
 }
 
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_store.json".to_string());
-    let op_count = env_u64("WAVEKEY_STORE_OPS", 220);
     let started = Instant::now();
 
-    let ops = workload(op_count);
+    let ops = workload(OPS);
     let history = key_history(&ops);
 
     // The never-crashed twin, and its digest after every operation.
@@ -300,9 +299,9 @@ fn main() {
         at += used;
         bounds.push(at);
     }
-    assert_eq!(bounds.len() as u64, op_count + 1, "one record per op");
+    assert_eq!(bounds.len() as u64, OPS + 1, "one record per op");
 
-    eprintln!("[store_soak] arm 1: kill at every record boundary ({op_count} ops)…");
+    eprintln!("[store_soak] arm 1: kill at every record boundary ({OPS} ops)…");
     let mut kill_points = 0u64;
     let mut recovered_ok = 0u64;
     for (i, &cut) in bounds.iter().enumerate() {
@@ -380,7 +379,7 @@ fn main() {
     let mut snap_back =
         reopen_with(&snap_media, None, false);
     let snapshot_equivalent = snap_back.full_state_bytes().expect("bytes") == twin_bytes
-        && snap_back.stats().records_replayed < op_count;
+        && snap_back.stats().records_replayed < OPS;
 
     eprintln!("[store_soak] arm 6: reads under a 4-key ceiling on faulted media…");
     let ceiling = ceiling_arm(&ops);
@@ -388,39 +387,28 @@ fn main() {
     let recovered_rate = recovered_ok as f64 / kill_points as f64;
     let divergent = rot_divergent + live_recovery_divergent;
     let wall_s = started.elapsed().as_secs_f64();
-    let store_soak_pass = fault_free_bit_identical
-        && torn_prefix_consistent
-        && bitrot_prefix_consistent
-        && live_final_identical
-        && live_recovery_prefix
-        && snapshot_equivalent
-        && ceiling.stale_keys == 0
-        && ceiling.reloads > 0
-        && divergent == 0
-        && recovered_rate >= 1.0;
-    let trend_run = append_trend(op_count, kill_points, recovered_rate, store_soak_pass);
+    let arms = [
+        ("fault-free recovery bit-identical", fault_free_bit_identical),
+        ("torn tails recover a prefix", torn_prefix_consistent),
+        ("bit rot recovers a prefix", bitrot_prefix_consistent),
+        ("live faulted state identical", live_final_identical),
+        ("live faulted media recovers a prefix", live_recovery_prefix),
+        ("snapshot + tail = full replay", snapshot_equivalent),
+    ];
+    let checks = checks(recovered_rate, divergent, ceiling.stale_keys, ceiling.reloads, &arms);
+    let store_soak_pass = checks.iter().all(|c| c.pass);
 
-    println!("ops                        {op_count}  ({} journal bytes)", journal.len());
-    println!("kill points                {kill_points}");
-    println!("recovered ok               {recovered_ok}  (rate {recovered_rate:.4})");
-    println!("divergent keys             {divergent}");
-    println!("fault_free_bit_identical   {fault_free_bit_identical}");
-    println!("torn_prefix_consistent     {torn_prefix_consistent}");
-    println!("bitrot_prefix_consistent   {bitrot_prefix_consistent}");
+    println!("ops                        {OPS}  ({} journal bytes)", journal.len());
+    println!("kill points                {kill_points}  ({recovered_ok} recovered)");
     println!(
-        "live faulted               identical {live_final_identical}, retries {retries}, repairs {}, rename failures {}, snapshots {}",
+        "live faulted               retries {retries}, repairs {}, rename failures {}, snapshots {}",
         live_stats.append_repairs, live_stats.rename_failures, live_stats.snapshots
     );
-    println!("snapshot_equivalent        {snapshot_equivalent}");
-    println!(
-        "ceiling reads              stale {}, store errors {}, reloads {}",
-        ceiling.stale_keys, ceiling.read_errors, ceiling.reloads
-    );
+    println!("ceiling reads              store errors {}", ceiling.read_errors);
     println!("wall                       {wall_s:.2} s");
-    println!("store_soak_pass            {store_soak_pass}");
 
     let json = Json::obj(vec![
-        ("ops", Json::Num(op_count as f64)),
+        ("ops", Json::Num(OPS as f64)),
         ("journal_bytes", Json::Num(journal.len() as f64)),
         ("kill_points", Json::Num(kill_points as f64)),
         ("recovered_ok", Json::Num(recovered_ok as f64)),
@@ -441,10 +429,24 @@ fn main() {
         ("ceiling_reloads", Json::Num(ceiling.reloads as f64)),
         ("wall_s", Json::Num(wall_s)),
         ("store_soak_pass", Json::Bool(store_soak_pass)),
-        ("trend_run", Json::Num(trend_run as f64)),
     ]);
     wavekey_bench::write_results(&out_path, &format!("{}\n", json.to_string_pretty()));
-    if !store_soak_pass {
-        std::process::exit(1);
+    gate::enforce("store soak", &checks);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wavekey_bench::gate::failing;
+
+    #[test]
+    fn each_condition_fails_alone() {
+        let arm = [("arm", true)];
+        assert!(failing(&checks(1.0, 0, 0, 1, &arm)).is_empty());
+        assert_eq!(failing(&checks(0.999, 0, 0, 1, &arm)), ["recovered rate"]);
+        assert_eq!(failing(&checks(1.0, 1, 0, 1, &arm)), ["divergent keys"]);
+        assert_eq!(failing(&checks(1.0, 0, 1, 1, &arm)), ["ceiling stale keys"]);
+        assert_eq!(failing(&checks(1.0, 0, 0, 0, &arm)), ["ceiling reloads"]);
+        assert_eq!(failing(&checks(1.0, 0, 0, 1, &[("arm", false)])), ["arm"]);
     }
 }

@@ -7,6 +7,8 @@
 
 pub mod count_alloc;
 pub mod fleet;
+pub mod gate;
+pub mod timing;
 pub mod traffic;
 
 use std::path::PathBuf;

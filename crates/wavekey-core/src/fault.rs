@@ -6,7 +6,7 @@
 //! of a given `(Direction, MessageKind)` is a pure hash of
 //! `(seed, direction, kind, n)`, so the same plan over the same protocol
 //! run injects exactly the same faults — chaos runs are replayable and
-//! the CI soak gate (`fault_soak` / `WAVEKEY_FAULT_SOAK_MIN`) is stable.
+//! the `fault_soak` gate is stable.
 //!
 //! Two ways to build a plan:
 //!

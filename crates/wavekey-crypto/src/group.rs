@@ -15,8 +15,7 @@ use crate::ifma;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// The RFC 2409 Oakley Group 2 prime (1024-bit), hexadecimal.
 pub const MODP_1024_HEX: &str = concat!(
@@ -60,7 +59,15 @@ pub struct DhGroup {
 }
 
 impl DhGroup {
-    fn with_params(p: Ubig, generator: Ubig) -> DhGroup {
+    /// The group of prime modulus `p` and generator `generator`, with its
+    /// comb table built: 1.00 MiB and ~1–2 ms for a 1024-bit lane table on
+    /// CPUs with AVX512-IFMA, 1.32 MiB and ~3–8 ms for the scalar one
+    /// elsewhere. Protocol code borrows one of the shared groups instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is even or zero (invalid Montgomery modulus).
+    pub fn with_params(p: Ubig, generator: Ubig) -> DhGroup {
         let ctx = MontgomeryCtx::new(p);
         let order = ctx.modulus().sub(&Ubig::one());
         let comb = Self::comb_for(&ctx, &generator);
@@ -85,17 +92,11 @@ impl DhGroup {
 
     /// The process-wide shared MODP-1024 group. Building a [`DhGroup`]
     /// precomputes the comb table, so protocol code should use this
-    /// shared instance to amortize that cost across sessions. Backed by
-    /// the keyed [`PrecompCache`]; the `&'static` shape is kept for the
-    /// hot paths that want a borrow with no refcount traffic.
+    /// shared instance, built once per process, to amortize that cost
+    /// across sessions.
     pub fn modp_1024_shared() -> &'static DhGroup {
-        static SHARED: OnceLock<Arc<DhGroup>> = OnceLock::new();
-        SHARED
-            .get_or_init(|| {
-                PrecompCache::global()
-                    .get(&Ubig::from_hex(MODP_1024_HEX), &Ubig::from_u64(2))
-            })
-            .as_ref()
+        static SHARED: OnceLock<DhGroup> = OnceLock::new();
+        SHARED.get_or_init(DhGroup::modp_1024)
     }
 
     /// A deliberately tiny test group (61-bit prime) for fast unit tests.
@@ -106,17 +107,12 @@ impl DhGroup {
     }
 
     /// The process-wide shared tiny test group: same parameters as
-    /// [`DhGroup::tiny_test_group`], built once per process through the
-    /// [`PrecompCache`], so every tiny-group session borrows one group
-    /// instead of owning a copy of its comb table.
+    /// [`DhGroup::tiny_test_group`], built once per process, so every
+    /// tiny-group session borrows one group instead of owning a copy of
+    /// its comb table.
     pub fn tiny_test_group_shared() -> &'static DhGroup {
-        static SHARED: OnceLock<Arc<DhGroup>> = OnceLock::new();
-        SHARED
-            .get_or_init(|| {
-                PrecompCache::global()
-                    .get(&Ubig::from_u64((1u64 << 61) - 1), &Ubig::from_u64(37))
-            })
-            .as_ref()
+        static SHARED: OnceLock<DhGroup> = OnceLock::new();
+        SHARED.get_or_init(DhGroup::tiny_test_group)
     }
 
     /// The group modulus `u` (paper notation).
@@ -337,57 +333,6 @@ impl DhGroup {
     }
 }
 
-/// Process-wide cache of per-deployment group precomputation, keyed by
-/// `(modulus, generator)`.
-///
-/// Building a [`DhGroup`] costs a full comb-table precomputation (for
-/// MODP-1024, 1.00 MiB and ~1–2 ms for the lane table on CPUs with
-/// AVX512-IFMA, 1.32 MiB and ~3–8 ms for the scalar one elsewhere),
-/// which must be paid once per *deployment group*, never once per
-/// session: the protocol machines, whichever driver runs them (the
-/// lockstep driver or the gateway), all resolve
-/// their group through here. The map is guarded by a plain mutex — after
-/// the first build per key, a lookup is a hash probe plus an `Arc`
-/// clone, nowhere near any hot loop.
-pub struct PrecompCache {
-    groups: Mutex<HashMap<(Vec<u8>, Vec<u8>), Arc<DhGroup>>>,
-}
-
-impl PrecompCache {
-    /// The process-wide instance.
-    pub fn global() -> &'static PrecompCache {
-        static CACHE: OnceLock<PrecompCache> = OnceLock::new();
-        CACHE.get_or_init(|| PrecompCache { groups: Mutex::new(HashMap::new()) })
-    }
-
-    /// Returns the cached group for `(modulus, generator)`, building its
-    /// tables on first use. The build happens under the lock so a table
-    /// is never computed twice by racing threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modulus` is even or zero (invalid Montgomery modulus).
-    pub fn get(&self, modulus: &Ubig, generator: &Ubig) -> Arc<DhGroup> {
-        let key = (modulus.to_be_bytes(), generator.to_be_bytes());
-        let mut map = self.groups.lock().expect("precomp cache poisoned");
-        map.entry(key)
-            .or_insert_with(|| {
-                Arc::new(DhGroup::with_params(modulus.clone(), generator.clone()))
-            })
-            .clone()
-    }
-
-    /// Number of distinct groups cached.
-    pub fn len(&self) -> usize {
-        self.groups.lock().expect("precomp cache poisoned").len()
-    }
-
-    /// `true` when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,34 +437,20 @@ mod tests {
 
     #[test]
     fn shared_group_matches_fresh_group() {
-        let shared = DhGroup::modp_1024_shared();
-        let fresh = DhGroup::modp_1024();
-        assert_eq!(shared.modulus(), fresh.modulus());
-        let x = Ubig::from_u64(123456789);
-        assert_eq!(shared.pow_g(&x), fresh.pow_g(&x));
+        for (shared, fresh) in [
+            (DhGroup::modp_1024_shared(), DhGroup::modp_1024()),
+            (DhGroup::tiny_test_group_shared(), DhGroup::tiny_test_group()),
+        ] {
+            assert_eq!(shared.modulus(), fresh.modulus());
+            assert_eq!(shared.generator(), fresh.generator());
+            let x = Ubig::from_u64(123456789);
+            assert_eq!(shared.pow_g(&x), fresh.pow_g(&x));
+        }
     }
 
     #[test]
     fn tiny_group_modulus_is_prime() {
         assert!(DhGroup::tiny_test_group().check_prime());
-    }
-
-    #[test]
-    fn precomp_cache_returns_one_instance_per_key() {
-        let cache = PrecompCache::global();
-        let a = cache.get(&Ubig::from_u64((1u64 << 61) - 1), &Ubig::from_u64(37));
-        let b = DhGroup::tiny_test_group_shared();
-        assert!(std::ptr::eq(&*a, b), "same key must share one table build");
-        // Cached group behaves exactly like a fresh build.
-        let fresh = DhGroup::tiny_test_group();
-        let x = Ubig::from_u64(0xABCDEF);
-        assert_eq!(a.pow_g(&x), fresh.pow_g(&x));
-        assert_eq!((a.modulus(), a.generator()), (fresh.modulus(), fresh.generator()));
-        // A different generator is a different cache entry.
-        let c = cache.get(&Ubig::from_u64((1u64 << 61) - 1), &Ubig::from_u64(5));
-        assert!(!std::ptr::eq(&*a, &*c));
-        assert_ne!(a.generator(), c.generator());
-        assert!(!cache.is_empty());
     }
 
     #[test]

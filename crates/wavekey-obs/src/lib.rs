@@ -33,8 +33,8 @@
 //!   (counts, inclusive time), exported as flamegraph collapsed-stack
 //!   text.
 //! * **SLOs** — [`slo`] evaluates declarative objectives (percentile +
-//!   threshold + window + success floor) into error budgets, burn rates,
-//!   and machine-readable verdicts that `ci.sh` gates on.
+//!   threshold + success floor) into error budgets, burn rates, and the
+//!   machine-readable verdicts of the `load_gen` gate.
 //!
 //! ```
 //! use wavekey_obs::{Obs, SessionTrace, stage};

@@ -1,8 +1,8 @@
 //! Declarative SLOs: error budgets, burn rates, machine-readable verdicts.
 //!
 //! An [`SloSpec`] states an objective the way an operator would: "p99
-//! latency under 250 ms over the last 500 samples, with at least 95%
-//! success". Evaluation is pure arithmetic over a sample set:
+//! latency under 250 ms, with at least 95% success". Evaluation is pure
+//! arithmetic over a sample set:
 //!
 //! * the **error budget** is the fraction of samples allowed over the
 //!   threshold, `1 − objective` (for a p99 objective, 1% of samples);
@@ -13,15 +13,11 @@
 //! * the verdict **passes** iff the burn rate is at most one *and* the
 //!   success rate clears its floor.
 //!
-//! Two evaluators: [`SloSpec::evaluate`] over raw samples (exact — used by
-//! the load generator, which keeps per-session latencies), and
-//! [`SloSpec::evaluate_histogram`] over a log-linear
-//! [`Histogram`] snapshot (bucket-resolution — usable on a live registry
-//! without retaining samples). Reports serialize through
-//! [`SloReport::to_json`] so `ci.sh` can gate on them.
+//! [`SloSpec::evaluate`] works over raw samples (exact — the load
+//! generator keeps per-session latencies). Verdicts serialize through
+//! [`SloVerdict::to_json`] into the load generator's report.
 
 use crate::json::Json;
-use crate::metrics::Histogram;
 use crate::trace::percentile_sorted;
 
 /// One declarative service-level objective.
@@ -35,20 +31,17 @@ pub struct SloSpec {
     /// Latency threshold, in the same unit as the samples (seconds
     /// throughout this workspace).
     pub threshold: f64,
-    /// Evaluate only the most recent `window` samples; 0 = all samples.
-    pub window: usize,
     /// Success-rate floor in `[0, 1]`; 0.0 disables the floor.
     pub min_success_rate: f64,
 }
 
 impl SloSpec {
-    /// A latency SLO with no success-rate floor and no window.
+    /// A latency SLO with no success-rate floor.
     pub fn latency(name: &str, objective: f64, threshold: f64) -> SloSpec {
         SloSpec {
             name: name.to_string(),
             objective,
             threshold,
-            window: 0,
             min_success_rate: 0.0,
         }
     }
@@ -59,49 +52,16 @@ impl SloSpec {
         self
     }
 
-    /// Builder: evaluate only the most recent `window` samples.
-    pub fn with_window(mut self, window: usize) -> SloSpec {
-        self.window = window;
-        self
-    }
-
     /// Exact evaluation over raw samples (plus an externally computed
     /// success rate, since a latency sample set alone cannot know how many
     /// attempts never produced one).
     pub fn evaluate(&self, samples: &[f64], success_rate: f64) -> SloVerdict {
-        let window = if self.window > 0 && samples.len() > self.window {
-            &samples[samples.len() - self.window..]
-        } else {
-            samples
-        };
-        let mut sorted: Vec<f64> = window.to_vec();
+        let mut sorted: Vec<f64> = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let violations = window.iter().filter(|v| **v > self.threshold).count() as u64;
-        self.verdict(window.len() as u64, violations, percentile_sorted(&sorted, self.objective), success_rate)
-    }
-
-    /// Bucket-resolution evaluation over a histogram snapshot: a sample
-    /// counts as a violation when its bucket's representative midpoint
-    /// exceeds the threshold (consistent with [`Histogram::quantile`],
-    /// which also answers in midpoints).
-    pub fn evaluate_histogram(&self, histogram: &Histogram, success_rate: f64) -> SloVerdict {
-        let violations = histogram
-            .buckets()
-            .iter()
-            .filter(|b| b.midpoint > self.threshold)
-            .map(|b| b.count)
-            .sum();
-        self.verdict(
-            histogram.count(),
-            violations,
-            histogram.quantile(self.objective),
-            success_rate,
-        )
-    }
-
-    fn verdict(&self, samples: u64, violations: u64, observed: f64, success_rate: f64) -> SloVerdict {
-        let budget = (1.0 - self.objective) * samples as f64;
-        let burn_rate = if samples == 0 {
+        let violations = samples.iter().filter(|v| **v > self.threshold).count() as u64;
+        let count = samples.len() as u64;
+        let budget = (1.0 - self.objective) * count as f64;
+        let burn_rate = if count == 0 {
             0.0
         } else if budget > 0.0 {
             violations as f64 / budget
@@ -112,12 +72,12 @@ impl SloSpec {
         };
         SloVerdict {
             name: self.name.clone(),
-            samples,
+            samples: count,
             violations,
             budget,
             burn_rate,
             budget_remaining: 1.0 - burn_rate,
-            observed,
+            observed: percentile_sorted(&sorted, self.objective),
             threshold: self.threshold,
             objective: self.objective,
             success_rate,
@@ -132,7 +92,7 @@ impl SloSpec {
 pub struct SloVerdict {
     /// Spec name.
     pub name: String,
-    /// Samples evaluated (post-window).
+    /// Samples evaluated.
     pub samples: u64,
     /// Samples over the threshold.
     pub violations: u64,
@@ -257,23 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn window_restricts_to_recent_samples() {
-        // 90 good old samples, then 10 recent ones of which 5 are bad: the
-        // windowed spec only sees the last 10.
-        let mut samples = vec![0.01; 90];
-        samples.extend([0.01, 0.01, 0.01, 0.01, 0.01, 0.5, 0.5, 0.5, 0.5, 0.5]);
-        let spec = SloSpec::latency("recent", 0.5, 0.1).with_window(10);
-        let v = spec.evaluate(&samples, 1.0);
-        assert_eq!(v.samples, 10);
-        assert_eq!(v.violations, 5);
-        assert!((v.burn_rate - 1.0).abs() < 1e-12);
-        let unwindowed = SloSpec::latency("all", 0.5, 0.1).evaluate(&samples, 1.0);
-        assert_eq!(unwindowed.samples, 100);
-        assert_eq!(unwindowed.violations, 5);
-        assert!((unwindowed.burn_rate - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn observed_percentile_interpolates_exactly() {
         // Samples 1..=100: the p90 rank is 0.9·99 = 89.1, interpolating
         // between sorted[89]=90 and sorted[90]=91 → 90.1.
@@ -296,25 +239,6 @@ mod tests {
         let v = SloSpec::latency("strict", 1.0, 0.1).evaluate(&[0.05], 1.0);
         assert_eq!(v.burn_rate, 0.0);
         assert!(v.pass);
-    }
-
-    #[test]
-    fn histogram_evaluation_matches_exact_within_bucket_error() {
-        let mut h = Histogram::new();
-        let mut samples = Vec::new();
-        for i in 0..1000 {
-            // 1–10 ms spread with a 1% tail at ~80 ms.
-            let v = if i % 100 == 99 { 0.08 } else { 0.001 + (i % 90) as f64 * 1e-4 };
-            h.observe(v);
-            samples.push(v);
-        }
-        let spec = SloSpec::latency("p99", 0.99, 0.05);
-        let exact = spec.evaluate(&samples, 1.0);
-        let approx = spec.evaluate_histogram(&h, 1.0);
-        assert_eq!(exact.violations, approx.violations);
-        assert_eq!(exact.pass, approx.pass);
-        // Midpoint representatives stay within one sub-bucket (≈6%).
-        assert!((approx.observed - exact.observed).abs() / exact.observed < 0.07);
     }
 
     #[test]

@@ -17,10 +17,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use wavekey::crypto::bigint::{pow_many_kernel_1024, FixedBaseTable, MontgomeryCtx, Ubig};
 use wavekey::crypto::cipher::{ctr_decrypt, ctr_encrypt};
-use wavekey::crypto::group::{DhGroup, PrecompCache, MODP_1024_HEX};
+use wavekey::crypto::group::{DhGroup, MODP_1024_HEX};
 use wavekey::crypto::ot::{OtMessageE, OtPairs, OtReceiver, OtSender};
 use wavekey::crypto::sha256::sha256;
 
@@ -59,14 +58,14 @@ fn moduli() -> [MontgomeryCtx; 2] {
 /// A group under test beside its scalar oracle: the same modulus's
 /// context and the scalar w = 6 comb of the same generator.
 struct CombCase {
-    group: Arc<DhGroup>,
+    group: DhGroup,
     ctx: MontgomeryCtx,
     scalar: FixedBaseTable,
 }
 
 /// MODP-1024 with `g = 2`, and `2^1024 − 1093337` with `g = 2` and with
 /// one random generator, each group built through the public
-/// [`PrecompCache`].
+/// [`DhGroup::with_params`].
 fn comb_cases() -> Vec<CombCase> {
     let [modp, odd] = moduli().map(|ctx| ctx.modulus().clone());
     let random_g = Ubig::random_below(&odd, &mut StdRng::seed_from_u64(0xC0B0_0001));
@@ -80,7 +79,7 @@ fn comb_cases() -> Vec<CombCase> {
         let ctx = MontgomeryCtx::new(u.clone());
         let scalar = ctx.fixed_base_table(&g, 1024, 6);
         CombCase {
-            group: PrecompCache::global().get(&u, &g),
+            group: DhGroup::with_params(u, g),
             ctx,
             scalar,
         }
