@@ -1,9 +1,8 @@
 //! Machine-readable crypto micro-benchmarks and the observability
-//! overhead gate: times the exponentiation kernels, SHA-256 and HMAC at
+//! overhead gate: times the ristretto255 operations, SHA-256 and HMAC at
 //! the OT's and the access verify's input sizes, the 48-instance OT
-//! rounds and the full MODP-1024 agreement, then writes
-//! `results/BENCH_crypto.json`, the perf trajectory and the gate's
-//! baseline.
+//! rounds and the full agreement, then writes `results/BENCH_crypto.json`,
+//! the perf trajectory and the gate's baseline.
 //!
 //! ```text
 //! cargo run --release -p wavekey-bench --bin bench_crypto_json [out_path]
@@ -14,21 +13,11 @@
 //! `WAVEKEY_THREADS` caps the parallelism as everywhere else). The JSON
 //! schema is a flat list:
 //! `{ "op": str, "mean_ns": float, "iters": int, "throughput_per_s": float }`,
-//! with `*_x48` ops reporting per-exponentiation cost (total / 48), then
-//! one record naming the 16-limb Montgomery kernel the run used
-//! (`{"op": "mont_kernel_1024", "kernel": "adx" | "portable"}`) and one
-//! naming the kernel behind `DhGroup::pow_many` and the comb walk of
-//! `DhGroup::pow_g_many`
-//! (`{"op": "pow_many_kernel_1024", "kernel": "ifma8" | "scalar"}`),
-//! one naming the SHA-256 compression kernel behind the two hash
-//! rows (`{"op": "sha256_kernel", "kernel": "shani" | "portable"}`), and
-//! the overhead gate's record (`{"op": "agreement_over_control",
+//! with `*_x48` ops reporting per-multiplication cost (total / 48), then
+//! one record naming the SHA-256 compression kernel behind the hash rows
+//! (`{"op": "sha256_kernel", "kernel": "shani" | "portable"}`), and the
+//! overhead gate's record (`{"op": "agreement_over_control",
 //! "median_ratio": float, "rounds": int, "threads": 1}`).
-//!
-//! On `ifma8` hosts the single-call `modp1024_pow_g_fixed_base` and
-//! `modp1024_inv_pow_g` rows time a lane group of eight padded around
-//! one exponent; `modp1024_pow_g_x48` is the per-walk cost of the
-//! 48-exponent calls the OT makes.
 //!
 //! **The overhead gate.** The full agreement, observability compiled in
 //! with no collector attached, must stay within 1 % of the baseline.
@@ -50,8 +39,7 @@ use wavekey_bench::gate::{self, Check};
 use wavekey_bench::timing::{alternate, median_ratio, time_window};
 use wavekey_core::agreement::{run_agreement, AgreementConfig};
 use wavekey_core::channel::PassiveChannel;
-use wavekey_crypto::bigint::{mont_kernel_1024, pow_many_kernel_1024, Ubig};
-use wavekey_crypto::group::DhGroup;
+use wavekey_crypto::group::Group;
 use wavekey_crypto::ot::{OtPairs, OtReceiver, OtSender};
 use wavekey_crypto::sha256::sha256_kernel;
 use wavekey_crypto::{hmac_sha256, sha256};
@@ -62,7 +50,7 @@ const WINDOW_S: f64 = 0.25;
 /// The overhead gate's baseline, and the default output.
 const BASELINE: &str = "results/BENCH_crypto.json";
 /// Rounds of the alternating agreement/control timing: about 10 s at
-/// ~22 and ~11 ms per call on one thread.
+/// ~20 and ~10 ms per call on one thread.
 const OVERHEAD_ROUNDS: usize = 300;
 /// How far the agreement/control ratio may rise above the baseline's.
 const OVERHEAD_TOL: f64 = 0.01;
@@ -103,8 +91,8 @@ fn baseline_ratio() -> f64 {
 }
 
 /// The standard 48-instance three-round OT workload on `group`. Returns
-/// the encoded wire messages and the decrypted payloads, in one buffer.
-fn ot48(group: &DhGroup) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>) {
+/// the wire messages and the decrypted payloads, in one buffer.
+fn ot48(group: Group) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>) {
     let (secrets, choices) = ot48_inputs();
     let mut rng_s = StdRng::seed_from_u64(20);
     let mut rng_r = StdRng::seed_from_u64(21);
@@ -112,7 +100,7 @@ fn ot48(group: &DhGroup) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>) {
     let (receiver, mb) = OtReceiver::respond(group, &choices, &ma, &mut rng_r).unwrap();
     let me = sender.encrypt(group, &mb).unwrap();
     let payloads = receiver.decrypt(group, &me).unwrap();
-    (ma.encode(group), mb.encode(group), me.encode(), payloads)
+    (ma, mb, me, payloads)
 }
 
 /// The sender secrets and receiver choice bits of the 48-instance workload.
@@ -130,17 +118,24 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let out_path = args.first().cloned().unwrap_or_else(|| BASELINE.into());
 
-    let group = DhGroup::modp_1024_shared();
-    let x = group.random_exponent(&mut rng);
-    let y = group.random_exponent(&mut rng);
-    let base = group.pow_g(&x);
-    let other = group.pow_g(&y);
+    let group = Group::Ristretto255;
+    let (sw, pw, w) = (group.scalar_words(), group.point_words(), group.element_len());
+    // 48 scalars and their multiples of G; row 0 is the single-call input.
+    let mut scalars = vec![0u64; 48 * sw];
+    for x in scalars.chunks_exact_mut(sw) {
+        group.random_scalar_into(&mut rng, x);
+    }
+    let mut points = vec![0u64; 48 * pw];
+    group.mul_base_many(&scalars, &mut points);
+    let (x, p, q) = (&scalars[..sw], &points[..pw], &points[pw..2 * pw]);
+    let mut out = vec![0u64; 48 * pw];
+    let mut element = vec![0u8; w];
+    group.encode_into(p, &mut element);
 
     let mut samples = Vec::new();
 
-    // `H(element)` of the OT: one 128-byte MODP-1024 element, three blocks.
-    let element = base.to_be_bytes_padded(128);
-    samples.push(time_op("sha256_128B", 1, || {
+    // `H(element)` of the OT: one 32-byte ristretto255 encoding, one block.
+    samples.push(time_op("sha256_32B_element", 1, || {
         std::hint::black_box(sha256(std::hint::black_box(&element)));
     }));
     // The access verify: a 32-byte key over a 32-byte message, four blocks.
@@ -148,50 +143,46 @@ fn main() {
     samples.push(time_op("hmac_sha256_32B", 1, || {
         std::hint::black_box(hmac_sha256(std::hint::black_box(&key), &message));
     }));
-    samples.push(time_op("modp1024_mod_mul", 1, || {
-        std::hint::black_box(group.mul(&base, &other));
+    samples.push(time_op("ristretto255_add", 1, || {
+        group.add_into(p, q, &mut out[..pw]);
+        std::hint::black_box(&out);
     }));
-    samples.push(time_op("modp1024_pow_g_fixed_base", 1, || {
-        std::hint::black_box(group.pow_g(&x));
+    samples.push(time_op("ristretto255_encode", 1, || {
+        group.encode_into(p, &mut element);
+        std::hint::black_box(&element);
     }));
-    samples.push(time_op("modp1024_general_modexp", 1, || {
-        std::hint::black_box(group.pow(&base, &x));
+    samples.push(time_op("ristretto255_decode", 1, || {
+        std::hint::black_box(group.decode_into(&element, &mut out[..pw]));
     }));
-    // 48 general exponentiations in one `pow_many` call, the shape of
-    // round E and prelim: eight-lane IFMA groups where the CPU has them.
-    // Own RNG, so the ops below see the same inputs as without this row.
-    let mut rng48 = StdRng::seed_from_u64(48);
-    let k = group.limbs();
-    let (mut bases, mut exps) = (vec![0u64; 48 * k], vec![0u64; 48 * k]);
-    for b in bases.chunks_exact_mut(k) {
-        Ubig::random_below(group.modulus(), &mut rng48).write_limbs(b);
-    }
-    for e in exps.chunks_exact_mut(k) {
-        group.random_exponent_into(&mut rng48, e);
-    }
-    let mut powers = vec![0u64; 48 * k];
-    samples.push(time_op("modp1024_general_modexp_x48", 48, || {
-        group.pow_many(&bases, &exps, &mut powers);
-        std::hint::black_box(&powers);
+    samples.push(time_op("ristretto255_mul_base", 1, || {
+        group.mul_base_many(x, &mut out[..pw]);
+        std::hint::black_box(&out);
     }));
-    // 48 comb walks in one `pow_g_many` call, the shape of rounds A and B
-    // and the `k¹` fold.
-    samples.push(time_op("modp1024_pow_g_x48", 48, || {
-        group.pow_g_many(&exps, &mut powers);
-        std::hint::black_box(&powers);
+    samples.push(time_op("ristretto255_mul", 1, || {
+        group.mul_many(p, x, &mut out[..pw]);
+        std::hint::black_box(&out);
     }));
-    samples.push(time_op("modp1024_inv_pow_g", 1, || {
-        std::hint::black_box(group.inv_pow_g(&x));
+    // 48 variable-base multiplications in one `mul_many` call, the shape
+    // of round E and prelim.
+    samples.push(time_op("ristretto255_mul_x48", 48, || {
+        group.mul_many(&points, &scalars, &mut out);
+        std::hint::black_box(&out);
+    }));
+    // 48 comb walks in one `mul_base_many` call, the shape of rounds A
+    // and B and the `k¹` fold.
+    samples.push(time_op("ristretto255_mul_base_x48", 48, || {
+        group.mul_base_many(&scalars, &mut out);
+        std::hint::black_box(&out);
     }));
 
-    // Round E alone (48 instances, one general modexp through `pow_many`
-    // and one comb walk each): the sender's share of
-    // `ot_batch48_three_rounds`.
+    // Round E alone (48 instances: decode, one variable-base and one
+    // fixed-base multiplication, two encodes each): the sender's share
+    // of `ot_batch48_three_rounds`.
     let (secrets, choices) = ot48_inputs();
     let (sender, ma) = OtSender::start(group, secrets, &mut StdRng::seed_from_u64(20));
     let (_, mb) =
         OtReceiver::respond(group, &choices, &ma, &mut StdRng::seed_from_u64(21)).unwrap();
-    samples.push(time_op("modp1024_ot_sender_encrypt48", 1, || {
+    samples.push(time_op("ristretto255_ot_sender_encrypt48", 1, || {
         std::hint::black_box(sender.encrypt(group, &mb).unwrap());
     }));
 
@@ -209,7 +200,7 @@ fn main() {
             run_agreement(&s, &s, &config, &mut rng_m, &mut rng_s, &mut PassiveChannel).unwrap(),
         );
     };
-    samples.push(time_op("agreement_full_modp1024_seed48_key256", 1, agreement));
+    samples.push(time_op("agreement_full_ristretto255_seed48_key256", 1, agreement));
 
     // Flat JSON array, written by hand: the bench harness must not pull
     // in a serializer for a handful of records.
@@ -225,12 +216,6 @@ fn main() {
             s.op, s.mean_ns, throughput, s.iters
         );
     }
-    let kernel = mont_kernel_1024();
-    println!("{:<46} {kernel}", "mont_kernel_1024");
-    json.push_str(&format!("  {{\"op\": \"mont_kernel_1024\", \"kernel\": \"{kernel}\"}},\n"));
-    let lanes = pow_many_kernel_1024();
-    println!("{:<46} {lanes}", "pow_many_kernel_1024");
-    json.push_str(&format!("  {{\"op\": \"pow_many_kernel_1024\", \"kernel\": \"{lanes}\"}},\n"));
     let hash = sha256_kernel();
     println!("{:<46} {hash}", "sha256_kernel");
     json.push_str(&format!("  {{\"op\": \"sha256_kernel\", \"kernel\": \"{hash}\"}},\n"));

@@ -60,7 +60,7 @@ fn main() {
     }
 
     println!("\n§VI-C-3: deadline-critical message preparation times (ms)");
-    println!("({} successful full-protocol runs, MODP-1024 group)\n", set.len());
+    println!("({} successful full-protocol runs, ristretto255 group)\n", set.len());
     for (label, stage) in [("M_A", MA_PREP), ("M_B", MB_PREP)] {
         let (_, mean, p50, _, _, max) =
             set.field_stats(|t| t.stage_seconds(stage)).expect("at least one run");

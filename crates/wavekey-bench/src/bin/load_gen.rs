@@ -44,9 +44,7 @@ use wavekey_core::fault::{FaultPlan, FaultProfile};
 use wavekey_core::MobileAgreement;
 use wavekey_crypto::hmac::{hmac_sha256, mac_eq};
 use wavekey_gateway::{Gateway, GatewayConfig, SimNet, StreamFaults};
-use wavekey_obs::{
-    EventLog, Json, MemoryCollector, MultiCollector, Obs, SloReport, SloSpec, SloVerdict,
-};
+use wavekey_obs::{EventLog, Json, MemoryCollector, MultiCollector, Obs, SloSpec, SloVerdict};
 
 const TENANTS: usize = 64;
 const ZIPF_S: f64 = 1.1;
@@ -125,7 +123,7 @@ impl MixStats {
     }
 
     /// Evaluates this mix's latency SLO and renders the mix JSON object.
-    fn to_json(&self, report: &mut SloReport, p99_ms: f64, floor: f64) -> Json {
+    fn to_json(&self, verdicts: &mut Vec<SloVerdict>, p99_ms: f64, floor: f64) -> Json {
         let seconds: Vec<f64> = self.latencies_ms.iter().map(|ms| ms / 1e3).collect();
         let verdict = SloSpec::latency(&format!("{}_p99", self.name), 0.99, p99_ms / 1e3)
             .with_success_floor(floor)
@@ -142,7 +140,7 @@ impl MixStats {
             ("retransmits", Json::Num(self.retransmits as f64)),
             ("slo", Json::Arr(vec![verdict.to_json()])),
         ]);
-        report.push(verdict);
+        verdicts.push(verdict);
         json
     }
 }
@@ -318,15 +316,15 @@ fn main() {
     eprintln!("[load_gen] fault-heavy mix: {FAULT_SESSIONS} sessions ×2 (determinism check)…");
     let (faults, divergent, deterministic, fault_events) = fault_mix(&obs);
 
-    let mut report = SloReport::new();
-    let enrol_json = enrol.to_json(&mut report, SLO_P99_MS, 0.99);
-    let auth_json = auth.to_json(&mut report, SLO_P99_MS, 0.99);
+    let mut verdicts = Vec::new();
+    let enrol_json = enrol.to_json(&mut verdicts, SLO_P99_MS, 0.99);
+    let auth_json = auth.to_json(&mut verdicts, SLO_P99_MS, 0.99);
     // The reference fault mixture kills a small tail even with ARQ; the
     // floor asks recovery to save ≥85% (the soak gate's territory).
-    let faults_json = faults.to_json(&mut report, SLO_P99_MS * FAULT_P99_SLACK, 0.85);
+    let faults_json = faults.to_json(&mut verdicts, SLO_P99_MS * FAULT_P99_SLACK, 0.85);
 
     let sps = enrol.ops_per_s();
-    let checks = checks(&report.verdicts, sps, deterministic, divergent);
+    let checks = checks(&verdicts, sps, deterministic, divergent);
     let all_pass = checks.iter().all(|c| c.pass);
 
     for mix in [&enrol, &auth, &faults] {

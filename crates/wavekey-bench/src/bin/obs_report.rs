@@ -30,7 +30,7 @@ fn main() {
 
     let models = trained_models(Scale::Small);
     let mut config = experiment_config();
-    // Full MODP-1024 protocol, but with deadline slack so the report
+    // Full ristretto255 protocol, but with deadline slack so the report
     // reflects compute latency rather than slow-machine timeouts.
     config.wavekey.tau = 10.0;
 
@@ -95,7 +95,7 @@ fn main() {
         );
     }
 
-    let report = set.report_json("full_protocol_modp1024");
+    let report = set.report_json("full_protocol_ristretto255");
     write_results("results/OBS_session.json", &report.to_string_pretty());
     write_results("results/OBS_metrics.prom", &obs.prometheus_text());
 

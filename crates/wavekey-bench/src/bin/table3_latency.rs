@@ -2,7 +2,7 @@
 //! different key lengths (128/168/192/256 bits for AES/3DES, 2048 bits
 //! for RC4 — the paper uses only the lengths, not the ciphers).
 //!
-//! This experiment runs the *full* protocol, including the MODP-1024
+//! This experiment runs the *full* protocol, including the ristretto255
 //! oblivious transfers, and reports the mean logical end-to-end latency:
 //! the 2 s gesture plus both parties' measured compute time plus channel
 //! delays. Each run is folded into a [`wavekey_obs::SessionTrace`] (via
@@ -40,7 +40,7 @@ fn main() {
     }
 
     println!("\nTable III: time consumption for different key lengths");
-    println!("({runs} full MODP-1024 protocol runs per length)\n");
+    println!("({runs} full ristretto255 protocol runs per length)\n");
     let widths = [22usize, 8, 8, 8, 8, 8];
     print_row(
         &[

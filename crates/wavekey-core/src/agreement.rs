@@ -53,7 +53,7 @@ pub struct AgreementConfig {
     /// Nominal one-way channel latency (seconds); short-range WiFi /
     /// Bluetooth is ~1 ms.
     pub channel_delay: f64,
-    /// Use the tiny 61-bit test group instead of MODP-1024. Test-only:
+    /// Use the tiny 61-bit test group instead of ristretto255. Test-only:
     /// provides no security.
     pub use_tiny_group: bool,
     /// Post-reconciliation privacy amplification: derive the delivered
@@ -186,7 +186,9 @@ impl AgreementStages {
     }
 
     /// Records every stage as a pre-measured span on `obs` (no-op on a
-    /// disabled handle).
+    /// disabled handle). The deadline consumption is not a stage: it
+    /// reaches the metrics once per session, from the session's trace
+    /// ([`Obs::session`]).
     pub fn record_to(&self, obs: &Obs) {
         if !obs.is_enabled() {
             return;
@@ -194,7 +196,6 @@ impl AgreementStages {
         for (name, seconds) in self.timings() {
             obs.record_duration(name, seconds);
         }
-        obs.observe("deadline_consumed_seconds", self.deadline_consumed_s);
     }
 }
 

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic  0x57 0x4B ("WK")
-//! 2       1     version (WIRE_VERSION = 1)
+//! 2       1     version (WIRE_VERSION = 2)
 //! 3       1     kind    (MessageKind wire tag, see MessageKind::wire_tag)
 //! 4       4     payload length, u32 LE
 //! 8       n     payload
@@ -20,12 +20,14 @@ use crate::channel::MessageKind;
 
 /// The two magic bytes every frame starts with.
 pub const MAGIC: [u8; 2] = [0x57, 0x4B];
-/// The current wire-format version.
-pub const WIRE_VERSION: u8 = 1;
+/// The current wire-format version. Version 2 carries ristretto255 OT
+/// elements (32 bytes each); version 1 carried MODP-1024 elements (128
+/// bytes), so a peer of the old group is refused at the header.
+pub const WIRE_VERSION: u8 = 2;
 /// Fixed header length in bytes (magic + version + kind + length).
 pub const HEADER_LEN: usize = 8;
-/// Upper bound on payload length: a MODP-1024 OT batch of a few thousand
-/// instances stays far below this; anything larger is hostile.
+/// Upper bound on payload length: an OT batch of a few thousand instances
+/// stays far below this; anything larger is hostile.
 pub const MAX_PAYLOAD: usize = 1 << 24;
 
 /// One framed protocol message.

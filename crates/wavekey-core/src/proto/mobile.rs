@@ -30,7 +30,6 @@ use std::time::Instant;
 use wavekey_crypto::ecc::CodeOffset;
 use wavekey_crypto::hmac::{hmac_sha256, mac_eq};
 use wavekey_crypto::ot::{OtPairs, OtReceiver, OtSender};
-use wavekey_crypto::rounds;
 use wavekey_obs::EventScope;
 
 /// The mobile party's protocol state machine.
@@ -131,7 +130,7 @@ impl MobileAgreement {
         }
         let t = Instant::now();
         let x_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
-        let (sender, ma) = rounds::sender_round_a(self.core.group, x_pairs, &mut self.core.rng);
+        let (sender, ma) = OtSender::start(self.core.group, x_pairs, &mut self.core.rng);
         let d = self.core.spend(t);
         self.ma_prep = d;
         self.core.stages.ot_round_a += d;
@@ -221,7 +220,7 @@ impl MobileAgreement {
     fn respond_ot_a(&mut self, frame: &Frame, arrival: f64) -> Result<Frame, AgreementError> {
         self.core.arrive(MessageKind::OtA, arrival)?;
         let t = Instant::now();
-        let (receiver, mb) = rounds::receiver_round_b(
+        let (receiver, mb) = OtReceiver::respond(
             self.core.group,
             &self.seed.to_bools(),
             &frame.payload,
@@ -242,7 +241,7 @@ impl MobileAgreement {
         self.core.arrive(MessageKind::OtB, arrival)?;
         let sender = self.sender.take().expect("sender set in start()");
         let t = Instant::now();
-        let me = rounds::sender_round_e(&sender, self.core.group, &frame.payload)
+        let me = sender.encrypt(self.core.group, &frame.payload)
             .map_err(ot_err)?;
         let d = self.core.spend(t);
         self.core.stages.ot_round_e += d;
@@ -267,7 +266,7 @@ impl MobileAgreement {
         let receiver = self.receiver.take().expect("receiver set in respond_ot_a");
         let pairs = self.x_pairs.take().expect("pairs handed back at M_B");
         let t = Instant::now();
-        let y_received = rounds::receiver_finish(&receiver, self.core.group, &frame.payload)
+        let y_received = receiver.decrypt(self.core.group, &frame.payload)
             .map_err(ot_err)?;
         // K_M = x₁^{sm₁} ‖ y₁^{sm₁} ‖ … (own pair selected by own seed,
         // plus the sequence obliviously received — also seed-selected).

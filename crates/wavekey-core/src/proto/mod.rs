@@ -38,7 +38,7 @@ use crate::bits::PackedBits;
 use crate::channel::MessageKind;
 use rand::rngs::StdRng;
 use std::time::Instant;
-use wavekey_crypto::group::DhGroup;
+use wavekey_crypto::group::Group;
 use wavekey_obs::EventScope;
 
 /// Where a protocol machine currently stands.
@@ -146,9 +146,9 @@ impl DeadlineBudgets {
 #[derive(Debug)]
 pub(crate) struct PartyCore {
     pub(crate) config: AgreementConfig,
-    /// The process-wide shared group: MODP-1024, or the tiny test group
-    /// under `use_tiny_group`. Its comb table is built once per process.
-    pub(crate) group: &'static DhGroup,
+    /// ristretto255, or the tiny test group under `use_tiny_group`. Each
+    /// group's comb table is built once per process.
+    pub(crate) group: Group,
     pub(crate) rng: StdRng,
     pub(crate) budgets: DeadlineBudgets,
     pub(crate) state: State,
@@ -178,11 +178,7 @@ impl PartyCore {
         }
         Ok(PartyCore {
             config: *config,
-            group: if config.use_tiny_group {
-                DhGroup::tiny_test_group_shared()
-            } else {
-                DhGroup::modp_1024_shared()
-            },
+            group: if config.use_tiny_group { Group::Tiny } else { Group::Ristretto255 },
             rng,
             budgets,
             state: State::Init,

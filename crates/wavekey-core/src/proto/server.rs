@@ -29,7 +29,6 @@ use std::time::Instant;
 use wavekey_crypto::ecc::CodeOffset;
 use wavekey_crypto::hmac::hmac_sha256;
 use wavekey_crypto::ot::{OtPairs, OtReceiver, OtSender};
-use wavekey_crypto::rounds;
 use wavekey_obs::EventScope;
 
 /// The server party's protocol state machine.
@@ -124,7 +123,7 @@ impl ServerAgreement {
         }
         let t = Instant::now();
         let y_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
-        let (sender, ma) = rounds::sender_round_a(self.core.group, y_pairs, &mut self.core.rng);
+        let (sender, ma) = OtSender::start(self.core.group, y_pairs, &mut self.core.rng);
         let d = self.core.spend(t);
         self.core.stages.ot_round_a += d;
         self.sender = Some(sender);
@@ -212,7 +211,7 @@ impl ServerAgreement {
     fn respond_ot_a(&mut self, frame: &Frame, arrival: f64) -> Result<Frame, AgreementError> {
         self.core.arrive(MessageKind::OtA, arrival)?;
         let t = Instant::now();
-        let (receiver, mb) = rounds::receiver_round_b(
+        let (receiver, mb) = OtReceiver::respond(
             self.core.group,
             &self.seed.to_bools(),
             &frame.payload,
@@ -233,7 +232,7 @@ impl ServerAgreement {
         self.core.arrive(MessageKind::OtB, arrival)?;
         let sender = self.sender.take().expect("sender set in start()");
         let t = Instant::now();
-        let me = rounds::sender_round_e(&sender, self.core.group, &frame.payload)
+        let me = sender.encrypt(self.core.group, &frame.payload)
             .map_err(ot_err)?;
         let d = self.core.spend(t);
         self.core.stages.ot_round_e += d;
@@ -250,7 +249,7 @@ impl ServerAgreement {
         let receiver = self.receiver.take().expect("receiver set in respond_ot_a");
         let pairs = self.y_pairs.take().expect("pairs handed back at M_B");
         let t = Instant::now();
-        let x_received = rounds::receiver_finish(&receiver, self.core.group, &frame.payload)
+        let x_received = receiver.decrypt(self.core.group, &frame.payload)
             .map_err(ot_err)?;
         // K_R = x₁^{sr₁} ‖ y₁^{sr₁} ‖ … (the sequence obliviously
         // received, plus the own pair — both selected by own seed).

@@ -751,6 +751,32 @@ mod tests {
     }
 
     #[test]
+    fn deadline_histogram_counts_each_successful_session_once() {
+        use wavekey_obs::MetricSnapshot;
+        // The path `establish_key` takes after the seeds, on equal seeds
+        // so every session succeeds: one deadline sample per success.
+        let mut session = test_session();
+        let (obs, _mem) = Obs::with_memory();
+        session.set_obs(obs);
+        let seed: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
+        for _ in 0..3 {
+            let mut trace = session.begin_trace();
+            let result = session.agree_traced(&seed, &seed, &mut PassiveChannel, &mut trace);
+            assert!(result.is_ok());
+            session.finish_trace(trace, &result);
+        }
+        let snapshot = session.obs().with_registry(|r| r.snapshot()).expect("enabled");
+        let metric = |name: &str| snapshot.iter().find(|(n, _)| n == name).map(|(_, m)| m.clone());
+        let Some(MetricSnapshot::Counter(successes)) = metric("sessions_success") else {
+            panic!("no sessions_success counter");
+        };
+        let Some(MetricSnapshot::Histogram(deadline)) = metric("deadline_consumed_seconds") else {
+            panic!("no deadline_consumed_seconds histogram");
+        };
+        assert_eq!((successes, deadline.count()), (3, 3));
+    }
+
+    #[test]
     fn agree_records_every_stage_span() {
         let mut session = test_session();
         let (obs, mem) = Obs::with_memory();

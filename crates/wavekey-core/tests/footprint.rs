@@ -2,14 +2,14 @@
 //!
 //! A counting global allocator (the one `gateway_soak` reports with)
 //! tracks live bytes and live blocks. A tiny-group pair (24-bit seeds,
-//! the gateway's sessions) and a MODP-1024 pair (48-bit seeds, the
-//! kiosk's) are driven in lockstep through built → A → B → E → Done. At each stage the test holds the two
-//! machines plus the frames still in flight to the peer, and asserts what
-//! that costs against a ceiling per stage. The machines themselves sit
-//! on the stack here, so the figures are what they own on the heap. The
-//! ceilings sit a little above what the flat machines hold: a machine
-//! that keeps a spent OT batch, a byte per bit or a `Vec` per group
-//! element breaks them.
+//! the gateway's sessions) and a ristretto255 pair (48-bit seeds, the
+//! kiosk's) are driven in lockstep through built → A → B → E → Done. At
+//! each stage the test holds the two machines plus the frames still in
+//! flight to the peer, and asserts what that costs against a ceiling per
+//! stage. The machines themselves sit on the stack here, so the figures
+//! are what they own on the heap. The ceilings sit a little above what
+//! the flat machines hold: a machine that keeps a spent OT batch, a byte
+//! per bit or a `Vec` per group element breaks them.
 //!
 //! The whole file is one `#[test]`, so no other test allocates while it
 //! measures, and it pins `WAVEKEY_THREADS=1` before any group arithmetic
@@ -110,13 +110,15 @@ fn machine_pairs_stay_under_their_stage_ceilings() {
     // 10,624/353 and 11,008/356. A machine that also keeps its pairs
     // outside the OT sender holds two blocks more at A and B.
     check("tiny", &tiny, 24, [(64, 2), (1_400, 11), (2_300, 17), (1_900, 15), (320, 7)]);
-    // Measured: 16/2, 24,912/9, 49,504/15, 25,896/13 and 208/5; before,
-    // 96/2, 37,088/491, 66,368/689, 55,104/689 and 54,976/692.
-    let modp = AgreementConfig { tau: 10.0, ..Default::default() };
+    // Measured on ristretto255: 16/2, 6,480/9, 24,928/15, 19,752/13 and
+    // 208/5, where MODP-1024 held 16/2, 24,912/9, 49,504/15, 25,896/13
+    // and 208/5. At B each receiver holds its peer's 48 decoded `M_A`
+    // points, 160 B each.
+    let production = AgreementConfig { tau: 10.0, ..Default::default() };
     check(
-        "modp1024",
-        &modp,
+        "ristretto255",
+        &production,
         48,
-        [(64, 2), (26_500, 11), (52_000, 17), (27_500, 15), (320, 7)],
+        [(64, 2), (7_500, 11), (27_000, 17), (21_500, 15), (320, 7)],
     );
 }

@@ -1,461 +1,415 @@
-//! The Diffie-Hellman group for the OT protocol.
+//! The two groups the OT runs over.
 //!
 //! The paper has sender and receiver "agree on two large prime numbers g
-//! and u, which are not necessarily hidden from a third party". We fix the
-//! well-known 1024-bit MODP group of RFC 2409 (Oakley Group 2) — a safe
-//! prime with generator 2 — so both sides (and the adversary) know the
-//! parameters, exactly as in the paper's model.
+//! and u, which are not necessarily hidden from a third party": a public
+//! group and generator. WaveKey fixes ristretto255 (RFC 9496), a group of
+//! prime order `ℓ ≈ 2^252` with 32-byte elements, written additively: the
+//! paper's `g^a mod u` is `a·G`, and `M_A·g^b` is `M_A + b·G`
+//! ([`crate::ristretto`]). A 61-bit multiplicative group mod the Mersenne
+//! prime `2^61 − 1` serves fast tests and the gateway workload; it gives
+//! no security.
+//!
+//! Batches are flat `u64` buffers, so an OT batch is a few vectors
+//! whatever its size: scalars of [`Group::scalar_words`] words each and
+//! elements of [`Group::point_words`] words each (an extended
+//! edwards25519 point, or one residue). Every batch operation fans out
+//! through [`wavekey_par::for_each_chunk_mut`].
 
-use crate::bigint::{
-    is_probable_prime, limbs_cmp, limbs_ge, limbs_mul_into, limbs_rem_into, with_scratch,
-    FixedBaseTable, MontgomeryCtx, Ubig,
-};
-#[cfg(target_arch = "x86_64")]
-use crate::ifma;
+use crate::ristretto::{self, Point};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::cmp::Ordering;
 use std::sync::OnceLock;
 
-/// The RFC 2409 Oakley Group 2 prime (1024-bit), hexadecimal.
-pub const MODP_1024_HEX: &str = concat!(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74",
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437",
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED",
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF",
-);
+/// The tiny group's modulus, the Mersenne prime `2^61 − 1`.
+const TINY_P: u64 = (1 << 61) - 1;
+/// The tiny group's generator.
+const TINY_G: u64 = 37;
+/// Window width of the tiny group's comb: 11 windows of 64 entries.
+const TINY_W: usize = 6;
 
-/// Window width of the scalar fixed-base comb. 6 bits puts the MODP-1024
-/// table at ⌈1024/6⌉ · 63 = 10,773 entries (1.32 MiB) and the
-/// per-exponentiation cost at ≤ 171 Montgomery multiplications (versus
-/// ~1024 squarings for square-and-multiply) — see DESIGN.md §7.
-const FIXED_BASE_WINDOW: usize = 6;
-
-/// The generator's comb table, in exactly one of two forms.
-#[derive(Debug, Clone)]
-enum Comb {
-    /// 5-bit windows in radix 2^52, walked eight exponents at a time on
-    /// the `ifma` lanes (1.00 MiB for MODP-1024): 16-limb groups on CPUs
-    /// with AVX512-IFMA.
-    #[cfg(target_arch = "x86_64")]
-    Lanes(ifma::CombTable),
-    /// The scalar w = 6 comb everywhere else, and the lane walk's
-    /// differential oracle.
-    Scalar(FixedBaseTable),
+/// A group the OT can run over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Group {
+    /// ristretto255: the production group.
+    Ristretto255,
+    /// The multiplicative group mod `2^61 − 1` with generator 37. Never
+    /// use outside tests and benches.
+    Tiny,
 }
 
-/// A fixed prime-modulus DH group with precomputed Montgomery context and
-/// one comb table of generator powers (built once per group, reused by
-/// every `pow_g_many` across all OT instances and sessions).
-#[derive(Debug, Clone)]
-pub struct DhGroup {
-    ctx: MontgomeryCtx,
-    generator: Ubig,
-    /// `u − 1`: the order of the multiplicative group mod the prime `u`
-    /// (the generator's order divides it), used to invert generator
-    /// powers without a Fermat inversion.
-    order: Ubig,
-    comb: Comb,
-}
-
-impl DhGroup {
-    /// The group of prime modulus `p` and generator `generator`, with its
-    /// comb table built: 1.00 MiB and ~1–2 ms for a 1024-bit lane table on
-    /// CPUs with AVX512-IFMA, 1.32 MiB and ~3–8 ms for the scalar one
-    /// elsewhere. Protocol code borrows one of the shared groups instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is even or zero (invalid Montgomery modulus).
-    pub fn with_params(p: Ubig, generator: Ubig) -> DhGroup {
-        let ctx = MontgomeryCtx::new(p);
-        let order = ctx.modulus().sub(&Ubig::one());
-        let comb = Self::comb_for(&ctx, &generator);
-        DhGroup { ctx, generator, order, comb }
-    }
-
-    /// The lane comb table where the context and CPU allow it, else the
-    /// scalar one; never both.
-    fn comb_for(ctx: &MontgomeryCtx, generator: &Ubig) -> Comb {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(table) = ctx.lane_comb_table(generator) {
-            return Comb::Lanes(table);
-        }
-        let max_exp_bits = ctx.modulus().bit_len();
-        Comb::Scalar(ctx.fixed_base_table(generator, max_exp_bits, FIXED_BASE_WINDOW))
-    }
-
-    /// The standard WaveKey group: 1024-bit MODP, generator 2.
-    pub fn modp_1024() -> DhGroup {
-        DhGroup::with_params(Ubig::from_hex(MODP_1024_HEX), Ubig::from_u64(2))
-    }
-
-    /// The process-wide shared MODP-1024 group. Building a [`DhGroup`]
-    /// precomputes the comb table, so protocol code should use this
-    /// shared instance, built once per process, to amortize that cost
-    /// across sessions.
-    pub fn modp_1024_shared() -> &'static DhGroup {
-        static SHARED: OnceLock<DhGroup> = OnceLock::new();
-        SHARED.get_or_init(DhGroup::modp_1024)
-    }
-
-    /// A deliberately tiny test group (61-bit prime) for fast unit tests.
-    /// Never use outside tests/benches.
-    pub fn tiny_test_group() -> DhGroup {
-        // 2^61 − 1 is a Mersenne prime; generator 37 works for testing.
-        DhGroup::with_params(Ubig::from_u64((1u64 << 61) - 1), Ubig::from_u64(37))
-    }
-
-    /// The process-wide shared tiny test group: same parameters as
-    /// [`DhGroup::tiny_test_group`], built once per process, so every
-    /// tiny-group session borrows one group instead of owning a copy of
-    /// its comb table.
-    pub fn tiny_test_group_shared() -> &'static DhGroup {
-        static SHARED: OnceLock<DhGroup> = OnceLock::new();
-        SHARED.get_or_init(DhGroup::tiny_test_group)
-    }
-
-    /// The group modulus `u` (paper notation).
-    pub fn modulus(&self) -> &Ubig {
-        self.ctx.modulus()
-    }
-
-    /// The generator `g`.
-    pub fn generator(&self) -> &Ubig {
-        &self.generator
-    }
-
-    /// `u − 1`, the order of the full multiplicative group mod `u`. The
-    /// OT sender folds exponent algebra (`−a² mod (u−1)`) through this
-    /// ([`DhGroup::neg_exponent`]) before hitting the comb table.
-    pub fn order(&self) -> &Ubig {
-        &self.order
-    }
-
-    /// Byte width of a serialized group element.
-    pub fn element_len(&self) -> usize {
-        self.modulus().bit_len().div_ceil(8)
-    }
-
-    /// Limbs per group element, `k` (1 on the tiny group, 16 on
-    /// MODP-1024): a flat batch of `n` elements or exponents is one
-    /// `Vec<u64>` of `n·k` little-endian limbs.
-    pub fn limbs(&self) -> usize {
-        self.ctx.limbs()
-    }
-
-    /// `g^x mod u` for every exponent `x` of the flat batch `exps`, into
-    /// the matching `k`-limb run of `out`, each equal to [`DhGroup::pow`]
-    /// of the generator, through the group's comb table: one Montgomery
-    /// multiplication per exponent window, no squarings. This is the
-    /// kernel under the OT's `M_A` and `M_B` and the `k¹` fold.
-    ///
-    /// `out` holds `count = out.len() / k` results, and `exps` holds
-    /// `count` exponents of `exps.len() / count` limbs each.
-    ///
-    /// With the lane table (1024-bit groups on CPUs with AVX512-IFMA) the
-    /// exponents go eight at a time through an always-multiply walk with
-    /// masked table reads, and a trailing group of fewer than eight is
-    /// padded. The scalar table walks one exponent at a time and skips
-    /// zero digits. Either way the calls fan out through
-    /// [`wavekey_par::for_each_chunk_mut`], and an exponent wider than
-    /// the table runs a general exponentiation.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `out` is a whole number of elements and `exps`
-    /// splits evenly into one exponent per result.
-    pub fn pow_g_many(&self, exps: &[u64], out: &mut [u64]) {
-        match &self.comb {
-            #[cfg(target_arch = "x86_64")]
-            Comb::Lanes(t) => self.ctx.pow_comb_many(t, &self.generator, exps, out),
-            Comb::Scalar(t) => self.ctx.pow_fixed_base_many(t, exps, out),
+impl Group {
+    /// Byte width of an encoded element: 32, or 8 on the tiny group.
+    pub fn element_len(self) -> usize {
+        match self {
+            Group::Ristretto255 => 32,
+            Group::Tiny => 8,
         }
     }
 
-    /// `g^x mod u`: a one-element [`DhGroup::pow_g_many`]. With the lane
-    /// table that is a padded group of eight, so batch callers should use
-    /// `pow_g_many` directly.
-    pub fn pow_g(&self, x: &Ubig) -> Ubig {
-        let mut out = vec![0u64; self.limbs()];
-        self.pow_g_many(x.as_limbs(), &mut out);
-        Ubig::from_limbs(&out)
-    }
-
-    /// `g^(−x) mod u`, computed as `g^(u−1−x)` through the same comb
-    /// table — far cheaper than a Fermat inversion of `g^x`.
-    pub fn inv_pow_g(&self, x: &Ubig) -> Ubig {
-        self.pow_g(&self.neg_exponent(x))
-    }
-
-    /// The exponent `(u−1) − (x mod (u−1))`, so that `g^e = g^(−x)`.
-    /// `x` is reduced only when it exceeds `u−1`.
-    pub fn neg_exponent(&self, x: &Ubig) -> Ubig {
-        let mut out = vec![0u64; self.order.as_limbs().len()];
-        self.neg_exponent_into(x.as_limbs(), &mut out);
-        Ubig::from_limbs(&out)
-    }
-
-    /// [`DhGroup::neg_exponent`] of `a²` into the `k` limbs of `out`, for
-    /// an exponent `a` of `k` limbs, with the square and the reduction on
-    /// stack scratch. The OT sender writes each instance's `k¹` fold
-    /// exponent `−a² mod (u−1)` straight into its flat batch this way.
-    pub(crate) fn neg_square_exponent_into(&self, a: &[u64], out: &mut [u64]) {
-        with_scratch(2 * a.len(), |square| {
-            limbs_mul_into(a, a, square);
-            self.neg_exponent_into(square, out);
-        });
-    }
-
-    /// The negation fold on limbs, the one place it is written: `x` of
-    /// any width, `out` of at least the order's limbs, zero-padded.
-    fn neg_exponent_into(&self, x: &[u64], out: &mut [u64]) {
-        let order = self.order.as_limbs();
-        let (r, pad) = out.split_at_mut(order.len());
-        pad.fill(0);
-        if limbs_cmp(x, order) == Ordering::Greater {
-            limbs_rem_into(x, order, r);
-        } else {
-            for (i, o) in r.iter_mut().enumerate() {
-                *o = x.get(i).copied().unwrap_or(0);
-            }
+    /// Words per scalar in a flat batch: 4, or 1 on the tiny group.
+    pub fn scalar_words(self) -> usize {
+        match self {
+            Group::Ristretto255 => 4,
+            Group::Tiny => 1,
         }
-        // r ← (u−1) − r, which cannot borrow: r ≤ u−1.
-        let mut borrow = false;
-        for (o, &m) in r.iter_mut().zip(order) {
-            let (d, b1) = m.overflowing_sub(*o);
-            let (d, b2) = d.overflowing_sub(u64::from(borrow));
-            *o = d;
-            borrow = b1 | b2;
+    }
+
+    /// Words per decoded element in a flat batch: 20 (four field elements
+    /// of five limbs), or 1 on the tiny group.
+    pub fn point_words(self) -> usize {
+        match self {
+            Group::Ristretto255 => 20,
+            Group::Tiny => 1,
         }
-        debug_assert!(!borrow);
     }
 
-    /// `base^x mod u`.
-    pub fn pow(&self, base: &Ubig, x: &Ubig) -> Ubig {
-        self.ctx.mod_pow(base, x)
+    /// Estimated multiply-adds per scalar multiplication, the work hint
+    /// for [`wavekey_par`]: `(variable base, fixed base)`.
+    fn work(self) -> (usize, usize) {
+        match self {
+            Group::Ristretto255 => (1 << 16, 1 << 14),
+            Group::Tiny => (128, 16),
+        }
     }
 
-    /// `bases[i]^exps[i] mod u` for every pair `i` of the flat batches,
-    /// into the `i`-th `k`-limb run of `out`, equal to [`DhGroup::pow`]
-    /// pair by pair. On 1024-bit groups and CPUs with AVX512-IFMA the
-    /// pairs run eight at a time ([`MontgomeryCtx::mod_pow_many`], which
-    /// also gives the batch layout).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `out` is a whole number of elements and `bases` and
-    /// `exps` split evenly into one value per result.
-    pub fn pow_many(&self, bases: &[u64], exps: &[u64], out: &mut [u64]) {
-        self.ctx.mod_pow_many(bases, exps, out);
-    }
-
-    /// `a·b mod u`.
-    pub fn mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        self.ctx.mod_mul(a, b)
-    }
-
-    /// `a·b mod u` into `out`, for elements `a` and `b` of `k` limbs
-    /// below `u` ([`MontgomeryCtx::mod_mul_limbs`]).
-    pub fn mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        self.ctx.mod_mul_limbs(a, b, out);
-    }
-
-    /// `a / b mod u` (prime modulus inverse via Fermat).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b ≡ 0`.
-    pub fn div(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        self.ctx.mod_mul(a, &self.ctx.mod_inv_prime(b))
-    }
-
-    /// Samples a random exponent in `[1, u)`.
-    pub fn random_exponent(&self, rng: &mut StdRng) -> Ubig {
-        let mut x = vec![0u64; self.limbs()];
-        self.random_exponent_into(rng, &mut x);
-        Ubig::from_limbs(&x)
-    }
-
-    /// [`DhGroup::random_exponent`] into the `k` limbs of `out`, drawing
-    /// the same RNG words: per attempt one `u64` per limb, the top limb
-    /// masked to the modulus width, rejected when not below `u` or zero.
-    pub fn random_exponent_into(&self, rng: &mut StdRng, out: &mut [u64]) {
-        let u = self.modulus().as_limbs();
-        let bits = self.modulus().bit_len();
-        let top_mask = if bits.is_multiple_of(64) { u64::MAX } else { (1u64 << (bits % 64)) - 1 };
+    /// Draws a uniform non-zero scalar into `out`: per attempt one `u64`
+    /// per word, the top word masked to the bound's width, rejected when
+    /// not below the bound (`ℓ`, or `2^61 − 1` on the tiny group) or zero.
+    pub fn random_scalar_into(self, rng: &mut StdRng, out: &mut [u64]) {
+        let bound: &[u64] = match self {
+            Group::Ristretto255 => &ristretto::L,
+            Group::Tiny => &[TINY_P],
+        };
+        let top = *bound.last().expect("a non-empty bound");
+        let top_mask = u64::MAX >> top.leading_zeros();
         loop {
-            for limb in out.iter_mut() {
-                *limb = rng.gen();
+            for word in out.iter_mut() {
+                *word = rng.gen();
             }
-            out[u.len() - 1] &= top_mask;
-            if !limbs_ge(out, u) && out.iter().any(|&l| l != 0) {
+            *out.last_mut().expect("a non-empty scalar") &= top_mask;
+            let below = out.iter().rev().cmp(bound.iter().rev()) == std::cmp::Ordering::Less;
+            if below && out.iter().any(|&w| w != 0) {
                 return;
             }
         }
     }
 
-    /// Serializes a group element to fixed-width big-endian bytes.
-    pub fn encode_element(&self, e: &Ubig) -> Vec<u8> {
-        e.to_be_bytes_padded(self.element_len())
+    /// `x·G` for every scalar `x` of the flat batch `scalars`, into the
+    /// matching element of `out`, through the generator's comb.
+    pub fn mul_base_many(self, scalars: &[u64], out: &mut [u64]) {
+        let (sw, pw) = (self.scalar_words(), self.point_words());
+        let work = out.len() / pw * self.work().1;
+        wavekey_par::for_each_chunk_mut(out, pw, work, |i, o| {
+            let x = &scalars[i * sw..][..sw];
+            match self {
+                Group::Ristretto255 => ristretto::mul_base(as4(x)).to_words(o),
+                Group::Tiny => o[0] = tiny_pow_g(x[0]),
+            }
+        });
     }
 
-    /// Writes the element `x` (`k` limbs) as [`DhGroup::element_len`]
-    /// big-endian bytes into `out`, the wire form of
-    /// [`DhGroup::encode_element`].
-    pub fn encode_into(&self, x: &[u64], out: &mut [u8]) {
-        let w = out.len();
-        for (j, byte) in out.iter_mut().enumerate() {
-            let b = w - 1 - j;
-            *byte = (x[b / 8] >> (8 * (b % 8))) as u8;
+    /// `xᵢ·Pᵢ` for every pair of the flat batches `points` and `scalars`,
+    /// into the matching element of `out`.
+    pub fn mul_many(self, points: &[u64], scalars: &[u64], out: &mut [u64]) {
+        let (sw, pw) = (self.scalar_words(), self.point_words());
+        let work = out.len() / pw * self.work().0;
+        wavekey_par::for_each_chunk_mut(out, pw, work, |i, o| {
+            let (p, x) = (&points[i * pw..][..pw], &scalars[i * sw..][..sw]);
+            match self {
+                Group::Ristretto255 => ristretto::mul(&Point::from_words(p), as4(x)).to_words(o),
+                Group::Tiny => o[0] = tiny_pow(p[0], x[0]),
+            }
+        });
+    }
+
+    /// `p + q` (the paper's product `p·q`) into `out`.
+    pub fn add_into(self, p: &[u64], q: &[u64], out: &mut [u64]) {
+        match self {
+            Group::Ristretto255 => {
+                Point::from_words(p)
+                    .add(&Point::from_words(q))
+                    .to_words(out);
+            }
+            Group::Tiny => out[0] = tiny_mul(p[0], q[0]),
         }
     }
 
-    /// Parses one [`DhGroup::element_len`]-byte element straight into the
-    /// `k` limbs of `out`: `false` for 0 and for any encoding of `u` or
-    /// above, which no honest party sends. A peer that could send 0 would
-    /// zero the OT keys derived from it.
-    pub fn decode_into(&self, bytes: &[u8], out: &mut [u64]) -> bool {
-        debug_assert_eq!(bytes.len(), self.element_len());
-        out.fill(0);
-        let w = bytes.len();
-        for (j, &byte) in bytes.iter().enumerate() {
-            let b = w - 1 - j;
-            out[b / 8] |= u64::from(byte) << (8 * (b % 8));
+    /// The scalar `−a²` of the OT's `k¹` fold into `out`, so that
+    /// `(−a²)·G = −(a²·G)`: `ℓ − (a² mod ℓ)` by a fixed-width reduction,
+    /// or `(u−1) − (a² mod (u−1))` on the tiny group, whose generator's
+    /// order divides `u − 1`.
+    pub fn neg_square_into(self, a: &[u64], out: &mut [u64]) {
+        match self {
+            Group::Ristretto255 => out.copy_from_slice(&ristretto::neg_square(as4(a))),
+            Group::Tiny => {
+                let order = TINY_P - 1;
+                let square = (u128::from(a[0]) * u128::from(a[0]) % u128::from(order)) as u64;
+                out[0] = order - square;
+            }
         }
-        out.iter().any(|&l| l != 0) && !limbs_ge(out, self.modulus().as_limbs())
     }
 
-    /// Verifies that the group modulus is prime (sanity check; expensive
-    /// for the 1024-bit group, used in tests).
-    pub fn check_prime(&self) -> bool {
-        is_probable_prime(self.modulus())
+    /// `x/2 mod ℓ` for every scalar of the flat batch `scalars`: the
+    /// scalars whose products [`Group::encode_doubled_many`] encodes as
+    /// the products by `x`. The tiny group, whose encodings cost nothing,
+    /// neither halves nor doubles: it returns the scalars.
+    pub fn halves(self, scalars: &[u64]) -> Vec<u64> {
+        let mut out = scalars.to_vec();
+        if self == Group::Ristretto255 {
+            for x in out.chunks_exact_mut(4) {
+                x.copy_from_slice(&ristretto::half(as4(x)));
+            }
+        }
+        out
     }
+
+    /// The encodings of `2·P` for every element `P` of the flat batch
+    /// `points`, into `out` ([`Group::element_len`] bytes each), with one
+    /// field inversion for the whole batch where [`Group::encode_into`]
+    /// takes an inverse square root per element. The tiny group writes
+    /// the elements themselves ([`Group::halves`]).
+    pub fn encode_doubled_many(self, points: &[u64], out: &mut [u8]) {
+        match self {
+            Group::Ristretto255 => {
+                let points: Vec<Point> = points.chunks_exact(20).map(Point::from_words).collect();
+                let mut encoded = vec![[0u8; 32]; points.len()];
+                ristretto::encode_doubled(&points, &mut encoded);
+                for (o, e) in out.chunks_exact_mut(32).zip(&encoded) {
+                    o.copy_from_slice(e);
+                }
+            }
+            Group::Tiny => {
+                for (o, p) in out.chunks_exact_mut(8).zip(points) {
+                    o.copy_from_slice(&p.to_be_bytes());
+                }
+            }
+        }
+    }
+
+    /// Writes the element `p` as its [`Group::element_len`]-byte wire
+    /// form: the canonical ristretto255 encoding, computed without a
+    /// branch on the point, or the residue's big-endian bytes.
+    pub fn encode_into(self, p: &[u64], out: &mut [u8]) {
+        match self {
+            Group::Ristretto255 => out.copy_from_slice(&ristretto::encode(&Point::from_words(p))),
+            Group::Tiny => out.copy_from_slice(&p[0].to_be_bytes()),
+        }
+    }
+
+    /// Parses one [`Group::element_len`]-byte element into `out`: `false`
+    /// for any encoding no honest party sends. On ristretto255 that is a
+    /// non-canonical, negative or non-square `s`, and the identity; on
+    /// the tiny group 0 and any value not below the modulus. A peer that
+    /// could send the identity would fix the OT keys derived from it.
+    pub fn decode_into(self, bytes: &[u8], out: &mut [u64]) -> bool {
+        match self {
+            Group::Ristretto255 => {
+                let point = bytes.try_into().ok().and_then(ristretto::decode);
+                point.map(|p| p.to_words(out)).is_some()
+            }
+            Group::Tiny => {
+                let x = u64::from_be_bytes(bytes.try_into().expect("8 bytes"));
+                out[0] = x;
+                x != 0 && x < TINY_P
+            }
+        }
+    }
+}
+
+/// A four-word scalar of a flat batch.
+fn as4(x: &[u64]) -> &[u64; 4] {
+    x.try_into().expect("a four-word scalar")
+}
+
+/// `a·b mod 2^61 − 1`, folding the product's high bits onto its low
+/// bits (`2^61 ≡ 1`).
+fn tiny_mul(a: u64, b: u64) -> u64 {
+    let t = u128::from(a) * u128::from(b);
+    let r = (t as u64 & TINY_P) + (t >> 61) as u64;
+    let r = (r & TINY_P) + (r >> 61);
+    if r >= TINY_P {
+        r - TINY_P
+    } else {
+        r
+    }
+}
+
+/// `base^x mod 2^61 − 1` by left-to-right square-and-multiply.
+fn tiny_pow(base: u64, x: u64) -> u64 {
+    (0..64 - x.leading_zeros()).rev().fold(1, |acc, i| {
+        let acc = tiny_mul(acc, acc);
+        if (x >> i) & 1 == 1 {
+            tiny_mul(acc, base)
+        } else {
+            acc
+        }
+    })
+}
+
+/// `37^x mod 2^61 − 1` through the comb: window `i` of `x` picks
+/// `37^(digit·2^(6i))`, one product per window and no squaring.
+fn tiny_pow_g(x: u64) -> u64 {
+    static COMB: OnceLock<Vec<[u64; 1 << TINY_W]>> = OnceLock::new();
+    let comb = COMB.get_or_init(|| {
+        let mut base = TINY_G;
+        (0..64usize.div_ceil(TINY_W))
+            .map(|_| {
+                let mut row = [1u64; 1 << TINY_W];
+                for d in 1..row.len() {
+                    row[d] = tiny_mul(row[d - 1], base);
+                }
+                base = tiny_mul(row[row.len() - 1], base);
+                row
+            })
+            .collect()
+    });
+    comb.iter().enumerate().fold(1, |acc, (i, row)| {
+        let digit = (x >> (TINY_W * i)) as usize & ((1 << TINY_W) - 1);
+        tiny_mul(acc, row[digit])
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::{is_probable_prime, Ubig};
     use rand::SeedableRng;
+
+    /// `x` copies of a flat batch of one scalar drawn from `rng`.
+    fn scalar(group: Group, rng: &mut StdRng) -> Vec<u64> {
+        let mut x = vec![0u64; group.scalar_words()];
+        group.random_scalar_into(rng, &mut x);
+        x
+    }
+
+    fn mul_base(group: Group, x: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; group.point_words()];
+        group.mul_base_many(x, &mut out);
+        out
+    }
+
+    fn mul(group: Group, p: &[u64], x: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; group.point_words()];
+        group.mul_many(p, x, &mut out);
+        out
+    }
+
+    fn encode(group: Group, p: &[u64]) -> Vec<u8> {
+        let mut out = vec![0u8; group.element_len()];
+        group.encode_into(p, &mut out);
+        out
+    }
 
     #[test]
     fn tiny_group_dh_agreement() {
-        let g = DhGroup::tiny_test_group();
+        let g = Group::Tiny;
         let mut rng = StdRng::seed_from_u64(1);
-        let a = g.random_exponent(&mut rng);
-        let b = g.random_exponent(&mut rng);
-        let ga = g.pow_g(&a);
-        let gb = g.pow_g(&b);
-        assert_eq!(g.pow(&gb, &a), g.pow(&ga, &b));
+        let (a, b) = (scalar(g, &mut rng), scalar(g, &mut rng));
+        let (ga, gb) = (mul_base(g, &a), mul_base(g, &b));
+        assert_eq!(mul(g, &gb, &a), mul(g, &ga, &b));
     }
 
     #[test]
-    fn modp_1024_dh_agreement() {
-        let g = DhGroup::modp_1024();
+    fn ristretto255_dh_agreement() {
+        let g = Group::Ristretto255;
         let mut rng = StdRng::seed_from_u64(2);
-        let a = g.random_exponent(&mut rng);
-        let b = g.random_exponent(&mut rng);
-        let ga = g.pow_g(&a);
-        let gb = g.pow_g(&b);
-        assert_eq!(g.pow(&gb, &a), g.pow(&ga, &b));
+        let (a, b) = (scalar(g, &mut rng), scalar(g, &mut rng));
+        let (ga, gb) = (mul_base(g, &a), mul_base(g, &b));
+        assert_eq!(encode(g, &mul(g, &gb, &a)), encode(g, &mul(g, &ga, &b)));
     }
 
     #[test]
-    fn division_inverts_multiplication() {
-        let g = DhGroup::modp_1024();
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = Ubig::random_below(g.modulus(), &mut rng);
-        let b = g.random_exponent(&mut rng);
-        let prod = g.mul(&a, &b);
-        assert_eq!(g.div(&prod, &b), a);
-    }
-
-    #[test]
-    fn element_codec_roundtrip() {
-        let g = DhGroup::modp_1024();
-        assert_eq!(g.element_len(), 128);
-        let mut rng = StdRng::seed_from_u64(4);
-        let e = Ubig::random_below(g.modulus(), &mut rng);
-        let bytes = g.encode_element(&e);
-        assert_eq!(bytes.len(), 128);
-        let mut limbs = vec![0u64; g.limbs()];
-        assert!(g.decode_into(&bytes, &mut limbs));
-        assert_eq!(Ubig::from_limbs(&limbs), e);
-    }
-
-    #[test]
-    fn inv_pow_g_inverts_pow_g() {
-        for g in [DhGroup::tiny_test_group(), DhGroup::modp_1024()] {
-            let mut rng = StdRng::seed_from_u64(5);
-            for _ in 0..3 {
-                let x = g.random_exponent(&mut rng);
-                assert_eq!(g.mul(&g.pow_g(&x), &g.inv_pow_g(&x)), Ubig::one());
-                // Same value as the Fermat-inversion route.
-                assert_eq!(g.inv_pow_g(&x), g.div(&Ubig::one(), &g.pow_g(&x)));
-            }
-            assert_eq!(g.inv_pow_g(&Ubig::zero()), Ubig::one());
+    fn tiny_group_matches_ubig() {
+        let (p, g) = (Ubig::from_u64(TINY_P), Ubig::from_u64(TINY_G));
+        rand::check::cases("tiny_group_matches_ubig", 64, |rng| {
+            let (x, y) = (scalar(Group::Tiny, rng)[0], scalar(Group::Tiny, rng)[0]);
+            let (xu, yu) = (Ubig::from_u64(x), Ubig::from_u64(y));
+            assert_eq!(Ubig::from_u64(tiny_mul(x, y)), xu.mul(&yu).rem(&p));
+            assert_eq!(Ubig::from_u64(tiny_pow(x, y)), xu.mod_pow(&yu, &p));
+            assert_eq!(Ubig::from_u64(tiny_pow_g(y)), g.mod_pow(&yu, &p));
+        });
+        for x in [0, 1, TINY_P - 1, (1 << 61) | 5, u64::MAX] {
+            let xu = Ubig::from_u64(x);
+            assert_eq!(Ubig::from_u64(tiny_pow_g(x)), g.mod_pow(&xu, &p), "x {x}");
+            assert_eq!(tiny_mul(TINY_P - 1, TINY_P - 1), 1);
         }
     }
 
     #[test]
-    fn neg_exponent_folds_around_the_order() {
-        let g = DhGroup::tiny_test_group();
-        let order = g.order().clone();
-        let one = Ubig::one();
-        // x ≤ u−1 is negated as is; wider x is reduced first.
-        assert_eq!(g.neg_exponent(&Ubig::zero()), order);
-        assert_eq!(g.neg_exponent(&one), order.sub(&one));
-        assert_eq!(g.neg_exponent(&order), Ubig::zero());
-        assert_eq!(g.neg_exponent(&order.add(&one)), order.sub(&one));
-        assert_eq!(g.neg_exponent(&order.add(&order)), order);
-        for x in [Ubig::from_u64(5), order.sub(&one), order.mul(&order).add(&Ubig::from_u64(7))] {
-            assert_eq!(g.pow_g(&g.neg_exponent(&x)), g.div(&one, &g.pow_g(&x)), "x {x}");
+    fn element_codec_roundtrip() {
+        for g in [Group::Ristretto255, Group::Tiny] {
+            rand::check::cases("element_codec_roundtrip", 32, |rng| {
+                let e = mul_base(g, &scalar(g, rng));
+                let bytes = encode(g, &e);
+                assert_eq!(bytes.len(), g.element_len());
+                let mut back = vec![0u64; g.point_words()];
+                assert!(g.decode_into(&bytes, &mut back));
+                assert_eq!(encode(g, &back), bytes);
+            });
         }
     }
 
     #[test]
     fn neg_square_exponent_matches_the_ubig_fold() {
-        for g in [DhGroup::tiny_test_group(), DhGroup::modp_1024()] {
-            let (k, u, order) = (g.limbs(), g.modulus(), g.order());
-            let (one, two) = (Ubig::one(), Ubig::from_u64(2));
+        // `(−a²)·G` is `−(a²·G)`: adding `a²·G` gives the identity (1 on
+        // the tiny group), at edge and random `a`.
+        for g in [Group::Ristretto255, Group::Tiny] {
+            let order = match g {
+                Group::Ristretto255 => Ubig::from_limbs(&ristretto::L),
+                Group::Tiny => Ubig::from_u64(TINY_P - 1),
+            };
             let mut rng = StdRng::seed_from_u64(6);
-            let edges = [one.clone(), two.clone(), u.sub(&two), u.sub(&one)];
-            let randoms: Vec<Ubig> = (0..256).map(|_| g.random_exponent(&mut rng)).collect();
+            let (one, two) = (Ubig::one(), Ubig::from_u64(2));
+            let top = match g {
+                Group::Ristretto255 => order.sub(&one),
+                Group::Tiny => Ubig::from_u64(TINY_P - 1),
+            };
+            let edges = [one.clone(), two, top];
+            let randoms: Vec<Ubig> = (0..64)
+                .map(|_| Ubig::from_limbs(&scalar(g, &mut rng)))
+                .collect();
             for a in edges.iter().chain(&randoms) {
-                let mut limbs = vec![0u64; k];
+                let mut limbs = vec![0u64; g.scalar_words()];
                 a.write_limbs(&mut limbs);
-                let mut got = vec![0u64; k];
-                g.neg_square_exponent_into(&limbs, &mut got);
-                let (got, square) = (Ubig::from_limbs(&got), a.mul(a));
-                assert_eq!(got, g.neg_exponent(&square), "a {a}");
-                // The shift-subtract remainder, which shares no code with
-                // Algorithm D.
-                assert_eq!(got, order.sub(&square.rem_reference(order)), "a {a}");
+                let mut got = vec![0u64; g.scalar_words()];
+                g.neg_square_into(&limbs, &mut got);
+                let square = a.mul(a).rem(&order);
+                assert_eq!(Ubig::from_limbs(&got), order.sub(&square), "a {a}");
+                let mut square_limbs = vec![0u64; g.scalar_words()];
+                square.write_limbs(&mut square_limbs);
+                let mut sum = vec![0u64; g.point_words()];
+                g.add_into(&mul_base(g, &got), &mul_base(g, &square_limbs), &mut sum);
+                let identity = match g {
+                    Group::Ristretto255 => vec![0u8; 32],
+                    Group::Tiny => 1u64.to_be_bytes().to_vec(),
+                };
+                assert_eq!(encode(g, &sum), identity, "a {a}");
             }
         }
     }
 
     #[test]
-    fn shared_group_matches_fresh_group() {
-        for (shared, fresh) in [
-            (DhGroup::modp_1024_shared(), DhGroup::modp_1024()),
-            (DhGroup::tiny_test_group_shared(), DhGroup::tiny_test_group()),
-        ] {
-            assert_eq!(shared.modulus(), fresh.modulus());
-            assert_eq!(shared.generator(), fresh.generator());
-            let x = Ubig::from_u64(123456789);
-            assert_eq!(shared.pow_g(&x), fresh.pow_g(&x));
+    fn random_scalars_stay_in_range_and_draw_as_before() {
+        // The tiny group draws one masked `u64` per attempt, as it always
+        // has, so seeded tiny-group sessions keep their keys.
+        let mut rng = StdRng::seed_from_u64(3);
+        let (mut twin, mut other) = (rng.clone(), StdRng::seed_from_u64(4));
+        for _ in 0..256 {
+            let x = scalar(Group::Tiny, &mut rng)[0];
+            let want = loop {
+                let v = twin.gen::<u64>() & TINY_P;
+                if v != 0 && v < TINY_P {
+                    break v;
+                }
+            };
+            assert_eq!(x, want);
+            let s = Ubig::from_limbs(&scalar(Group::Ristretto255, &mut other));
+            assert!(!s.is_zero() && s.cmp_abs(&Ubig::from_limbs(&ristretto::L)).is_lt());
         }
     }
 
     #[test]
     fn tiny_group_modulus_is_prime() {
-        assert!(DhGroup::tiny_test_group().check_prime());
-    }
-
-    #[test]
-    #[ignore = "1024-bit Miller-Rabin is slow in debug; run with --ignored"]
-    fn modp_1024_modulus_is_prime() {
-        assert!(DhGroup::modp_1024().check_prime());
+        assert!(is_probable_prime(&Ubig::from_u64(TINY_P)));
     }
 }

@@ -1,30 +1,30 @@
 //! Batched 1-out-of-2 Oblivious Transfer (Fig. 3 of the paper).
 //!
-//! The construction is the discrete-log "simplest OT" of Chou-Orlandi,
-//! exactly as the paper describes it:
+//! The construction is the "simplest OT" of Chou-Orlandi, as the paper
+//! describes it, written additively over ristretto255 ([`Group`]):
 //!
 //! ```text
-//! sender:    a ← Z_u,  M_a = g^a
-//! receiver:  b ← Z_u,  M_b = g^b        (choice 0)
-//!                      M_b = M_a·g^b    (choice 1)
-//! sender:    k⁰ = H(M_b^a), k¹ = H((M_b/M_a)^a)
+//! sender:    a ← Z_ℓ,  M_A = a·G
+//! receiver:  b ← Z_ℓ,  M_B = b·G           (choice 0)
+//!                      M_B = M_A + b·G     (choice 1)
+//! sender:    k⁰ = H(a·M_B), k¹ = H(a·(M_B − M_A))
 //!            e⁰ = E(x⁰, k⁰), e¹ = E(x¹, k¹)
-//! receiver:  k = H(M_a^b) decrypts e^choice
+//! receiver:  k = H(b·M_A) decrypts e^choice
 //! ```
 //!
-//! WaveKey runs `l_s` instances per direction and batches each protocol
-//! round into one message (`M_A`, `M_B`, `M_E`), which this module
-//! mirrors: a batch of instances moves through three batched messages.
+//! `H` hashes an element's 32-byte encoding. WaveKey runs `l_s` instances
+//! per direction and batches each protocol round into one message
+//! (`M_A`, `M_B`, `M_E`). Each round is one call that takes and returns
+//! wire bytes, so a sans-IO protocol machine advances one round per
+//! frame: [`OtSender::start`] → `M_A`, [`OtReceiver::respond`] → `M_B`,
+//! [`OtSender::encrypt`] → `M_E`, [`OtReceiver::decrypt`] → payloads.
 //!
-//! Every batch is flat. Its exponents and its group elements are each
-//! one `Vec<u64>` of `n·k` little-endian limbs (`k` =
-//! [`DhGroup::limbs`]: 1 on the tiny group, 16 on MODP-1024), and its
-//! secret pairs are one byte buffer ([`OtPairs`]). Wire decode and
-//! encode go straight between frame bytes and limbs.
+//! Every batch is flat: its scalars and its decoded elements are each one
+//! `Vec<u64>` ([`Group::scalar_words`] and [`Group::point_words`] per
+//! instance), and its secret pairs are one byte buffer ([`OtPairs`]).
 
-use crate::bigint::ct_select_limbs;
 use crate::cipher::ctr_apply;
-use crate::group::DhGroup;
+use crate::group::Group;
 use crate::sha256::sha256;
 use rand::rngs::StdRng;
 
@@ -42,7 +42,11 @@ pub struct OtPairs {
 impl OtPairs {
     /// An empty batch of `secret_len`-byte pairs with room for `count`.
     pub fn with_capacity(secret_len: usize, count: usize) -> OtPairs {
-        OtPairs { secret_len, count: 0, bytes: Vec::with_capacity(2 * secret_len * count) }
+        OtPairs {
+            secret_len,
+            count: 0,
+            bytes: Vec::with_capacity(2 * secret_len * count),
+        }
     }
 
     /// Owned pairs copied into one buffer.
@@ -105,66 +109,17 @@ impl OtPairs {
     }
 }
 
-/// The batched first message `M_A`: one group element per instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OtMessageA {
-    /// `m_i = g^{a_i}` for every instance, `k` limbs each.
-    pub elements: Vec<u64>,
-}
-
-/// The batched response `M_B`: one group element per instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OtMessageB {
-    /// `n_i` (the receiver's blinded choice) per instance, `k` limbs
-    /// each.
-    pub elements: Vec<u64>,
-}
-
 /// The batched ciphertext message `M_E`: a ciphertext pair per instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OtMessageE {
+struct OtMessageE {
     /// `(e_i⁰, e_i¹)` per instance.
-    pub pairs: OtPairs,
-}
-
-impl OtMessageA {
-    /// Serializes to fixed-width concatenated elements.
-    pub fn encode(&self, group: &DhGroup) -> Vec<u8> {
-        encode_elements(group, &self.elements)
-    }
-
-    /// Parses a serialized message.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OtError::Malformed`] when the length is not a whole number
-    /// of elements, or when an element is 0 or not below `u`.
-    pub fn decode(group: &DhGroup, bytes: &[u8]) -> Result<OtMessageA, OtError> {
-        Ok(OtMessageA { elements: decode_elements(group, bytes)? })
-    }
-}
-
-impl OtMessageB {
-    /// Serializes to fixed-width concatenated elements.
-    pub fn encode(&self, group: &DhGroup) -> Vec<u8> {
-        encode_elements(group, &self.elements)
-    }
-
-    /// Parses a serialized message.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OtError::Malformed`] when the length is not a whole number
-    /// of elements, or when an element is 0 or not below `u`.
-    pub fn decode(group: &DhGroup, bytes: &[u8]) -> Result<OtMessageB, OtError> {
-        Ok(OtMessageB { elements: decode_elements(group, bytes)? })
-    }
+    pairs: OtPairs,
 }
 
 impl OtMessageE {
     /// Serializes as `u32` count, then per pair two `u32`-length-prefixed
     /// ciphertexts.
-    pub fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         let p = &self.pairs;
         let mut out = Vec::with_capacity(4 + p.count * (8 + 2 * p.secret_len));
         out.extend_from_slice(&(p.count as u32).to_le_bytes());
@@ -187,7 +142,7 @@ impl OtMessageE {
     /// ciphertexts are not all of one length: an honest sender encrypts
     /// two strings of one length per instance, the same for the whole
     /// batch.
-    pub fn decode(bytes: &[u8]) -> Result<OtMessageE, OtError> {
+    fn decode(bytes: &[u8]) -> Result<OtMessageE, OtError> {
         let take_u32 = |pos: &mut usize| -> Result<usize, OtError> {
             let v = bytes.get(*pos..*pos + 4).ok_or(OtError::Malformed)?;
             *pos += 4;
@@ -224,28 +179,28 @@ impl OtMessageE {
     }
 }
 
-fn encode_elements(group: &DhGroup, elements: &[u64]) -> Vec<u8> {
-    let (k, w) = (group.limbs(), group.element_len());
-    let mut out = vec![0u8; elements.len() / k * w];
-    for (x, bytes) in elements.chunks_exact(k).zip(out.chunks_exact_mut(w)) {
-        group.encode_into(x, bytes);
+fn encode_elements(group: Group, elements: &[u64]) -> Vec<u8> {
+    let (pw, w) = (group.point_words(), group.element_len());
+    let mut out = vec![0u8; elements.len() / pw * w];
+    for (p, bytes) in elements.chunks_exact(pw).zip(out.chunks_exact_mut(w)) {
+        group.encode_into(p, bytes);
     }
     out
 }
 
-/// Parses fixed-width elements straight into limbs, rejecting any that
-/// is 0 or not below `u`. A zero `M_B` would give the receiver both keys
-/// of an instance (`k⁰ = k¹ = H(0)`), and a zero `M_A` would make `M_B`
-/// zero exactly on choice-1 instances, showing the sender every choice
-/// bit.
-fn decode_elements(group: &DhGroup, bytes: &[u8]) -> Result<Vec<u64>, OtError> {
-    let (k, w) = (group.limbs(), group.element_len());
-    if bytes.len() % w != 0 {
+/// Parses fixed-width elements, rejecting the frame when its length is
+/// not a whole number of elements or when any element is one no honest
+/// party sends ([`Group::decode_into`]). An identity `M_B` would give the
+/// receiver both keys of an instance, and an identity `M_A` would make
+/// `M_B = b·G` on both choices while fixing `k¹`.
+fn decode_elements(group: Group, bytes: &[u8]) -> Result<Vec<u64>, OtError> {
+    let (pw, w) = (group.point_words(), group.element_len());
+    if !bytes.len().is_multiple_of(w) {
         return Err(OtError::Malformed);
     }
-    let mut out = vec![0u64; bytes.len() / w * k];
-    for (c, x) in bytes.chunks_exact(w).zip(out.chunks_exact_mut(k)) {
-        if !group.decode_into(c, x) {
+    let mut out = vec![0u64; bytes.len() / w * pw];
+    for (c, p) in bytes.chunks_exact(w).zip(out.chunks_exact_mut(pw)) {
+        if !group.decode_into(c, p) {
             return Err(OtError::Malformed);
         }
     }
@@ -272,40 +227,37 @@ impl std::fmt::Display for OtError {
 
 impl std::error::Error for OtError {}
 
-/// `count` random exponents of `k` limbs in one flat buffer, drawn in
-/// instance order.
-fn random_exponents(group: &DhGroup, count: usize, rng: &mut StdRng) -> Vec<u64> {
-    let k = group.limbs();
-    let mut out = vec![0u64; count * k];
-    for x in out.chunks_exact_mut(k) {
-        group.random_exponent_into(rng, x);
+/// `count` random scalars in one flat buffer, drawn in instance order.
+fn random_scalars(group: Group, count: usize, rng: &mut StdRng) -> Vec<u64> {
+    let sw = group.scalar_words();
+    let mut out = vec![0u64; count * sw];
+    for x in out.chunks_exact_mut(sw) {
+        group.random_scalar_into(rng, x);
     }
     out
 }
 
-/// The OT sender: holds the secret pairs and the per-instance exponents.
-///
-/// The group is *not* stored here — it is borrowed through the protocol
-/// calls, so batches never clone the (table-carrying) [`DhGroup`].
+/// The OT sender: holds the secret pairs and the per-instance scalars.
 #[derive(Debug, Clone)]
 pub struct OtSender {
     secrets: OtPairs,
-    /// `a_i`, `k` limbs each.
+    /// `a_i`, [`Group::scalar_words`] each.
     a: Vec<u64>,
 }
 
 impl OtSender {
     /// Starts a batch of OT instances over `secrets` (one `(x⁰, x¹)` pair
-    /// per instance), returning the sender state and the batched `M_A`.
+    /// per instance), returning the sender state and the encoded `M_A`.
     ///
-    /// Exponent sampling stays sequential (deterministic per RNG seed);
-    /// the `g^{a_i}` comb walks all go through one
-    /// [`DhGroup::pow_g_many`] call.
-    pub fn start(group: &DhGroup, secrets: OtPairs, rng: &mut StdRng) -> (OtSender, OtMessageA) {
-        let a = random_exponents(group, secrets.len(), rng);
-        let mut elements = vec![0u64; a.len()];
-        group.pow_g_many(&a, &mut elements);
-        (OtSender { secrets, a }, OtMessageA { elements })
+    /// Scalar sampling is sequential (deterministic per RNG seed); the
+    /// `a_i·G` all go through one [`Group::mul_base_many`] call.
+    pub fn start(group: Group, secrets: OtPairs, rng: &mut StdRng) -> (OtSender, Vec<u8>) {
+        let a = random_scalars(group, secrets.len(), rng);
+        let mut half_m_a = vec![0u64; secrets.len() * group.point_words()];
+        group.mul_base_many(&group.halves(&a), &mut half_m_a);
+        let mut m_a = vec![0u8; secrets.len() * group.element_len()];
+        group.encode_doubled_many(&half_m_a, &mut m_a);
+        (OtSender { secrets, a }, m_a)
     }
 
     /// Number of instances in the batch.
@@ -323,109 +275,116 @@ impl OtSender {
         self.secrets
     }
 
-    /// Processes the receiver's `M_B` and produces the ciphertext batch
-    /// `M_E`.
+    /// Answers the receiver's encoded `M_B` with the encoded ciphertext
+    /// batch `M_E`.
     ///
-    /// Each instance costs one general exponentiation (`n^a`, shared by
-    /// both keys, all of them through [`DhGroup::pow_many`]) and one
-    /// comb walk (all of them through [`DhGroup::pow_g_many`]): the naive
-    /// `k¹ = H((n·g^{−a})^a)` is folded algebraically into
-    /// `H(n^a · g^{−a² mod (u−1)})` — valid because the generator's order
-    /// divides `u−1` — so its ~1020 squarings become a fixed-base table
-    /// walk. The canonical group element, and so the key, is the same as
-    /// the naive form's. What is left per instance is one product, two
-    /// hashes and the CTR encryptions, which run in place on a copy of
-    /// the secrets.
+    /// Each instance costs one variable-base multiplication (`a·M_B`,
+    /// shared by both keys, all through [`Group::mul_many`]) and one
+    /// comb walk (all through [`Group::mul_base_many`]): the naive
+    /// `k¹ = H(a·(M_B − M_A))` is folded into `H(a·M_B + (−a²)·G)`, so
+    /// its second variable-base multiplication becomes a fixed-base one.
+    /// The element, and so the key, is the naive form's. Both elements
+    /// are computed at half scale and doubled by the batch encoder
+    /// ([`Group::halves`]). What is left per instance is one addition,
+    /// two hashes and the CTR encryptions, which run in place on a copy
+    /// of the secrets.
     ///
     /// # Errors
     ///
-    /// Returns [`OtError::BatchMismatch`] when `M_B` has the wrong number
-    /// of elements.
-    pub fn encrypt(&self, group: &DhGroup, msg_b: &OtMessageB) -> Result<OtMessageE, OtError> {
-        if msg_b.elements.len() != self.a.len() {
+    /// [`OtError::Malformed`] when `m_b` does not parse,
+    /// [`OtError::BatchMismatch`] when it has the wrong number of
+    /// elements.
+    pub fn encrypt(&self, group: Group, m_b: &[u8]) -> Result<Vec<u8>, OtError> {
+        let m_b = decode_elements(group, m_b)?;
+        let (sw, pw) = (group.scalar_words(), group.point_words());
+        if m_b.len() / pw != self.len() {
             return Err(OtError::BatchMismatch);
         }
-        let k = group.limbs();
-        let mut na = vec![0u64; self.a.len()];
-        group.pow_many(&msg_b.elements, &self.a, &mut na);
+        // Both keys' elements at half scale: (a/2)·M_B, and that plus
+        // (−a²/2)·G; the batch encoder doubles them.
+        let mut k0 = vec![0u64; m_b.len()];
+        group.mul_many(&m_b, &group.halves(&self.a), &mut k0);
         let mut neg_a2 = vec![0u64; self.a.len()];
-        for (a, e) in self.a.chunks_exact(k).zip(neg_a2.chunks_exact_mut(k)) {
-            group.neg_square_exponent_into(a, e);
+        for (a, e) in self.a.chunks_exact(sw).zip(neg_a2.chunks_exact_mut(sw)) {
+            group.neg_square_into(a, e);
         }
-        let mut g_neg_a2 = vec![0u64; self.a.len()];
-        group.pow_g_many(&neg_a2, &mut g_neg_a2);
-        // The spent exponents take each instance's `n^a·g^{−a²}`.
-        let k1 = &mut neg_a2;
+        let mut k1 = vec![0u64; m_b.len()];
+        group.mul_base_many(&group.halves(&neg_a2), &mut k1);
+        let mut sum = vec![0u64; pw];
+        for (q, f) in k0.chunks_exact(pw).zip(k1.chunks_exact_mut(pw)) {
+            group.add_into(q, f, &mut sum);
+            f.copy_from_slice(&sum);
+        }
         let mut pairs = self.secrets.clone();
-        for (i, (na, k1)) in na.chunks_exact(k).zip(k1.chunks_exact_mut(k)).enumerate() {
-            group.mul_into(na, &g_neg_a2[i * k..][..k], k1);
+        for (i, (k0, k1)) in keys(group, &k0).iter().zip(&keys(group, &k1)).enumerate() {
             let (e0, e1) = pairs.pair_mut(i);
-            ctr_apply(&derive_key(group, na), e0);
-            ctr_apply(&derive_key(group, k1), e1);
+            ctr_apply(k0, e0);
+            ctr_apply(k1, e1);
         }
-        Ok(OtMessageE { pairs })
+        Ok(OtMessageE { pairs }.encode())
     }
 }
 
-/// The OT receiver: holds the choice bits and the blinding exponents.
-///
-/// Like [`OtSender`], the group is borrowed through the protocol calls
-/// rather than cloned into the state.
+/// The OT receiver: holds the choice bits, the blinding scalars and the
+/// sender's decoded `M_A`.
 #[derive(Debug, Clone)]
 pub struct OtReceiver {
     /// Choice bit `i` at bit `i % 64` of word `i / 64`.
     choices: Vec<u64>,
     count: usize,
-    /// `b_i`, `k` limbs each.
+    /// `b_i`, [`Group::scalar_words`] each.
     b: Vec<u64>,
-    /// The sender's `M_A` elements, `k` limbs each.
+    /// The sender's `M_A` elements, [`Group::point_words`] each.
     m_a: Vec<u64>,
 }
 
 impl OtReceiver {
-    /// Responds to the sender's `M_A` with the blinded choices `M_B`.
+    /// Answers the sender's encoded `M_A` with the encoded blinded
+    /// choices `M_B`.
     ///
-    /// Blinding-exponent sampling stays sequential; the `g^{b_i}` comb
-    /// walks all go through one [`DhGroup::pow_g_many`] call, and each
-    /// instance then blinds with one product.
+    /// Scalar sampling is sequential; the `b_i·G` all go through one
+    /// [`Group::mul_base_many`] call, and each instance then blinds with
+    /// one addition.
     ///
     /// # Errors
     ///
-    /// [`OtError::BatchMismatch`] when `M_A` does not hold one element
-    /// per choice.
+    /// [`OtError::Malformed`] when `m_a` does not parse, before any
+    /// choice is blinded; [`OtError::BatchMismatch`] when it does not
+    /// hold one element per choice.
     pub fn respond(
-        group: &DhGroup,
+        group: Group,
         choices: &[bool],
-        msg_a: &OtMessageA,
+        m_a: &[u8],
         rng: &mut StdRng,
-    ) -> Result<(OtReceiver, OtMessageB), OtError> {
-        OtReceiver::respond_to(group, choices, msg_a.elements.clone(), rng)
-    }
-
-    /// [`OtReceiver::respond`] over `M_A`'s elements, which the receiver
-    /// keeps.
-    fn respond_to(
-        group: &DhGroup,
-        choices: &[bool],
-        m_a: Vec<u64>,
-        rng: &mut StdRng,
-    ) -> Result<(OtReceiver, OtMessageB), OtError> {
-        let k = group.limbs();
-        if m_a.len() != choices.len() * k {
+    ) -> Result<(OtReceiver, Vec<u8>), OtError> {
+        let m_a = decode_elements(group, m_a)?;
+        let pw = group.point_words();
+        if m_a.len() != choices.len() * pw {
             return Err(OtError::BatchMismatch);
         }
-        let b = random_exponents(group, choices.len(), rng);
-        let mut gb = vec![0u64; b.len()];
-        group.pow_g_many(&b, &mut gb);
-        let mut elements = vec![0u64; b.len()];
+        let b = random_scalars(group, choices.len(), rng);
+        let mut gb = vec![0u64; m_a.len()];
+        group.mul_base_many(&b, &mut gb);
+        let mut m_b = vec![0u64; m_a.len()];
         let mut packed = vec![0u64; choices.len().div_ceil(64)];
         for (i, &choice) in choices.iter().enumerate() {
-            let at = i * k..(i + 1) * k;
-            blind(group, choice, &m_a[at.clone()], &gb[at.clone()], &mut elements[at]);
+            let at = i * pw..(i + 1) * pw;
+            blind(
+                group,
+                choice,
+                &m_a[at.clone()],
+                &gb[at.clone()],
+                &mut m_b[at],
+            );
             packed[i / 64] |= u64::from(choice) << (i % 64);
         }
-        let receiver = OtReceiver { choices: packed, count: choices.len(), b, m_a };
-        Ok((receiver, OtMessageB { elements }))
+        let receiver = OtReceiver {
+            choices: packed,
+            count: choices.len(),
+            b,
+            m_a,
+        };
+        Ok((receiver, encode_elements(group, &m_b)))
     }
 
     /// Number of instances in the batch.
@@ -438,43 +397,46 @@ impl OtReceiver {
         self.count == 0
     }
 
-    /// Decrypts the chosen secret of every instance from `M_E`, returning
-    /// them in one buffer: instance `i`'s at
+    /// Decrypts the chosen secret of every instance from the encoded
+    /// `M_E`, returning them in one buffer: instance `i`'s at
     /// `i·secret_len..(i+1)·secret_len`, where `secret_len` is `M_E`'s
-    /// ciphertext length. The per-instance exponentiations `M_A^b` all go
-    /// through [`DhGroup::pow_many`], and the chosen ciphertext is picked
-    /// by a byte mask rather than a branch on the choice bit.
+    /// ciphertext length. The `b·M_A` all go through
+    /// [`Group::mul_many`], and the chosen ciphertext is picked by a byte
+    /// mask rather than a branch on the choice bit.
     ///
     /// # Errors
     ///
-    /// Returns [`OtError::BatchMismatch`] when `M_E` has the wrong number
-    /// of pairs.
-    pub fn decrypt(&self, group: &DhGroup, msg_e: &OtMessageE) -> Result<Vec<u8>, OtError> {
+    /// [`OtError::Malformed`] when `m_e` does not parse,
+    /// [`OtError::BatchMismatch`] when it has the wrong number of pairs.
+    pub fn decrypt(&self, group: Group, m_e: &[u8]) -> Result<Vec<u8>, OtError> {
+        let msg_e = OtMessageE::decode(m_e)?;
         if msg_e.pairs.len() != self.count {
             return Err(OtError::BatchMismatch);
         }
-        let k = group.limbs();
-        let mut shared = vec![0u64; self.b.len()];
-        group.pow_many(&self.m_a, &self.b, &mut shared);
+        let mut shared = vec![0u64; self.m_a.len()];
+        group.mul_many(&self.m_a, &group.halves(&self.b), &mut shared);
         let len = msg_e.pairs.secret_len();
         let mut out = vec![0u8; self.count * len];
-        for i in 0..self.count {
+        for (i, key) in keys(group, &shared).iter().enumerate() {
             let (e0, e1) = msg_e.pairs.pair(i);
             let x = &mut out[i * len..][..len];
             pick((self.choices[i / 64] >> (i % 64)) & 1 == 1, e0, e1, x);
-            ctr_apply(&derive_key(group, &shared[i * k..][..k]), x);
+            ctr_apply(key, x);
         }
         Ok(out)
     }
 }
 
-/// One instance of `M_B` into `out`: `M_A·g^b` when the choice bit is 1,
-/// else `g^b`. The product is always computed and the pick is a masked
-/// select over the modulus width, so the time to build `M_B` does not
-/// depend on the choice bit, which is a key-seed bit.
-fn blind(group: &DhGroup, choice: bool, m_a: &[u64], gb: &[u64], out: &mut [u64]) {
-    group.mul_into(m_a, gb, out);
-    ct_select_limbs(choice, out, gb);
+/// One instance of `M_B` into `out`: `M_A + b·G` when the choice bit is
+/// 1, else `b·G`. The sum is always computed and the pick is a masked
+/// select over every word, so the time to build `M_B` does not depend on
+/// the choice bit, which is a key-seed bit.
+fn blind(group: Group, choice: bool, m_a: &[u64], gb: &[u64], out: &mut [u64]) {
+    group.add_into(m_a, gb, out);
+    let keep = std::hint::black_box(u64::from(choice)).wrapping_neg();
+    for (o, &g) in out.iter_mut().zip(gb) {
+        *o = (*o & keep) | (g & !keep);
+    }
 }
 
 /// `e1` when `choice` is set, else `e0`, merged into `out` under a byte
@@ -489,30 +451,13 @@ fn pick(choice: bool, e0: &[u8], e1: &[u8], out: &mut [u8]) {
     }
 }
 
-/// Key derivation `H(element)` for the payload cipher, over the
-/// element's wire bytes.
-fn derive_key(group: &DhGroup, element: &[u64]) -> [u8; 32] {
+/// The payload cipher keys `H(enc(2·Pᵢ))` of the half-scale elements
+/// `Pᵢ` of a flat batch ([`Group::encode_doubled_many`]).
+fn keys(group: Group, halves: &[u64]) -> Vec<[u8; 32]> {
     let w = group.element_len();
-    let mut buf = [0u8; 256];
-    if w <= buf.len() {
-        group.encode_into(element, &mut buf[..w]);
-        sha256(&buf[..w])
-    } else {
-        let mut wide = vec![0u8; w];
-        group.encode_into(element, &mut wide);
-        sha256(&wide)
-    }
-}
-
-/// The byte-round entry points of [`crate::rounds`]: `M_A` straight from
-/// its wire bytes into the receiver.
-pub(crate) fn respond_to_bytes(
-    group: &DhGroup,
-    choices: &[bool],
-    ma_bytes: &[u8],
-    rng: &mut StdRng,
-) -> Result<(OtReceiver, OtMessageB), OtError> {
-    OtReceiver::respond_to(group, choices, decode_elements(group, ma_bytes)?, rng)
+    let mut encoded = vec![0u8; halves.len() / group.point_words() * w];
+    group.encode_doubled_many(halves, &mut encoded);
+    encoded.chunks_exact(w).map(sha256).collect()
 }
 
 #[cfg(test)]
@@ -520,176 +465,257 @@ mod tests {
     use super::*;
     use crate::bigint::Ubig;
     use crate::cipher::{ctr_decrypt, ctr_encrypt};
+    use crate::ristretto::{self, Point};
     use rand::{Rng, SeedableRng};
 
-    /// Instance `i` of a flat batch.
-    fn at(group: &DhGroup, flat: &[u64], i: usize) -> Ubig {
-        let k = group.limbs();
-        Ubig::from_limbs(&flat[i * k..][..k])
-    }
+    const GROUPS: [Group; 2] = [Group::Ristretto255, Group::Tiny];
 
-    /// `xs` as a flat batch of `k`-limb values.
-    fn flat(group: &DhGroup, xs: &[Ubig]) -> Vec<u64> {
-        let k = group.limbs();
-        let mut out = vec![0u64; xs.len() * k];
-        for (x, o) in xs.iter().zip(out.chunks_exact_mut(k)) {
-            x.write_limbs(o);
-        }
-        out
+    /// `H(enc(P))`, the key of one full-scale element: the oracle the
+    /// tests check [`keys`] against.
+    fn derive_key(group: Group, element: &[u64]) -> [u8; 32] {
+        let mut buf = [0u8; 32];
+        let bytes = &mut buf[..group.element_len()];
+        group.encode_into(element, bytes);
+        sha256(bytes)
     }
 
     /// A decrypted batch split back into its `count` payloads.
     fn split(plain: &[u8], count: usize) -> Vec<Vec<u8>> {
         let len = plain.len() / count.max(1);
-        (0..count).map(|i| plain[i * len..][..len].to_vec()).collect()
+        (0..count)
+            .map(|i| plain[i * len..][..len].to_vec())
+            .collect()
     }
 
-    fn run_batch(group: &DhGroup, secrets: Vec<(Vec<u8>, Vec<u8>)>, choices: Vec<bool>) -> Vec<Vec<u8>> {
+    fn run_batch(
+        group: Group,
+        secrets: Vec<(Vec<u8>, Vec<u8>)>,
+        choices: Vec<bool>,
+    ) -> Vec<Vec<u8>> {
         let mut rng_s = StdRng::seed_from_u64(100);
         let mut rng_r = StdRng::seed_from_u64(200);
-        let (sender, msg_a) = OtSender::start(group, OtPairs::from_pairs(&secrets), &mut rng_s);
-        let (receiver, msg_b) = OtReceiver::respond(group, &choices, &msg_a, &mut rng_r).unwrap();
-        let msg_e = sender.encrypt(group, &msg_b).unwrap();
-        split(&receiver.decrypt(group, &msg_e).unwrap(), choices.len())
+        let (sender, m_a) = OtSender::start(group, OtPairs::from_pairs(&secrets), &mut rng_s);
+        let (receiver, m_b) = OtReceiver::respond(group, &choices, &m_a, &mut rng_r).unwrap();
+        let m_e = sender.encrypt(group, &m_b).unwrap();
+        split(&receiver.decrypt(group, &m_e).unwrap(), choices.len())
+    }
+
+    /// Element `i` of a flat batch.
+    fn at(group: Group, flat: &[u64], i: usize) -> &[u64] {
+        let pw = group.point_words();
+        &flat[i * pw..][..pw]
+    }
+
+    /// `x·P`, the one-pair [`Group::mul_many`].
+    fn mul(group: Group, p: &[u64], x: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; group.point_words()];
+        group.mul_many(p, x, &mut out);
+        out
+    }
+
+    /// `k¹ = H(a·(M_B − a·G))` as the protocol states it: a subtraction,
+    /// then a second variable-base multiplication (on the tiny group a
+    /// Fermat inversion and a general exponentiation, through `Ubig`).
+    fn naive_k1(group: Group, m_b: &[u64], a: &[u64]) -> [u8; 32] {
+        match group {
+            Group::Ristretto255 => {
+                let a4: &[u64; 4] = a.try_into().unwrap();
+                let quotient = Point::from_words(m_b).add(&ristretto::mul_base(a4).neg());
+                sha256(&ristretto::encode(&ristretto::mul(&quotient, a4)))
+            }
+            Group::Tiny => {
+                let u = Ubig::from_u64((1 << 61) - 1);
+                let a = Ubig::from_u64(a[0]);
+                let g_a = Ubig::from_u64(37).mod_pow(&a, &u);
+                let quotient = Ubig::from_u64(m_b[0]).mul(&g_a.mod_inv_prime(&u)).rem(&u);
+                sha256(&quotient.mod_pow(&a, &u).to_be_bytes_padded(8))
+            }
+        }
     }
 
     #[test]
     fn receiver_gets_exactly_the_chosen_secret() {
-        let group = DhGroup::tiny_test_group();
-        let secrets = vec![
-            (b"zero-0".to_vec(), b"one--0".to_vec()),
-            (b"zero-1".to_vec(), b"one--1".to_vec()),
-            (b"zero-2".to_vec(), b"one--2".to_vec()),
-        ];
-        let out = run_batch(&group, secrets, vec![false, true, false]);
-        assert_eq!(out[0], b"zero-0");
-        assert_eq!(out[1], b"one--1");
-        assert_eq!(out[2], b"zero-2");
+        for group in GROUPS {
+            let secrets = vec![
+                (b"zero-0".to_vec(), b"one--0".to_vec()),
+                (b"zero-1".to_vec(), b"one--1".to_vec()),
+                (b"zero-2".to_vec(), b"one--2".to_vec()),
+            ];
+            let out = run_batch(group, secrets, vec![false, true, false]);
+            assert_eq!(out[0], b"zero-0");
+            assert_eq!(out[1], b"one--1");
+            assert_eq!(out[2], b"zero-2");
+        }
     }
 
     #[test]
     fn unchosen_ciphertext_does_not_decrypt() {
-        let group = DhGroup::tiny_test_group();
+        let group = Group::Ristretto255;
         let mut rng_s = StdRng::seed_from_u64(1);
         let mut rng_r = StdRng::seed_from_u64(2);
         let secrets = OtPairs::from_pairs(&[(b"secret-zero".to_vec(), b"secret-one!".to_vec())]);
-        let (sender, msg_a) = OtSender::start(&group, secrets, &mut rng_s);
-        let (receiver, msg_b) =
-            OtReceiver::respond(&group, &[false], &msg_a, &mut rng_r).unwrap();
-        let msg_e = sender.encrypt(&group, &msg_b).unwrap();
-        // Forge a receiver that tries the *other* ciphertext with its key.
-        let k = {
-            // Receiver key = H(M_a^b): reconstruct what it would use.
-            let out = receiver.decrypt(&group, &msg_e).unwrap();
-            assert_eq!(out, b"secret-zero");
-            // Decrypt e1 with the receiver's k (choice 0 key): garbage.
-            let shared = group.pow(&at(&group, &msg_a.elements, 0), &at(&group, &receiver.b, 0));
-            ctr_decrypt(&derive_key(&group, &flat(&group, &[shared])), msg_e.pairs.pair(0).1)
-        };
-        assert_ne!(k, b"secret-one!");
+        let (sender, m_a) = OtSender::start(group, secrets, &mut rng_s);
+        let (receiver, m_b) = OtReceiver::respond(group, &[false], &m_a, &mut rng_r).unwrap();
+        let m_e = OtMessageE::decode(&sender.encrypt(group, &m_b).unwrap()).unwrap();
+        assert_eq!(
+            receiver.decrypt(group, &m_e.encode()).unwrap(),
+            b"secret-zero"
+        );
+        // The receiver's key H(b·M_A) opens e⁰ only: on e¹ it is garbage.
+        let shared = mul(group, &receiver.m_a, &receiver.b);
+        let e1 = m_e.pairs.pair(0).1;
+        assert_ne!(ctr_decrypt(&derive_key(group, &shared), e1), b"secret-one!");
     }
 
     #[test]
-    fn works_on_modp_1024() {
-        let group = DhGroup::modp_1024();
+    fn works_on_ristretto255() {
         let secrets = vec![(vec![1u8, 2, 3], vec![4u8, 5, 6])];
-        let out = run_batch(&group, secrets, vec![true]);
+        let out = run_batch(Group::Ristretto255, secrets, vec![true]);
         assert_eq!(out[0], vec![4, 5, 6]);
     }
 
     #[test]
     fn message_codecs_roundtrip() {
-        let group = DhGroup::tiny_test_group();
-        let mut rng = StdRng::seed_from_u64(9);
-        let secrets = OtPairs::from_pairs(&[(vec![1, 2], vec![3, 4]), (vec![5, 6], vec![7, 8])]);
-        let (sender, msg_a) = OtSender::start(&group, secrets, &mut rng);
-        let bytes_a = msg_a.encode(&group);
-        assert_eq!(OtMessageA::decode(&group, &bytes_a).unwrap(), msg_a);
-
-        let (_, msg_b) =
-            OtReceiver::respond(&group, &[true, false], &msg_a, &mut rng).unwrap();
-        let bytes_b = msg_b.encode(&group);
-        assert_eq!(OtMessageB::decode(&group, &bytes_b).unwrap(), msg_b);
-
-        let msg_e = sender.encrypt(&group, &msg_b).unwrap();
-        let bytes_e = msg_e.encode();
-        assert_eq!(OtMessageE::decode(&bytes_e).unwrap(), msg_e);
+        for group in GROUPS {
+            let mut rng = StdRng::seed_from_u64(9);
+            let secrets =
+                OtPairs::from_pairs(&[(vec![1, 2], vec![3, 4]), (vec![5, 6], vec![7, 8])]);
+            let (sender, m_a) = OtSender::start(group, secrets, &mut rng);
+            assert_eq!(m_a.len(), 2 * group.element_len());
+            assert_eq!(
+                encode_elements(group, &decode_elements(group, &m_a).unwrap()),
+                m_a
+            );
+            let (_, m_b) = OtReceiver::respond(group, &[true, false], &m_a, &mut rng).unwrap();
+            assert_eq!(
+                encode_elements(group, &decode_elements(group, &m_b).unwrap()),
+                m_b
+            );
+            let m_e = sender.encrypt(group, &m_b).unwrap();
+            assert_eq!(OtMessageE::decode(&m_e).unwrap().encode(), m_e);
+        }
     }
 
     #[test]
     fn codec_rejects_malformed() {
-        let group = DhGroup::tiny_test_group();
-        assert_eq!(
-            OtMessageA::decode(&group, &[1, 2, 3]).unwrap_err(),
-            OtError::Malformed
-        );
+        for group in GROUPS {
+            assert_eq!(
+                decode_elements(group, &[1, 2, 3]).unwrap_err(),
+                OtError::Malformed
+            );
+        }
         assert_eq!(OtMessageE::decode(&[1, 2]).unwrap_err(), OtError::Malformed);
-        let msg = OtMessageE { pairs: OtPairs::from_pairs(&[(vec![1], vec![2])]) };
+        let msg = OtMessageE {
+            pairs: OtPairs::from_pairs(&[(vec![1], vec![2])]),
+        };
         let mut bytes = msg.encode();
         bytes.pop();
         assert_eq!(OtMessageE::decode(&bytes).unwrap_err(), OtError::Malformed);
     }
 
     #[test]
+    fn malformed_bytes_are_rejected_at_every_round() {
+        for group in GROUPS {
+            let mut rng = StdRng::seed_from_u64(1);
+            let respond = |m_a: &[u8], rng: &mut StdRng| {
+                OtReceiver::respond(group, &[true], m_a, rng).map(|_| ())
+            };
+            assert_eq!(
+                respond(&[1, 2, 3], &mut rng).unwrap_err(),
+                OtError::Malformed
+            );
+            let (sender, m_a) =
+                OtSender::start(group, OtPairs::from_pairs(&[(vec![1], vec![2])]), &mut rng);
+            assert_eq!(sender.encrypt(group, &[9]).unwrap_err(), OtError::Malformed);
+            let (receiver, _) = OtReceiver::respond(group, &[true], &m_a, &mut rng).unwrap();
+            assert_eq!(
+                receiver.decrypt(group, &[0, 0]).unwrap_err(),
+                OtError::Malformed
+            );
+        }
+    }
+
+    #[test]
     fn batch_mismatch_detected() {
-        let group = DhGroup::tiny_test_group();
-        let mut rng = StdRng::seed_from_u64(10);
-        let secrets = OtPairs::from_pairs(&[(vec![1], vec![2])]);
-        let (sender, msg_a) = OtSender::start(&group, secrets, &mut rng);
-        assert!(OtReceiver::respond(&group, &[true, false], &msg_a, &mut rng).is_err());
-        let bad_b = OtMessageB { elements: vec![] };
-        assert_eq!(sender.encrypt(&group, &bad_b).unwrap_err(), OtError::BatchMismatch);
+        for group in GROUPS {
+            let mut rng = StdRng::seed_from_u64(10);
+            let secrets = OtPairs::from_pairs(&[(vec![1], vec![2])]);
+            let (sender, m_a) = OtSender::start(group, secrets, &mut rng);
+            // Two choices against a one-instance M_A.
+            let two = OtReceiver::respond(group, &[true, false], &m_a, &mut rng);
+            assert_eq!(two.unwrap_err(), OtError::BatchMismatch);
+            // An M_B with the wrong number of elements.
+            let (_, m_b) = OtReceiver::respond(group, &[true], &m_a, &mut rng).unwrap();
+            assert_eq!(
+                sender.encrypt(group, &[]).unwrap_err(),
+                OtError::BatchMismatch
+            );
+            let doubled = [&m_b[..], &m_b[..]].concat();
+            assert_eq!(
+                sender.encrypt(group, &doubled).unwrap_err(),
+                OtError::BatchMismatch
+            );
+        }
     }
 
     #[test]
     fn batched_enqueue_detects_mismatch() {
-        // `encrypt` and `decrypt` queue a whole round into one `pow_many`
+        // `encrypt` and `decrypt` queue a whole round into one batch
         // call. A round of the wrong size must come back as
         // `BatchMismatch` before that call: a short or long `M_B` would
-        // trip `pow_many`'s batch-shape assertion, and a short `M_E`
-        // would leave payloads undecrypted. Eight MODP-1024 instances
-        // fill one lane group.
-        let group = DhGroup::modp_1024_shared();
-        let k = group.limbs();
+        // trip the batch's shape, and a short `M_E` would leave payloads
+        // undecrypted.
+        let group = Group::Ristretto255;
+        let w = group.element_len();
         let mut rng = StdRng::seed_from_u64(11);
         let secrets = OtPairs::from_pairs(&vec![(vec![1], vec![2]); 8]);
-        let (sender, msg_a) = OtSender::start(group, secrets, &mut rng);
-        let (receiver, msg_b) = OtReceiver::respond(group, &[true; 8], &msg_a, &mut rng).unwrap();
+        let (sender, m_a) = OtSender::start(group, secrets, &mut rng);
+        let (receiver, m_b) = OtReceiver::respond(group, &[true; 8], &m_a, &mut rng).unwrap();
         for len in [0, 7, 9] {
-            let elements =
-                msg_b.elements.chunks_exact(k).cycle().take(len).flatten().copied().collect();
-            let bad_b = OtMessageB { elements };
-            assert_eq!(sender.encrypt(group, &bad_b).unwrap_err(), OtError::BatchMismatch, "M_B of {len}");
+            let bad_b: Vec<u8> = m_b
+                .chunks_exact(w)
+                .cycle()
+                .take(len)
+                .flatten()
+                .copied()
+                .collect();
+            assert_eq!(
+                sender.encrypt(group, &bad_b).unwrap_err(),
+                OtError::BatchMismatch,
+                "M_B of {len}"
+            );
         }
-        let msg_e = sender.encrypt(group, &msg_b).unwrap();
+        let m_e = OtMessageE::decode(&sender.encrypt(group, &m_b).unwrap()).unwrap();
         for len in [0, 7, 9] {
-            let mut pairs = OtPairs::with_capacity(msg_e.pairs.secret_len(), len);
+            let mut pairs = OtPairs::with_capacity(m_e.pairs.secret_len(), len);
             for i in (0..8).cycle().take(len) {
-                let (e0, e1) = msg_e.pairs.pair(i);
+                let (e0, e1) = m_e.pairs.pair(i);
                 pairs.push(e0, e1);
             }
-            let bad_e = OtMessageE { pairs };
-            assert_eq!(receiver.decrypt(group, &bad_e).unwrap_err(), OtError::BatchMismatch, "M_E of {len}");
+            let bad_e = OtMessageE { pairs }.encode();
+            assert_eq!(
+                receiver.decrypt(group, &bad_e).unwrap_err(),
+                OtError::BatchMismatch,
+                "M_E of {len}"
+            );
         }
-        assert_eq!(receiver.decrypt(group, &msg_e).unwrap(), vec![2; 8]);
+        assert_eq!(receiver.decrypt(group, &m_e.encode()).unwrap(), vec![2; 8]);
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let group = DhGroup::tiny_test_group();
-        let out = run_batch(&group, vec![], vec![]);
-        assert!(out.is_empty());
+        for group in GROUPS {
+            assert!(run_batch(group, vec![], vec![]).is_empty());
+        }
     }
 
     #[test]
     fn batched_rounds_match_scalar_rounds_bit_for_bit() {
-        // `encrypt` and `decrypt` hand a round's general exponentiations
-        // to `pow_many` in one call. Every ciphertext and payload must
-        // equal a per-instance scalar oracle on the one-limb group and on
-        // MODP-1024, whose batches run on the eight-lane kernel where the
-        // CPU has it: short, padded, full and ragged batches.
-        let tiny = DhGroup::tiny_test_group();
-        for group in [&tiny, DhGroup::modp_1024_shared()] {
+        // `encrypt` and `decrypt` hand a round's multiplications to one
+        // batch call. Every ciphertext and payload must equal a
+        // per-instance oracle with `k¹` in the naive form, on both groups:
+        // short, full and ragged batches.
+        for group in GROUPS {
             for count in [1usize, 2, 3, 8, 9] {
                 let secrets: Vec<_> = (0..count)
                     .map(|i| (vec![i as u8; 4], vec![0xA0 | i as u8; 4]))
@@ -697,80 +723,79 @@ mod tests {
                 let choices: Vec<bool> = (0..count).map(|i| i % 2 == 1).collect();
                 let mut rng_s = StdRng::seed_from_u64(77);
                 let mut rng_r = StdRng::seed_from_u64(88);
-                let (sender, msg_a) =
+                let (sender, m_a) =
                     OtSender::start(group, OtPairs::from_pairs(&secrets), &mut rng_s);
-                let (receiver, msg_b) =
-                    OtReceiver::respond(group, &choices, &msg_a, &mut rng_r).unwrap();
-                let msg_e = sender.encrypt(group, &msg_b).unwrap();
-                let out = split(&receiver.decrypt(group, &msg_e).unwrap(), count);
-                let key = |e: &Ubig| derive_key(group, &flat(group, std::slice::from_ref(e)));
+                let (receiver, m_b) =
+                    OtReceiver::respond(group, &choices, &m_a, &mut rng_r).unwrap();
+                let m_e = sender.encrypt(group, &m_b).unwrap();
+                let out = split(&receiver.decrypt(group, &m_e).unwrap(), count);
+                let m_e = OtMessageE::decode(&m_e).unwrap();
+                let m_b = decode_elements(group, &m_b).unwrap();
+                let sw = group.scalar_words();
                 for i in 0..count {
-                    let (a, n) = (at(group, &sender.a, i), at(group, &msg_b.elements, i));
-                    let na = group.pow(&n, &a);
-                    let k1 = key(&group.mul(&na, &group.inv_pow_g(&a.mul(&a))));
+                    let a = &sender.a[i * sw..][..sw];
+                    let k0 = derive_key(group, &mul(group, at(group, &m_b, i), a));
                     let (x0, x1) = &secrets[i];
-                    let want = (ctr_encrypt(&key(&na), x0), ctr_encrypt(&k1, x1));
-                    let got = msg_e.pairs.pair(i);
-                    let got_pair = (got.0.to_vec(), got.1.to_vec());
-                    assert_eq!(got_pair, want, "M_E count {count} instance {i}");
-                    let (m_a, b) = (at(group, &msg_a.elements, i), at(group, &receiver.b, i));
-                    let shared = group.pow(&m_a, &b);
+                    let want = (
+                        ctr_encrypt(&k0, x0),
+                        ctr_encrypt(&naive_k1(group, at(group, &m_b, i), a), x1),
+                    );
+                    let got = m_e.pairs.pair(i);
+                    assert_eq!(
+                        (got.0.to_vec(), got.1.to_vec()),
+                        want,
+                        "M_E count {count} instance {i}"
+                    );
+                    let b = &receiver.b[i * sw..][..sw];
+                    let key = derive_key(group, &mul(group, at(group, &receiver.m_a, i), b));
                     let ct = if choices[i] { got.1 } else { got.0 };
-                    let plain = ctr_decrypt(&key(&shared), ct);
-                    assert_eq!(out[i], plain, "payload count {count} instance {i}");
+                    assert_eq!(
+                        out[i],
+                        ctr_decrypt(&key, ct),
+                        "payload count {count} instance {i}"
+                    );
                     assert_eq!(&out[i], if choices[i] { x1 } else { x0 });
                 }
             }
         }
     }
 
-    /// `k¹ = H((n·g^{−a})^a)` exactly as the protocol states it: a
-    /// Fermat inversion, then a second general exponentiation.
-    fn naive_k1(group: &DhGroup, n: &Ubig, a: &Ubig) -> [u8; 32] {
-        let quotient = group.div(n, &group.pow_g(a));
-        derive_key(group, &flat(group, &[group.pow(&quotient, a)]))
-    }
-
-    /// Runs the folded sender over the `(n_i, a_i)` instances and checks
-    /// both ciphertexts of every pair against the naive key derivations.
-    fn check_fold(group: &DhGroup, instances: &[(Ubig, Ubig)]) {
-        let secrets: Vec<_> = (0..instances.len())
-            .map(|i| (vec![i as u8; 4], vec![0xF0 ^ i as u8; 4]))
-            .collect();
-        let (ns, as_): (Vec<Ubig>, Vec<Ubig>) = instances.iter().cloned().unzip();
-        let sender = OtSender { secrets: OtPairs::from_pairs(&secrets), a: flat(group, &as_) };
-        let msg_b = OtMessageB { elements: flat(group, &ns) };
-        let msg_e = sender.encrypt(group, &msg_b).unwrap();
-        for (i, ((n, a), (x0, x1))) in instances.iter().zip(&secrets).enumerate() {
-            let k0 = derive_key(group, &flat(group, &[group.pow(n, a)]));
-            let (e0, e1) = msg_e.pairs.pair(i);
-            assert_eq!(e0, ctr_encrypt(&k0, x0), "e0, n {n} a {a}");
-            assert_eq!(e1, ctr_encrypt(&naive_k1(group, n, a), x1), "e1, n {n} a {a}");
-        }
-    }
-
     #[test]
     fn folded_k1_matches_naive_quotient_power() {
-        let tiny = DhGroup::tiny_test_group();
-        let groups = [(&tiny, 24), (DhGroup::modp_1024_shared(), 3)];
-        for (group, cases) in groups {
-            let u = group.modulus();
-            let one = Ubig::one();
-            // Edges: n ∈ {0, 1, u−1} against a ∈ {1, u−2}; a = u−2 is the
-            // largest sampled exponent, so a² needs the mod (u−1) fold.
-            let mut edges = Vec::new();
-            for n in [Ubig::zero(), one.clone(), u.sub(&one)] {
-                for a in [one.clone(), u.sub(&Ubig::from_u64(2))] {
-                    edges.push((n.clone(), a));
-                }
-            }
-            check_fold(group, &edges);
-            let name = format!("ot_fold_k1_{}bit", u.bit_len());
+        // The sender's `a·M_B + (−a²)·G` against `a·(M_B − a·G)` over
+        // random `M_B` and `a`, with the smallest and largest scalars.
+        for (group, cases) in [(Group::Ristretto255, 4), (Group::Tiny, 24)] {
+            let name = format!("ot_fold_k1_{group:?}");
             rand::check::cases(&name, cases, |rng| {
-                let instances: Vec<_> = (0..2)
-                    .map(|_| (Ubig::random_below(u, rng), group.random_exponent(rng)))
-                    .collect();
-                check_fold(group, &instances);
+                let (sw, pw) = (group.scalar_words(), group.point_words());
+                let mut a = random_scalars(group, 3, rng);
+                a[..sw].fill(0);
+                a[0] = 1;
+                let mut top = Ubig::from_limbs(match group {
+                    Group::Ristretto255 => &ristretto::L,
+                    Group::Tiny => &[(1 << 61) - 1],
+                });
+                top = top.sub(&Ubig::one());
+                top.write_limbs(&mut a[sw..2 * sw]);
+                let mut m_b = vec![0u64; 3 * pw];
+                group.mul_base_many(&random_scalars(group, 3, rng), &mut m_b);
+                let secrets = OtPairs::from_pairs(&vec![(vec![7u8; 4], vec![9u8; 4]); 3]);
+                let sender = OtSender {
+                    secrets,
+                    a: a.clone(),
+                };
+                let m_e = sender
+                    .encrypt(group, &encode_elements(group, &m_b))
+                    .unwrap();
+                let m_e = OtMessageE::decode(&m_e).unwrap();
+                for i in 0..3 {
+                    let k1 = naive_k1(group, at(group, &m_b, i), &a[i * sw..][..sw]);
+                    assert_eq!(
+                        m_e.pairs.pair(i).1,
+                        ctr_encrypt(&k1, &[9u8; 4]),
+                        "instance {i}"
+                    );
+                }
             });
         }
     }
@@ -792,16 +817,14 @@ mod tests {
 
     #[test]
     fn unequal_ciphertext_pair_is_malformed() {
-        let group = DhGroup::tiny_test_group();
+        let group = Group::Tiny;
         let mut rng_s = StdRng::seed_from_u64(12);
         let mut rng_r = StdRng::seed_from_u64(13);
         let secrets = OtPairs::from_pairs(&[(vec![1, 2], vec![3, 4]), (vec![5, 6], vec![7, 8])]);
-        let (sender, msg_a) = OtSender::start(&group, secrets, &mut rng_s);
-        let (receiver, msg_b) =
-            OtReceiver::respond(&group, &[false, true], &msg_a, &mut rng_r).unwrap();
-        let bytes = sender.encrypt(&group, &msg_b).unwrap().encode();
-        let msg_e = OtMessageE::decode(&bytes).unwrap();
-        assert!(receiver.decrypt(&group, &msg_e).is_ok());
+        let (sender, m_a) = OtSender::start(group, secrets, &mut rng_s);
+        let (receiver, m_b) = OtReceiver::respond(group, &[false, true], &m_a, &mut rng_r).unwrap();
+        let bytes = sender.encrypt(group, &m_b).unwrap();
+        assert!(receiver.decrypt(group, &bytes).is_ok());
         // Lengthen pair 1's e¹ (its prefix sits 6 bytes from the end) by
         // one byte.
         let mut long = bytes.clone();
@@ -810,7 +833,9 @@ mod tests {
         long.push(0);
         assert_eq!(OtMessageE::decode(&long).unwrap_err(), OtError::Malformed);
         // A whole batch of one other length still parses.
-        let short = OtMessageE { pairs: OtPairs::from_pairs(&vec![(vec![1], vec![2]); 2]) };
+        let short = OtMessageE {
+            pairs: OtPairs::from_pairs(&vec![(vec![1], vec![2]); 2]),
+        };
         assert!(OtMessageE::decode(&short.encode()).is_ok());
     }
 
@@ -823,7 +848,9 @@ mod tests {
         assert_eq!(OtMessageE::decode(&frame).unwrap_err(), OtError::Malformed);
         // A count one pair above what the bytes hold is rejected too;
         // the exact count still parses.
-        let msg = OtMessageE { pairs: OtPairs::from_pairs(&vec![(vec![], vec![]); 3]) };
+        let msg = OtMessageE {
+            pairs: OtPairs::from_pairs(&vec![(vec![], vec![]); 3]),
+        };
         let mut bytes = msg.encode();
         assert_eq!(OtMessageE::decode(&bytes).unwrap(), msg);
         bytes[0] = 4;
@@ -858,46 +885,100 @@ mod tests {
         });
     }
 
+    /// Encodings no honest party sends: on the tiny group 0, `u`, `u + 1`
+    /// and all-0xFF; on ristretto255 the identity, `p`, `2^255 − 1`, an
+    /// odd `s` and a non-square `s`.
+    fn hostile_elements(group: Group) -> Vec<Vec<u8>> {
+        match group {
+            Group::Tiny => {
+                let u = (1u64 << 61) - 1;
+                [0, u, u + 1, u64::MAX]
+                    .iter()
+                    .map(|v| v.to_be_bytes().to_vec())
+                    .collect()
+            }
+            Group::Ristretto255 => {
+                let mut p = [0xff; 32];
+                p[0] = 0xed;
+                p[31] = 0x7f;
+                let mut odd = [0u8; 32];
+                odd[0] = 1;
+                // s = 8 is the smallest even s whose decoding ratio is not
+                // a square.
+                let mut non_square = [0u8; 32];
+                non_square[0] = 8;
+                assert!(ristretto::decode(&non_square).is_none());
+                vec![
+                    vec![0; 32],
+                    p.to_vec(),
+                    vec![0xff; 32],
+                    odd.to_vec(),
+                    non_square.to_vec(),
+                ]
+            }
+        }
+    }
+
     #[test]
     fn decode_rejects_zero_and_unreduced_elements() {
-        // 0, u, u+1 and the all-0xFF encoding are never honest
-        // elements: 0 would zero the keys derived from it, and an
-        // encoding of u or above is not a reduced element.
-        for group in [DhGroup::tiny_test_group_shared(), DhGroup::modp_1024_shared()] {
-            let (u, w) = (group.modulus(), group.element_len());
-            let honest = group.encode_element(&group.pow_g(&Ubig::from_u64(5)));
-            assert!(OtMessageA::decode(group, &honest).is_ok());
-            let all_ff = Ubig::from_be_bytes(&vec![0xFF; w]);
-            for bad in [Ubig::zero(), u.clone(), u.add(&Ubig::one()), all_ff] {
-                let bytes = bad.to_be_bytes_padded(w);
+        for group in GROUPS {
+            let mut rng = StdRng::seed_from_u64(5);
+            let (_, honest) =
+                OtSender::start(group, OtPairs::from_pairs(&[(vec![1], vec![2])]), &mut rng);
+            assert!(decode_elements(group, &honest).is_ok());
+            for bad in hostile_elements(group) {
                 // The bad element alone, and behind an honest one.
-                for frame in [bytes.clone(), [honest.clone(), bytes].concat()] {
-                    let a = OtMessageA::decode(group, &frame);
-                    assert_eq!(a.unwrap_err(), OtError::Malformed, "M_A {bad}");
-                    let b = OtMessageB::decode(group, &frame);
-                    assert_eq!(b.unwrap_err(), OtError::Malformed, "M_B {bad}");
+                for frame in [bad.clone(), [honest.clone(), bad.clone()].concat()] {
+                    assert_eq!(
+                        decode_elements(group, &frame).unwrap_err(),
+                        OtError::Malformed,
+                        "{bad:?}"
+                    );
                 }
             }
         }
     }
 
     #[test]
+    fn zero_m_a_is_rejected_before_any_choice_is_blinded() {
+        // Against an identity M_A every M_B would be b·G whatever the
+        // choice, and k¹ would be fixed, so the receiver refuses to
+        // answer; so does the sender against an identity M_B.
+        for group in GROUPS {
+            let mut rng = StdRng::seed_from_u64(3);
+            let (sender, m_a) = OtSender::start(
+                group,
+                OtPairs::from_pairs(&vec![(vec![1], vec![2]); 2]),
+                &mut rng,
+            );
+            let w = group.element_len();
+            let zero = &hostile_elements(group)[0];
+            for bad in [
+                [&zero[..], &zero[..]].concat(),
+                [&m_a[..w], &zero[..]].concat(),
+            ] {
+                let answer = OtReceiver::respond(group, &[false, true], &bad, &mut rng);
+                assert_eq!(answer.unwrap_err(), OtError::Malformed);
+                assert_eq!(sender.encrypt(group, &bad).unwrap_err(), OtError::Malformed);
+            }
+        }
+    }
+
+    #[test]
     fn branch_free_blinding_matches_branchy_form() {
-        for group in [DhGroup::tiny_test_group_shared(), DhGroup::modp_1024_shared()] {
-            let cases_n = if group.modulus().bit_len() > 64 { 16 } else { 256 };
-            rand::check::cases("branch_free_blinding_matches_branchy_form", cases_n, |rng| {
-                let m_a = Ubig::random_below(group.modulus(), rng);
-                let gb = group.pow_g(&group.random_exponent(rng));
-                let product = group.mul(&m_a, &gb);
-                let (m_a_l, gb_l) = (flat(group, &[m_a]), flat(group, std::slice::from_ref(&gb)));
+        for group in GROUPS {
+            rand::check::cases("branch_free_blinding_matches_branchy_form", 16, |rng| {
+                let pw = group.point_words();
+                let mut points = vec![0u64; 2 * pw];
+                group.mul_base_many(&random_scalars(group, 2, rng), &mut points);
+                let (m_a, gb) = points.split_at(pw);
+                let mut sum = vec![0u64; pw];
+                group.add_into(m_a, gb, &mut sum);
                 for choice in [false, true] {
-                    let branchy = if choice { product.clone() } else { gb.clone() };
-                    let mut selected = flat(group, std::slice::from_ref(&product));
-                    ct_select_limbs(choice, &mut selected, &gb_l);
-                    assert_eq!(Ubig::from_limbs(&selected), branchy);
-                    let mut blinded = vec![0u64; group.limbs()];
-                    blind(group, choice, &m_a_l, &gb_l, &mut blinded);
-                    assert_eq!(Ubig::from_limbs(&blinded), branchy);
+                    let branchy = if choice { &sum } else { gb };
+                    let mut blinded = vec![0u64; pw];
+                    blind(group, choice, m_a, gb, &mut blinded);
+                    assert_eq!(&blinded, branchy);
                 }
             });
         }
@@ -905,17 +986,28 @@ mod tests {
 
     #[test]
     fn flat_element_codec_matches_ubig_codec() {
-        // The limb codec is the `Ubig` codec: the same wire bytes out,
-        // the same value back, on both widths.
-        for group in [DhGroup::tiny_test_group_shared(), DhGroup::modp_1024_shared()] {
+        // The tiny group's wire bytes are the residue's big-endian `Ubig`
+        // bytes; a ristretto255 encoding is a little-endian even value
+        // below p. Both decode back to the same bytes.
+        for group in GROUPS {
             rand::check::cases("flat_element_codec_matches_ubig_codec", 32, |rng| {
-                let e = group.pow_g(&group.random_exponent(rng));
-                let mut bytes = vec![0u8; group.element_len()];
-                group.encode_into(&flat(group, std::slice::from_ref(&e)), &mut bytes);
-                assert_eq!(bytes, group.encode_element(&e));
-                let mut back = vec![0u64; group.limbs()];
-                assert!(group.decode_into(&bytes, &mut back));
-                assert_eq!(Ubig::from_limbs(&back), e);
+                let mut e = vec![0u64; group.point_words()];
+                group.mul_base_many(&random_scalars(group, 1, rng), &mut e);
+                let bytes = encode_elements(group, &e);
+                match group {
+                    Group::Tiny => assert_eq!(bytes, Ubig::from_u64(e[0]).to_be_bytes_padded(8)),
+                    Group::Ristretto255 => {
+                        let mut be = bytes.clone();
+                        be.reverse();
+                        let s = Ubig::from_be_bytes(&be);
+                        let p = Ubig::one().shl(255).sub(&Ubig::from_u64(19));
+                        assert!(!s.is_odd() && s.cmp_abs(&p).is_lt());
+                    }
+                }
+                assert_eq!(
+                    encode_elements(group, &decode_elements(group, &bytes).unwrap()),
+                    bytes
+                );
             });
         }
     }

@@ -654,34 +654,39 @@ mod tests {
 
     #[test]
     fn fleet_completes_with_keys_bit_identical_to_lockstep() {
-        let (clients, gateway) = run_fleet(gateway_config(), Obs::disabled(), 12, |_| {
-            StreamFaults::none()
-        });
-        assert_eq!(gateway.table().completed(), 12);
-        assert_eq!(gateway.table().live(), 0);
-        assert_eq!(gateway.table().peak_live(), 12, "all sessions in flight at once");
-        for (conn_id, got) in clients {
-            let client_key = got.expect("client key");
-            // The gateway's record of the server key matches.
-            let Some(SessionOutcome::Done(server_key)) = gateway.table().outcome(conn_id) else {
-                panic!("no Done outcome for {conn_id}");
-            };
-            assert_eq!(client_key, server_key);
-            // And both equal the lockstep driver with mirrored seeds/RNGs.
-            let (s_m, s_r) = seed_pair(conn_id);
-            let mut rng_m = mobile_rng(conn_id);
-            let mut rng_r = server_rng(gateway_config().server_seed, conn_id);
-            let outcome = driver::drive_lockstep(
-                &s_m,
-                &s_r,
-                &tiny_config(),
-                &mut rng_m,
-                &mut rng_r,
-                &mut PassiveChannel,
-                &EventScope::disabled(),
-            )
-            .expect("lockstep");
-            assert_eq!(client_key, outcome.key, "conn {conn_id}");
+        // Twelve tiny-group sessions, then eight on ristretto255.
+        let ristretto = AgreementConfig { use_tiny_group: false, ..tiny_config() };
+        for (agreement, n) in [(tiny_config(), 12), (ristretto, 8)] {
+            let config = GatewayConfig::new(agreement);
+            let (clients, gateway) =
+                run_fleet(config.clone(), Obs::disabled(), n, |_| StreamFaults::none());
+            assert_eq!(gateway.table().completed(), n);
+            assert_eq!(gateway.table().live(), 0);
+            assert_eq!(gateway.table().peak_live(), n, "all sessions in flight at once");
+            for (conn_id, got) in clients {
+                let client_key = got.expect("client key");
+                // The gateway's record of the server key matches.
+                let Some(SessionOutcome::Done(server_key)) = gateway.table().outcome(conn_id)
+                else {
+                    panic!("no Done outcome for {conn_id}");
+                };
+                assert_eq!(client_key, server_key);
+                // And both equal the lockstep driver with mirrored seeds/RNGs.
+                let (s_m, s_r) = seed_pair(conn_id);
+                let mut rng_m = mobile_rng(conn_id);
+                let mut rng_r = server_rng(config.server_seed, conn_id);
+                let outcome = driver::drive_lockstep(
+                    &s_m,
+                    &s_r,
+                    &config.agreement,
+                    &mut rng_m,
+                    &mut rng_r,
+                    &mut PassiveChannel,
+                    &EventScope::disabled(),
+                )
+                .expect("lockstep");
+                assert_eq!(client_key, outcome.key, "conn {conn_id}");
+            }
         }
     }
 

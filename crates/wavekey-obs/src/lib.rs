@@ -78,6 +78,6 @@ pub use flight::FlightRecorder;
 pub use json::Json;
 pub use metrics::{Bucket, Histogram, MetricSnapshot, Registry};
 pub use profile::{PathStat, ProfileStore};
-pub use slo::{SloReport, SloSpec, SloVerdict};
+pub use slo::{SloSpec, SloVerdict};
 pub use span::{EventRecord, Obs, SpanGuard, SpanRecord};
 pub use trace::{stage, SessionTrace, StageStats, StageTiming, TraceSet};

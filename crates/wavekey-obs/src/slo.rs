@@ -136,35 +136,6 @@ impl SloVerdict {
     }
 }
 
-/// A set of verdicts with a single overall answer.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SloReport {
-    /// The individual verdicts, in evaluation order.
-    pub verdicts: Vec<SloVerdict>,
-}
-
-impl SloReport {
-    /// An empty report.
-    pub fn new() -> SloReport {
-        SloReport::default()
-    }
-
-    /// Append one verdict.
-    pub fn push(&mut self, verdict: SloVerdict) {
-        self.verdicts.push(verdict);
-    }
-
-    /// Whether every verdict passes (vacuously true when empty).
-    pub fn all_pass(&self) -> bool {
-        self.verdicts.iter().all(|v| v.pass)
-    }
-
-    /// JSON array of verdicts.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(self.verdicts.iter().map(SloVerdict::to_json).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,19 +210,5 @@ mod tests {
         let v = SloSpec::latency("strict", 1.0, 0.1).evaluate(&[0.05], 1.0);
         assert_eq!(v.burn_rate, 0.0);
         assert!(v.pass);
-    }
-
-    #[test]
-    fn report_aggregates_and_serializes() {
-        let mut report = SloReport::new();
-        report.push(SloSpec::latency("a", 0.99, 1.0).evaluate(&[0.1; 10], 1.0));
-        assert!(report.all_pass());
-        report.push(SloSpec::latency("b", 0.5, 0.01).evaluate(&[0.1; 10], 1.0));
-        assert!(!report.all_pass());
-        let json = report.to_json();
-        let arr = json.as_arr().expect("array");
-        assert_eq!(arr.len(), 2);
-        assert_eq!(arr[0].get("pass"), Some(&Json::Bool(true)));
-        assert_eq!(arr[1].get("pass"), Some(&Json::Bool(false)));
     }
 }

@@ -22,8 +22,8 @@ use std::thread::ScopedJoinHandle;
 /// Estimated cost, in multiply-adds (f32 or 64-bit limb), below which a
 /// loop runs inline. On a 2-cpu x86-64 host, spawning and joining one
 /// scoped worker costs about 30 µs, while 2^20 multiply-adds take about
-/// 0.1 ms in the f32 GEMM and 0.3–2 ms as four MODP-1024
-/// exponentiations. There, training the autoencoders at width 2 took
+/// 0.1 ms in the f32 GEMM and about 1 ms as 16 ristretto255 scalar
+/// multiplications. There, training the autoencoders at width 2 took
 /// 0.087 s with this gate and 0.111 s with every loop split (median of
 /// 8 runs each); 72 of its 888 splittable GEMMs and 60 of its 120
 /// per-sample loops reach the gate.

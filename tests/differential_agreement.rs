@@ -2,8 +2,8 @@
 //! bit-identical to the monolithic key agreement it replaced.
 //!
 //! `reference_agreement` below is a self-contained reimplementation of
-//! the pre-refactor protocol body (typed OT calls, identical RNG draw
-//! order: pairs → sender exponents → respond exponents → commit → nonce)
+//! the pre-refactor protocol body (direct OT calls, identical RNG draw
+//! order: pairs → sender scalars → respond scalars → commit → nonce)
 //! with the channel and timing stripped — on a benign channel those
 //! cannot influence keys. Every session compares:
 //!
@@ -22,7 +22,7 @@ use wavekey::core::bits::{
 };
 use wavekey::core::channel::{Delayer, Dropper, MessageKind, PassiveChannel};
 use wavekey::crypto::ecc::{Bch, CodeOffset};
-use wavekey::crypto::group::DhGroup;
+use wavekey::crypto::group::Group;
 use wavekey::crypto::hmac::{hmac_sha256, mac_eq};
 use wavekey::crypto::ot::{OtPairs, OtReceiver, OtSender};
 
@@ -75,13 +75,7 @@ fn reference_agreement(
     rng_mobile: &mut StdRng,
     rng_server: &mut StdRng,
 ) -> Result<RefOutcome, AgreementError> {
-    let tiny;
-    let group: &DhGroup = if config.use_tiny_group {
-        tiny = DhGroup::tiny_test_group();
-        &tiny
-    } else {
-        DhGroup::modp_1024_shared()
-    };
+    let group = if config.use_tiny_group { Group::Tiny } else { Group::Ristretto255 };
     let l_s = s_m.len();
     let l_b = config.key_len_bits.div_ceil(2 * l_s);
 
@@ -204,20 +198,21 @@ fn driver_matches_monolith_over_seeded_tiny_sessions() {
 }
 
 #[test]
-fn driver_matches_monolith_on_modp_1024() {
-    // The production group; fixed-base exponent draws must line up too.
+fn driver_matches_monolith_on_ristretto255() {
+    // The production group; scalar draws must line up too. Eight
+    // sessions: identical seeds and seeds 1, 2 and 24 bits apart.
     let cfg = AgreementConfig { use_tiny_group: false, tau: 10.0, ..Default::default() };
-    let s_m = random_seed(48, 7100);
-    differential_session(&s_m, &s_m, &cfg, 50);
-    let s_r = flip_bits(&s_m, 1);
-    differential_session(&s_m, &s_r, &cfg, 51);
+    for (i, flips) in [0usize, 1, 2, 24, 0, 1, 2, 24].into_iter().enumerate() {
+        let s_m = random_seed(48, 7100 + i as u64);
+        differential_session(&s_m, &flip_bits(&s_m, flips), &cfg, 50 + i as u64);
+    }
 }
 
 #[test]
 fn driver_preserves_rng_state_on_timeout() {
     // Timeout(OtA) aborts before either party's respond draws — exactly
     // as the monolith did; the caller's RNGs must reflect only the pair
-    // generation and sender exponents.
+    // generation and sender scalars.
     let cfg = AgreementConfig { use_tiny_group: true, tau: 0.5, ..Default::default() };
     let s = random_seed(48, 7200);
     let mut rm = StdRng::seed_from_u64(11);
@@ -226,14 +221,14 @@ fn driver_preserves_rng_state_on_timeout() {
     let err = run_agreement(&s, &s, &cfg, &mut rm, &mut rs, &mut delayer).unwrap_err();
     assert_eq!(err, AgreementError::Timeout(MessageKind::OtA));
 
-    let group = DhGroup::tiny_test_group();
+    let group = Group::Tiny;
     let l_b = cfg.key_len_bits.div_ceil(2 * s.len());
     let mut ref_rm = StdRng::seed_from_u64(11);
     let mut ref_rs = StdRng::seed_from_u64(12);
     let pairs = random_pairs(s.len(), l_b, &mut ref_rm);
-    let _ = OtSender::start(&group, payload_pairs(&pairs), &mut ref_rm);
+    let _ = OtSender::start(group, payload_pairs(&pairs), &mut ref_rm);
     let pairs = random_pairs(s.len(), l_b, &mut ref_rs);
-    let _ = OtSender::start(&group, payload_pairs(&pairs), &mut ref_rs);
+    let _ = OtSender::start(group, payload_pairs(&pairs), &mut ref_rs);
     assert_same_stream(&mut rm, &mut ref_rm, "mobile rng after timeout");
     assert_same_stream(&mut rs, &mut ref_rs, "server rng after timeout");
 }
@@ -249,16 +244,16 @@ fn driver_preserves_rng_state_on_drop() {
     let err = run_agreement(&s, &s, &cfg, &mut rm, &mut rs, &mut dropper).unwrap_err();
     assert_eq!(err, AgreementError::Dropped(MessageKind::OtE));
 
-    let group = DhGroup::tiny_test_group();
+    let group = Group::Tiny;
     let l_b = cfg.key_len_bits.div_ceil(2 * s.len());
     let mut ref_rm = StdRng::seed_from_u64(21);
     let mut ref_rs = StdRng::seed_from_u64(22);
     let x_pairs = random_pairs(s.len(), l_b, &mut ref_rm);
-    let (_, ma_m) = OtSender::start(&group, payload_pairs(&x_pairs), &mut ref_rm);
+    let (_, ma_m) = OtSender::start(group, payload_pairs(&x_pairs), &mut ref_rm);
     let y_pairs = random_pairs(s.len(), l_b, &mut ref_rs);
-    let (_, ma_r) = OtSender::start(&group, payload_pairs(&y_pairs), &mut ref_rs);
-    let _ = OtReceiver::respond(&group, &s, &ma_r, &mut ref_rm).unwrap();
-    let _ = OtReceiver::respond(&group, &s, &ma_m, &mut ref_rs).unwrap();
+    let (_, ma_r) = OtSender::start(group, payload_pairs(&y_pairs), &mut ref_rs);
+    let _ = OtReceiver::respond(group, &s, &ma_r, &mut ref_rm).unwrap();
+    let _ = OtReceiver::respond(group, &s, &ma_m, &mut ref_rs).unwrap();
     assert_same_stream(&mut rm, &mut ref_rm, "mobile rng after drop");
     assert_same_stream(&mut rs, &mut ref_rs, "server rng after drop");
 }

@@ -7,6 +7,8 @@ use wavekey::core::agreement::{run_agreement, AgreementConfig, AgreementError};
 use wavekey::core::channel::{
     BitFlipMitm, Delayer, Dropper, Eavesdropper, MessageKind, PassiveChannel, VersionSpoofer,
 };
+use wavekey::core::proto::State;
+use wavekey::core::{Frame, MobileAgreement, ServerAgreement};
 use wavekey::math::nist::bytes_to_bits;
 
 fn config() -> AgreementConfig {
@@ -220,4 +222,78 @@ fn empty_ot_ciphertexts_fail_the_session_instead_of_panicking() {
     // its preliminary key.
     let err = run_with(&seed(48, 9), &mut EmptyCiphertexts).expect_err("no key from empty M_E");
     assert!(matches!(err, AgreementError::Ot(_)), "{err:?}");
+}
+
+/// Encodings no honest party sends in place of a ristretto255 element:
+/// the identity, `s = p` (not below p), an odd `s` (negative), `s = 8`
+/// (the smallest even `s` whose decoding ratio is not a square), and a
+/// 31-byte element, which leaves the frame a non-whole number of
+/// elements.
+fn hostile_elements() -> [(&'static str, Vec<u8>); 5] {
+    let mut p = vec![0xff; 32];
+    p[0] = 0xed;
+    p[31] = 0x7f;
+    let small = |s: u8| {
+        let mut bytes = vec![0u8; 32];
+        bytes[0] = s;
+        bytes
+    };
+    [
+        ("identity", vec![0; 32]),
+        ("s >= p", p),
+        ("odd s", small(1)),
+        ("non-square s", small(8)),
+        ("wrong length", vec![0; 31]),
+    ]
+}
+
+/// `frame` with its first 32-byte element replaced by `element`.
+fn with_first_element(frame: &Frame, element: &[u8]) -> Frame {
+    let payload = [element, &frame.payload[32..]].concat();
+    Frame::new(frame.kind, payload)
+}
+
+#[test]
+fn hostile_group_elements_end_the_session_without_a_reply() {
+    // On ristretto255, each machine that receives a hostile `M_A` or
+    // `M_B` element fails with a malformed-OT error and sends nothing:
+    // no `M_B` that could carry choice bits, no `M_E`.
+    let config = AgreementConfig { tau: 10.0, ..Default::default() };
+    let s = seed(48, 9);
+    for (name, element) in hostile_elements() {
+        for target in [MessageKind::OtA, MessageKind::OtB] {
+            for server_side in [false, true] {
+                let mut mobile =
+                    MobileAgreement::new(&s, &config, StdRng::seed_from_u64(1)).unwrap();
+                let mut server =
+                    ServerAgreement::new(&s, &config, StdRng::seed_from_u64(2)).unwrap();
+                let (ma_m, ma_r) = (mobile.start().unwrap(), server.start().unwrap());
+                let mut handle = |to_server: bool, frame: &Frame| {
+                    if to_server {
+                        server.handle(frame, 2.0)
+                    } else {
+                        mobile.handle(frame, 2.0)
+                    }
+                };
+                // The peer's M_A, and for an M_B target the peer's honest
+                // M_B, which answers the target's own M_A.
+                let mut incoming = if server_side { ma_m.clone() } else { ma_r.clone() };
+                if target == MessageKind::OtB {
+                    let own_ma = if server_side { ma_r } else { ma_m };
+                    assert_eq!(handle(server_side, &incoming).expect("honest M_A").len(), 1);
+                    incoming = handle(!server_side, &own_ma).expect("honest M_A").remove(0);
+                }
+                assert_eq!(incoming.kind, target);
+                let hostile = with_first_element(&incoming, &element);
+                let result = handle(server_side, &hostile);
+                let who = if server_side { "server" } else { "mobile" };
+                assert!(
+                    matches!(result, Err(AgreementError::Ot(_))),
+                    "{who} {target:?} with {name}: {result:?}"
+                );
+                let state = if server_side { server.state() } else { mobile.state() };
+                assert_eq!(state, State::Failed, "{who} {target:?} with {name}");
+            }
+        }
+    }
 }

@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wavekey::crypto::ecc::{Bch, CodeOffset};
-use wavekey::crypto::group::DhGroup;
+use wavekey::crypto::group::Group;
 use wavekey::crypto::ot::{OtPairs, OtReceiver, OtSender};
 use wavekey::imu::gesture::{GestureConfig, GestureGenerator, VolunteerId};
 use wavekey::imu::pipeline::{process_imu, ImuPipelineConfig};
@@ -60,7 +60,7 @@ fn one_gesture_feeds_both_pipelines_consistently() {
 fn ot_transports_bch_codewords_exactly() {
     // The protocol's composition: random BCH codewords through the OT,
     // decoded and error-corrected on the far side.
-    let group = DhGroup::tiny_test_group();
+    let group = Group::Ristretto255;
     let bch = Bch::new(3).unwrap();
     let mut rng = StdRng::seed_from_u64(21);
     let msg: Vec<bool> = (0..bch.k()).map(|_| rng.gen()).collect();
@@ -70,13 +70,13 @@ fn ot_transports_bch_codewords_exactly() {
     let mut rng_s = StdRng::seed_from_u64(22);
     let mut rng_r = StdRng::seed_from_u64(23);
     let (sender, ma) = OtSender::start(
-        &group,
+        group,
         OtPairs::from_pairs(&[(payload.clone(), vec![0u8; payload.len()])]),
         &mut rng_s,
     );
-    let (receiver, mb) = OtReceiver::respond(&group, &[false], &ma, &mut rng_r).unwrap();
-    let me = sender.encrypt(&group, &mb).unwrap();
-    let received = receiver.decrypt(&group, &me).unwrap();
+    let (receiver, mb) = OtReceiver::respond(group, &[false], &ma, &mut rng_r).unwrap();
+    let me = sender.encrypt(group, &mb).unwrap();
+    let received = receiver.decrypt(group, &me).unwrap();
     let bits = wavekey::core::bits::unpack_bits(&received, 127);
 
     // Flip two bits in transit-equivalent corruption; BCH repairs them.
