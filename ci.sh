@@ -7,7 +7,9 @@
 # Each gate is one wavekey-bench binary: it measures, prints every check
 # with its bound, and exits non-zero when one fails. The bounds are
 # constants in the binary, beside the measurement. Each binary writes its
-# JSON under target/, so a run leaves results/ as it found it.
+# JSON under target/, so a run leaves results/ as it found it. The last
+# gate is the repository benchmark's own check, which decides its verdict
+# the same way.
 #
 # Usage:
 #   ./ci.sh            # build + test + every gate
@@ -71,5 +73,14 @@ gate gateway_soak
 # 4-key memory ceiling on faulted media reload and never return a stale
 # key.
 gate store_soak
+
+# The repository benchmark (wavekey-benchmark/, its own package outside
+# the workspace, so the build above never compiles it): every workload
+# at an eighth of its length, twice for each of two seeds and once
+# traced. Digests repeat within a seed, every run passes its own key and
+# verdict checks, and the metric names match BENCHMARK.json. An API
+# break in the calls it makes fails here rather than in a benchmark run.
+echo "== wavekey-benchmark --check =="
+wavekey-benchmark/run.sh --check
 
 echo "== done =="

@@ -22,14 +22,18 @@
 //! window; the channel adds a configurable latency which the adversary
 //! may inflate.
 //!
-//! The protocol logic itself lives in the sans-IO state machines of
-//! [`crate::proto`] ([`crate::proto::MobileAgreement`],
-//! [`crate::proto::ServerAgreement`]); [`run_agreement`] is the classic
-//! in-process lockstep driver over them
-//! ([`crate::proto::driver::drive_lockstep`]), with outputs bit-identical
-//! to the pre-refactor monolith.
+//! The message handling lives in the sans-IO state machine of
+//! [`crate::proto`] ([`crate::proto::Agreement`], run as
+//! [`crate::proto::MobileAgreement`] and
+//! [`crate::proto::ServerAgreement`]). The agreement's geometry and its
+//! steps after the OT (the mobile's commit and confirm, the server's
+//! reconcile and response) are written here once: the machines call
+//! them, and so does [`run_agreement_information_layer`].
+//! [`run_agreement`] is the classic in-process lockstep driver over the
+//! machines ([`crate::proto::driver::drive_lockstep`]), with outputs
+//! bit-identical to the pre-refactor monolith.
 
-use crate::bits::{deinterleave, interleave, pack_bits, PackedBits};
+use crate::bits::{deinterleave, interleave, pack_bits, unpack_bits, PackedBits};
 use crate::channel::{Adversary, MessageKind};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -330,7 +334,8 @@ pub fn run_agreement(
 /// `wavekey-crypto` tests), so success/failure and the key distribution
 /// are byte-for-byte governed by this layer alone. The large-scale
 /// success-rate experiments (Tables I/II, the device study) use this
-/// path; latency experiments use the full [`run_agreement`].
+/// path; latency experiments use the full [`run_agreement`]. It runs the
+/// machines' own geometry, commit, reconcile and confirm steps.
 ///
 /// # Errors
 ///
@@ -342,65 +347,172 @@ pub fn run_agreement_information_layer(
     rng_mobile: &mut StdRng,
     rng_server: &mut StdRng,
 ) -> Result<AgreementOutcome, AgreementError> {
-    if s_m.is_empty() || s_m.len() != s_r.len() {
-        return Err(AgreementError::BadSeeds);
-    }
-    if config.key_len_bits == 0 {
-        return Err(AgreementError::Config("zero key length".into()));
-    }
-    let l_s = s_m.len();
-    let l_b = config.key_len_bits.div_ceil(2 * l_s);
-    let x_pairs = random_pairs(l_s, l_b, rng_mobile);
-    let y_pairs = random_pairs(l_s, l_b, rng_server);
-
-    let mut k_m = PackedBits::with_capacity(2 * l_s * l_b);
-    let mut k_r = PackedBits::with_capacity(2 * l_s * l_b);
-    for i in 0..l_s {
-        // Mobile: own x selected by S_M, received y (OT-selected by S_M).
-        k_m.extend_from_msb_bytes(chosen(&x_pairs, i, s_m[i]), l_b);
-        k_m.extend_from_msb_bytes(chosen(&y_pairs, i, s_m[i]), l_b);
-        // Server: received x (OT-selected by S_R), own y selected by S_R.
-        k_r.extend_from_msb_bytes(chosen(&x_pairs, i, s_r[i]), l_b);
-        k_r.extend_from_msb_bytes(chosen(&y_pairs, i, s_r[i]), l_b);
-    }
-    let preliminary_mismatch_bits = k_m.hamming_distance(&k_r);
-    let (k_m, k_r) = (k_m.to_bools(), k_r.to_bools());
-
-    let k_len = 2 * l_s * l_b;
-    let blocks = k_len.div_ceil(ECC_BLOCK);
-    let co = CodeOffset::shared(config.bch_t).map_err(|e| AgreementError::Config(e.to_string()))?;
-    let k_m_inter = interleave(&k_m, blocks, ECC_BLOCK);
-    let helper = co.commit(&k_m_inter, rng_mobile);
-    let nonce: [u8; NONCE_LEN] = {
-        let mut n = [0u8; NONCE_LEN];
-        rng_mobile.fill(&mut n);
-        n
-    };
-
-    let k_r_inter = interleave(&k_r, blocks, ECC_BLOCK);
-    let Some(recovered_inter) = co.reconcile(&k_r_inter, &helper, blocks * ECC_BLOCK) else {
-        return Err(AgreementError::ReconciliationFailed);
-    };
-    let k_server = deinterleave(&recovered_inter, blocks, ECC_BLOCK, k_len);
-    let server_key = finalize_key(&k_server, config, &nonce);
-    let response = hmac_sha256(&server_key, &nonce);
-
-    let key = finalize_key(&k_m, config, &nonce);
-    let key_bits = crate::bits::unpack_bits(&key, config.key_len_bits);
-    if !mac_eq(&hmac_sha256(&key, &nonce), &response) {
-        return Err(AgreementError::ConfirmationFailed);
-    }
+    let g = Geometry::of_seeds(s_m, s_r, config)?;
+    let x_pairs = random_pairs(&g, rng_mobile);
+    let y_pairs = random_pairs(&g, rng_server);
+    // Each party selects both sequences of instance i with its own seed
+    // bit: its own pair's directly, the peer's through the OT.
+    let k_m = g.concat(|i| [chosen(&x_pairs, i, s_m[i]), chosen(&y_pairs, i, s_m[i])]);
+    let k_r = g.concat(|i| [chosen(&x_pairs, i, s_r[i]), chosen(&y_pairs, i, s_r[i])]);
+    let (challenge, nonce) = commit(&g, &k_m, rng_mobile);
+    let (_, response) = reconcile(&g, &k_r, &challenge, config)?;
+    let key = confirm(&k_m, &nonce, &response, config)?;
     Ok(AgreementOutcome {
+        key_bits: unpack_bits(&key, config.key_len_bits),
         key,
-        key_bits,
         mobile_compute: 0.0,
         server_compute: 0.0,
         elapsed: config.gesture_window,
-        preliminary_mismatch_bits,
+        preliminary_mismatch_bits: k_m.hamming_distance(&k_r),
         ma_prep: 0.0,
         mb_prep: 0.0,
         stages: AgreementStages::default(),
     })
+}
+
+/// The agreement's shape for `l_s`-bit seeds under one config (§IV-D-2),
+/// built by each machine and driver before its first draw: each OT
+/// sequence is `l_b = ⌈l_k / 2·l_s⌉` bits, the preliminary key K is
+/// `2·l_s·l_b` bits interleaved over `⌈|K| / 127⌉` BCH blocks, and the
+/// `Challenge` is the packed helper of those blocks followed by the
+/// nonce.
+#[derive(Debug)]
+pub(crate) struct Geometry {
+    /// Key-seed length `l_s`: OT instances per direction.
+    pub(crate) l_s: usize,
+    /// Bits per OT sequence.
+    pub(crate) l_b: usize,
+    /// Preliminary key length `|K|`.
+    pub(crate) k_len: usize,
+    /// BCH(127) blocks K is interleaved over.
+    pub(crate) blocks: usize,
+    /// `Challenge` bytes: the packed `blocks·127`-bit helper, then the nonce.
+    pub(crate) challenge_len: usize,
+    /// The process-wide code-offset construction for `bch_t`.
+    pub(crate) code: &'static CodeOffset,
+}
+
+impl Geometry {
+    /// Checks the seed length, the key length and `bch_t`, in that order,
+    /// and sizes the agreement.
+    ///
+    /// # Errors
+    ///
+    /// [`AgreementError::BadSeeds`] for empty seeds,
+    /// [`AgreementError::Config`] for a zero key length or a `bch_t`
+    /// outside the BCH(127) family.
+    pub(crate) fn new(l_s: usize, config: &AgreementConfig) -> Result<Geometry, AgreementError> {
+        if l_s == 0 {
+            return Err(AgreementError::BadSeeds);
+        }
+        if config.key_len_bits == 0 {
+            return Err(AgreementError::Config("zero key length".into()));
+        }
+        let code =
+            CodeOffset::shared(config.bch_t).map_err(|e| AgreementError::Config(e.to_string()))?;
+        let l_b = config.key_len_bits.div_ceil(2 * l_s);
+        let k_len = 2 * l_s * l_b;
+        let blocks = k_len.div_ceil(ECC_BLOCK);
+        let challenge_len = (blocks * ECC_BLOCK).div_ceil(8) + NONCE_LEN;
+        Ok(Geometry { l_s, l_b, k_len, blocks, challenge_len, code })
+    }
+
+    /// [`Geometry::new`] for a seed pair, which must match in length.
+    ///
+    /// # Errors
+    ///
+    /// [`AgreementError::BadSeeds`] for seeds of different lengths, then
+    /// as [`Geometry::new`].
+    pub(crate) fn of_seeds(
+        s_m: &[bool],
+        s_r: &[bool],
+        config: &AgreementConfig,
+    ) -> Result<Geometry, AgreementError> {
+        if s_m.len() != s_r.len() {
+            return Err(AgreementError::BadSeeds);
+        }
+        Geometry::new(s_m.len(), config)
+    }
+
+    /// Concatenates K = x₁ ‖ y₁ ‖ x₂ ‖ y₂ ‖ …, where `seqs(i)` gives
+    /// instance `i`'s mobile and server sequences, `l_b` bits each,
+    /// MSB-first.
+    pub(crate) fn concat<'a>(&self, seqs: impl Fn(usize) -> [&'a [u8]; 2]) -> PackedBits {
+        let mut k = PackedBits::with_capacity(self.k_len);
+        for i in 0..self.l_s {
+            for seq in seqs(i) {
+                k.extend_from_msb_bytes(seq, self.l_b);
+            }
+        }
+        k
+    }
+}
+
+/// The mobile's commit, `Challenge = ECC(K_M) ‖ N`: the code-offset
+/// helper over the interleaved `K_M`, then a fresh nonce, drawn from the
+/// mobile's RNG in that order. Returns the `Challenge` and the nonce.
+pub(crate) fn commit(
+    g: &Geometry,
+    k_m: &PackedBits,
+    rng: &mut StdRng,
+) -> (Vec<u8>, [u8; NONCE_LEN]) {
+    let k_m_inter = interleave(&k_m.to_bools(), g.blocks, ECC_BLOCK);
+    let helper = g.code.commit(&k_m_inter, rng);
+    let mut nonce = [0u8; NONCE_LEN];
+    rng.fill(&mut nonce);
+    let mut challenge = pack_bits(&helper);
+    challenge.extend_from_slice(&nonce);
+    (challenge, nonce)
+}
+
+/// The server's reconcile-and-respond: snaps `K_R` onto `K_M` with the
+/// `Challenge`'s helper, finalizes the key with its nonce, and returns
+/// the key and the `Response`, `HMAC(key, N)`.
+///
+/// # Errors
+///
+/// [`AgreementError::ReconciliationFailed`] for a `Challenge` of the
+/// wrong length, or a `K_R` beyond the code's radius.
+pub(crate) fn reconcile(
+    g: &Geometry,
+    k_r: &PackedBits,
+    challenge: &[u8],
+    config: &AgreementConfig,
+) -> Result<(Vec<u8>, [u8; 32]), AgreementError> {
+    if challenge.len() != g.challenge_len {
+        return Err(AgreementError::ReconciliationFailed);
+    }
+    let (helper, nonce) = challenge.split_at(g.challenge_len - NONCE_LEN);
+    let bits = g.blocks * ECC_BLOCK;
+    let k_r_inter = interleave(&k_r.to_bools(), g.blocks, ECC_BLOCK);
+    let recovered = g
+        .code
+        .reconcile(&k_r_inter, &unpack_bits(helper, bits), bits)
+        .ok_or(AgreementError::ReconciliationFailed)?;
+    let k = deinterleave(&recovered, g.blocks, ECC_BLOCK, g.k_len);
+    let key = finalize_key(&k, config, nonce);
+    let response = hmac_sha256(&key, nonce);
+    Ok((key, response))
+}
+
+/// The mobile's confirm: finalizes `K_M` with its nonce and checks the
+/// server's `Response` against the key. Returns the key.
+///
+/// # Errors
+///
+/// [`AgreementError::ConfirmationFailed`] when the MAC does not verify.
+pub(crate) fn confirm(
+    k_m: &PackedBits,
+    nonce: &[u8],
+    response: &[u8],
+    config: &AgreementConfig,
+) -> Result<Vec<u8>, AgreementError> {
+    let key = finalize_key(&k_m.to_bools(), config, nonce);
+    if mac_eq(&hmac_sha256(&key, nonce), response) {
+        Ok(key)
+    } else {
+        Err(AgreementError::ConfirmationFailed)
+    }
 }
 
 /// Produces the delivered key bytes from the reconciled preliminary key:
@@ -424,14 +536,14 @@ pub(crate) fn finalize_key(k: &[bool], config: &AgreementConfig, nonce: &[u8]) -
 /// batch, each sequence MSB-first and zero-padded in `⌈l_b/8⌉` bytes
 /// (the bytes [`crate::bits::pack_bits`] makes). The bits are drawn one
 /// `rng.gen::<bool>()` each, pair by pair, sequence 0 first.
-pub(crate) fn random_pairs(l_s: usize, l_b: usize, rng: &mut StdRng) -> OtPairs {
-    let len = l_b.div_ceil(8);
-    let mut pairs = OtPairs::with_capacity(len, l_s);
+pub(crate) fn random_pairs(g: &Geometry, rng: &mut StdRng) -> OtPairs {
+    let len = g.l_b.div_ceil(8);
+    let mut pairs = OtPairs::with_capacity(len, g.l_s);
     let mut x = vec![0u8; 2 * len];
-    for _ in 0..l_s {
+    for _ in 0..g.l_s {
         x.fill(0);
         for seq in x.chunks_exact_mut(len) {
-            for j in 0..l_b {
+            for j in 0..g.l_b {
                 seq[j / 8] |= u8::from(rng.gen::<bool>()) << (7 - j % 8);
             }
         }
@@ -632,6 +744,29 @@ mod tests {
         assert_eq!(err, AgreementError::BadSeeds);
         let err = run(&[true; 10], &[true; 9], &test_config(), &mut PassiveChannel).unwrap_err();
         assert_eq!(err, AgreementError::BadSeeds);
+    }
+
+    #[test]
+    fn invalid_bch_t_fails_at_construction_before_any_draw() {
+        use crate::proto::{MobileAgreement, ServerAgreement};
+        let s = [true; 48];
+        for bch_t in [0, 16] {
+            let config = AgreementConfig { bch_t, ..test_config() };
+            let rng = StdRng::seed_from_u64(1);
+            let mobile = MobileAgreement::new(&s, &config, rng.clone());
+            assert!(matches!(mobile, Err(AgreementError::Config(_))), "t = {bch_t}");
+            let server = ServerAgreement::new(&s, &config, rng);
+            assert!(matches!(server, Err(AgreementError::Config(_))), "t = {bch_t}");
+            // Both drivers fail before the first draw: the callers' RNGs
+            // are untouched.
+            let (mut rm, mut rs) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(2));
+            let err = run_agreement(&s, &s, &config, &mut rm, &mut rs, &mut PassiveChannel);
+            assert!(matches!(err, Err(AgreementError::Config(_))), "t = {bch_t}");
+            let err = run_agreement_information_layer(&s, &s, &config, &mut rm, &mut rs);
+            assert!(matches!(err, Err(AgreementError::Config(_))), "t = {bch_t}");
+            assert_eq!(rm.gen::<u64>(), StdRng::seed_from_u64(1).gen::<u64>());
+            assert_eq!(rs.gen::<u64>(), StdRng::seed_from_u64(2).gen::<u64>());
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The WaveKey hyper-parameters (§IV and §VI-C of the paper).
 
+use crate::agreement::{AgreementConfig, Geometry};
 
 /// All scheme-level hyper-parameters in one place.
 ///
@@ -57,9 +58,19 @@ impl WaveKeyConfig {
         self.l_f * self.bits_per_symbol()
     }
 
-    /// Per-OT-sequence length `l_b = ⌈l_k / (2·l_s)⌉` (§IV-D-2).
+    /// Per-OT-sequence length `l_b = ⌈l_k / (2·l_s)⌉` (§IV-D-2), as the
+    /// agreement's geometry sizes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `l_f`, the key length or `bch_t` fails [`Self::validate`].
     pub fn l_b(&self) -> usize {
-        self.key_len_bits.div_ceil(2 * self.l_s())
+        let config = AgreementConfig {
+            key_len_bits: self.key_len_bits,
+            bch_t: self.bch_t,
+            ..AgreementConfig::default()
+        };
+        Geometry::new(self.l_s(), &config).expect("valid WaveKey config").l_b
     }
 
     /// The ECC correction rate `η = t / 127`.

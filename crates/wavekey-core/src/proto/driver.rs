@@ -15,11 +15,11 @@
 //! the server acts first (`M_B`: the server's deadline check precedes
 //! both decodes). The mobile's challenge commit — the only RNG draw after
 //! the OT — is explicitly scheduled *after* the server absorbs `M_E`, via
-//! the [`MobileAgreement::absorb_ot_e`] / `emit_challenge` split.
+//! the `absorb_ot_e` / `emit_challenge` split.
 
 use super::{Frame, MobileAgreement, ServerAgreement};
 use crate::agreement::{
-    AgreementConfig, AgreementError, AgreementOutcome, AgreementStages, RetryPolicy,
+    AgreementConfig, AgreementError, AgreementOutcome, AgreementStages, Geometry, RetryPolicy,
 };
 use crate::channel::{Adversary, AdversaryAction, Direction};
 use rand::rngs::StdRng;
@@ -48,12 +48,7 @@ pub fn drive_lockstep(
     adversary: &mut dyn Adversary,
     events: &EventScope,
 ) -> Result<AgreementOutcome, AgreementError> {
-    if s_m.is_empty() || s_m.len() != s_r.len() {
-        return Err(AgreementError::BadSeeds);
-    }
-    if config.key_len_bits == 0 {
-        return Err(AgreementError::Config("zero key length".into()));
-    }
+    Geometry::of_seeds(s_m, s_r, config)?;
     let mut mobile = MobileAgreement::new(s_m, config, rng_mobile.clone())?;
     let mut server = ServerAgreement::new(s_r, config, rng_server.clone())?;
     if events.is_enabled() {
@@ -105,7 +100,7 @@ fn exchange(
     server.handle(&me_m, me_m_arrival)?;
     let preliminary_mismatch_bits =
         mobile.preliminary_key().hamming_distance(server.preliminary_key());
-    let challenge = mobile.emit_challenge()?;
+    let challenge = mobile.emit_challenge();
 
     // --- Challenge / Response.
     let (challenge, challenge_arrival) =

@@ -400,17 +400,8 @@ impl AccessService {
             },
         };
         self.obs.inc("service_enroll_success");
-        let re_enrolment = self
-            .store
-            .state()
-            .ticket(tenant, &epc.0)
-            .map(|t| t.generation > 0)
-            .unwrap_or(false);
-        if re_enrolment {
-            self.store.re_enroll(tenant, epc.0, &outcome.key)?;
+        if self.store.enroll(tenant, epc.0, &outcome.key)? > 1 {
             self.obs.inc("service_re_enrolments");
-        } else {
-            self.store.bind_key(tenant, epc.0, &outcome.key)?;
         }
         self.pump_store_counters();
         Ok(outcome)

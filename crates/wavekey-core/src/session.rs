@@ -5,7 +5,7 @@
 //! configuration; every call to [`Session::establish_key`] simulates one
 //! fresh user gesture and runs the complete WaveKey workflow of Fig. 2.
 
-use crate::agreement::{AgreementConfig, AgreementOutcome};
+use crate::agreement::{AgreementConfig, AgreementOutcome, Geometry};
 use crate::bits::hamming_distance;
 use crate::channel::{Adversary, PassiveChannel};
 use crate::config::WaveKeyConfig;
@@ -180,6 +180,15 @@ impl Session {
         &mut self,
         adversary: &mut dyn Adversary,
     ) -> Result<SessionOutcome, Error> {
+        self.establish(Some(adversary))
+    }
+
+    /// One traced fresh-gesture establishment: the full OT protocol
+    /// against `adversary`, or with `None` the information layer.
+    fn establish(
+        &mut self,
+        adversary: Option<&mut dyn Adversary>,
+    ) -> Result<SessionOutcome, Error> {
         let mut trace = self.begin_trace();
         let t = Instant::now();
         let gesture = self.new_gesture();
@@ -222,23 +231,27 @@ impl Session {
         adversary: &mut dyn Adversary,
     ) -> Result<SessionOutcome, Error> {
         let mut trace = self.begin_trace();
-        let result = self.establish_traced(gesture, adversary, &mut trace);
+        let result = self.establish_traced(gesture, Some(adversary), &mut trace);
         self.finish_trace(trace, &result);
         result
     }
 
-    /// One full seed-derivation + agreement attempt, recording per-stage
-    /// timings into `trace` as it goes.
+    /// One seed-derivation + agreement attempt, recording per-stage
+    /// timings into `trace` as it goes: the full OT protocol against
+    /// `adversary`, or with `None` the information layer.
     fn establish_traced(
         &mut self,
         gesture: &Gesture,
-        adversary: &mut dyn Adversary,
+        adversary: Option<&mut dyn Adversary>,
         trace: &mut SessionTrace,
     ) -> Result<SessionOutcome, Error> {
         let (s_m, s_r) = self.derive_seeds_traced(gesture, trace)?;
         trace.seed_len = s_m.len();
         trace.seed_mismatch_bits = Some(hamming_distance(&s_m, &s_r));
-        self.agree_traced(&s_m, &s_r, adversary, trace)
+        match adversary {
+            Some(adversary) => self.agree_traced(&s_m, &s_r, adversary, trace),
+            None => self.agree_fast_traced(&s_m, &s_r, trace),
+        }
     }
 
     /// Allocates the next session id and opens its trace.
@@ -402,46 +415,7 @@ impl Session {
     ///
     /// Same failure taxonomy as [`Session::establish_key`].
     pub fn establish_key_fast(&mut self) -> Result<SessionOutcome, Error> {
-        let mut trace = self.begin_trace();
-        let t = Instant::now();
-        let gesture = self.new_gesture();
-        let d = t.elapsed().as_secs_f64();
-        trace.record_stage(stage::GESTURE_SYNTH, d);
-        self.obs.record_duration(stage::GESTURE_SYNTH, d);
-        let result = self.establish_fast_traced(&gesture, &mut trace);
-        self.finish_trace(trace, &result);
-        result
-    }
-
-    fn establish_fast_traced(
-        &mut self,
-        gesture: &Gesture,
-        trace: &mut SessionTrace,
-    ) -> Result<SessionOutcome, Error> {
-        let (s_m, s_r) = self.derive_seeds_traced(gesture, trace)?;
-        trace.seed_len = s_m.len();
-        trace.seed_mismatch_bits = Some(hamming_distance(&s_m, &s_r));
-        let agreement_config = self.agreement_config();
-        let mut rng_server = StdRng::seed_from_u64(self.rng.gen());
-        let outcome = crate::agreement::run_agreement_information_layer(
-            &s_m,
-            &s_r,
-            &agreement_config,
-            &mut self.rng,
-            &mut rng_server,
-        )?;
-        trace.key_bits = outcome.key_bits.len();
-        trace.preliminary_mismatch_bits = Some(outcome.preliminary_mismatch_bits);
-        trace.preliminary_len_bits = Some(preliminary_len_bits(&agreement_config, s_m.len()));
-        trace.elapsed_s = Some(outcome.elapsed);
-        Ok(SessionOutcome {
-            key: outcome.key.clone(),
-            seed_mismatch_bits: hamming_distance(&s_m, &s_r),
-            seed_len: s_m.len(),
-            s_m,
-            s_r,
-            agreement: outcome,
-        })
+        self.establish(None)
     }
 
     /// The [`AgreementConfig`] this session runs the protocol with.
@@ -469,6 +443,16 @@ impl Session {
     ///
     /// Same failure taxonomy as [`Session::establish_key_fast`].
     pub fn agree_fast(&mut self, s_m: &[bool], s_r: &[bool]) -> Result<SessionOutcome, Error> {
+        self.agree_fast_traced(s_m, s_r, &mut SessionTrace::default())
+    }
+
+    /// The information-layer agreement step, stamping `trace`.
+    fn agree_fast_traced(
+        &mut self,
+        s_m: &[bool],
+        s_r: &[bool],
+        trace: &mut SessionTrace,
+    ) -> Result<SessionOutcome, Error> {
         let agreement_config = self.agreement_config();
         let mut rng_server = StdRng::seed_from_u64(self.rng.gen());
         let outcome = crate::agreement::run_agreement_information_layer(
@@ -478,14 +462,7 @@ impl Session {
             &mut self.rng,
             &mut rng_server,
         )?;
-        Ok(SessionOutcome {
-            key: outcome.key.clone(),
-            seed_mismatch_bits: hamming_distance(s_m, s_r),
-            seed_len: s_m.len(),
-            s_m: s_m.to_vec(),
-            s_r: s_r.to_vec(),
-            agreement: outcome,
-        })
+        Ok(session_outcome(s_m, s_r, &agreement_config, outcome, trace))
     }
 
     /// Runs the key agreement on externally supplied seeds (exposed for
@@ -530,18 +507,30 @@ impl Session {
         }
         outcome.stages.record_to(&self.obs);
         trace.deadline_consumed_s = Some(outcome.stages.deadline_consumed_s);
-        trace.elapsed_s = Some(outcome.elapsed);
-        trace.key_bits = outcome.key_bits.len();
-        trace.preliminary_mismatch_bits = Some(outcome.preliminary_mismatch_bits);
-        trace.preliminary_len_bits = Some(preliminary_len_bits(&agreement_config, s_m.len()));
-        Ok(SessionOutcome {
-            key: outcome.key.clone(),
-            seed_mismatch_bits: hamming_distance(s_m, s_r),
-            seed_len: s_m.len(),
-            s_m: s_m.to_vec(),
-            s_r: s_r.to_vec(),
-            agreement: outcome,
-        })
+        Ok(session_outcome(s_m, s_r, &agreement_config, outcome, trace))
+    }
+}
+
+/// Wraps a successful agreement on `(s_m, s_r)`, stamping the trace's
+/// key, preliminary-key and elapsed fields (both agreement paths).
+fn session_outcome(
+    s_m: &[bool],
+    s_r: &[bool],
+    config: &AgreementConfig,
+    agreement: AgreementOutcome,
+    trace: &mut SessionTrace,
+) -> SessionOutcome {
+    trace.elapsed_s = Some(agreement.elapsed);
+    trace.key_bits = agreement.key_bits.len();
+    trace.preliminary_mismatch_bits = Some(agreement.preliminary_mismatch_bits);
+    trace.preliminary_len_bits = Geometry::new(s_m.len(), config).ok().map(|g| g.k_len);
+    SessionOutcome {
+        key: agreement.key.clone(),
+        seed_mismatch_bits: hamming_distance(s_m, s_r),
+        seed_len: s_m.len(),
+        s_m: s_m.to_vec(),
+        s_r: s_r.to_vec(),
+        agreement,
     }
 }
 
@@ -576,14 +565,6 @@ impl Drop for ConfigGuard<'_> {
                 SeedGenerator::new(self.session.config.wavekey.n_b).expect("valid N_b");
         }
     }
-}
-
-/// Preliminary key length `2·l_s·l_b` for a seed length and config.
-fn preliminary_len_bits(config: &AgreementConfig, l_s: usize) -> usize {
-    if l_s == 0 {
-        return 0;
-    }
-    2 * l_s * config.key_len_bits.div_ceil(2 * l_s)
 }
 
 /// Short failure label for session traces (e.g. `"timeout_ota"`,

@@ -37,7 +37,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wavekey_core::agreement::{AgreementConfig, AgreementError};
-use wavekey_core::proto::{Decoder, MobileAgreement, ServerAgreement, State};
+use wavekey_core::proto::{Agreement, Decoder, MobileAgreement, Role, ServerAgreement, State};
 use wavekey_obs::{EventScope, Obs};
 use wavekey_store::{DurableStore, StoreError, TenantQuota};
 
@@ -131,19 +131,10 @@ impl EnrollmentSink {
     fn persist(&self, conn_id: u64, key: &[u8]) -> Result<(), StoreError> {
         let mut store = self.store.borrow_mut();
         let epc = Self::epc_for(conn_id);
-        let generation = match store.state().ticket(self.tenant, &epc) {
-            Some(t) => t.generation,
-            None => {
-                store.issue(self.tenant, epc, 0)?;
-                0
-            }
-        };
-        if generation == 0 {
-            store.bind_key(self.tenant, epc, key)?;
-        } else {
-            store.re_enroll(self.tenant, epc, key)?;
+        if store.state().ticket(self.tenant, &epc).is_none() {
+            store.issue(self.tenant, epc, 0)?;
         }
-        Ok(())
+        store.enroll(self.tenant, epc, key).map(drop)
     }
 }
 
@@ -304,10 +295,10 @@ impl GatewayInner {
                 continue;
             };
             stream.arrive(frame, agreement.channel_delay, &agreement.retry, scope)?;
-            serve_ready(stream, server, wq, scope)?;
+            ready(stream, server, wq, scope)?;
         }
         stream.release(scope);
-        serve_ready(stream, server, wq, scope)
+        ready(stream, server, wq, scope)
     }
 }
 
@@ -427,21 +418,22 @@ fn serve_conn(
     }
 }
 
-/// Feeds the server every frame its link has ready, queueing the replies
-/// stamped with its clock; stops once the server is done.
-fn serve_ready(
+/// Feeds a machine every frame its link has ready, queueing the replies
+/// stamped with its clock; stops once the machine is done. The gateway
+/// runs it for the server, [`drive_mobile`] for the mobile.
+fn ready<R: Role>(
     stream: &SimStream,
-    server: &mut ServerAgreement,
+    machine: &mut Agreement<R>,
     wq: &mut VecDeque<u8>,
     scope: &EventScope,
 ) -> Result<(), AgreementError> {
-    while server.state() != State::Done {
-        let Some((frame, arrival)) = stream.next_frame(server.expected_kind(), scope) else {
+    while machine.state() != State::Done {
+        let Some((frame, arrival)) = stream.next_frame(machine.expected_kind(), scope) else {
             break;
         };
-        server.charge(stream.owed());
-        for reply in server.handle(&frame, arrival)? {
-            stream.depart(server.clock());
+        machine.charge(stream.owed());
+        for reply in machine.handle(&frame, arrival)? {
+            stream.depart(machine.clock());
             wq.extend(reply.encode());
         }
     }
@@ -521,34 +513,13 @@ async fn mobile_session(
                 while let Some(item) = dec.next_frame() {
                     let Ok(frame) = item else { continue };
                     stream.arrive(frame, channel_delay, &retry, &events)?;
-                    mobile_ready(stream, mobile, &mut wq)?;
+                    ready(stream, mobile, &mut wq, &events)?;
                 }
                 stream.release(&events);
-                mobile_ready(stream, mobile, &mut wq)?;
+                ready(stream, mobile, &mut wq, &events)?;
             }
         }
     }
-}
-
-/// The client mirror of [`serve_ready`].
-fn mobile_ready(
-    stream: &SimStream,
-    mobile: &mut MobileAgreement,
-    wq: &mut VecDeque<u8>,
-) -> Result<(), AgreementError> {
-    while mobile.state() != State::Done {
-        let Some((frame, arrival)) =
-            stream.next_frame(mobile.expected_kind(), &EventScope::disabled())
-        else {
-            break;
-        };
-        mobile.charge(stream.owed());
-        for reply in mobile.handle(&frame, arrival)? {
-            stream.depart(mobile.clock());
-            wq.extend(reply.encode());
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -314,6 +314,17 @@ impl DurableStore {
         Ok(gen)
     }
 
+    /// Record an over-the-air enrolment: the first key of a ticket
+    /// (generation 0) is bound, a later one re-enrols. Returns the new
+    /// generation.
+    pub fn enroll(&mut self, tenant: u64, epc: [u8; 12], key: &[u8]) -> Result<u32, StoreError> {
+        if self.require_ticket(tenant, &epc)?.generation == 0 {
+            self.bind_key(tenant, epc, key)
+        } else {
+            self.re_enroll(tenant, epc, key)
+        }
+    }
+
     /// Revoke a ticket; its key is gone for good.
     pub fn revoke(&mut self, tenant: u64, epc: [u8; 12]) -> Result<(), StoreError> {
         self.require_ticket(tenant, &epc)?;
@@ -600,6 +611,37 @@ mod tests {
         assert!(back.stats().records_replayed >= 23);
         assert_eq!(back.key_for(t, epc(3)).unwrap(), Some(&key(0xB3)[..]));
         assert_eq!(back.key_for(t, epc(7)).unwrap(), None); // revoked
+    }
+
+    #[test]
+    fn enroll_binds_then_re_enrols_and_both_survive_a_reopen() {
+        let media = MemVolume::new();
+        let mut store =
+            DurableStore::open(Box::new(media.clone()), StoreConfig::default()).unwrap();
+        let t = store.create_tenant(TenantQuota::unlimited()).unwrap();
+        store.issue(t, epc(1), 1).unwrap();
+        assert_eq!(store.enroll(t, epc(1), &key(1)).unwrap(), 1);
+        assert_eq!(store.enroll(t, epc(1), &key(2)).unwrap(), 2);
+        drop(store);
+
+        let image = media.deep_clone();
+        let records = journal::replay(&image.read(JOURNAL_FILE).unwrap().unwrap()).records;
+        let writes: Vec<(&str, u32, &[u8])> = records
+            .iter()
+            .filter_map(|r| match &r.body {
+                RecordBody::KeyBound { generation, key, .. } => {
+                    Some(("bound", *generation, &key[..]))
+                }
+                RecordBody::ReEnrolled { generation, key, .. } => {
+                    Some(("re-enrolled", *generation, &key[..]))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(writes, [("bound", 1, &key(1)[..]), ("re-enrolled", 2, &key(2)[..])]);
+        let mut back = DurableStore::open(Box::new(image), StoreConfig::default()).unwrap();
+        assert_eq!(back.state().ticket(t, &epc(1)).unwrap().generation, 2);
+        assert_eq!(back.key_for(t, epc(1)).unwrap(), Some(&key(2)[..]));
     }
 
     #[test]

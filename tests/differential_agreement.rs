@@ -5,7 +5,10 @@
 //! the pre-refactor protocol body (direct OT calls, identical RNG draw
 //! order: pairs → sender scalars → respond scalars → commit → nonce)
 //! with the channel and timing stripped — on a benign channel those
-//! cannot influence keys. Every session compares:
+//! cannot influence keys. `reference_information_layer` runs the same
+//! post-OT tail on the sequences the OT would deliver, and pins
+//! `run_agreement_information_layer` (the `enrol` and Tables I/II path)
+//! the same way. Every session compares:
 //!
 //! * success/failure verdicts and error values,
 //! * the established key bytes and bits,
@@ -16,7 +19,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wavekey::core::agreement::{run_agreement, AgreementConfig, AgreementError};
+use wavekey::core::agreement::{
+    run_agreement, run_agreement_information_layer, AgreementConfig, AgreementError,
+    AgreementOutcome,
+};
 use wavekey::core::bits::{
     deinterleave, hamming_distance, interleave, pack_bits, unpack_bits,
 };
@@ -108,13 +114,54 @@ fn reference_agreement(
         let own = if s_r[i] { &y_pairs[i].1 } else { &y_pairs[i].0 };
         k_r.extend_from_slice(own);
     }
-    let preliminary_mismatch_bits = hamming_distance(&k_m, &k_r);
+    reference_tail(&k_m, &k_r, l_s, l_b, config, rng_mobile)
+}
+
+/// The monolith's information layer: the same pairs, each party
+/// selecting both sequences of an instance with its own seed bit (what
+/// the OT delivers on a benign channel), then the monolith's tail.
+fn reference_information_layer(
+    s_m: &[bool],
+    s_r: &[bool],
+    config: &AgreementConfig,
+    rng_mobile: &mut StdRng,
+    rng_server: &mut StdRng,
+) -> Result<RefOutcome, AgreementError> {
+    let l_s = s_m.len();
+    let l_b = config.key_len_bits.div_ceil(2 * l_s);
+    let x_pairs = random_pairs(l_s, l_b, rng_mobile);
+    let y_pairs = random_pairs(l_s, l_b, rng_server);
+    let pick = |pair: &(Vec<bool>, Vec<bool>), bit: bool| {
+        if bit { pair.1.clone() } else { pair.0.clone() }
+    };
+    let mut k_m: Vec<bool> = Vec::with_capacity(2 * l_s * l_b);
+    let mut k_r: Vec<bool> = Vec::with_capacity(2 * l_s * l_b);
+    for i in 0..l_s {
+        k_m.extend(pick(&x_pairs[i], s_m[i]));
+        k_m.extend(pick(&y_pairs[i], s_m[i]));
+        k_r.extend(pick(&x_pairs[i], s_r[i]));
+        k_r.extend(pick(&y_pairs[i], s_r[i]));
+    }
+    reference_tail(&k_m, &k_r, l_s, l_b, config, rng_mobile)
+}
+
+/// The monolith after the OT: the mobile's commit and nonce, the
+/// server's reconcile and response, the mobile's confirm.
+fn reference_tail(
+    k_m: &[bool],
+    k_r: &[bool],
+    l_s: usize,
+    l_b: usize,
+    config: &AgreementConfig,
+    rng_mobile: &mut StdRng,
+) -> Result<RefOutcome, AgreementError> {
+    let preliminary_mismatch_bits = hamming_distance(k_m, k_r);
 
     let k_len = 2 * l_s * l_b;
     let blocks = k_len.div_ceil(ECC_BLOCK);
     let bch = Bch::new(config.bch_t).expect("valid t");
     let co = CodeOffset::new(bch);
-    let k_m_inter = interleave(&k_m, blocks, ECC_BLOCK);
+    let k_m_inter = interleave(k_m, blocks, ECC_BLOCK);
     let helper = co.commit(&k_m_inter, rng_mobile);
     let nonce: [u8; NONCE_LEN] = {
         let mut n = [0u8; NONCE_LEN];
@@ -122,7 +169,7 @@ fn reference_agreement(
         n
     };
 
-    let k_r_inter = interleave(&k_r, blocks, ECC_BLOCK);
+    let k_r_inter = interleave(k_r, blocks, ECC_BLOCK);
     let Some(recovered_inter) = co.reconcile(&k_r_inter, &helper, blocks * ECC_BLOCK) else {
         return Err(AgreementError::ReconciliationFailed);
     };
@@ -159,6 +206,39 @@ fn differential_session(
     let mut new_rs = StdRng::seed_from_u64(2000 + session);
     let new = run_agreement(s_m, s_r, config, &mut new_rm, &mut new_rs, &mut PassiveChannel);
 
+    assert_same_outcome(reference, new, config, session);
+    assert_same_stream(&mut new_rm, &mut ref_rm, "mobile rng");
+    assert_same_stream(&mut new_rs, &mut ref_rs, "server rng");
+}
+
+/// [`differential_session`] for the information layer and its reference.
+fn differential_information_layer(
+    s_m: &[bool],
+    s_r: &[bool],
+    config: &AgreementConfig,
+    session: u64,
+) {
+    let mut ref_rm = StdRng::seed_from_u64(1000 + session);
+    let mut ref_rs = StdRng::seed_from_u64(2000 + session);
+    let reference = reference_information_layer(s_m, s_r, config, &mut ref_rm, &mut ref_rs);
+
+    let mut new_rm = StdRng::seed_from_u64(1000 + session);
+    let mut new_rs = StdRng::seed_from_u64(2000 + session);
+    let new = run_agreement_information_layer(s_m, s_r, config, &mut new_rm, &mut new_rs);
+
+    assert_same_outcome(reference, new, config, session);
+    assert_same_stream(&mut new_rm, &mut ref_rm, "mobile rng");
+    assert_same_stream(&mut new_rs, &mut ref_rs, "server rng");
+}
+
+/// Verdicts, error values, key bytes and bits, and the mismatch
+/// diagnostic must all agree.
+fn assert_same_outcome(
+    reference: Result<RefOutcome, AgreementError>,
+    new: Result<AgreementOutcome, AgreementError>,
+    config: &AgreementConfig,
+    session: u64,
+) {
     match (reference, new) {
         (Ok(r), Ok(n)) => {
             assert_eq!(n.key, r.key, "session {session}: key bytes diverged");
@@ -177,8 +257,6 @@ fn differential_session(
             n.is_ok()
         ),
     }
-    assert_same_stream(&mut new_rm, &mut ref_rm, "mobile rng");
-    assert_same_stream(&mut new_rs, &mut ref_rs, "server rng");
 }
 
 #[test]
@@ -195,6 +273,23 @@ fn driver_matches_monolith_over_seeded_tiny_sessions() {
         }
     }
     assert_eq!(session, 24);
+}
+
+#[test]
+fn information_layer_matches_monolith_at_every_table_iii_key_length() {
+    // The driver differential's 24 seed pairs, at each Table III length.
+    for l_k in [128usize, 168, 192, 256, 2048] {
+        let cfg = AgreementConfig { key_len_bits: l_k, ..config() };
+        let mut session = 0u64;
+        for base in 0..6u64 {
+            for flips in [0usize, 1, 2, 24] {
+                let s_m = random_seed(48, 7000 + base);
+                differential_information_layer(&s_m, &flip_bits(&s_m, flips), &cfg, session);
+                session += 1;
+            }
+        }
+        assert_eq!(session, 24);
+    }
 }
 
 #[test]
