@@ -162,22 +162,32 @@ fn main() {
         group.mul_many(p, x, &mut out[..pw]);
         std::hint::black_box(&out);
     }));
-    // 48 variable-base multiplications in one `mul_many` call, the shape
-    // of round E and prelim.
+    // 48 variable-base multiplications by one scalar in one `mul_many`
+    // call, the shape of round E.
     samples.push(time_op("ristretto255_mul_x48", 48, || {
-        group.mul_many(&points, &scalars, &mut out);
+        group.mul_many(&points, x, &mut out);
         std::hint::black_box(&out);
     }));
-    // 48 comb walks in one `mul_base_many` call, the shape of rounds A
-    // and B and the `k¹` fold.
+    // 48 walks of the generator's comb in one `mul_base_many` call, the
+    // shape of round B.
     samples.push(time_op("ristretto255_mul_base_x48", 48, || {
         group.mul_base_many(&scalars, &mut out);
         std::hint::black_box(&out);
     }));
+    // The comb of a fresh point, and 48 walks on it: the receiver's
+    // `bᵢ·M_A` at prelim (informational rows).
+    samples.push(time_op("ristretto255_comb_build", 1, || {
+        std::hint::black_box(group.comb(std::hint::black_box(q)));
+    }));
+    let comb = group.comb(q);
+    samples.push(time_op("ristretto255_comb_walk_x48", 48, || {
+        comb.mul_many(&scalars, &mut out);
+        std::hint::black_box(&out);
+    }));
 
-    // Round E alone (48 instances: decode, one variable-base and one
-    // fixed-base multiplication, two encodes each): the sender's share
-    // of `ot_batch48_three_rounds`.
+    // Round E alone (48 instances: decode, one variable-base
+    // multiplication and two encodes each, one comb walk for the batch):
+    // the sender's share of `ot_batch48_three_rounds`.
     let (secrets, choices) = ot48_inputs();
     let (sender, ma) = OtSender::start(group, secrets, &mut StdRng::seed_from_u64(20));
     let (_, mb) =

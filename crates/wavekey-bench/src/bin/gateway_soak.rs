@@ -107,7 +107,7 @@ fn lockstep_mirror(soak: &Fleet, server_seed: u64) -> (u64, bool) {
         let (s_m, s_r) = seed_pair(SEED_BASE, *conn_id, SEED_LEN);
         let mut rng_m = mobile_rng(*conn_id);
         let mut rng_r = server_rng(server_seed, *conn_id);
-        let outcome = driver::drive_lockstep(
+        let (outcome, _) = driver::drive_lockstep(
             &s_m,
             &s_r,
             &config,

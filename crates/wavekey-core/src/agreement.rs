@@ -314,7 +314,7 @@ pub fn run_agreement(
     rng_server: &mut StdRng,
     adversary: &mut dyn Adversary,
 ) -> Result<AgreementOutcome, AgreementError> {
-    crate::proto::driver::drive_lockstep(
+    let (outcome, _) = crate::proto::driver::drive_lockstep(
         s_m,
         s_r,
         config,
@@ -322,7 +322,8 @@ pub fn run_agreement(
         rng_server,
         adversary,
         &wavekey_obs::EventScope::disabled(),
-    )
+    );
+    outcome
 }
 
 /// Runs only the *information layer* of the agreement — sequence-pair

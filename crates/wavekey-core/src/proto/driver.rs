@@ -25,20 +25,23 @@ use crate::channel::{Adversary, AdversaryAction, Direction};
 use rand::rngs::StdRng;
 use wavekey_obs::EventScope;
 
-/// Runs the full key agreement between two machines in lockstep.
+/// Runs the full key agreement between two machines in lockstep, and
+/// hands back the outcome with both machines' summed stage timings.
 ///
 /// RNGs are threaded through the machines and their end state is copied
 /// back to the caller on *every* path, so callers chaining runs off one
 /// RNG observe the same stream the monolithic implementation produced.
+/// The stages come back on every path the machines ran, failures
+/// included: a session that fails at reconciliation has run the whole
+/// OT, and that time belongs to its rounds. They are `None` only when
+/// the machines could not be built.
 /// Both machines bind actor-tagged views of `events` ("mobile" /
 /// "server" sharing one per-session sequence), so every state
 /// transition lands in the scope's event log; pass
 /// [`EventScope::disabled`] to record nothing.
 ///
-/// # Errors
-///
-/// See [`AgreementError`]; identical taxonomy and precedence as the
-/// monolith this replaced.
+/// The result is an [`AgreementError`] on failure; identical taxonomy and
+/// precedence as the monolith this replaced.
 pub fn drive_lockstep(
     s_m: &[bool],
     s_r: &[bool],
@@ -47,10 +50,15 @@ pub fn drive_lockstep(
     rng_server: &mut StdRng,
     adversary: &mut dyn Adversary,
     events: &EventScope,
-) -> Result<AgreementOutcome, AgreementError> {
-    Geometry::of_seeds(s_m, s_r, config)?;
-    let mut mobile = MobileAgreement::new(s_m, config, rng_mobile.clone())?;
-    let mut server = ServerAgreement::new(s_r, config, rng_server.clone())?;
+) -> (Result<AgreementOutcome, AgreementError>, Option<AgreementStages>) {
+    let built = Geometry::of_seeds(s_m, s_r, config).and_then(|_| {
+        let mobile = MobileAgreement::new(s_m, config, rng_mobile.clone())?;
+        Ok((mobile, ServerAgreement::new(s_r, config, rng_server.clone())?))
+    });
+    let (mut mobile, mut server) = match built {
+        Ok(pair) => pair,
+        Err(e) => return (Err(e), None),
+    };
     if events.is_enabled() {
         mobile.bind_events(events.with_actor("mobile"));
         server.bind_events(events.with_actor("server"));
@@ -58,7 +66,19 @@ pub fn drive_lockstep(
     let result = exchange(&mut mobile, &mut server, config, adversary);
     *rng_mobile = mobile.rng().clone();
     *rng_server = server.rng().clone();
-    result.map(|preliminary_mismatch_bits| combine(&mobile, &server, preliminary_mismatch_bits))
+    let stages = summed_stages(&mobile, &server);
+    let outcome = result.map(|preliminary_mismatch_bits| AgreementOutcome {
+        key: mobile.key().to_vec(),
+        key_bits: mobile.key_bits(),
+        mobile_compute: mobile.compute(),
+        server_compute: server.compute(),
+        elapsed: mobile.clock().max(server.clock()),
+        preliminary_mismatch_bits,
+        ma_prep: mobile.ma_prep(),
+        mb_prep: mobile.mb_prep(),
+        stages,
+    });
+    (outcome, Some(stages))
 }
 
 /// The lockstep delivery schedule; returns the preliminary-mismatch
@@ -113,15 +133,12 @@ fn exchange(
     Ok(preliminary_mismatch_bits)
 }
 
-/// Assembles the combined outcome from two finished machines.
-pub(crate) fn combine(
-    mobile: &MobileAgreement,
-    server: &ServerAgreement,
-    preliminary_mismatch_bits: usize,
-) -> AgreementOutcome {
+/// Both machines' stage timings summed; the deadline consumed is the
+/// later of the two fenced arrivals.
+fn summed_stages(mobile: &MobileAgreement, server: &ServerAgreement) -> AgreementStages {
     let m = mobile.stages();
     let s = server.stages();
-    let stages = AgreementStages {
+    AgreementStages {
         ot_round_a: m.ot_round_a + s.ot_round_a,
         ot_round_b: m.ot_round_b + s.ot_round_b,
         ot_round_e: m.ot_round_e + s.ot_round_e,
@@ -130,17 +147,6 @@ pub(crate) fn combine(
         hmac_confirm: m.hmac_confirm + s.hmac_confirm,
         deadline_s: m.deadline_s,
         deadline_consumed_s: mobile.deadline_consumed().max(server.deadline_consumed()),
-    };
-    AgreementOutcome {
-        key: mobile.key().to_vec(),
-        key_bits: mobile.key_bits(),
-        mobile_compute: mobile.compute(),
-        server_compute: server.compute(),
-        elapsed: mobile.clock().max(server.clock()),
-        preliminary_mismatch_bits,
-        ma_prep: mobile.ma_prep(),
-        mb_prep: mobile.mb_prep(),
-        stages,
     }
 }
 

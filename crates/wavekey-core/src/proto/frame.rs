@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic  0x57 0x4B ("WK")
-//! 2       1     version (WIRE_VERSION = 2)
+//! 2       1     version (WIRE_VERSION = 3)
 //! 3       1     kind    (MessageKind wire tag, see MessageKind::wire_tag)
 //! 4       4     payload length, u32 LE
 //! 8       n     payload
@@ -20,10 +20,12 @@ use crate::channel::MessageKind;
 
 /// The two magic bytes every frame starts with.
 pub const MAGIC: [u8; 2] = [0x57, 0x4B];
-/// The current wire-format version. Version 2 carries ristretto255 OT
-/// elements (32 bytes each); version 1 carried MODP-1024 elements (128
-/// bytes), so a peer of the old group is refused at the header.
-pub const WIRE_VERSION: u8 = 2;
+/// The current wire-format version. Version 3 carries one sender scalar
+/// per OT batch: `M_A` is one ristretto255 element (32 bytes) and every
+/// key hashes its instance index. Version 2 carried one `M_A` element
+/// per instance, version 1 MODP-1024 elements (128 bytes), so a peer of
+/// either is refused at the header.
+pub const WIRE_VERSION: u8 = 3;
 /// Fixed header length in bytes (magic + version + kind + length).
 pub const HEADER_LEN: usize = 8;
 /// Upper bound on payload length: an OT batch of a few thousand instances

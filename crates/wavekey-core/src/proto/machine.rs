@@ -255,6 +255,29 @@ impl<R: Role> Agreement<R> {
     }
 
     fn dispatch(&mut self, frame: &Frame, arrival: f64) -> Result<Vec<Frame>, AgreementError> {
+        let reply = match self.admit(frame)? {
+            MessageKind::OtA => self.respond_ot_a(frame, arrival)?,
+            MessageKind::OtB => self.encrypt_ot_e(frame, arrival)?,
+            MessageKind::OtE => {
+                self.assemble_k(frame, arrival)?;
+                if !R::MOBILE {
+                    return Ok(vec![]);
+                }
+                self.emit_challenge()
+            }
+            MessageKind::Challenge => self.answer_challenge(frame, arrival)?,
+            MessageKind::Response => {
+                self.check_response(frame, arrival)?;
+                return Ok(vec![]);
+            }
+        };
+        Ok(vec![reply])
+    }
+
+    /// The checks every arriving frame passes before it is processed: the
+    /// machine waits for a message, the frame has this wire version, and
+    /// it is the kind the machine waits for, which is returned.
+    fn admit(&self, frame: &Frame) -> Result<MessageKind, AgreementError> {
         let Some(expected) = self.expected_kind() else {
             return Err(AgreementError::Wire(format!(
                 "{} cannot accept {:?} in state {:?}",
@@ -274,23 +297,7 @@ impl<R: Role> Agreement<R> {
                 frame.kind, self.state
             )));
         }
-        let reply = match expected {
-            MessageKind::OtA => self.respond_ot_a(frame, arrival)?,
-            MessageKind::OtB => self.encrypt_ot_e(frame, arrival)?,
-            MessageKind::OtE => {
-                self.absorb_ot_e(frame, arrival)?;
-                if !R::MOBILE {
-                    return Ok(vec![]);
-                }
-                self.emit_challenge()
-            }
-            MessageKind::Challenge => self.answer_challenge(frame, arrival)?,
-            MessageKind::Response => {
-                self.check_response(frame, arrival)?;
-                return Ok(vec![]);
-            }
-        };
-        Ok(vec![reply])
+        Ok(expected)
     }
 
     /// Move to `state`, emitting a causal state-transition event when an
@@ -356,18 +363,30 @@ impl<R: Role> Agreement<R> {
         Ok(Frame::new(MessageKind::OtE, me))
     }
 
-    /// The peer's `M_E` received: decrypt the obliviously received
-    /// sequences and assemble K; transitions to `Reconcile`. The OT
-    /// receiver and the sequence pairs are spent.
-    ///
-    /// Split from [`Agreement::emit_challenge`] so the lockstep driver
-    /// can schedule the mobile's (RNG-consuming) commit *after* the
-    /// server's prelim-key assembly, exactly as the monolith did.
+    /// The lockstep driver's delivery of the peer's `M_E`: what
+    /// [`Agreement::handle`] does with it, the same checks first and the
+    /// same move to [`State::Failed`] on an error, but without the
+    /// mobile's commit. Split from [`Agreement::emit_challenge`] so the
+    /// driver can schedule the mobile's (RNG-consuming) commit *after*
+    /// the server's prelim-key assembly, exactly as the monolith did.
     pub(crate) fn absorb_ot_e(
         &mut self,
         frame: &Frame,
         arrival: f64,
     ) -> Result<(), AgreementError> {
+        let result = self
+            .admit(frame)
+            .and_then(|_| self.assemble_k(frame, arrival));
+        if result.is_err() {
+            self.transition(State::Failed);
+        }
+        result
+    }
+
+    /// The peer's `M_E` received: decrypt the obliviously received
+    /// sequences and assemble K; transitions to `Reconcile`. The OT
+    /// receiver and the sequence pairs are spent.
+    fn assemble_k(&mut self, frame: &Frame, arrival: f64) -> Result<(), AgreementError> {
         self.arrive(MessageKind::OtE, arrival)?;
         let receiver = self.receiver.take().expect("receiver set at M_A");
         let pairs = self.pairs.take().expect("pairs handed back at M_B");

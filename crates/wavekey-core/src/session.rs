@@ -482,7 +482,8 @@ impl Session {
     }
 
     /// The agreement step, recording protocol stage timings into `trace`
-    /// (and as spans on the attached handle).
+    /// (and as spans on the attached handle), whether it succeeds or
+    /// fails.
     fn agree_traced(
         &mut self,
         s_m: &[bool],
@@ -493,7 +494,7 @@ impl Session {
         let agreement_config = self.agreement_config();
         trace.deadline_s = Some(agreement_config.gesture_window + agreement_config.tau);
         let mut rng_server = StdRng::seed_from_u64(self.rng.gen());
-        let outcome = crate::proto::driver::drive_lockstep(
+        let (outcome, stages) = crate::proto::driver::drive_lockstep(
             s_m,
             s_r,
             &agreement_config,
@@ -501,13 +502,15 @@ impl Session {
             &mut rng_server,
             adversary,
             &EventScope::new(&self.obs, trace.session_id, "driver"),
-        )?;
-        for (name, seconds) in outcome.stages.timings() {
-            trace.record_stage(name, seconds);
+        );
+        if let Some(stages) = stages {
+            for (name, seconds) in stages.timings() {
+                trace.record_stage(name, seconds);
+            }
+            stages.record_to(&self.obs);
+            trace.deadline_consumed_s = Some(stages.deadline_consumed_s);
         }
-        outcome.stages.record_to(&self.obs);
-        trace.deadline_consumed_s = Some(outcome.stages.deadline_consumed_s);
-        Ok(session_outcome(s_m, s_r, &agreement_config, outcome, trace))
+        Ok(session_outcome(s_m, s_r, &agreement_config, outcome?, trace))
     }
 }
 
@@ -583,6 +586,7 @@ fn outcome_label(err: &Error) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agreement::AgreementError;
     use crate::channel::{BitFlipMitm, MessageKind};
 
     fn test_session() -> Session {
@@ -729,6 +733,31 @@ mod tests {
         }
         let text = session.obs().prometheus_text();
         assert!(text.contains("sessions_total 2"));
+    }
+
+    #[test]
+    fn a_session_failing_at_reconciliation_records_its_ot_stages() {
+        // Seeds 24 bits apart fail at reconciliation, after the whole OT:
+        // that OT time reaches the trace's stages and the stage
+        // histograms, as a success's does.
+        let mut session = test_session();
+        let (obs, _mem) = Obs::with_memory();
+        session.set_obs(obs);
+        let s_m: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
+        let s_r: Vec<bool> = s_m.iter().enumerate().map(|(i, &b)| b ^ (i % 2 == 0)).collect();
+        let mut trace = session.begin_trace();
+        let result = session.agree_traced(&s_m, &s_r, &mut PassiveChannel, &mut trace);
+        assert!(matches!(
+            result,
+            Err(Error::Agreement(AgreementError::ReconciliationFailed))
+        ));
+        for s in [stage::OT_ROUND_A, stage::OT_ROUND_B, stage::OT_ROUND_E, stage::PRELIM_KEY] {
+            assert!(trace.stage_seconds(s).is_some_and(|t| t > 0.0), "stage {s}");
+        }
+        assert!(trace.deadline_consumed_s.is_some());
+        session.finish_trace(trace, &result);
+        let snapshot = session.obs().with_registry(|r| r.snapshot()).expect("enabled");
+        assert!(snapshot.iter().any(|(n, _)| n == "stage.ot_round_e"));
     }
 
     #[test]

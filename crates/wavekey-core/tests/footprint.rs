@@ -104,21 +104,24 @@ fn check(label: &str, config: &AgreementConfig, seed_len: usize, ceilings: [(isi
 fn machine_pairs_stay_under_their_stage_ceilings() {
     std::env::set_var("WAVEKEY_THREADS", "1");
     let tiny = AgreementConfig { use_tiny_group: true, tau: 10.0, bch_t: 5, ..Default::default() };
-    // Measured on the flat machines: 16 B in 2 blocks built, then
-    // 1,008/9, 1,792/15, 1,512/13 and 208/5; the byte-per-bit, `Vec`
-    // per element machines held 48/2, 7,376/251, 10,496/353,
-    // 10,624/353 and 11,008/356. A machine that also keeps its pairs
-    // outside the OT sender holds two blocks more at A and B.
-    check("tiny", &tiny, 24, [(64, 2), (1_400, 11), (2_300, 17), (1_900, 15), (320, 7)]);
-    // Measured on ristretto255: 16/2, 6,480/9, 24,928/15, 19,752/13 and
-    // 208/5, where MODP-1024 held 16/2, 24,912/9, 49,504/15, 25,896/13
-    // and 208/5. At B each receiver holds its peer's 48 decoded `M_A`
-    // points, 160 B each.
+    // Measured with one sender scalar per OT batch: 16 B in 2 blocks
+    // built, then 272/9, 1,056/15, 1,144/13 and 208/5; a scalar and an
+    // `M_A` element per instance held 1,008/9, 1,792/15, 1,512/13, and
+    // the byte-per-bit, `Vec` per element machines 48/2, 7,376/251,
+    // 10,496/353, 10,624/353 and 11,008/356. A machine that also keeps
+    // its pairs outside the OT sender holds two blocks more at A and B.
+    check("tiny", &tiny, 24, [(64, 2), (400, 11), (1_300, 17), (1_400, 15), (320, 7)]);
+    // Measured on ristretto255: 16/2, 464/9, 6,880/15, 4,712/13 and
+    // 208/5, where a scalar and an `M_A` element per instance held
+    // 16/2, 6,480/9, 24,928/15, 19,752/13 and 208/5, and MODP-1024
+    // 16/2, 24,912/9, 49,504/15, 25,896/13 and 208/5. At B each
+    // receiver holds its peer's one decoded `M_A` point (160 B) beside
+    // its 48 scalars; the comb of `M_A` lives only inside `decrypt`.
     let production = AgreementConfig { tau: 10.0, ..Default::default() };
     check(
         "ristretto255",
         &production,
         48,
-        [(64, 2), (7_500, 11), (27_000, 17), (21_500, 15), (320, 7)],
+        [(64, 2), (700, 11), (8_000, 17), (5_500, 15), (320, 7)],
     );
 }

@@ -1,20 +1,28 @@
 //! Batched 1-out-of-2 Oblivious Transfer (Fig. 3 of the paper).
 //!
-//! The construction is the "simplest OT" of Chou-Orlandi, as the paper
-//! describes it, written additively over ristretto255 ([`Group`]):
+//! The construction is the "simplest OT" of Chou-Orlandi in its batched
+//! form, one sender scalar for the whole batch, written additively over
+//! ristretto255 ([`Group`]):
 //!
 //! ```text
-//! sender:    a ← Z_ℓ,  M_A = a·G
-//! receiver:  b ← Z_ℓ,  M_B = b·G           (choice 0)
-//!                      M_B = M_A + b·G     (choice 1)
-//! sender:    k⁰ = H(a·M_B), k¹ = H(a·(M_B − M_A))
-//!            e⁰ = E(x⁰, k⁰), e¹ = E(x¹, k¹)
-//! receiver:  k = H(b·M_A) decrypts e^choice
+//! sender:    a ← Z_ℓ,  M_A = a·G                  (one a per batch)
+//! receiver:  bᵢ ← Z_ℓ, M_Bᵢ = bᵢ·G                (choice 0)
+//!                      M_Bᵢ = M_A + bᵢ·G          (choice 1)
+//! sender:    k⁰ᵢ = H(i ‖ a·M_Bᵢ), k¹ᵢ = H(i ‖ a·(M_Bᵢ − M_A))
+//!            e⁰ᵢ = E(x⁰ᵢ, k⁰ᵢ), e¹ᵢ = E(x¹ᵢ, k¹ᵢ)
+//! receiver:  kᵢ = H(i ‖ bᵢ·M_A) decrypts e^choiceᵢ
 //! ```
 //!
-//! `H` hashes an element's 32-byte encoding. WaveKey runs `l_s` instances
-//! per direction and batches each protocol round into one message
-//! (`M_A`, `M_B`, `M_E`). Each round is one call that takes and returns
+//! `H` hashes the instance index `i` (a little-endian `u32`) and the
+//! element's 32-byte encoding: one SHA-256 block. With one `a` for every
+//! instance, the index is what keeps instances apart: a receiver that
+//! sends one `M_B` element twice, or `M_Bⱼ = M_Bᵢ + M_A`, would otherwise
+//! get two instances with one key and read `xᵢ ⊕ xⱼ` off the
+//! ciphertexts.
+//!
+//! WaveKey runs `l_s` instances per direction and batches each protocol
+//! round into one message (`M_A`, one element; `M_B` and `M_E`, one
+//! entry per instance). Each round is one call that takes and returns
 //! wire bytes, so a sans-IO protocol machine advances one round per
 //! frame: [`OtSender::start`] → `M_A`, [`OtReceiver::respond`] → `M_B`,
 //! [`OtSender::encrypt`] → `M_E`, [`OtReceiver::decrypt`] → payloads.
@@ -179,20 +187,11 @@ impl OtMessageE {
     }
 }
 
-fn encode_elements(group: Group, elements: &[u64]) -> Vec<u8> {
-    let (pw, w) = (group.point_words(), group.element_len());
-    let mut out = vec![0u8; elements.len() / pw * w];
-    for (p, bytes) in elements.chunks_exact(pw).zip(out.chunks_exact_mut(w)) {
-        group.encode_into(p, bytes);
-    }
-    out
-}
-
 /// Parses fixed-width elements, rejecting the frame when its length is
 /// not a whole number of elements or when any element is one no honest
 /// party sends ([`Group::decode_into`]). An identity `M_B` would give the
 /// receiver both keys of an instance, and an identity `M_A` would make
-/// `M_B = b·G` on both choices while fixing `k¹`.
+/// `M_B = b·G` on both choices while fixing every `k¹`.
 fn decode_elements(group: Group, bytes: &[u8]) -> Result<Vec<u64>, OtError> {
     let (pw, w) = (group.point_words(), group.element_len());
     if !bytes.len().is_multiple_of(w) {
@@ -237,27 +236,25 @@ fn random_scalars(group: Group, count: usize, rng: &mut StdRng) -> Vec<u64> {
     out
 }
 
-/// The OT sender: holds the secret pairs and the per-instance scalars.
+/// The OT sender: holds the secret pairs and the batch's one scalar.
 #[derive(Debug, Clone)]
 pub struct OtSender {
     secrets: OtPairs,
-    /// `a_i`, [`Group::scalar_words`] each.
+    /// `a`, [`Group::scalar_words`] words, for every instance.
     a: Vec<u64>,
 }
 
 impl OtSender {
     /// Starts a batch of OT instances over `secrets` (one `(x⁰, x¹)` pair
-    /// per instance), returning the sender state and the encoded `M_A`.
-    ///
-    /// Scalar sampling is sequential (deterministic per RNG seed); the
-    /// `a_i·G` all go through one [`Group::mul_base_many`] call.
+    /// per instance), returning the sender state and the encoded `M_A`:
+    /// one element, `a·G`, whatever the batch size.
     pub fn start(group: Group, secrets: OtPairs, rng: &mut StdRng) -> (OtSender, Vec<u8>) {
-        let a = random_scalars(group, secrets.len(), rng);
-        let mut half_m_a = vec![0u64; secrets.len() * group.point_words()];
-        group.mul_base_many(&group.halves(&a), &mut half_m_a);
-        let mut m_a = vec![0u8; secrets.len() * group.element_len()];
-        group.encode_doubled_many(&half_m_a, &mut m_a);
-        (OtSender { secrets, a }, m_a)
+        let a = random_scalars(group, 1, rng);
+        let mut m_a = vec![0u64; group.point_words()];
+        group.mul_base_many(&a, &mut m_a);
+        let mut bytes = vec![0u8; group.element_len()];
+        group.encode_into(&m_a, &mut bytes);
+        (OtSender { secrets, a }, bytes)
     }
 
     /// Number of instances in the batch.
@@ -278,16 +275,15 @@ impl OtSender {
     /// Answers the receiver's encoded `M_B` with the encoded ciphertext
     /// batch `M_E`.
     ///
-    /// Each instance costs one variable-base multiplication (`a·M_B`,
-    /// shared by both keys, all through [`Group::mul_many`]) and one
-    /// comb walk (all through [`Group::mul_base_many`]): the naive
-    /// `k¹ = H(a·(M_B − M_A))` is folded into `H(a·M_B + (−a²)·G)`, so
-    /// its second variable-base multiplication becomes a fixed-base one.
-    /// The element, and so the key, is the naive form's. Both elements
-    /// are computed at half scale and doubled by the batch encoder
-    /// ([`Group::halves`]). What is left per instance is one addition,
-    /// two hashes and the CTR encryptions, which run in place on a copy
-    /// of the secrets.
+    /// Each instance costs one variable-base multiplication, `a·M_Bᵢ`,
+    /// shared by both keys (all through one [`Group::mul_many`] call by
+    /// the one scalar). The naive `k¹ᵢ = H(i ‖ a·(M_Bᵢ − M_A))` is folded
+    /// into `H(i ‖ a·M_Bᵢ + (−a²)·G)`, and `(−a²)·G` is one comb walk for
+    /// the whole batch. The element, and so the key, is the naive form's.
+    /// Both elements are computed at half scale and doubled by the batch
+    /// encoder ([`Group::halves`]). What is left per instance is one
+    /// addition, two hashes and the CTR encryptions, which run in place
+    /// on a copy of the secrets.
     ///
     /// # Errors
     ///
@@ -296,24 +292,21 @@ impl OtSender {
     /// elements.
     pub fn encrypt(&self, group: Group, m_b: &[u8]) -> Result<Vec<u8>, OtError> {
         let m_b = decode_elements(group, m_b)?;
-        let (sw, pw) = (group.scalar_words(), group.point_words());
+        let pw = group.point_words();
         if m_b.len() / pw != self.len() {
             return Err(OtError::BatchMismatch);
         }
-        // Both keys' elements at half scale: (a/2)·M_B, and that plus
+        // Both keys' elements at half scale: (a/2)·M_Bᵢ, and that plus
         // (−a²/2)·G; the batch encoder doubles them.
         let mut k0 = vec![0u64; m_b.len()];
         group.mul_many(&m_b, &group.halves(&self.a), &mut k0);
         let mut neg_a2 = vec![0u64; self.a.len()];
-        for (a, e) in self.a.chunks_exact(sw).zip(neg_a2.chunks_exact_mut(sw)) {
-            group.neg_square_into(a, e);
-        }
+        group.neg_square_into(&self.a, &mut neg_a2);
+        let mut fold = vec![0u64; pw];
+        group.mul_base_many(&group.halves(&neg_a2), &mut fold);
         let mut k1 = vec![0u64; m_b.len()];
-        group.mul_base_many(&group.halves(&neg_a2), &mut k1);
-        let mut sum = vec![0u64; pw];
         for (q, f) in k0.chunks_exact(pw).zip(k1.chunks_exact_mut(pw)) {
-            group.add_into(q, f, &mut sum);
-            f.copy_from_slice(&sum);
+            group.add_into(q, &fold, f);
         }
         let mut pairs = self.secrets.clone();
         for (i, (k0, k1)) in keys(group, &k0).iter().zip(&keys(group, &k1)).enumerate() {
@@ -332,9 +325,9 @@ pub struct OtReceiver {
     /// Choice bit `i` at bit `i % 64` of word `i / 64`.
     choices: Vec<u64>,
     count: usize,
-    /// `b_i`, [`Group::scalar_words`] each.
+    /// `bᵢ`, [`Group::scalar_words`] each.
     b: Vec<u64>,
-    /// The sender's `M_A` elements, [`Group::point_words`] each.
+    /// The sender's one `M_A` element, [`Group::point_words`] words.
     m_a: Vec<u64>,
 }
 
@@ -342,49 +335,50 @@ impl OtReceiver {
     /// Answers the sender's encoded `M_A` with the encoded blinded
     /// choices `M_B`.
     ///
-    /// Scalar sampling is sequential; the `b_i·G` all go through one
-    /// [`Group::mul_base_many`] call, and each instance then blinds with
-    /// one addition.
+    /// Scalar sampling is sequential. Every `M_Bᵢ` is blended at half
+    /// scale: the `(bᵢ/2)·G` all go through one [`Group::mul_base_many`]
+    /// call, `M_A/2` is one multiplication for the batch, and each
+    /// instance adds the two and keeps the sum or `(bᵢ/2)·G` under a
+    /// mask. The batch encoder doubles them with one inversion.
     ///
     /// # Errors
     ///
-    /// [`OtError::Malformed`] when `m_a` does not parse, before any
-    /// choice is blinded; [`OtError::BatchMismatch`] when it does not
-    /// hold one element per choice.
+    /// [`OtError::Malformed`] when `m_a` is not exactly one element that
+    /// parses, before any scalar is drawn or any choice is blinded.
     pub fn respond(
         group: Group,
         choices: &[bool],
         m_a: &[u8],
         rng: &mut StdRng,
     ) -> Result<(OtReceiver, Vec<u8>), OtError> {
-        let m_a = decode_elements(group, m_a)?;
-        let pw = group.point_words();
-        if m_a.len() != choices.len() * pw {
-            return Err(OtError::BatchMismatch);
+        if m_a.len() != group.element_len() {
+            return Err(OtError::Malformed);
         }
+        let m_a = decode_elements(group, m_a)?;
+        let (sw, pw) = (group.scalar_words(), group.point_words());
         let b = random_scalars(group, choices.len(), rng);
-        let mut gb = vec![0u64; m_a.len()];
-        group.mul_base_many(&b, &mut gb);
-        let mut m_b = vec![0u64; m_a.len()];
+        let mut one = vec![0u64; sw];
+        one[0] = 1;
+        let mut half_m_a = vec![0u64; pw];
+        group.mul_many(&m_a, &group.halves(&one), &mut half_m_a);
+        let mut half_gb = vec![0u64; choices.len() * pw];
+        group.mul_base_many(&group.halves(&b), &mut half_gb);
+        let mut m_b = vec![0u64; half_gb.len()];
         let mut packed = vec![0u64; choices.len().div_ceil(64)];
-        for (i, &choice) in choices.iter().enumerate() {
-            let at = i * pw..(i + 1) * pw;
-            blind(
-                group,
-                choice,
-                &m_a[at.clone()],
-                &gb[at.clone()],
-                &mut m_b[at],
-            );
+        let blinded = half_gb.chunks_exact(pw).zip(m_b.chunks_exact_mut(pw));
+        for (i, (&choice, (gb, out))) in choices.iter().zip(blinded).enumerate() {
+            blind(group, choice, &half_m_a, gb, out);
             packed[i / 64] |= u64::from(choice) << (i % 64);
         }
+        let mut bytes = vec![0u8; choices.len() * group.element_len()];
+        group.encode_doubled_many(&m_b, &mut bytes);
         let receiver = OtReceiver {
             choices: packed,
             count: choices.len(),
             b,
             m_a,
         };
-        Ok((receiver, encode_elements(group, &m_b)))
+        Ok((receiver, bytes))
     }
 
     /// Number of instances in the batch.
@@ -400,9 +394,10 @@ impl OtReceiver {
     /// Decrypts the chosen secret of every instance from the encoded
     /// `M_E`, returning them in one buffer: instance `i`'s at
     /// `i·secret_len..(i+1)·secret_len`, where `secret_len` is `M_E`'s
-    /// ciphertext length. The `b·M_A` all go through
-    /// [`Group::mul_many`], and the chosen ciphertext is picked by a byte
-    /// mask rather than a branch on the choice bit.
+    /// ciphertext length. Every `bᵢ·M_A` shares the base `M_A`, so they
+    /// are walks of one comb of `M_A` ([`Group::comb`]), built here and
+    /// dropped on return. The chosen ciphertext is picked by a byte mask
+    /// rather than a branch on the choice bit.
     ///
     /// # Errors
     ///
@@ -413,8 +408,10 @@ impl OtReceiver {
         if msg_e.pairs.len() != self.count {
             return Err(OtError::BatchMismatch);
         }
-        let mut shared = vec![0u64; self.m_a.len()];
-        group.mul_many(&self.m_a, &group.halves(&self.b), &mut shared);
+        let mut shared = vec![0u64; self.count * group.point_words()];
+        group
+            .comb(&self.m_a)
+            .mul_many(&group.halves(&self.b), &mut shared);
         let len = msg_e.pairs.secret_len();
         let mut out = vec![0u8; self.count * len];
         for (i, key) in keys(group, &shared).iter().enumerate() {
@@ -428,9 +425,10 @@ impl OtReceiver {
 }
 
 /// One instance of `M_B` into `out`: `M_A + b·G` when the choice bit is
-/// 1, else `b·G`. The sum is always computed and the pick is a masked
-/// select over every word, so the time to build `M_B` does not depend on
-/// the choice bit, which is a key-seed bit.
+/// 1, else `b·G` (at half scale, `M_A/2` and `(b/2)·G`). The sum is
+/// always computed and the pick is a masked select over every word, so
+/// the time to build `M_B` does not depend on the choice bit, which is a
+/// key-seed bit.
 fn blind(group: Group, choice: bool, m_a: &[u64], gb: &[u64], out: &mut [u64]) {
     group.add_into(m_a, gb, out);
     let keep = std::hint::black_box(u64::from(choice)).wrapping_neg();
@@ -451,13 +449,27 @@ fn pick(choice: bool, e0: &[u8], e1: &[u8], out: &mut [u8]) {
     }
 }
 
-/// The payload cipher keys `H(enc(2·Pᵢ))` of the half-scale elements
-/// `Pᵢ` of a flat batch ([`Group::encode_doubled_many`]).
+/// The payload cipher keys `H(i ‖ enc(2·Pᵢ))` of the half-scale elements
+/// `Pᵢ` of a flat batch ([`Group::encode_doubled_many`]): instance `i`'s
+/// index as a little-endian `u32`, then its element's encoding.
 fn keys(group: Group, halves: &[u64]) -> Vec<[u8; 32]> {
     let w = group.element_len();
     let mut encoded = vec![0u8; halves.len() / group.point_words() * w];
     group.encode_doubled_many(halves, &mut encoded);
-    encoded.chunks_exact(w).map(sha256).collect()
+    encoded
+        .chunks_exact(w)
+        .enumerate()
+        .map(|(i, e)| index_hash(i, e))
+        .collect()
+}
+
+/// `H(i ‖ e)` for the encoding `e` of instance `i`'s element: 36 bytes
+/// on ristretto255, one SHA-256 block.
+fn index_hash(i: usize, e: &[u8]) -> [u8; 32] {
+    let mut block = [0u8; 4 + 32];
+    block[..4].copy_from_slice(&(i as u32).to_le_bytes());
+    block[4..4 + e.len()].copy_from_slice(e);
+    sha256(&block[..4 + e.len()])
 }
 
 #[cfg(test)]
@@ -470,13 +482,27 @@ mod tests {
 
     const GROUPS: [Group; 2] = [Group::Ristretto255, Group::Tiny];
 
-    /// `H(enc(P))`, the key of one full-scale element: the oracle the
-    /// tests check [`keys`] against.
-    fn derive_key(group: Group, element: &[u64]) -> [u8; 32] {
-        let mut buf = [0u8; 32];
-        let bytes = &mut buf[..group.element_len()];
-        group.encode_into(element, bytes);
-        sha256(bytes)
+    /// The plain encodings of a flat batch of elements.
+    fn encode_elements(group: Group, elements: &[u64]) -> Vec<u8> {
+        let (pw, w) = (group.point_words(), group.element_len());
+        let mut out = vec![0u8; elements.len() / pw * w];
+        for (p, bytes) in elements.chunks_exact(pw).zip(out.chunks_exact_mut(w)) {
+            group.encode_into(p, bytes);
+        }
+        out
+    }
+
+    /// The plain encoding of one element.
+    fn encode(group: Group, element: &[u64]) -> Vec<u8> {
+        let mut bytes = vec![0u8; group.element_len()];
+        group.encode_into(element, &mut bytes);
+        bytes
+    }
+
+    /// `H(i ‖ enc(P))`, instance `i`'s key of one full-scale element: the
+    /// oracle the tests check [`keys`] against.
+    fn derive_key(group: Group, i: usize, element: &[u64]) -> [u8; 32] {
+        sha256(&[&(i as u32).to_le_bytes()[..], &encode(group, element)].concat())
     }
 
     /// A decrypted batch split back into its `count` payloads.
@@ -506,31 +532,48 @@ mod tests {
         &flat[i * pw..][..pw]
     }
 
-    /// `x·P`, the one-pair [`Group::mul_many`].
+    /// `x·P`, the one-element [`Group::mul_many`]: a variable-base
+    /// multiplication.
     fn mul(group: Group, p: &[u64], x: &[u64]) -> Vec<u64> {
         let mut out = vec![0u64; group.point_words()];
         group.mul_many(p, x, &mut out);
         out
     }
 
-    /// `k¹ = H(a·(M_B − a·G))` as the protocol states it: a subtraction,
-    /// then a second variable-base multiplication (on the tiny group a
-    /// Fermat inversion and a general exponentiation, through `Ubig`).
-    fn naive_k1(group: Group, m_b: &[u64], a: &[u64]) -> [u8; 32] {
-        match group {
+    /// `x·G`, the one-element [`Group::mul_base_many`].
+    fn mul_base(group: Group, x: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; group.point_words()];
+        group.mul_base_many(x, &mut out);
+        out
+    }
+
+    /// `p + q`.
+    fn add(group: Group, p: &[u64], q: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; group.point_words()];
+        group.add_into(p, q, &mut out);
+        out
+    }
+
+    /// `k¹ᵢ = H(i ‖ a·(M_Bᵢ − a·G))` as the protocol states it: a
+    /// subtraction, then a second variable-base multiplication (on the
+    /// tiny group a Fermat inversion and a general exponentiation,
+    /// through `Ubig`).
+    fn naive_k1(group: Group, i: usize, m_b: &[u64], a: &[u64]) -> [u8; 32] {
+        let element = match group {
             Group::Ristretto255 => {
                 let a4: &[u64; 4] = a.try_into().unwrap();
                 let quotient = Point::from_words(m_b).add(&ristretto::mul_base(a4).neg());
-                sha256(&ristretto::encode(&ristretto::mul(&quotient, a4)))
+                ristretto::encode(&ristretto::mul(&quotient, a4)).to_vec()
             }
             Group::Tiny => {
                 let u = Ubig::from_u64((1 << 61) - 1);
                 let a = Ubig::from_u64(a[0]);
                 let g_a = Ubig::from_u64(37).mod_pow(&a, &u);
                 let quotient = Ubig::from_u64(m_b[0]).mul(&g_a.mod_inv_prime(&u)).rem(&u);
-                sha256(&quotient.mod_pow(&a, &u).to_be_bytes_padded(8))
+                quotient.mod_pow(&a, &u).to_be_bytes_padded(8)
             }
-        }
+        };
+        sha256(&[&(i as u32).to_le_bytes()[..], &element].concat())
     }
 
     #[test]
@@ -561,10 +604,14 @@ mod tests {
             receiver.decrypt(group, &m_e.encode()).unwrap(),
             b"secret-zero"
         );
-        // The receiver's key H(b·M_A) opens e⁰ only: on e¹ it is garbage.
+        // The receiver's key H(0 ‖ b·M_A) opens e⁰ only: on e¹ it is
+        // garbage.
         let shared = mul(group, &receiver.m_a, &receiver.b);
         let e1 = m_e.pairs.pair(0).1;
-        assert_ne!(ctr_decrypt(&derive_key(group, &shared), e1), b"secret-one!");
+        assert_ne!(
+            ctr_decrypt(&derive_key(group, 0, &shared), e1),
+            b"secret-one!"
+        );
     }
 
     #[test]
@@ -581,7 +628,7 @@ mod tests {
             let secrets =
                 OtPairs::from_pairs(&[(vec![1, 2], vec![3, 4]), (vec![5, 6], vec![7, 8])]);
             let (sender, m_a) = OtSender::start(group, secrets, &mut rng);
-            assert_eq!(m_a.len(), 2 * group.element_len());
+            assert_eq!(m_a.len(), group.element_len());
             assert_eq!(
                 encode_elements(group, &decode_elements(group, &m_a).unwrap()),
                 m_a
@@ -641,9 +688,14 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(10);
             let secrets = OtPairs::from_pairs(&[(vec![1], vec![2])]);
             let (sender, m_a) = OtSender::start(group, secrets, &mut rng);
-            // Two choices against a one-instance M_A.
-            let two = OtReceiver::respond(group, &[true, false], &m_a, &mut rng);
-            assert_eq!(two.unwrap_err(), OtError::BatchMismatch);
+            // M_A is one element whatever the batch size, so a receiver
+            // of two choices answers a one-instance sender; the sender
+            // refuses its two-element M_B.
+            let (_, two) = OtReceiver::respond(group, &[true, false], &m_a, &mut rng).unwrap();
+            assert_eq!(
+                sender.encrypt(group, &two).unwrap_err(),
+                OtError::BatchMismatch
+            );
             // An M_B with the wrong number of elements.
             let (_, m_b) = OtReceiver::respond(group, &[true], &m_a, &mut rng).unwrap();
             assert_eq!(
@@ -712,8 +764,10 @@ mod tests {
     #[test]
     fn batched_rounds_match_scalar_rounds_bit_for_bit() {
         // `encrypt` and `decrypt` hand a round's multiplications to one
-        // batch call. Every ciphertext and payload must equal a
-        // per-instance oracle with `k¹` in the naive form, on both groups:
+        // batch call, the receiver's through one comb of `M_A`. Every
+        // ciphertext and payload must equal a per-instance oracle with
+        // `k¹ᵢ` in the naive form `a·(M_Bᵢ − M_A)` and the receiver's
+        // `bᵢ·M_A` by variable-base multiplication, on both groups:
         // short, full and ragged batches.
         for group in GROUPS {
             for count in [1usize, 2, 3, 8, 9] {
@@ -732,13 +786,13 @@ mod tests {
                 let m_e = OtMessageE::decode(&m_e).unwrap();
                 let m_b = decode_elements(group, &m_b).unwrap();
                 let sw = group.scalar_words();
+                let a = &sender.a;
                 for i in 0..count {
-                    let a = &sender.a[i * sw..][..sw];
-                    let k0 = derive_key(group, &mul(group, at(group, &m_b, i), a));
+                    let k0 = derive_key(group, i, &mul(group, at(group, &m_b, i), a));
                     let (x0, x1) = &secrets[i];
                     let want = (
                         ctr_encrypt(&k0, x0),
-                        ctr_encrypt(&naive_k1(group, at(group, &m_b, i), a), x1),
+                        ctr_encrypt(&naive_k1(group, i, at(group, &m_b, i), a), x1),
                     );
                     let got = m_e.pairs.pair(i);
                     assert_eq!(
@@ -747,7 +801,7 @@ mod tests {
                         "M_E count {count} instance {i}"
                     );
                     let b = &receiver.b[i * sw..][..sw];
-                    let key = derive_key(group, &mul(group, at(group, &receiver.m_a, i), b));
+                    let key = derive_key(group, i, &mul(group, &receiver.m_a, b));
                     let ct = if choices[i] { got.1 } else { got.0 };
                     assert_eq!(
                         out[i],
@@ -762,41 +816,143 @@ mod tests {
 
     #[test]
     fn folded_k1_matches_naive_quotient_power() {
-        // The sender's `a·M_B + (−a²)·G` against `a·(M_B − a·G)` over
-        // random `M_B` and `a`, with the smallest and largest scalars.
-        for (group, cases) in [(Group::Ristretto255, 4), (Group::Tiny, 24)] {
+        // The sender's `a·M_Bᵢ + (−a²)·G` against `a·(M_Bᵢ − a·G)` over
+        // random `M_B` and batches at the smallest, the largest and a
+        // random scalar `a`.
+        for (group, cases) in [(Group::Ristretto255, 2), (Group::Tiny, 8)] {
             let name = format!("ot_fold_k1_{group:?}");
             rand::check::cases(&name, cases, |rng| {
                 let (sw, pw) = (group.scalar_words(), group.point_words());
-                let mut a = random_scalars(group, 3, rng);
-                a[..sw].fill(0);
-                a[0] = 1;
-                let mut top = Ubig::from_limbs(match group {
+                let mut smallest = vec![0u64; sw];
+                smallest[0] = 1;
+                let mut largest = vec![0u64; sw];
+                Ubig::from_limbs(match group {
                     Group::Ristretto255 => &ristretto::L,
                     Group::Tiny => &[(1 << 61) - 1],
-                });
-                top = top.sub(&Ubig::one());
-                top.write_limbs(&mut a[sw..2 * sw]);
-                let mut m_b = vec![0u64; 3 * pw];
-                group.mul_base_many(&random_scalars(group, 3, rng), &mut m_b);
-                let secrets = OtPairs::from_pairs(&vec![(vec![7u8; 4], vec![9u8; 4]); 3]);
-                let sender = OtSender {
-                    secrets,
-                    a: a.clone(),
-                };
-                let m_e = sender
-                    .encrypt(group, &encode_elements(group, &m_b))
-                    .unwrap();
-                let m_e = OtMessageE::decode(&m_e).unwrap();
-                for i in 0..3 {
-                    let k1 = naive_k1(group, at(group, &m_b, i), &a[i * sw..][..sw]);
-                    assert_eq!(
-                        m_e.pairs.pair(i).1,
-                        ctr_encrypt(&k1, &[9u8; 4]),
-                        "instance {i}"
-                    );
+                })
+                .sub(&Ubig::one())
+                .write_limbs(&mut largest);
+                for a in [smallest, largest, random_scalars(group, 1, rng)] {
+                    let mut m_b = vec![0u64; 3 * pw];
+                    group.mul_base_many(&random_scalars(group, 3, rng), &mut m_b);
+                    let secrets = OtPairs::from_pairs(&vec![(vec![7u8; 4], vec![9u8; 4]); 3]);
+                    let sender = OtSender {
+                        secrets,
+                        a: a.clone(),
+                    };
+                    let m_e = sender
+                        .encrypt(group, &encode_elements(group, &m_b))
+                        .unwrap();
+                    let m_e = OtMessageE::decode(&m_e).unwrap();
+                    for i in 0..3 {
+                        let k1 = naive_k1(group, i, at(group, &m_b, i), &a);
+                        assert_eq!(
+                            m_e.pairs.pair(i).1,
+                            ctr_encrypt(&k1, &[9u8; 4]),
+                            "a {a:?} instance {i}"
+                        );
+                    }
                 }
             });
+        }
+    }
+
+    #[test]
+    fn repeated_or_related_m_b_never_repeats_a_keystream() {
+        // With one `a` per batch, an active receiver that sends one `M_B`
+        // element in every instance, or `M_Bⱼ = M_Bⱼ₋₁ + M_A`, makes the
+        // elements behind `k⁰` and `k¹` repeat across instances. The
+        // index in `H` keeps every keystream apart: no two of the
+        // batch's ciphertexts `e`, `e'` satisfy `e ⊕ e' = x ⊕ x'` for
+        // their secrets `x`, `x'`.
+        for group in GROUPS {
+            let n = 4;
+            let secrets: Vec<_> = (0..n as u8)
+                .map(|i| (vec![i; 16], vec![0x80 | i; 16]))
+                .collect();
+            let mut rng = StdRng::seed_from_u64(14);
+            let (sender, m_a) = OtSender::start(group, OtPairs::from_pairs(&secrets), &mut rng);
+            let (_, honest) = OtReceiver::respond(group, &[false], &m_a, &mut rng).unwrap();
+            let repeated = honest.repeat(n);
+            let step = decode_elements(group, &m_a).unwrap();
+            let mut related = decode_elements(group, &honest).unwrap();
+            for j in 1..n {
+                let next = add(group, at(group, &related, j - 1), &step);
+                related.extend(next);
+            }
+            for (name, m_b) in [
+                ("repeated", repeated),
+                ("related", encode_elements(group, &related)),
+            ] {
+                let m_e = OtMessageE::decode(&sender.encrypt(group, &m_b).unwrap()).unwrap();
+                let streams: Vec<Vec<u8>> = (0..n)
+                    .flat_map(|i| {
+                        let (e0, e1) = m_e.pairs.pair(i);
+                        let (x0, x1) = &secrets[i];
+                        [(e0, x0), (e1, x1)]
+                            .map(|(e, x)| e.iter().zip(x).map(|(e, x)| e ^ x).collect())
+                    })
+                    .collect();
+                for (u, s) in streams.iter().enumerate() {
+                    for (v, t) in streams.iter().enumerate().skip(u + 1) {
+                        assert_ne!(s, t, "{group:?} {name}: ciphertexts {u} and {v}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn m_a_of_zero_or_two_elements_is_refused_before_any_choice_is_blinded() {
+        // M_A is exactly one element: an empty frame and a frame of two
+        // honest elements are malformed, and the receiver draws no scalar
+        // before it says so.
+        for group in GROUPS {
+            let mut rng = StdRng::seed_from_u64(15);
+            let secrets = OtPairs::from_pairs(&[(vec![1], vec![2])]);
+            let (_, m_a) = OtSender::start(group, secrets, &mut rng);
+            for bad in [Vec::new(), m_a.repeat(2)] {
+                let mut twin = rng.clone();
+                let answer = OtReceiver::respond(group, &[false, true], &bad, &mut rng);
+                assert_eq!(
+                    answer.unwrap_err(),
+                    OtError::Malformed,
+                    "{} bytes",
+                    bad.len()
+                );
+                assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "a scalar was drawn");
+            }
+            assert!(OtReceiver::respond(group, &[false, true], &m_a, &mut rng).is_ok());
+        }
+    }
+
+    #[test]
+    fn m_b_from_the_batch_encoder_matches_plain_encode() {
+        // `M_Bᵢ` blended at half scale and doubled by the batch encoder
+        // has the plain encoding of `bᵢ·G` (choice 0) or `M_A + bᵢ·G`
+        // (choice 1).
+        for group in GROUPS {
+            rand::check::cases(
+                "m_b_from_the_batch_encoder_matches_plain_encode",
+                4,
+                |rng| {
+                    let secrets = OtPairs::from_pairs(&[(vec![1], vec![2])]);
+                    let (_, m_a) = OtSender::start(group, secrets, rng);
+                    let m_a_point = decode_elements(group, &m_a).unwrap();
+                    let choices = [false, true, true, false, true];
+                    let (receiver, m_b) = OtReceiver::respond(group, &choices, &m_a, rng).unwrap();
+                    let (sw, w) = (group.scalar_words(), group.element_len());
+                    for (i, &choice) in choices.iter().enumerate() {
+                        let gb = mul_base(group, &receiver.b[i * sw..][..sw]);
+                        let want = if choice {
+                            add(group, &m_a_point, &gb)
+                        } else {
+                            gb
+                        };
+                        assert_eq!(&m_b[i * w..][..w], encode(group, &want), "instance {i}");
+                    }
+                },
+            );
         }
     }
 
@@ -942,8 +1098,8 @@ mod tests {
     #[test]
     fn zero_m_a_is_rejected_before_any_choice_is_blinded() {
         // Against an identity M_A every M_B would be b·G whatever the
-        // choice, and k¹ would be fixed, so the receiver refuses to
-        // answer; so does the sender against an identity M_B.
+        // choice, and every k¹ would be fixed, so the receiver refuses to
+        // answer; so does the sender against an identity among its M_B.
         for group in GROUPS {
             let mut rng = StdRng::seed_from_u64(3);
             let (sender, m_a) = OtSender::start(
@@ -951,14 +1107,11 @@ mod tests {
                 OtPairs::from_pairs(&vec![(vec![1], vec![2]); 2]),
                 &mut rng,
             );
-            let w = group.element_len();
             let zero = &hostile_elements(group)[0];
-            for bad in [
-                [&zero[..], &zero[..]].concat(),
-                [&m_a[..w], &zero[..]].concat(),
-            ] {
-                let answer = OtReceiver::respond(group, &[false, true], &bad, &mut rng);
-                assert_eq!(answer.unwrap_err(), OtError::Malformed);
+            let answer = OtReceiver::respond(group, &[false, true], zero, &mut rng);
+            assert_eq!(answer.unwrap_err(), OtError::Malformed);
+            let (_, honest) = OtReceiver::respond(group, &[true], &m_a, &mut rng).unwrap();
+            for bad in [zero.repeat(2), [&honest[..], &zero[..]].concat()] {
                 assert_eq!(sender.encrypt(group, &bad).unwrap_err(), OtError::Malformed);
             }
         }

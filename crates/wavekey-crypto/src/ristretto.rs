@@ -374,15 +374,16 @@ pub(crate) fn mul(p: &Point, s: &[u64; 4]) -> Point {
     acc.to_extended()
 }
 
-/// The generator's comb: row `i` holds `j·16^(2i)·B` for `j = 1…8`, as
+/// A fixed base's comb: row `i` holds `j·16^(2i)·P` for `j = 1…8`, as
 /// affine entries (32 × 8 × 120 bytes = 30 KiB).
-struct Comb([[AffineNiels; 8]; 32]);
+pub(crate) struct Comb([[AffineNiels; 8]; 32]);
 
-fn comb() -> &'static Comb {
-    static COMB: OnceLock<Comb> = OnceLock::new();
-    COMB.get_or_init(|| {
+impl Comb {
+    /// The comb of `base`: 256 additions and 248 doublings, then one
+    /// inversion for all 256 `Z` (Montgomery's trick).
+    pub(crate) fn new(base: &Point) -> Comb {
         let mut points = Vec::with_capacity(32 * 8);
-        let mut row_base = BASEPOINT;
+        let mut row_base = *base;
         for _ in 0..32 {
             let mut multiple = row_base;
             for _ in 0..8 {
@@ -391,7 +392,6 @@ fn comb() -> &'static Comb {
             }
             row_base = row_base.times16().times16();
         }
-        // One inversion for all 256 Z (Montgomery's trick).
         let mut prefix = Vec::with_capacity(points.len());
         let mut acc = Fe::ONE;
         for p in &points {
@@ -411,24 +411,30 @@ fn comb() -> &'static Comb {
             };
         }
         Comb(rows)
-    })
+    }
+
+    /// `s·P` through the comb of `P`: the odd digits' entries summed,
+    /// times 16, plus the even digits' entries. 64 additions and four
+    /// doublings.
+    pub(crate) fn mul(&self, s: &[u64; 4]) -> Point {
+        let digits = radix16(s);
+        let pick = |i: usize| lookup(&self.0[i / 2], digits[i]);
+        let mut acc = Point::IDENTITY;
+        for i in (1..64).step_by(2) {
+            acc = acc.add_affine(&pick(i)).to_extended();
+        }
+        acc = acc.times16();
+        for i in (0..64).step_by(2) {
+            acc = acc.add_affine(&pick(i)).to_extended();
+        }
+        acc
+    }
 }
 
-/// `s·B` through the comb: the odd digits' entries summed, times 16,
-/// plus the even digits' entries. 64 additions and four doublings.
+/// `s·B` through the generator's comb, built once per process.
 pub(crate) fn mul_base(s: &[u64; 4]) -> Point {
-    let comb = comb();
-    let digits = radix16(s);
-    let pick = |i: usize| lookup(&comb.0[i / 2], digits[i]);
-    let mut acc = Point::IDENTITY;
-    for i in (1..64).step_by(2) {
-        acc = acc.add_affine(&pick(i)).to_extended();
-    }
-    acc = acc.times16();
-    for i in (0..64).step_by(2) {
-        acc = acc.add_affine(&pick(i)).to_extended();
-    }
-    acc
+    static COMB: OnceLock<Comb> = OnceLock::new();
+    COMB.get_or_init(|| Comb::new(&BASEPOINT)).mul(s)
 }
 
 /// The canonical 32-byte encoding of the class of `p` (RFC 9496 §4.3.2),
@@ -742,6 +748,29 @@ mod tests {
             assert!(same_on_curve(&mul(&BASEPOINT, &limbs4(s)), &want), "s {s}");
             assert!(same_on_curve(&mul_base(&limbs4(s)), &want), "s {s}");
         }
+    }
+
+    #[test]
+    fn comb_of_any_point_matches_variable_base_multiplication() {
+        // A comb built for a point other than B, fresh from a
+        // multiplication or decoded off the wire (Z = 1), walks to the
+        // variable-base product at 1, 2, ℓ − 1 and random scalars.
+        let l = l();
+        let edges = [Ubig::one(), Ubig::from_u64(2), l.sub(&Ubig::one())].map(|s| limbs4(&s));
+        rand::check::cases(
+            "comb_of_any_point_matches_variable_base_multiplication",
+            6,
+            |rng| {
+                let fresh = mul_base(&scalar(rng));
+                let decoded = decode(&encode(&fresh)).expect("an honest encoding decodes");
+                for p in [fresh, decoded] {
+                    let comb = Comb::new(&p);
+                    for s in edges.iter().copied().chain((0..4).map(|_| scalar(rng))) {
+                        assert!(same_on_curve(&comb.mul(&s), &mul(&p, &s)), "s {}", ubig(&s));
+                    }
+                }
+            },
+        );
     }
 
     #[test]

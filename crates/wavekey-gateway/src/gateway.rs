@@ -646,7 +646,7 @@ mod tests {
                 let (s_m, s_r) = seed_pair(conn_id);
                 let mut rng_m = mobile_rng(conn_id);
                 let mut rng_r = server_rng(config.server_seed, conn_id);
-                let outcome = driver::drive_lockstep(
+                let (outcome, _) = driver::drive_lockstep(
                     &s_m,
                     &s_r,
                     &config.agreement,
@@ -654,8 +654,8 @@ mod tests {
                     &mut rng_r,
                     &mut PassiveChannel,
                     &EventScope::disabled(),
-                )
-                .expect("lockstep");
+                );
+                let outcome = outcome.expect("lockstep");
                 assert_eq!(client_key, outcome.key, "conn {conn_id}");
             }
         }

@@ -1,11 +1,13 @@
 //! A seeded differential for one whole OT round on ristretto255: the
 //! batched rounds (halved scalars, the batch encoder's one inversion,
-//! the `k¹` fold) against a per-instance oracle of single-element calls
-//! and the inverse-square-root encoder. The field, scalar and point
+//! the `k¹` fold, the receiver's comb of `M_A`) against a per-instance
+//! oracle of single-element calls, variable-base multiplications and the
+//! inverse-square-root encoder. The field, scalar and point
 //! differentials against `Ubig` live in `wavekey-crypto`'s unit tests.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use wavekey::crypto::bigint::Ubig;
 use wavekey::crypto::cipher::{ctr_decrypt, ctr_encrypt};
 use wavekey::crypto::group::Group;
 use wavekey::crypto::ot::{OtPairs, OtReceiver, OtSender};
@@ -13,9 +15,11 @@ use wavekey::crypto::sha256::sha256;
 
 /// One 48-instance round with mixed choices: the `M_A`, `M_B` and `M_E`
 /// bytes and the decrypted payloads equal an oracle that computes every
-/// instance on its own, with `k¹ = H(a·M_B + (−a²)·G)` at full scale.
-/// The scalars are redrawn from clones of the parties' RNGs, which the
-/// OT consumes one scalar per instance.
+/// instance on its own, at full scale: `k⁰ᵢ = H(i ‖ a·M_Bᵢ)`, `k¹ᵢ` in
+/// the naive form `H(i ‖ a·(M_Bᵢ − M_A))`, and the receiver's
+/// `H(i ‖ bᵢ·M_A)` by variable-base multiplication. The scalars are
+/// redrawn from clones of the parties' RNGs: the sender draws one `a`
+/// for the batch, the receiver one `bᵢ` per instance.
 #[test]
 fn ot_round_of_48_matches_per_instance_scalar_oracle() {
     let group = Group::Ristretto255;
@@ -59,21 +63,25 @@ fn ot_round_of_48_matches_per_instance_scalar_oracle() {
         group.encode_into(p, &mut bytes);
         bytes
     };
-    let key = |p: &[u64]| sha256(&encode(p));
-    let (mut want_ma, mut want_mb) = (Vec::new(), Vec::new());
+    let key = |i: usize, p: &[u64]| sha256(&[&(i as u32).to_le_bytes()[..], &encode(p)].concat());
+    let a = draw(&mut draw_s);
+    let m_a = mul_base(&a);
+    // −M_A = (ℓ − a)·G, for the subtraction of the naive k¹.
+    let l = Ubig::from_hex("1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ed");
+    let mut minus_a = vec![0u64; sw];
+    l.sub(&Ubig::from_limbs(&a)).write_limbs(&mut minus_a);
+    let minus_m_a = mul_base(&minus_a);
+    let mut want_mb = Vec::new();
     let mut want_me = 48u32.to_le_bytes().to_vec();
     for i in 0..48 {
-        let (a, b) = (draw(&mut draw_s), draw(&mut draw_r));
-        let (m_a, g_b) = (mul_base(&a), mul_base(&b));
+        let b = draw(&mut draw_r);
+        let g_b = mul_base(&b);
         let n = if choices[i] { add(&m_a, &g_b) } else { g_b };
-        want_ma.extend(encode(&m_a));
         want_mb.extend(encode(&n));
-        let na = mul(&n, &a);
-        let mut neg_a2 = vec![0u64; sw];
-        group.neg_square_into(&a, &mut neg_a2);
-        let k1 = key(&add(&na, &mul_base(&neg_a2)));
+        let k0 = key(i, &mul(&n, &a));
+        let k1 = key(i, &mul(&add(&n, &minus_m_a), &a));
         let pair = (
-            ctr_encrypt(&key(&na), &secrets[i].0),
+            ctr_encrypt(&k0, &secrets[i].0),
             ctr_encrypt(&k1, &secrets[i].1),
         );
         for e in [&pair.0, &pair.1] {
@@ -83,7 +91,7 @@ fn ot_round_of_48_matches_per_instance_scalar_oracle() {
         let chosen = if choices[i] { &pair.1 } else { &pair.0 };
         assert_eq!(
             payloads[i],
-            ctr_decrypt(&key(&mul(&m_a, &b)), chosen),
+            ctr_decrypt(&key(i, &mul(&m_a, &b)), chosen),
             "payload {i}"
         );
         assert_eq!(
@@ -95,7 +103,7 @@ fn ot_round_of_48_matches_per_instance_scalar_oracle() {
             }
         );
     }
-    assert_eq!(ma, want_ma, "M_A wire bytes");
+    assert_eq!(ma, encode(&m_a), "M_A wire bytes");
     assert_eq!(mb, want_mb, "M_B wire bytes");
     assert_eq!(me, want_me, "M_E wire bytes");
 }

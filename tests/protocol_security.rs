@@ -5,10 +5,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wavekey::core::agreement::{run_agreement, AgreementConfig, AgreementError};
 use wavekey::core::channel::{
-    BitFlipMitm, Delayer, Dropper, Eavesdropper, MessageKind, PassiveChannel, VersionSpoofer,
+    AdversaryAction, BitFlipMitm, Delayer, Dropper, Eavesdropper, MessageKind, PassiveChannel,
+    VersionSpoofer,
 };
 use wavekey::core::proto::State;
-use wavekey::core::{Frame, MobileAgreement, ServerAgreement};
+use wavekey::core::{Adversary, Direction, Frame, MobileAgreement, ServerAgreement};
 use wavekey::math::nist::bytes_to_bits;
 
 fn config() -> AgreementConfig {
@@ -222,6 +223,41 @@ fn empty_ot_ciphertexts_fail_the_session_instead_of_panicking() {
     // its preliminary key.
     let err = run_with(&seed(48, 9), &mut EmptyCiphertexts).expect_err("no key from empty M_E");
     assert!(matches!(err, AgreementError::Ot(_)), "{err:?}");
+}
+
+/// Re-versions only the server's `M_E` to the mobile, to 0x7f.
+struct ReversionServerOtE;
+
+impl Adversary for ReversionServerOtE {
+    fn intercept(&mut self, direction: Direction, frame: &mut Frame) -> AdversaryAction {
+        if direction == Direction::ServerToMobile && frame.kind == MessageKind::OtE {
+            frame.version = 0x7f;
+        }
+        AdversaryAction::Forward
+    }
+}
+
+#[test]
+fn lockstep_refuses_a_re_versioned_server_m_e_as_the_mobile_machine_does() {
+    // The lockstep driver delivers the server's `M_E` to the mobile
+    // outside `handle` (the mobile commits after the server's prelim
+    // key), so it must make the same version and kind checks: the
+    // session fails with the error `MobileAgreement::handle` gives.
+    let s = seed(48, 9);
+    let lockstep = run_with(&s, &mut ReversionServerOtE).expect_err("re-versioned M_E");
+    let want = AgreementError::Wire("unknown wire version 127".into());
+    assert_eq!(lockstep, want);
+
+    let mut mobile = MobileAgreement::new(&s, &config(), StdRng::seed_from_u64(1)).unwrap();
+    let mut server = ServerAgreement::new(&s, &config(), StdRng::seed_from_u64(2)).unwrap();
+    let (ma_m, ma_r) = (mobile.start().unwrap(), server.start().unwrap());
+    let mb_m = mobile.handle(&ma_r, 2.0).unwrap().remove(0);
+    let mb_r = server.handle(&ma_m, 2.0).unwrap().remove(0);
+    let mut me_r = server.handle(&mb_m, 2.0).unwrap().remove(0);
+    mobile.handle(&mb_r, 2.0).unwrap();
+    ReversionServerOtE.intercept(Direction::ServerToMobile, &mut me_r);
+    assert_eq!(mobile.handle(&me_r, 2.0).unwrap_err(), want);
+    assert_eq!(mobile.state(), State::Failed);
 }
 
 /// Encodings no honest party sends in place of a ristretto255 element:
