@@ -67,7 +67,7 @@ pub use proto::Link;
 pub use proto::{Decoder, Frame, FrameError, MobileAgreement, ServerAgreement};
 pub use quantize::{calibrate, QuantizeOutcome};
 pub use seed::SeedGenerator;
-pub use service::{AccessService, DegradePolicy, ServiceTicket, DEFAULT_TENANT};
+pub use service::{AccessService, ServiceTicket, DEFAULT_TENANT};
 pub use session::{ConfigGuard, Session, SessionConfig, SessionOutcome};
 
 /// The durable state layer under [`AccessService`] (re-exported so the

@@ -18,7 +18,6 @@
 //! ([`AccessService::new`]) keeps the historical behaviour by running on
 //! an in-memory volume with one unlimited default tenant.
 
-use crate::agreement::AgreementError;
 use crate::model::WaveKeyModels;
 use crate::session::{Session, SessionConfig, SessionOutcome};
 use crate::Error;
@@ -65,50 +64,6 @@ fn model_from_u8(byte: u8) -> TagModel {
     }
 }
 
-/// Graceful-degradation policy for [`AccessService::enroll`]: what the
-/// kiosk tries before telling the visitor their wave failed.
-///
-/// On a reconciliation / confirmation failure the service first
-/// *escalates* the BCH correction capacity `t` (re-running the agreement
-/// on the same gesture's seeds, `bch_step` at a time up to `bch_ceiling`,
-/// the BCH(127) limit being 15), then falls back to `regesture_attempts`
-/// full re-gestures. Disabled by default — the base enrolment path is
-/// byte-for-byte what it was without a policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradePolicy {
-    /// Highest BCH `t` escalation may reach (1..=15; 0 disables
-    /// escalation).
-    pub bch_ceiling: usize,
-    /// How much each escalation rung adds to `t` (0 disables escalation).
-    pub bch_step: usize,
-    /// Full re-gesture attempts after escalation is exhausted.
-    pub regesture_attempts: u32,
-}
-
-impl DegradePolicy {
-    /// No recovery: enrolment failures surface immediately.
-    pub fn disabled() -> DegradePolicy {
-        DegradePolicy { bch_ceiling: 0, bch_step: 0, regesture_attempts: 0 }
-    }
-
-    /// The reference kiosk policy: escalate `t` by 2 up to the BCH(127)
-    /// ceiling of 15, then allow one re-gesture.
-    pub fn reference() -> DegradePolicy {
-        DegradePolicy { bch_ceiling: 15, bch_step: 2, regesture_attempts: 1 }
-    }
-
-    /// Whether any recovery rung is configured.
-    pub fn enabled(&self) -> bool {
-        (self.bch_ceiling > 0 && self.bch_step > 0) || self.regesture_attempts > 0
-    }
-}
-
-impl Default for DegradePolicy {
-    fn default() -> DegradePolicy {
-        DegradePolicy::disabled()
-    }
-}
-
 /// The line-up / access-control backend.
 #[derive(Debug)]
 pub struct AccessService {
@@ -120,7 +75,6 @@ pub struct AccessService {
     /// rejects burn the same MAC cost as real verifications (no timing
     /// oracle distinguishing enrolled from unknown EPCs).
     dummy_key: [u8; 32],
-    degrade: DegradePolicy,
     obs: Obs,
     /// Store stats already forwarded to `obs` (counters are pumped as
     /// deltas after each operation).
@@ -163,16 +117,9 @@ impl AccessService {
             store,
             session_seed: seed,
             dummy_key,
-            degrade: DegradePolicy::disabled(),
             obs: Obs::disabled(),
             pumped: StoreStats::default(),
         })
-    }
-
-    /// Sets the graceful-degradation policy for enrolment (disabled by
-    /// default).
-    pub fn set_degrade_policy(&mut self, policy: DegradePolicy) {
-        self.degrade = policy;
     }
 
     /// Attaches an observability handle. The service keeps its own
@@ -391,13 +338,10 @@ impl AccessService {
         span.finish();
         let outcome = match result {
             Ok(outcome) => outcome,
-            Err(e) => match self.recover_enroll(&mut session, &e) {
-                Some(outcome) => outcome,
-                None => {
-                    self.obs.inc("service_enroll_failures");
-                    return Err(e);
-                }
-            },
+            Err(e) => {
+                self.obs.inc("service_enroll_failures");
+                return Err(e);
+            }
         };
         self.obs.inc("service_enroll_success");
         if self.store.enroll(tenant, epc.0, &outcome.key)? > 1 {
@@ -455,47 +399,6 @@ impl AccessService {
         self.store.snapshot()?;
         self.pump_store_counters();
         Ok(())
-    }
-
-    /// The graceful-degradation ladder: on a reconciliation or
-    /// confirmation failure, first escalate the BCH correction capacity
-    /// on the *same* gesture's seeds, then fall back to full re-gestures.
-    /// Returns `None` when the ladder is disabled, does not apply to this
-    /// failure, or is exhausted.
-    fn recover_enroll(&mut self, session: &mut Session, err: &Error) -> Option<SessionOutcome> {
-        if !self.degrade.enabled() {
-            return None;
-        }
-        if !matches!(
-            err,
-            Error::Agreement(
-                AgreementError::ReconciliationFailed | AgreementError::ConfirmationFailed
-            )
-        ) {
-            return None;
-        }
-        if self.degrade.bch_step > 0 {
-            if let Some((s_m, s_r)) = session.last_seeds().cloned() {
-                let mut t = session.config().wavekey.bch_t + self.degrade.bch_step;
-                while t <= self.degrade.bch_ceiling.min(15) {
-                    self.obs.inc("service_enroll_escalations");
-                    session.config_mut().wavekey.bch_t = t;
-                    if let Ok(outcome) = session.agree_fast(&s_m, &s_r) {
-                        self.obs.inc("service_enroll_recovered");
-                        return Some(outcome);
-                    }
-                    t += self.degrade.bch_step;
-                }
-            }
-        }
-        for _ in 0..self.degrade.regesture_attempts {
-            self.obs.inc("service_enroll_regestures");
-            if let Ok(outcome) = session.establish_key_fast() {
-                self.obs.inc("service_enroll_recovered");
-                return Some(outcome);
-            }
-        }
-        None
     }
 
     /// The key bound to a ticket, if enrolment succeeded.
@@ -907,45 +810,26 @@ mod tests {
         assert!(text.contains("wavekey_store_snapshots_total 1"));
     }
 
-    /// The enrolment degradation ladder: BCH escalation re-runs the same
-    /// seeds at higher correction capacity, and a re-gesture gets one
-    /// more wave — recovering enrolments the base path loses. Disabled
-    /// policy keeps the base path untouched.
+    /// An enrolment whose agreement fails surfaces the error, binds no
+    /// key and is counted as a failure: service seed 23 deterministically
+    /// produces a first gesture whose seed mismatch exceeds the base BCH
+    /// capacity (found by scanning; any such seed works).
     #[test]
-    fn enroll_degradation_ladder_recovers_failures() {
-        // Service seed 23 deterministically produces a first gesture whose
-        // seed mismatch exceeds the base BCH capacity but sits inside the
-        // ladder's reach (escalated `t` or one re-gesture) — found by
-        // scanning; any such seed works.
-        let mk = |seed: u64| {
-            let models = WaveKeyModels::new(12, 5);
-            let config = SessionConfig {
-                use_tiny_group: true,
-                wavekey: WaveKeyConfig { tau: 10.0, ..Default::default() },
-                ..Default::default()
-            };
-            AccessService::new(models, config, seed)
+    fn enroll_agreement_failure_binds_no_key() {
+        let models = WaveKeyModels::new(12, 5);
+        let config = SessionConfig {
+            use_tiny_group: true,
+            wavekey: WaveKeyConfig { tau: 10.0, ..Default::default() },
+            ..Default::default()
         };
-
-        let mut base = mk(23);
-        let ticket = base.issue_ticket(TagModel::Alien9640A);
-        let err = base.enroll(ticket.epc, VolunteerId(0)).unwrap_err();
+        let mut service = AccessService::new(models, config, 23);
+        service.set_obs(Obs::with_memory().0);
+        let ticket = service.issue_ticket(TagModel::Alien9640A);
+        let err = service.enroll(ticket.epc, VolunteerId(0)).unwrap_err();
         assert!(matches!(err, Error::Agreement(_)), "{err}");
-        assert_eq!(base.key_for(ticket.epc), None);
-
-        let mut ladder = mk(23);
-        ladder.set_degrade_policy(DegradePolicy::reference());
-        let recorder = std::sync::Arc::new(wavekey_obs::FlightRecorder::new(64));
-        ladder.set_obs(Obs::new(recorder.clone()));
-        let ticket = ladder.issue_ticket(TagModel::Alien9640A);
-        let out = ladder
-            .enroll(ticket.epc, VolunteerId(0))
-            .expect("ladder recovers the same gesture the base path loses");
-        assert_eq!(ladder.key_for(ticket.epc), Some(out.key.as_slice()));
-        let text = ladder.obs().prometheus_text();
-        assert!(text.contains("service_enroll_escalations"), "{text}");
-        assert!(text.contains("service_enroll_recovered 1"), "{text}");
-        assert!(text.contains("service_enroll_success 1"), "{text}");
-        assert!(!text.contains("service_enroll_failures"), "{text}");
+        assert_eq!(service.key_for(ticket.epc), None);
+        let text = service.obs().prometheus_text();
+        assert!(text.contains("service_enroll_failures 1"), "{text}");
+        assert!(!text.contains("service_enroll_success"), "{text}");
     }
 }

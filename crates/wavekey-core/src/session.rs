@@ -99,10 +99,6 @@ pub struct Session {
     rng: StdRng,
     obs: Obs,
     sessions_started: u64,
-    /// The seed pair of the most recent derivation, kept so recovery
-    /// flows (BCH escalation in [`crate::AccessService::enroll`]) can
-    /// re-run the agreement on the *same* gesture's seeds.
-    last_seeds: Option<(Vec<bool>, Vec<bool>)>,
 }
 
 impl Session {
@@ -122,7 +118,6 @@ impl Session {
             rng: StdRng::seed_from_u64(seed),
             obs: Obs::disabled(),
             sessions_started: 0,
-            last_seeds: None,
         }
     }
 
@@ -312,14 +307,7 @@ impl Session {
         let d = t.elapsed().as_secs_f64();
         trace.record_stage(stage::QUANTIZATION, d);
         self.obs.record_duration(stage::QUANTIZATION, d);
-        self.last_seeds = Some(seeds.clone());
         Ok(seeds)
-    }
-
-    /// The seed pair of the most recent derivation, if any (recovery
-    /// flows re-run the agreement on these without a new gesture).
-    pub fn last_seeds(&self) -> Option<&(Vec<bool>, Vec<bool>)> {
-        self.last_seeds.as_ref()
     }
 
     /// Runs both sensing pipelines and the encoders, returning the raw

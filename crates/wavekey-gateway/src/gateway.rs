@@ -1,19 +1,21 @@
 //! The async WaveKey gateway.
 //!
 //! [`Gateway`] is the event-loop face of the protocol: it accepts
-//! simulated connections from a [`SimNet`], frames bytes through the
-//! streaming [`Decoder`], and drives one [`ServerAgreement`] per
-//! connection over the connection's frame channel (the
-//! [`wavekey_core::proto::Link`] the net attaches); [`drive_mobile`] is
-//! the client end. The sans-IO split does the heavy lifting — machines
-//! never see sockets, the gateway never sees group elements — so a
-//! gateway session's key is **bit-identical** to the lockstep driver's
-//! for the same seeds and RNGs, regardless of how the bytes were
-//! chunked, stalled, or interleaved in flight.
+//! simulated connections from a [`SimNet`] and drives one
+//! [`ServerAgreement`] per connection over the connection's frame channel
+//! (the [`wavekey_core::proto::Link`] the net attaches). Both ends of a
+//! connection run one loop, generic over the machine's role: the gateway
+//! runs it for each accepted connection, [`drive_mobile`] for the client.
+//! The sans-IO split does the heavy lifting — machines never see
+//! sockets, the gateway never sees group elements — so a gateway
+//! session's key is **bit-identical** to the lockstep driver's for the
+//! same seeds and RNGs, regardless of how the bytes were chunked,
+//! stalled, or interleaved in flight.
 //!
-//! Concerns handled here, per connection:
+//! The loop handles, per connection:
 //!
-//! - incremental framing with resync (garbage never kills the loop),
+//! - incremental framing through the streaming [`Decoder`], with resync
+//!   (garbage never kills the loop),
 //! - the frame channel: every frame carries its sender's clock, so the
 //!   `2 + τ` fence is charged for the sender's compute and any relay
 //!   delay, and under a net adversary the link's ARQ recovers drops
@@ -22,12 +24,16 @@
 //!   queue overflows or stops draining (`reason="backpressure"`),
 //! - idle eviction on the executor's logical clock — timers only fire
 //!   when the whole system quiesces, so a *slow* peer is never confused
-//!   with a *gone* peer (`reason="idle"`),
-//! - graceful shutdown: new connections are rejected
-//!   (`reason="shutdown"`) while accepted sessions drain to completion,
-//! - a per-connection [`EventScope`] causal timeline under actor
-//!   `"gateway"`, and every protocol failure counted under
-//!   `wavekey_failures_total{label=...}`.
+//!   with a *gone* peer (`reason="idle"`).
+//!
+//! It reports how the session ended and leaves the accounting to its
+//! caller. On the gateway one function accounts for every session's end:
+//! a per-connection [`EventScope`] causal timeline under actor
+//! `"gateway"`, the completion, failure and eviction counters (every
+//! protocol failure under `wavekey_failures_total{label=...}`), the
+//! enrolment sink and the session table. Graceful shutdown rejects new
+//! connections (`reason="shutdown"`) while accepted sessions drain to
+//! completion.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -237,68 +243,46 @@ impl GatewayInner {
         });
     }
 
-    /// Writes a completed session's key through the sink, if one is
-    /// attached. Persistence failures don't kill the session — the key
-    /// was established and the peer already holds it — but they are
+    /// Accounts for the end of a server session: its timeline event, its
+    /// counters (with the decoder's `resyncs`), the sink and the table.
+    /// A completed key is written through the sink, if one is attached,
+    /// before the session is marked done. A persistence failure doesn't
+    /// fail the session — the peer already holds the key — but it is
     /// counted and time-lined so an operator sees the durability gap.
-    fn persist_enrollment(&self, conn_id: u64, key: &[u8], scope: &EventScope) {
-        let Some(sink) = &self.sink else { return };
-        match sink.persist(conn_id, key) {
-            Ok(()) => {
-                self.obs.inc("gateway_enrollments_persisted");
-                scope.emit("persist");
+    fn end_session(&self, id: u64, outcome: SessionOutcome, resyncs: u64, scope: &EventScope) {
+        if resyncs > 0 {
+            self.obs.add("gateway_frame_resyncs", resyncs);
+        }
+        match &outcome {
+            SessionOutcome::Done(key) => {
+                scope.emit("complete");
+                self.obs.inc("gateway_sessions_completed");
+                match self.sink.as_ref().map(|sink| sink.persist(id, key)) {
+                    Some(Ok(())) => {
+                        self.obs.inc("gateway_enrollments_persisted");
+                        scope.emit("persist");
+                    }
+                    Some(Err(_)) => {
+                        self.obs.inc("gateway_enrollment_persist_failures");
+                        scope.emit_full("persist_failed", None, None, None);
+                    }
+                    None => {}
+                }
             }
-            Err(_) => {
-                self.obs.inc("gateway_enrollment_persist_failures");
-                scope.emit_full("persist_failed", None, None, None);
+            SessionOutcome::Failed(err) => {
+                self.obs.inc("gateway_sessions_failed");
+                self.obs.with_registry(|r| {
+                    let name = format!("wavekey_failures_total{{label=\"{}\"}}", err.label());
+                    r.inc_counter(&name, 1);
+                });
+                scope.emit("protocol_error");
+            }
+            SessionOutcome::Evicted(reason) => {
+                self.count_evict(*reason);
+                scope.emit_full("evict", Some(reason.label()), None, None);
             }
         }
-    }
-
-    /// Records a gateway eviction and closes the stream.
-    fn evict(&self, id: u64, reason: EvictReason, scope: &EventScope, stream: &SimStream) {
-        self.count_evict(reason);
-        scope.emit_full("evict", Some(reason.label()), None, None);
-        self.table.finish(id, SessionOutcome::Evicted(reason));
-        stream.close();
-    }
-
-    /// Records a protocol failure, counted under its label, and closes
-    /// the stream.
-    fn fail(&self, id: u64, err: AgreementError, scope: &EventScope, stream: &SimStream) {
-        self.obs.inc("gateway_sessions_failed");
-        self.obs.with_registry(|r| {
-            r.inc_counter(&format!("wavekey_failures_total{{label=\"{}\"}}", err.label()), 1);
-        });
-        scope.emit("protocol_error");
-        self.table.finish(id, SessionOutcome::Failed(err));
-        stream.close();
-    }
-
-    /// Hands every frame decoded so far to the connection's link and
-    /// feeds the server what crosses; stops early once it is done.
-    fn receive(
-        &self,
-        stream: &SimStream,
-        dec: &mut Decoder,
-        server: &mut ServerAgreement,
-        wq: &mut VecDeque<u8>,
-        scope: &EventScope,
-    ) -> Result<(), AgreementError> {
-        let agreement = &self.config.agreement;
-        while let Some(item) = dec.next_frame() {
-            let Ok(frame) = item else {
-                // Streams resync instead of NAKing: the decoder already
-                // skipped the garbage.
-                self.obs.inc("gateway_frame_resyncs");
-                scope.emit("resync");
-                continue;
-            };
-            stream.arrive(frame, agreement.channel_delay, &agreement.retry, scope)?;
-            ready(stream, server, wq, scope)?;
-        }
-        stream.release(scope);
-        ready(stream, server, wq, scope)
+        self.table.finish(id, outcome);
     }
 }
 
@@ -311,116 +295,135 @@ async fn accept_loop(gw: Rc<GatewayInner>, handle: Handle, net: SimNet) {
             stream.close();
             continue;
         }
-        let conn_id = stream.conn_id();
-        let seed = (gw.seed_fn)(conn_id);
-        let rng = server_rng(gw.config.server_seed, conn_id);
-        let mut server = match ServerAgreement::new(&seed, &gw.config.agreement, rng) {
-            Ok(server) => server,
-            Err(_) => {
-                gw.rejected.set(gw.rejected.get() + 1);
-                stream.close();
-                continue;
-            }
+        let id = stream.conn_id();
+        let seed = (gw.seed_fn)(id);
+        let rng = server_rng(gw.config.server_seed, id);
+        let Ok(mut server) = ServerAgreement::new(&seed, &gw.config.agreement, rng) else {
+            gw.rejected.set(gw.rejected.get() + 1);
+            stream.close();
+            continue;
         };
-        let scope = EventScope::new(&gw.obs, conn_id, "gateway");
+        let scope = EventScope::new(&gw.obs, id, "gateway");
         if scope.is_enabled() {
             server.bind_events(scope.with_actor("server"));
         }
         scope.emit("accept");
         gw.obs.inc("gateway_conns_accepted");
-        match server.start() {
-            Ok(first) => {
-                let wq = first.encode().into();
-                let conn = serve_conn(Rc::clone(&gw), handle.clone(), stream, server, wq, scope);
-                handle.spawn(conn);
-            }
-            // Failed before its first frame: still recorded, so the fleet
-            // accounting sums to the accept count.
-            Err(err) => {
-                gw.table.insert(stream.conn_id());
-                gw.fail(stream.conn_id(), err, &scope, &stream);
-            }
-        }
+        // An `async move` block stores what it captures once; an
+        // `async fn` would keep each by-value argument twice in its
+        // future (the argument, and the local it is moved into), and the
+        // machine is most of the state.
+        let (gw, conn_handle) = (Rc::clone(&gw), handle.clone());
+        handle.spawn(async move {
+            gw.table.insert(id);
+            let c = &gw.config;
+            let (delay, idle, cap) = (c.agreement.channel_delay, c.idle_ticks, c.write_queue_cap);
+            let (end, resyncs) =
+                connection(&conn_handle, &stream, &mut server, delay, idle, cap, &scope).await;
+            gw.end_session(id, end, resyncs, &scope);
+            stream.close();
+        });
     }
 }
 
-/// Drives one accepted connection to a terminal table entry; `wq` holds
-/// the server's opening frame.
+/// One end of a session, on either side of the connection: starts the
+/// machine, then flushes its replies and feeds it what the link delivers
+/// until the machine is done, fails, or the connection stalls. Frames
+/// arrive at their departure plus `delay`. The write queue is flushed
+/// before every read and holds at most `cap` bytes; skipped garbage is a
+/// `resync` event on `scope`.
 ///
-/// The body is an `async move` block, not an `async fn`: an `async fn`
-/// keeps each by-value argument twice in its future (the argument, and
-/// the local it is moved into), and the machine is most of the state.
-/// The block stores what it captures once. Reads go straight into the
-/// frame decoder.
-#[allow(clippy::manual_async_fn)] // the block is what stores the machine once
-fn serve_conn(
-    gw: Rc<GatewayInner>,
-    handle: Handle,
-    stream: SimStream,
-    mut server: ServerAgreement,
-    mut wq: VecDeque<u8>,
-    scope: EventScope,
-) -> impl Future<Output = ()> {
-    async move {
-        let id = stream.conn_id();
-        let idle = gw.config.idle_ticks;
-        gw.table.insert(id);
-        stream.depart(server.clock());
-        let mut dec = Decoder::new();
-        loop {
-            // Flush before reading: replies already owed take priority,
-            // and a queue that cannot drain is the backpressure signal.
-            while !wq.is_empty() {
-                if wq.len() > gw.config.write_queue_cap {
-                    return gw.evict(id, EvictReason::Backpressure, &scope, &stream);
-                }
-                wq.make_contiguous();
-                let outcome = {
-                    let (front, _) = wq.as_slices();
-                    race(stream.write_some(front), handle.sleep(idle)).await
-                };
-                match outcome {
-                    Either::A(Ok(n)) => {
-                        wq.drain(..n);
-                    }
-                    // Peer closed with our reply undelivered — it vanished.
-                    Either::A(Err(_)) => return gw.evict(id, EvictReason::Idle, &scope, &stream),
-                    // No write progress for a whole idle window.
-                    Either::B(()) => {
-                        return gw.evict(id, EvictReason::Backpressure, &scope, &stream)
-                    }
-                }
+/// Returns how the session ended, with the decoder's resync count, and
+/// leaves the accounting and closing the stream to the caller. A queue
+/// over `cap`, or `idle` ticks without write progress, is
+/// [`EvictReason::Backpressure`]; a write error, EOF, or `idle` ticks
+/// without a readable byte is [`EvictReason::Idle`] — the executor's
+/// timers fire only when the whole system quiesces, so a *slow* peer is
+/// never taken for a *gone* one.
+async fn connection<R: Role>(
+    handle: &Handle,
+    stream: &SimStream,
+    machine: &mut Agreement<R>,
+    delay: f64,
+    idle: u64,
+    cap: usize,
+    scope: &EventScope,
+) -> (SessionOutcome, u64) {
+    // The opening frame is dropped here: only its bytes wait for a write.
+    let mut wq: VecDeque<u8> = match machine.start() {
+        Ok(first) => first.encode().into(),
+        Err(err) => return (SessionOutcome::Failed(err), 0),
+    };
+    stream.depart(machine.clock());
+    let mut dec = Decoder::new();
+    let end = 'session: loop {
+        // Flush before reading: replies already owed take priority, and
+        // a queue that cannot drain is the backpressure signal.
+        while !wq.is_empty() {
+            if wq.len() > cap {
+                break 'session SessionOutcome::Evicted(EvictReason::Backpressure);
             }
-            // A flushed queue holds no buffer while the peer computes.
-            wq = VecDeque::new();
-            if server.state() == State::Done {
-                let key = server.key().to_vec();
-                scope.emit("complete");
-                gw.obs.inc("gateway_sessions_completed");
-                gw.persist_enrollment(id, &key, &scope);
-                gw.table.finish(id, SessionOutcome::Done(key));
-                stream.close();
-                return;
-            }
-            match race(stream.read_into(&mut dec), handle.sleep(idle)).await {
-                Either::A(Ok(0)) | Either::A(Err(_)) => {
-                    // EOF (or a torn stream) mid-protocol: the peer is gone.
-                    return gw.evict(id, EvictReason::Idle, &scope, &stream);
+            wq.make_contiguous();
+            let outcome = {
+                let (front, _) = wq.as_slices();
+                race(stream.write_some(front), handle.sleep(idle)).await
+            };
+            match outcome {
+                Either::A(Ok(n)) => {
+                    wq.drain(..n);
                 }
-                Either::A(Ok(_)) => {
-                    if let Err(err) = gw.receive(&stream, &mut dec, &mut server, &mut wq, &scope) {
-                        return gw.fail(id, err, &scope, &stream);
-                    }
-                }
-                Either::B(()) => return gw.evict(id, EvictReason::Idle, &scope, &stream),
+                // The peer closed with a reply undelivered: it vanished.
+                Either::A(Err(_)) => break 'session SessionOutcome::Evicted(EvictReason::Idle),
+                // No write progress for a whole idle window.
+                Either::B(()) => break 'session SessionOutcome::Evicted(EvictReason::Backpressure),
             }
         }
+        // A flushed queue holds no buffer while the peer computes.
+        wq = VecDeque::new();
+        if machine.state() == State::Done {
+            break SessionOutcome::Done(machine.key().to_vec());
+        }
+        match race(stream.read_into(&mut dec), handle.sleep(idle)).await {
+            // EOF, a torn stream, or silence: the peer is gone.
+            Either::A(Ok(0) | Err(_)) | Either::B(()) => {
+                break SessionOutcome::Evicted(EvictReason::Idle)
+            }
+            Either::A(Ok(_)) => {
+                if let Err(err) = receive(stream, &mut dec, machine, &mut wq, delay, scope) {
+                    break SessionOutcome::Failed(err);
+                }
+            }
+        }
+    };
+    (end, dec.resyncs())
+}
+
+/// Hands every frame decoded so far to the connection's link and feeds
+/// the machine what crosses; stops early once it is done. Streams
+/// resync instead of NAKing: the decoder already skipped the garbage.
+fn receive<R: Role>(
+    stream: &SimStream,
+    dec: &mut Decoder,
+    machine: &mut Agreement<R>,
+    wq: &mut VecDeque<u8>,
+    delay: f64,
+    scope: &EventScope,
+) -> Result<(), AgreementError> {
+    let retry = machine.config().retry;
+    while let Some(item) = dec.next_frame() {
+        let Ok(frame) = item else {
+            scope.emit("resync");
+            continue;
+        };
+        stream.arrive(frame, delay, &retry, scope)?;
+        ready(stream, machine, wq, scope)?;
     }
+    stream.release(scope);
+    ready(stream, machine, wq, scope)
 }
 
 /// Feeds a machine every frame its link has ready, queueing the replies
-/// stamped with its clock; stops once the machine is done. The gateway
-/// runs it for the server, [`drive_mobile`] for the mobile.
+/// stamped with its clock; stops once the machine is done.
 fn ready<R: Role>(
     stream: &SimStream,
     machine: &mut Agreement<R>,
@@ -440,15 +443,15 @@ fn ready<R: Role>(
     Ok(())
 }
 
-/// Drives the mobile side of one agreement over `stream` — the client
-/// mirror of the gateway's connection loop, shared by the unit tests
-/// and the bench fleets. Frames from the gateway arrive at their
-/// departure plus `channel_delay`. On every error it closes the stream,
-/// so the gateway sees the end of the session at once rather than after
-/// its idle window.
+/// Drives the mobile side of one agreement over `stream`: the gateway's
+/// connection loop run at the client end, with no write-queue bound and
+/// no events, shared by the unit tests and the bench fleets. Frames from
+/// the gateway arrive at their departure plus `channel_delay`. The
+/// stream is closed however the session ends, so the gateway sees a
+/// failed mobile at once rather than after its idle window.
 ///
-/// Like the gateway's connection loop, the body is an `async move` block
-/// that stores the machine once, and reads go straight into the decoder.
+/// Like the gateway's connection task, the body is an `async move` block
+/// that stores the machine once.
 ///
 /// # Errors
 ///
@@ -464,60 +467,15 @@ pub fn drive_mobile(
     idle_ticks: u64,
 ) -> impl Future<Output = Result<Vec<u8>, AgreementError>> {
     async move {
-        let got = mobile_session(&handle, &stream, &mut mobile, channel_delay, idle_ticks).await;
-        if got.is_err() {
-            stream.close();
-        }
-        got
-    }
-}
-
-/// [`drive_mobile`]'s loop, up to its first error.
-async fn mobile_session(
-    handle: &Handle,
-    stream: &SimStream,
-    mobile: &mut MobileAgreement,
-    channel_delay: f64,
-    idle_ticks: u64,
-) -> Result<Vec<u8>, AgreementError> {
-    let retry = mobile.config().retry;
-    let first = mobile.start()?;
-    stream.depart(mobile.clock());
-    let mut wq: VecDeque<u8> = first.encode().into();
-    let mut dec = Decoder::new();
-    loop {
-        while !wq.is_empty() {
-            wq.make_contiguous();
-            let outcome = {
-                let (front, _) = wq.as_slices();
-                race(stream.write_some(front), handle.sleep(idle_ticks)).await
-            };
-            match outcome {
-                Either::A(Ok(n)) => {
-                    wq.drain(..n);
-                }
-                Either::A(Err(_)) | Either::B(()) => return Err(AgreementError::Evicted),
-            }
-        }
-        wq = VecDeque::new();
-        if mobile.state() == State::Done {
-            stream.close();
-            return Ok(mobile.key().to_vec());
-        }
-        match race(stream.read_into(&mut dec), handle.sleep(idle_ticks)).await {
-            Either::A(Ok(0)) | Either::A(Err(_)) | Either::B(()) => {
-                return Err(AgreementError::Evicted)
-            }
-            Either::A(Ok(_)) => {
-                let events = EventScope::disabled();
-                while let Some(item) = dec.next_frame() {
-                    let Ok(frame) = item else { continue };
-                    stream.arrive(frame, channel_delay, &retry, &events)?;
-                    ready(stream, mobile, &mut wq, &events)?;
-                }
-                stream.release(&events);
-                ready(stream, mobile, &mut wq, &events)?;
-            }
+        let (idle, events) = (idle_ticks, EventScope::disabled());
+        let (end, _) =
+            connection(&handle, &stream, &mut mobile, channel_delay, idle, usize::MAX, &events)
+                .await;
+        stream.close();
+        match end {
+            SessionOutcome::Done(key) => Ok(key),
+            SessionOutcome::Failed(err) => Err(err),
+            SessionOutcome::Evicted(_) => Err(AgreementError::Evicted),
         }
     }
 }
@@ -532,6 +490,7 @@ mod tests {
     use wavekey_core::agreement::RetryPolicy;
     use wavekey_core::channel::{Delayer, Direction, Dropper, MessageKind, VersionSpoofer};
     use wavekey_core::fault::{FaultKind, FaultPlan, FaultProfile, ScheduledFault};
+    use wavekey_core::proto::frame::MAGIC;
     use wavekey_core::proto::{driver, Frame};
     use wavekey_core::PassiveChannel;
     use wavekey_obs::EventLog;
@@ -910,6 +869,46 @@ mod tests {
         let a = run();
         assert!(a.contains("\"actor\":\"gateway\"") || a.contains("gateway"));
         assert_eq!(a, run(), "same fleet, same causal timelines");
+    }
+
+    /// Bytes ahead of the first frame are skipped, not fatal: the session
+    /// completes, and the gateway counts the skip once in its exporter and
+    /// once on the connection's timeline.
+    #[test]
+    fn leading_garbage_is_one_resync_and_the_session_completes() {
+        let log = Arc::new(EventLog::new(256));
+        let obs = Obs::new(log.clone());
+        let config = gateway_config();
+        let (delay, idle) = (config.agreement.channel_delay, config.idle_ticks);
+        let gateway = Gateway::new(config.clone(), obs.clone(), |id| seed_pair(id).1);
+        let net = SimNet::new(1 << 16);
+        let mut exec = Executor::new();
+        gateway.listen(&exec.handle(), &net);
+        spawn_closer(&exec, &net);
+        let stream = net.connect().unwrap();
+        let id = stream.conn_id();
+        let mobile =
+            MobileAgreement::new(&seed_pair(id).0, &config.agreement, mobile_rng(id)).unwrap();
+        let got = Rc::new(RefCell::new(None));
+        {
+            let (handle, got) = (exec.handle(), Rc::clone(&got));
+            exec.spawn(async move {
+                let junk = [0x00, 0x13, 0x37, 0xFF];
+                assert!(!junk.contains(&MAGIC[0]), "no byte may start a frame");
+                let mut at = 0;
+                while at < junk.len() {
+                    at += stream.write_some(&junk[at..]).await.expect("write");
+                }
+                *got.borrow_mut() = Some(drive_mobile(handle, stream, mobile, delay, idle).await);
+            });
+        }
+        exec.run();
+        let key = got.borrow_mut().take().expect("client ran").expect("client key");
+        assert!(matches!(gateway.table().outcome(id), Some(SessionOutcome::Done(k)) if k == key));
+        let text = obs.prometheus_text();
+        assert!(text.contains("gateway_frame_resyncs 1\n"), "{text}");
+        let resyncs = log.timeline(id).iter().filter(|e| e.kind == "resync").count();
+        assert_eq!(resyncs, 1, "{}", log.timelines_jsonl());
     }
 
     /// One session over `net`: what the client got, the table's outcome,

@@ -114,11 +114,6 @@ impl StreamFaults {
         StreamFaults { truncate_per_mille: 25, ..StreamFaults::lossless(seed) }
     }
 
-    /// Whether any fault can fire.
-    pub fn armed(&self) -> bool {
-        self.split_per_mille > 0 || self.stall_per_mille > 0 || self.truncate_per_mille > 0
-    }
-
     /// The raw decision hash for (`lane`, `op`).
     fn roll(&self, lane: u64, op: u64, salt: u64) -> u64 {
         splitmix64(
@@ -257,11 +252,6 @@ impl SimStream {
         dx.a2b.wake_writer();
         dx.b2a.wake_reader();
         dx.b2a.wake_writer();
-    }
-
-    /// Whether the stream has been closed (either end).
-    pub fn is_closed(&self) -> bool {
-        self.duplex.borrow().a2b.closed
     }
 
     fn sends(&self) -> Direction {
@@ -555,11 +545,6 @@ impl SimNet {
         if let Some(w) = net.accept_waker.take() {
             w.wake();
         }
-    }
-
-    /// Connections queued but not yet accepted.
-    pub fn pending(&self) -> usize {
-        self.inner.borrow().backlog.len()
     }
 }
 
