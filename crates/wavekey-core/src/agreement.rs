@@ -33,7 +33,9 @@
 //! machines ([`crate::proto::driver::drive_lockstep`]), with outputs
 //! bit-identical to the pre-refactor monolith.
 
-use crate::bits::{deinterleave, interleave, pack_bits, unpack_bits, PackedBits};
+use crate::bits::{
+    deinterleave, interleave, pack_blocks, unpack_bits, unpack_blocks, PackedBits, BLOCK_BITS,
+};
 use crate::channel::{Adversary, MessageKind};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -290,8 +292,6 @@ impl std::fmt::Display for AgreementError {
 
 impl std::error::Error for AgreementError {}
 
-/// ECC block length used by the reconciliation (BCH over GF(2⁷)).
-pub(crate) const ECC_BLOCK: usize = 127;
 /// Nonce length in the challenge (bytes).
 pub(crate) const NONCE_LEN: usize = 16;
 
@@ -413,8 +413,8 @@ impl Geometry {
             CodeOffset::shared(config.bch_t).map_err(|e| AgreementError::Config(e.to_string()))?;
         let l_b = config.key_len_bits.div_ceil(2 * l_s);
         let k_len = 2 * l_s * l_b;
-        let blocks = k_len.div_ceil(ECC_BLOCK);
-        let challenge_len = (blocks * ECC_BLOCK).div_ceil(8) + NONCE_LEN;
+        let blocks = k_len.div_ceil(BLOCK_BITS);
+        let challenge_len = (blocks * BLOCK_BITS).div_ceil(8) + NONCE_LEN;
         Ok(Geometry { l_s, l_b, k_len, blocks, challenge_len, code })
     }
 
@@ -450,18 +450,19 @@ impl Geometry {
 }
 
 /// The mobile's commit, `Challenge = ECC(K_M) ‖ N`: the code-offset
-/// helper over the interleaved `K_M`, then a fresh nonce, drawn from the
-/// mobile's RNG in that order. Returns the `Challenge` and the nonce.
+/// helper over `K_M`'s interleaved blocks, packed MSB-first, then a fresh
+/// nonce, drawn from the mobile's RNG in that order. Returns the
+/// `Challenge` and the nonce.
 pub(crate) fn commit(
     g: &Geometry,
     k_m: &PackedBits,
     rng: &mut StdRng,
 ) -> (Vec<u8>, [u8; NONCE_LEN]) {
-    let k_m_inter = interleave(&k_m.to_bools(), g.blocks, ECC_BLOCK);
-    let helper = g.code.commit(&k_m_inter, rng);
+    let helper = g.code.commit(&interleave(k_m, g.blocks), rng);
     let mut nonce = [0u8; NONCE_LEN];
     rng.fill(&mut nonce);
-    let mut challenge = pack_bits(&helper);
+    let mut challenge = Vec::with_capacity(g.challenge_len);
+    pack_blocks(&helper, &mut challenge);
     challenge.extend_from_slice(&nonce);
     (challenge, nonce)
 }
@@ -484,14 +485,11 @@ pub(crate) fn reconcile(
         return Err(AgreementError::ReconciliationFailed);
     }
     let (helper, nonce) = challenge.split_at(g.challenge_len - NONCE_LEN);
-    let bits = g.blocks * ECC_BLOCK;
-    let k_r_inter = interleave(&k_r.to_bools(), g.blocks, ECC_BLOCK);
     let recovered = g
         .code
-        .reconcile(&k_r_inter, &unpack_bits(helper, bits), bits)
+        .reconcile(&interleave(k_r, g.blocks), &unpack_blocks(helper, g.blocks))
         .ok_or(AgreementError::ReconciliationFailed)?;
-    let k = deinterleave(&recovered, g.blocks, ECC_BLOCK, g.k_len);
-    let key = finalize_key(&k, config, nonce);
+    let key = finalize_key(&deinterleave(&recovered, g.k_len), config, nonce);
     let response = hmac_sha256(&key, nonce);
     Ok((key, response))
 }
@@ -508,7 +506,7 @@ pub(crate) fn confirm(
     response: &[u8],
     config: &AgreementConfig,
 ) -> Result<Vec<u8>, AgreementError> {
-    let key = finalize_key(&k_m.to_bools(), config, nonce);
+    let key = finalize_key(k_m, config, nonce);
     if mac_eq(&hmac_sha256(&key, nonce), response) {
         Ok(key)
     } else {
@@ -520,16 +518,16 @@ pub(crate) fn confirm(
 /// a plain truncation to `l_k` bits (the paper's construction) or, with
 /// privacy amplification enabled, `HKDF(salt = nonce, ikm = K)` over the
 /// *entire* preliminary key.
-pub(crate) fn finalize_key(k: &[bool], config: &AgreementConfig, nonce: &[u8]) -> Vec<u8> {
+pub(crate) fn finalize_key(k: &PackedBits, config: &AgreementConfig, nonce: &[u8]) -> Vec<u8> {
     if config.privacy_amplification {
         wavekey_crypto::kdf::hkdf(
             nonce,
-            &pack_bits(k),
+            &k.to_msb_bytes(k.len()),
             b"wavekey-privacy-amplification-v1",
             config.key_len_bits.div_ceil(8),
         )
     } else {
-        pack_bits(&k[..config.key_len_bits.min(k.len())])
+        k.to_msb_bytes(config.key_len_bits.min(k.len()))
     }
 }
 

@@ -3,7 +3,8 @@
 //! Key-seeds, OT payload sequences, and preliminary keys are all bit
 //! strings; this module provides packing to bytes (MSB-first), mismatch
 //! counting, and the block interleaving that spreads the clustered bit
-//! errors of a wrong OT segment across ECC blocks.
+//! errors of a wrong OT segment across ECC blocks, each block a `u128`
+//! as the BCH codec takes it.
 
 /// Packs bits (MSB-first within each byte) into bytes, zero-padding the
 /// final byte.
@@ -99,6 +100,23 @@ impl PackedBits {
         (0..self.len).map(|i| self.get(i)).collect()
     }
 
+    /// The first `n` bits packed MSB-first: the bytes [`pack_bits`] makes
+    /// of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the length.
+    pub fn to_msb_bytes(&self, n: usize) -> Vec<u8> {
+        assert!(n <= self.len, "{n} bits of {}", self.len);
+        let mut out: Vec<u8> = (0..n.div_ceil(8))
+            .map(|q| ((self.words[q / 8] >> (q % 8 * 8)) as u8).reverse_bits())
+            .collect();
+        if let Some(last) = out.last_mut() {
+            *last &= 0xff << (7 - (n - 1) % 8); // clear the padding
+        }
+        out
+    }
+
     /// Number of positions where `self` and `other` disagree.
     ///
     /// # Panics
@@ -130,28 +148,76 @@ pub fn mismatch_rate(a: &[bool], b: &[bool]) -> f64 {
     hamming_distance(a, b) as f64 / a.len() as f64
 }
 
-/// Block-interleaves `bits` (padded with `false` to `blocks × block_len`):
-/// source position `p` maps to block `p mod blocks`, offset `p / blocks`.
+/// Bits per block of [`interleave`]: one BCH(127) block, held in a
+/// `u128` whose bit 127 stays clear.
+pub const BLOCK_BITS: usize = 127;
+
+/// Where bit `p` of an interleaved string sits, for `p = 0, 1, …`: block
+/// `p mod blocks`, offset `p / blocks`.
+fn slots(blocks: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..).flat_map(move |offset| (0..blocks).map(move |block| (block, offset)))
+}
+
+/// Block-interleaves `bits` into `blocks` zero-padded blocks of
+/// [`BLOCK_BITS`], one `u128` each: source position `p` maps to block
+/// `p mod blocks`, offset (bit) `p / blocks`.
 ///
 /// A wrong OT segment corrupts `2·l_b` *consecutive* bits of the
 /// preliminary key; interleaving spreads them evenly over the ECC blocks
 /// so each block stays within its correction radius.
-pub fn interleave(bits: &[bool], blocks: usize, block_len: usize) -> Vec<bool> {
-    assert!(blocks > 0 && block_len > 0, "empty interleaver geometry");
-    let total = blocks * block_len;
-    assert!(bits.len() <= total, "bits do not fit the interleaver");
-    let mut out = vec![false; total];
-    for (p, &b) in bits.iter().enumerate() {
-        out[(p % blocks) * block_len + p / blocks] = b;
+///
+/// # Panics
+///
+/// Panics if `blocks` is zero or the bits do not fit.
+pub fn interleave(bits: &PackedBits, blocks: usize) -> Vec<u128> {
+    assert!(blocks > 0 && bits.len() <= blocks * BLOCK_BITS, "bits do not fit the interleaver");
+    let mut out = vec![0u128; blocks];
+    for (p, (block, offset)) in slots(blocks).take(bits.len()).enumerate() {
+        out[block] |= u128::from(bits.get(p)) << offset;
     }
     out
 }
 
 /// Inverts [`interleave`], returning the first `n` original bits.
-pub fn deinterleave(bits: &[bool], blocks: usize, block_len: usize, n: usize) -> Vec<bool> {
-    assert_eq!(bits.len(), blocks * block_len, "wrong interleaved length");
-    assert!(n <= bits.len(), "cannot recover more bits than stored");
-    (0..n).map(|p| bits[(p % blocks) * block_len + p / blocks]).collect()
+///
+/// # Panics
+///
+/// Panics if the blocks hold fewer than `n` bits.
+pub fn deinterleave(blocks: &[u128], n: usize) -> PackedBits {
+    assert!(n <= blocks.len() * BLOCK_BITS, "cannot recover more bits than stored");
+    let mut out = PackedBits::with_capacity(n);
+    for (block, offset) in slots(blocks.len()).take(n) {
+        out.push(blocks[block] >> offset & 1 == 1);
+    }
+    out
+}
+
+/// Appends the blocks' [`BLOCK_BITS`] bits each, block after block,
+/// packed MSB-first: the bytes [`pack_bits`] makes of the concatenated
+/// blocks.
+pub fn pack_blocks(blocks: &[u128], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + (blocks.len() * BLOCK_BITS).div_ceil(8), 0);
+    let bits = blocks.iter().flat_map(|&block| (0..BLOCK_BITS).map(move |i| block >> i & 1));
+    for (p, bit) in bits.enumerate() {
+        out[start + p / 8] |= (bit as u8) << (7 - p % 8);
+    }
+}
+
+/// Reads `count` blocks back from the bytes [`pack_blocks`] makes,
+/// ignoring the padding bits of the last byte, as [`unpack_bits`] does.
+///
+/// # Panics
+///
+/// Panics if `bytes` holds fewer than `count` blocks.
+pub fn unpack_blocks(bytes: &[u8], count: usize) -> Vec<u128> {
+    assert!(bytes.len() * 8 >= count * BLOCK_BITS, "not enough bytes for {count} blocks");
+    let mut out = vec![0u128; count];
+    for p in 0..count * BLOCK_BITS {
+        let bit = bytes[p / 8] >> (7 - p % 8) & 1;
+        out[p / BLOCK_BITS] |= u128::from(bit) << (p % BLOCK_BITS);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -204,9 +270,14 @@ mod tests {
     #[test]
     fn interleave_roundtrip() {
         let bits: Vec<bool> = (0..100).map(|i| i % 3 == 0).collect();
-        let inter = interleave(&bits, 3, 40);
-        assert_eq!(inter.len(), 120);
-        assert_eq!(deinterleave(&inter, 3, 40, 100), bits);
+        let inter = interleave(&PackedBits::from_bools(&bits), 3);
+        assert_eq!(inter.len(), 3);
+        // Bit p sits at offset p / 3 of block p mod 3.
+        for (p, &b) in bits.iter().enumerate() {
+            assert_eq!(inter[p % 3] >> (p / 3) & 1 == 1, b, "bit {p}");
+        }
+        assert!(inter.iter().all(|&block| block >> 34 == 0), "zero padding");
+        assert_eq!(deinterleave(&inter, 100).to_bools(), bits);
     }
 
     #[test]
@@ -217,10 +288,35 @@ mod tests {
         for b in bits.iter_mut().skip(30).take(6) {
             *b = true;
         }
-        let inter = interleave(&bits, 3, 30);
-        for blk in 0..3 {
-            let count = inter[blk * 30..(blk + 1) * 30].iter().filter(|&&b| b).count();
+        let inter = interleave(&PackedBits::from_bools(&bits), 3);
+        for (blk, block) in inter.iter().enumerate() {
+            let count = block.count_ones();
             assert!(count <= 2, "block {blk} got {count} burst bits");
+        }
+    }
+
+    #[test]
+    fn blocks_pack_as_their_bits_do() {
+        // Three blocks with all of bit 0, bit 126 and a pattern set: the
+        // bytes are `pack_bits` of the 381 bits, and reading them back
+        // ignores the last byte's padding.
+        let blocks = [1u128 | 1 << 126, u128::MAX >> 1, 0x1234_5678_9abc_def0 << 40];
+        let bits: Vec<bool> =
+            blocks.iter().flat_map(|&b| (0..BLOCK_BITS).map(move |i| b >> i & 1 == 1)).collect();
+        let mut bytes = vec![0xee];
+        pack_blocks(&blocks, &mut bytes);
+        assert_eq!(bytes[0], 0xee, "appends");
+        assert_eq!(bytes[1..], pack_bits(&bits));
+        *bytes.last_mut().unwrap() |= 0b111; // padding
+        assert_eq!(unpack_blocks(&bytes[1..], 3), blocks);
+    }
+
+    #[test]
+    fn msb_bytes_match_pack_bits() {
+        let bits: Vec<bool> = (0..150).map(|i| (i * 5 + i / 7) % 3 == 0).collect();
+        let packed = PackedBits::from_bools(&bits);
+        for n in [0, 1, 7, 8, 9, 63, 64, 65, 149, 150] {
+            assert_eq!(packed.to_msb_bytes(n), pack_bits(&bits[..n]), "n = {n}");
         }
     }
 

@@ -10,7 +10,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wavekey_core::agreement::{run_agreement_information_layer, AgreementConfig};
 use wavekey_core::bits::{
-    deinterleave, hamming_distance, interleave, mismatch_rate, pack_bits, unpack_bits,
+    deinterleave, hamming_distance, interleave, mismatch_rate, pack_bits, unpack_bits, PackedBits,
+    BLOCK_BITS,
 };
 use wavekey_core::channel::MessageKind;
 use wavekey_core::proto::frame::{Decoder, FrameError, HEADER_LEN, MAGIC, WIRE_VERSION};
@@ -127,12 +128,17 @@ fn bits_pack_unpack_roundtrip() {
 #[test]
 fn interleave_roundtrip() {
     cases("interleave_roundtrip", 256, |rng| {
-        let bits = random_bits(rng, 1..300);
         let blocks = rng.gen_range(1usize..6);
-        let block_len = bits.len().div_ceil(blocks);
-        let inter = interleave(&bits, blocks, block_len);
-        assert_eq!(inter.len(), blocks * block_len);
-        assert_eq!(deinterleave(&inter, blocks, block_len, bits.len()), bits);
+        let bits = random_bits(rng, 1..blocks * BLOCK_BITS + 1);
+        let inter = interleave(&PackedBits::from_bools(&bits), blocks);
+        assert_eq!(inter.len(), blocks);
+        // Bit p at offset p / blocks of block p mod blocks; the rest zero.
+        let ones: u32 = inter.iter().map(|block| block.count_ones()).sum();
+        assert_eq!(ones as usize, bits.iter().filter(|&&b| b).count());
+        for (p, &b) in bits.iter().enumerate() {
+            assert_eq!(inter[p % blocks] >> (p / blocks) & 1 == 1, b, "bit {p}");
+        }
+        assert_eq!(deinterleave(&inter, bits.len()).to_bools(), bits);
     });
 }
 
@@ -140,15 +146,15 @@ fn interleave_roundtrip() {
 fn interleave_spreads_bursts() {
     // A contiguous burst lands with at most ⌈burst/blocks⌉ bits in any
     // single block.
-    let (blocks, block_len) = (3usize, 100usize);
+    let blocks = 3usize;
     for burst_len in 1usize..12 {
         for start in 0..=300 - burst_len {
             let mut bits = vec![false; 300];
             bits[start..start + burst_len].fill(true);
-            let inter = interleave(&bits, blocks, block_len);
-            let cap = burst_len.div_ceil(blocks);
-            for blk in inter.chunks(block_len) {
-                let count = blk.iter().filter(|&&b| b).count();
+            let inter = interleave(&PackedBits::from_bools(&bits), blocks);
+            let cap = burst_len.div_ceil(blocks) as u32;
+            for block in &inter {
+                let count = block.count_ones();
                 assert!(count <= cap, "burst {start}+{burst_len}: {count} > {cap}");
             }
         }

@@ -183,17 +183,18 @@ fn hmac_distinct_keys_distinct_macs() {
     });
 }
 
+/// A random word of `bits` low bits.
+fn random_block(rng: &mut StdRng, bits: usize) -> u128 {
+    (0..bits).fold(0, |w, i| w | u128::from(rng.gen::<bool>()) << i)
+}
+
 #[test]
 fn bch_corrects_any_pattern_within_radius() {
     let bch = Bch::new(5).unwrap();
     cases("bch_corrects_any_pattern_within_radius", 256, |rng| {
-        let msg: Vec<bool> = (0..bch.k()).map(|_| rng.gen()).collect();
-        let cw = bch.encode(&msg).unwrap();
-        let mut corrupted = cw.clone();
-        for p in positions(rng, 5) {
-            corrupted[p] = !corrupted[p];
-        }
-        assert_eq!(bch.decode(&corrupted).unwrap(), cw);
+        let cw = bch.encode(random_block(rng, bch.k())).unwrap();
+        let corrupted = positions(rng, 5).into_iter().fold(cw, |w, p| w ^ 1 << p);
+        assert_eq!(bch.decode(corrupted).unwrap(), cw);
     });
 }
 
@@ -201,12 +202,12 @@ fn bch_corrects_any_pattern_within_radius() {
 fn code_offset_recovers_within_radius() {
     let co = CodeOffset::new(Bch::new(3).unwrap());
     cases("code_offset_recovers_within_radius", 256, |rng| {
-        let key: Vec<bool> = (0..127).map(|_| rng.gen()).collect();
+        let key = [random_block(rng, 127), random_block(rng, 127)];
         let helper = co.commit(&key, rng);
-        let mut noisy = key.clone();
-        for f in positions(rng, 3) {
-            noisy[f] = !noisy[f];
+        let mut noisy = key;
+        for block in &mut noisy {
+            *block = positions(rng, 3).into_iter().fold(*block, |w, f| w ^ 1 << f);
         }
-        assert_eq!(co.reconcile(&noisy, &helper, key.len()), Some(key));
+        assert_eq!(co.reconcile(&noisy, &helper), Some(key.to_vec()));
     });
 }

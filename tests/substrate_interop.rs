@@ -3,6 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use wavekey::core::bits::{deinterleave, interleave, pack_blocks, unpack_blocks, PackedBits};
 use wavekey::crypto::ecc::{Bch, CodeOffset};
 use wavekey::crypto::group::Group;
 use wavekey::crypto::ot::{OtPairs, OtReceiver, OtSender};
@@ -63,9 +64,10 @@ fn ot_transports_bch_codewords_exactly() {
     let group = Group::Ristretto255;
     let bch = Bch::new(3).unwrap();
     let mut rng = StdRng::seed_from_u64(21);
-    let msg: Vec<bool> = (0..bch.k()).map(|_| rng.gen()).collect();
-    let codeword = bch.encode(&msg).unwrap();
-    let payload = wavekey::core::bits::pack_bits(&codeword);
+    let msg = (0..bch.k()).fold(0u128, |m, i| m | u128::from(rng.gen::<bool>()) << i);
+    let codeword = bch.encode(msg).unwrap();
+    let mut payload = Vec::new();
+    pack_blocks(&[codeword], &mut payload);
 
     let mut rng_s = StdRng::seed_from_u64(22);
     let mut rng_r = StdRng::seed_from_u64(23);
@@ -77,15 +79,14 @@ fn ot_transports_bch_codewords_exactly() {
     let (receiver, mb) = OtReceiver::respond(group, &[false], &ma, &mut rng_r).unwrap();
     let me = sender.encrypt(group, &mb).unwrap();
     let received = receiver.decrypt(group, &me).unwrap();
-    let bits = wavekey::core::bits::unpack_bits(&received, 127);
+    let block = unpack_blocks(&received, 1)[0];
 
     // Flip two bits in transit-equivalent corruption; BCH repairs them.
-    let mut noisy = bits;
-    noisy[5] = !noisy[5];
-    noisy[80] = !noisy[80];
-    let decoded = bch.decode(&noisy).unwrap();
+    let noisy = block ^ 1 << 5 ^ 1 << 80;
+    let decoded = bch.decode(noisy).unwrap();
     assert_eq!(decoded, codeword);
-    assert_eq!(bch.extract_message(&decoded), msg);
+    // Systematic: the message sits at positions n−k..n.
+    assert_eq!(decoded >> (bch.n() - bch.k()), msg);
 }
 
 #[test]
@@ -99,7 +100,7 @@ fn code_offset_reconciles_realistic_seed_noise() {
     let key: Vec<bool> = (0..k_len).map(|_| rng.gen()).collect();
 
     let blocks = k_len.div_ceil(127);
-    let inter = wavekey::core::bits::interleave(&key, blocks, 127);
+    let inter = interleave(&PackedBits::from_bools(&key), blocks);
     let helper = co.commit(&inter, &mut rng);
 
     // Two bad segments with ~half their bits flipped.
@@ -111,12 +112,9 @@ fn code_offset_reconciles_realistic_seed_noise() {
             }
         }
     }
-    let noisy_inter = wavekey::core::bits::interleave(&noisy, blocks, 127);
-    let recovered = co
-        .reconcile(&noisy_inter, &helper, blocks * 127)
-        .expect("within correction radius");
-    let out = wavekey::core::bits::deinterleave(&recovered, blocks, 127, k_len);
-    assert_eq!(out, key);
+    let noisy_inter = interleave(&PackedBits::from_bools(&noisy), blocks);
+    let recovered = co.reconcile(&noisy_inter, &helper).expect("within correction radius");
+    assert_eq!(deinterleave(&recovered, k_len).to_bools(), key);
 }
 
 #[test]
